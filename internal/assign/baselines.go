@@ -16,9 +16,6 @@ type KM struct {
 	// Parallelism bounds the edge-construction pool used by AssignContext
 	// (0 = GOMAXPROCS).
 	Parallelism int
-	// BruteForce disables the spatial candidate index (see PPI.BruteForce);
-	// the plan is bit-identical either way.
-	BruteForce bool
 }
 
 // Name implements Assigner.
@@ -29,10 +26,26 @@ func (k KM) Assign(tasks []Task, workers []Worker, tick int) []Pair {
 	return k.AssignContext(context.Background(), tasks, workers, tick)
 }
 
-// AssignContext implements ContextAssigner: candidate edges are generated
-// one task row per pool goroutine; the matching is sequential.
+// AssignContext implements ContextAssigner: edges come from the
+// candidate-pair kernel under the Theorem-2 feasibility cap, then one KM
+// matching. The two stages are timed as separate spans, and the graph size
+// lands in tamp_assign_edges_total.
 func (k KM) AssignContext(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
-	return matchByPath(ctx, tasks, workers, tick, k.Parallelism, k.BruteForce)
+	ctx, endKM := obs.Span(ctx, "assign.km")
+	defer endKM()
+	ec := edgeCountersFor(obs.RegistryFrom(ctx))
+	ws := workspaceFor(ctx)
+	_, endEdges := obs.Span(ctx, "edges")
+	scan := ws.newPairScan(ctx, tasks, workers, tick, k.Parallelism, pairPath)
+	found := scan.feasible(ctx, pairPath, 0, nil, nil)
+	edges := ws.edgesOf(found, tasks, 1)
+	endEdges()
+	ec.km.Add(int64(len(edges)))
+	ec.kmCandidates.Add(int64(found.candidates))
+	ec.kmPruned.Add(int64(len(tasks)*len(workers) - found.candidates))
+	var pairs []Pair
+	obs.Time(ctx, "match", func() { pairs = ws.m.Match(edges, nil) })
+	return pairs
 }
 
 // UB is the oracle upper bound: it checks the exact acceptance predicate
@@ -43,9 +56,6 @@ type UB struct {
 	// Parallelism bounds the edge-construction pool used by AssignContext
 	// (0 = GOMAXPROCS).
 	Parallelism int
-	// BruteForce disables the spatial candidate index (see PPI.BruteForce);
-	// the plan is bit-identical either way.
-	BruteForce bool
 }
 
 // Name implements Assigner.
@@ -57,108 +67,45 @@ func (u UB) Assign(tasks []Task, workers []Worker, tick int) []Pair {
 }
 
 // AssignContext implements ContextAssigner. ServeDist accepts a point only
-// when the out-and-back detour 2·dis fits the budget d, i.e. dis ≤ d/2 —
-// inside the reach envelope of the worker's true trajectory — so the index
-// prunes soundly for the oracle too.
+// when the out-and-back detour 2·dis fits the budget d, i.e. dis ≤ d/2, so
+// the kernel's reach disks around the true trajectory prune soundly for the
+// oracle too; an edge costs the full detour.
 func (u UB) AssignContext(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
 	ws := workspaceFor(ctx)
-	cv := buildCandidateView(ctx, ws, len(workers), u.Parallelism, u.BruteForce, actualEnvelope(workers))
-	edges := edgeRows(ctx, len(tasks), u.Parallelism, func(ti int) []Edge {
-		var row []Edge
-		it := cv.iter(tasks[ti].Loc)
-		for wi32, ok := it.next(); ok; wi32, ok = it.next() {
-			wi := int(wi32)
-			if tasks[ti].ExcludedWorker(workers[wi].ID) {
-				continue
-			}
-			d := ServeDist(&workers[wi], &tasks[ti], tick)
-			if d >= 0 {
-				row = append(row, Edge{Task: ti, Worker: wi, Weight: pairWeightFor(&tasks[ti], 2*d)})
-			}
-		}
-		return row
-	})
-	return ws.m.Match(edges, nil)
-}
-
-// matchByPath builds edges from predicted-trajectory-to-task distances
-// under the Theorem-2 feasibility cap and solves one KM matching. The two
-// stages — edge construction and the Hungarian matching — are timed as
-// separate spans, and the graph size lands in tamp_assign_edges_total.
-func matchByPath(ctx context.Context, tasks []Task, workers []Worker, tick, parallelism int, brute bool) []Pair {
-	ctx, endKM := obs.Span(ctx, "assign.km")
-	defer endKM()
-	ec := edgeCountersFor(obs.RegistryFrom(ctx))
-	ws := workspaceFor(ctx)
-	cv := buildCandidateView(ctx, ws, len(workers), parallelism, brute, predictedEnvelope(workers))
-	_, endEdges := obs.Span(ctx, "edges")
-	visited := make([]int, len(tasks))
-	edges := edgeRows(ctx, len(tasks), parallelism, func(ti int) []Edge {
-		var row []Edge
-		it := cv.iter(tasks[ti].Loc)
-		visited[ti] = it.total()
-		for wi32, ok := it.next(); ok; wi32, ok = it.next() {
-			wi := int(wi32)
-			w := &workers[wi]
-			if tasks[ti].ExcludedWorker(w.ID) {
-				continue
-			}
-			dmin := minDistTo(w.Predicted, tasks[ti].Loc)
-			if dmin < 0 {
-				continue
-			}
-			if dmin <= reachCap(w, &tasks[ti], tick) {
-				row = append(row, Edge{Task: ti, Worker: wi, Weight: pairWeightFor(&tasks[ti], dmin)})
-			}
-		}
-		return row
-	})
-	endEdges()
-	var nVisited int
-	for _, v := range visited {
-		nVisited += v
-	}
-	ec.km.Add(int64(len(edges)))
-	ec.kmCandidates.Add(int64(nVisited))
-	ec.kmPruned.Add(int64(len(tasks)*len(workers) - nVisited))
-	var pairs []Pair
-	obs.Time(ctx, "match", func() { pairs = ws.m.Match(edges, nil) })
-	return pairs
+	scan := ws.newPairScan(ctx, tasks, workers, tick, u.Parallelism, pairServe)
+	return ws.m.Match(ws.edgesOf(scan.feasible(ctx, pairServe, 0, nil, nil), tasks, 2), nil)
 }
 
 // LB is the lower bound: the bipartite graph is generated only from each
 // worker's current location, ignoring mobility entirely.
-type LB struct {
-	// BruteForce disables the spatial candidate index (see PPI.BruteForce);
-	// the plan is bit-identical either way.
-	BruteForce bool
-}
+type LB struct{}
 
 // Name implements Assigner.
 func (LB) Name() string { return "LB" }
 
 // Assign implements Assigner.
 func (l LB) Assign(tasks []Task, workers []Worker, tick int) []Pair {
-	ctx := context.Background()
+	return l.AssignContext(context.Background(), tasks, workers, tick)
+}
+
+// AssignContext implements ContextAssigner.
+func (LB) AssignContext(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
 	ws := workspaceFor(ctx)
-	cv := buildCandidateView(ctx, ws, len(workers), 1, l.BruteForce, locEnvelope(workers))
-	edges := edgeRows(ctx, len(tasks), 1, func(ti int) []Edge {
-		var row []Edge
-		it := cv.iter(tasks[ti].Loc)
-		for wi32, ok := it.next(); ok; wi32, ok = it.next() {
-			wi := int(wi32)
-			w := &workers[wi]
-			if tasks[ti].ExcludedWorker(w.ID) {
-				continue
-			}
-			d := w.Loc.Dist(tasks[ti].Loc)
-			if d <= reachCap(w, &tasks[ti], tick) {
-				row = append(row, Edge{Task: ti, Worker: wi, Weight: pairWeightFor(&tasks[ti], d)})
-			}
-		}
-		return row
-	})
-	return ws.m.Match(edges, nil)
+	scan := ws.newPairScan(ctx, tasks, workers, tick, 1, pairLoc)
+	return ws.m.Match(ws.edgesOf(scan.feasible(ctx, pairLoc, 0, nil, nil), tasks, 1), nil)
+}
+
+// edgesOf turns a query's feasible pairs into matching edges in the
+// workspace's edge buffer (valid until the next call), scoring each by
+// perDist times its distance: 1 for the one-way distances of the reach
+// predicates, 2 for UB's out-and-back detour.
+func (ws *Workspace) edgesOf(found feasiblePairs, tasks []Task, perDist float64) []Edge {
+	edges := ws.edges[:0]
+	for _, h := range found.pairs {
+		edges = append(edges, Edge{Task: int(h.task), Worker: int(h.worker), Weight: pairWeightFor(&tasks[h.task], perDist*h.dist)})
+	}
+	ws.edges = edges[:0]
+	return edges
 }
 
 // GGPSO is the genetic task assignment baseline of Zhang & Zhang [11]: it
@@ -173,10 +120,6 @@ type GGPSO struct {
 	MutationRate float64
 	// Seed drives the random search; the zero seed is valid.
 	Seed int64
-	// BruteForce disables the spatial candidate index for the candidate-list
-	// construction. The candidate lists — and therefore the rng call
-	// sequence and the evolved plan — are identical either way.
-	BruteForce bool
 }
 
 // Name implements Assigner.
@@ -187,6 +130,12 @@ type chromosome []int
 
 // Assign implements Assigner.
 func (g GGPSO) Assign(tasks []Task, workers []Worker, tick int) []Pair {
+	return g.AssignContext(context.Background(), tasks, workers, tick)
+}
+
+// AssignContext implements ContextAssigner; the search itself is sequential
+// and does not watch ctx.
+func (g GGPSO) AssignContext(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
 	pop := g.Population
 	if pop <= 0 {
 		pop = 40
@@ -202,29 +151,16 @@ func (g GGPSO) Assign(tasks []Task, workers []Worker, tick int) []Pair {
 	rng := rand.New(rand.NewSource(g.Seed + 1))
 
 	// Candidate workers (with weights) per task, from the same
-	// prediction-feasibility graph the KM baseline uses. The index only
-	// skips workers the feasibility cap would reject anyway, so the lists —
-	// and the rng draws over them — do not depend on it.
-	ctx := context.Background()
+	// prediction-feasibility graph the KM baseline uses. The kernel returns
+	// the same lists on its grid and scan paths, so the rng draws over them
+	// do not depend on which ran.
 	ws := workspaceFor(ctx)
-	cv := buildCandidateView(ctx, ws, len(workers), 1, g.BruteForce, predictedEnvelope(workers))
+	scan := ws.newPairScan(ctx, tasks, workers, tick, 1, pairPath)
+	found := scan.feasible(ctx, pairPath, 0, nil, nil)
+	edges := ws.edgesOf(found, tasks, 1)
 	cands := make([][]Edge, len(tasks))
-	for ti := range tasks {
-		it := cv.iter(tasks[ti].Loc)
-		for wi32, ok := it.next(); ok; wi32, ok = it.next() {
-			wi := int(wi32)
-			w := &workers[wi]
-			if tasks[ti].ExcludedWorker(w.ID) {
-				continue
-			}
-			dmin := minDistTo(w.Predicted, tasks[ti].Loc)
-			if dmin < 0 {
-				continue
-			}
-			if dmin <= reachCap(w, &tasks[ti], tick) {
-				cands[ti] = append(cands[ti], Edge{Task: ti, Worker: wi, Weight: pairWeightFor(&tasks[ti], dmin)})
-			}
-		}
+	for ti := range cands {
+		cands[ti] = edges[found.start[ti]:found.start[ti+1]]
 	}
 
 	// One shared occupancy scratch serves newChrom and repair: zeroed on

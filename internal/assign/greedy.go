@@ -12,16 +12,13 @@ import (
 // owes requesters a plan. Greedy makes one pass — tasks in deadline order,
 // each taking its nearest feasible unclaimed worker by predicted-trajectory
 // distance under the Theorem-2 reachability cap — with none of PPI's
-// matching machinery. The spatial candidate index cuts each task's scan to
-// the workers bucketed near it; the plan is worse than a maximum-weight
+// matching machinery. The candidate-pair kernel hands each task only the
+// workers that can reach it; the plan is worse than a maximum-weight
 // matching but arrives in microseconds, deterministically.
 type Greedy struct {
-	// Parallelism bounds the pool used to rebuild the candidate index
+	// Parallelism bounds the pool the kernel builds the feasibility graph on
 	// (0 = GOMAXPROCS); the assignment pass itself is sequential.
 	Parallelism int
-	// BruteForce disables the spatial candidate index (see PPI.BruteForce);
-	// the plan is bit-identical either way.
-	BruteForce bool
 }
 
 // Name implements Assigner.
@@ -32,14 +29,17 @@ func (g Greedy) Assign(tasks []Task, workers []Worker, tick int) []Pair {
 	return g.AssignContext(context.Background(), tasks, workers, tick)
 }
 
-// AssignContext implements ContextAssigner. Candidate buckets enumerate in
-// ascending worker order — the same order the brute scan walks — and the
+// AssignContext implements ContextAssigner. Each task's feasible workers
+// arrive in ascending worker order on both kernel paths and the
 // nearest-worker tie-break is strict, so the first of equidistant workers
-// wins on both paths and the plan is identical with and without the index.
+// wins either way.
 func (g Greedy) AssignContext(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
 	ec := edgeCountersFor(obs.RegistryFrom(ctx))
 	ws := workspaceFor(ctx)
-	cv := buildCandidateView(ctx, ws, len(workers), g.Parallelism, g.BruteForce, predictedEnvelope(workers))
+	scan := ws.newPairScan(ctx, tasks, workers, tick, g.Parallelism, pairPath)
+	found := scan.feasible(ctx, pairPath, 0, nil, nil)
+	ec.greedyCandidates.Add(int64(found.candidates))
+	ec.greedyPruned.Add(int64(len(tasks)*len(workers) - found.candidates))
 	// Urgency order: earliest deadline first, task index as the
 	// deterministic tie-break.
 	order := make([]int, len(tasks))
@@ -55,33 +55,18 @@ func (g Greedy) AssignContext(ctx context.Context, tasks []Task, workers []Worke
 	})
 	used := make([]bool, len(workers))
 	var out []Pair
-	var nVisited int
 	for _, ti := range order {
-		t := &tasks[ti]
-		it := cv.iter(t.Loc)
-		nVisited += it.total()
 		best, bestDist := -1, 0.0
-		for wi32, ok := it.next(); ok; wi32, ok = it.next() {
-			wi := int(wi32)
-			if used[wi] || t.ExcludedWorker(workers[wi].ID) {
-				continue
-			}
-			w := &workers[wi]
-			d := minDistTo(w.Predicted, t.Loc)
-			if d < 0 || d > reachCap(w, t, tick) {
-				continue
-			}
-			if best < 0 || d < bestDist {
-				best, bestDist = wi, d
+		for _, h := range found.of(ti) {
+			if wi := int(h.worker); !used[wi] && (best < 0 || h.dist < bestDist) {
+				best, bestDist = wi, h.dist
 			}
 		}
 		if best >= 0 {
 			used[best] = true
-			out = append(out, Pair{Task: ti, Worker: best, Weight: pairWeightFor(t, bestDist)})
+			out = append(out, Pair{Task: ti, Worker: best, Weight: pairWeightFor(&tasks[ti], bestDist)})
 		}
 	}
-	ec.greedyCandidates.Add(int64(nVisited))
-	ec.greedyPruned.Add(int64(len(tasks)*len(workers) - nVisited))
 	sort.Slice(out, func(a, b int) bool { return out[a].Task < out[b].Task })
 	return out
 }

@@ -41,6 +41,8 @@ import (
 type Session struct {
 	cfg PPI
 	ws  Workspace
+	idx geo.GridIndex // worker reach envelopes, patched in place across ticks
+	all []int32       // identity list: the candidate stream of full-scan rows
 
 	tasks   []Task
 	workers []Worker
@@ -142,8 +144,9 @@ type sessionRow struct {
 // dirty, patching cells one by one loses to rebuilding the index outright.
 const sessionRebuildFrac = 5 // 20 %
 
-// NewSession returns an empty session configured like cfg (A, Epsilon,
-// Parallelism, BruteForce all apply exactly as in PPI.AssignContext).
+// NewSession returns an empty session configured like cfg (A, Epsilon and
+// Parallelism apply exactly as in PPI.AssignContext, as does WithBruteScan on
+// the context handed to Assign).
 func NewSession(cfg PPI) *Session {
 	return &Session{
 		cfg:     cfg,
@@ -478,7 +481,7 @@ func (s *Session) Assign(ctx context.Context, tick int) []Pair {
 // refreshIndex brings the spatial index in line with the current worker
 // population: in-place Update for light churn, full Build past the fallback
 // threshold, and the degenerate full-scan mode when the index cannot help
-// (brute config, tiny fleets, unbounded envelopes).
+// (brute-scan context, tiny fleets, unbounded envelopes).
 func (s *Session) refreshIndex(ctx context.Context, ec *edgeCounters) {
 	// Settle the envelopes of dirty positions and the unbounded census.
 	nW := len(s.workers)
@@ -500,7 +503,7 @@ func (s *Session) refreshIndex(ctx context.Context, ec *edgeCounters) {
 		}
 	}
 
-	scanAll := s.cfg.BruteForce || nW < indexMinWorkers || s.unbounded > 0
+	scanAll := bruteScan(ctx) || nW < indexMinWorkers || s.unbounded > 0
 	if scanAll != s.scanAll {
 		s.scanAll = scanAll
 		s.indexEpoch++
@@ -508,7 +511,7 @@ func (s *Session) refreshIndex(ctx context.Context, ec *edgeCounters) {
 	}
 	s.stats.ScanAll = scanAll
 	if scanAll {
-		s.ws.all = identity(s.ws.all, nW)
+		s.all = identity(s.all, nW)
 		return
 	}
 
@@ -526,17 +529,17 @@ func (s *Session) refreshIndex(ctx context.Context, ec *edgeCounters) {
 				d.Env, d.Has = s.envOf(p)
 			}
 			s.deltas = append(s.deltas, d)
-			if !ovfDirty && inSorted(s.ws.idx.Overflow(), p32) {
+			if !ovfDirty && inSorted(s.idx.Overflow(), p32) {
 				ovfDirty = true
 			}
 		}
-		touched, ovfChanged, ok := s.ws.idx.Update(s.deltas)
+		touched, ovfChanged, ok := s.idx.Update(s.deltas)
 		if ok {
 			for _, c := range touched {
 				s.cellVer[c]++
 			}
 			for _, p32 := range s.dirtyWList {
-				if !ovfDirty && inSorted(s.ws.idx.Overflow(), p32) {
+				if !ovfDirty && inSorted(s.idx.Overflow(), p32) {
 					ovfDirty = true
 				}
 			}
@@ -554,7 +557,7 @@ func (s *Session) refreshIndex(ctx context.Context, ec *edgeCounters) {
 	}
 	if rebuild {
 		_, end := obs.Span(ctx, "index")
-		err := s.ws.idx.Build(ctx, nW, s.cfg.Parallelism, s.envOf)
+		err := s.idx.Build(ctx, nW, s.cfg.Parallelism, s.envOf)
 		end()
 		s.indexEpoch++
 		s.patched = 0
@@ -563,7 +566,7 @@ func (s *Session) refreshIndex(ctx context.Context, ec *edgeCounters) {
 			// is partial anyway) and let the next tick rebuild from cold.
 			s.built = false
 			s.stats.ScanAll = true
-			s.ws.all = identity(s.ws.all, nW)
+			s.all = identity(s.all, nW)
 			return
 		}
 		s.built = true
@@ -572,12 +575,12 @@ func (s *Session) refreshIndex(ctx context.Context, ec *edgeCounters) {
 		s.stats.TotalRebuilds++
 		ec.idxRebuilds.Add(1)
 	}
-	s.ws.all = identity(s.ws.all, nW)
+	s.all = identity(s.all, nW)
 }
 
 // cells returns the current grid's cell count (0 when gridless).
 func (s *Session) cells() int {
-	cols, rows := s.ws.idx.Dims()
+	cols, rows := s.idx.Dims()
 	return cols * rows
 }
 
@@ -627,11 +630,11 @@ func (s *Session) computeRow(ti, tick int, scanTick bool) {
 	scan := scanTick
 	cell := -1
 	if scanTick || math.IsNaN(t.Loc.X) || math.IsNaN(t.Loc.Y) {
-		it = candIter{a: s.ws.all}
+		it = candIter{a: s.all}
 		scan = true
 	} else {
-		cell = s.ws.idx.CellOf(t.Loc)
-		it = candIter{a: s.ws.idx.Bucket(cell), b: s.ws.idx.Overflow()}
+		cell = s.idx.CellOf(t.Loc)
+		it = candIter{a: s.idx.Bucket(cell), b: s.idx.Overflow()}
 	}
 	r.visited = it.total()
 
@@ -704,7 +707,7 @@ func (s *Session) computeRow(ti, tick int, scanTick bool) {
 func (s *Session) patchRow(ti, tick int) {
 	r := &s.rows[ti]
 	t := &s.tasks[ti]
-	it := candIter{a: s.ws.idx.Bucket(int(r.cell)), b: s.ws.idx.Overflow()}
+	it := candIter{a: s.idx.Bucket(int(r.cell)), b: s.idx.Overflow()}
 	r.visited = it.total()
 	r.confident = s.dropDirtyEdges(r.confident)
 	r.pending = s.dropDirtyCands(r.pending)
@@ -893,6 +896,92 @@ func growCellVer(buf []uint32, n int) []uint32 {
 	buf = buf[:n]
 	for i := range buf {
 		buf[i] = 0
+	}
+	return buf
+}
+
+// candIter merges two ascending, disjoint id streams (grid bucket and
+// overflow list) into one ascending scan without materializing the union.
+type candIter struct {
+	a, b []int32
+	i, j int
+}
+
+// next returns the smallest unconsumed id, or ok=false when exhausted.
+func (it *candIter) next() (int32, bool) {
+	if it.i < len(it.a) {
+		if it.j < len(it.b) && it.b[it.j] < it.a[it.i] {
+			v := it.b[it.j]
+			it.j++
+			return v, true
+		}
+		v := it.a[it.i]
+		it.i++
+		return v, true
+	}
+	if it.j < len(it.b) {
+		v := it.b[it.j]
+		it.j++
+		return v, true
+	}
+	return 0, false
+}
+
+// total is the number of ids the full scan will visit (streams are
+// disjoint by construction).
+func (it candIter) total() int { return len(it.a) + len(it.b) }
+
+// indexMinWorkers is the fleet size below which the index rebuild costs more
+// than the scan it prunes; smaller fleets take the identical-plan full scan.
+// The threshold only moves work between equivalent code paths — plans are
+// bit-identical on both sides of it.
+const indexMinWorkers = 16
+
+// pointsEnvelope is the reach envelope of a worker over the given point set:
+// the bounding box of its points expanded by detour/2, the ceiling of
+// Theorem 2's reach cap min(d/2, dᵗ). Every task a feasibility predicate can
+// accept for this worker lies inside the envelope, so pruning to the
+// envelope's grid cells never drops a feasible pair. ok=false (no points)
+// removes the worker from the index entirely — exactly the pairs the brute
+// scan also rejects. A non-finite point poisons the scan predicates through
+// sticky NaN comparisons (minDistTo/ServeDist can then accept the worker for
+// a task at any distance), so it makes the envelope non-finite, which
+// refreshIndex turns into the whole-fleet full-scan mode.
+func pointsEnvelope(pts []geo.Point, detour float64) (geo.BBox, bool) {
+	if len(pts) == 0 {
+		return geo.BBox{}, false
+	}
+	r := detour / 2
+	if !(r > 0) { // negative or NaN detour: a zero-radius disk still matches d=0
+		r = 0
+	}
+	b := geo.BBox{Min: pts[0], Max: pts[0]}
+	for _, p := range pts[1:] {
+		b.Min.X = math.Min(b.Min.X, p.X)
+		b.Min.Y = math.Min(b.Min.Y, p.Y)
+		b.Max.X = math.Max(b.Max.X, p.X)
+		b.Max.Y = math.Max(b.Max.Y, p.Y)
+	}
+	b.Min.X -= r
+	b.Min.Y -= r
+	b.Max.X += r
+	b.Max.Y += r
+	return b, true
+}
+
+func finiteEnvelope(b geo.BBox) bool {
+	return finite(b.Min.X) && finite(b.Min.Y) && finite(b.Max.X) && finite(b.Max.Y)
+}
+
+// identity returns [0, 1, …, n) in buf's storage.
+func identity(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		buf = make([]int32, n)
+	} else {
+		buf = buf[:n]
+	}
+	for i := range buf {
+		buf[i] = int32(i)
 	}
 	return buf
 }

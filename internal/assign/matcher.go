@@ -1,6 +1,9 @@
 package assign
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Matcher solves maximum-weight bipartite matching over sparse candidate
 // edge lists with a reusable workspace: compaction tables, the CSR adjacency,
@@ -324,6 +327,7 @@ func (m *Matcher) extract(out []Pair, nc int, transposed bool) []Pair {
 		rowIDs, colIDs = m.workerIDs, m.taskIDs
 	}
 	from := len(out)
+	out = slices.Grow(out, min(len(rowIDs), nc)) // one growth step, not log-many
 	for j := 1; j <= nc; j++ {
 		r := int(m.p[j])
 		if r == 0 {

@@ -5,9 +5,7 @@ import (
 	"math"
 	"slices"
 
-	"github.com/spatialcrowd/tamp/internal/geo"
 	"github.com/spatialcrowd/tamp/internal/obs"
-	"github.com/spatialcrowd/tamp/internal/par"
 )
 
 // PPI is the Prediction Performance-Involved task assignment algorithm
@@ -31,11 +29,6 @@ type PPI struct {
 	// matching itself stays sequential; the plan is identical at every
 	// parallelism level.
 	Parallelism int
-	// BruteForce disables the spatial candidate index and scans every
-	// (task, worker) pair, the pre-index behaviour. The plan is bit-identical
-	// either way; the flag exists so tests can hold the scan up as the
-	// oracle for the indexed path.
-	BruteForce bool
 }
 
 // Name implements Assigner.
@@ -80,29 +73,23 @@ func sortPending(pending []candidate) {
 	slices.SortFunc(pending, cmpCandidate)
 }
 
-// growCandidates readies a reusable candidate buffer with capacity n.
-func growCandidates(buf []candidate, n int) []candidate {
-	if cap(buf) < n {
-		return make([]candidate, 0, n)
-	}
-	return buf[:0]
-}
-
 // edgeCounters bundles the tamp_assign_edges_total series the assigners
 // bump every batch; resolved once per registry through Memo because a
 // labelled lookup per batch would rival a small batch's matching work.
-// The candidates/pruned stages expose the index's effect: candidates is
-// the number of (task, worker) pairs actually examined after spatial
-// pruning, pruned is the all-pairs count minus that.
+// The candidates/pruned stages expose the kernel's effect: candidates is
+// the number of distinct (task, worker) pairs that reached the exact
+// feasibility predicate, pruned is the all-pairs count minus that (never
+// negative: a pair counts once however many of its points probed it).
 type edgeCounters struct {
 	confident, pending, fallback, km *obs.Counter
 	ppiCandidates, ppiPruned         *obs.Counter
 	kmCandidates, kmPruned           *obs.Counter
 	greedyCandidates, greedyPruned   *obs.Counter
 
-	// Incremental-engine series: rows the warm-started KM resumed without
-	// re-solving, index cells patched in place by Update, and full index
-	// rebuilds (every from-scratch Build, including churn fallbacks).
+	// Warm-start and incremental-engine series: rows the warm-started KM
+	// resumed without re-solving, and the Session's envelope index — cells
+	// patched in place by Update, and full rebuilds (churn fallbacks
+	// included).
 	kmWarmRows  *obs.Counter
 	idxPatched  *obs.Counter
 	idxRebuilds *obs.Counter
@@ -136,14 +123,13 @@ func (p PPI) Assign(tasks []Task, workers []Worker, tick int) []Pair {
 	return p.AssignContext(context.Background(), tasks, workers, tick)
 }
 
-// AssignContext implements ContextAssigner: the candidate scans of stages 1
-// and 3 fan out one task row per pool goroutine, each row writing only its
-// own slot; rows merge in task order so the staged matching sees the same
-// graph — and returns the same plan — at every parallelism level. Each row
-// visits only the workers the spatial index buckets near the task (every
-// bucket is sorted ascending, the same order the brute scan walks), so the
-// plan is also identical with and without the index. A cancelled ctx yields
-// a partial plan the caller should discard.
+// AssignContext implements ContextAssigner: the candidate graphs of stages 1
+// and 3 come from the candidate-pair kernel (pairs.go), which fans out over
+// worker chunks and returns pairs in task-major, worker-ascending order at
+// every parallelism level and on both of its paths (task grid and exhaustive
+// scan), so the staged matching sees the same graph — and returns the same
+// plan — whichever ran. A cancelled ctx yields a partial plan the caller
+// should discard.
 func (p PPI) AssignContext(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
 	eps := p.Epsilon
 	if eps <= 0 {
@@ -156,91 +142,38 @@ func (p PPI) AssignContext(ctx context.Context, tasks []Task, workers []Worker, 
 	defer endPPI()
 	ec := edgeCountersFor(obs.RegistryFrom(ctx))
 	ws := workspaceFor(ctx)
-	cv := buildCandidateView(ctx, ws, len(workers), p.Parallelism, p.BruteForce, func(i int) (geo.BBox, bool) {
-		b, ok := pointsEnvelope(workers[i].Predicted, workers[i].Detour)
-		if ok && p.A < 0 {
-			// Stage 1 accepts d ≤ cap − A; a negative A widens the reach disk
-			// past detour/2, so widen the envelope to match.
-			b.Min.X += p.A
-			b.Min.Y += p.A
-			b.Max.X -= p.A
-			b.Max.Y -= p.A
-		}
-		return b, ok
-	})
+	scan := ws.newPairScan(ctx, tasks, workers, tick, p.Parallelism, pairConfident)
 	_, endStage1 := obs.Span(ctx, "stage1")
 
 	// Stage 1 (lines 1–12): collect B for every candidate combination; pairs
 	// with |B|·MR ≥ 1 go straight to the first KM; the rest are kept in 𝓑.
-	type row struct {
-		confident []Edge
-		pending   []candidate
-		visited   int
-	}
-	rows := make([]row, len(tasks))
-	par.ForEach(ctx, len(tasks), p.Parallelism, func(ti int) error {
-		r := &rows[ti]
-		it := cv.iter(tasks[ti].Loc)
-		r.visited = it.total()
-		for wi32, ok := it.next(); ok; wi32, ok = it.next() {
-			wi := int(wi32)
-			w := &workers[wi]
-			if tasks[ti].ExcludedWorker(w.ID) {
-				continue
-			}
-			reach := reachCap(w, &tasks[ti], tick)
-			var bCount int
-			minB := -1.0
-			for _, lhat := range w.Predicted {
-				d := lhat.Dist(tasks[ti].Loc)
-				if d+p.A <= reach {
-					bCount++
-					if minB < 0 || d < minB {
-						minB = d
-					}
-				}
-			}
-			if bCount == 0 {
-				continue
-			}
-			conf := float64(bCount) * w.MR
-			if conf >= 1 {
-				r.confident = append(r.confident, Edge{Task: ti, Worker: wi, Weight: pairWeightFor(&tasks[ti], minB)})
-			} else {
-				r.pending = append(r.pending, candidate{task: ti, worker: wi, minB: minB, conf: conf})
-			}
+	found := scan.feasible(ctx, pairConfident, p.A, nil, nil)
+	confident, pending := ws.edges[:0], ws.pending[:0]
+	for _, h := range found.pairs {
+		ti, wi := int(h.task), int(h.worker)
+		if conf := float64(h.n) * workers[wi].MR; conf >= 1 {
+			confident = append(confident, Edge{Task: ti, Worker: wi, Weight: pairWeightFor(&tasks[ti], h.dist)})
+		} else {
+			pending = append(pending, candidate{task: ti, worker: wi, minB: h.dist, conf: conf})
 		}
-		return nil
-	})
-	var nConf, nPend, nVisited int
-	for i := range rows {
-		nConf += len(rows[i].confident)
-		nPend += len(rows[i].pending)
-		nVisited += rows[i].visited
 	}
-	confident := make([]Edge, 0, nConf)
-	pending := growCandidates(ws.pending, nPend)
-	for i := range rows {
-		confident = append(confident, rows[i].confident...)
-		pending = append(pending, rows[i].pending...)
-	}
-	ws.pending = pending[:0]
-	ec.confident.Add(int64(nConf))
-	ec.pending.Add(int64(nPend))
-	ec.ppiCandidates.Add(int64(nVisited))
-	ec.ppiPruned.Add(int64(len(tasks)*len(workers) - nVisited))
-	// The confident stream is task-grouped (rows concatenated in task
-	// order), so a long-lived workspace warm-starts this solve from the
-	// previous batch's checkpoints; the result is bit-identical to a cold
-	// Match either way.
+	ws.edges, ws.pending = confident[:0], pending[:0]
+	ec.confident.Add(int64(len(confident)))
+	ec.pending.Add(int64(len(pending)))
+	ec.ppiCandidates.Add(int64(found.candidates))
+	ec.ppiPruned.Add(int64(len(tasks)*len(workers) - found.candidates))
+	// The confident stream is task-grouped, so a long-lived workspace
+	// warm-starts this solve from the previous batch's checkpoints; the
+	// result is bit-identical to a cold Match either way.
 	result, warmRows := ws.m.MatchWarm(&ws.warm, confident, nil)
 	ws.noteWarm(warmRows)
 	ec.kmWarmRows.Add(int64(warmRows))
 	endStage1()
 	// Dense index sets: both sides are small integer ranges, so []bool beats
 	// a map on lookup cost and avoids per-entry allocation.
-	assignedT := make([]bool, len(tasks))
-	assignedW := make([]bool, len(workers))
+	ws.assignedT = clearedBools(ws.assignedT, len(tasks))
+	ws.assignedW = clearedBools(ws.assignedW, len(workers))
+	assignedT, assignedW := ws.assignedT, ws.assignedW
 	for _, m := range result {
 		assignedT[m.Task] = true
 		assignedW[m.Worker] = true
@@ -277,36 +210,10 @@ func (p PPI) AssignContext(ctx context.Context, tasks []Task, workers []Worker, 
 	endStage2()
 
 	// Stage 3 (lines 28–34): remaining tasks and workers matched on the
-	// plain prediction-feasibility graph, again through the candidate view.
-	// The pool callbacks only read assignedT/assignedW (all writes happened
-	// before the fan-out).
+	// plain prediction-feasibility graph, a second query on the same scan.
 	_, endStage3 := obs.Span(ctx, "stage3")
 	defer endStage3()
-	rest := edgeRows(ctx, len(tasks), p.Parallelism, func(ti int) []Edge {
-		if assignedT[ti] {
-			return nil
-		}
-		var row []Edge
-		it := cv.iter(tasks[ti].Loc)
-		for wi32, ok := it.next(); ok; wi32, ok = it.next() {
-			wi := int(wi32)
-			if assignedW[wi] {
-				continue
-			}
-			w := &workers[wi]
-			if tasks[ti].ExcludedWorker(w.ID) {
-				continue
-			}
-			dmin := minDistTo(w.Predicted, tasks[ti].Loc)
-			if dmin < 0 {
-				continue
-			}
-			if dmin <= reachCap(w, &tasks[ti], tick) {
-				row = append(row, Edge{Task: ti, Worker: wi, Weight: pairWeightFor(&tasks[ti], dmin)})
-			}
-		}
-		return row
-	})
+	rest := ws.edgesOf(scan.feasible(ctx, pairPath, 0, assignedT, assignedW), tasks, 1)
 	ec.fallback.Add(int64(len(rest)))
 	result = ws.m.Match(rest, result)
 	return result

@@ -10,8 +10,8 @@ import (
 // ScaleScenario generates a reproducible assignment batch of nTasks tasks and
 // nWorkers workers scattered over a square whose side grows with √nWorkers,
 // so spatial density — and with it each task's true candidate count — stays
-// roughly constant across scales. Brute-force graph construction is then
-// Θ(|T|·|W|) while the indexed path visits O(|T|·density) pairs, which is
+// roughly constant across scales. Exhaustive graph construction is then
+// Θ(|T|·|W|) while the task grid visits O(|T|·density) pairs, which is
 // exactly the regime the AssignPPI/AssignKM scale benchmarks and the perf
 // harness measure. Every worker walks a short random trajectory (predicted
 // and a noisy actual), with mixed detour budgets, speeds, and matching rates

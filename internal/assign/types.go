@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"github.com/spatialcrowd/tamp/internal/geo"
-	"github.com/spatialcrowd/tamp/internal/par"
 )
 
 // Task is a spatial task τ = (l, t) (Def. 1): check in at Loc before the
@@ -70,11 +69,12 @@ type Assigner interface {
 	Assign(tasks []Task, workers []Worker, tick int) []Pair
 }
 
-// ContextAssigner is implemented by assigners whose bipartite-graph
-// construction runs on a cancellable worker pool (PPI, KM, UB). The matching
+// ContextAssigner is implemented by every built-in assigner: the context
+// carries the caller's Workspace and metrics registry, and bounds the
+// cancellable worker pool the bipartite graph is built on. The matching
 // itself stays sequential — KM's augmenting paths are inherently ordered —
-// so parallelism only accelerates the O(|tasks|·|workers|·|path|) edge
-// generation that dominates large batches.
+// so parallelism only accelerates the edge generation that dominates large
+// batches.
 type ContextAssigner interface {
 	Assigner
 	AssignContext(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair
@@ -88,28 +88,6 @@ func Do(ctx context.Context, a Assigner, tasks []Task, workers []Worker, tick in
 		return ca.AssignContext(ctx, tasks, workers, tick)
 	}
 	return a.Assign(tasks, workers, tick)
-}
-
-// edgeRows builds the bipartite graph with one candidate row per task,
-// computed concurrently: fn must return the edges for task ti touching no
-// shared state. Rows are index-addressed and concatenated in task order, so
-// the edge list — and therefore the matching — is identical at every
-// parallelism level.
-func edgeRows(ctx context.Context, nTasks, parallelism int, fn func(ti int) []Edge) []Edge {
-	rows := make([][]Edge, nTasks)
-	par.ForEach(ctx, nTasks, parallelism, func(ti int) error {
-		rows[ti] = fn(ti)
-		return nil
-	})
-	var n int
-	for _, r := range rows {
-		n += len(r)
-	}
-	edges := make([]Edge, 0, n)
-	for _, r := range rows {
-		edges = append(edges, r...)
-	}
-	return edges
 }
 
 // reachCap returns min(d/2, d^t) of Theorem 2 for a (worker, task) pair:

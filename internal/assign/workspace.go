@@ -2,27 +2,31 @@ package assign
 
 import (
 	"context"
-	"math"
-	"sync/atomic"
 
 	"github.com/spatialcrowd/tamp/internal/geo"
-	"github.com/spatialcrowd/tamp/internal/obs"
 )
 
-// Workspace owns the reusable per-assigner scratch: the spatial candidate
-// index rebuilt each batch and the sparse-KM Matcher. Long-lived callers
-// (the platform simulator, which runs one batch per tick for the whole
-// horizon) create one Workspace and thread it through the context so index
-// buckets and KM arrays are recycled across ticks instead of reallocated;
-// assigners invoked without one fall back to a fresh workspace per call.
+// Workspace owns the reusable per-assigner scratch: the task grid and pair
+// buffers of the candidate-pair kernel (pairs.go), rebuilt each batch, and
+// the sparse-KM Matcher. Long-lived callers (the platform simulator, which
+// runs one batch per tick for the whole horizon) create one Workspace and
+// thread it through the context so grid cells, pair buffers and KM arrays
+// are recycled across ticks instead of reallocated; assigners invoked
+// without one fall back to a fresh workspace per call.
 //
 // A Workspace serializes one assignment at a time: the assigner that owns it
-// builds the index, then fans out read-only queries. It must not be shared
+// builds the grid, then fans out read-only probes. It must not be shared
 // between concurrently running assigners.
 type Workspace struct {
-	idx geo.GridIndex
-	m   Matcher
-	all []int32
+	m Matcher
+
+	// Candidate-pair kernel state: the batch's task grid, per-chunk and
+	// per-pool-slot probe buffers, and the regrouped result of the last query.
+	grid   geo.PointGrid
+	chunks []pairChunk
+	slots  []pairSlot
+	pairs  []feasiblePair
+	start  []int32
 
 	// Warm-start state for the recurring stage-1 KM stream (see WarmSlot):
 	// persists row/column potentials and the previous matching across
@@ -30,8 +34,10 @@ type Workspace struct {
 	// edges mostly survive. One-shot workspaces just run cold.
 	warm WarmSlot
 
-	// pending is the stage-2 candidate buffer, reused across batches.
-	pending []candidate
+	// Edge, stage-2 candidate and assigned-mark buffers, reused across batches.
+	edges                []Edge
+	pending              []candidate
+	assignedT, assignedW []bool
 
 	// Warm/cold accounting for the serving tier's /api/metrics.
 	lastWarmRows int
@@ -62,7 +68,7 @@ func (ws *Workspace) WarmStats() (lastWarmRows int, warmBatches, coldBatches uin
 type wsCtxKey struct{}
 
 // WithWorkspace returns a context carrying ws; assigners invoked with it
-// (via Do/AssignContext) reuse ws's index and matcher buffers.
+// (via Do/AssignContext) reuse ws's grid, pair and matcher buffers.
 func WithWorkspace(ctx context.Context, ws *Workspace) context.Context {
 	return context.WithValue(ctx, wsCtxKey{}, ws)
 }
@@ -73,167 +79,4 @@ func workspaceFor(ctx context.Context) *Workspace {
 		return ws
 	}
 	return &Workspace{}
-}
-
-// candidateView enumerates, for a task location, the workers whose reach
-// disk can intersect it — either every worker (brute-force oracle path) or
-// only the grid bucket the task falls in (indexed path). Both enumerate in
-// ascending worker order, so downstream edge lists are identical either way.
-type candidateView struct {
-	idx *geo.GridIndex // nil: no pruning
-	all []int32
-}
-
-// iter returns the candidate iterator for a task location: the grid bucket
-// merged with the overflow list (oversize envelopes kept off the grid), in
-// ascending worker order — the same order the brute scan walks.
-func (cv candidateView) iter(loc geo.Point) candIter {
-	if cv.idx == nil || math.IsNaN(loc.X) || math.IsNaN(loc.Y) {
-		// A NaN task location defeats every distance comparison, so the brute
-		// predicates can accept workers arbitrarily far away; scan them all.
-		return candIter{a: cv.all}
-	}
-	return candIter{a: cv.idx.Candidates(loc), b: cv.idx.Overflow()}
-}
-
-// candIter merges two ascending, disjoint id streams (grid bucket and
-// overflow list) into one ascending scan without materializing the union.
-type candIter struct {
-	a, b []int32
-	i, j int
-}
-
-// next returns the smallest unconsumed id, or ok=false when exhausted.
-func (it *candIter) next() (int32, bool) {
-	if it.i < len(it.a) {
-		if it.j < len(it.b) && it.b[it.j] < it.a[it.i] {
-			v := it.b[it.j]
-			it.j++
-			return v, true
-		}
-		v := it.a[it.i]
-		it.i++
-		return v, true
-	}
-	if it.j < len(it.b) {
-		v := it.b[it.j]
-		it.j++
-		return v, true
-	}
-	return 0, false
-}
-
-// total is the number of ids the full scan will visit (streams are
-// disjoint by construction).
-func (it candIter) total() int { return len(it.a) + len(it.b) }
-
-// indexMinWorkers is the batch size below which the index rebuild costs more
-// than the scan it prunes; smaller batches take the identical-plan brute
-// path. The threshold only moves work between equivalent code paths — plans
-// are bit-identical on both sides of it.
-const indexMinWorkers = 16
-
-// buildCandidateView rebuilds ws's grid index over the workers' reach
-// envelopes (envelope(i) pads worker i's point set by its reach radius) and
-// returns the pruned view; brute, small batches, cancellation, or a
-// non-finite envelope (infinite detour, NaN trajectory points) fall back to
-// the full scan. The rebuild fans out on the par pool and records under the
-// "index" span.
-func buildCandidateView(ctx context.Context, ws *Workspace, nWorkers, parallelism int, brute bool, envelope func(i int) (geo.BBox, bool)) candidateView {
-	ws.all = identity(ws.all, nWorkers)
-	if brute || nWorkers < indexMinWorkers {
-		return candidateView{all: ws.all}
-	}
-	_, end := obs.Span(ctx, "index")
-	defer end()
-	var unbounded atomic.Bool
-	err := ws.idx.Build(ctx, nWorkers, parallelism, func(i int) (geo.BBox, bool) {
-		b, ok := envelope(i)
-		if ok && !finiteEnvelope(b) {
-			// A worker whose reach disk is unbounded (infinite detour, or NaN
-			// points whose sticky comparisons defeat the distance caps) can
-			// match anywhere; no grid cell can hold it, so the whole batch
-			// must scan.
-			unbounded.Store(true)
-			return b, false
-		}
-		return b, ok
-	})
-	if err != nil || unbounded.Load() {
-		return candidateView{all: ws.all}
-	}
-	edgeCountersFor(obs.RegistryFrom(ctx)).idxRebuilds.Add(1)
-	return candidateView{idx: &ws.idx, all: ws.all}
-}
-
-// pointsEnvelope is the reach envelope of a worker over the given point set:
-// the bounding box of its points expanded by detour/2, the ceiling of
-// Theorem 2's reach cap min(d/2, dᵗ). Every task a feasibility predicate can
-// accept for this worker lies inside the envelope, so pruning to the
-// envelope's grid cells never drops a feasible pair. ok=false (no points)
-// removes the worker from the index entirely — exactly the pairs the brute
-// scan also rejects. A non-finite point poisons the scan predicates through
-// sticky NaN comparisons (minDistTo/ServeDist can then accept the worker for
-// a task at any distance), so it makes the envelope non-finite, which
-// buildCandidateView turns into the whole-batch brute fallback.
-func pointsEnvelope(pts []geo.Point, detour float64) (geo.BBox, bool) {
-	if len(pts) == 0 {
-		return geo.BBox{}, false
-	}
-	r := detour / 2
-	if !(r > 0) { // negative or NaN detour: a zero-radius disk still matches d=0
-		r = 0
-	}
-	b := geo.BBox{Min: pts[0], Max: pts[0]}
-	for _, p := range pts[1:] {
-		b.Min.X = math.Min(b.Min.X, p.X)
-		b.Min.Y = math.Min(b.Min.Y, p.Y)
-		b.Max.X = math.Max(b.Max.X, p.X)
-		b.Max.Y = math.Max(b.Max.Y, p.Y)
-	}
-	b.Min.X -= r
-	b.Min.Y -= r
-	b.Max.X += r
-	b.Max.Y += r
-	return b, true
-}
-
-func finiteEnvelope(b geo.BBox) bool {
-	fin := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-	return fin(b.Min.X) && fin(b.Min.Y) && fin(b.Max.X) && fin(b.Max.Y)
-}
-
-// predictedEnvelope / actualEnvelope / locEnvelope adapt the three worker
-// point sets the assigners prune on.
-func predictedEnvelope(workers []Worker) func(i int) (geo.BBox, bool) {
-	return func(i int) (geo.BBox, bool) {
-		return pointsEnvelope(workers[i].Predicted, workers[i].Detour)
-	}
-}
-
-func actualEnvelope(workers []Worker) func(i int) (geo.BBox, bool) {
-	return func(i int) (geo.BBox, bool) {
-		return pointsEnvelope(workers[i].Actual, workers[i].Detour)
-	}
-}
-
-func locEnvelope(workers []Worker) func(i int) (geo.BBox, bool) {
-	return func(i int) (geo.BBox, bool) {
-		w := &workers[i]
-		pt := [1]geo.Point{w.Loc}
-		return pointsEnvelope(pt[:], w.Detour)
-	}
-}
-
-// identity returns [0, 1, …, n) in buf's storage.
-func identity(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		buf = make([]int32, n)
-	} else {
-		buf = buf[:n]
-	}
-	for i := range buf {
-		buf[i] = int32(i)
-	}
-	return buf
 }

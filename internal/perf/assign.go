@@ -11,8 +11,8 @@ import (
 
 // assignScales mirrors the BenchmarkAssignPPI/BenchmarkAssignKM sub-benchmark
 // shapes (internal/assign/bench_test.go): square batches whose area grows
-// with the worker count, so spatial density stays constant and the indexed
-// path's advantage over the all-pairs scan is what the numbers show.
+// with the worker count, so spatial density stays constant and the task
+// grid's advantage over the all-pairs scan is what the numbers show.
 var assignScales = []struct {
 	name   string
 	nT, nW int
@@ -22,11 +22,11 @@ var assignScales = []struct {
 	{"5000x5000", 5000, 5000},
 }
 
-const assignNote = "Batch assignment costs (spatial index + sparse KM); baseline is the brute-force all-pairs scan the index replaced — compare current against it."
+const assignNote = "Batch assignment costs (candidate-pair kernel + sparse KM); baseline is the exhaustive all-pairs scan (assign.WithBruteScan) — compare current against it."
 
-func measureAssign(name string, a assign.Assigner, nT, nW int) Result {
+func measureAssign(ctx context.Context, name string, a assign.Assigner, nT, nW int) Result {
 	tasks, workers := assign.ScaleScenario(nT, nW, 7)
-	ctx := assign.WithWorkspace(context.Background(), assign.NewWorkspace())
+	ctx = assign.WithWorkspace(ctx, assign.NewWorkspace())
 	return measure(name, func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -35,10 +35,10 @@ func measureAssign(name string, a assign.Assigner, nT, nW int) Result {
 	})
 }
 
-// RunAssign executes the assignment benchmark suite on the indexed
-// (production) path: PPI and plain KM at each scale.
+// RunAssign executes the assignment benchmark suite on the production path
+// (the candidate-pair kernel's task grid): PPI and plain KM at each scale.
 func RunAssign() []Result {
-	return runAssign(false)
+	return runAssign(context.Background())
 }
 
 // measureAssignIncremental times one steady-state Session tick at the given
@@ -93,29 +93,29 @@ func RunAssignIncremental(churns []int, big bool) []Result {
 	return results
 }
 
-// RunAssignOracle executes the same suite with BruteForce set — the
+// RunAssignOracle executes the same suite under assign.WithBruteScan — the
 // all-pairs scan the repo's equivalence tests hold up as the oracle. It
 // seeds the Baseline of a fresh BENCH_assign.json so the committed file
-// records indexed-vs-brute, not indexed-vs-indexed.
+// records grid-vs-scan, not grid-vs-grid.
 func RunAssignOracle() []Result {
-	return runAssign(true)
+	return runAssign(assign.WithBruteScan(context.Background()))
 }
 
-func runAssign(brute bool) []Result {
+func runAssign(ctx context.Context) []Result {
 	var results []Result
 	for _, s := range assignScales {
 		results = append(results,
-			measureAssign(fmt.Sprintf("AssignPPI_%s", s.name), assign.PPI{A: 0.5, BruteForce: brute}, s.nT, s.nW),
-			measureAssign(fmt.Sprintf("AssignKM_%s", s.name), assign.KM{BruteForce: brute}, s.nT, s.nW),
+			measureAssign(ctx, fmt.Sprintf("AssignPPI_%s", s.name), assign.PPI{A: 0.5}, s.nT, s.nW),
+			measureAssign(ctx, fmt.Sprintf("AssignKM_%s", s.name), assign.KM{}, s.nT, s.nW),
 		)
 	}
 	return results
 }
 
-// WriteAssignJSON measures the indexed suite and writes path in the same
+// WriteAssignJSON measures the production suite and writes path in the same
 // schema as BENCH_nn.json. An existing file keeps its Baseline (and Note);
-// a fresh file additionally runs the brute-force oracle and records it as
-// the Baseline, so the speedup the index buys is pinned in the artifact.
+// a fresh file additionally runs the brute-scan oracle and records it as
+// the Baseline, so the speedup the task grid buys is pinned in the artifact.
 func WriteAssignJSON(path string) (File, error) {
 	return WriteAssignJSONWith(path, RunAssign())
 }

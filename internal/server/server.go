@@ -168,7 +168,14 @@ type Server struct {
 	// assignment deadline, and forecasts degraded to stand-still.
 	panicsC, degradedC, fallbackC *obs.Counter
 	batchSec                      *obs.Histogram
-	mux                           *http.ServeMux
+	// durableG is 1 while every acknowledged event is also on the write-ahead
+	// log and 0 otherwise (memory-only from the start, or after an append
+	// error dropped the log — each such error also counts in walErrC), so
+	// losing durability is a visible state, not one log line.
+	durableG *obs.Gauge
+	walErrC  *obs.Counter
+
+	mux *http.ServeMux
 }
 
 // New builds a Server ready to mount on an http.Server. With Config.WALDir
@@ -226,6 +233,8 @@ func New(cfg Config) (*Server, error) {
 	s.degradedC = fault("degraded_batch")
 	s.fallbackC = fault("pred_fallback")
 	s.batchSec = reg.Histogram("tamp_server_batch_seconds", obs.DefSecondsBuckets)
+	s.durableG = reg.Gauge("tamp_server_durable")
+	s.walErrC = reg.Counter("tamp_server_wal_append_errors_total")
 	s.routes()
 	switch {
 	case cfg.WALDir != "" && cfg.DeferRecovery:
@@ -289,6 +298,7 @@ func (s *Server) recoverWAL() error {
 		}
 	}
 	s.st, s.log = st, l
+	s.durableG.Set(1)
 	// The obs counters start from zero on every process start; seed them
 	// with the recovered tallies so /api/metrics and /metrics continue the
 	// pre-crash series instead of resetting.
@@ -329,6 +339,8 @@ func (s *Server) commitLocked(evs ...core.Event) {
 				// platform down, but stop appending so the log on disk stays a
 				// clean prefix of history instead of gaining holes.
 				log.Printf("server: wal append failed, durability disabled: %v", err)
+				s.walErrC.Inc()
+				s.durableG.Set(0)
 				s.log.Close()
 				s.log = nil
 			}

@@ -200,3 +200,60 @@ func TestCrashDuringSnapshotKeepsAppendedEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWALAppendErrorIsVisible injects an append error through Config.WALHook
+// — the hook pulls the log's file out from under the append between frame
+// header and payload, the way a yanked disk would — and requires the loss of
+// durability to show on the registry: tamp_server_durable drops 1 → 0 and
+// tamp_server_wal_append_errors_total counts the error, while the op is
+// still acknowledged and the server keeps serving memory-only.
+func TestWALAppendErrorIsVisible(t *testing.T) {
+	cfg := testConfig()
+	cfg.WALDir = t.TempDir()
+	var s *Server
+	appends := 0
+	cfg.WALHook = func(point string) {
+		if point == wal.HookAppendFrame {
+			if appends++; appends == 3 {
+				s.log.Close() // under s.mu, on the committing goroutine
+			}
+		}
+	}
+	c, s, ts := newDurableClient(t, cfg)
+	defer ts.Close()
+	durable := s.Registry().Gauge("tamp_server_durable")
+	appendErrs := s.Registry().Counter("tamp_server_wal_append_errors_total")
+
+	submit := func() {
+		t.Helper()
+		if code := c.do("POST", "/api/tasks", taskRequest{X: 5, Y: 5, Deadline: 90}, nil); code != http.StatusCreated {
+			t.Fatalf("task submission: status %d", code)
+		}
+	}
+	submit()
+	submit()
+	if durable.Value() != 1 || appendErrs.Value() != 0 {
+		t.Fatalf("healthy log: durable = %v, append errors = %d; want 1, 0", durable.Value(), appendErrs.Value())
+	}
+	submit() // the third append fails; the op is acknowledged all the same
+	if durable.Value() != 0 || appendErrs.Value() != 1 {
+		t.Fatalf("after the append error: durable = %v, append errors = %d; want 0, 1", durable.Value(), appendErrs.Value())
+	}
+	submit() // memory-only from here on: no further appends, no further errors
+	if durable.Value() != 0 || appendErrs.Value() != 1 || appends != 3 {
+		t.Fatalf("memory-only: durable = %v, append errors = %d, appends = %d; want 0, 1, 3",
+			durable.Value(), appendErrs.Value(), appends)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A server that never had a log is not durable either.
+	mem, err := New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := mem.Registry().Gauge("tamp_server_durable").Value(); v != 0 {
+		t.Fatalf("memory-only server: durable = %v, want 0", v)
+	}
+}
