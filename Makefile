@@ -65,7 +65,7 @@ bench-e2e:
 # stay at 0 allocs per call.
 perfcheck:
 	$(GO) test ./internal/nn -run 'AllocFree' -v
-	$(GO) test ./internal/assign -run 'TestMatcherSteadyStateAllocFree|TestMatcherAllocsDoNotGrowWithBatches|TestMatchWarmSteadyStateAllocFree|TestMatchWarmColdPathAllocFree|TestSortPendingAllocFree|TestKernelSteadyStateAllocs' -v
+	$(GO) test ./internal/assign -run 'TestMatcherSteadyStateAllocFree|TestMatcherAllocsDoNotGrowWithBatches|TestSortPendingAllocFree|TestKernelSteadyStateAllocs' -v
 	$(GO) test ./internal/predict -run 'TestPredictFutureIntoZeroAlloc|TestEvaluateOnRoutineZeroAlloc|TestCacheHitZeroAlloc' -v
 
 # Benchmark-regression gate: re-run the NN kernel, batch-assignment, and
@@ -125,6 +125,8 @@ fuzz-smoke:
 	$(GO) test ./internal/ingest -run '^$$' -fuzz FuzzLoadTasksCSV -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzWasserstein1D -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzRecover -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME)
 
 # Regenerate the benchmark matrix: every scenario generator (paper, windows,
 # budget) × every assigner (UB, PPI, KM, GGPSO, Greedy, LB) at the smoke and
@@ -137,8 +139,8 @@ matrix:
 
 # Matrix regression gate, blocking in CI: re-run the smoke-scale cells and
 # diff against the committed BENCH_matrix.json with per-metric tolerances
-# (counts 2%, rates ±0.02, cost 5%; assign latency is never compared). The
-# fresh cells land in matrix-current.json so CI can upload them on failure.
+# (counts 2%, rates ±0.02, cost 5%). The fresh cells land in
+# matrix-current.json so CI can upload them on failure.
 matrix-check:
 	$(GO) run ./cmd/tampbench -check-matrix BENCH_matrix.json -matrix-scale smoke -matrix-fresh matrix-current.json
 

@@ -9,7 +9,6 @@
 //	tampbench -exp all -scale quick
 //	tampbench -json BENCH_nn.json
 //	tampbench -assign-json BENCH_assign.json
-//	tampbench -assign-json BENCH_assign.json -churn 0,1,10   # incremental-session churn levels
 //	tampbench -predict-json BENCH_predict.json         # prediction-engine (cache + batched kernels) benchmarks
 //	tampbench -check BENCH_nn.json -check-assign BENCH_assign.json -check-predict BENCH_predict.json -tolerance 0.25   # CI regression guard
 //	tampbench -matrix                                  # regenerate BENCH_matrix.json + MATRIX.md
@@ -71,7 +70,6 @@ func main() {
 		checkAsg = flag.String("check-assign", "", "run the batch-assignment benchmarks and compare against the baseline in this file; exit 1 on regression")
 		predJ    = flag.String("predict-json", "", "run the prediction-engine benchmarks (forecast cache, batched kernels, stationary simulate) and write before/after results to this file (a fresh file records the uncached/streamed path as baseline)")
 		checkPrd = flag.String("check-predict", "", "run the prediction-engine benchmarks and compare against the baseline in this file; exit 1 on regression")
-		churnF   = flag.String("churn", "0,1,10", "comma-separated churn percentages for the incremental-session benchmarks run by -assign-json/-check-assign")
 		tol      = flag.Float64("tolerance", 0.25, "allowed fractional ns/op growth before -check/-check-assign fails (allocs/op must never grow)")
 		metrics  = flag.Bool("metrics", false, "collect experiment metrics in a registry and dump it (Prometheus text) at end of run")
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address while the run lasts (e.g. localhost:6060)")
@@ -149,8 +147,7 @@ func main() {
 			runCheck(*check, perf.Run(), *jsonOut, perf.WriteJSONWith, false)
 		}
 		if *checkAsg != "" {
-			cur := append(perf.RunAssign(), perf.RunAssignIncremental(churnLevels(*churnF), false)...)
-			runCheck(*checkAsg, cur, *assignJ, perf.WriteAssignJSONWith, true)
+			runCheck(*checkAsg, perf.RunAssign(), *assignJ, perf.WriteAssignJSONWith, true)
 		}
 		if *checkPrd != "" {
 			// Like BENCH_assign.json, the Baseline records the replaced path
@@ -179,10 +176,7 @@ func main() {
 			fmt.Printf("wrote %s\n", *jsonOut)
 		}
 		if *assignJ != "" {
-			// Artifact runs (not the CI guard) include the large incremental
-			// datapoint; the guard tolerates names present on only one side.
-			cur := append(perf.RunAssign(), perf.RunAssignIncremental(churnLevels(*churnF), true)...)
-			f, err := perf.WriteAssignJSONWith(*assignJ, cur)
+			f, err := perf.WriteAssignJSON(*assignJ)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "tampbench:", err)
 				os.Exit(1)
@@ -354,24 +348,6 @@ func runMatrix(generate bool, checkPath, jsonPath, mdPath, scaleCSV, freshPath s
 	}
 	fmt.Printf("wrote %s\n", mdPath)
 	return nil
-}
-
-// churnLevels parses the -churn flag; invalid entries abort.
-func churnLevels(s string) []int {
-	var levels []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		var v int
-		if _, err := fmt.Sscanf(part, "%d", &v); err != nil || v < 0 || v > 100 {
-			fmt.Fprintf(os.Stderr, "tampbench: bad -churn entry %q (want 0-100)\n", part)
-			os.Exit(2)
-		}
-		levels = append(levels, v)
-	}
-	return levels
 }
 
 // runReplay feeds a recorded platform event log through the named assigner

@@ -2,7 +2,6 @@ package assign
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -108,44 +107,5 @@ func BenchmarkAssignPPI(b *testing.B) {
 func BenchmarkAssignKM(b *testing.B) {
 	for _, s := range assignScales {
 		b.Run(s.name, func(b *testing.B) { benchAssign(b, KM{}, s.nT, s.nW) })
-	}
-}
-
-// benchAssignIncremental measures one steady-state Session tick at a given
-// churn percentage: the timer covers only Assign (index patch + row
-// recompute + merge + warm KM), not the world mutation generating the churn.
-// churn 0 is the quiescent floor (identical-stream replay); the from-scratch
-// cost of the same batch is BenchmarkAssignPPI at the matching scale.
-func benchAssignIncremental(b *testing.B, nT, nW, churnPct int) {
-	tasks, workers := ScaleScenario(nT, nW, 7)
-	s := NewSession(PPI{A: 0.5})
-	for i := range workers {
-		s.UpsertWorker(workers[i])
-	}
-	for i := range tasks {
-		s.UpsertTask(tasks[i])
-	}
-	ctx := context.Background()
-	s.Assign(ctx, 0) // cold tick: build index, caches, checkpoints
-	ch := NewChurner(99, s)
-	frac := float64(churnPct) / 100
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		ch.Tick(s, frac)
-		b.StartTimer()
-		s.Assign(ctx, 0)
-	}
-}
-
-func BenchmarkAssignIncremental(b *testing.B) {
-	for _, s := range assignScales {
-		for _, churn := range []int{0, 1, 10} {
-			s, churn := s, churn
-			b.Run(fmt.Sprintf("%s_churn%d", s.name, churn), func(b *testing.B) {
-				benchAssignIncremental(b, s.nT, s.nW, churn)
-			})
-		}
 	}
 }

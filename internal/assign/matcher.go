@@ -23,10 +23,8 @@ import (
 // j = vcap+i, where vcap is a sticky capacity that only grows (it starts at
 // the first batch's column count and is padded on growth). Keeping vcap
 // fixed across calls makes every column label independent of how many rows
-// and columns a later batch adds, which is what lets MatchWarm resume a
-// solve from a mid-stream checkpoint: the labels of a row prefix mean the
-// same thing in the next batch. The labelling is otherwise pure bookkeeping
-// — the matching is identical to the classic nc-offset formulation.
+// and columns a later batch adds. The labelling is pure bookkeeping — the
+// matching is identical to the classic nc-offset formulation.
 //
 // Ids must be non-negative and slice-index-like (scratch is sized by the
 // largest id seen); negative ids and non-positive weights are ignored. A
@@ -228,7 +226,7 @@ func (m *Matcher) resetColRange(lo, hi int, inf float64) {
 
 // runRow grows the alternating tree from row i until it augments, updating
 // potentials and the matching in place. Rows must be run in order 1..nr;
-// the state after row i depends only on rows 1..i (checkpointability).
+// the state after row i depends only on rows 1..i.
 func (m *Matcher) runRow(i int, maxW float64) {
 	inf := math.Inf(1)
 	m.p[0] = int32(i)

@@ -43,9 +43,8 @@ type candidate struct {
 
 // cmpCandidate is the stage-2 traversal order: descending confidence with
 // (task, worker) index as the tie-break — a strict total order, so the
-// sorted sequence is unique and, crucially, an incremental merge of
-// surviving and fresh candidates reproduces it exactly. NaN confidence
-// sorts last (after every real value) to keep the comparator consistent.
+// sorted sequence is unique. NaN confidence sorts last (after every real
+// value) to keep the comparator consistent.
 func cmpCandidate(a, b candidate) int {
 	an, bn := math.IsNaN(a.conf), math.IsNaN(b.conf)
 	switch {
@@ -85,14 +84,6 @@ type edgeCounters struct {
 	ppiCandidates, ppiPruned         *obs.Counter
 	kmCandidates, kmPruned           *obs.Counter
 	greedyCandidates, greedyPruned   *obs.Counter
-
-	// Warm-start and incremental-engine series: rows the warm-started KM
-	// resumed without re-solving, and the Session's envelope index — cells
-	// patched in place by Update, and full rebuilds (churn fallbacks
-	// included).
-	kmWarmRows  *obs.Counter
-	idxPatched  *obs.Counter
-	idxRebuilds *obs.Counter
 }
 
 func edgeCountersFor(reg *obs.Registry) *edgeCounters {
@@ -111,9 +102,6 @@ func edgeCountersFor(reg *obs.Registry) *edgeCounters {
 			kmPruned:         edges("KM", "pruned"),
 			greedyCandidates: edges("Greedy", "candidates"),
 			greedyPruned:     edges("Greedy", "pruned"),
-			kmWarmRows:       r.Counter("tamp_km_warm_rows_total"),
-			idxPatched:       r.Counter("tamp_index_patched_cells_total"),
-			idxRebuilds:      r.Counter("tamp_index_rebuilds_total"),
 		}
 	}).(*edgeCounters)
 }
@@ -162,12 +150,7 @@ func (p PPI) AssignContext(ctx context.Context, tasks []Task, workers []Worker, 
 	ec.pending.Add(int64(len(pending)))
 	ec.ppiCandidates.Add(int64(found.candidates))
 	ec.ppiPruned.Add(int64(len(tasks)*len(workers) - found.candidates))
-	// The confident stream is task-grouped, so a long-lived workspace
-	// warm-starts this solve from the previous batch's checkpoints; the
-	// result is bit-identical to a cold Match either way.
-	result, warmRows := ws.m.MatchWarm(&ws.warm, confident, nil)
-	ws.noteWarm(warmRows)
-	ec.kmWarmRows.Add(int64(warmRows))
+	result := ws.m.Match(confident, nil)
 	endStage1()
 	// Dense index sets: both sides are small integer ranges, so []bool beats
 	// a map on lookup cost and avoids per-entry allocation.

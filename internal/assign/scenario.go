@@ -31,8 +31,7 @@ func ScaleScenario(nTasks, nWorkers int, seed int64) ([]Task, []Worker) {
 }
 
 // scaleTask draws one task from ScaleScenario's distribution. The deadlines
-// (tick 30+) never expire at the benchmark tick, so a steady-state Session
-// keeps its rows reach-pinned across iterations.
+// (tick 30+) never expire at the benchmark tick.
 func scaleTask(rng *rand.Rand, id int, side float64) Task {
 	return Task{
 		ID:       id,
@@ -62,53 +61,5 @@ func scaleWorker(rng *rand.Rand, id int, side float64) Worker {
 		Predicted: pred,
 		Actual:    act,
 		MR:        rng.Float64(),
-	}
-}
-
-// Churner drives per-tick churn against a Session in ScaleScenario's
-// distribution: a fraction of the fleet moves (same worker id, fresh
-// trajectory) and half that fraction of the tasks turns over (completed
-// tasks leave, fresh ones arrive — exercising swap-removal and the KM
-// stream's hole handling). The churn benchmarks and tampbench -churn both
-// drive it, so "churn P%" means the same workload everywhere.
-type Churner struct {
-	rng      *rand.Rand
-	side     float64
-	nextTask int
-}
-
-// NewChurner derives the arena side from the session's current fleet and
-// continues task ids past the largest one present.
-func NewChurner(seed int64, s *Session) *Churner {
-	next := 0
-	for _, t := range s.Tasks() {
-		if t.ID >= next {
-			next = t.ID + 1
-		}
-	}
-	return &Churner{
-		rng:      rand.New(rand.NewSource(seed)),
-		side:     10 * math.Sqrt(float64(len(s.Workers())+1)),
-		nextTask: next,
-	}
-}
-
-// Tick applies one tick of churn at the given fraction (0 = quiescent).
-func (c *Churner) Tick(s *Session, frac float64) {
-	workers := s.Workers()
-	moves := int(frac * float64(len(workers)))
-	for k := 0; k < moves; k++ {
-		id := workers[c.rng.Intn(len(workers))].ID
-		s.UpsertWorker(scaleWorker(c.rng, id, c.side))
-	}
-	turnover := int(frac * float64(len(s.Tasks())) / 2)
-	for k := 0; k < turnover; k++ {
-		tasks := s.Tasks()
-		if len(tasks) == 0 {
-			break
-		}
-		s.RemoveTask(tasks[c.rng.Intn(len(tasks))].ID)
-		s.UpsertTask(scaleTask(c.rng, c.nextTask, c.side))
-		c.nextTask++
 	}
 }

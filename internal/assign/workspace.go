@@ -28,41 +28,25 @@ type Workspace struct {
 	pairs  []feasiblePair
 	start  []int32
 
-	// Warm-start state for the recurring stage-1 KM stream (see WarmSlot):
-	// persists row/column potentials and the previous matching across
-	// batches, so a long-lived workspace warm-starts ticks whose confident
-	// edges mostly survive. One-shot workspaces just run cold.
-	warm WarmSlot
-
 	// Edge, stage-2 candidate and assigned-mark buffers, reused across batches.
 	edges                []Edge
 	pending              []candidate
 	assignedT, assignedW []bool
-
-	// Warm/cold accounting for the serving tier's /api/metrics.
-	lastWarmRows int
-	warmBatches  uint64
-	coldBatches  uint64
 }
 
 // NewWorkspace returns an empty workspace; buffers grow on first use.
 func NewWorkspace() *Workspace { return &Workspace{} }
 
-// noteWarm records one stage-1 solve's warm-start depth.
-func (ws *Workspace) noteWarm(rows int) {
-	ws.lastWarmRows = rows
-	if rows > 0 {
-		ws.warmBatches++
-	} else {
-		ws.coldBatches++
+// clearedBools readies a cleared bool scratch of length n.
+func clearedBools(buf []bool, n int) []bool {
+	if cap(buf) < n {
+		return make([]bool, n)
 	}
-}
-
-// WarmStats reports how deep the last batch's KM warm start reached (rows
-// of the confident-edge solve resumed from checkpoints; 0 = cold) and the
-// cumulative warm/cold batch split since the workspace was created.
-func (ws *Workspace) WarmStats() (lastWarmRows int, warmBatches, coldBatches uint64) {
-	return ws.lastWarmRows, ws.warmBatches, ws.coldBatches
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = false
+	}
+	return buf
 }
 
 type wsCtxKey struct{}

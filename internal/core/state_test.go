@@ -8,7 +8,7 @@ import (
 
 // lifecycle drives a canonical event sequence: two workers, two tasks, one
 // batch, one accept, one reject, expiry.
-func lifecycle(t *testing.T) *State {
+func lifecycle(t testing.TB) *State {
 	t.Helper()
 	st := NewState()
 	evs := []Event{
@@ -121,20 +121,22 @@ func TestSnapshotRoundTripAndDigest(t *testing.T) {
 	}
 }
 
+// codecEvents holds one event of every Kind.
+var codecEvents = []Event{
+	TaskSubmitted{TaskID: 3, X: 1.5, Y: 2.5, Deadline: 9},
+	TaskCancelled{TaskID: 3},
+	WorkerRegistered{WorkerID: 4, Detour: 7.5, Speed: 2, MR: 0.77},
+	WorkerReported{WorkerID: 4, X: 0.25, Y: 0.75},
+	TickAdvanced{},
+	BatchAssigned{Offers: []OfferIssued{{OfferID: 1, TaskID: 3, WorkerID: 4}}, PredFallbacks: 2},
+	DegradedBatch{Offers: []OfferIssued{{OfferID: 2, TaskID: 3, WorkerID: 4}}},
+	OfferAccepted{OfferID: 1},
+	OfferRejected{OfferID: 2},
+	OfferRetracted{OfferID: 3},
+}
+
 func TestEventCodecRoundTrip(t *testing.T) {
-	events := []Event{
-		TaskSubmitted{TaskID: 3, X: 1.5, Y: 2.5, Deadline: 9},
-		TaskCancelled{TaskID: 3},
-		WorkerRegistered{WorkerID: 4, Detour: 7.5, Speed: 2, MR: 0.77},
-		WorkerReported{WorkerID: 4, X: 0.25, Y: 0.75},
-		TickAdvanced{},
-		BatchAssigned{Offers: []OfferIssued{{OfferID: 1, TaskID: 3, WorkerID: 4}}, PredFallbacks: 2},
-		DegradedBatch{Offers: []OfferIssued{{OfferID: 2, TaskID: 3, WorkerID: 4}}},
-		OfferAccepted{OfferID: 1},
-		OfferRejected{OfferID: 2},
-		OfferRetracted{OfferID: 3},
-	}
-	for _, ev := range events {
+	for _, ev := range codecEvents {
 		b, err := EncodeEvent(ev)
 		if err != nil {
 			t.Fatalf("encode %s: %v", ev.Kind(), err)

@@ -22,11 +22,12 @@ import (
 var MatrixAssigners = []string{"UB", "PPI", "KM", "GGPSO", "Greedy", "LB"}
 
 // MatrixCell is one (scale, generator, assigner) measurement of the
-// benchmark matrix. Everything except AssignMs is a pure function of the
-// seed — the committed matrix is a regression contract, and CheckMatrix
-// diffs fresh runs against it with per-metric tolerances. AssignMs is
-// wall-clock and recorded for the human-readable table only; it is never
-// compared.
+// benchmark matrix. Every persisted field is a pure function of the seed —
+// the committed matrix is a regression contract, CheckMatrix diffs fresh
+// runs against it with per-metric tolerances, and regenerating it without a
+// behaviour change leaves BENCH_matrix.json and MATRIX.md byte-identical.
+// AssignMs is wall-clock, so it is shown by WriteMatrixTable only and never
+// written to either file.
 type MatrixCell struct {
 	Scale     string `json:"scale"`
 	Generator string `json:"generator"`
@@ -44,7 +45,7 @@ type MatrixCell struct {
 	BudgetDenied  int     `json:"budget_denied,omitempty"`   // offers withheld by the budget gate
 	BudgetSpentKM float64 `json:"budget_spent_km,omitempty"` // predicted detour charged to the budget
 
-	AssignMs float64 `json:"assign_ms"` // informational only, never checked
+	AssignMs float64 `json:"-"` // terminal table only
 }
 
 // MatrixFile is the on-disk schema of BENCH_matrix.json.
@@ -56,7 +57,7 @@ type MatrixFile struct {
 const matrixNote = "Benchmark matrix: scenario generators × assigner zoo. " +
 	"Regenerate with `make matrix`; CI diffs a fresh smoke-scale run against " +
 	"the committed cells with `make matrix-check` (see EXPERIMENTS.md for the " +
-	"tolerance policy). assign_ms is informational and never compared."
+	"tolerance policy)."
 
 // MatrixScale resolves a scale name accepted by the matrix harness.
 func MatrixScale(name string) (Scale, error) {
@@ -90,10 +91,12 @@ func RunMatrix(ctx context.Context, scales []Scale, progress io.Writer) ([]Matri
 			if err != nil {
 				return nil, err
 			}
+			// Summed in w.Workers order: ranging over the res.Models map
+			// would reorder the float additions from run to run.
 			meanMR := 0.0
 			if len(res.Models) > 0 {
-				for _, m := range res.Models {
-					meanMR += m.MR
+				for i := range w.Workers {
+					meanMR += res.Models[w.Workers[i].ID].MR
 				}
 				meanMR /= float64(len(res.Models))
 			}
@@ -162,8 +165,7 @@ func WriteMatrixMD(w io.Writer, cells []MatrixCell) {
 	fmt.Fprintf(w, "# Benchmark matrix\n\n")
 	fmt.Fprintf(w, "Scenario generators × assigner zoo, every cell one seeded deterministic\n")
 	fmt.Fprintf(w, "simulation (see EXPERIMENTS.md §matrix). Regenerate with `make matrix`;\n")
-	fmt.Fprintf(w, "CI gates smoke-scale drift with `make matrix-check`. `assign` is\n")
-	fmt.Fprintf(w, "wall-clock and informational only.\n")
+	fmt.Fprintf(w, "CI gates smoke-scale drift with `make matrix-check`.\n")
 	type key struct{ scale, gen string }
 	var order []key
 	seen := map[key]bool{}
@@ -176,15 +178,15 @@ func WriteMatrixMD(w io.Writer, cells []MatrixCell) {
 	}
 	for _, k := range order {
 		fmt.Fprintf(w, "\n## %s · %s\n\n", k.scale, k.gen)
-		fmt.Fprintf(w, "| assigner | served | total | completion | rejection | cost km | mean MR | off-window | budget denied | spent km | assign |\n")
-		fmt.Fprintf(w, "|---|---|---|---|---|---|---|---|---|---|---|\n")
+		fmt.Fprintf(w, "| assigner | served | total | completion | rejection | cost km | mean MR | off-window | budget denied | spent km |\n")
+		fmt.Fprintf(w, "|---|---|---|---|---|---|---|---|---|---|\n")
 		for _, c := range cells {
 			if c.Scale != k.scale || c.Generator != k.gen {
 				continue
 			}
-			fmt.Fprintf(w, "| %s | %d | %d | %.3f | %.3f | %.3f | %.3f | %d | %d | %.1f | %.0fms |\n",
+			fmt.Fprintf(w, "| %s | %d | %d | %.3f | %.3f | %.3f | %.3f | %d | %d | %.1f |\n",
 				c.Assigner, c.Served, c.TotalTasks, c.Completion, c.Rejection,
-				c.AvgCostKM, c.MeanMR, c.OffWindow, c.BudgetDenied, c.BudgetSpentKM, c.AssignMs)
+				c.AvgCostKM, c.MeanMR, c.OffWindow, c.BudgetDenied, c.BudgetSpentKM)
 		}
 	}
 }

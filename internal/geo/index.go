@@ -33,15 +33,8 @@ import (
 // parallelism level (per-cell buckets are sorted ascending), so consumers
 // that iterate candidates in bucket order stay deterministic.
 //
-// Between full Builds, Update patches the index in place from envelope
-// deltas: only the cells the old and new envelopes cover are re-derived,
-// into an epoch-versioned overlay (one epoch per Build; a Build invalidates
-// every overlay in O(1) by bumping the epoch). Per-tick maintenance cost is
-// therefore proportional to churn, not fleet size.
-//
-// A GridIndex is single-writer: Build and Update must not race with
-// Candidates, but once built or patched, Candidates is safe for concurrent
-// readers.
+// A GridIndex is single-writer: Build must not race with Candidates, but
+// once built, Candidates is safe for concurrent readers.
 type GridIndex struct {
 	bounds      BBox
 	cell        float64
@@ -49,7 +42,6 @@ type GridIndex struct {
 	built       bool
 	oversizeCut float64 // half-extent above which an envelope overflows (frozen per Build)
 
-	n    int // ids tracked (grows via Update; reset by Build)
 	envs []BBox
 	has  []bool
 	over []bool // id is on the overflow list, not the grid
@@ -60,28 +52,6 @@ type GridIndex struct {
 	entries []int32
 
 	overflow []int32 // sorted ids visible to every query
-
-	// Epoch-versioned per-cell overlays written by Update: a cell whose
-	// overlayVer matches the current epoch reads its bucket from the arena
-	// instead of the base CSR. Build bumps the epoch, invalidating every
-	// overlay at once without touching them.
-	epoch      uint32
-	overlayVer []uint32
-	overlayOff []int32
-	overlayLen []int32
-	arena      []int32
-
-	// Update scratch (see delta.go).
-	touched   []int32
-	cellStamp []uint32
-	cellLocal []int32
-	stampGen  uint32
-	remStamp  []uint32
-	remGen    uint32
-	addCount  []int32
-	addStart  []int32
-	addList   []int32
-	ovScratch []int32
 }
 
 // maxIndexCells caps the grid resolution so degenerate inputs (one huge
@@ -110,10 +80,7 @@ const maxCoverCells = 2048
 func (ix *GridIndex) Build(ctx context.Context, n, parallelism int, envelope func(i int) (BBox, bool)) error {
 	ix.built = false
 	ix.cols, ix.rows = 0, 0
-	ix.epoch++ // lazily invalidates every overlay from the previous epoch
-	ix.arena = ix.arena[:0]
 	ix.overflow = ix.overflow[:0]
-	ix.n = n
 	ix.envs = growBBox(ix.envs, n)
 	ix.has = growBool(ix.has, n)
 	ix.over = growBool(ix.over, n)
@@ -225,7 +192,7 @@ func (ix *GridIndex) Build(ctx context.Context, n, parallelism int, envelope fun
 	}
 	ix.cell, ix.cols, ix.rows = cell, cols, rows
 
-	if err := ix.fillFrozen(ctx, parallelism); err != nil {
+	if err := ix.fillFrozen(ctx, n, parallelism); err != nil {
 		return err
 	}
 	ix.built = true
@@ -234,11 +201,8 @@ func (ix *GridIndex) Build(ctx context.Context, n, parallelism int, envelope fun
 
 // fillFrozen classifies overflow membership and fills the CSR buckets under
 // the already-chosen grid geometry (bounds, cell, cols, rows, oversizeCut)
-// from ix.envs/ix.has. Build calls it after geometry selection; the
-// incremental-maintenance property tests call it directly on a clone with
-// frozen geometry to prove Update-patched buckets match a from-scratch fill.
-func (ix *GridIndex) fillFrozen(ctx context.Context, parallelism int) error {
-	n := ix.n
+// from ix.envs/ix.has, once Build has selected that geometry.
+func (ix *GridIndex) fillFrozen(ctx context.Context, n, parallelism int) error {
 	cols := ix.cols
 
 	// Final overflow classification: the half-extent cut plus the
@@ -313,13 +277,6 @@ func (ix *GridIndex) fillFrozen(ctx context.Context, parallelism int) error {
 	}); err != nil {
 		return err
 	}
-
-	// Per-cell overlay bookkeeping for the Update path. Freshly covered
-	// cells come from grow zeroed (epoch starts above zero), and stale
-	// values from earlier epochs never match the current one.
-	ix.overlayVer = growUint32(ix.overlayVer, cells)
-	ix.overlayOff = growInt32(ix.overlayOff, cells)
-	ix.overlayLen = growInt32(ix.overlayLen, cells)
 	return nil
 }
 
@@ -343,22 +300,25 @@ func halfExtent(e BBox) float64 {
 
 // Candidates returns the ids whose envelope overlaps the cell containing p,
 // in ascending id order. The result aliases the index's internal storage:
-// it is valid until the next Build or Update and must not be mutated. It is
-// a superset of the grid-resident ids whose envelope contains p; points
-// outside the indexed bounds clamp to the nearest cell (any extra ids are
-// filtered by the caller's exact predicate). Oversize ids are NOT included —
-// callers must merge Overflow into every query's candidate set.
+// it is valid until the next Build and must not be mutated. It is a superset
+// of the grid-resident ids whose envelope contains p; points outside the
+// indexed bounds clamp to the nearest cell (any extra ids are filtered by the
+// caller's exact predicate). Oversize ids are NOT included — callers must
+// merge Overflow into every query's candidate set. An unbuilt or empty index,
+// or a p with a NaN coordinate, yields nil.
 func (ix *GridIndex) Candidates(p Point) []int32 {
-	c := ix.CellOf(p)
-	if c < 0 {
+	if !ix.built || ix.cols == 0 || math.IsNaN(p.X) || math.IsNaN(p.Y) {
 		return nil
 	}
-	return ix.bucketAt(c)
+	c := clampInt(int((p.X-ix.bounds.Min.X)/ix.cell), 0, ix.cols-1)
+	r := clampInt(int((p.Y-ix.bounds.Min.Y)/ix.cell), 0, ix.rows-1)
+	i := r*ix.cols + c
+	return ix.entries[ix.starts[i]:ix.starts[i+1]]
 }
 
 // Overflow returns the ids held off the grid because their envelopes are
 // oversize, in ascending id order; they are candidates for every query. The
-// result aliases internal storage, valid until the next Build or Update.
+// result aliases internal storage, valid until the next Build.
 func (ix *GridIndex) Overflow() []int32 {
 	if !ix.built {
 		return nil
@@ -366,47 +326,8 @@ func (ix *GridIndex) Overflow() []int32 {
 	return ix.overflow
 }
 
-// CellOf returns the grid cell index containing p (clamped to the grid), or
-// -1 when the index is unbuilt, empty, or p has a NaN coordinate.
-func (ix *GridIndex) CellOf(p Point) int {
-	if !ix.built || ix.cols == 0 || math.IsNaN(p.X) || math.IsNaN(p.Y) {
-		return -1
-	}
-	c := clampInt(int((p.X-ix.bounds.Min.X)/ix.cell), 0, ix.cols-1)
-	r := clampInt(int((p.Y-ix.bounds.Min.Y)/ix.cell), 0, ix.rows-1)
-	return r*ix.cols + c
-}
-
-// Bucket returns cell c's id bucket (ascending, read-only, valid until the
-// next Build or Update). Out-of-range cells — including the -1 CellOf returns
-// for NaN points or a gridless index — yield an empty bucket, so callers can
-// chain CellOf straight into Bucket.
-func (ix *GridIndex) Bucket(c int) []int32 {
-	if !ix.built || c < 0 || c >= ix.cols*ix.rows {
-		return nil
-	}
-	return ix.bucketAt(c)
-}
-
-// bucketAt resolves cell c's bucket through the overlay: a cell patched in
-// the current epoch reads from the arena, everything else from the base CSR.
-func (ix *GridIndex) bucketAt(c int) []int32 {
-	if ix.overlayVer[c] == ix.epoch {
-		off := ix.overlayOff[c]
-		return ix.arena[off : off+ix.overlayLen[c]]
-	}
-	return ix.entries[ix.starts[c]:ix.starts[c+1]]
-}
-
-// Dims reports the grid resolution of the last Build (0×0 when empty).
-func (ix *GridIndex) Dims() (cols, rows int) { return ix.cols, ix.rows }
-
-// CellSize reports the cell edge length of the last Build.
-func (ix *GridIndex) CellSize() float64 { return ix.cell }
-
-// Entries reports the total number of (cell, id) slots in the base CSR,
-// i.e. the index's memory footprint in bucket entries (overlay patches and
-// the overflow list excluded).
+// Entries reports the total number of (cell, id) slots, i.e. the index's
+// memory footprint in bucket entries (the overflow list excluded).
 func (ix *GridIndex) Entries() int {
 	if !ix.built || ix.cols == 0 {
 		return 0
@@ -415,7 +336,7 @@ func (ix *GridIndex) Entries() int {
 }
 
 // cellRange returns the inclusive cell-index rectangle covered by e, clamped
-// to the grid. The same subtract-divide-truncate arithmetic as CellOf
+// to the grid. The same subtract-divide-truncate arithmetic as Candidates
 // guarantees any point inside e queries a cell within this range.
 func (ix *GridIndex) cellRange(e BBox) (c0, r0, c1, r1 int) {
 	c0 = clampInt(int((e.Min.X-ix.bounds.Min.X)/ix.cell), 0, ix.cols-1)
@@ -433,18 +354,14 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 func growBBox(s []BBox, n int) []BBox {
 	if cap(s) < n {
-		ns := make([]BBox, n)
-		copy(ns, s)
-		return ns
+		return make([]BBox, n)
 	}
 	return s[:n]
 }
 
 func growBool(s []bool, n int) []bool {
 	if cap(s) < n {
-		ns := make([]bool, n)
-		copy(ns, s)
-		return ns
+		return make([]bool, n)
 	}
 	return s[:n]
 }
@@ -452,15 +369,6 @@ func growBool(s []bool, n int) []bool {
 func growInt32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growUint32(s []uint32, n int) []uint32 {
-	if cap(s) < n {
-		ns := make([]uint32, n)
-		copy(ns, s)
-		return ns
 	}
 	return s[:n]
 }

@@ -41,58 +41,6 @@ func RunAssign() []Result {
 	return runAssign(context.Background())
 }
 
-// measureAssignIncremental times one steady-state Session tick at the given
-// churn percentage. The session and churner live outside the measure closure,
-// so testing.Benchmark's b.N escalations keep driving the same warmed session
-// rather than rebuilding it; the timer excludes the churn generation itself,
-// matching BenchmarkAssignIncremental.
-func measureAssignIncremental(name string, nT, nW, churnPct int) Result {
-	tasks, workers := assign.ScaleScenario(nT, nW, 7)
-	s := assign.NewSession(assign.PPI{A: 0.5})
-	for i := range workers {
-		s.UpsertWorker(workers[i])
-	}
-	for i := range tasks {
-		s.UpsertTask(tasks[i])
-	}
-	ctx := context.Background()
-	s.Assign(ctx, 0) // cold tick: build index, caches, checkpoints
-	ch := assign.NewChurner(99, s)
-	frac := float64(churnPct) / 100
-	return measure(name, func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			ch.Tick(s, frac)
-			b.StartTimer()
-			s.Assign(ctx, 0)
-		}
-	})
-}
-
-// RunAssignIncremental benchmarks the incremental Session at each scale and
-// churn level. With big set it appends one 100000x100000 low-churn datapoint
-// — artifact runs only; the regression guard tolerates names present on one
-// side, so CI never pays for it.
-func RunAssignIncremental(churns []int, big bool) []Result {
-	if len(churns) == 0 {
-		churns = []int{0, 1, 10}
-	}
-	var results []Result
-	for _, s := range assignScales {
-		for _, churn := range churns {
-			results = append(results, measureAssignIncremental(
-				fmt.Sprintf("AssignIncremental_%s_churn%d", s.name, churn), s.nT, s.nW, churn))
-		}
-	}
-	if big {
-		results = append(results, measureAssignIncremental(
-			"AssignIncremental_100000x100000_churn1", 100000, 100000, 1))
-	}
-	return results
-}
-
 // RunAssignOracle executes the same suite under assign.WithBruteScan — the
 // all-pairs scan the repo's equivalence tests hold up as the oracle. It
 // seeds the Baseline of a fresh BENCH_assign.json so the committed file

@@ -23,9 +23,11 @@ func LoadFile(path string) (File, error) {
 // CheckAgainst compares a fresh run against the committed baseline: a
 // benchmark regresses when its ns/op exceeds baseline·(1+tolerance) or its
 // allocs/op grew at all (the alloc-free contract is exact, not statistical).
-// Benchmarks present on only one side are reported but never fail the
-// check, so adding a kernel doesn't break CI until its baseline lands.
-// The report is meant for humans; ok gates the process exit code.
+// A benchmark without a baseline is reported but does not fail the check,
+// so adding a kernel doesn't break CI until its baseline lands; a baseline
+// row the fresh run did not produce fails it — a guard that silently stops
+// running guards nothing. The report is meant for humans; ok gates the
+// process exit code.
 func CheckAgainst(f File, cur []Result, tolerance float64) (report string, ok bool) {
 	base := map[string]Result{}
 	for _, r := range f.Baseline {
@@ -56,8 +58,11 @@ func CheckAgainst(f File, cur []Result, tolerance float64) (report string, ok bo
 		fmt.Fprintf(&b, "%-20s %14.0f %14.0f %7.2fx %12d %12d  %s\n",
 			r.Name, bl.NsPerOp, r.NsPerOp, ratio, bl.AllocsPerOp, r.AllocsPerOp, verdict)
 	}
-	for name := range base {
-		fmt.Fprintf(&b, "%-20s  baseline only — not run\n", name)
+	for _, r := range f.Baseline {
+		if _, missing := base[r.Name]; missing {
+			fmt.Fprintf(&b, "%-20s  MISSING: in the baseline but not run\n", r.Name)
+			ok = false
+		}
 	}
 	return b.String(), ok
 }

@@ -65,3 +65,16 @@ func TestCheckNewBenchmarkDoesNotFail(t *testing.T) {
 		t.Fatalf("report missing new-benchmark note:\n%s", report)
 	}
 }
+
+func TestCheckMissingBenchmarkFails(t *testing.T) {
+	cur := []Result{
+		{Name: "Seq2SeqPredict", NsPerOp: 1000, AllocsPerOp: 0},
+	}
+	report, ok := CheckAgainst(baseFile(), cur, 0.25)
+	if ok {
+		t.Fatalf("a baseline row the fresh run lacks must fail the check:\n%s", report)
+	}
+	if !strings.Contains(report, "AdamStep") || !strings.Contains(report, "MISSING") {
+		t.Fatalf("report does not name the missing benchmark:\n%s", report)
+	}
+}

@@ -377,14 +377,19 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 				} else {
 					recent = recentPoints(actualDay, tickInDay, model.SeqIn)
 				}
-				if r.Faults.PredictorFails(wk.ID, tick) || len(recent) == 0 {
+				switch {
+				case r.Faults.PredictorFails(wk.ID, tick) || len(recent) == 0:
 					wfaults[j].PredFallbacks++
-				} else {
-					pred, failed := safeForecast(fc, model, recent, predHorizon, r.Faults != nil)
-					if failed {
+				case r.Faults == nil:
+					// Plain call: a panic propagates to the par pool, which
+					// converts it to a *par.PanicError that cancels the batch
+					// (never the process).
+					w.Predicted = fc.Forecast(model, recent, predHorizon)
+				default:
+					// Chaos mode: one bad model degrades only its own worker
+					// to a stand-still prediction.
+					if w.Predicted = core.SafeForecast(fc, model, recent, predHorizon); w.Predicted == nil {
 						wfaults[j].PredFallbacks++
-					} else {
-						w.Predicted = pred
 					}
 				}
 				w.MR = model.MR
@@ -636,33 +641,6 @@ func faultyReports(f *fault.Injector, workerID int, day traj.Routine, dayIdx, ti
 		out = append(out, pt)
 	}
 	return out
-}
-
-// safeForecast runs one worker's autoregressive rollout through the
-// forecast cache (a nil fc recomputes every time). With guard off it is a
-// plain call — a panic propagates to the par pool, which converts it to a
-// *par.PanicError that cancels the batch (never the process). With guard on
-// (chaos mode) the panic is recovered here, and non-finite forecasts are
-// rejected, so one bad model degrades only its own worker to a stand-still
-// prediction. A panicking rollout publishes no cache entry, and a cached
-// non-finite forecast is re-rejected on every hit, so caching never changes
-// a chaos run's outcome.
-func safeForecast(fc *predict.ForecastCache, model *predict.WorkerModel, recent []geo.Point, horizon int, guard bool) (pred []geo.Point, failed bool) {
-	if !guard {
-		return fc.Forecast(model, recent, horizon), false
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			pred, failed = nil, true
-		}
-	}()
-	pred = fc.Forecast(model, recent, horizon)
-	for _, pt := range pred {
-		if math.IsNaN(pt.X) || math.IsNaN(pt.Y) || math.IsInf(pt.X, 0) || math.IsInf(pt.Y, 0) {
-			return nil, true
-		}
-	}
-	return pred, false
 }
 
 // acceptance decides whether the worker accepts the assigned task given

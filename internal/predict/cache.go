@@ -26,8 +26,8 @@ import (
 //     entry found under the same window is replaced in place).
 //   - Entries are immutable once filled: a hit hands out the same slice
 //     every time, and the cache never writes to it again. Callers may
-//     retain forecasts across ticks (assign.Session does) but must not
-//     mutate them — the same contract Predicted slices already carry.
+//     retain forecasts across ticks but must not mutate them — the same
+//     contract Predicted slices already carry.
 //   - Per-worker LRU: each worker holds at most MaxPerWorker entries
 //     (default DefaultCacheMaxPerWorker); the least recently used entry is
 //     evicted on overflow, bounding memory at

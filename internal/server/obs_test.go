@@ -77,43 +77,6 @@ func TestMetricsEndpointMirrorsJSON(t *testing.T) {
 	}
 }
 
-// TestBatchWorkspaceReuseReportsWarmCold drives two non-empty batches and
-// checks /api/metrics accounts for both in the warm/cold split — proof the
-// server threads ONE long-lived assignment workspace through every batch
-// (a per-batch workspace would leave the server's counters at zero).
-func TestBatchWorkspaceReuseReportsWarmCold(t *testing.T) {
-	c := newClient(t, testConfig())
-	for id := 1; id <= 2; id++ {
-		c.do("POST", "/api/workers", workerRequest{ID: id, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
-		walkWorker(c, id, 6, 10, 10+float64(id))
-	}
-	c.do("POST", "/api/tasks", taskRequest{X: 18, Y: 11, Deadline: 40}, nil)
-	c.do("POST", "/api/tasks", taskRequest{X: 18, Y: 12, Deadline: 40}, nil)
-
-	var batch batchResponse
-	c.do("POST", "/api/batch", nil, &batch)
-	if batch.Offers == 0 {
-		t.Fatal("first batch made no offers")
-	}
-	// Decline everything so the next batch sees the same open tasks and free
-	// workers (minus the excluded pairs) — another non-empty stage-1 solve.
-	for id := 1; id <= 2; id++ {
-		var offers []offerResponse
-		c.do("GET", fmt.Sprintf("/api/workers/%d/offers", id), nil, &offers)
-		for _, o := range offers {
-			c.do("POST", fmt.Sprintf("/api/offers/%d/reject", o.OfferID), nil, nil)
-		}
-	}
-	c.do("POST", "/api/batch", nil, &batch)
-
-	var m metricsResponse
-	c.do("GET", "/api/metrics", nil, &m)
-	if m.WarmBatches+m.ColdBatches != 2 {
-		t.Fatalf("warm+cold = %d+%d, want 2 batches accounted in one workspace: %+v",
-			m.WarmBatches, m.ColdBatches, m)
-	}
-}
-
 // TestPprofGating checks /debug/pprof/ is absent by default and mounted
 // only when Config.EnablePprof is set.
 func TestPprofGating(t *testing.T) {

@@ -146,9 +146,9 @@ type Server struct {
 	log    *wal.Log // nil when WALDir is unset or after a disk failure
 
 	// One long-lived assignment workspace shared by every batch (guarded by
-	// s.mu like the state): the spatial index, matcher arrays, and KM warm
-	// checkpoints persist across batches, so steady-state batches warm-start
-	// instead of rebuilding from scratch.
+	// s.mu like the state): the task grid, pair buffers and matcher arrays
+	// persist across batches, so steady-state batches reuse them instead of
+	// reallocating.
 	ws *assign.Workspace
 	// Long-lived forecast memo shared by every batch, same lifecycle as ws:
 	// a worker whose context window hasn't changed since the last batch (the
@@ -1044,12 +1044,6 @@ type metricsResponse struct {
 	Panics          int64 `json:"panics"`
 	DegradedBatches int   `json:"degradedBatches"`
 	PredFallbacks   int   `json:"predFallbacks"`
-	// KM warm-start accounting from the server's long-lived assignment
-	// workspace: how deep the last batch's confident-edge solve resumed, and
-	// the cumulative warm/cold batch split since the server started.
-	LastWarmRows int    `json:"lastWarmRows"`
-	WarmBatches  uint64 `json:"warmBatches"`
-	ColdBatches  uint64 `json:"coldBatches"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -1059,7 +1053,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// (panics excepted — a recovered panic is a process fact, not a state
 	// transition); the Prometheus endpoint exports the mirrored series.
 	c := s.st.Counts
-	lastWarm, warmB, coldB := s.ws.WarmStats()
 	writeJSON(w, http.StatusOK, metricsResponse{
 		Tick: s.st.Tick, Tasks: len(s.st.Tasks),
 		Assigned: int(c.Offers), Accepted: int(c.Accepts),
@@ -1067,7 +1060,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Workers: len(s.st.Workers),
 		Panics:  s.panicsC.Value(), DegradedBatches: int(c.DegradedBatches),
 		PredFallbacks: int(c.PredFallbacks),
-		LastWarmRows:  lastWarm, WarmBatches: warmB, ColdBatches: coldB,
 	})
 }
 

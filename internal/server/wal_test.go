@@ -78,9 +78,6 @@ func TestWALRecoveryResumesExactState(t *testing.T) {
 	}
 	var m2 metricsResponse
 	c2.do("GET", "/api/metrics", nil, &m2)
-	// The KM workspace counters are process-local (like Panics), not part of
-	// the durable state; only the state-machine tallies must survive.
-	m2.LastWarmRows, m2.WarmBatches, m2.ColdBatches = m1.LastWarmRows, m1.WarmBatches, m1.ColdBatches
 	if m1 != m2 {
 		t.Fatalf("metrics after restart = %+v, want %+v", m2, m1)
 	}
