@@ -37,11 +37,11 @@ bench-assign:
 	$(GO) run ./cmd/tampbench -assign-json BENCH_assign.json
 
 # Prediction-engine benchmarks: forecast-cache hit path, allocation-free
-# rollouts, batched-vs-streamed gradient kernels, and the end-to-end
-# stationary-workload simulate. Refreshes BENCH_predict.json; a fresh file
-# measures the replaced path (recompute-every-call forecasts, per-sample
-# streamed gradients) interleaved with the current one and records it as
-# the baseline, so the committed record shows what the engine buys.
+# rollouts, and the end-to-end stationary-workload simulate. Refreshes
+# BENCH_predict.json; a fresh file measures the replaced path
+# (recompute-every-call forecasts) interleaved with the current one and
+# records it as the baseline, so the committed record shows what the engine
+# buys.
 bench-predict:
 	$(GO) run ./cmd/tampbench -predict-json BENCH_predict.json
 
@@ -56,17 +56,22 @@ bench-test:
 bench-e2e:
 	bash bench/run.sh
 
+# `go test -run 'A|B'` passes when B no longer names a test. The gates below
+# that pick tests by name go through this helper, which first fails if any
+# |-alternative selects nothing (scripts/gotest-run.sh PKG PATTERN [flags]).
+GOTEST_RUN = GO="$(GO)" scripts/gotest-run.sh
+
 # Allocation-regression gate: the warmed NN hot path (Predict/Grad/BatchGrad
-# on both architectures, plus Adam.Step) must stay at 0 allocs/op, the
+# at any batch size, plus Adam.Step) must stay at 0 allocs/op, the
 # warmed sparse-KM matcher must stay at 0 allocs per Match, a warmed
 # Workspace must carry a 2k×2k PPI or KM batch through the candidate-pair
 # kernel on a small constant number of allocations, and the warmed
 # prediction engine (PredictFutureInto, EvaluateOnRoutine, cache hits) must
 # stay at 0 allocs per call.
 perfcheck:
-	$(GO) test ./internal/nn -run 'AllocFree' -v
-	$(GO) test ./internal/assign -run 'TestMatcherSteadyStateAllocFree|TestMatcherAllocsDoNotGrowWithBatches|TestSortPendingAllocFree|TestKernelSteadyStateAllocs' -v
-	$(GO) test ./internal/predict -run 'TestPredictFutureIntoZeroAlloc|TestEvaluateOnRoutineZeroAlloc|TestCacheHitZeroAlloc' -v
+	$(GOTEST_RUN) ./internal/nn 'AllocFree' -v
+	$(GOTEST_RUN) ./internal/assign 'TestMatcherSteadyStateAllocFree|TestMatcherAllocsDoNotGrowWithBatches|TestSortPendingAllocFree|TestKernelSteadyStateAllocs' -v
+	$(GOTEST_RUN) ./internal/predict 'TestPredictFutureIntoZeroAlloc|TestEvaluateOnRoutineZeroAlloc|TestCacheHitZeroAlloc' -v
 
 # Benchmark-regression gate: re-run the NN kernel, batch-assignment, and
 # prediction-engine suites and compare against the committed BENCH_nn.json /
@@ -83,9 +88,9 @@ benchguard:
 # degraded-mode fallbacks.
 chaos:
 	$(GO) test -race ./internal/fault/ -v
-	$(GO) test -race ./internal/platform/ -run 'Chaos|PanicModel' -v
-	$(GO) test -race ./internal/server/ -run 'Panic|Degrade|BatchDeadline|OfferOutstanding' -v
-	$(GO) test -race ./internal/par/ -run 'Panic|Retry' -v
+	$(GOTEST_RUN) ./internal/platform/ 'Chaos|PanicModel' -race -v
+	$(GOTEST_RUN) ./internal/server/ 'Panic|Degrade|BatchDeadline|OfferOutstanding' -race -v
+	$(GOTEST_RUN) ./internal/par/ 'Panic|Retry' -race -v
 
 # Bring up the region-sharded serving tier end to end: two durable tampserver
 # shards, a tamprouter fronting them, and a tampgen -drive load run through
@@ -103,7 +108,7 @@ cluster:
 #      address, readiness-gated readmission, availability asserted from the
 #      drive report.
 cluster-smoke:
-	$(GO) test -race -count=1 ./internal/tier/ -run 'TestClusterChaosFailoverDigest|TestShardCrashMidAppendRejoins|TestRouterClosedShardTripsBreaker|TestRouterQueueShedAndFlush|TestRouterBorderFailover' -v
+	$(GOTEST_RUN) ./internal/tier/ 'TestClusterChaosFailoverDigest|TestShardCrashMidAppendRejoins|TestRouterClosedShardTripsBreaker|TestRouterQueueShedAndFlush|TestRouterBorderFailover' -race -count=1 -v
 	CLUSTER_SMOKE=1 scripts/cluster.sh
 
 # End-to-end replay demo: record a small simulation as a platform event log,
@@ -127,6 +132,7 @@ fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzRecover -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/predict -run '^$$' -fuzz FuzzLoadModels -fuzztime $(FUZZTIME)
 
 # Regenerate the benchmark matrix: every scenario generator (paper, windows,
 # budget) × every assigner (UB, PPI, KM, GGPSO, Greedy, LB) at the smoke and

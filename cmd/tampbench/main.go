@@ -9,7 +9,7 @@
 //	tampbench -exp all -scale quick
 //	tampbench -json BENCH_nn.json
 //	tampbench -assign-json BENCH_assign.json
-//	tampbench -predict-json BENCH_predict.json         # prediction-engine (cache + batched kernels) benchmarks
+//	tampbench -predict-json BENCH_predict.json         # prediction-engine (forecast cache, rollouts) benchmarks
 //	tampbench -check BENCH_nn.json -check-assign BENCH_assign.json -check-predict BENCH_predict.json -tolerance 0.25   # CI regression guard
 //	tampbench -matrix                                  # regenerate BENCH_matrix.json + MATRIX.md
 //	tampbench -check-matrix BENCH_matrix.json -matrix-scale smoke   # CI matrix gate
@@ -68,7 +68,7 @@ func main() {
 		check    = flag.String("check", "", "run the NN kernel benchmarks and compare against the baseline in this file; exit 1 on regression")
 		assignJ  = flag.String("assign-json", "", "run the batch-assignment benchmarks and write before/after results to this file (a fresh file records the brute-force scan as baseline)")
 		checkAsg = flag.String("check-assign", "", "run the batch-assignment benchmarks and compare against the baseline in this file; exit 1 on regression")
-		predJ    = flag.String("predict-json", "", "run the prediction-engine benchmarks (forecast cache, batched kernels, stationary simulate) and write before/after results to this file (a fresh file records the uncached/streamed path as baseline)")
+		predJ    = flag.String("predict-json", "", "run the prediction-engine benchmarks (forecast cache, rollouts, stationary simulate) and write before/after results to this file (a fresh file records the uncached path as baseline)")
 		checkPrd = flag.String("check-predict", "", "run the prediction-engine benchmarks and compare against the baseline in this file; exit 1 on regression")
 		tol      = flag.Float64("tolerance", 0.25, "allowed fractional ns/op growth before -check/-check-assign fails (allocs/op must never grow)")
 		metrics  = flag.Bool("metrics", false, "collect experiment metrics in a registry and dump it (Prometheus text) at end of run")
@@ -151,8 +151,8 @@ func main() {
 		}
 		if *checkPrd != "" {
 			// Like BENCH_assign.json, the Baseline records the replaced path
-			// (uncached forecasts, streamed gradients) — guard against the
-			// committed Current instead.
+			// (uncached forecasts) — guard against the committed Current
+			// instead.
 			cur, err := perf.RunPredict()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "tampbench:", err)

@@ -31,19 +31,7 @@ type Model interface {
 	NumParams() int
 	// CloneModel returns an independent copy.
 	CloneModel() Model
-	// ArchName identifies the architecture for serialization ("lstm",
-	// "gru").
-	ArchName() string
 }
-
-// Architecture names.
-const (
-	ArchLSTM = "lstm"
-	ArchGRU  = "gru"
-)
 
 // CloneModel implements Model.
 func (m *Seq2Seq) CloneModel() Model { return m.Clone() }
-
-// ArchName implements Model.
-func (m *Seq2Seq) ArchName() string { return ArchLSTM }

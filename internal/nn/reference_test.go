@@ -243,36 +243,3 @@ func TestFusedLSTMMatchesReference(t *testing.T) {
 		}
 	}
 }
-
-// TestFusedGRUGradCheck validates the fused GRU kernels against central
-// finite differences over every parameter — the GRU analogue of
-// TestSeq2SeqGradCheck, pinning the rewritten candidate/update/reset
-// backward blocks.
-func TestFusedGRUGradCheck(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	m := NewGRUSeq2Seq(2, 2, 4, rng)
-	for i := m.outOff; i < len(m.w); i++ {
-		m.w[i] = rng.NormFloat64() * 0.2
-	}
-	s := randSample(rng, 2, 2, 3, 2)
-	loss := MSE{}
-
-	grad := NewVector(m.NumParams())
-	m.Grad(s.In, s.Out, loss, grad)
-
-	const eps = 1e-5
-	w := m.Weights()
-	for i := 0; i < m.NumParams(); i++ {
-		orig := w[i]
-		w[i] = orig + eps
-		lp := m.BatchLoss([]Sample{s}, loss)
-		w[i] = orig - eps
-		lm := m.BatchLoss([]Sample{s}, loss)
-		w[i] = orig
-		num := (lp - lm) / (2 * eps)
-		denom := math.Max(math.Abs(num)+math.Abs(grad[i]), 1e-6)
-		if rel := math.Abs(num-grad[i]) / denom; rel > 1e-3 && math.Abs(num-grad[i]) > 1e-6 {
-			t.Fatalf("param %d: analytic %v vs numeric %v", i, grad[i], num)
-		}
-	}
-}

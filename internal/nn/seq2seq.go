@@ -202,15 +202,10 @@ func (m *Seq2Seq) Grad(in, target [][]float64, loss Loss, grad Vector) float64 {
 }
 
 // BatchLoss returns the mean loss of the model over batch without computing
-// gradients. Uniform-shape batches of ≥2 samples take the batched
-// step-synchronous kernels (batch.go); the result is bit-identical either
-// way.
+// gradients.
 func (m *Seq2Seq) BatchLoss(batch []Sample, loss Loss) float64 {
 	if len(batch) == 0 {
 		return 0
-	}
-	if len(batch) >= 2 && batchUniform(batch) {
-		return m.batchLoss(batch, loss) / float64(len(batch))
 	}
 	var sum float64
 	for i := range batch {
@@ -224,11 +219,9 @@ func (m *Seq2Seq) BatchLoss(batch []Sample, loss Loss) float64 {
 }
 
 // BatchGrad accumulates the mean gradient of the loss over batch into grad
-// and returns the mean loss. grad is zeroed first. Uniform-shape batches of
-// ≥2 samples take the batched kernels (batch.go), which reuse each weight
-// and gradient row across the whole batch while preserving the per-sample
-// floating-point reduction order exactly — mixed-shape batches stream
-// through Grad sample by sample, and both paths are bit-identical.
+// and returns the mean loss. grad is zeroed first. Samples stream through
+// Grad one at a time, so the scratch a model holds does not grow with the
+// batch.
 func (m *Seq2Seq) BatchGrad(batch []Sample, loss Loss, grad Vector) float64 {
 	grad.Zero()
 	if len(batch) == 0 {
@@ -236,11 +229,6 @@ func (m *Seq2Seq) BatchGrad(batch []Sample, loss Loss, grad Vector) float64 {
 	}
 	if len(grad) != len(m.w) {
 		panic(fmt.Sprintf("nn: BatchGrad vector length %d != %d", len(grad), len(m.w)))
-	}
-	if len(batch) >= 2 && batchUniform(batch) {
-		sum := m.batchGrad(batch, loss, grad)
-		grad.Scale(1 / float64(len(batch)))
-		return sum / float64(len(batch))
 	}
 	var sum float64
 	for i := range batch {

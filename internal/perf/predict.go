@@ -17,12 +17,9 @@ import (
 	"github.com/spatialcrowd/tamp/internal/traj"
 )
 
-const predictNote = "Prediction-engine costs (forecast cache, batched kernels, allocation-free rollouts); baseline is the replaced path (recompute-every-call forecasts, per-sample streamed gradients), measured interleaved with the current side so each ratio compares adjacent observations. Batched-vs-streamed gradient headroom is bounded by the sigmoid/tanh share of step time (~half), which both paths pay identically; batching removes most of the remaining weight-streaming half."
+const predictNote = "Prediction-engine costs (forecast cache, allocation-free rollouts); baseline is the replaced path (recompute-every-call forecasts), measured interleaved with the current side so each ratio compares adjacent observations."
 
-const (
-	predictHorizon = 8
-	predictBatch   = 16
-)
+const predictHorizon = 8
 
 // predictModel builds the benchmark predictor at the production shape
 // (hidden 16, SeqIn 5 — the internal/nn benchmark workload).
@@ -46,15 +43,6 @@ func predictTrace(seed int64, n int) []geo.Point {
 		out[i] = geo.Pt(x, y)
 	}
 	return out
-}
-
-func uniformBatch(seed int64, n int) []nn.Sample {
-	rng := rand.New(rand.NewSource(seed))
-	batch := make([]nn.Sample, n)
-	for i := range batch {
-		batch[i] = randSample(rng, predict.InputDims, 2, 5, 1)
-	}
-	return batch
 }
 
 // stationaryWorkload is the end-to-end benchmark scenario: the
@@ -141,31 +129,15 @@ type predictSpec struct {
 // end-to-end simulate pair, which needs the trained workload).
 //
 // The oracle sides are the replaced paths: the allocating PredictFuture for
-// the Into variant, recompute-every-tick for the cache hit, and the
-// per-sample streamed gradient loop — the exact fallback BatchGrad still
-// takes for ragged batches, which the repo's equivalence tests hold
-// bit-identical to the batched kernels.
+// the Into variant and recompute-every-tick for the cache hit.
 func predictSpecs() []predictSpec {
 	wm := predictModel(1)
 	trace := predictTrace(1, 32)
 	at := geo.Pt(42, 17)
 	still := []geo.Point{at, at, at, at, at}
-	lstm := nn.NewSeq2Seq(predict.InputDims, 2, 16, rand.New(rand.NewSource(1)))
-	gru := nn.NewGRUSeq2Seq(predict.InputDims, 2, 16, rand.New(rand.NewSource(1)))
-	batch := uniformBatch(3, predictBatch)
 
 	cache := predict.NewForecastCache(0)
 	cache.Forecast(wm, still, predictHorizon) // warm: the steady-state hit is what serving pays
-
-	streamed := func(m interface {
-		Grad([][]float64, [][]float64, nn.Loss, nn.Vector) float64
-	}, grad nn.Vector) {
-		grad.Zero()
-		for i := range batch {
-			m.Grad(batch[i].In, batch[i].Out, nn.MSE{}, grad)
-		}
-		grad.Scale(1 / float64(len(batch)))
-	}
 
 	return []predictSpec{
 		{
@@ -214,46 +186,11 @@ func predictSpecs() []predictSpec {
 				}
 			},
 		},
-		{
-			name: "BatchGradLSTM_B16",
-			current: func(b *testing.B) {
-				grad := nn.NewVector(lstm.NumParams())
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					lstm.BatchGrad(batch, nn.MSE{}, grad)
-				}
-			},
-			oracle: func(b *testing.B) {
-				grad := nn.NewVector(lstm.NumParams())
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					streamed(lstm, grad)
-				}
-			},
-		},
-		{
-			name: "BatchGradGRU_B16",
-			current: func(b *testing.B) {
-				grad := nn.NewVector(gru.NumParams())
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					gru.BatchGrad(batch, nn.MSE{}, grad)
-				}
-			},
-			oracle: func(b *testing.B) {
-				grad := nn.NewVector(gru.NumParams())
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					streamed(gru, grad)
-				}
-			},
-		},
 	}
 }
 
 // RunPredict executes the prediction-engine suite on the production path:
-// memoized forecasts, the allocation-free rollout, and the batched GEMM
-// kernels.
+// memoized forecasts and the allocation-free rollout.
 func RunPredict() ([]Result, error) {
 	var results []Result
 	for _, sp := range predictSpecs() {
@@ -267,9 +204,9 @@ func RunPredict() ([]Result, error) {
 }
 
 // RunPredictOracle executes the same suite along the paths the engine
-// replaced — recompute-every-call forecasts and per-sample streamed
-// gradients — producing the Baseline of a fresh BENCH_predict.json, so the
-// speedup the cache and the batched kernels buy is pinned in the artifact.
+// replaced — recompute-every-call forecasts — producing the Baseline of a
+// fresh BENCH_predict.json, so the speedup the cache buys is pinned in the
+// artifact.
 func RunPredictOracle() ([]Result, error) {
 	var results []Result
 	for _, sp := range predictSpecs() {

@@ -154,9 +154,6 @@ func (wm *WorkerModel) AdaptOn(r traj.Routine, steps int, lr float64) {
 	if len(wm.adaptGrad) != wm.Model.NumParams() {
 		wm.adaptGrad = nn.NewVector(wm.Model.NumParams())
 	}
-	// Every sample shares the model's (SeqIn, SeqOut) shape, so BatchGrad
-	// takes the batched GEMM kernels: weights stream once per step across
-	// the whole day's samples.
 	opt := nn.SGD{LR: lr, ClipNorm: 5}
 	for s := 0; s < steps; s++ {
 		wm.Model.BatchGrad(batch, loss, wm.adaptGrad)

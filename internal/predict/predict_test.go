@@ -1,7 +1,6 @@
 package predict
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"testing"
@@ -276,40 +275,5 @@ func TestPredictionBeatsStandingStill(t *testing.T) {
 	}
 	if modelSE >= stillSE {
 		t.Errorf("model MSE %v not better than standing-still %v", modelSE/float64(n), stillSE/float64(n))
-	}
-}
-
-func TestTrainPipelineGRUArch(t *testing.T) {
-	w := tinyWorkload(dataset.Workload1)
-	opts := tinyOptions()
-	opts.Arch = "gru"
-	res, err := Train(context.Background(), w, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Eval.N == 0 {
-		t.Fatal("GRU pipeline scored nothing")
-	}
-	for _, m := range res.Models {
-		if m.Model.ArchName() != "gru" {
-			t.Fatalf("model arch = %q", m.Model.ArchName())
-		}
-	}
-	// GRU bundles round-trip too.
-	var buf bytes.Buffer
-	if err := res.SaveModels(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadModels(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wk := &w.Workers[0]
-	a := res.Models[wk.ID].PredictFuture(wk.TestDays[0].Points[:4], 3)
-	b := loaded[wk.ID].PredictFuture(wk.TestDays[0].Points[:4], 3)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("GRU round trip changed predictions")
-		}
 	}
 }
