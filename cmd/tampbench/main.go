@@ -65,12 +65,12 @@ func main() {
 		seeds    = flag.Int("seeds", 1, "run each experiment over this many seeds and report mean ± std")
 		par      = flag.Int("par", 0, "worker pool size for training, simulation, and multi-seed fan-out (0 = all cores)")
 		jsonOut  = flag.String("json", "", "run the NN kernel benchmarks and write before/after results to this file")
-		check    = flag.String("check", "", "run the NN kernel benchmarks and compare against the baseline in this file; exit 1 on regression")
+		check    = flag.String("check", "", "run the NN kernel benchmarks and compare against the current rows of this file; exit 1 on regression")
 		assignJ  = flag.String("assign-json", "", "run the batch-assignment benchmarks and write before/after results to this file (a fresh file records the brute-force scan as baseline)")
-		checkAsg = flag.String("check-assign", "", "run the batch-assignment benchmarks and compare against the baseline in this file; exit 1 on regression")
+		checkAsg = flag.String("check-assign", "", "run the batch-assignment benchmarks and compare against the current rows of this file; exit 1 on regression")
 		predJ    = flag.String("predict-json", "", "run the prediction-engine benchmarks (forecast cache, rollouts, stationary simulate) and write before/after results to this file (a fresh file records the uncached path as baseline)")
-		checkPrd = flag.String("check-predict", "", "run the prediction-engine benchmarks and compare against the baseline in this file; exit 1 on regression")
-		tol      = flag.Float64("tolerance", 0.25, "allowed fractional ns/op growth before -check/-check-assign fails (allocs/op must never grow)")
+		checkPrd = flag.String("check-predict", "", "run the prediction-engine benchmarks and compare against the current rows of this file; exit 1 on regression")
+		tol      = flag.Float64("tolerance", 0.25, "allowed fractional ns/op growth over the file's current rows before a -check* mode fails (allocs/op must never grow)")
 		metrics  = flag.Bool("metrics", false, "collect experiment metrics in a registry and dump it (Prometheus text) at end of run")
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address while the run lasts (e.g. localhost:6060)")
 		matrixR  = flag.Bool("matrix", false, "run the scenario-generator × assigner benchmark matrix and write -matrix-json and -matrix-md")
@@ -110,22 +110,15 @@ func main() {
 		fmt.Printf("pprof listening on http://%s/debug/pprof/\n", *pprofA)
 	}
 	if *check != "" || *checkAsg != "" || *checkPrd != "" {
+		pinSingleP()
 		// Each guard runs its suite once, feeding both the verdict and the
 		// optional artifact; a regression in either suite fails the process.
 		failed := false
-		runCheck := func(path string, cur []perf.Result, artifact string, write func(string, []perf.Result) (perf.File, error), guardCurrent bool) {
+		runCheck := func(path string, cur []perf.Result, artifact string, write func(string, []perf.Result) (perf.File, error)) {
 			base, err := perf.LoadFile(path)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "tampbench:", err)
 				os.Exit(1)
-			}
-			if guardCurrent && len(base.Current) > 0 {
-				// BENCH_assign.json's Baseline records the brute-force scan
-				// the spatial index replaced — a speedup record a fresh
-				// indexed run would beat by orders of magnitude even after a
-				// bad regression. Guard against the committed indexed
-				// measurements instead.
-				base.Baseline = base.Current
 			}
 			if artifact != "" {
 				if _, err := write(artifact, cur); err != nil {
@@ -144,21 +137,18 @@ func main() {
 			fmt.Printf("no regression against %s (tolerance %.0f%%)\n", path, *tol*100)
 		}
 		if *check != "" {
-			runCheck(*check, perf.Run(), *jsonOut, perf.WriteJSONWith, false)
+			runCheck(*check, perf.Run(), *jsonOut, perf.WriteJSONWith)
 		}
 		if *checkAsg != "" {
-			runCheck(*checkAsg, perf.RunAssign(), *assignJ, perf.WriteAssignJSONWith, true)
+			runCheck(*checkAsg, perf.RunAssign(), *assignJ, perf.WriteAssignJSONWith)
 		}
 		if *checkPrd != "" {
-			// Like BENCH_assign.json, the Baseline records the replaced path
-			// (uncached forecasts) — guard against the committed Current
-			// instead.
 			cur, err := perf.RunPredict()
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "tampbench:", err)
 				os.Exit(1)
 			}
-			runCheck(*checkPrd, cur, *predJ, perf.WritePredictJSONWith, true)
+			runCheck(*checkPrd, cur, *predJ, perf.WritePredictJSONWith)
 		}
 		if failed {
 			os.Exit(1)
@@ -166,6 +156,7 @@ func main() {
 		return
 	}
 	if *jsonOut != "" || *assignJ != "" || *predJ != "" {
+		pinSingleP()
 		if *jsonOut != "" {
 			f, err := perf.WriteJSON(*jsonOut)
 			if err != nil {
@@ -282,6 +273,15 @@ func main() {
 	if reg != nil {
 		fmt.Printf("== metric registry (Prometheus text) ==\n%s", reg.Dump())
 	}
+}
+
+// pinSingleP puts the kernel suites on one P, the way bench/ runs, and says
+// so in the report. The committed BENCH_*.json rows are single-P
+// measurements and the assigners' worker pool allocates per extra goroutine,
+// so the exact allocs/op rule only compares like with like at GOMAXPROCS 1.
+func pinSingleP() {
+	runtime.GOMAXPROCS(1)
+	fmt.Printf("GOMAXPROCS %d (pinned for the kernel suites)\n", runtime.GOMAXPROCS(0))
 }
 
 // runMatrix is the -matrix / -check-matrix mode: run the scenario-generator

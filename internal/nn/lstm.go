@@ -46,37 +46,32 @@ func (c lstmCell) forward(w Vector, x, hPrev, cPrev []float64, st *lstmStep) {
 	copy(xh, x)
 	copy(xh[c.in:], hPrev)
 	st.cPrev = cPrev
-	for gate := 0; gate < 4; gate++ {
-		var dst []float64
-		switch gate {
-		case 0:
-			dst = st.i
-		case 1:
-			dst = st.f
-		case 2:
-			dst = st.g
-		default:
-			dst = st.o
-		}
-		for k := 0; k < h; k++ {
-			base := (gate*h + k) * cols
-			row := w[base : base+cols]
-			z := row[nin] // bias
-			row = row[:nin]
-			for j, rv := range row {
-				z += rv * xh[j]
-			}
-			if gate == 2 {
-				dst[k] = math.Tanh(z)
-			} else {
-				dst[k] = sigmoid(z)
-			}
-		}
-	}
+	// Unit-major: the four gate rows of hidden unit k advance together, so
+	// the core has four independent add chains in flight instead of waiting
+	// on one. Each row still sums bias first, then ascending j, so every
+	// result bit is the scalar reference's (DESIGN.md §9).
+	gs := h * cols
 	for k := 0; k < h; k++ {
-		st.cNew[k] = st.f[k]*cPrev[k] + st.i[k]*st.g[k]
-		st.tanhC[k] = math.Tanh(st.cNew[k])
-		st.h[k] = st.o[k] * st.tanhC[k]
+		base := k * cols
+		ri := w[base : base+cols]
+		rf := w[base+gs : base+gs+cols]
+		rg := w[base+2*gs : base+2*gs+cols]
+		ro := w[base+3*gs : base+3*gs+cols]
+		zi, zf, zg, zo := ri[nin], rf[nin], rg[nin], ro[nin] // biases
+		ri, rf, rg, ro = ri[:nin], rf[:nin], rg[:nin], ro[:nin]
+		for j, xv := range xh {
+			zi += ri[j] * xv
+			zf += rf[j] * xv
+			zg += rg[j] * xv
+			zo += ro[j] * xv
+		}
+		st.i[k] = sigmoid(zi)
+		st.f[k] = sigmoid(zf)
+		st.g[k] = math.Tanh(zg)
+		st.o[k] = sigmoid(zo)
+		cn := st.f[k]*cPrev[k] + st.i[k]*st.g[k]
+		tc := math.Tanh(cn)
+		st.cNew[k], st.tanhC[k], st.h[k] = cn, tc, st.o[k]*tc
 	}
 }
 

@@ -5,11 +5,23 @@ import (
 	"testing"
 )
 
+// baseFile has the shape of the committed BENCH_*.json files: a loose
+// Baseline (the replaced implementation) and a tight Current. Every verdict
+// below is against Current; checked against Baseline, the regressions in
+// TestCheckTimeRegressionFails and
+// TestCheckAllocRegressionFailsRegardlessOfTolerance would pass.
 func baseFile() File {
-	return File{Baseline: []Result{
-		{Name: "Seq2SeqPredict", NsPerOp: 1000, AllocsPerOp: 0},
-		{Name: "AdamStep", NsPerOp: 500, AllocsPerOp: 0},
-	}}
+	return File{
+		Baseline: []Result{
+			{Name: "Seq2SeqPredict", NsPerOp: 2000, AllocsPerOp: 54},
+			{Name: "AdamStep", NsPerOp: 1000, AllocsPerOp: 0},
+			{Name: "RetiredKernel", NsPerOp: 700, AllocsPerOp: 3},
+		},
+		Current: []Result{
+			{Name: "Seq2SeqPredict", NsPerOp: 1000, AllocsPerOp: 0},
+			{Name: "AdamStep", NsPerOp: 500, AllocsPerOp: 0},
+		},
+	}
 }
 
 func TestCheckWithinTolerancePasses(t *testing.T) {
@@ -59,9 +71,9 @@ func TestCheckNewBenchmarkDoesNotFail(t *testing.T) {
 	}
 	report, ok := CheckAgainst(baseFile(), cur, 0.25)
 	if !ok {
-		t.Fatalf("a benchmark without a baseline must not fail the check:\n%s", report)
+		t.Fatalf("a benchmark without a committed row must not fail the check:\n%s", report)
 	}
-	if !strings.Contains(report, "new (no baseline)") {
+	if !strings.Contains(report, "new (no committed row)") {
 		t.Fatalf("report missing new-benchmark note:\n%s", report)
 	}
 }
@@ -72,9 +84,22 @@ func TestCheckMissingBenchmarkFails(t *testing.T) {
 	}
 	report, ok := CheckAgainst(baseFile(), cur, 0.25)
 	if ok {
-		t.Fatalf("a baseline row the fresh run lacks must fail the check:\n%s", report)
+		t.Fatalf("a committed row the fresh run lacks must fail the check:\n%s", report)
 	}
 	if !strings.Contains(report, "AdamStep") || !strings.Contains(report, "MISSING") {
 		t.Fatalf("report does not name the missing benchmark:\n%s", report)
+	}
+}
+
+// A row that exists only in Baseline (a kernel since retired) is neither
+// guarded nor reported missing.
+func TestCheckBaselineOnlyRowIsIgnored(t *testing.T) {
+	cur := []Result{
+		{Name: "Seq2SeqPredict", NsPerOp: 1000, AllocsPerOp: 0},
+		{Name: "AdamStep", NsPerOp: 500, AllocsPerOp: 0},
+	}
+	report, ok := CheckAgainst(baseFile(), cur, 0.25)
+	if !ok || strings.Contains(report, "RetiredKernel") {
+		t.Fatalf("a baseline-only row must not take part in the check:\n%s", report)
 	}
 }

@@ -154,6 +154,11 @@ func Wasserstein1D(xs, ys []float64) float64 {
 	}
 	a := append([]float64(nil), xs...)
 	b := append([]float64(nil), ys...)
+	return wasserstein1DInPlace(a, b)
+}
+
+// wasserstein1DInPlace is Wasserstein1D on non-empty slices it may reorder.
+func wasserstein1DInPlace(a, b []float64) float64 {
 	sort.Float64s(a)
 	sort.Float64s(b)
 	na, nb := float64(len(a)), float64(len(b))
@@ -197,7 +202,7 @@ func SlicedWasserstein(a, b []geo.Point, nProj int) float64 {
 		for i, p := range b {
 			pb[i] = c*p.X + s*p.Y
 		}
-		sum += Wasserstein1D(pa, pb)
+		sum += wasserstein1DInPlace(pa, pb) // both are refilled per projection
 	}
 	return sum / float64(nProj)
 }

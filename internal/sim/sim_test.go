@@ -174,6 +174,43 @@ func TestSlicedWassersteinTranslation(t *testing.T) {
 	}
 }
 
+// SlicedWasserstein sorts its own projection buffers in place; the result
+// must be the mean of the copying Wasserstein1D over the same projections,
+// bit for bit, at two allocations a call however many projections it takes.
+func TestSlicedWassersteinMatchesWasserstein1D(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	a := make([]geo.Point, 37)
+	b := make([]geo.Point, 52)
+	for i := range a {
+		a[i] = geo.Pt(rng.Float64()*100, rng.Float64()*100)
+	}
+	for i := range b {
+		b[i] = geo.Pt(rng.NormFloat64()*20+50, rng.NormFloat64()*20+50)
+	}
+	const nProj = 8
+	var want float64
+	for k := 0; k < nProj; k++ {
+		theta := math.Pi * float64(k) / nProj
+		c, s := math.Cos(theta), math.Sin(theta)
+		pa := make([]float64, len(a))
+		pb := make([]float64, len(b))
+		for i, p := range a {
+			pa[i] = c*p.X + s*p.Y
+		}
+		for i, p := range b {
+			pb[i] = c*p.X + s*p.Y
+		}
+		want += Wasserstein1D(pa, pb)
+	}
+	want /= nProj
+	if got := SlicedWasserstein(a, b, nProj); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("sliced W = %v, mean of Wasserstein1D over the projections = %v", got, want)
+	}
+	if n := testing.AllocsPerRun(20, func() { SlicedWasserstein(a, b, nProj) }); n > 2 {
+		t.Errorf("SlicedWasserstein allocates %v times a call, want its 2 projection buffers", n)
+	}
+}
+
 func TestSlicedWassersteinIdentity(t *testing.T) {
 	a := []geo.Point{geo.Pt(1, 2), geo.Pt(3, 4)}
 	if got := SlicedWasserstein(a, a, 8); got > 1e-9 {
