@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-assign bench-predict bench-test bench-e2e perfcheck benchguard benchguard-allocs chaos cluster cluster-smoke replay fuzz-smoke matrix matrix-check staticcheck fmt fmt-check ci
+.PHONY: all build test race vet bench bench-assign bench-predict bench-test bench-e2e perfcheck benchguard benchguard-allocs chaos cluster cluster-smoke replay fuzz-smoke matrix matrix-check matrix-identical staticcheck fmt fmt-check ci
 
 all: build test
 
@@ -158,6 +158,13 @@ matrix:
 # matrix-current.json so CI can upload them on failure.
 matrix-check:
 	$(GO) run ./cmd/tampbench -check-matrix BENCH_matrix.json -matrix-scale smoke -matrix-fresh matrix-current.json
+
+# Byte-identity gate, blocking in CI after matrix-check: regenerate every
+# cell and require the committed files unchanged. matrix-check's tolerances
+# cannot see a one-pair plan change; a PR that claims "plans did not move"
+# passes this, and one that means to move them commits the regenerated files.
+matrix-identical: matrix
+	git diff --exit-code -- BENCH_matrix.json MATRIX.md
 
 # Static analysis beyond go vet. The container has no network, so the binary
 # must already be on PATH (CI installs the pinned version; locally:

@@ -350,6 +350,15 @@ func runMatrix(generate bool, checkPath, jsonPath, mdPath, scaleCSV, freshPath s
 	return nil
 }
 
+// forecastNote says whether batches roll the mobility models out, so a zero
+// predict_cache_misses under LB or UB is explained where it is seen.
+func forecastNote(a assign.Assigner) string {
+	if assign.ReadsForecast(a) {
+		return "forecasts: on"
+	}
+	return fmt.Sprintf("forecasts: off (assigner %s does not read predicted trajectories)", a.Name())
+}
+
 // runReplay feeds a recorded platform event log through the named assigner
 // and prints the per-batch counterfactual plans against the live run.
 func runReplay(dir, assigner, modelsPath string, par int, seed int64) error {
@@ -391,6 +400,7 @@ func runReplay(dir, assigner, modelsPath string, par int, seed int64) error {
 	}
 	fmt.Printf("replayed %d events (from seq %d) through %s in %v\n",
 		rep.Events, rep.StartSeq, rep.Assigner, rep.Duration.Round(time.Microsecond))
+	fmt.Println(forecastNote(a))
 	for _, bp := range rep.Batches {
 		mark := ""
 		if bp.Degraded {

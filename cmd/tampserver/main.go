@@ -107,10 +107,19 @@ func main() {
 	} else {
 		log.Printf("background ticker: 1 tick per %v", *tick)
 	}
-	log.Printf("platform listening on %s (assigner %s)", *addr, *assigner)
+	log.Printf("platform listening on %s (assigner %s), %s", *addr, *assigner, forecastNote(cfg.Assigner))
 	err = s.ListenAndServe(ctx, *addr, interval)
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("tampserver: %v", err)
 	}
 	log.Printf("shut down cleanly")
+}
+
+// forecastNote says whether batches roll the mobility models out, so a zero
+// predict_cache_misses under LB or UB is explained where it is seen.
+func forecastNote(a assign.Assigner) string {
+	if assign.ReadsForecast(a) {
+		return "forecasts: on"
+	}
+	return fmt.Sprintf("forecasts: off (assigner %s does not read predicted trajectories)", a.Name())
 }

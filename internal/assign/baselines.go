@@ -61,6 +61,9 @@ type UB struct {
 // Name implements Assigner.
 func (UB) Name() string { return "UB" }
 
+// ReadsForecast reports false: the oracle matches on Worker.Actual alone.
+func (UB) ReadsForecast() bool { return false }
+
 // Assign implements Assigner.
 func (u UB) Assign(tasks []Task, workers []Worker, tick int) []Pair {
 	return u.AssignContext(context.Background(), tasks, workers, tick)
@@ -82,6 +85,9 @@ type LB struct{}
 
 // Name implements Assigner.
 func (LB) Name() string { return "LB" }
+
+// ReadsForecast reports false: LB matches on Worker.Loc alone.
+func (LB) ReadsForecast() bool { return false }
 
 // Assign implements Assigner.
 func (l LB) Assign(tasks []Task, workers []Worker, tick int) []Pair {

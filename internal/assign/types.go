@@ -90,6 +90,18 @@ func Do(ctx context.Context, a Assigner, tasks []Task, workers []Worker, tick in
 	return a.Assign(tasks, workers, tick)
 }
 
+// ReadsForecast reports whether a's plan depends on Worker.Predicted, so a
+// platform need only roll the mobility models out when it does. An assigner
+// declares otherwise through an optional ReadsForecast method (LB and UB
+// do: pairMode.points has them read Loc and Actual); every other assigner,
+// external ones included, is taken to read the forecast.
+func ReadsForecast(a Assigner) bool {
+	if r, ok := a.(interface{ ReadsForecast() bool }); ok {
+		return r.ReadsForecast()
+	}
+	return true
+}
+
 // reachCap returns min(d/2, d^t) of Theorem 2 for a (worker, task) pair:
 // half the worker's detour budget capped by how far the worker can still
 // travel before the task's deadline (d^t = sp·(τ.t − t_c)). A task whose

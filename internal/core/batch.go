@@ -80,9 +80,7 @@ func BuildBatch(ctx context.Context, st *State, models map[int]*predict.WorkerMo
 		if aw.Predicted == nil {
 			// No model, or its forecast failed: the worker stands still
 			// rather than dropping out of the batch.
-			for j := 0; j < predHorizon; j++ {
-				aw.Predicted = append(aw.Predicted, cur)
-			}
+			aw.Predicted = StandStill(cur, predHorizon)
 		}
 		in.Workers[i] = aw
 		return nil
@@ -95,6 +93,19 @@ func BuildBatch(ctx context.Context, st *State, models map[int]*predict.WorkerMo
 		}
 	}
 	return in, nil
+}
+
+// StandStill is the forecast of a worker nothing is predicted for: horizon
+// copies of its current location, nil when horizon is not positive.
+func StandStill(cur geo.Point, horizon int) []geo.Point {
+	if horizon <= 0 {
+		return nil
+	}
+	pred := make([]geo.Point, horizon)
+	for i := range pred {
+		pred[i] = cur
+	}
+	return pred
 }
 
 // SafeForecast isolates one worker's predictor: a panic or a non-finite

@@ -90,22 +90,26 @@ func TestChaosDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// panickingWorkload is one worker whose predictor panics on first use.
-func panickingWorkload() (*Run, *fault.PanicModel) {
+// panickingWorkload is one worker whose predictor panics on first use. The
+// worker walks (t, 0); the task sits on the route at (5, 0), so at tick 0 a
+// stand-still forecast at (0, 0) is 5 cells away, inside the reach cap
+// min(d/2, sp·(deadline − tick)) = 10, and the true route passes through it.
+func panickingWorkload(a assign.Assigner) (*Run, *fault.PanicModel) {
 	tasks := []assign.Task{{ID: 0, Loc: geo.Pt(5, 0), Arrival: 0, Deadline: 10}}
 	w := handWorkload(tasks)
 	pm := &fault.PanicModel{} // panics on the first Predict call
 	models := map[int]*predict.WorkerModel{
 		0: {WorkerID: 0, Model: pm, SeqIn: 3, SeqOut: 1},
 	}
-	return &Run{Workload: w, Models: models, Assigner: assign.UB{}}, pm
+	return &Run{Workload: w, Models: models, Assigner: a}, pm
 }
 
 // TestPanicModelCancelsBatchNotProcess: without an injector, a panicking
-// predictor is captured by the par pool and surfaces as a *par.PanicError
-// from Simulate — the batch is cancelled, the process survives.
+// predictor under a forecast-reading assigner is captured by the par pool
+// and surfaces as a *par.PanicError from Simulate — the batch is cancelled,
+// the process survives.
 func TestPanicModelCancelsBatchNotProcess(t *testing.T) {
-	run, _ := panickingWorkload()
+	run, pm := panickingWorkload(assign.KM{})
 	_, err := run.Simulate(context.Background())
 	if err == nil {
 		t.Fatal("panicking model did not surface an error")
@@ -114,13 +118,16 @@ func TestPanicModelCancelsBatchNotProcess(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("error is %T (%v), want *par.PanicError", err, err)
 	}
+	if pm.Calls() == 0 {
+		t.Fatal("the model was never called")
+	}
 }
 
 // TestChaosModePanicDegradesToStandStill: in chaos mode the same panic is
 // recovered per worker — the batch proceeds with a stand-still forecast and
 // the fallback is counted.
 func TestChaosModePanicDegradesToStandStill(t *testing.T) {
-	run, _ := panickingWorkload()
+	run, _ := panickingWorkload(assign.KM{})
 	run.Faults = fault.New(fault.Config{Seed: 2}) // injector on, all rates zero
 	m, err := run.Simulate(context.Background())
 	if err != nil {
@@ -129,8 +136,32 @@ func TestChaosModePanicDegradesToStandStill(t *testing.T) {
 	if m.Faults.PredFallbacks == 0 {
 		t.Fatal("panic fallback not counted in FaultStats")
 	}
-	// With a stand-still forecast the on-route task is still completable.
+	// KM on the stand-still forecast still reaches the on-route task (see
+	// panickingWorkload), and the worker's true route serves it.
 	if m.Accepted == 0 {
 		t.Error("degraded worker completed nothing despite feasible task")
+	}
+}
+
+// TestPanicModelUnreachedByNonReaders is the converse: UB and LB declare that
+// they do not read forecasts, so the panicking model is never reached —
+// clean or in chaos mode — and no fallback is counted.
+func TestPanicModelUnreachedByNonReaders(t *testing.T) {
+	for _, a := range []assign.Assigner{assign.UB{}, assign.LB{}} {
+		for _, inj := range []*fault.Injector{nil, fault.New(fault.Config{Seed: 2})} {
+			run, pm := panickingWorkload(a)
+			run.Faults = inj
+			m, err := run.Simulate(context.Background())
+			if err != nil {
+				t.Fatalf("%s (chaos %v): %v", a.Name(), inj != nil, err)
+			}
+			if pm.Calls() != 0 || m.Faults.PredFallbacks != 0 {
+				t.Errorf("%s (chaos %v): %d model calls, %d fallbacks, want none",
+					a.Name(), inj != nil, pm.Calls(), m.Faults.PredFallbacks)
+			}
+			if m.Accepted != 1 {
+				t.Errorf("%s (chaos %v): accepted %d, want the on-route task", a.Name(), inj != nil, m.Accepted)
+			}
+		}
 	}
 }

@@ -254,6 +254,9 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 		adaptLR = 0.002
 	}
 	var deferred []deferredDecision
+	// Forecasts are computed only when something reads them: the assigner's
+	// plan, or the budget gate, which prices offers off Worker.Predicted.
+	forecast := assign.ReadsForecast(r.Assigner) || r.Workload.Budget.Enabled
 	for tick := 0; tick < horizonTicks; tick++ {
 		if err := ctx.Err(); err != nil {
 			return m, err
@@ -369,37 +372,42 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 			for dt := 1; dt <= lookahead; dt++ {
 				w.Actual = append(w.Actual, actualDay.At(tickInDay+dt))
 			}
-			// Predicted path from the trace observed so far today.
+			// Predicted path from the trace observed so far today, when the
+			// plan or the budget gate reads it. An injector is still shown
+			// the window it drops and perturbs, and tallies the failures it
+			// injects, whoever reads the forecast.
 			if model := r.Models[wk.ID]; model != nil {
-				var recent []geo.Point
-				if r.Faults != nil {
-					recent = faultyReports(r.Faults, wk.ID, actualDay, day, p.TicksPerDay, tickInDay, model.SeqIn, &wfaults[j])
-				} else {
-					recent = recentPoints(actualDay, tickInDay, model.SeqIn)
-				}
-				switch {
-				case r.Faults.PredictorFails(wk.ID, tick) || len(recent) == 0:
-					wfaults[j].PredFallbacks++
-				case r.Faults == nil:
-					// Plain call: a panic propagates to the par pool, which
-					// converts it to a *par.PanicError that cancels the batch
-					// (never the process).
-					w.Predicted = fc.Forecast(model, recent, predHorizon)
-				default:
-					// Chaos mode: one bad model degrades only its own worker
-					// to a stand-still prediction.
-					if w.Predicted = core.SafeForecast(fc, model, recent, predHorizon); w.Predicted == nil {
+				w.MR = model.MR
+				if forecast || r.Faults != nil {
+					var recent []geo.Point
+					if r.Faults != nil {
+						recent = faultyReports(r.Faults, wk.ID, actualDay, day, p.TicksPerDay, tickInDay, model.SeqIn, &wfaults[j])
+					} else {
+						recent = recentPoints(actualDay, tickInDay, model.SeqIn)
+					}
+					switch {
+					case r.Faults.PredictorFails(wk.ID, tick) || len(recent) == 0:
 						wfaults[j].PredFallbacks++
+					case !forecast:
+						// No model call: nothing reads what it would return.
+					case r.Faults == nil:
+						// Plain call: a panic propagates to the par pool, which
+						// converts it to a *par.PanicError that cancels the batch
+						// (never the process).
+						w.Predicted = fc.Forecast(model, recent, predHorizon)
+					default:
+						// Chaos mode: one bad model degrades only its own worker
+						// to a stand-still prediction.
+						if w.Predicted = core.SafeForecast(fc, model, recent, predHorizon); w.Predicted == nil {
+							wfaults[j].PredFallbacks++
+						}
 					}
 				}
-				w.MR = model.MR
 			}
 			if w.Predicted == nil {
-				// No model, or its forecast failed: predict the worker
-				// stays put.
-				for dt := 0; dt < predHorizon; dt++ {
-					w.Predicted = append(w.Predicted, cur)
-				}
+				// No model, its forecast failed, or nothing will read it:
+				// predict the worker stays put.
+				w.Predicted = core.StandStill(cur, predHorizon)
 			}
 			workers[j] = w
 			return nil

@@ -197,7 +197,12 @@ func batchOffers(ev core.Event) (live []core.OfferIssued, degraded, isBatch bool
 // the replay assigner on it, allocating offer IDs from the same counter the
 // live run would have used.
 func counterfactual(ctx context.Context, st *core.State, fc *predict.ForecastCache, opts Options) ([]core.OfferIssued, error) {
-	in, err := core.BuildBatch(ctx, st, opts.Models, fc, opts.PredHorizon, opts.Parallelism)
+	// As on the live server: no rollouts for an assigner that reads none.
+	models := opts.Models
+	if !assign.ReadsForecast(opts.Assigner) {
+		models = nil
+	}
+	in, err := core.BuildBatch(ctx, st, models, fc, opts.PredHorizon, opts.Parallelism)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,9 +18,12 @@ import (
 	"github.com/spatialcrowd/tamp/internal/assign"
 	"github.com/spatialcrowd/tamp/internal/core"
 	"github.com/spatialcrowd/tamp/internal/geo"
+	"github.com/spatialcrowd/tamp/internal/nn"
 	"github.com/spatialcrowd/tamp/internal/obs"
+	"github.com/spatialcrowd/tamp/internal/predict"
 	"github.com/spatialcrowd/tamp/internal/replay"
 	"github.com/spatialcrowd/tamp/internal/server"
+	"github.com/spatialcrowd/tamp/internal/traj"
 	"github.com/spatialcrowd/tamp/internal/wal"
 )
 
@@ -276,5 +280,56 @@ func TestReplayDurationGauge(t *testing.T) {
 		if !strings.Contains(dump, want) {
 			t.Errorf("dump missing %q:\n%s", want, dump)
 		}
+	}
+}
+
+// forwarded hands every batch to Assigner. The field is not embedded, so
+// the inner ReadsForecast method is not promoted: replay forecasts for the
+// wrapper and not for the bare assigner.
+type forwarded struct{ Assigner assign.Assigner }
+
+func (f forwarded) Name() string { return f.Assigner.Name() }
+func (f forwarded) Assign(tasks []assign.Task, workers []assign.Worker, tick int) []assign.Pair {
+	return f.Assigner.Assign(tasks, workers, tick)
+}
+
+// TestReplayLBComputesNoForecasts: a counterfactual pass under LB never
+// consults the forecast cache, proposes what an LB that is forecast for
+// proposes, and — the live run being LB too — reproduces the live plans.
+func TestReplayLBComputesNoForecasts(t *testing.T) {
+	dir, _ := recordLiveRun(t, assign.LB{})
+	models := map[int]*predict.WorkerModel{}
+	for id := 1; id <= 3; id++ {
+		models[id] = &predict.WorkerModel{
+			WorkerID: id,
+			Model:    nn.NewSeq2Seq(predict.InputDims, 2, 6, rand.New(rand.NewSource(int64(id)))),
+			Norm:     traj.Normalizer{CenterX: 50, CenterY: 25, Scale: 50},
+			SeqIn:    3, SeqOut: 1,
+		}
+	}
+	run := func(a assign.Assigner) (*replay.Report, int64) {
+		reg := obs.NewRegistry()
+		rep, err := replay.Run(context.Background(), dir, replay.Options{Assigner: a, Models: models, Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, reg.Counter("predict_cache_hits").Value() + reg.Counter("predict_cache_misses").Value()
+	}
+	bare, bareLookups := run(assign.LB{})
+	wrapped, wrappedLookups := run(forwarded{assign.LB{}})
+	if bare.ReplayPairs == 0 {
+		t.Fatal("LB replay proposed nothing; the scenario is degenerate")
+	}
+	if !reflect.DeepEqual(bare.Batches, wrapped.Batches) {
+		t.Errorf("plans moved with the forecasts skipped:\n bare:    %+v\n wrapped: %+v", bare.Batches, wrapped.Batches)
+	}
+	if bare.AgreementRate() != 1 {
+		t.Errorf("LB on an LB log agrees on %v of the live pairs, want all", bare.AgreementRate())
+	}
+	if bareLookups != 0 {
+		t.Errorf("predict_cache_hits + predict_cache_misses = %d under LB, want 0", bareLookups)
+	}
+	if wrappedLookups == 0 {
+		t.Error("the wrapper was not forecast for; the comparison is vacuous")
 	}
 }

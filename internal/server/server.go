@@ -895,7 +895,14 @@ func (s *Server) runBatchLocked(ctx context.Context) int {
 	defer func() {
 		s.batchSec.Observe(time.Since(batchStart).Seconds())
 	}()
-	in, err := core.BuildBatch(ctx, s.st, s.cfg.Models, s.fc, s.cfg.PredHorizon, s.cfg.Parallelism)
+	// An assigner that never reads Worker.Predicted gets a model-less
+	// (stand-still) batch: no rollouts, and the degraded Greedy fallback
+	// still has a valid prediction to match on.
+	models := s.cfg.Models
+	if !assign.ReadsForecast(s.cfg.Assigner) {
+		models = nil
+	}
+	in, err := core.BuildBatch(ctx, s.st, models, s.fc, s.cfg.PredHorizon, s.cfg.Parallelism)
 	if err != nil {
 		return 0
 	}
