@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-assign bench-predict bench-test bench-e2e perfcheck benchguard benchguard-allocs chaos cluster cluster-smoke replay fuzz-smoke matrix matrix-check matrix-identical staticcheck fmt fmt-check ci
+.PHONY: all build test race vet bench bench-assign bench-predict bench-test bench-e2e perfcheck memocheck benchguard benchguard-allocs chaos cluster cluster-smoke replay fuzz-smoke matrix matrix-check matrix-identical staticcheck fmt fmt-check ci
 
 all: build test
 
@@ -72,6 +72,13 @@ perfcheck:
 	$(GOTEST_RUN) ./internal/nn 'AllocFree' -v
 	$(GOTEST_RUN) ./internal/assign 'TestMatcherSteadyStateAllocFree|TestMatcherAllocsDoNotGrowWithBatches|TestSortPendingAllocFree|TestKernelSteadyStateAllocs' -v
 	$(GOTEST_RUN) ./internal/predict 'TestPredictFutureIntoZeroAlloc|TestEvaluateOnRoutineZeroAlloc|TestCacheHitZeroAlloc' -v
+
+# Forecast-memo gate, exact and timing-free, blocking in CI beside perfcheck:
+# train once at smoke size, simulate twice under PPI over the same
+# Predictors; the second pass must roll out nothing (every lookup found in
+# the memo the trained set owns) and return the first pass's metrics.
+memocheck:
+	$(GOTEST_RUN) . 'TestSecondSimulateRollsNothingOut' -v
 
 # Benchmark-regression gate: re-run the NN kernel, batch-assignment, and
 # prediction-engine suites (tampbench pins them to GOMAXPROCS 1) and compare

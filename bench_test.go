@@ -27,7 +27,7 @@ func benchExperiment(b *testing.B, id string) {
 		b.Fatalf("unknown experiment %s", id)
 	}
 	for i := 0; i < b.N; i++ {
-		if err := e.Run(context.Background(), experiments.Quick, io.Discard); err != nil {
+		if _, err := e.Run(context.Background(), experiments.Quick, io.Discard); err != nil {
 			b.Fatal(err)
 		}
 	}

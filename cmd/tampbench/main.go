@@ -236,6 +236,8 @@ func main() {
 		}
 		fmt.Printf("== %s (%s scale) ==\n", e.Title, sc.Name)
 		start := time.Now()
+		var uses []experiments.ForecastUse
+		var err error
 		if *csvDir != "" {
 			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 				fmt.Fprintln(os.Stderr, "tampbench:", err)
@@ -246,7 +248,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, "tampbench:", err)
 				os.Exit(1)
 			}
-			if err := e.RunCSV(ctx, sc, f); err != nil {
+			if uses, err = e.RunCSV(ctx, sc, f); err != nil {
 				f.Close()
 				fmt.Fprintln(os.Stderr, "tampbench:", err)
 				os.Exit(1)
@@ -258,15 +260,18 @@ func main() {
 			for i := range list {
 				list[i] = sc.Seed + int64(i)
 			}
-			if err := e.RunSeeds(ctx, sc, list, os.Stdout); err != nil {
+			if uses, err = e.RunSeeds(ctx, sc, list, os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "tampbench:", err)
 				os.Exit(1)
 			}
 		} else {
-			if err := e.Run(ctx, sc, os.Stdout); err != nil {
+			if uses, err = e.Run(ctx, sc, os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "tampbench:", err)
 				os.Exit(1)
 			}
+		}
+		for _, u := range uses {
+			fmt.Println(u)
 		}
 		fmt.Printf("[%s finished in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}

@@ -130,6 +130,14 @@ func main() {
 	}
 
 	fmt.Printf("simulating online assignment with %s...\n", a.Name())
+	// What each simulation cost in forecasts, and what it found in the memo
+	// the predictors carry from the one before.
+	var hits, misses int64
+	reportForecasts := func() {
+		h, m, _ := pred.Forecasts.Stats()
+		fmt.Printf("forecasts: %d rolled out, %d reused\n", m-misses, h-hits)
+		hits, misses = h, m
+	}
 	var m tamp.Metrics
 	if *record != "" {
 		m, err = tamp.SimulateRecorded(ctx, w, pred, a, *record)
@@ -151,6 +159,7 @@ func main() {
 	fmt.Printf("rejection rate:    %.4f\n", m.RejectionRate())
 	fmt.Printf("avg worker cost:   %.4f km\n", m.AvgCostKM())
 	fmt.Printf("assignment time:   %v\n", m.AssignTime.Round(1e6))
+	reportForecasts()
 
 	if *chaos {
 		fc := tamp.FaultConfig{
@@ -177,6 +186,9 @@ func main() {
 			"pred-fallbacks %d  deferred-decisions %d\n",
 			cm.Faults.OfflineTicks, cm.Faults.DroppedReports, cm.Faults.NoisyReports,
 			cm.Faults.PredFallbacks, cm.Faults.DeferredDecisions)
+		// Only the windows the injector dropped from or perturbed, and the
+		// ticks churn rescheduled, are rolled out anew.
+		reportForecasts()
 	}
 
 	if reg != nil {

@@ -29,25 +29,28 @@ type AblationRow struct {
 // all at the Table III default point: the task-assignment-oriented loss vs
 // MSE, PPI's staged matching vs one global KM, the matching radius a, the
 // stage-2 batch size ε, and game-theoretic clustering vs k-means.
-func RunDesignAblations(ctx context.Context, kind dataset.Kind, sc Scale) ([]AblationRow, error) {
+func RunDesignAblations(ctx context.Context, kind dataset.Kind, sc Scale) ([]AblationRow, []ForecastUse, error) {
 	w := dataset.Generate(sc.params(kind))
-	weighted, err := predict.Train(ctx, w, predict.Options{
+	weighted, err := trainPredictors(ctx, w, predict.Options{
 		WeightedLoss: true, Hidden: sc.Hidden, MetaIters: sc.MetaIters, Seed: sc.Seed,
 		Parallelism: sc.Parallelism,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	mse, err := predict.Train(ctx, w, predict.Options{
+	mse, err := trainPredictors(ctx, w, predict.Options{
 		WeightedLoss: false, Hidden: sc.Hidden, MetaIters: sc.MetaIters, Seed: sc.Seed,
 		Parallelism: sc.Parallelism,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
-	simulate := func(models map[int]*predict.WorkerModel, a assign.Assigner) (platform.Metrics, error) {
-		run := platform.Run{Workload: w, Models: models, Assigner: a, Parallelism: sc.Parallelism}
+	simulate := func(pred *predict.Result, a assign.Assigner) (platform.Metrics, error) {
+		run := platform.Run{
+			Workload: w, Models: pred.Models, Forecasts: pred.Forecasts,
+			Assigner: a, Parallelism: sc.Parallelism,
+		}
 		return run.Simulate(ctx)
 	}
 	row := func(group, variant string, m platform.Metrics, mr float64) AblationRow {
@@ -60,8 +63,8 @@ func RunDesignAblations(ctx context.Context, kind dataset.Kind, sc Scale) ([]Abl
 
 	var rows []AblationRow
 	ppi := assign.PPI{A: predict.DefaultMatchRadius, Parallelism: sc.Parallelism}
-	add := func(group, variant string, models map[int]*predict.WorkerModel, a assign.Assigner, mr float64) error {
-		m, err := simulate(models, a)
+	add := func(group, variant string, pred *predict.Result, a assign.Assigner, mr float64) error {
+		m, err := simulate(pred, a)
 		if err != nil {
 			return err
 		}
@@ -70,31 +73,31 @@ func RunDesignAblations(ctx context.Context, kind dataset.Kind, sc Scale) ([]Abl
 	}
 
 	// Loss function (PPI vs PPI-loss).
-	if err := add("loss", "task-oriented (Eq. 6-7)", weighted.Models, ppi, weighted.Eval.MR); err != nil {
-		return nil, err
+	if err := add("loss", "task-oriented (Eq. 6-7)", weighted, ppi, weighted.Eval.MR); err != nil {
+		return nil, nil, err
 	}
-	if err := add("loss", "plain MSE", mse.Models, ppi, mse.Eval.MR); err != nil {
-		return nil, err
+	if err := add("loss", "plain MSE", mse, ppi, mse.Eval.MR); err != nil {
+		return nil, nil, err
 	}
 	// Staged confidence matching vs one global KM.
-	if err := add("staging", "staged PPI", weighted.Models, ppi, 0); err != nil {
-		return nil, err
+	if err := add("staging", "staged PPI", weighted, ppi, 0); err != nil {
+		return nil, nil, err
 	}
-	if err := add("staging", "single global KM", weighted.Models, assign.KM{Parallelism: sc.Parallelism}, 0); err != nil {
-		return nil, err
+	if err := add("staging", "single global KM", weighted, assign.KM{Parallelism: sc.Parallelism}, 0); err != nil {
+		return nil, nil, err
 	}
 	// Matching radius a.
 	for _, a := range []float64{0.5, 1.5, 3.0} {
-		if err := add("radius", fmt.Sprintf("a=%.1f cells", a), weighted.Models,
+		if err := add("radius", fmt.Sprintf("a=%.1f cells", a), weighted,
 			assign.PPI{A: a, Parallelism: sc.Parallelism}, 0); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	// Stage-2 batch size ε.
 	for _, eps := range []int{1, 8, 64} {
-		if err := add("epsilon", fmt.Sprintf("eps=%d", eps), weighted.Models,
+		if err := add("epsilon", fmt.Sprintf("eps=%d", eps), weighted,
 			assign.PPI{A: predict.DefaultMatchRadius, Epsilon: eps, Parallelism: sc.Parallelism}, 0); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	// Game-theoretic clustering vs plain multi-level k-means (MR only; the
@@ -105,13 +108,13 @@ func RunDesignAblations(ctx context.Context, kind dataset.Kind, sc Scale) ([]Abl
 		Parallelism: sc.Parallelism,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rows = append(rows,
 		AblationRow{Group: "clustering", Variant: "GTMC (game)", MR: weighted.Eval.MR},
 		AblationRow{Group: "clustering", Variant: "k-means", MR: gt.Eval.MR},
 	)
-	return rows, nil
+	return rows, []ForecastUse{forecastUse("weighted-loss", weighted), forecastUse("mse-loss", mse)}, nil
 }
 
 // WriteAblationTable renders ablation rows grouped by design choice.

@@ -49,6 +49,29 @@ func (s SweepKind) String() string {
 	}
 }
 
+// ForecastUse is what the simulations over one trained model set paid in
+// forecasts: the rollouts they computed, and the lookups an earlier
+// simulation over the same set had already paid for (predict.Result.
+// Forecasts). tampbench prints one line per model set.
+type ForecastUse struct {
+	Set               string
+	RolledOut, Reused int64
+}
+
+func forecastUse(set string, res *predict.Result) ForecastUse {
+	hits, misses, _ := res.Forecasts.Stats()
+	return ForecastUse{Set: set, RolledOut: misses, Reused: hits}
+}
+
+func (u ForecastUse) String() string {
+	return fmt.Sprintf("forecasts (%s models): %d rolled out, %d reused", u.Set, u.RolledOut, u.Reused)
+}
+
+// trainPredictors is the offline stage every experiment that simulates runs
+// first. A variable so the shared-cache equivalence test can strip
+// Result.Forecasts and have every run fall back to its private cache.
+var trainPredictors = predict.Train
+
 // assignAlgos enumerates the seven compared algorithms of Figs. 6–11.
 // PPI/KM/GGPSO use the models trained with the task-assignment-oriented
 // loss; the -loss variants use plain-MSE models; UB and LB ignore models.
@@ -57,25 +80,28 @@ var assignAlgos = []string{"UB", "PPI", "PPI-loss", "GGPSO", "KM", "KM-loss", "L
 // RunAssignmentSweep reproduces one of Figs. 6–8 (workload 1) or Figs. 9–11
 // (workload 2). Mobility models are trained once on the default setting —
 // the paper's offline stage — and the online assignment is simulated per
-// sweep point.
-func RunAssignmentSweep(ctx context.Context, kind dataset.Kind, sweep SweepKind, sc Scale) ([]AssignRow, error) {
+// sweep point, every simulation over a model set sharing that set's forecast
+// memo: the sweep points change detours, tasks and validity, not the traces
+// the workers report, so a window is rolled out once per model set (and
+// prediction horizon), not once per row.
+func RunAssignmentSweep(ctx context.Context, kind dataset.Kind, sweep SweepKind, sc Scale) ([]AssignRow, []ForecastUse, error) {
 	base := sc.params(kind)
 
 	// Offline stage: two model sets, one per loss function.
 	trainW := dataset.Generate(base)
-	weighted, err := predict.Train(ctx, trainW, predict.Options{
+	weighted, err := trainPredictors(ctx, trainW, predict.Options{
 		WeightedLoss: true, Hidden: sc.Hidden, MetaIters: sc.MetaIters, Seed: sc.Seed,
 		Parallelism: sc.Parallelism,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	mse, err := predict.Train(ctx, trainW, predict.Options{
+	mse, err := trainPredictors(ctx, trainW, predict.Options{
 		WeightedLoss: false, Hidden: sc.Hidden, MetaIters: sc.MetaIters, Seed: sc.Seed,
 		Parallelism: sc.Parallelism,
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	var rows []AssignRow
@@ -96,19 +122,20 @@ func RunAssignmentSweep(ctx context.Context, kind dataset.Kind, sweep SweepKind,
 		}
 		w := dataset.Generate(p)
 		for _, algo := range assignAlgos {
-			models := weighted.Models
+			pred := weighted
 			if strings.HasSuffix(algo, "-loss") {
-				models = mse.Models
+				pred = mse
 			}
 			run := platform.Run{
 				Workload:    w,
-				Models:      models,
+				Models:      pred.Models,
+				Forecasts:   pred.Forecasts,
 				Assigner:    makeAssigner(algo, sc),
 				Parallelism: sc.Parallelism,
 			}
 			m, err := run.Simulate(ctx)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			rows = append(rows, AssignRow{
 				Sweep: label, X: x, Algo: algo,
@@ -119,7 +146,7 @@ func RunAssignmentSweep(ctx context.Context, kind dataset.Kind, sweep SweepKind,
 			})
 		}
 	}
-	return rows, nil
+	return rows, []ForecastUse{forecastUse("weighted-loss", weighted), forecastUse("mse-loss", mse)}, nil
 }
 
 func sweepValues(sweep SweepKind, sc Scale) []float64 {

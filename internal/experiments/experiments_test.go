@@ -79,7 +79,7 @@ func TestRunSeqSweepRows(t *testing.T) {
 }
 
 func TestRunAssignmentSweepRows(t *testing.T) {
-	rows, err := RunAssignmentSweep(context.Background(), dataset.Workload1, SweepDetour, microScale())
+	rows, _, err := RunAssignmentSweep(context.Background(), dataset.Workload1, SweepDetour, microScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,14 +216,14 @@ func TestCSVWriters(t *testing.T) {
 
 func TestRunCSVSmoke(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Registry["fig6"].RunCSV(context.Background(), microScale(), &buf); err != nil {
+	if _, err := Registry["fig6"].RunCSV(context.Background(), microScale(), &buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "PPI") {
 		t.Error("fig6 CSV missing algorithms")
 	}
 	var empty Experiment
-	if err := empty.RunCSV(context.Background(), microScale(), &buf); err == nil {
+	if _, err := empty.RunCSV(context.Background(), microScale(), &buf); err == nil {
 		t.Error("empty experiment should error")
 	}
 }
@@ -293,7 +293,7 @@ func TestRunSeedsMultiSeedSmoke(t *testing.T) {
 }
 
 func TestRunDesignAblations(t *testing.T) {
-	rows, err := RunDesignAblations(context.Background(), dataset.Workload1, microScale())
+	rows, _, err := RunDesignAblations(context.Background(), dataset.Workload1, microScale())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func TestAblationsViaRegistry(t *testing.T) {
 	if !strings.Contains(buf.String(), "epsilon") {
 		t.Errorf("ablations output:\n%s", buf.String())
 	}
-	if err := Registry["ablations"].RunCSV(context.Background(), microScale(), &buf); err == nil {
+	if _, err := Registry["ablations"].RunCSV(context.Background(), microScale(), &buf); err == nil {
 		t.Log("ablations CSV unexpectedly supported (fine if implemented)")
 	}
 }

@@ -84,7 +84,7 @@ func RunMatrix(ctx context.Context, scales []Scale, progress io.Writer) ([]Matri
 	for _, sc := range scales {
 		for _, gen := range scenario.Suite() {
 			w := gen.Generate(sc.params(dataset.Workload1))
-			res, err := predict.Train(ctx, w, predict.Options{
+			res, err := trainPredictors(ctx, w, predict.Options{
 				WeightedLoss: true, Hidden: sc.Hidden, MetaIters: sc.MetaIters, Seed: sc.Seed,
 				Parallelism: sc.Parallelism,
 			})
@@ -104,6 +104,7 @@ func RunMatrix(ctx context.Context, scales []Scale, progress io.Writer) ([]Matri
 				run := platform.Run{
 					Workload:    w,
 					Models:      res.Models,
+					Forecasts:   res.Forecasts,
 					Assigner:    makeAssigner(name, sc),
 					Parallelism: sc.Parallelism,
 				}
@@ -131,6 +132,9 @@ func RunMatrix(ctx context.Context, scales []Scale, progress io.Writer) ([]Matri
 					fmt.Fprintf(progress, "matrix: %s/%s/%s served %d/%d\n",
 						sc.Name, gen.Name(), name, m.Accepted, m.TotalTasks)
 				}
+			}
+			if progress != nil {
+				fmt.Fprintf(progress, "matrix: %s\n", forecastUse(sc.Name+"/"+gen.Name(), res))
 			}
 		}
 	}

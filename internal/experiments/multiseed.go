@@ -106,7 +106,7 @@ func AggregateAssign(runs [][]AssignRow) []AssignAggRow {
 // so they fan out on a pool of sc.Parallelism goroutines via par.Map; the
 // per-seed row slices come back in seed order, keeping the aggregation —
 // and its floating-point reduction — identical at every parallelism level.
-func (e Experiment) RunSeeds(ctx context.Context, sc Scale, seeds []int64, w io.Writer) error {
+func (e Experiment) RunSeeds(ctx context.Context, sc Scale, seeds []int64, w io.Writer) ([]ForecastUse, error) {
 	if len(seeds) <= 1 {
 		if len(seeds) == 1 {
 			sc.Seed = seeds[0]
@@ -121,21 +121,34 @@ func (e Experiment) RunSeeds(ctx context.Context, sc Scale, seeds []int64, w io.
 			return e.predRows(ctx, scs)
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		writePredAgg(w, fmt.Sprintf("%s (mean ± std over %d seeds)", e.Title, len(seeds)), AggregatePred(runs))
 	case e.assignRows != nil:
+		// Each seed trains its own model sets, so the forecast memos are as
+		// private to a seed as its models are.
+		uses := make([][]ForecastUse, len(seeds))
 		runs, err := par.Map(ctx, len(seeds), sc.Parallelism, func(i int) ([]AssignRow, error) {
 			scs := sc
 			scs.Seed = seeds[i]
-			return e.assignRows(ctx, scs)
+			rows, u, err := e.assignRows(ctx, scs)
+			for k := range u {
+				u[k].Set = fmt.Sprintf("seed %d %s", seeds[i], u[k].Set)
+			}
+			uses[i] = u
+			return rows, err
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		writeAssignAgg(w, fmt.Sprintf("%s (mean ± std over %d seeds)", e.Title, len(seeds)), AggregateAssign(runs))
+		var all []ForecastUse
+		for _, u := range uses {
+			all = append(all, u...)
+		}
+		return all, nil
 	}
-	return nil
+	return nil, nil
 }
 
 func writePredAgg(w io.Writer, title string, rows []PredAggRow) {

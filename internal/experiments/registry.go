@@ -18,53 +18,57 @@ type Experiment struct {
 	Title string
 
 	predRows     func(ctx context.Context, sc Scale) ([]PredRow, error)
-	assignRows   func(ctx context.Context, sc Scale) ([]AssignRow, error)
-	ablationRows func(ctx context.Context, sc Scale) ([]AblationRow, error)
+	assignRows   func(ctx context.Context, sc Scale) ([]AssignRow, []ForecastUse, error)
+	ablationRows func(ctx context.Context, sc Scale) ([]AblationRow, []ForecastUse, error)
 }
 
 // Run executes the experiment and writes the paper-style text rendering.
-// Cancelling ctx abandons the run and returns ctx.Err().
-func (e Experiment) Run(ctx context.Context, sc Scale, w io.Writer) error {
+// Cancelling ctx abandons the run and returns ctx.Err(). Run, RunCSV and
+// RunSeeds also return what the experiment's simulations paid in forecasts,
+// one entry per model set it trained (none for the prediction tables).
+func (e Experiment) Run(ctx context.Context, sc Scale, w io.Writer) ([]ForecastUse, error) {
 	switch {
 	case e.predRows != nil:
 		rows, err := e.predRows(ctx, sc)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		WritePredTable(w, e.Title, rows)
 	case e.assignRows != nil:
-		rows, err := e.assignRows(ctx, sc)
+		rows, uses, err := e.assignRows(ctx, sc)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		WriteAssignSeries(w, e.Title, rows)
+		return uses, nil
 	case e.ablationRows != nil:
-		rows, err := e.ablationRows(ctx, sc)
+		rows, uses, err := e.ablationRows(ctx, sc)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		WriteAblationTable(w, e.Title, rows)
+		return uses, nil
 	}
-	return nil
+	return nil, nil
 }
 
 // RunCSV executes the experiment and writes machine-readable CSV.
-func (e Experiment) RunCSV(ctx context.Context, sc Scale, w io.Writer) error {
+func (e Experiment) RunCSV(ctx context.Context, sc Scale, w io.Writer) ([]ForecastUse, error) {
 	switch {
 	case e.predRows != nil:
 		rows, err := e.predRows(ctx, sc)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return WritePredCSV(w, rows)
+		return nil, WritePredCSV(w, rows)
 	case e.assignRows != nil:
-		rows, err := e.assignRows(ctx, sc)
+		rows, uses, err := e.assignRows(ctx, sc)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		return WriteAssignCSV(w, rows)
+		return uses, WriteAssignCSV(w, rows)
 	}
-	return fmt.Errorf("experiments: %s has no runner", e.ID)
+	return nil, fmt.Errorf("experiments: %s has no runner", e.ID)
 }
 
 func predExp(id, title string, kind dataset.Kind, run func(context.Context, dataset.Kind, Scale) ([]PredRow, error)) Experiment {
@@ -74,7 +78,7 @@ func predExp(id, title string, kind dataset.Kind, run func(context.Context, data
 
 func assignExp(id, title string, kind dataset.Kind, sweep SweepKind) Experiment {
 	return Experiment{ID: id, Title: title,
-		assignRows: func(ctx context.Context, sc Scale) ([]AssignRow, error) {
+		assignRows: func(ctx context.Context, sc Scale) ([]AssignRow, []ForecastUse, error) {
 			return RunAssignmentSweep(ctx, kind, sweep, sc)
 		}}
 }
@@ -115,7 +119,7 @@ var Registry = map[string]Experiment{
 	"ablations": {
 		ID:    "ablations",
 		Title: "Design-choice ablations at the default setting (workload 1)",
-		ablationRows: func(ctx context.Context, sc Scale) ([]AblationRow, error) {
+		ablationRows: func(ctx context.Context, sc Scale) ([]AblationRow, []ForecastUse, error) {
 			return RunDesignAblations(ctx, dataset.Workload1, sc)
 		},
 	},

@@ -37,8 +37,30 @@ type Trained struct {
 	// MeanLoss is the average query loss reported by the final TAML pass.
 	MeanLoss float64
 
+	// released is set by Release: Tasks no longer carry their samples.
+	released bool
+
 	leafOnce sync.Once
 	leafOf   map[int]*cluster.TreeNode
+}
+
+// Release drops what only training and per-worker adaptation read: every
+// task's support and query samples and its learning path, which together
+// outweigh the trained weights several times over. What stays is what a
+// trained set is consulted for afterwards — Tree, Cfg, Metrics, Algorithm,
+// MeanLoss, and the task features PlaceNew compares a newly arrived worker
+// against (the learning paths too, when the first clustering metric is
+// Sim_l) — so AdaptNew returns the model it returned before. AdaptedModel
+// needs the support samples and panics on a released set.
+func (t *Trained) Release() {
+	keepPaths := len(t.Metrics) > 0 && t.Metrics[0] == sim.LearningPath
+	for _, task := range t.Tasks {
+		task.Support, task.Query = nil, nil
+		if !keepPaths {
+			task.Features.Path = nil
+		}
+	}
+	t.released = true
 }
 
 // LeafFor returns the tree leaf whose cluster contains the given task
@@ -79,6 +101,11 @@ func (t *Trained) AdaptedModel(taskIdx int) nn.Model {
 // private RNG makes the call safe to run concurrently for many workers
 // (the shared Cfg.Rng is not a synchronized source).
 func (t *Trained) AdaptedModelRNG(taskIdx int, rng *rand.Rand) nn.Model {
+	if t.released {
+		// Adapting on the emptied support set would hand back the bare
+		// initialization as if it were the worker's model.
+		panic("meta: AdaptedModel after Release: the set's support samples were dropped (predict.Train releases them; use the Result's Models)")
+	}
 	m := t.newModel(rng)
 	m.SetWeights(t.InitFor(taskIdx))
 	Adapt(m, t.Tasks[taskIdx], t.Cfg.AdaptSteps, t.Cfg.AdaptLR, t.Cfg.Loss, t.Cfg.ClipNorm)

@@ -3,6 +3,7 @@ package platform
 import (
 	"github.com/spatialcrowd/tamp/internal/geo"
 	"github.com/spatialcrowd/tamp/internal/obs"
+	"github.com/spatialcrowd/tamp/internal/predict"
 )
 
 // simObs is the single code path for every event counter of a simulation
@@ -111,4 +112,14 @@ func (s *simObs) budgetDeny(n int) {
 func (s *simObs) budgetSpend(km float64) {
 	s.m.BudgetSpentKM += km
 	s.budgetSpent.Add(km)
+}
+
+// reportForecastTraffic adds to reg what fc has hit, missed and evicted since
+// the reading (hits0, misses0, evictions0): a run's own share of a cache it
+// was handed, under the names an owner's Instrument mirrors into.
+func reportForecastTraffic(reg *obs.Registry, fc *predict.ForecastCache, hits0, misses0, evictions0 int64) {
+	hits, misses, evictions := fc.Stats()
+	reg.Counter("predict_cache_hits").Add(hits - hits0)
+	reg.Counter("predict_cache_misses").Add(misses - misses0)
+	reg.Counter("predict_cache_evictions").Add(evictions - evictions0)
 }

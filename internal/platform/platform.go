@@ -139,10 +139,14 @@ type Run struct {
 	EventSink func(core.Event) error
 	// Forecasts, when non-nil, is the forecast cache the run memoizes
 	// PredictFuture rollouts in — exact window-keyed, so cached runs are
-	// bit-identical to uncached ones. Long-lived callers (the server, a
-	// benchmark harness) hand in their own instrumented cache; when nil,
-	// Simulate builds a private per-run cache unless DisableForecastCache
-	// is set.
+	// bit-identical to uncached ones. It must be a cache of Models: the one
+	// predict.Train put on the Result the models came from
+	// (Result.Forecasts), which every run over that Result shares — the
+	// second assigner, sweep point or chaos pass rolls out only the windows
+	// the first did not see — or any longer-lived cache of the caller's.
+	// The run reports its own share of a handed-in cache's traffic to the
+	// context registry. When nil, Simulate builds a private per-run cache
+	// unless DisableForecastCache is set.
 	Forecasts *predict.ForecastCache
 	// DisableForecastCache turns forecast memoization off entirely
 	// (every rollout recomputes). The cache-equivalence suite relies on it;
@@ -208,7 +212,8 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 	// All run accounting flows through simObs so the returned Metrics and
 	// the context registry (live /metrics scrapes) stay in lockstep. The
 	// whole horizon records under the "sim" span.
-	so := newSimObs(obs.RegistryFrom(ctx), &m)
+	reg := obs.RegistryFrom(ctx)
+	so := newSimObs(reg, &m)
 	so.arrived(len(r.Workload.TestTasks))
 	ctx, endSim := obs.Span(ctx, "sim")
 	defer endSim()
@@ -223,9 +228,15 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 	// unchanged with the cache on, off, or shared across runs of the same
 	// model set.
 	fc := r.Forecasts
-	if fc == nil && !r.DisableForecastCache {
+	switch {
+	case fc != nil:
+		// Somebody else's cache, instrumented by its owner if at all: what
+		// this run hit, missed and evicted is the difference of two readings.
+		hits0, misses0, evictions0 := fc.Stats()
+		defer reportForecastTraffic(reg, fc, hits0, misses0, evictions0)
+	case !r.DisableForecastCache:
 		fc = predict.NewForecastCache(0)
-		fc.Instrument(obs.RegistryFrom(ctx))
+		fc.Instrument(reg)
 	}
 
 	var rec *recorder

@@ -42,19 +42,7 @@ func pts(coords ...float64) []geo.Point {
 
 func simWorkload(t *testing.T) (*dataset.Workload, map[int]*predict.WorkerModel) {
 	t.Helper()
-	p := dataset.Defaults(dataset.Workload1)
-	p.NumWorkers = 10
-	p.NewWorkers = 0
-	p.TrainDays = 2
-	p.TestDays = 1
-	p.TicksPerDay = 60
-	p.NumTestTasks = 150
-	p.NumPOIs = 60
-	w := dataset.Generate(p)
-	res, err := predict.Train(context.Background(), w, predict.Options{SeqIn: 3, SeqOut: 1, Hidden: 6, MetaIters: 6, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, res := trainedSet(t, 1)
 	return w, res.Models
 }
 

@@ -30,7 +30,8 @@ import (
 //     contract Predicted slices already carry.
 //   - Per-worker LRU: each worker holds at most MaxPerWorker entries
 //     (default DefaultCacheMaxPerWorker); the least recently used entry is
-//     evicted on overflow, bounding memory at
+//     evicted on overflow — the tail of a recency list threaded through the
+//     entries, so eviction costs the same at any bound — bounding memory at
 //     workers × MaxPerWorker × (SeqIn+horizon) points.
 //   - A nil *ForecastCache is valid and simply recomputes, so call sites
 //     thread an optional cache without branching.
@@ -42,7 +43,9 @@ import (
 //
 // One cache must serve one model set: entries are keyed by WorkerID, so
 // sharing a cache between two runs with different models for the same
-// worker IDs (and independent version counters) would mix forecasts.
+// worker IDs (and independent version counters) would mix forecasts. The
+// cache Train puts on its Result (Result.Forecasts) serves that Result's
+// models by construction.
 type ForecastCache struct {
 	maxPerWorker int
 
@@ -76,7 +79,9 @@ func NewForecastCache(maxPerWorker int) *ForecastCache {
 
 // Instrument mirrors the cache's hit/miss/eviction counters into reg as
 // predict_cache_{hits,misses,evictions}, resolving the handles once so the
-// hot path never takes the registry lock.
+// hot path never takes the registry lock. It is for the owner of a cache; a
+// run handed somebody else's cache reports its own share as the difference
+// of two Stats readings (platform.Run.Simulate does).
 func (c *ForecastCache) Instrument(reg *obs.Registry) {
 	if c == nil || reg == nil {
 		return
@@ -128,8 +133,7 @@ func (c *ForecastCache) Forecast(wm *WorkerModel, recent []geo.Point, horizon in
 
 	wc.mu.Lock()
 	if e := wc.find(key, win, horizon, ver); e != nil {
-		wc.seq++
-		e.used = wc.seq
+		wc.touch(e)
 		wc.mu.Unlock()
 		c.hits.Inc()
 		if c.regHits != nil {
@@ -142,6 +146,7 @@ func (c *ForecastCache) Forecast(wm *WorkerModel, recent []geo.Point, horizon in
 	// Miss: copy the window before the rollout shifts it in place, compute
 	// into an entry-owned buffer, then publish.
 	e := &fcEntry{
+		key:     key,
 		win:     append([]geo.Point(nil), win...),
 		horizon: horizon,
 		version: ver,
@@ -150,7 +155,7 @@ func (c *ForecastCache) Forecast(wm *WorkerModel, recent []geo.Point, horizon in
 	e.pred = wm.rollout(e.pred, horizon)
 
 	wc.mu.Lock()
-	evicted := wc.insert(key, e, c.maxPerWorker)
+	evicted := wc.insert(e, c.maxPerWorker)
 	wc.mu.Unlock()
 	c.misses.Inc()
 	if c.regMisses != nil {
@@ -168,21 +173,24 @@ func (c *ForecastCache) Forecast(wm *WorkerModel, recent []geo.Point, horizon in
 // fcEntry is one memoized rollout. win and pred are entry-owned; pred is
 // immutable after publish.
 type fcEntry struct {
+	key     uint64
 	win     []geo.Point
 	horizon int
 	version uint64
 	pred    []geo.Point
-	used    uint64
-	next    *fcEntry // hash-collision chain
+	chain   *fcEntry // hash-collision chain
+	// Recency list links: newer points towards the most recently used entry.
+	newer, older *fcEntry
 }
 
 // workerCache is one worker's entry set: an exact-key hash map with
-// collision chains plus an LRU stamp per entry.
+// collision chains, and a recency list through the same entries — a hit
+// moves its entry to newest, an overflow pops oldest.
 type workerCache struct {
-	mu      sync.Mutex
-	entries map[uint64]*fcEntry
-	count   int
-	seq     uint64
+	mu             sync.Mutex
+	entries        map[uint64]*fcEntry
+	count          int
+	newest, oldest *fcEntry
 }
 
 func (c *ForecastCache) worker(id int) *workerCache {
@@ -200,81 +208,80 @@ func (c *ForecastCache) worker(id int) *workerCache {
 // version, or nil. An entry matching window+horizon under an older version
 // is stale — it can never hit again — so it is unlinked on sight.
 func (wc *workerCache) find(key uint64, win []geo.Point, horizon int, ver uint64) *fcEntry {
-	var prev *fcEntry
-	for e := wc.entries[key]; e != nil; e = e.next {
-		if e.horizon == horizon && sameWindow(e.win, win) {
-			if e.version == ver {
-				return e
-			}
-			if prev == nil {
-				if e.next == nil {
-					delete(wc.entries, key)
-				} else {
-					wc.entries[key] = e.next
-				}
-			} else {
-				prev.next = e.next
-			}
-			wc.count--
+	for e := wc.entries[key]; e != nil; e = e.chain {
+		if e.horizon != horizon || !sameWindow(e.win, win) {
+			continue
+		}
+		if e.version != ver {
+			wc.remove(e)
 			return nil
 		}
-		prev = e
+		return e
 	}
 	return nil
 }
 
-// insert links e under key, evicting the least recently used entry when the
-// worker is at capacity. Returns the number of evictions.
-func (wc *workerCache) insert(key uint64, e *fcEntry, max int) int {
+// insert publishes e as the most recently used entry, evicting from the
+// least recently used end while the worker is at capacity. Returns the
+// number of evictions.
+func (wc *workerCache) insert(e *fcEntry, max int) int {
 	evicted := 0
 	for wc.count >= max {
-		wc.evictLRU()
+		wc.remove(wc.oldest)
 		evicted++
 	}
-	wc.seq++
-	e.used = wc.seq
-	e.next = wc.entries[key]
-	wc.entries[key] = e
+	e.chain = wc.entries[e.key]
+	wc.entries[e.key] = e
 	wc.count++
+	wc.pushNewest(e)
 	return evicted
 }
 
-// evictLRU removes the entry with the smallest LRU stamp. Capacities are
-// tens of entries and eviction only fires at capacity, so the linear scan
-// is cheaper than maintaining a list on every hit.
-func (wc *workerCache) evictLRU() {
-	var (
-		oldKey  uint64
-		oldest  *fcEntry
-		hasPick bool
-	)
-	for k, head := range wc.entries {
-		for e := head; e != nil; e = e.next {
-			if !hasPick || e.used < oldest.used {
-				oldKey, oldest, hasPick = k, e, true
-			}
+// touch marks e as the most recently used entry.
+func (wc *workerCache) touch(e *fcEntry) {
+	wc.unlinkRecency(e)
+	wc.pushNewest(e)
+}
+
+func (wc *workerCache) pushNewest(e *fcEntry) {
+	e.newer, e.older = nil, wc.newest
+	if wc.newest != nil {
+		wc.newest.newer = e
+	} else {
+		wc.oldest = e
+	}
+	wc.newest = e
+}
+
+func (wc *workerCache) unlinkRecency(e *fcEntry) {
+	if e.newer != nil {
+		e.newer.older = e.older
+	} else {
+		wc.newest = e.older
+	}
+	if e.older != nil {
+		e.older.newer = e.newer
+	} else {
+		wc.oldest = e.newer
+	}
+}
+
+// remove unlinks e from its collision chain and from the recency list.
+func (wc *workerCache) remove(e *fcEntry) {
+	switch head := wc.entries[e.key]; {
+	case head != e:
+		p := head
+		for p.chain != e {
+			p = p.chain
 		}
+		p.chain = e.chain
+	case e.chain != nil:
+		wc.entries[e.key] = e.chain
+	default:
+		delete(wc.entries, e.key)
 	}
-	if !hasPick {
-		return
-	}
-	var prev *fcEntry
-	for e := wc.entries[oldKey]; e != nil; e = e.next {
-		if e == oldest {
-			if prev == nil {
-				if e.next == nil {
-					delete(wc.entries, oldKey)
-				} else {
-					wc.entries[oldKey] = e.next
-				}
-			} else {
-				prev.next = e.next
-			}
-			wc.count--
-			return
-		}
-		prev = e
-	}
+	wc.unlinkRecency(e)
+	wc.count--
 }
 
 // sameWindow compares two windows coordinate by coordinate on exact float64

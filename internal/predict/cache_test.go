@@ -3,6 +3,7 @@ package predict
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"github.com/spatialcrowd/tamp/internal/geo"
@@ -243,5 +244,128 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 		cache.Forecast(wm, trace, 8)
 	}); n != 0 {
 		t.Fatalf("cache hit: %v allocs/op, want 0", n)
+	}
+}
+
+// scanLRU is the eviction the recency list replaced, kept as the oracle: one
+// worker's entries carry a use stamp, and the victim is found by scanning
+// them all for the smallest.
+type scanLRU struct {
+	entries []scanEntry
+	seq     uint64
+}
+
+type scanEntry struct {
+	key     uint64
+	version uint64
+	used    uint64
+}
+
+// access replays one lookup and reports whether it hit and how many entries
+// it evicted.
+func (o *scanLRU) access(key, version uint64, bound int) (hit bool, evicted int) {
+	o.seq++
+	for i := range o.entries {
+		if e := &o.entries[i]; e.key == key {
+			if e.version == version {
+				e.used = o.seq
+				return true, 0
+			}
+			// Stale under the older weights: unlinked on sight.
+			o.entries = append(o.entries[:i], o.entries[i+1:]...)
+			break
+		}
+	}
+	for len(o.entries) >= bound {
+		oldest := 0
+		for i := range o.entries {
+			if o.entries[i].used < o.entries[oldest].used {
+				oldest = i
+			}
+		}
+		o.entries = append(o.entries[:oldest], o.entries[oldest+1:]...)
+		evicted++
+	}
+	o.entries = append(o.entries, scanEntry{key: key, version: version, used: o.seq})
+	return false, evicted
+}
+
+// byRecency returns the resident keys, least recently used first.
+func (o *scanLRU) byRecency() []uint64 {
+	sorted := append([]scanEntry(nil), o.entries...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].used < sorted[j].used })
+	keys := make([]uint64, len(sorted))
+	for i, e := range sorted {
+		keys[i] = e.key
+	}
+	return keys
+}
+
+// TestRecencyListEvictsLikeTheScan drives the cache and the scanning oracle
+// with one random access sequence — repeats, overflow, and weight updates
+// that leave stale entries in the middle of the list — and demands the same
+// hit, the same evictions and the same residents in the same recency order
+// after every lookup.
+func TestRecencyListEvictsLikeTheScan(t *testing.T) {
+	const (
+		workers  = 3
+		bound    = 5
+		windows  = 12
+		accesses = 3000
+	)
+	rng := rand.New(rand.NewSource(29))
+	cache := NewForecastCache(bound)
+	models := make([]*WorkerModel, workers)
+	oracles := make([]scanLRU, workers)
+	traces := make([][][]geo.Point, workers)
+	for w := range models {
+		models[w] = testWorkerModel(t, int64(40+w))
+		traces[w] = make([][]geo.Point, windows)
+		for i := range traces[w] {
+			traces[w][i] = randTrace(rng, 6)
+		}
+	}
+	for step := 0; step < accesses; step++ {
+		w := rng.Intn(workers)
+		wm := models[w]
+		if rng.Intn(97) == 0 {
+			wm.BumpVersion()
+		}
+		trace := traces[w][rng.Intn(windows)]
+		horizon := 2 + rng.Intn(2)
+		key := hashWindow(wm.fillWindow(trace), horizon)
+
+		hits0, misses0, evictions0 := cache.Stats()
+		cache.Forecast(wm, trace, horizon)
+		hits1, misses1, evictions1 := cache.Stats()
+		wantHit, wantEvicted := oracles[w].access(key, wm.Version(), bound)
+		if gotHit := hits1 == hits0+1 && misses1 == misses0; gotHit != wantHit || (!wantHit && misses1 != misses0+1) {
+			t.Fatalf("step %d: hit %v (hits %d→%d, misses %d→%d), the scan says %v",
+				step, gotHit, hits0, hits1, misses0, misses1, wantHit)
+		}
+		if got := int(evictions1 - evictions0); got != wantEvicted {
+			t.Fatalf("step %d: %d evictions, the scan made %d", step, got, wantEvicted)
+		}
+
+		wc := cache.worker(wm.WorkerID)
+		var got []uint64
+		for e := wc.oldest; e != nil; e = e.newer {
+			got = append(got, e.key)
+		}
+		want := oracles[w].byRecency()
+		if len(got) != len(want) || len(got) != wc.count {
+			t.Fatalf("step %d: %d residents listed, count %d, the scan holds %d", step, len(got), wc.count, len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("step %d: recency order differs at %d of %d", step, i, len(got))
+			}
+		}
+		if n := cache.Len(); n > workers*bound {
+			t.Fatalf("step %d: %d entries exceed %d workers × %d", step, n, workers, bound)
+		}
+	}
+	if _, _, evictions := cache.Stats(); evictions == 0 {
+		t.Fatal("the sequence never overflowed a worker; the comparison is vacuous")
 	}
 }

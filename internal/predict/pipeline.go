@@ -112,9 +112,22 @@ func (o *Options) fill() {
 // worker (cold-start workers included, adapted through tree placement), the
 // underlying meta-training artifacts, and the aggregate test-set evaluation.
 type Result struct {
-	Options   Options
-	Trained   *meta.Trained
-	Models    map[int]*WorkerModel // worker ID → model
+	Options Options
+	// Trained is the meta-trained tree, released (meta.Trained.Release):
+	// the training samples and learning paths are gone, cold-start
+	// placement still works.
+	Trained *meta.Trained
+	Models  map[int]*WorkerModel // worker ID → model
+	// Forecasts memoizes the rollouts of Models for every simulation run
+	// over this Result (platform.Run.Forecasts): a forecast is a pure
+	// function of (weights, window, horizon) and the windows are the
+	// workers' true traces whatever the assigner, so a second pass over the
+	// test horizon — another assigner, another sweep point, a chaos re-run —
+	// pays only for the windows the first did not see. Each worker holds one
+	// entry per tick of the test horizon the set was trained for; the LRU
+	// default (DefaultCacheMaxPerWorker) would have evicted a tick's entry
+	// long before the next pass asks for it.
+	Forecasts *ForecastCache
 	Norm      traj.Normalizer
 	Eval      EvalResult
 	TrainTime time.Duration
@@ -225,6 +238,7 @@ func Train(ctx context.Context, w *dataset.Workload, opts Options) (*Result, err
 		Options:   opts,
 		Trained:   trained,
 		Models:    map[int]*WorkerModel{},
+		Forecasts: NewForecastCache(w.Params.TestDays * w.Params.TicksPerDay),
 		Norm:      norm,
 		TrainTime: trainTime,
 	}
@@ -296,6 +310,9 @@ func Train(ctx context.Context, w *dataset.Workload, opts Options) (*Result, err
 	reg.Gauge("tamp_pred_mae").Set(res.Eval.MAE)
 	reg.Gauge("tamp_pred_mr").Set(res.Eval.MR)
 	reg.Gauge("tamp_train_loss").Set(trained.MeanLoss)
+	// Nothing reads the featurised samples or the learning paths from here
+	// on, and they outweigh the models several times over.
+	trained.Release()
 	return res, nil
 }
 

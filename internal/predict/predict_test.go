@@ -2,7 +2,10 @@ package predict
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/spatialcrowd/tamp/internal/dataset"
@@ -150,6 +153,85 @@ func TestTrainPipelineGTTAML(t *testing.T) {
 	}
 	if res.TrainTime <= 0 {
 		t.Error("train time not recorded")
+	}
+}
+
+// TestTrainReleasesItsInputs: the Result keeps no training sample and no
+// learning path alive, its tree still adapts a cold-start worker to the very
+// model Train built for them, and adapting an established worker again fails
+// by name rather than returning the bare initialization.
+func TestTrainReleasesItsInputs(t *testing.T) {
+	w := tinyWorkload(dataset.Workload1)
+	opts := tinyOptions()
+	res, err := Train(context.Background(), w, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Trained.Tasks) == 0 {
+		t.Fatal("no learning tasks")
+	}
+	for i, task := range res.Trained.Tasks {
+		if task.Support != nil || task.Query != nil || task.Features.Path != nil {
+			t.Errorf("task %d still holds %d support, %d query samples, %d path steps",
+				i, len(task.Support), len(task.Query), len(task.Features.Path))
+		}
+	}
+	cold := 0
+	for i := range w.Workers {
+		wk := &w.Workers[i]
+		if !wk.New {
+			continue
+		}
+		cold++
+		task, _ := BuildTaskFor(w, wk, opts.SeqIn, opts.SeqOut)
+		again := res.Trained.AdaptNew(task).Weights()
+		built := res.Models[wk.ID].Model.Weights()
+		if len(again) != len(built) {
+			t.Fatalf("worker %d: %d weights, Train built %d", wk.ID, len(again), len(built))
+		}
+		for k := range again {
+			if math.Float64bits(again[k]) != math.Float64bits(built[k]) {
+				t.Fatalf("worker %d: cold-start adaptation on the released set differs from Train's model at weight %d", wk.ID, k)
+			}
+		}
+	}
+	if cold == 0 {
+		t.Fatal("workload has no cold-start worker")
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "Release") {
+			t.Fatalf("AdaptedModel after Train: recovered %q, want a panic naming Release", msg)
+		}
+	}()
+	res.Trained.AdaptedModel(0)
+}
+
+// TestTrainSizesTheMemoToTheHorizon: the Result's forecast memo holds one
+// entry per tick of the test horizon for each worker, so a whole pass fits
+// and the next one finds it.
+func TestTrainSizesTheMemoToTheHorizon(t *testing.T) {
+	w := tinyWorkload(dataset.Workload1)
+	res, err := Train(context.Background(), w, tinyOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	horizon := w.Params.TestDays * w.Params.TicksPerDay
+	if horizon <= DefaultCacheMaxPerWorker {
+		t.Fatalf("horizon %d does not exceed the LRU default; the test is vacuous", horizon)
+	}
+	wk := &w.Workers[0]
+	wm := res.Models[wk.ID]
+	rng := rand.New(rand.NewSource(5))
+	traces := make([][]geo.Point, horizon+3)
+	for i := range traces {
+		traces[i] = randTrace(rng, 4)
+		res.Forecasts.Forecast(wm, traces[i], 6)
+	}
+	if got := res.Forecasts.Len(); got != horizon {
+		t.Fatalf("memo holds %d entries for one worker after %d distinct windows, want the horizon %d", got, len(traces), horizon)
+	}
+	if _, _, evictions := res.Forecasts.Stats(); evictions != 3 {
+		t.Fatalf("evictions = %d, want 3", evictions)
 	}
 }
 

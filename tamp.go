@@ -152,9 +152,22 @@ func TrainPredictors(ctx context.Context, w *Workload, opts TrainOptions) (*Pred
 // horizon with the given assigner and trained predictors. Cancelling ctx
 // stops the simulation at the next tick boundary, returning the partial
 // metrics alongside ctx.Err().
+//
+// Simulate, SimulateRecorded and SimulateChaos memoize forecasts on pred
+// (Predictors.Forecasts): a second simulation over the same predictors —
+// another assigner, a chaos pass — rolls a model out only for the windows
+// no earlier one saw, with results bit-identical to recomputing. Runs over
+// one Predictors must therefore not overlap in time, which the models
+// already required.
 func Simulate(ctx context.Context, w *Workload, pred *Predictors, a Assigner) (Metrics, error) {
-	run := platform.Run{Workload: w, Models: pred.Models, Assigner: a}
+	run := runOver(w, pred, a)
 	return run.Simulate(ctx)
+}
+
+// runOver is a platform run over the predictors' models and the forecast
+// memo they own.
+func runOver(w *Workload, pred *Predictors, a Assigner) platform.Run {
+	return platform.Run{Workload: w, Models: pred.Models, Forecasts: pred.Forecasts, Assigner: a}
 }
 
 // SimulateRecorded is Simulate with every platform event — registrations,
@@ -170,16 +183,14 @@ func SimulateRecorded(ctx context.Context, w *Workload, pred *Predictors, a Assi
 	if err != nil {
 		return Metrics{}, err
 	}
-	run := platform.Run{
-		Workload: w, Models: pred.Models, Assigner: a,
-		EventSink: func(ev core.Event) error {
-			b, err := core.EncodeEvent(ev)
-			if err != nil {
-				return err
-			}
-			_, err = log.Append(b)
+	run := runOver(w, pred, a)
+	run.EventSink = func(ev core.Event) error {
+		b, err := core.EncodeEvent(ev)
+		if err != nil {
 			return err
-		},
+		}
+		_, err = log.Append(b)
+		return err
 	}
 	m, simErr := run.Simulate(ctx)
 	if cerr := log.Close(); simErr == nil {
@@ -195,7 +206,8 @@ func SimulateRecorded(ctx context.Context, w *Workload, pred *Predictors, a Assi
 // reproducible. The degraded-mode events survived are reported in
 // Metrics.Faults.
 func SimulateChaos(ctx context.Context, w *Workload, pred *Predictors, a Assigner, fc FaultConfig) (Metrics, error) {
-	run := platform.Run{Workload: w, Models: pred.Models, Assigner: a, Faults: fault.New(fc)}
+	run := runOver(w, pred, a)
+	run.Faults = fault.New(fc)
 	return run.Simulate(ctx)
 }
 

@@ -3,6 +3,8 @@ package tamp
 import (
 	"context"
 	"testing"
+
+	"github.com/spatialcrowd/tamp/internal/obs"
 )
 
 func quickParams(kind WorkloadKind) WorkloadParams {
@@ -43,6 +45,39 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 	if m.CompletionRate() < 0 || m.CompletionRate() > 1 {
 		t.Errorf("completion = %v", m.CompletionRate())
+	}
+}
+
+// TestSecondSimulateRollsNothingOut is the `make memocheck` gate, exact and
+// timing-free: two PPI simulations over one Predictors through the public
+// facade. The second must find every forecast it asks for in the memo the
+// first filled (Predictors.Forecasts) — zero rollouts by the run's own
+// registry — and return the same metrics.
+func TestSecondSimulateRollsNothingOut(t *testing.T) {
+	w := GenerateWorkload(quickParams(Workload1))
+	pred, err := TrainPredictors(context.Background(), w, quickTrain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	simulate := func() (Metrics, int64, int64) {
+		reg := obs.NewRegistry()
+		m, err := Simulate(obs.WithRegistry(context.Background(), reg), w, pred, NewPPI())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.AssignTime = 0
+		return m, reg.Counter("predict_cache_hits").Value(), reg.Counter("predict_cache_misses").Value()
+	}
+	first, _, rolledOut := simulate()
+	if rolledOut == 0 {
+		t.Fatal("the first simulation reported no rollout")
+	}
+	second, reused, again := simulate()
+	if again != 0 || reused < rolledOut {
+		t.Fatalf("second simulation: %d rolled out, %d reused; want 0 and at least the first pass's %d", again, reused, rolledOut)
+	}
+	if first != second {
+		t.Fatalf("reusing forecasts changed the run:\n first:  %+v\n second: %+v", first, second)
 	}
 }
 
