@@ -6,6 +6,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 
 	"github.com/spatialcrowd/tamp/internal/assign"
 	"github.com/spatialcrowd/tamp/internal/geo"
@@ -99,16 +101,14 @@ func main() {
 		post(srv.URL+"/api/tick", nil)
 	}
 
-	var m struct {
-		Tasks    int `json:"tasks"`
-		Assigned int `json:"assigned"`
-		Accepted int `json:"accepted"`
-		Rejected int `json:"rejected"`
-		Expired  int `json:"expired"`
-	}
-	get(srv.URL+"/api/metrics", &m)
-	fmt.Printf("\nafter 12 ticks: %d tasks posted, %d offers, %d accepted, %d rejected, %d expired\n",
-		m.Tasks, m.Assigned, m.Accepted, m.Rejected, m.Expired)
+	// The platform's tallies are series on GET /metrics (Prometheus text);
+	// the task list gives the number posted.
+	var tasks []struct{}
+	get(srv.URL+"/api/tasks", &tasks)
+	m := scrape(srv.URL + "/metrics")
+	fmt.Printf("\nafter 12 ticks: %d tasks posted, %s offers, %s accepted, %s rejected, %s expired\n",
+		len(tasks), m["tamp_server_offers_total"], m["tamp_server_accepts_total"],
+		m["tamp_server_rejects_total"], m["tamp_server_expired_total"])
 	fmt.Printf("courier-side accounting agrees: accepted %d, rejected %d\n", accepted, rejected)
 }
 
@@ -135,4 +135,25 @@ func get(url string, out any) {
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// scrape reads a Prometheus text exposition into value by series.
+func scrape(url string) map[string]string {
+	resp, err := http.Get(url)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out := map[string]string{}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		line := sc.Text()
+		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+			out[line[:i]] = line[i+1:]
+		}
+	}
+	if err := sc.Err(); err != nil {
+		log.Fatal(err)
+	}
+	return out
 }

@@ -11,6 +11,44 @@ import (
 	"github.com/spatialcrowd/tamp/internal/predict"
 )
 
+// PredHorizon is how many ticks ahead a batch forecasts each worker. The
+// live shard and its replay both forecast this window, so their plans are
+// comparable; the simulator caps it at its lookahead. Autoregressive
+// rollouts accumulate error, so the platform only trusts a bounded window:
+// tasks farther out are matched in later batches as they carry over.
+const PredHorizon = 8
+
+// PlanBatch is the batch step the live shard and the offline replay share.
+// It builds the batch input over PredHorizon, with rollouts only when a
+// reads forecasts (the workers of an assigner that never reads
+// Worker.Predicted stand still instead), matches it with match, and numbers
+// the plan's pairs as offers from firstOffer, in plan order. An empty batch
+// returns no offers and never calls match. A ctx cancelled by the end of
+// the matching returns its error: the plan may be partial, so no offers are
+// made from it.
+func PlanBatch(ctx context.Context, st *State, a assign.Assigner, models map[int]*predict.WorkerModel, fc *predict.ForecastCache, parallelism, firstOffer int, match func([]assign.Task, []assign.Worker) []assign.Pair) (offers []OfferIssued, predFallbacks int, err error) {
+	if !assign.ReadsForecast(a) {
+		models = nil
+	}
+	in, err := BuildBatch(ctx, st, models, fc, PredHorizon, parallelism)
+	if err != nil || len(in.TaskIDs) == 0 {
+		return nil, 0, err
+	}
+	pairs := match(in.Tasks, in.Workers)
+	if err := ctx.Err(); err != nil {
+		return nil, 0, err
+	}
+	offers = make([]OfferIssued, len(pairs))
+	for i, pr := range pairs {
+		offers[i] = OfferIssued{
+			OfferID:  firstOffer + i,
+			TaskID:   in.TaskIDs[pr.Task],
+			WorkerID: in.Workers[pr.Worker].ID,
+		}
+	}
+	return offers, in.PredFallbacks, nil
+}
+
 // BatchInput is the assignment-ready view of the state for one batch: open,
 // unexpired tasks and online, offer-free workers with at least one reported
 // location, both in ascending ID order so the plan is independent of map
@@ -30,9 +68,8 @@ type BatchInput struct {
 // on the pool; every slot is index-addressed, so the result is bit-identical
 // at any parallelism level. A cancelled ctx abandons the build.
 //
-// This is the single batch-input path shared by the live server and the
-// offline replay bridge: replaying a recorded log rebuilds exactly the
-// candidate sets the live run saw.
+// This is the single batch-input path under PlanBatch: replaying a recorded
+// log rebuilds exactly the candidate sets the live run saw.
 //
 // fc memoizes the rollouts across batches (stationary workers reuse their
 // forecasts bit-identically); a nil fc recomputes every forecast, with

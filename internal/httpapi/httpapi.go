@@ -1,0 +1,191 @@
+// Package httpapi is the HTTP shell the shard (internal/server) and the
+// router (internal/tier) share: the wire types of the shard API, the JSON
+// reply helpers, the hardening middleware every request passes through, and
+// the serve loop. Both processes import it, so the protocol is stated once
+// and the tier still depends only on the wire contract, never on the shard.
+package httpapi
+
+import (
+	"context"
+	"encoding/json"
+	"fmt"
+	"log"
+	"net"
+	"net/http"
+	"strconv"
+	"strings"
+	"sync"
+	"time"
+
+	"github.com/spatialcrowd/tamp/internal/obs"
+)
+
+// MaxBodyBytes is the request-body cap of the router and the shard's
+// default one (1 MiB): a larger body is refused, not buffered.
+const MaxBodyBytes = 1 << 20
+
+// TaskRequest is the body of POST /api/tasks.
+type TaskRequest struct {
+	// ID, when positive, is a caller-chosen task id (the router allocates
+	// globally unique ids so a border task keeps one identity on both shards
+	// it is offered to). Zero lets the shard allocate.
+	ID       int     `json:"id,omitempty"`
+	X        float64 `json:"x"`
+	Y        float64 `json:"y"`
+	Deadline int     `json:"deadline"` // absolute tick
+}
+
+// TaskResponse is one task as the shard reports it.
+type TaskResponse struct {
+	ID       int     `json:"id"`
+	X        float64 `json:"x"`
+	Y        float64 `json:"y"`
+	Deadline int     `json:"deadline"`
+	Status   string  `json:"status"` // open, offered, accepted, expired, cancelled
+	Worker   int     `json:"worker,omitempty"`
+}
+
+// WorkerRequest is the body of POST /api/workers.
+type WorkerRequest struct {
+	ID       int     `json:"id"`
+	DetourKM float64 `json:"detourKm"`
+	Speed    float64 `json:"speed"` // cells per tick
+	MR       float64 `json:"mr"`    // optional override of the model's MR
+}
+
+// WorkerResponse is one worker as the shard reports it.
+type WorkerResponse struct {
+	ID       int     `json:"id"`
+	DetourKM float64 `json:"detourKm"`
+	Speed    float64 `json:"speed"`
+	MR       float64 `json:"mr"`
+	Online   bool    `json:"online"`
+	HasModel bool    `json:"hasModel"`
+}
+
+// LocationRequest is the body of POST /api/workers/{id}/location.
+type LocationRequest struct {
+	X float64 `json:"x"`
+	Y float64 `json:"y"`
+}
+
+// OfferResponse is one entry of GET /api/workers/{id}/offers.
+type OfferResponse struct {
+	OfferID  int     `json:"offerId"`
+	TaskID   int     `json:"taskId"`
+	X        float64 `json:"x"`
+	Y        float64 `json:"y"`
+	Deadline int     `json:"deadline"`
+}
+
+// OfferRecord is GET /api/offers/{id}: the pending offer's (task, worker)
+// pair.
+type OfferRecord struct {
+	OfferID  int `json:"offerId"`
+	TaskID   int `json:"taskId"`
+	WorkerID int `json:"workerId"`
+}
+
+// BatchResponse answers POST /api/batch.
+type BatchResponse struct {
+	Tick   int `json:"tick"`
+	Offers int `json:"offers"`
+	Open   int `json:"open"`
+}
+
+// encodeErrOnce rate-limits encoder-failure logging: the first failure is
+// worth a line (it usually means a broken client connection or an
+// unmarshalable value), every subsequent one would just flood the log.
+var encodeErrOnce sync.Once
+
+// WriteJSON commits headers before any body bytes — Content-Type first,
+// then the status line — so handlers can never interleave a late header
+// with a partial body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if err := json.NewEncoder(w).Encode(v); err != nil {
+		encodeErrOnce.Do(func() { log.Printf("httpapi: WriteJSON: %v", err) })
+	}
+}
+
+// Error answers status with the JSON body {"error": message}.
+func Error(w http.ResponseWriter, status int, format string, args ...any) {
+	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// PathID splits prefix{id}[/action[/...]] into the numeric id and the
+// action segment ("" when there is none).
+func PathID(path, prefix string) (id int, action string, ok bool) {
+	idPart, rest, _ := strings.Cut(strings.TrimPrefix(path, prefix), "/")
+	action, _, _ = strings.Cut(rest, "/")
+	id, err := strconv.Atoi(idPart)
+	return id, action, err == nil
+}
+
+// headerTracker remembers whether a handler already committed the response,
+// so the recovery middleware knows if a 500 can still be sent.
+type headerTracker struct {
+	http.ResponseWriter
+	wrote bool
+}
+
+func (h *headerTracker) WriteHeader(status int) {
+	h.wrote = true
+	h.ResponseWriter.WriteHeader(status)
+}
+
+func (h *headerTracker) Write(b []byte) (int, error) {
+	h.wrote = true
+	return h.ResponseWriter.Write(b)
+}
+
+// Harden is the middleware both processes serve behind. Request bodies are
+// capped at maxBody bytes (no cap when it is not positive), and a panic in h
+// is recovered: logged under name, counted in panics when that is non-nil,
+// and answered with a JSON 500 while nothing has been written yet — a 500
+// after a started response would only corrupt it. One bad request never
+// takes the process down.
+func Harden(name string, h http.Handler, maxBody int64, panics *obs.Counter) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ht := &headerTracker{ResponseWriter: w}
+		defer func() {
+			if rec := recover(); rec != nil {
+				if panics != nil {
+					panics.Inc()
+				}
+				log.Printf("%s: recovered panic in %s %s: %v", name, r.Method, r.URL.Path, rec)
+				if !ht.wrote {
+					Error(ht, http.StatusInternalServerError, "internal error")
+				}
+			}
+		}()
+		if maxBody > 0 && r.Body != nil {
+			r.Body = http.MaxBytesReader(w, r.Body, maxBody)
+		}
+		h.ServeHTTP(ht, r)
+	})
+}
+
+// Serve serves h on addr until ctx is cancelled, then drains in-flight
+// requests through http.Server.Shutdown. Requests inherit ctx as their base
+// context, so cancelling it also cancels the work they started.
+func Serve(ctx context.Context, addr string, h http.Handler) error {
+	srv := &http.Server{
+		Addr:        addr,
+		Handler:     h,
+		BaseContext: func(net.Listener) context.Context { return ctx },
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- srv.ListenAndServe() }()
+	select {
+	case <-ctx.Done():
+		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		err := srv.Shutdown(shutCtx)
+		<-errc // joins the serve goroutine (ErrServerClosed after Shutdown)
+		return err
+	case err := <-errc:
+		return err
+	}
+}

@@ -90,25 +90,14 @@ type Run struct {
 	// that worker to a standing-still prediction). UB and LB ignore them.
 	Models   map[int]*predict.WorkerModel
 	Assigner assign.Assigner
-	// Horizon is how many future ticks of true trajectory the acceptance
-	// check and the UB oracle can see; 0 derives it from the maximum task
-	// validity.
-	Horizon int
-	// PredHorizon is how many future ticks the platform forecasts per
-	// worker per batch. Autoregressive rollouts accumulate error, so the
-	// platform only trusts a bounded window; tasks farther out are matched
-	// in later batches as they carry over (default 8).
-	PredHorizon int
 	// ServiceTicks is the fixed handling time added to a worker's busy
 	// window after accepting a task (default 2).
 	ServiceTicks int
 	// DailyAdaptSteps, when positive, turns on continual prediction: at
 	// every day boundary each worker's model takes this many SGD steps on
-	// the trajectory the platform observed the previous day.
+	// the trajectory the platform observed the previous day, at learning
+	// rate dailyAdaptLR.
 	DailyAdaptSteps int
-	// DailyAdaptLR is the learning rate of the continual updates
-	// (default 0.002).
-	DailyAdaptLR float64
 	// Parallelism bounds the pool used for per-batch worker-view
 	// construction (the autoregressive PredictFuture rollouts dominate each
 	// tick) and for the daily continual-adaptation pass (0 = GOMAXPROCS).
@@ -154,6 +143,9 @@ type Run struct {
 	DisableForecastCache bool
 }
 
+// dailyAdaptLR is the learning rate of the continual updates.
+const dailyAdaptLR = 0.002
+
 // recorder allocates offer IDs and forwards events to the sink. A nil
 // recorder swallows every emit, so call sites need no sink check.
 type recorder struct {
@@ -192,21 +184,14 @@ type deferredDecision struct {
 func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 	p := r.Workload.Params
 	horizonTicks := p.TestDays * p.TicksPerDay
-	lookahead := r.Horizon
-	if lookahead <= 0 {
-		lookahead = p.ValidMax*traj.TicksPerTimeUnit + 5
-	}
+	// The acceptance check and the UB oracle see this many future ticks of
+	// true trajectory: enough for the longest-lived task.
+	lookahead := p.ValidMax*traj.TicksPerTimeUnit + 5
 	service := r.ServiceTicks
 	if service <= 0 {
 		service = 2
 	}
-	predHorizon := r.PredHorizon
-	if predHorizon <= 0 {
-		predHorizon = 8
-	}
-	if predHorizon > lookahead {
-		predHorizon = lookahead
-	}
+	predHorizon := min(core.PredHorizon, lookahead)
 
 	var m Metrics
 	// All run accounting flows through simObs so the returned Metrics and
@@ -260,10 +245,6 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 	next := 0 // next arriving task index
 	busyUntil := map[int]int{}
 
-	adaptLR := r.DailyAdaptLR
-	if adaptLR <= 0 {
-		adaptLR = 0.002
-	}
 	var deferred []deferredDecision
 	// Forecasts are computed only when something reads them: the assigner's
 	// plan, or the budget gate, which prices offers off Worker.Predicted.
@@ -288,7 +269,7 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 			err := par.ForEach(actx, len(r.Workload.Workers), r.Parallelism, func(i int) error {
 				wk := &r.Workload.Workers[i]
 				if model := r.Models[wk.ID]; model != nil && prevDay < len(wk.TestDays) {
-					model.AdaptOn(wk.TestDays[prevDay], r.DailyAdaptSteps, adaptLR)
+					model.AdaptOn(wk.TestDays[prevDay], r.DailyAdaptSteps, dailyAdaptLR)
 				}
 				return nil
 			})

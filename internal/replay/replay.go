@@ -6,13 +6,12 @@
 //
 // The replayed state always follows the live run — each recorded event is
 // applied exactly as logged — while at every batch event the bridge first
-// rebuilds the batch input the live platform saw (core.BuildBatch over the
-// state the moment before the batch applied) and runs the chosen assigner
-// on it. The result is a per-batch counterfactual plan that can be compared
-// pair-for-pair against the plan the live run committed: "what would KM
-// have offered where PPI ran?". Because core.State transitions and the
-// assigners are deterministic, replaying the same log with the same options
-// yields bit-identical reports.
+// runs the live shard's batch step (core.PlanBatch over the state the moment
+// before the batch applied) with the chosen assigner. The result is a
+// per-batch counterfactual plan that can be compared pair-for-pair against
+// the plan the live run committed: "what would KM have offered where PPI
+// ran?". Because core.State transitions and the assigners are deterministic,
+// replaying the same log with the same options yields bit-identical reports.
 package replay
 
 import (
@@ -35,25 +34,12 @@ type Options struct {
 	// counterfactual batches; nil degrades every worker to a stand-still
 	// forecast, exactly as the live platform would.
 	Models map[int]*predict.WorkerModel
-	// PredHorizon is the forecast window per worker per batch (default 8,
-	// the live platform's default).
-	PredHorizon int
 	// Parallelism bounds the pool used for per-batch rollout construction
 	// (0 = GOMAXPROCS). Plans are bit-identical at every level.
 	Parallelism int
 	// Registry receives the tamp_replay_duration_seconds gauge and supplies
 	// the clock that measures it (nil = obs.Default).
 	Registry *obs.Registry
-}
-
-func (o Options) withDefaults() Options {
-	if o.PredHorizon <= 0 {
-		o.PredHorizon = 8
-	}
-	if o.Registry == nil {
-		o.Registry = obs.Default
-	}
-	return o
 }
 
 // BatchPlan compares one live batch against the replay assigner's plan over
@@ -137,7 +123,9 @@ func Run(ctx context.Context, dir string, opts Options) (*Report, error) {
 // opts.Assigner. This is Run for callers that already hold the events — a
 // recording simulation, or a test comparing plans across assigners.
 func Events(ctx context.Context, st *core.State, events []core.Event, opts Options) (*Report, error) {
-	opts = opts.withDefaults()
+	if opts.Registry == nil {
+		opts.Registry = obs.Default
+	}
 	if opts.Assigner == nil {
 		return nil, fmt.Errorf("replay: no assigner")
 	}
@@ -156,7 +144,12 @@ func Events(ctx context.Context, st *core.State, events []core.Event, opts Optio
 			return nil, err
 		}
 		if live, degraded, isBatch := batchOffers(ev); isBatch {
-			plan, err := counterfactual(ctx, st, fc, opts)
+			// The replay assigner's plan over the live batch's input, its
+			// offers numbered from the counter the live run used.
+			plan, _, err := core.PlanBatch(ctx, st, opts.Assigner, opts.Models, fc, opts.Parallelism, st.NextOffer,
+				func(tasks []assign.Task, workers []assign.Worker) []assign.Pair {
+					return assign.Do(ctx, opts.Assigner, tasks, workers, st.Tick)
+				})
 			if err != nil {
 				return nil, err
 			}
@@ -191,39 +184,6 @@ func batchOffers(ev core.Event) (live []core.OfferIssued, degraded, isBatch bool
 		return e.Offers, true, true
 	}
 	return nil, false, false
-}
-
-// counterfactual rebuilds the batch input from the pre-batch state and runs
-// the replay assigner on it, allocating offer IDs from the same counter the
-// live run would have used.
-func counterfactual(ctx context.Context, st *core.State, fc *predict.ForecastCache, opts Options) ([]core.OfferIssued, error) {
-	// As on the live server: no rollouts for an assigner that reads none.
-	models := opts.Models
-	if !assign.ReadsForecast(opts.Assigner) {
-		models = nil
-	}
-	in, err := core.BuildBatch(ctx, st, models, fc, opts.PredHorizon, opts.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	if len(in.TaskIDs) == 0 {
-		return nil, nil
-	}
-	pairs := assign.Do(ctx, opts.Assigner, in.Tasks, in.Workers, st.Tick)
-	if err := ctx.Err(); err != nil {
-		// A cancelled matching may be partial; abandon rather than report a
-		// truncated plan.
-		return nil, err
-	}
-	plan := make([]core.OfferIssued, len(pairs))
-	for k, pr := range pairs {
-		plan[k] = core.OfferIssued{
-			OfferID:  st.NextOffer + k,
-			TaskID:   in.TaskIDs[pr.Task],
-			WorkerID: in.Workers[pr.Worker].ID,
-		}
-	}
-	return plan, nil
 }
 
 // agreement counts (task, worker) pairs common to both plans.

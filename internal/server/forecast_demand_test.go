@@ -10,6 +10,7 @@ import (
 
 	"github.com/spatialcrowd/tamp/internal/assign"
 	"github.com/spatialcrowd/tamp/internal/core"
+	"github.com/spatialcrowd/tamp/internal/httpapi"
 	"github.com/spatialcrowd/tamp/internal/nn"
 	"github.com/spatialcrowd/tamp/internal/predict"
 	"github.com/spatialcrowd/tamp/internal/traj"
@@ -27,8 +28,8 @@ func (f forwarded) Assign(tasks []assign.Task, workers []assign.Worker, tick int
 
 // driveBatches runs three workers with (untrained) models through three
 // batches under a and returns every offer issued with the forecast cache's
-// lookup count as /metrics exports it.
-func driveBatches(t *testing.T, a assign.Assigner) (offers []core.OfferIssued, lookups int64, m metricsResponse) {
+// lookup count as /metrics exports it, and the client it drove.
+func driveBatches(t *testing.T, a assign.Assigner) (offers []core.OfferIssued, lookups int64, c *client) {
 	t.Helper()
 	cfg := testConfig()
 	cfg.Assigner = a
@@ -47,18 +48,18 @@ func driveBatches(t *testing.T, a assign.Assigner) (offers []core.OfferIssued, l
 	}
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
-	c := &client{t: t, srv: ts}
+	c = &client{t: t, s: s, srv: ts}
 	for id := 1; id <= 3; id++ {
-		c.do("POST", "/api/workers", workerRequest{ID: id, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
+		c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: id, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
 		walkWorker(c, id, 5, float64(30*id-20), 10)
 	}
 	for round := 0; round < 3; round++ {
 		for id := 1; id <= 3; id++ {
-			c.do("POST", "/api/tasks", taskRequest{X: float64(30*id - 12 + round), Y: 11, Deadline: 30}, nil)
+			c.do("POST", "/api/tasks", httpapi.TaskRequest{X: float64(30*id - 12 + round), Y: 11, Deadline: 30}, nil)
 		}
 		c.do("POST", "/api/batch", nil, nil)
 		for id := 1; id <= 3; id++ {
-			var got []offerResponse
+			var got []httpapi.OfferResponse
 			c.do("GET", fmt.Sprintf("/api/workers/%d/offers", id), nil, &got)
 			for _, o := range got {
 				offers = append(offers, core.OfferIssued{OfferID: o.OfferID, TaskID: o.TaskID, WorkerID: id})
@@ -67,9 +68,7 @@ func driveBatches(t *testing.T, a assign.Assigner) (offers []core.OfferIssued, l
 		}
 		c.do("POST", "/api/tick", nil, nil)
 	}
-	c.do("GET", "/api/metrics", nil, &m)
-	reg := s.Registry()
-	return offers, reg.Counter("predict_cache_hits").Value() + reg.Counter("predict_cache_misses").Value(), m
+	return offers, c.count("predict_cache_hits") + c.count("predict_cache_misses"), c
 }
 
 // TestLBBatchesComputeNoForecasts: under LB the forecast cache is never
@@ -107,12 +106,12 @@ func TestPanickingNonReaderStillDegradesToGreedy(t *testing.T) {
 	if assign.ReadsForecast(panickingLB{}) {
 		t.Fatal("the embedded LB's declaration should be promoted")
 	}
-	offers, lookups, m := driveBatches(t, panickingLB{})
+	offers, lookups, c := driveBatches(t, panickingLB{})
 	if len(offers) == 0 {
 		t.Fatal("degraded batches made no offers")
 	}
-	if m.DegradedBatches != 3 || m.Panics != 0 {
-		t.Errorf("metrics = %+v; want 3 degraded batches and no middleware panic", m)
+	if d, p := c.fault("degraded_batch"), c.fault("panic"); d != 3 || p != 0 {
+		t.Errorf("degraded batches, panics = %d, %d; want 3 and no middleware panic", d, p)
 	}
 	if lookups != 0 {
 		t.Errorf("%d forecast lookups under a non-reader, want 0", lookups)

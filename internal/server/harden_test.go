@@ -12,23 +12,24 @@ import (
 
 	"github.com/spatialcrowd/tamp/internal/assign"
 	"github.com/spatialcrowd/tamp/internal/fault"
+	"github.com/spatialcrowd/tamp/internal/httpapi"
 	"github.com/spatialcrowd/tamp/internal/predict"
 )
 
 // offerSetup registers one worker, posts one task near its trace, runs a
 // batch, and returns the resulting task and offer.
-func offerSetup(t *testing.T, c *client, deadline int) (taskResponse, offerResponse) {
+func offerSetup(t *testing.T, c *client, deadline int) (httpapi.TaskResponse, httpapi.OfferResponse) {
 	t.Helper()
-	c.do("POST", "/api/workers", workerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
+	c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
 	walkWorker(c, 1, 6, 10, 10)
-	var task taskResponse
-	c.do("POST", "/api/tasks", taskRequest{X: 18, Y: 10, Deadline: deadline}, &task)
-	var batch batchResponse
+	var task httpapi.TaskResponse
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 18, Y: 10, Deadline: deadline}, &task)
+	var batch httpapi.BatchResponse
 	c.do("POST", "/api/batch", nil, &batch)
 	if batch.Offers != 1 {
 		t.Fatalf("offers = %d, want 1", batch.Offers)
 	}
-	var offers []offerResponse
+	var offers []httpapi.OfferResponse
 	c.do("GET", "/api/workers/1/offers", nil, &offers)
 	if len(offers) != 1 {
 		t.Fatalf("worker offers = %+v", offers)
@@ -46,9 +47,9 @@ func TestOfferOutstandingAtExpiry(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		c.do("POST", "/api/tick", nil, nil)
 	}
-	var got taskResponse
+	var got httpapi.TaskResponse
 	c.do("GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &got)
-	if got.Status != TaskExpired {
+	if got.Status != string(TaskExpired) {
 		t.Fatalf("offered task after deadline = %+v", got)
 	}
 	// The retracted offer is gone; the late accept must not land.
@@ -56,21 +57,19 @@ func TestOfferOutstandingAtExpiry(t *testing.T) {
 		t.Fatalf("late accept on expired offer: status %d, want 404", code)
 	}
 	c.do("GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &got)
-	if got.Status != TaskExpired {
+	if got.Status != string(TaskExpired) {
 		t.Fatalf("late accept resurrected the task: %+v", got)
 	}
 	// The worker's offer slot is free: a fresh task can be offered.
-	var task2 taskResponse
-	c.do("POST", "/api/tasks", taskRequest{X: 16, Y: 10, Deadline: 40}, &task2)
-	var batch batchResponse
+	var task2 httpapi.TaskResponse
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 16, Y: 10, Deadline: 40}, &task2)
+	var batch httpapi.BatchResponse
 	c.do("POST", "/api/batch", nil, &batch)
 	if batch.Offers != 1 {
 		t.Fatalf("worker still blocked by a retracted offer: %+v", batch)
 	}
-	var m metricsResponse
-	c.do("GET", "/api/metrics", nil, &m)
-	if m.Accepted != 0 || m.Expired != 1 {
-		t.Fatalf("metrics = %+v", m)
+	if a, e := c.count("tamp_server_accepts_total"), c.count("tamp_server_expired_total"); a != 0 || e != 1 {
+		t.Fatalf("accepts, expired = %d, %d; want 0, 1", a, e)
 	}
 }
 
@@ -80,25 +79,25 @@ func TestOfferOutstandingAtExpiry(t *testing.T) {
 func TestDeleteOfferedTaskRetractsOffer(t *testing.T) {
 	c := newClient(t, testConfig())
 	task, off := offerSetup(t, c, 40)
-	var cancelled taskResponse
+	var cancelled httpapi.TaskResponse
 	if code := c.do("DELETE", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &cancelled); code != http.StatusOK {
 		t.Fatalf("cancel status %d", code)
 	}
-	if cancelled.Status != TaskCancelled {
+	if cancelled.Status != string(TaskCancelled) {
 		t.Fatalf("status after cancel = %s", cancelled.Status)
 	}
 	if code := c.do("POST", fmt.Sprintf("/api/offers/%d/accept", off.OfferID), nil, nil); code != http.StatusNotFound {
 		t.Fatalf("accept on cancelled task's offer: status %d, want 404", code)
 	}
-	var got taskResponse
+	var got httpapi.TaskResponse
 	c.do("GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &got)
-	if got.Status != TaskCancelled {
+	if got.Status != string(TaskCancelled) {
 		t.Fatalf("accept flipped a cancelled task: %+v", got)
 	}
 	// Worker free again.
-	var task2 taskResponse
-	c.do("POST", "/api/tasks", taskRequest{X: 16, Y: 10, Deadline: 40}, &task2)
-	var batch batchResponse
+	var task2 httpapi.TaskResponse
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 16, Y: 10, Deadline: 40}, &task2)
+	var batch httpapi.BatchResponse
 	c.do("POST", "/api/batch", nil, &batch)
 	if batch.Offers != 1 {
 		t.Fatalf("worker still blocked after task cancellation: %+v", batch)
@@ -116,15 +115,14 @@ func TestDoubleAccept(t *testing.T) {
 	if code := c.do("POST", fmt.Sprintf("/api/offers/%d/accept", off.OfferID), nil, nil); code != http.StatusNotFound {
 		t.Fatalf("second accept status %d, want 404", code)
 	}
-	var m metricsResponse
-	c.do("GET", "/api/metrics", nil, &m)
-	if m.Accepted != 1 {
-		t.Fatalf("accepted = %d after double accept, want 1", m.Accepted)
+	if a := c.count("tamp_server_accepts_total"); a != 1 {
+		t.Fatalf("accepts = %d after double accept, want 1", a)
 	}
 }
 
 // TestPanicRecoveryMiddleware: a panicking handler is answered with a JSON
-// 500, the panic is counted in /api/metrics, and the server keeps serving.
+// 500, the panic is counted as tamp_server_faults_total{kind="panic"}, and
+// the server keeps serving.
 func TestPanicRecoveryMiddleware(t *testing.T) {
 	s, err := New(testConfig())
 	if err != nil {
@@ -137,7 +135,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	})
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
-	c := &client{t: t, srv: ts}
+	c := &client{t: t, s: s, srv: ts}
 
 	var errResp map[string]string
 	if code := c.do("GET", "/api/boom", nil, &errResp); code != http.StatusInternalServerError {
@@ -147,12 +145,11 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 		t.Fatalf("500 body = %v, want JSON error", errResp)
 	}
 	// Server still alive and counting.
-	var m metricsResponse
-	if code := c.do("GET", "/api/metrics", nil, &m); code != http.StatusOK {
-		t.Fatalf("metrics after panic: status %d", code)
+	if code := c.do("GET", "/api/tick", nil, nil); code != http.StatusOK {
+		t.Fatalf("tick after panic: status %d", code)
 	}
-	if m.Panics != 1 {
-		t.Fatalf("panics = %d, want 1", m.Panics)
+	if p := c.fault("panic"); p != 1 {
+		t.Fatalf("panics = %d, want 1", p)
 	}
 }
 
@@ -165,22 +162,20 @@ func TestPanickingModelDegradesWorkerNotBatch(t *testing.T) {
 		1: {WorkerID: 1, Model: &fault.PanicModel{}, SeqIn: 3, SeqOut: 1},
 	}
 	c := newClient(t, cfg)
-	c.do("POST", "/api/workers", workerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
+	c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
 	walkWorker(c, 1, 6, 10, 10)
 	// Task at the worker's stand-still location is feasible without a model.
-	c.do("POST", "/api/tasks", taskRequest{X: 15, Y: 10, Deadline: 40}, nil)
-	var batch batchResponse
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 15, Y: 10, Deadline: 40}, nil)
+	var batch httpapi.BatchResponse
 	c.do("POST", "/api/batch", nil, &batch)
 	if batch.Offers != 1 {
 		t.Fatalf("offers = %d, want 1 from the degraded worker", batch.Offers)
 	}
-	var m metricsResponse
-	c.do("GET", "/api/metrics", nil, &m)
-	if m.PredFallbacks == 0 {
+	if c.fault("pred_fallback") == 0 {
 		t.Fatal("predictor fallback not counted")
 	}
-	if m.Panics != 0 {
-		t.Fatalf("model panic leaked to the middleware: %+v", m)
+	if p := c.fault("panic"); p != 0 {
+		t.Fatalf("model panic leaked to the middleware: %d panics", p)
 	}
 }
 
@@ -205,18 +200,16 @@ func TestBatchDeadlineFallsBackToGreedy(t *testing.T) {
 	cfg.Assigner = stallAssigner{}
 	cfg.BatchTimeout = 20 * time.Millisecond
 	c := newClient(t, cfg)
-	c.do("POST", "/api/workers", workerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
+	c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
 	walkWorker(c, 1, 6, 10, 10)
-	c.do("POST", "/api/tasks", taskRequest{X: 15, Y: 10, Deadline: 40}, nil)
-	var batch batchResponse
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 15, Y: 10, Deadline: 40}, nil)
+	var batch httpapi.BatchResponse
 	c.do("POST", "/api/batch", nil, &batch)
 	if batch.Offers != 1 {
 		t.Fatalf("degraded batch offers = %d, want 1 from greedy", batch.Offers)
 	}
-	var m metricsResponse
-	c.do("GET", "/api/metrics", nil, &m)
-	if m.DegradedBatches != 1 {
-		t.Fatalf("degradedBatches = %d, want 1", m.DegradedBatches)
+	if d := c.fault("degraded_batch"); d != 1 {
+		t.Fatalf("degraded batches = %d, want 1", d)
 	}
 }
 
@@ -232,18 +225,16 @@ func TestPanickingAssignerFallsBackToGreedy(t *testing.T) {
 	cfg := testConfig()
 	cfg.Assigner = panicAssigner{}
 	c := newClient(t, cfg)
-	c.do("POST", "/api/workers", workerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
+	c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
 	walkWorker(c, 1, 6, 10, 10)
-	c.do("POST", "/api/tasks", taskRequest{X: 15, Y: 10, Deadline: 40}, nil)
-	var batch batchResponse
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 15, Y: 10, Deadline: 40}, nil)
+	var batch httpapi.BatchResponse
 	c.do("POST", "/api/batch", nil, &batch)
 	if batch.Offers != 1 {
 		t.Fatalf("offers = %d, want 1 from greedy after assigner panic", batch.Offers)
 	}
-	var m metricsResponse
-	c.do("GET", "/api/metrics", nil, &m)
-	if m.DegradedBatches != 1 || m.Panics != 0 {
-		t.Fatalf("metrics = %+v; want degradedBatches=1 and no middleware panics", m)
+	if d, p := c.fault("degraded_batch"), c.fault("panic"); d != 1 || p != 0 {
+		t.Fatalf("degraded batches, panics = %d, %d; want 1 and no middleware panic", d, p)
 	}
 }
 
@@ -257,7 +248,7 @@ func TestRequestBodyCap(t *testing.T) {
 		t.Fatalf("oversized body status %d, want 400", code)
 	}
 	// Normal-size requests still work.
-	if code := c.do("POST", "/api/tasks", taskRequest{X: 1, Y: 1, Deadline: 5}, nil); code != http.StatusCreated {
+	if code := c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 1, Y: 1, Deadline: 5}, nil); code != http.StatusCreated {
 		t.Fatalf("small body status %d", code)
 	}
 }
@@ -269,12 +260,12 @@ func TestRequestTimeoutCancelsBatch(t *testing.T) {
 	cfg.Assigner = stallAssigner{}
 	cfg.RequestTimeout = 30 * time.Millisecond
 	c := newClient(t, cfg)
-	c.do("POST", "/api/workers", workerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
+	c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
 	walkWorker(c, 1, 6, 10, 10)
-	c.do("POST", "/api/tasks", taskRequest{X: 15, Y: 10, Deadline: 40}, nil)
-	done := make(chan batchResponse, 1)
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 15, Y: 10, Deadline: 40}, nil)
+	done := make(chan httpapi.BatchResponse, 1)
 	go func() {
-		var batch batchResponse
+		var batch httpapi.BatchResponse
 		c.do("POST", "/api/batch", nil, &batch)
 		done <- batch
 	}()

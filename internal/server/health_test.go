@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/spatialcrowd/tamp/internal/core"
+	"github.com/spatialcrowd/tamp/internal/httpapi"
 	"github.com/spatialcrowd/tamp/internal/wal"
 )
 
@@ -127,11 +128,11 @@ func TestDeferredRecoveryFlipsReadyz(t *testing.T) {
 	if code := c.do("GET", "/readyz", nil, nil); code != http.StatusOK {
 		t.Fatalf("readyz status %d after recovery", code)
 	}
-	var task taskResponse
+	var task httpapi.TaskResponse
 	if code := c.do("GET", "/api/tasks/1", nil, &task); code != http.StatusOK {
 		t.Fatalf("recovered task status %d", code)
 	}
-	if task.Status != TaskOpen {
+	if task.Status != string(TaskOpen) {
 		t.Errorf("recovered task status = %s", task.Status)
 	}
 }
@@ -173,27 +174,27 @@ func TestDeferredRecoveryFailureStaysUnready(t *testing.T) {
 
 func TestExplicitTaskIDAndOfferLookup(t *testing.T) {
 	c := newClient(t, testConfig())
-	c.do("POST", "/api/workers", workerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.9}, nil)
+	c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.9}, nil)
 	walkWorker(c, 1, 4, 10, 10)
 
-	var task taskResponse
-	if code := c.do("POST", "/api/tasks", taskRequest{ID: 5001, X: 12, Y: 10, Deadline: 30}, &task); code != http.StatusCreated {
+	var task httpapi.TaskResponse
+	if code := c.do("POST", "/api/tasks", httpapi.TaskRequest{ID: 5001, X: 12, Y: 10, Deadline: 30}, &task); code != http.StatusCreated {
 		t.Fatalf("explicit-id submit status %d", code)
 	}
 	if task.ID != 5001 {
 		t.Fatalf("task id = %d, want the caller-chosen 5001", task.ID)
 	}
-	if code := c.do("POST", "/api/tasks", taskRequest{ID: 5001, X: 12, Y: 10, Deadline: 30}, nil); code != http.StatusConflict {
+	if code := c.do("POST", "/api/tasks", httpapi.TaskRequest{ID: 5001, X: 12, Y: 10, Deadline: 30}, nil); code != http.StatusConflict {
 		t.Fatalf("duplicate explicit id status %d, want 409", code)
 	}
 
 	c.do("POST", "/api/batch", nil, nil)
-	var offers []offerResponse
+	var offers []httpapi.OfferResponse
 	c.do("GET", "/api/workers/1/offers", nil, &offers)
 	if len(offers) != 1 {
 		t.Fatalf("offers = %+v", offers)
 	}
-	var rec offerRecord
+	var rec httpapi.OfferRecord
 	if code := c.do("GET", fmt.Sprintf("/api/offers/%d", offers[0].OfferID), nil, &rec); code != http.StatusOK {
 		t.Fatalf("offer lookup status %d", code)
 	}
@@ -209,11 +210,11 @@ func TestOfferBaseDisjointsIDSpace(t *testing.T) {
 	cfg := testConfig()
 	cfg.OfferBase = 2_000_000_000
 	c := newClient(t, cfg)
-	c.do("POST", "/api/workers", workerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.9}, nil)
+	c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.9}, nil)
 	walkWorker(c, 1, 4, 10, 10)
-	c.do("POST", "/api/tasks", taskRequest{X: 12, Y: 10, Deadline: 30}, nil)
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 12, Y: 10, Deadline: 30}, nil)
 	c.do("POST", "/api/batch", nil, nil)
-	var offers []offerResponse
+	var offers []httpapi.OfferResponse
 	c.do("GET", "/api/workers/1/offers", nil, &offers)
 	if len(offers) != 1 || offers[0].OfferID != 2_000_000_000 {
 		t.Fatalf("offers = %+v, want a single offer with id 2000000000", offers)

@@ -4,8 +4,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/spatialcrowd/tamp/internal/core"
+	"github.com/spatialcrowd/tamp/internal/fault"
+	"github.com/spatialcrowd/tamp/internal/httpapi"
+	"github.com/spatialcrowd/tamp/internal/predict"
 )
 
 // fetchText GETs a non-JSON endpoint and returns status, content type, body.
@@ -23,24 +30,25 @@ func fetchText(t *testing.T, url string) (int, string, string) {
 	return resp.StatusCode, resp.Header.Get("Content-Type"), string(body)
 }
 
-// TestMetricsEndpointMirrorsJSON drives the full protocol once and checks
-// that GET /metrics exports the same counts /api/metrics reports — both
-// views read the same registry series.
-func TestMetricsEndpointMirrorsJSON(t *testing.T) {
-	c := newClient(t, testConfig())
-	c.do("POST", "/api/workers", workerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
-	walkWorker(c, 1, 6, 10, 10)
-	var task taskResponse
-	c.do("POST", "/api/tasks", taskRequest{X: 18, Y: 10, Deadline: 30}, &task)
-	var batch batchResponse
-	c.do("POST", "/api/batch", nil, &batch)
-	if batch.Offers != 1 {
-		t.Fatalf("offers = %d, want 1", batch.Offers)
-	}
-	var offers []offerResponse
-	c.do("GET", "/api/workers/1/offers", nil, &offers)
-	c.do("POST", fmt.Sprintf("/api/offers/%d/accept", offers[0].OfferID), nil, nil)
+// mirrored is every core.Counts tally the shard mirrors into its registry,
+// with the series GET /metrics exports it under.
+var mirrored = []struct {
+	series string
+	tally  func(core.Counts) int64
+}{
+	{"tamp_server_offers_total", func(c core.Counts) int64 { return c.Offers }},
+	{"tamp_server_accepts_total", func(c core.Counts) int64 { return c.Accepts }},
+	{"tamp_server_rejects_total", func(c core.Counts) int64 { return c.Rejects }},
+	{"tamp_server_expired_total", func(c core.Counts) int64 { return c.Expired }},
+	{"tamp_server_batches_total", func(c core.Counts) int64 { return c.Batches }},
+	{`tamp_server_faults_total{kind="degraded_batch"}`, func(c core.Counts) int64 { return c.DegradedBatches }},
+	{`tamp_server_faults_total{kind="pred_fallback"}`, func(c core.Counts) int64 { return c.PredFallbacks }},
+}
 
+// scrape GETs /metrics from the server behind c and returns its body and
+// each sample's value keyed by series (name plus label block).
+func scrape(t *testing.T, c *client) (string, map[string]string) {
+	t.Helper()
 	status, ctype, body := fetchText(t, c.srv.URL+"/metrics")
 	if status != http.StatusOK {
 		t.Fatalf("GET /metrics status = %d", status)
@@ -48,17 +56,80 @@ func TestMetricsEndpointMirrorsJSON(t *testing.T) {
 	if !strings.HasPrefix(ctype, "text/plain; version=0.0.4") {
 		t.Fatalf("content type = %q", ctype)
 	}
+	samples := map[string]string{}
+	for _, line := range strings.Split(body, "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+			samples[line[:i]] = line[i+1:]
+		}
+	}
+	return body, samples
+}
+
+// tallies reads every mirrored series off /metrics and checks it against
+// the state machine's own tally.
+func tallies(t *testing.T, c *client) map[string]string {
+	t.Helper()
+	_, samples := scrape(t, c)
+	c.s.mu.Lock()
+	counts := c.s.st.Counts
+	c.s.mu.Unlock()
+	out := map[string]string{}
+	for _, m := range mirrored {
+		got, ok := samples[m.series]
+		if want := strconv.FormatInt(m.tally(counts), 10); !ok || got != want {
+			t.Errorf("/metrics %s = %q (present %v), state tally %s", m.series, got, ok, want)
+		}
+		out[m.series] = got
+	}
+	return out
+}
+
+// TestMetricsEndpointMirrorsCounts drives the protocol once on a durable
+// shard — an accept, a reject, an expiry and a predictor fallback — and
+// checks that GET /metrics carries every tally the state machine counts,
+// and that a restart on the same write-ahead log continues each series
+// where it stopped.
+func TestMetricsEndpointMirrorsCounts(t *testing.T) {
+	cfg := testConfig()
+	cfg.WALDir = t.TempDir()
+	cfg.Models = map[int]*predict.WorkerModel{
+		3: {WorkerID: 3, Model: &fault.PanicModel{}, SeqIn: 3, SeqOut: 1},
+	}
+	c, s1, ts1 := newDurableClient(t, cfg)
+	for id, x := range map[int]float64{1: 10, 2: 40, 3: 70} {
+		c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: id, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
+		walkWorker(c, id, 6, x, 10)
+	}
+	for _, x := range []float64{18, 48, 76} {
+		c.do("POST", "/api/tasks", httpapi.TaskRequest{X: x, Y: 10, Deadline: 30}, nil)
+	}
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 5, Y: 45, Deadline: 1}, nil)
+	var batch httpapi.BatchResponse
+	c.do("POST", "/api/batch", nil, &batch)
+	if batch.Offers != 3 {
+		t.Fatalf("offers = %d, want 3", batch.Offers)
+	}
+	for id, action := range map[int]string{1: "accept", 2: "reject"} {
+		var offers []httpapi.OfferResponse
+		c.do("GET", fmt.Sprintf("/api/workers/%d/offers", id), nil, &offers)
+		c.do("POST", fmt.Sprintf("/api/offers/%d/%s", offers[0].OfferID, action), nil, nil)
+	}
+	c.do("POST", "/api/tick", nil, nil)
+	c.do("POST", "/api/tick", nil, nil)
+
+	body, _ := scrape(t, c)
 	for _, want := range []string{
 		"# TYPE tamp_server_offers_total counter",
-		"tamp_server_offers_total 1",
+		"tamp_server_offers_total 3",
 		"tamp_server_accepts_total 1",
-		"tamp_server_rejects_total 0",
+		"tamp_server_rejects_total 1",
+		"tamp_server_expired_total 1",
 		"tamp_server_batches_total 1",
 		"# TYPE tamp_server_batch_seconds histogram",
 		"tamp_server_batch_seconds_count 1",
 		`tamp_server_faults_total{kind="panic"} 0`,
 		`tamp_server_faults_total{kind="degraded_batch"} 0`,
-		`tamp_server_faults_total{kind="pred_fallback"} 0`,
+		`tamp_server_faults_total{kind="pred_fallback"} 1`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q\nbody:\n%s", want, body)
@@ -69,11 +140,19 @@ func TestMetricsEndpointMirrorsJSON(t *testing.T) {
 	if !strings.Contains(body, `tamp_phase_seconds_count{phase="assign.ppi"} 1`) {
 		t.Errorf("/metrics missing assign.ppi span\nbody:\n%s", body)
 	}
+	before := tallies(t, c)
 
-	var m metricsResponse
-	c.do("GET", "/api/metrics", nil, &m)
-	if m.Assigned != 1 || m.Accepted != 1 || m.Rejected != 0 {
-		t.Fatalf("JSON metrics diverged from registry: %+v", m)
+	ts1.Close()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c2, s2, ts2 := newDurableClient(t, cfg)
+	defer ts2.Close()
+	if after := tallies(t, c2); !reflect.DeepEqual(after, before) {
+		t.Fatalf("tallies after restart = %v, want %v", after, before)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

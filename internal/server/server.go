@@ -27,10 +27,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -39,6 +37,7 @@ import (
 	"github.com/spatialcrowd/tamp/internal/assign"
 	"github.com/spatialcrowd/tamp/internal/core"
 	"github.com/spatialcrowd/tamp/internal/geo"
+	"github.com/spatialcrowd/tamp/internal/httpapi"
 	"github.com/spatialcrowd/tamp/internal/obs"
 	"github.com/spatialcrowd/tamp/internal/predict"
 	"github.com/spatialcrowd/tamp/internal/wal"
@@ -65,18 +64,12 @@ type Config struct {
 	// Models supplies per-worker predictors (nil entries degrade to
 	// stand-still forecasts).
 	Models map[int]*predict.WorkerModel
-	// PredHorizon is the forecast window per batch, in ticks (default 8).
-	PredHorizon int
-	// DefaultDetourKM/DefaultSpeed apply to workers that register without
-	// their own values.
-	DefaultDetourKM float64
-	DefaultSpeed    float64
 	// Parallelism bounds the pool used for per-batch trajectory prediction
 	// and, when the default PPI assigner is constructed, its edge-building
 	// pool (0 = GOMAXPROCS).
 	Parallelism int
 	// MaxBodyBytes caps every request body via http.MaxBytesReader
-	// (default 1 MiB; negative disables the cap).
+	// (default httpapi.MaxBodyBytes, 1 MiB; negative disables the cap).
 	MaxBodyBytes int64
 	// RequestTimeout bounds each request's handling; the request context
 	// is cancelled at the deadline (default 30s; negative disables).
@@ -84,8 +77,9 @@ type Config struct {
 	// BatchTimeout is the per-batch assignment deadline. When the
 	// configured assigner has not produced a plan by then, its (possibly
 	// partial) output is discarded and the batch falls back to the cheap
-	// greedy assigner — degraded mode, counted in /api/metrics. Zero
-	// disables the deadline.
+	// greedy assigner — degraded mode, counted as
+	// tamp_server_faults_total{kind="degraded_batch"}. Zero disables the
+	// deadline.
 	BatchTimeout time.Duration
 	// Registry receives every server counter, batch timing, and the phase
 	// spans of batches run through this server; GET /metrics exports it in
@@ -126,6 +120,13 @@ type Config struct {
 	OfferBase int
 }
 
+// Registration defaults for workers that register without their own detour
+// budget or speed (cells per tick).
+const (
+	defaultDetourKM = 6
+	defaultSpeed    = 3.0
+)
+
 // Server is the HTTP platform. The zero value is not usable; construct
 // with New.
 type Server struct {
@@ -156,11 +157,10 @@ type Server struct {
 	// re-running the model. Instrumented as predict_cache_* in reg.
 	fc *predict.ForecastCache
 
-	// Every counter lives in reg; commitLocked mirrors the state machine's
-	// monotonic tallies into them (single code path), and both /api/metrics
-	// (JSON) and /metrics (Prometheus) read the same series. Counter
-	// updates are atomic, so the recovery middleware can bump panicsC
-	// outside s.mu.
+	// Every counter lives in reg, which GET /metrics exports; commitLocked
+	// mirrors the state machine's monotonic tallies into them (single code
+	// path). Counter updates are atomic, so the recovery middleware can bump
+	// panicsC outside s.mu.
 	offersC, acceptsC, rejectsC, expiredC *obs.Counter
 	batchesC                              *obs.Counter
 	// degraded-mode fault counters, labelled tamp_server_faults_total{kind=...}:
@@ -176,6 +176,7 @@ type Server struct {
 	walErrC  *obs.Counter
 
 	mux *http.ServeMux
+	h   http.Handler // mux behind the readiness gate, the deadline and the shell
 }
 
 // New builds a Server ready to mount on an http.Server. With Config.WALDir
@@ -191,17 +192,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Assigner == nil {
 		cfg.Assigner = assign.PPI{A: predict.DefaultMatchRadius, Parallelism: cfg.Parallelism}
 	}
-	if cfg.PredHorizon <= 0 {
-		cfg.PredHorizon = 8
-	}
-	if cfg.DefaultDetourKM <= 0 {
-		cfg.DefaultDetourKM = 6
-	}
-	if cfg.DefaultSpeed <= 0 {
-		cfg.DefaultSpeed = 3
-	}
 	if cfg.MaxBodyBytes == 0 {
-		cfg.MaxBodyBytes = 1 << 20
+		cfg.MaxBodyBytes = httpapi.MaxBodyBytes
 	}
 	if cfg.RequestTimeout == 0 {
 		cfg.RequestTimeout = 30 * time.Second
@@ -236,6 +228,7 @@ func New(cfg Config) (*Server, error) {
 	s.durableG = reg.Gauge("tamp_server_durable")
 	s.walErrC = reg.Counter("tamp_server_wal_append_errors_total")
 	s.routes()
+	s.h = httpapi.Harden("server", http.HandlerFunc(s.serve), cfg.MaxBodyBytes, s.panicsC)
 	switch {
 	case cfg.WALDir != "" && cfg.DeferRecovery:
 		// Serve /healthz (and 503 everything gated on readiness) while the
@@ -300,8 +293,8 @@ func (s *Server) recoverWAL() error {
 	s.st, s.log = st, l
 	s.durableG.Set(1)
 	// The obs counters start from zero on every process start; seed them
-	// with the recovered tallies so /api/metrics and /metrics continue the
-	// pre-crash series instead of resetting.
+	// with the recovered tallies so /metrics continues the pre-crash series
+	// instead of resetting.
 	c := st.Counts
 	s.offersC.Add(c.Offers)
 	s.acceptsC.Add(c.Accepts)
@@ -407,48 +400,20 @@ func (s *Server) Close() error {
 	return err
 }
 
-// headerTracker remembers whether a handler already committed the response,
-// so the recovery middleware knows if a 500 can still be sent.
-type headerTracker struct {
-	http.ResponseWriter
-	wrote bool
-}
+// ServeHTTP implements http.Handler. Every route runs behind the shell the
+// router shares (httpapi.Harden: capped request bodies, a recovered panic
+// answered 500 and counted), then the shard's own gates in serve.
+func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.h.ServeHTTP(w, r) }
 
-func (h *headerTracker) WriteHeader(status int) {
-	h.wrote = true
-	h.ResponseWriter.WriteHeader(status)
-}
-
-func (h *headerTracker) Write(b []byte) (int, error) {
-	h.wrote = true
-	return h.ResponseWriter.Write(b)
-}
-
-// ServeHTTP implements http.Handler. It is the hardening middleware for
-// every route: request bodies are capped, each request gets a deadline, and
-// a panicking handler is recovered into a 500 — one bad request never takes
-// the platform down.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	ht := &headerTracker{ResponseWriter: w}
-	defer func() {
-		if rec := recover(); rec != nil {
-			s.panicsC.Inc()
-			log.Printf("server: recovered panic in %s %s: %v", r.Method, r.URL.Path, rec)
-			if !ht.wrote {
-				httpError(ht, http.StatusInternalServerError, "internal error")
-			}
-		}
-	}()
-	if s.cfg.MaxBodyBytes > 0 && r.Body != nil {
-		r.Body = http.MaxBytesReader(ht, r.Body, s.cfg.MaxBodyBytes)
-	}
+// serve gates a request on readiness, gives it a deadline, and routes it.
+func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	// An unready server (WAL still replaying, or closed) refuses platform
 	// traffic outright instead of serving from a half-recovered state; the
 	// probe and metrics endpoints stay up so operators and the router tier
 	// can watch the recovery progress.
 	if !s.ready.Load() && strings.HasPrefix(r.URL.Path, "/api/") {
-		ht.Header().Set("Retry-After", "1")
-		httpError(ht, http.StatusServiceUnavailable, "not ready")
+		w.Header().Set("Retry-After", "1")
+		httpapi.Error(w, http.StatusServiceUnavailable, "not ready")
 		return
 	}
 	// pprof endpoints stream for as long as the client asks (?seconds=N) and
@@ -460,14 +425,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		r = r.WithContext(ctx)
 	}
-	s.mux.ServeHTTP(ht, r)
+	s.mux.ServeHTTP(w, r)
 }
 
 // handleHealthz is the liveness probe: the process is up and the handler
 // stack responds. It says nothing about recovery — a replaying shard is
 // alive but not ready.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // handleReadyz is the readiness probe: 200 only once WAL recovery has
@@ -476,15 +441,15 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // (re-)admission of a shard on this endpoint.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.ready.Load() {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 		return
 	}
 	if msg := s.recoverErr.Load(); msg != nil {
-		httpError(w, http.StatusServiceUnavailable, "recovery failed: %s", *msg)
+		httpapi.Error(w, http.StatusServiceUnavailable, "recovery failed: %s", *msg)
 		return
 	}
 	w.Header().Set("Retry-After", "1")
-	httpError(w, http.StatusServiceUnavailable, "not ready")
+	httpapi.Error(w, http.StatusServiceUnavailable, "not ready")
 }
 
 func (s *Server) routes() {
@@ -496,7 +461,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("/api/offers/", s.handleOfferByID)
 	s.mux.HandleFunc("/api/batch", s.handleBatch)
 	s.mux.HandleFunc("/api/tick", s.handleTick)
-	s.mux.HandleFunc("/api/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.Handle("/metrics", s.reg.Handler())
@@ -509,90 +473,51 @@ func (s *Server) routes() {
 	}
 }
 
-// encodeErrOnce rate-limits encoder-failure logging: the first failure is
-// worth a line (it usually means a broken client connection or an
-// unmarshalable value), every subsequent one would just flood the log.
-var encodeErrOnce sync.Once
-
-// writeJSON commits headers before any body bytes — Content-Type first,
-// then the status line — so handlers can never interleave a late header
-// with a partial body.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		encodeErrOnce.Do(func() { log.Printf("server: writeJSON: %v", err) })
-	}
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // --- tasks ---
-
-type taskRequest struct {
-	// ID, when positive, is a caller-chosen task id (the router tier
-	// allocates globally unique ids so a border task keeps one identity on
-	// both shards it is offered to). Zero lets the server allocate.
-	ID       int     `json:"id,omitempty"`
-	X        float64 `json:"x"`
-	Y        float64 `json:"y"`
-	Deadline int     `json:"deadline"` // absolute tick
-}
-
-type taskResponse struct {
-	ID       int        `json:"id"`
-	X        float64    `json:"x"`
-	Y        float64    `json:"y"`
-	Deadline int        `json:"deadline"`
-	Status   TaskStatus `json:"status"`
-	Worker   int        `json:"worker,omitempty"`
-}
 
 func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		var req taskRequest
+		var req httpapi.TaskRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad json: %v", err)
+			httpapi.Error(w, http.StatusBadRequest, "bad json: %v", err)
 			return
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if req.Deadline <= s.st.Tick {
-			httpError(w, http.StatusBadRequest, "deadline %d not after current tick %d", req.Deadline, s.st.Tick)
+			httpapi.Error(w, http.StatusBadRequest, "deadline %d not after current tick %d", req.Deadline, s.st.Tick)
 			return
 		}
 		loc := s.cfg.Grid.Bounds().Clamp(geo.Pt(req.X, req.Y))
 		id := s.st.NextTask
 		if req.ID > 0 {
 			if _, dup := s.st.Tasks[req.ID]; dup {
-				httpError(w, http.StatusConflict, "task %d already exists", req.ID)
+				httpapi.Error(w, http.StatusConflict, "task %d already exists", req.ID)
 				return
 			}
 			id = req.ID
 		}
 		s.commitLocked(core.TaskSubmitted{TaskID: id, X: loc.X, Y: loc.Y, Deadline: req.Deadline})
-		writeJSON(w, http.StatusCreated, s.taskResponseLocked(id))
+		httpapi.WriteJSON(w, http.StatusCreated, s.taskResponseLocked(id))
 	case http.MethodGet:
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		out := make([]taskResponse, 0, len(s.st.Tasks))
+		out := make([]httpapi.TaskResponse, 0, len(s.st.Tasks))
 		for id := range s.st.Tasks {
 			out = append(out, s.taskResponseLocked(id))
 		}
-		writeJSON(w, http.StatusOK, out)
+		httpapi.WriteJSON(w, http.StatusOK, out)
 	default:
-		httpError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
 	}
 }
 
-func (s *Server) taskResponseLocked(id int) taskResponse {
+func (s *Server) taskResponseLocked(id int) httpapi.TaskResponse {
 	t := s.st.Tasks[id]
-	resp := taskResponse{
+	resp := httpapi.TaskResponse{
 		ID: id, X: t.Task.Loc.X, Y: t.Task.Loc.Y,
-		Deadline: t.Task.Deadline, Status: t.Status,
+		Deadline: t.Task.Deadline, Status: string(t.Status),
 	}
 	switch t.Status {
 	case TaskOffered:
@@ -604,79 +529,63 @@ func (s *Server) taskResponseLocked(id int) taskResponse {
 }
 
 func (s *Server) handleTaskByID(w http.ResponseWriter, r *http.Request) {
-	id, ok := trailingID(r.URL.Path, "/api/tasks/")
+	id, _, ok := httpapi.PathID(r.URL.Path, "/api/tasks/")
 	if !ok {
-		httpError(w, http.StatusBadRequest, "bad task id")
+		httpapi.Error(w, http.StatusBadRequest, "bad task id")
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	t, exists := s.st.Tasks[id]
 	if !exists {
-		httpError(w, http.StatusNotFound, "task %d not found", id)
+		httpapi.Error(w, http.StatusNotFound, "task %d not found", id)
 		return
 	}
 	switch r.Method {
 	case http.MethodGet:
-		writeJSON(w, http.StatusOK, s.taskResponseLocked(id))
+		httpapi.WriteJSON(w, http.StatusOK, s.taskResponseLocked(id))
 	case http.MethodDelete:
 		if t.Status == TaskAccepted {
-			httpError(w, http.StatusConflict, "task %d already accepted", id)
+			httpapi.Error(w, http.StatusConflict, "task %d already accepted", id)
 			return
 		}
 		// Cancelling an offered task retracts the outstanding offer too, so
 		// the worker is immediately matchable again and a late accept on
 		// the dead offer cannot resurrect the task.
 		s.commitLocked(core.TaskCancelled{TaskID: id})
-		writeJSON(w, http.StatusOK, s.taskResponseLocked(id))
+		httpapi.WriteJSON(w, http.StatusOK, s.taskResponseLocked(id))
 	default:
-		httpError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
 	}
 }
 
 // --- workers ---
 
-type workerRequest struct {
-	ID       int     `json:"id"`
-	DetourKM float64 `json:"detourKm"`
-	Speed    float64 `json:"speed"` // cells per tick
-	MR       float64 `json:"mr"`    // optional override of the model's MR
-}
-
-type workerResponse struct {
-	ID       int     `json:"id"`
-	DetourKM float64 `json:"detourKm"`
-	Speed    float64 `json:"speed"`
-	MR       float64 `json:"mr"`
-	Online   bool    `json:"online"`
-	HasModel bool    `json:"hasModel"`
-}
-
 func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		var req workerRequest
+		var req httpapi.WorkerRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad json: %v", err)
+			httpapi.Error(w, http.StatusBadRequest, "bad json: %v", err)
 			return
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		if req.ID <= 0 {
-			httpError(w, http.StatusBadRequest, "worker id must be positive")
+			httpapi.Error(w, http.StatusBadRequest, "worker id must be positive")
 			return
 		}
 		if _, dup := s.st.Workers[req.ID]; dup {
-			httpError(w, http.StatusConflict, "worker %d already registered", req.ID)
+			httpapi.Error(w, http.StatusConflict, "worker %d already registered", req.ID)
 			return
 		}
 		// Defaults are resolved here, so the committed event carries the
 		// effective values and replay does not depend on server config.
-		detour := geo.KMToCells(s.cfg.DefaultDetourKM)
+		detour := geo.KMToCells(defaultDetourKM)
 		if req.DetourKM > 0 {
 			detour = geo.KMToCells(req.DetourKM)
 		}
-		speed := s.cfg.DefaultSpeed
+		speed := defaultSpeed
 		if req.Speed > 0 {
 			speed = req.Speed
 		}
@@ -688,129 +597,102 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 			mr = req.MR
 		}
 		s.commitLocked(core.WorkerRegistered{WorkerID: req.ID, Detour: detour, Speed: speed, MR: mr})
-		writeJSON(w, http.StatusCreated, s.workerResponseLocked(s.st.Workers[req.ID]))
+		httpapi.WriteJSON(w, http.StatusCreated, s.workerResponseLocked(s.st.Workers[req.ID]))
 	case http.MethodGet:
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		out := make([]workerResponse, 0, len(s.st.Workers))
+		out := make([]httpapi.WorkerResponse, 0, len(s.st.Workers))
 		for _, ws := range s.st.Workers {
 			out = append(out, s.workerResponseLocked(ws))
 		}
-		writeJSON(w, http.StatusOK, out)
+		httpapi.WriteJSON(w, http.StatusOK, out)
 	default:
-		httpError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
 	}
 }
 
-func (s *Server) workerResponseLocked(ws *core.Worker) workerResponse {
-	return workerResponse{
+func (s *Server) workerResponseLocked(ws *core.Worker) httpapi.WorkerResponse {
+	return httpapi.WorkerResponse{
 		ID: ws.ID, DetourKM: geo.CellsToKM(ws.Detour), Speed: ws.Speed,
 		MR: ws.MR, Online: ws.Online, HasModel: s.cfg.Models[ws.ID] != nil,
 	}
 }
 
-type locationRequest struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-}
-
-type offerResponse struct {
-	OfferID  int     `json:"offerId"`
-	TaskID   int     `json:"taskId"`
-	X        float64 `json:"x"`
-	Y        float64 `json:"y"`
-	Deadline int     `json:"deadline"`
-}
-
 func (s *Server) handleWorkerByID(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/api/workers/")
-	parts := strings.Split(rest, "/")
-	id, err := strconv.Atoi(parts[0])
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad worker id")
+	id, action, ok := httpapi.PathID(r.URL.Path, "/api/workers/")
+	if !ok {
+		httpapi.Error(w, http.StatusBadRequest, "bad worker id")
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ws, exists := s.st.Workers[id]
 	if !exists {
-		httpError(w, http.StatusNotFound, "worker %d not registered", id)
+		httpapi.Error(w, http.StatusNotFound, "worker %d not registered", id)
 		return
-	}
-	action := ""
-	if len(parts) > 1 {
-		action = parts[1]
 	}
 	switch {
 	case r.Method == http.MethodGet && action == "":
-		writeJSON(w, http.StatusOK, s.workerResponseLocked(ws))
+		httpapi.WriteJSON(w, http.StatusOK, s.workerResponseLocked(ws))
 	case r.Method == http.MethodPost && action == "location":
-		var req locationRequest
+		var req httpapi.LocationRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad json: %v", err)
+			httpapi.Error(w, http.StatusBadRequest, "bad json: %v", err)
 			return
 		}
 		loc := s.cfg.Grid.Bounds().Clamp(geo.Pt(req.X, req.Y))
 		s.commitLocked(core.WorkerReported{WorkerID: id, X: loc.X, Y: loc.Y})
-		writeJSON(w, http.StatusOK, map[string]int{"traceLen": len(ws.Trace)})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]int{"traceLen": len(ws.Trace)})
 	case r.Method == http.MethodGet && action == "offers":
-		var out []offerResponse
+		var out []httpapi.OfferResponse
 		if ws.OfferID != 0 {
 			off := s.st.Offers[ws.OfferID]
 			t := s.st.Tasks[off.TaskID]
-			out = append(out, offerResponse{
+			out = append(out, httpapi.OfferResponse{
 				OfferID: off.ID, TaskID: off.TaskID,
 				X: t.Task.Loc.X, Y: t.Task.Loc.Y, Deadline: t.Task.Deadline,
 			})
 		}
-		writeJSON(w, http.StatusOK, out)
+		httpapi.WriteJSON(w, http.StatusOK, out)
 	default:
-		httpError(w, http.StatusMethodNotAllowed, "method %s %s", r.Method, action)
+		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s %s", r.Method, action)
 	}
 }
 
 // --- offers ---
 
-type offerRecord struct {
-	OfferID  int `json:"offerId"`
-	TaskID   int `json:"taskId"`
-	WorkerID int `json:"workerId"`
-}
-
 func (s *Server) handleOfferByID(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/api/offers/")
-	parts := strings.Split(rest, "/")
-	id, err := strconv.Atoi(parts[0])
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "use /api/offers/{id}/accept or /reject")
+	id, action, ok := httpapi.PathID(r.URL.Path, "/api/offers/")
+	if !ok {
+		httpapi.Error(w, http.StatusBadRequest, "use /api/offers/{id}/accept or /reject")
 		return
 	}
 	// GET /api/offers/{id}: the pending offer's (task, worker) pair — the
 	// router tier reads it to learn which task an accept is about to commit.
-	if r.Method == http.MethodGet && (len(parts) == 1 || parts[1] == "") {
+	if r.Method == http.MethodGet && action == "" {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		off, exists := s.st.Offers[id]
 		if !exists {
-			httpError(w, http.StatusNotFound, "offer %d not found", id)
+			httpapi.Error(w, http.StatusNotFound, "offer %d not found", id)
 			return
 		}
-		writeJSON(w, http.StatusOK, offerRecord{OfferID: off.ID, TaskID: off.TaskID, WorkerID: off.WorkerID})
+		httpapi.WriteJSON(w, http.StatusOK, httpapi.OfferRecord{OfferID: off.ID, TaskID: off.TaskID, WorkerID: off.WorkerID})
 		return
 	}
-	if len(parts) < 2 {
-		httpError(w, http.StatusBadRequest, "use /api/offers/{id}/accept or /reject")
+	if action == "" {
+		httpapi.Error(w, http.StatusBadRequest, "use /api/offers/{id}/accept or /reject")
 		return
 	}
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	off, exists := s.st.Offers[id]
 	if !exists {
-		httpError(w, http.StatusNotFound, "offer %d not found", id)
+		httpapi.Error(w, http.StatusNotFound, "offer %d not found", id)
 		return
 	}
 	// The offer is only actionable while its task is still in the offered
@@ -822,42 +704,36 @@ func (s *Server) handleOfferByID(w http.ResponseWriter, r *http.Request) {
 	if t == nil || t.Status != TaskOffered || t.OfferID != id {
 		s.commitLocked(core.OfferRetracted{OfferID: id})
 		if t == nil {
-			httpError(w, http.StatusConflict, "offer %d is stale: task gone", id)
+			httpapi.Error(w, http.StatusConflict, "offer %d is stale: task gone", id)
 		} else {
-			httpError(w, http.StatusConflict, "offer %d is stale: task %d is %s", id, off.TaskID, t.Status)
+			httpapi.Error(w, http.StatusConflict, "offer %d is stale: task %d is %s", id, off.TaskID, t.Status)
 		}
 		return
 	}
-	switch parts[1] {
+	switch action {
 	case "accept":
 		s.commitLocked(core.OfferAccepted{OfferID: id})
-		writeJSON(w, http.StatusOK, map[string]string{"status": "accepted"})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "accepted"})
 	case "reject":
 		s.commitLocked(core.OfferRejected{OfferID: id})
-		writeJSON(w, http.StatusOK, map[string]string{"status": "rejected"})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "rejected"})
 	default:
 		// Unknown action: nothing committed, the offer stays pending.
-		httpError(w, http.StatusBadRequest, "unknown action %q", parts[1])
+		httpapi.Error(w, http.StatusBadRequest, "unknown action %q", action)
 	}
 }
 
 // --- batch loop ---
 
-type batchResponse struct {
-	Tick   int `json:"tick"`
-	Offers int `json:"offers"`
-	Open   int `json:"open"`
-}
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	made := s.runBatchLocked(r.Context())
-	writeJSON(w, http.StatusOK, batchResponse{Tick: s.st.Tick, Offers: made, Open: s.st.OpenTasks()})
+	httpapi.WriteJSON(w, http.StatusOK, httpapi.BatchResponse{Tick: s.st.Tick, Offers: made, Open: s.st.OpenTasks()})
 }
 
 func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
@@ -867,23 +743,22 @@ func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 		s.commitLocked(core.TickAdvanced{})
 		tick := s.st.Tick
 		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]int{"tick": tick})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]int{"tick": tick})
 	case http.MethodGet:
 		s.mu.Lock()
 		tick := s.st.Tick
 		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]int{"tick": tick})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]int{"tick": tick})
 	default:
-		httpError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
 	}
 }
 
-// runBatchLocked builds the assignment input from the state (open tasks and
-// online, offer-free workers, model rollouts fanned out on the pool), runs
-// the configured assigner, and commits the plan as one BatchAssigned (or
-// DegradedBatch) event. It returns the number of offers made. A cancelled
-// ctx (e.g. the requester of POST /api/batch hung up) abandons the batch
-// without committing anything.
+// runBatchLocked runs the shared batch step (core.PlanBatch) with the
+// configured assigner under the batch deadline, and commits the plan as one
+// BatchAssigned (or DegradedBatch) event. It returns the number of offers
+// made. A cancelled ctx (e.g. the requester of POST /api/batch hung up)
+// abandons the batch without committing anything.
 func (s *Server) runBatchLocked(ctx context.Context) int {
 	// Route the batch's phase spans (assign.ppi/stage1..3 etc.) into this
 	// server's registry, reuse the server's long-lived workspace (we hold
@@ -895,56 +770,34 @@ func (s *Server) runBatchLocked(ctx context.Context) int {
 	defer func() {
 		s.batchSec.Observe(time.Since(batchStart).Seconds())
 	}()
-	// An assigner that never reads Worker.Predicted gets a model-less
-	// (stand-still) batch: no rollouts, and the degraded Greedy fallback
-	// still has a valid prediction to match on.
-	models := s.cfg.Models
-	if !assign.ReadsForecast(s.cfg.Assigner) {
-		models = nil
-	}
-	in, err := core.BuildBatch(ctx, s.st, models, s.fc, s.cfg.PredHorizon, s.cfg.Parallelism)
+	// Offer IDs are allocated in plan order and carried inside the event —
+	// the log is self-contained and replays to identical IDs. With OfferBase
+	// set the allocation starts in this shard's disjoint range.
+	degraded := false
+	offers, fallbacks, err := core.PlanBatch(ctx, s.st, s.cfg.Assigner, s.cfg.Models, s.fc, s.cfg.Parallelism,
+		max(s.st.NextOffer, s.cfg.OfferBase), func(tasks []assign.Task, workers []assign.Worker) []assign.Pair {
+			var pairs []assign.Pair
+			pairs, degraded = s.assignWithDeadline(ctx, tasks, workers)
+			return pairs
+		})
 	if err != nil {
 		return 0
 	}
-	if len(in.TaskIDs) == 0 {
-		// Nothing to match; still a recorded batch so replayed tallies agree.
-		s.commitLocked(core.BatchAssigned{})
-		return 0
-	}
-	pairs, degraded := s.assignWithDeadline(ctx, in.Tasks, in.Workers)
-	if ctx.Err() != nil {
-		// The matching may be partial; make no offers from it.
-		return 0
-	}
-	// Offer IDs are allocated here, in plan order, and carried inside the
-	// event — the log is self-contained and replays to identical IDs. With
-	// OfferBase set the allocation starts in this shard's disjoint range.
-	next := s.st.NextOffer
-	if next < s.cfg.OfferBase {
-		next = s.cfg.OfferBase
-	}
-	grants := make([]core.OfferIssued, len(pairs))
-	for i, pr := range pairs {
-		grants[i] = core.OfferIssued{
-			OfferID:  next + i,
-			TaskID:   in.TaskIDs[pr.Task],
-			WorkerID: in.Workers[pr.Worker].ID,
-		}
-	}
+	// An empty batch is still recorded, so replayed tallies agree.
 	if degraded {
-		s.commitLocked(core.DegradedBatch{Offers: grants, PredFallbacks: in.PredFallbacks})
+		s.commitLocked(core.DegradedBatch{Offers: offers, PredFallbacks: fallbacks})
 	} else {
-		s.commitLocked(core.BatchAssigned{Offers: grants, PredFallbacks: in.PredFallbacks})
+		s.commitLocked(core.BatchAssigned{Offers: offers, PredFallbacks: fallbacks})
 	}
-	return len(pairs)
+	return len(offers)
 }
 
 // assignWithDeadline runs the configured assigner under the batch deadline.
 // When the deadline fires before the assigner finishes, its (possibly
 // partial) plan is discarded and the batch degrades to the greedy fallback:
 // a worse matching delivered on time beats a perfect one delivered late. A
-// panicking assigner degrades the same way. Degraded batches are counted
-// for /api/metrics.
+// panicking assigner degrades the same way; Greedy reads Worker.Predicted,
+// which a batch of an assigner that reads no forecast fills by stand-still.
 func (s *Server) assignWithDeadline(ctx context.Context, tasks []assign.Task, workers []assign.Worker) (pairs []assign.Pair, degraded bool) {
 	bctx := ctx
 	if s.cfg.BatchTimeout > 0 {
@@ -1001,11 +854,6 @@ func (s *Server) RunBatchContext(ctx context.Context) int {
 // stops with ctx. Request handlers inherit ctx as their base context, so
 // cancelling it also cancels in-flight batch pools.
 func (s *Server) ListenAndServe(ctx context.Context, addr string, tick time.Duration) error {
-	srv := &http.Server{
-		Addr:        addr,
-		Handler:     s,
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
 	if tick > 0 {
 		go func() {
 			t := time.NewTicker(tick)
@@ -1021,60 +869,5 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string, tick time.Dura
 			}
 		}()
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		err := srv.Shutdown(shutCtx)
-		<-errc // joins the serve goroutine (ErrServerClosed after Shutdown)
-		return err
-	case err := <-errc:
-		return err
-	}
-}
-
-// --- metrics ---
-
-type metricsResponse struct {
-	Tick     int `json:"tick"`
-	Tasks    int `json:"tasks"`
-	Assigned int `json:"assigned"`
-	Accepted int `json:"accepted"`
-	Rejected int `json:"rejected"`
-	Expired  int `json:"expired"`
-	Workers  int `json:"workers"`
-	// Degraded-mode accounting: requests answered 500 after a recovered
-	// handler panic, batches that fell back to the greedy assigner, and
-	// forecasts degraded to stand-still.
-	Panics          int64 `json:"panics"`
-	DegradedBatches int   `json:"degradedBatches"`
-	PredFallbacks   int   `json:"predFallbacks"`
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// The JSON view reads the state machine's recovered-durable tallies
-	// (panics excepted — a recovered panic is a process fact, not a state
-	// transition); the Prometheus endpoint exports the mirrored series.
-	c := s.st.Counts
-	writeJSON(w, http.StatusOK, metricsResponse{
-		Tick: s.st.Tick, Tasks: len(s.st.Tasks),
-		Assigned: int(c.Offers), Accepted: int(c.Accepts),
-		Rejected: int(c.Rejects), Expired: int(c.Expired),
-		Workers: len(s.st.Workers),
-		Panics:  s.panicsC.Value(), DegradedBatches: int(c.DegradedBatches),
-		PredFallbacks: int(c.PredFallbacks),
-	})
-}
-
-func trailingID(path, prefix string) (int, bool) {
-	rest := strings.TrimPrefix(path, prefix)
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		rest = rest[:i]
-	}
-	id, err := strconv.Atoi(rest)
-	return id, err == nil
+	return httpapi.Serve(ctx, addr, s)
 }

@@ -10,11 +10,14 @@ import (
 
 	"github.com/spatialcrowd/tamp/internal/assign"
 	"github.com/spatialcrowd/tamp/internal/geo"
+	"github.com/spatialcrowd/tamp/internal/httpapi"
+	"github.com/spatialcrowd/tamp/internal/obs"
 )
 
 // client wraps an httptest server with JSON helpers.
 type client struct {
 	t   *testing.T
+	s   *Server
 	srv *httptest.Server
 }
 
@@ -26,7 +29,18 @@ func newClient(t *testing.T, cfg Config) *client {
 	}
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
-	return &client{t: t, srv: ts}
+	return &client{t: t, s: s, srv: ts}
+}
+
+// count reads a counter off the registry of the server behind c: the
+// series GET /metrics exports.
+func (c *client) count(name string, labels ...obs.Label) int64 {
+	return c.s.Registry().Counter(name, labels...).Value()
+}
+
+// fault reads tamp_server_faults_total{kind}.
+func (c *client) fault(kind string) int64 {
+	return c.count("tamp_server_faults_total", obs.L("kind", kind))
 }
 
 func (c *client) do(method, path string, body any, out any) int {
@@ -65,7 +79,7 @@ func testConfig() Config {
 func walkWorker(c *client, id, steps int, x0, y float64) {
 	for i := 0; i < steps; i++ {
 		code := c.do("POST", fmt.Sprintf("/api/workers/%d/location", id),
-			locationRequest{X: x0 + float64(i), Y: y}, nil)
+			httpapi.LocationRequest{X: x0 + float64(i), Y: y}, nil)
 		if code != http.StatusOK {
 			c.t.Fatalf("location report status %d", code)
 		}
@@ -76,29 +90,29 @@ func TestFullProtocolAcceptFlow(t *testing.T) {
 	c := newClient(t, testConfig())
 
 	// Worker registers and reports a moving trace (step "online").
-	if code := c.do("POST", "/api/workers", workerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil); code != http.StatusCreated {
+	if code := c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil); code != http.StatusCreated {
 		t.Fatalf("register status %d", code)
 	}
 	walkWorker(c, 1, 6, 10, 10)
 
 	// Requester posts a task on the worker's projected route (step 1).
-	var task taskResponse
-	if code := c.do("POST", "/api/tasks", taskRequest{X: 18, Y: 10, Deadline: 30}, &task); code != http.StatusCreated {
+	var task httpapi.TaskResponse
+	if code := c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 18, Y: 10, Deadline: 30}, &task); code != http.StatusCreated {
 		t.Fatalf("post task status %d", code)
 	}
-	if task.Status != TaskOpen {
+	if task.Status != string(TaskOpen) {
 		t.Fatalf("task status = %s", task.Status)
 	}
 
 	// Platform batch (step 2) creates an offer.
-	var batch batchResponse
+	var batch httpapi.BatchResponse
 	c.do("POST", "/api/batch", nil, &batch)
 	if batch.Offers != 1 {
 		t.Fatalf("offers = %d, want 1", batch.Offers)
 	}
 
 	// Worker fetches and accepts the offer (step 3).
-	var offers []offerResponse
+	var offers []httpapi.OfferResponse
 	c.do("GET", "/api/workers/1/offers", nil, &offers)
 	if len(offers) != 1 || offers[0].TaskID != task.ID {
 		t.Fatalf("offers = %+v", offers)
@@ -108,83 +122,79 @@ func TestFullProtocolAcceptFlow(t *testing.T) {
 	}
 
 	// Requester sees the acceptance (step 4).
-	var got taskResponse
+	var got httpapi.TaskResponse
 	c.do("GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &got)
-	if got.Status != TaskAccepted || got.Worker != 1 {
+	if got.Status != string(TaskAccepted) || got.Worker != 1 {
 		t.Fatalf("task after accept = %+v", got)
 	}
 
-	var m metricsResponse
-	c.do("GET", "/api/metrics", nil, &m)
-	if m.Assigned != 1 || m.Accepted != 1 || m.Rejected != 0 {
-		t.Fatalf("metrics = %+v", m)
+	if o, a, r := c.count("tamp_server_offers_total"), c.count("tamp_server_accepts_total"), c.count("tamp_server_rejects_total"); o != 1 || a != 1 || r != 0 {
+		t.Fatalf("offers, accepts, rejects = %d, %d, %d; want 1, 1, 0", o, a, r)
 	}
 }
 
 func TestRejectExcludesPairForever(t *testing.T) {
 	c := newClient(t, testConfig())
-	c.do("POST", "/api/workers", workerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
+	c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
 	walkWorker(c, 1, 6, 10, 10)
-	var task taskResponse
-	c.do("POST", "/api/tasks", taskRequest{X: 18, Y: 10, Deadline: 40}, &task)
+	var task httpapi.TaskResponse
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 18, Y: 10, Deadline: 40}, &task)
 
-	var batch batchResponse
+	var batch httpapi.BatchResponse
 	c.do("POST", "/api/batch", nil, &batch)
 	if batch.Offers != 1 {
 		t.Fatalf("offers = %d", batch.Offers)
 	}
-	var offers []offerResponse
+	var offers []httpapi.OfferResponse
 	c.do("GET", "/api/workers/1/offers", nil, &offers)
 	c.do("POST", fmt.Sprintf("/api/offers/%d/reject", offers[0].OfferID), nil, nil)
 
 	// Task returns to the pool but the same worker is never re-offered it.
-	var got taskResponse
+	var got httpapi.TaskResponse
 	c.do("GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &got)
-	if got.Status != TaskOpen {
+	if got.Status != string(TaskOpen) {
 		t.Fatalf("task after reject = %+v", got)
 	}
 	c.do("POST", "/api/batch", nil, &batch)
 	if batch.Offers != 0 {
 		t.Fatalf("re-offered a declined pair: %+v", batch)
 	}
-	var m metricsResponse
-	c.do("GET", "/api/metrics", nil, &m)
-	if m.Rejected != 1 {
-		t.Fatalf("metrics = %+v", m)
+	if r := c.count("tamp_server_rejects_total"); r != 1 {
+		t.Fatalf("rejects = %d, want 1", r)
 	}
 }
 
 func TestTickExpiry(t *testing.T) {
 	c := newClient(t, testConfig())
-	var task taskResponse
-	c.do("POST", "/api/tasks", taskRequest{X: 5, Y: 5, Deadline: 2}, &task)
+	var task httpapi.TaskResponse
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 5, Y: 5, Deadline: 2}, &task)
 	for i := 0; i < 3; i++ {
 		c.do("POST", "/api/tick", nil, nil)
 	}
-	var got taskResponse
+	var got httpapi.TaskResponse
 	c.do("GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &got)
-	if got.Status != TaskExpired {
+	if got.Status != string(TaskExpired) {
 		t.Fatalf("task after deadline = %+v", got)
 	}
-	var m metricsResponse
-	c.do("GET", "/api/metrics", nil, &m)
-	if m.Expired != 1 || m.Tick != 3 {
-		t.Fatalf("metrics = %+v", m)
+	var tick map[string]int
+	c.do("GET", "/api/tick", nil, &tick)
+	if e := c.count("tamp_server_expired_total"); e != 1 || tick["tick"] != 3 {
+		t.Fatalf("expired = %d at tick %v; want 1 at tick 3", e, tick)
 	}
 }
 
 func TestTaskValidationAndCancel(t *testing.T) {
 	c := newClient(t, testConfig())
 	// Deadline in the past rejected.
-	if code := c.do("POST", "/api/tasks", taskRequest{X: 1, Y: 1, Deadline: 0}, nil); code != http.StatusBadRequest {
+	if code := c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 1, Y: 1, Deadline: 0}, nil); code != http.StatusBadRequest {
 		t.Fatalf("past deadline accepted: %d", code)
 	}
-	var task taskResponse
-	c.do("POST", "/api/tasks", taskRequest{X: 1, Y: 1, Deadline: 10}, &task)
+	var task httpapi.TaskResponse
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 1, Y: 1, Deadline: 10}, &task)
 	if code := c.do("DELETE", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &task); code != http.StatusOK {
 		t.Fatalf("cancel status %d", code)
 	}
-	if task.Status != TaskCancelled {
+	if task.Status != string(TaskCancelled) {
 		t.Fatalf("status after cancel = %s", task.Status)
 	}
 	// Unknown task 404s.
@@ -195,18 +205,18 @@ func TestTaskValidationAndCancel(t *testing.T) {
 
 func TestWorkerValidation(t *testing.T) {
 	c := newClient(t, testConfig())
-	if code := c.do("POST", "/api/workers", workerRequest{ID: 0}, nil); code != http.StatusBadRequest {
+	if code := c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 0}, nil); code != http.StatusBadRequest {
 		t.Fatalf("zero id accepted: %d", code)
 	}
-	c.do("POST", "/api/workers", workerRequest{ID: 5}, nil)
-	if code := c.do("POST", "/api/workers", workerRequest{ID: 5}, nil); code != http.StatusConflict {
+	c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 5}, nil)
+	if code := c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 5}, nil); code != http.StatusConflict {
 		t.Fatalf("duplicate registration status %d", code)
 	}
-	if code := c.do("POST", "/api/workers/99/location", locationRequest{X: 1, Y: 1}, nil); code != http.StatusNotFound {
+	if code := c.do("POST", "/api/workers/99/location", httpapi.LocationRequest{X: 1, Y: 1}, nil); code != http.StatusNotFound {
 		t.Fatalf("unregistered location status %d", code)
 	}
 	// Defaults applied.
-	var ws workerResponse
+	var ws httpapi.WorkerResponse
 	c.do("GET", "/api/workers/5", nil, &ws)
 	if ws.DetourKM != 6 || ws.Speed != 3 {
 		t.Fatalf("defaults = %+v", ws)
@@ -215,12 +225,12 @@ func TestWorkerValidation(t *testing.T) {
 
 func TestOneOfferPerWorkerAtATime(t *testing.T) {
 	c := newClient(t, testConfig())
-	c.do("POST", "/api/workers", workerRequest{ID: 1, DetourKM: 10, Speed: 1, MR: 0.9}, nil)
+	c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 1, DetourKM: 10, Speed: 1, MR: 0.9}, nil)
 	walkWorker(c, 1, 6, 10, 10)
 	// Two nearby tasks; only one offer may be pending for the worker.
-	c.do("POST", "/api/tasks", taskRequest{X: 17, Y: 10, Deadline: 40}, nil)
-	c.do("POST", "/api/tasks", taskRequest{X: 19, Y: 10, Deadline: 40}, nil)
-	var batch batchResponse
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 17, Y: 10, Deadline: 40}, nil)
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 19, Y: 10, Deadline: 40}, nil)
+	var batch httpapi.BatchResponse
 	c.do("POST", "/api/batch", nil, &batch)
 	if batch.Offers != 1 {
 		t.Fatalf("offers = %d, want 1 (worker busy deciding)", batch.Offers)
@@ -233,14 +243,14 @@ func TestOneOfferPerWorkerAtATime(t *testing.T) {
 
 func TestListEndpoints(t *testing.T) {
 	c := newClient(t, testConfig())
-	c.do("POST", "/api/workers", workerRequest{ID: 1}, nil)
-	c.do("POST", "/api/tasks", taskRequest{X: 1, Y: 1, Deadline: 5}, nil)
-	var tasks []taskResponse
+	c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 1}, nil)
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 1, Y: 1, Deadline: 5}, nil)
+	var tasks []httpapi.TaskResponse
 	c.do("GET", "/api/tasks", nil, &tasks)
 	if len(tasks) != 1 {
 		t.Fatalf("task list = %v", tasks)
 	}
-	var workers []workerResponse
+	var workers []httpapi.WorkerResponse
 	c.do("GET", "/api/workers", nil, &workers)
 	if len(workers) != 1 {
 		t.Fatalf("worker list = %v", workers)

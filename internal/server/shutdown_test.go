@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/spatialcrowd/tamp/internal/assign"
+	"github.com/spatialcrowd/tamp/internal/httpapi"
 )
 
 func TestCloseIsIdempotent(t *testing.T) {
@@ -15,7 +16,7 @@ func TestCloseIsIdempotent(t *testing.T) {
 	cfg.WALDir = t.TempDir()
 	c, s, _ := newDurableClient(t, cfg)
 	t.Cleanup(c.srv.Close)
-	c.do("POST", "/api/workers", workerRequest{ID: 1, DetourKM: 8, Speed: 1}, nil)
+	c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 1, DetourKM: 8, Speed: 1}, nil)
 
 	if err := s.Close(); err != nil {
 		t.Fatalf("first Close: %v", err)
@@ -74,9 +75,9 @@ func TestCloseDuringInFlightBatchLeaksNothing(t *testing.T) {
 	cfg.WALDir = t.TempDir()
 	cfg.Assigner = gate
 	c, s, ts := newDurableClient(t, cfg)
-	c.do("POST", "/api/workers", workerRequest{ID: 1, DetourKM: 8, Speed: 1}, nil)
+	c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 1, DetourKM: 8, Speed: 1}, nil)
 	walkWorker(c, 1, 4, 10, 10)
-	c.do("POST", "/api/tasks", taskRequest{X: 12, Y: 10, Deadline: 30}, nil)
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 12, Y: 10, Deadline: 30}, nil)
 	ts.Close() // all further traffic is programmatic
 
 	before := runtime.NumGoroutine()

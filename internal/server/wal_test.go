@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/spatialcrowd/tamp/internal/fault"
+	"github.com/spatialcrowd/tamp/internal/httpapi"
 	"github.com/spatialcrowd/tamp/internal/wal"
 )
 
@@ -20,7 +21,7 @@ func newDurableClient(t *testing.T, cfg Config) (*client, *Server, *httptest.Ser
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s)
-	return &client{t: t, srv: ts}, s, ts
+	return &client{t: t, s: s, srv: ts}, s, ts
 }
 
 // TestWALRecoveryResumesExactState drives the full protocol against a
@@ -33,18 +34,18 @@ func TestWALRecoveryResumesExactState(t *testing.T) {
 	cfg.SnapshotEvery = 4 // several snapshots over the run
 
 	c, s1, ts1 := newDurableClient(t, cfg)
-	c.do("POST", "/api/workers", workerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
-	c.do("POST", "/api/workers", workerRequest{ID: 2, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
+	c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
+	c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 2, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
 	walkWorker(c, 1, 4, 10, 10)
 	walkWorker(c, 2, 4, 40, 10)
-	c.do("POST", "/api/tasks", taskRequest{X: 15, Y: 10, Deadline: 30}, nil)
-	c.do("POST", "/api/tasks", taskRequest{X: 45, Y: 10, Deadline: 30}, nil)
-	var batch batchResponse
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 15, Y: 10, Deadline: 30}, nil)
+	c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 45, Y: 10, Deadline: 30}, nil)
+	var batch httpapi.BatchResponse
 	c.do("POST", "/api/batch", nil, &batch)
 	if batch.Offers != 2 {
 		t.Fatalf("offers = %d, want 2", batch.Offers)
 	}
-	var offers1 []offerResponse
+	var offers1 []httpapi.OfferResponse
 	c.do("GET", "/api/workers/1/offers", nil, &offers1)
 	if len(offers1) != 1 {
 		t.Fatalf("worker 1 offers = %+v", offers1)
@@ -52,13 +53,12 @@ func TestWALRecoveryResumesExactState(t *testing.T) {
 	c.do("POST", fmt.Sprintf("/api/offers/%d/accept", offers1[0].OfferID), nil, nil)
 	c.do("POST", "/api/tick", nil, nil)
 
-	var offers2 []offerResponse
+	var offers2 []httpapi.OfferResponse
 	c.do("GET", "/api/workers/2/offers", nil, &offers2)
 	if len(offers2) != 1 {
 		t.Fatalf("worker 2 offers = %+v", offers2)
 	}
-	var m1 metricsResponse
-	c.do("GET", "/api/metrics", nil, &m1)
+	rejects := c.count("tamp_server_rejects_total")
 	digest := s1.StateDigest()
 
 	ts1.Close()
@@ -76,21 +76,14 @@ func TestWALRecoveryResumesExactState(t *testing.T) {
 	if got := s2.StateDigest(); got != digest {
 		t.Fatalf("recovered digest differs:\n%s\n%s", got, digest)
 	}
-	var m2 metricsResponse
-	c2.do("GET", "/api/metrics", nil, &m2)
-	if m1 != m2 {
-		t.Fatalf("metrics after restart = %+v, want %+v", m2, m1)
-	}
 
 	// The offer issued before the restart is still live: worker 2 can
 	// reject it, and the exclusion sticks.
 	if code := c2.do("POST", fmt.Sprintf("/api/offers/%d/reject", offers2[0].OfferID), nil, nil); code != http.StatusOK {
 		t.Fatalf("reject recovered offer: status %d", code)
 	}
-	var m3 metricsResponse
-	c2.do("GET", "/api/metrics", nil, &m3)
-	if m3.Rejected != m1.Rejected+1 {
-		t.Fatalf("rejected = %d, want %d", m3.Rejected, m1.Rejected+1)
+	if got := c2.count("tamp_server_rejects_total"); got != rejects+1 {
+		t.Fatalf("rejects = %d, want %d", got, rejects+1)
 	}
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
@@ -104,14 +97,16 @@ func TestWALRecoveryResumesExactState(t *testing.T) {
 func crashScript(t *testing.T, c *client, s *Server) (crashed bool, before, after string) {
 	t.Helper()
 	ops := []func() int{
-		func() int { return c.do("POST", "/api/workers", workerRequest{ID: 1, DetourKM: 8, Speed: 1}, nil) },
-		func() int { return c.do("POST", "/api/workers/1/location", locationRequest{X: 10, Y: 10}, nil) },
-		func() int { return c.do("POST", "/api/workers/1/location", locationRequest{X: 11, Y: 10}, nil) },
-		func() int { return c.do("POST", "/api/tasks", taskRequest{X: 13, Y: 10, Deadline: 30}, nil) },
+		func() int {
+			return c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 1, DetourKM: 8, Speed: 1}, nil)
+		},
+		func() int { return c.do("POST", "/api/workers/1/location", httpapi.LocationRequest{X: 10, Y: 10}, nil) },
+		func() int { return c.do("POST", "/api/workers/1/location", httpapi.LocationRequest{X: 11, Y: 10}, nil) },
+		func() int { return c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 13, Y: 10, Deadline: 30}, nil) },
 		func() int { return c.do("POST", "/api/batch", nil, nil) },
 		func() int { return c.do("POST", "/api/offers/1/accept", nil, nil) },
 		func() int { return c.do("POST", "/api/tick", nil, nil) },
-		func() int { return c.do("POST", "/api/tasks", taskRequest{X: 20, Y: 10, Deadline: 30}, nil) },
+		func() int { return c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 20, Y: 10, Deadline: 30}, nil) },
 		func() int { return c.do("POST", "/api/tick", nil, nil) },
 	}
 	for _, op := range ops {
@@ -156,8 +151,8 @@ func TestCrashMidAppendLosesOnlyTheUnackedOp(t *testing.T) {
 			// The revived server still serves and commits durably.
 			ts2 := httptest.NewServer(s2)
 			t.Cleanup(ts2.Close)
-			c2 := &client{t: t, srv: ts2}
-			if code := c2.do("POST", "/api/tasks", taskRequest{X: 5, Y: 5, Deadline: 90}, nil); code != http.StatusCreated {
+			c2 := &client{t: t, s: s2, srv: ts2}
+			if code := c2.do("POST", "/api/tasks", httpapi.TaskRequest{X: 5, Y: 5, Deadline: 90}, nil); code != http.StatusCreated {
 				t.Fatalf("post-recovery task: status %d", code)
 			}
 			if err := s2.Close(); err != nil {
@@ -223,7 +218,7 @@ func TestWALAppendErrorIsVisible(t *testing.T) {
 
 	submit := func() {
 		t.Helper()
-		if code := c.do("POST", "/api/tasks", taskRequest{X: 5, Y: 5, Deadline: 90}, nil); code != http.StatusCreated {
+		if code := c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 5, Y: 5, Deadline: 90}, nil); code != http.StatusCreated {
 			t.Fatalf("task submission: status %d", code)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 
 	"github.com/spatialcrowd/tamp/internal/fault"
 	"github.com/spatialcrowd/tamp/internal/geo"
+	"github.com/spatialcrowd/tamp/internal/httpapi"
 	"github.com/spatialcrowd/tamp/internal/par"
 	"github.com/spatialcrowd/tamp/internal/server"
 	"github.com/spatialcrowd/tamp/internal/wal"
@@ -96,7 +97,7 @@ func TestClusterChaosFailoverDigest(t *testing.T) {
 
 	// Registration broadcasts to every shard, so each register is a west op.
 	for id := 1; id <= 3; id++ {
-		w := workerRequest{ID: id, DetourKM: 8, Speed: 1, MR: 0.8}
+		w := httpapi.WorkerRequest{ID: id, DetourKM: 8, Speed: 1, MR: 0.8}
 		if code := do("POST", "/api/workers", w, nil); code != http.StatusCreated {
 			t.Fatalf("register worker %d: status %d", id, code)
 		}
@@ -107,7 +108,7 @@ func TestClusterChaosFailoverDigest(t *testing.T) {
 	walkMirrored := func(worker int, x0, y float64) {
 		t.Helper()
 		for i := 0; i < 6; i++ {
-			loc := locationRequest{X: x0 + float64(i), Y: y}
+			loc := httpapi.LocationRequest{X: x0 + float64(i), Y: y}
 			path := fmt.Sprintf("/api/workers/%d/location", worker)
 			if code := do("POST", path, loc, nil); code != http.StatusOK {
 				t.Fatalf("worker %d report %d: status %d", worker, i, code)
@@ -118,7 +119,7 @@ func TestClusterChaosFailoverDigest(t *testing.T) {
 	walkMirrored(1, 10, 10)
 	walkMirrored(2, 30, 20)
 	for i := 0; i < 6; i++ {
-		if code := do("POST", "/api/workers/3/location", locationRequest{X: 80 + float64(i), Y: 10}, nil); code != http.StatusOK {
+		if code := do("POST", "/api/workers/3/location", httpapi.LocationRequest{X: 80 + float64(i), Y: 10}, nil); code != http.StatusOK {
 			t.Fatalf("worker 3 report %d: status %d", i, code)
 		}
 	}
@@ -126,16 +127,16 @@ func TestClusterChaosFailoverDigest(t *testing.T) {
 	submitMirrored := func(x, y float64) int {
 		t.Helper()
 		var task taskView
-		if code := do("POST", "/api/tasks", taskRequest{X: x, Y: y, Deadline: 60}, &task); code != http.StatusCreated {
+		if code := do("POST", "/api/tasks", httpapi.TaskRequest{X: x, Y: y, Deadline: 60}, &task); code != http.StatusCreated {
 			t.Fatalf("task at (%g,%g): status %d", x, y, code)
 		}
 		// The router allocated the global ID; the oracle must reuse it so
 		// both copies of the state name the task identically.
-		mirror("POST", "/api/tasks", taskRequest{ID: task.ID, X: x, Y: y, Deadline: 60})
+		mirror("POST", "/api/tasks", httpapi.TaskRequest{ID: task.ID, X: x, Y: y, Deadline: 60})
 		return task.ID
 	}
 	taskA := submitMirrored(18, 10)
-	if code := do("POST", "/api/tasks", taskRequest{X: 88, Y: 10, Deadline: 60}, nil); code != http.StatusCreated {
+	if code := do("POST", "/api/tasks", httpapi.TaskRequest{X: 88, Y: 10, Deadline: 60}, nil); code != http.StatusCreated {
 		t.Fatal("east task failed")
 	}
 	taskC := submitMirrored(33, 20)
@@ -144,7 +145,7 @@ func TestClusterChaosFailoverDigest(t *testing.T) {
 		t.Fatal("tick failed")
 	}
 	mirror("POST", "/api/tick", nil)
-	var batch batchResponse
+	var batch httpapi.BatchResponse
 	if code := do("POST", "/api/batch", nil, &batch); code != http.StatusOK {
 		t.Fatal("batch failed")
 	}
@@ -173,11 +174,11 @@ func TestClusterChaosFailoverDigest(t *testing.T) {
 	}
 
 	// Interior west traffic sheds; the op is NOT acked and NOT mirrored.
-	if code := do("POST", "/api/tasks", taskRequest{X: 12, Y: 10, Deadline: 60}, nil); code != http.StatusServiceUnavailable {
+	if code := do("POST", "/api/tasks", httpapi.TaskRequest{X: 12, Y: 10, Deadline: 60}, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("west task during outage: status %d, want 503", code)
 	}
 	// The rest of the fleet keeps serving.
-	if code := do("POST", "/api/tasks", taskRequest{X: 90, Y: 12, Deadline: 60}, nil); code != http.StatusCreated {
+	if code := do("POST", "/api/tasks", httpapi.TaskRequest{X: 90, Y: 12, Deadline: 60}, nil); code != http.StatusCreated {
 		t.Fatal("east task during outage failed")
 	}
 	if code := do("GET", "/readyz", nil, nil); code != http.StatusOK {
@@ -262,7 +263,7 @@ func TestShardCrashMidAppendRejoins(t *testing.T) {
 
 	// Two acked appends, then a digest checkpoint of "what the world saw".
 	for i := 0; i < 2; i++ {
-		if code := doJSON(t, front.URL, "POST", "/api/tasks", taskRequest{X: 10 + float64(i), Y: 10, Deadline: 60}, nil); code != http.StatusCreated {
+		if code := doJSON(t, front.URL, "POST", "/api/tasks", httpapi.TaskRequest{X: 10 + float64(i), Y: 10, Deadline: 60}, nil); code != http.StatusCreated {
 			t.Fatalf("task %d: status %d", i, code)
 		}
 	}
@@ -304,7 +305,7 @@ func TestShardCrashMidAppendRejoins(t *testing.T) {
 	if code := doJSON(t, shard.url(), "GET", "/api/tasks/3", nil, nil); code != http.StatusNotFound {
 		t.Fatalf("torn task resurrected: status %d", code)
 	}
-	if code := doJSON(t, front.URL, "POST", "/api/tasks", taskRequest{X: 40, Y: 10, Deadline: 60}, nil); code != http.StatusCreated {
+	if code := doJSON(t, front.URL, "POST", "/api/tasks", httpapi.TaskRequest{X: 40, Y: 10, Deadline: 60}, nil); code != http.StatusCreated {
 		t.Fatalf("post-recovery task via router: status %d", code)
 	}
 }

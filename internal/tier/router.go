@@ -5,15 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/spatialcrowd/tamp/internal/geo"
+	"github.com/spatialcrowd/tamp/internal/httpapi"
 	"github.com/spatialcrowd/tamp/internal/obs"
 	"github.com/spatialcrowd/tamp/internal/par"
 )
@@ -57,7 +56,7 @@ type Router struct {
 	cfg    Config
 	reg    *obs.Registry
 	shards []*shardState
-	mux    *http.ServeMux
+	h      http.Handler // the routes behind the shared shell
 
 	mu       sync.Mutex
 	nextTask int
@@ -79,6 +78,7 @@ type shardState struct {
 	client  *Client
 	breaker *Breaker
 	ready   atomic.Bool // latest /readyz probe verdict
+	readyG  *obs.Gauge  // tamp_router_shard_ready{shard}: ready as 1 or 0
 
 	queueMu sync.Mutex
 	queue   []queuedTask
@@ -87,7 +87,7 @@ type shardState struct {
 
 type queuedTask struct {
 	id  int
-	req taskRequest
+	req httpapi.TaskRequest
 }
 
 // routable reports whether the router may send ordinary traffic to the
@@ -110,42 +110,8 @@ type routedTask struct {
 type routedWorker struct {
 	mu         sync.Mutex
 	home       int // -1 until the first location report
-	reg        workerRequest
+	reg        httpapi.WorkerRequest
 	registered []bool // per shard
-}
-
-// Wire types mirrored from the shard API (internal/server keeps its own
-// unexported copies; this is the protocol, stated twice on purpose so the
-// tier can only depend on the wire contract).
-type taskRequest struct {
-	ID       int     `json:"id,omitempty"`
-	X        float64 `json:"x"`
-	Y        float64 `json:"y"`
-	Deadline int     `json:"deadline"`
-}
-
-type workerRequest struct {
-	ID       int     `json:"id"`
-	DetourKM float64 `json:"detourKm"`
-	Speed    float64 `json:"speed"`
-	MR       float64 `json:"mr"`
-}
-
-type locationRequest struct {
-	X float64 `json:"x"`
-	Y float64 `json:"y"`
-}
-
-type offerRecord struct {
-	OfferID  int `json:"offerId"`
-	TaskID   int `json:"taskId"`
-	WorkerID int `json:"workerId"`
-}
-
-type batchResponse struct {
-	Tick   int `json:"tick"`
-	Offers int `json:"offers"`
-	Open   int `json:"open"`
 }
 
 // NewRouter builds a Router over the shard map.
@@ -191,6 +157,7 @@ func NewRouter(cfg Config) (*Router, error) {
 			idx: i, def: def, breaker: br,
 			client: NewClient(def.Name, def.URL, hc, br, cfg.Retry, cfg.AttemptTimeout, retriesTotal),
 			depth:  reg.Gauge("tamp_router_queue_depth", obs.L("shard", def.Name)),
+			readyG: reg.Gauge("tamp_router_shard_ready", obs.L("shard", def.Name)),
 		}
 		rt.shards = append(rt.shards, ss)
 	}
@@ -202,42 +169,38 @@ func NewRouter(cfg Config) (*Router, error) {
 func (rt *Router) Registry() *obs.Registry { return rt.reg }
 
 func (rt *Router) routes() {
-	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("/api/tasks", rt.handleTasks)
-	rt.mux.HandleFunc("/api/tasks/", rt.handleTaskByID)
-	rt.mux.HandleFunc("/api/workers", rt.handleWorkers)
-	rt.mux.HandleFunc("/api/workers/", rt.handleWorkerByID)
-	rt.mux.HandleFunc("/api/offers/", rt.handleOfferByID)
-	rt.mux.HandleFunc("/api/tick", rt.handleFanout)
-	rt.mux.HandleFunc("/api/batch", rt.handleFanout)
-	rt.mux.HandleFunc("/api/metrics", rt.handleMetrics)
-	rt.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	mux := http.NewServeMux()
+	mux.HandleFunc("/api/tasks", rt.handleTasks)
+	mux.HandleFunc("/api/tasks/", rt.handleTaskByID)
+	mux.HandleFunc("/api/workers", rt.handleWorkers)
+	mux.HandleFunc("/api/workers/", rt.handleWorkerByID)
+	mux.HandleFunc("/api/offers/", rt.handleOfferByID)
+	mux.HandleFunc("/api/tick", rt.handleFanout)
+	mux.HandleFunc("/api/batch", rt.handleFanout)
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	rt.mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
 		for _, ss := range rt.shards {
 			if ss.routable() {
-				writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+				httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 				return
 			}
 		}
-		httpError(w, http.StatusServiceUnavailable, "no routable shard")
+		httpapi.Error(w, http.StatusServiceUnavailable, "no routable shard")
 	})
-	rt.mux.Handle("/metrics", rt.reg.Handler())
+	mux.Handle("/metrics", rt.reg.Handler())
+	rt.h = httpapi.Harden("tier", mux, httpapi.MaxBodyBytes, nil)
 }
 
-// ServeHTTP implements http.Handler with the same panic hardening the
-// shards use: one bad request must not take the routing tier down.
+// ServeHTTP implements http.Handler: every request runs behind the shell
+// the shards use (httpapi.Harden: request bodies capped at
+// httpapi.MaxBodyBytes, a recovered panic answered 500) and is timed into
+// tamp_router_request_seconds.
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	defer func() {
-		rt.routeSec.Observe(time.Since(start).Seconds())
-		if rec := recover(); rec != nil {
-			log.Printf("tier: recovered panic in %s %s: %v", r.Method, r.URL.Path, rec)
-			httpError(w, http.StatusInternalServerError, "internal error")
-		}
-	}()
-	rt.mux.ServeHTTP(w, r)
+	rt.h.ServeHTTP(w, r)
+	rt.routeSec.Observe(time.Since(start).Seconds())
 }
 
 // Run starts the health probers and blocks until ctx is done. Tests drive
@@ -265,6 +228,7 @@ func (rt *Router) ProbeOnce(ctx context.Context) {
 		up := rt.probeShard(ctx, ss)
 		wasReady := ss.ready.Swap(up)
 		if up {
+			ss.readyG.Set(1)
 			// The shard answered readyz: whatever the breaker thought, the
 			// shard is demonstrably serving again.
 			ss.breaker.Success()
@@ -272,8 +236,11 @@ func (rt *Router) ProbeOnce(ctx context.Context) {
 				log.Printf("tier: shard %s admitted (readyz ok)", ss.def.Name)
 			}
 			rt.flushQueue(ctx, ss)
-		} else if wasReady {
-			log.Printf("tier: shard %s removed from rotation (readyz failing)", ss.def.Name)
+		} else {
+			ss.readyG.Set(0)
+			if wasReady {
+				log.Printf("tier: shard %s removed from rotation (readyz failing)", ss.def.Name)
+			}
 		}
 	}
 }
@@ -339,18 +306,6 @@ func (rt *Router) flushQueue(ctx context.Context, ss *shardState) {
 
 // --- helpers ---
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("tier: writeJSON: %v", err)
-	}
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 // passthrough copies a shard response (status + JSON body) to the client.
 func passthrough(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
@@ -362,16 +317,7 @@ func passthrough(w http.ResponseWriter, status int, body []byte) {
 func (rt *Router) shed(w http.ResponseWriter, why string) {
 	rt.shedsC.Inc()
 	w.Header().Set("Retry-After", strconv.Itoa(int((rt.cfg.RetryAfter+time.Second-1)/time.Second)))
-	httpError(w, http.StatusServiceUnavailable, "%s", why)
-}
-
-func trailingID(path, prefix string) (int, bool) {
-	rest := strings.TrimPrefix(path, prefix)
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		rest = rest[:i]
-	}
-	id, err := strconv.Atoi(rest)
-	return id, err == nil
+	httpapi.Error(w, http.StatusServiceUnavailable, "%s", why)
 }
 
 // --- tasks ---
@@ -383,7 +329,7 @@ func (rt *Router) handleTasks(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		rt.listTasks(w, r)
 	default:
-		httpError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
 	}
 }
 
@@ -391,9 +337,9 @@ func (rt *Router) handleTasks(w http.ResponseWriter, r *http.Request) {
 // its location, duplicate border tasks onto the neighbor, and degrade
 // gracefully — failover, queue, or shed — when the home shard is down.
 func (rt *Router) submitTask(w http.ResponseWriter, r *http.Request) {
-	var req taskRequest
+	var req httpapi.TaskRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad json: %v", err)
+		httpapi.Error(w, http.StatusBadRequest, "bad json: %v", err)
 		return
 	}
 	loc := rt.cfg.Map.Grid.Bounds().Clamp(geo.Pt(req.X, req.Y))
@@ -408,7 +354,7 @@ func (rt *Router) submitTask(w http.ResponseWriter, r *http.Request) {
 	if req.ID > 0 {
 		if _, dup := rt.tasks[req.ID]; dup {
 			rt.mu.Unlock()
-			httpError(w, http.StatusConflict, "task %d already exists", req.ID)
+			httpapi.Error(w, http.StatusConflict, "task %d already exists", req.ID)
 			return
 		}
 		if req.ID >= rt.nextTask {
@@ -441,7 +387,7 @@ func (rt *Router) submitTask(w http.ResponseWriter, r *http.Request) {
 				ss.depth.Set(float64(len(ss.queue)))
 				ss.queueMu.Unlock()
 				rt.queuedC.Inc()
-				writeJSON(w, http.StatusAccepted, map[string]any{"id": id, "status": "queued"})
+				httpapi.WriteJSON(w, http.StatusAccepted, map[string]any{"id": id, "status": "queued"})
 				return
 			}
 			ss.queueMu.Unlock()
@@ -492,51 +438,41 @@ func (rt *Router) lookupTask(id int) *routedTask {
 // task ID; for a border task both shards answer and the decided copy (or
 // the home's) wins.
 func (rt *Router) listTasks(w http.ResponseWriter, r *http.Request) {
-	merged := map[int]json.RawMessage{}
-	decided := map[int]bool{}
+	merged := map[int]httpapi.TaskResponse{}
 	for _, ss := range rt.shards {
 		if !ss.routable() {
 			continue
 		}
-		status, body, err := ss.client.Do(r.Context(), http.MethodGet, "/api/tasks", nil)
-		if err != nil || status != http.StatusOK {
+		var tasks []httpapi.TaskResponse
+		if status, err := ss.client.DoJSON(r.Context(), http.MethodGet, "/api/tasks", nil, &tasks); err != nil || status != http.StatusOK {
 			continue
 		}
-		var tasks []struct {
-			ID     int    `json:"id"`
-			Status string `json:"status"`
-		}
-		if json.Unmarshal(body, &tasks) != nil {
-			continue
-		}
-		var raw []json.RawMessage
-		if json.Unmarshal(body, &raw) != nil {
-			continue
-		}
-		for i, t := range tasks {
-			isDecided := t.Status == "accepted" || t.Status == "offered"
-			if _, seen := merged[t.ID]; !seen || (isDecided && !decided[t.ID]) {
-				merged[t.ID] = raw[i]
-				decided[t.ID] = isDecided
+		for _, t := range tasks {
+			if prev, seen := merged[t.ID]; !seen || (decided(t.Status) && !decided(prev.Status)) {
+				merged[t.ID] = t
 			}
 		}
 	}
-	out := make([]json.RawMessage, 0, len(merged))
-	for _, m := range merged {
-		out = append(out, m)
+	out := make([]httpapi.TaskResponse, 0, len(merged))
+	for _, t := range merged {
+		out = append(out, t)
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
+// decided reports whether a task copy in this status has been offered or
+// accepted — the copy a listing shows over an open one.
+func decided(status string) bool { return status == "accepted" || status == "offered" }
+
 func (rt *Router) handleTaskByID(w http.ResponseWriter, r *http.Request) {
-	id, ok := trailingID(r.URL.Path, "/api/tasks/")
+	id, _, ok := httpapi.PathID(r.URL.Path, "/api/tasks/")
 	if !ok {
-		httpError(w, http.StatusBadRequest, "bad task id")
+		httpapi.Error(w, http.StatusBadRequest, "bad task id")
 		return
 	}
 	rec := rt.lookupTask(id)
 	if rec == nil {
-		httpError(w, http.StatusNotFound, "task %d not found", id)
+		httpapi.Error(w, http.StatusNotFound, "task %d not found", id)
 		return
 	}
 	switch r.Method {
@@ -577,7 +513,7 @@ func (rt *Router) handleTaskByID(w http.ResponseWriter, r *http.Request) {
 		}
 		passthrough(w, status, body)
 	default:
-		httpError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
 	}
 }
 
@@ -586,19 +522,19 @@ func (rt *Router) handleTaskByID(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
-		var req workerRequest
+		var req httpapi.WorkerRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad json: %v", err)
+			httpapi.Error(w, http.StatusBadRequest, "bad json: %v", err)
 			return
 		}
 		if req.ID <= 0 {
-			httpError(w, http.StatusBadRequest, "worker id must be positive")
+			httpapi.Error(w, http.StatusBadRequest, "worker id must be positive")
 			return
 		}
 		rt.mu.Lock()
 		if _, dup := rt.workers[req.ID]; dup {
 			rt.mu.Unlock()
-			httpError(w, http.StatusConflict, "worker %d already registered", req.ID)
+			httpapi.Error(w, http.StatusConflict, "worker %d already registered", req.ID)
 			return
 		}
 		rw := &routedWorker{home: -1, reg: req, registered: make([]bool, len(rt.shards))}
@@ -639,41 +575,33 @@ func (rt *Router) handleWorkers(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		rt.listWorkers(w, r)
 	default:
-		httpError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
 	}
 }
 
+// listWorkers fans GET /api/workers across the routable shards and merges
+// by worker ID; the copy on the shard where the worker is online wins.
 func (rt *Router) listWorkers(w http.ResponseWriter, r *http.Request) {
-	merged := map[int]json.RawMessage{}
-	online := map[int]bool{}
+	merged := map[int]httpapi.WorkerResponse{}
 	for _, ss := range rt.shards {
 		if !ss.routable() {
 			continue
 		}
-		status, body, err := ss.client.Do(r.Context(), http.MethodGet, "/api/workers", nil)
-		if err != nil || status != http.StatusOK {
+		var workers []httpapi.WorkerResponse
+		if status, err := ss.client.DoJSON(r.Context(), http.MethodGet, "/api/workers", nil, &workers); err != nil || status != http.StatusOK {
 			continue
 		}
-		var workers []struct {
-			ID     int  `json:"id"`
-			Online bool `json:"online"`
-		}
-		var raw []json.RawMessage
-		if json.Unmarshal(body, &workers) != nil || json.Unmarshal(body, &raw) != nil {
-			continue
-		}
-		for i, wk := range workers {
-			if _, seen := merged[wk.ID]; !seen || (wk.Online && !online[wk.ID]) {
-				merged[wk.ID] = raw[i]
-				online[wk.ID] = wk.Online
+		for _, wk := range workers {
+			if prev, seen := merged[wk.ID]; !seen || (wk.Online && !prev.Online) {
+				merged[wk.ID] = wk
 			}
 		}
 	}
-	out := make([]json.RawMessage, 0, len(merged))
-	for _, m := range merged {
-		out = append(out, m)
+	out := make([]httpapi.WorkerResponse, 0, len(merged))
+	for _, wk := range merged {
+		out = append(out, wk)
 	}
-	writeJSON(w, http.StatusOK, out)
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 func (rt *Router) lookupWorker(id int) *routedWorker {
@@ -706,27 +634,21 @@ func (rt *Router) ensureRegistered(ctx context.Context, rw *routedWorker, shard 
 }
 
 func (rt *Router) handleWorkerByID(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/api/workers/")
-	parts := strings.Split(rest, "/")
-	id, err := strconv.Atoi(parts[0])
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad worker id")
+	id, action, ok := httpapi.PathID(r.URL.Path, "/api/workers/")
+	if !ok {
+		httpapi.Error(w, http.StatusBadRequest, "bad worker id")
 		return
 	}
 	rw := rt.lookupWorker(id)
 	if rw == nil {
-		httpError(w, http.StatusNotFound, "worker %d not registered", id)
+		httpapi.Error(w, http.StatusNotFound, "worker %d not registered", id)
 		return
-	}
-	action := ""
-	if len(parts) > 1 {
-		action = parts[1]
 	}
 	switch {
 	case r.Method == http.MethodPost && action == "location":
-		var req locationRequest
+		var req httpapi.LocationRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad json: %v", err)
+			httpapi.Error(w, http.StatusBadRequest, "bad json: %v", err)
 			return
 		}
 		// The first report pins the worker to the shard owning that spot;
@@ -758,9 +680,9 @@ func (rt *Router) handleWorkerByID(w http.ResponseWriter, r *http.Request) {
 		if home < 0 {
 			// Never reported: no shard owns it yet; answer what is known.
 			if action == "offers" {
-				writeJSON(w, http.StatusOK, []any{})
+				httpapi.WriteJSON(w, http.StatusOK, []any{})
 			} else {
-				writeJSON(w, http.StatusOK, rw.reg)
+				httpapi.WriteJSON(w, http.StatusOK, rw.reg)
 			}
 			return
 		}
@@ -775,30 +697,24 @@ func (rt *Router) handleWorkerByID(w http.ResponseWriter, r *http.Request) {
 		}
 		passthrough(w, status, body)
 	default:
-		httpError(w, http.StatusMethodNotAllowed, "method %s %s", r.Method, action)
+		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s %s", r.Method, action)
 	}
 }
 
 // --- offers: first-accept-wins reconciliation ---
 
 func (rt *Router) handleOfferByID(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/api/offers/")
-	parts := strings.Split(rest, "/")
-	id, err := strconv.Atoi(parts[0])
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad offer id")
+	id, action, ok := httpapi.PathID(r.URL.Path, "/api/offers/")
+	if !ok {
+		httpapi.Error(w, http.StatusBadRequest, "bad offer id")
 		return
 	}
 	shard := ShardOfOffer(id, len(rt.shards))
 	if shard < 0 {
-		httpError(w, http.StatusNotFound, "offer %d outside every shard's id range", id)
+		httpapi.Error(w, http.StatusNotFound, "offer %d outside every shard's id range", id)
 		return
 	}
 	ss := rt.shards[shard]
-	action := ""
-	if len(parts) > 1 {
-		action = parts[1]
-	}
 	switch {
 	case r.Method == http.MethodGet && action == "":
 		status, body, err := ss.client.Do(r.Context(), http.MethodGet, r.URL.Path, nil)
@@ -817,7 +733,7 @@ func (rt *Router) handleOfferByID(w http.ResponseWriter, r *http.Request) {
 		}
 		passthrough(w, status, body)
 	default:
-		httpError(w, http.StatusMethodNotAllowed, "method %s %s", r.Method, action)
+		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s %s", r.Method, action)
 	}
 }
 
@@ -828,14 +744,14 @@ func (rt *Router) handleOfferByID(w http.ResponseWriter, r *http.Request) {
 // lost retraction is safely retried at the next accept attempt.
 func (rt *Router) acceptOffer(w http.ResponseWriter, r *http.Request, ss *shardState, offerID int) {
 	// Learn which task the offer would commit before forwarding.
-	var rec offerRecord
+	var rec httpapi.OfferRecord
 	status, err := ss.client.DoJSON(r.Context(), http.MethodGet, "/api/offers/"+strconv.Itoa(offerID), nil, &rec)
 	if err != nil {
 		rt.shed(w, fmt.Sprintf("shard %s down", ss.def.Name))
 		return
 	}
 	if status != http.StatusOK {
-		httpError(w, status, "offer %d not found", offerID)
+		httpapi.Error(w, status, "offer %d not found", offerID)
 		return
 	}
 	rtask := rt.lookupTask(rec.TaskID)
@@ -858,7 +774,7 @@ func (rt *Router) acceptOffer(w http.ResponseWriter, r *http.Request, ss *shardS
 		// transition) and tell the worker the offer is gone.
 		rt.retractCopy(r.Context(), ss, rec.TaskID)
 		rt.reconcilesC.Inc()
-		httpError(w, http.StatusConflict, "task %d already accepted on shard %s",
+		httpapi.Error(w, http.StatusConflict, "task %d already accepted on shard %s",
 			rec.TaskID, rt.shards[rtask.won].def.Name)
 		return
 	}
@@ -907,10 +823,10 @@ func (rt *Router) retractCopy(ctx context.Context, ss *shardState, taskID int) {
 // open counts sum.
 func (rt *Router) handleFanout(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost && !(r.Method == http.MethodGet && r.URL.Path == "/api/tick") {
-		httpError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
 		return
 	}
-	var agg batchResponse
+	var agg httpapi.BatchResponse
 	any := false
 	for _, ss := range rt.shards {
 		if !ss.routable() {
@@ -921,7 +837,7 @@ func (rt *Router) handleFanout(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		any = true
-		var br batchResponse
+		var br httpapi.BatchResponse
 		if json.Unmarshal(body, &br) == nil {
 			if br.Tick > agg.Tick {
 				agg.Tick = br.Tick
@@ -935,76 +851,15 @@ func (rt *Router) handleFanout(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Path == "/api/tick" {
-		writeJSON(w, http.StatusOK, map[string]int{"tick": agg.Tick})
+		httpapi.WriteJSON(w, http.StatusOK, map[string]int{"tick": agg.Tick})
 		return
 	}
-	writeJSON(w, http.StatusOK, agg)
-}
-
-// --- metrics ---
-
-type shardMetrics struct {
-	Name    string `json:"name"`
-	URL     string `json:"url"`
-	Ready   bool   `json:"ready"`
-	Breaker string `json:"breaker"`
-	Queued  int    `json:"queued"`
-}
-
-type routerMetrics struct {
-	Shards      []shardMetrics `json:"shards"`
-	Tasks       int            `json:"tasks"`
-	Workers     int            `json:"workers"`
-	Sheds       int64          `json:"sheds"`
-	Failovers   int64          `json:"failovers"`
-	BorderTasks int64          `json:"borderTasks"`
-	Reconciled  int64          `json:"reconciled"`
-	Queued      int64          `json:"queued"`
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := routerMetrics{
-		Sheds:       rt.shedsC.Value(),
-		Failovers:   rt.failoversC.Value(),
-		BorderTasks: rt.borderC.Value(),
-		Reconciled:  rt.reconcilesC.Value(),
-		Queued:      rt.queuedC.Value(),
-	}
-	rt.mu.Lock()
-	m.Tasks, m.Workers = len(rt.tasks), len(rt.workers)
-	rt.mu.Unlock()
-	for _, ss := range rt.shards {
-		ss.queueMu.Lock()
-		depth := len(ss.queue)
-		ss.queueMu.Unlock()
-		m.Shards = append(m.Shards, shardMetrics{
-			Name: ss.def.Name, URL: ss.def.URL,
-			Ready: ss.ready.Load(), Breaker: ss.breaker.State().String(),
-			Queued: depth,
-		})
-	}
-	writeJSON(w, http.StatusOK, m)
+	httpapi.WriteJSON(w, http.StatusOK, agg)
 }
 
 // ListenAndServe serves the router on addr with the probers running, until
 // ctx is cancelled; then it drains in-flight requests.
 func (rt *Router) ListenAndServe(ctx context.Context, addr string) error {
 	go rt.Run(ctx)
-	srv := &http.Server{
-		Addr:        addr,
-		Handler:     rt,
-		BaseContext: func(net.Listener) context.Context { return ctx },
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case <-ctx.Done():
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		err := srv.Shutdown(shutCtx)
-		<-errc
-		return err
-	case err := <-errc:
-		return err
-	}
+	return httpapi.Serve(ctx, addr, rt)
 }

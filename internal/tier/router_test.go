@@ -5,14 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/spatialcrowd/tamp/internal/assign"
 	"github.com/spatialcrowd/tamp/internal/geo"
+	"github.com/spatialcrowd/tamp/internal/httpapi"
+	"github.com/spatialcrowd/tamp/internal/obs"
 	"github.com/spatialcrowd/tamp/internal/par"
 	"github.com/spatialcrowd/tamp/internal/server"
 )
@@ -134,6 +138,12 @@ func newTestCluster(t *testing.T, borderKM float64, queueLimit int) *testCluster
 	return tc
 }
 
+// gauge reads one of the router's per-shard gauges off its registry: the
+// series GET /metrics exports.
+func (tc *testCluster) gauge(name, shard string) float64 {
+	return tc.router.Registry().Gauge(name, obs.L("shard", shard)).Value()
+}
+
 // do issues a JSON request against the router front door.
 func (tc *testCluster) do(method, path string, body, out any) int {
 	tc.t.Helper()
@@ -192,7 +202,7 @@ func (tc *testCluster) walk(worker int, x0, y float64, steps int, dx float64) {
 	tc.t.Helper()
 	for i := 0; i < steps; i++ {
 		code := tc.do("POST", fmt.Sprintf("/api/workers/%d/location", worker),
-			locationRequest{X: x0 + float64(i)*dx, Y: y}, nil)
+			httpapi.LocationRequest{X: x0 + float64(i)*dx, Y: y}, nil)
 		if code != http.StatusOK {
 			tc.t.Fatalf("worker %d location report %d: status %d", worker, i, code)
 		}
@@ -202,13 +212,13 @@ func (tc *testCluster) walk(worker int, x0, y float64, steps int, dx float64) {
 func TestRouterInteriorFlow(t *testing.T) {
 	tc := newTestCluster(t, 0, 4)
 
-	if code := tc.do("POST", "/api/workers", workerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil); code != http.StatusCreated {
+	if code := tc.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil); code != http.StatusCreated {
 		t.Fatalf("register status %d", code)
 	}
 	tc.walk(1, 10, 10, 6, 1)
 
 	var task taskView
-	if code := tc.do("POST", "/api/tasks", taskRequest{X: 18, Y: 10, Deadline: 30}, &task); code != http.StatusCreated {
+	if code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{X: 18, Y: 10, Deadline: 30}, &task); code != http.StatusCreated {
 		t.Fatalf("post task status %d", code)
 	}
 
@@ -220,7 +230,7 @@ func TestRouterInteriorFlow(t *testing.T) {
 		t.Fatalf("east shard should not hold interior west task: status %d", code)
 	}
 
-	var batch batchResponse
+	var batch httpapi.BatchResponse
 	if code := tc.do("POST", "/api/batch", nil, &batch); code != http.StatusOK {
 		t.Fatalf("batch status %d", code)
 	}
@@ -259,7 +269,7 @@ func TestRouterBorderFirstAcceptWins(t *testing.T) {
 	tc := newTestCluster(t, 1, 4) // 1 km border: x in [45, 55) spans the cut
 
 	for id := 1; id <= 2; id++ {
-		if code := tc.do("POST", "/api/workers", workerRequest{ID: id, DetourKM: 8, Speed: 1, MR: 0.8}, nil); code != http.StatusCreated {
+		if code := tc.do("POST", "/api/workers", httpapi.WorkerRequest{ID: id, DetourKM: 8, Speed: 1, MR: 0.8}, nil); code != http.StatusCreated {
 			t.Fatalf("register worker %d: status %d", id, code)
 		}
 	}
@@ -267,7 +277,7 @@ func TestRouterBorderFirstAcceptWins(t *testing.T) {
 	tc.walk(2, 56, 25, 6, -1) // worker 2 ends at x=51 → home east
 
 	var task taskView
-	if code := tc.do("POST", "/api/tasks", taskRequest{X: 48, Y: 25, Deadline: 30}, &task); code != http.StatusCreated {
+	if code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{X: 48, Y: 25, Deadline: 30}, &task); code != http.StatusCreated {
 		t.Fatalf("post border task: status %d", code)
 	}
 	// The border task is live on both shards under one ID.
@@ -280,7 +290,7 @@ func TestRouterBorderFirstAcceptWins(t *testing.T) {
 		t.Fatalf("border counter = %d, want 1", v)
 	}
 
-	var batch batchResponse
+	var batch httpapi.BatchResponse
 	tc.do("POST", "/api/batch", nil, &batch)
 	if batch.Offers != 2 {
 		t.Fatalf("fan-out batch offers = %d, want 2 (one per shard)", batch.Offers)
@@ -323,19 +333,25 @@ func TestRouterBorderFirstAcceptWins(t *testing.T) {
 
 func TestRouterQueueShedAndFlush(t *testing.T) {
 	tc := newTestCluster(t, 0, 2)
+	if v := tc.gauge("tamp_router_shard_ready", "west"); v != 1 {
+		t.Fatalf("west shard_ready = %v before the outage, want 1", v)
+	}
 
 	tc.shards[0].kill()
 	tc.router.ProbeOnce(context.Background())
+	if v := tc.gauge("tamp_router_shard_ready", "west"); v != 0 {
+		t.Fatalf("west shard_ready = %v after kill and probe, want 0", v)
+	}
 
 	// Interior west tasks queue up to the limit, then shed with Retry-After.
 	var first, second map[string]any
-	if code := tc.do("POST", "/api/tasks", taskRequest{X: 10, Y: 10, Deadline: 30}, &first); code != http.StatusAccepted {
+	if code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{X: 10, Y: 10, Deadline: 30}, &first); code != http.StatusAccepted {
 		t.Fatalf("first task during outage: status %d, want 202", code)
 	}
 	if first["status"] != "queued" {
 		t.Fatalf("first task response = %v", first)
 	}
-	if code := tc.do("POST", "/api/tasks", taskRequest{X: 11, Y: 10, Deadline: 30}, &second); code != http.StatusAccepted {
+	if code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{X: 11, Y: 10, Deadline: 30}, &second); code != http.StatusAccepted {
 		t.Fatalf("second task during outage: status %d, want 202", code)
 	}
 
@@ -358,9 +374,12 @@ func TestRouterQueueShedAndFlush(t *testing.T) {
 	if v := tc.router.queuedC.Value(); v != 2 {
 		t.Fatalf("queued = %d, want 2", v)
 	}
+	if v := tc.gauge("tamp_router_queue_depth", "west"); v != 2 {
+		t.Fatalf("west queue depth during the outage = %v, want 2", v)
+	}
 
 	// East traffic is untouched by the west outage.
-	if code := tc.do("POST", "/api/tasks", taskRequest{X: 80, Y: 10, Deadline: 30}, nil); code != http.StatusCreated {
+	if code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{X: 80, Y: 10, Deadline: 30}, nil); code != http.StatusCreated {
 		t.Fatalf("east task during west outage: status %d", code)
 	}
 
@@ -376,10 +395,11 @@ func TestRouterQueueShedAndFlush(t *testing.T) {
 	if got.Status != string(server.TaskOpen) {
 		t.Fatalf("flushed task status = %s", got.Status)
 	}
-	var m routerMetrics
-	tc.do("GET", "/api/metrics", nil, &m)
-	if m.Shards[0].Queued != 0 {
-		t.Fatalf("west queue depth after flush = %d", m.Shards[0].Queued)
+	if v := tc.gauge("tamp_router_queue_depth", "west"); v != 0 {
+		t.Fatalf("west queue depth after flush = %v, want 0", v)
+	}
+	if v := tc.gauge("tamp_router_shard_ready", "west"); v != 1 {
+		t.Fatalf("west shard_ready = %v after restart and probe, want 1", v)
 	}
 }
 
@@ -392,7 +412,7 @@ func TestRouterBorderFailover(t *testing.T) {
 	// A border task whose home (west) is down fails over to east instead of
 	// queueing: a neighbor that can serve it is better than a buffer.
 	var task taskView
-	if code := tc.do("POST", "/api/tasks", taskRequest{X: 48, Y: 25, Deadline: 30}, &task); code != http.StatusCreated {
+	if code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{X: 48, Y: 25, Deadline: 30}, &task); code != http.StatusCreated {
 		t.Fatalf("border task during west outage: status %d, want 201", code)
 	}
 	if code := tc.doShard(1, "GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, nil); code != http.StatusOK {
@@ -403,7 +423,7 @@ func TestRouterBorderFailover(t *testing.T) {
 	}
 
 	// An interior west task still queues — no neighbor can serve it.
-	if code := tc.do("POST", "/api/tasks", taskRequest{X: 10, Y: 25, Deadline: 30}, nil); code != http.StatusAccepted {
+	if code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{X: 10, Y: 25, Deadline: 30}, nil); code != http.StatusAccepted {
 		t.Fatalf("interior task during outage: status %d, want 202", code)
 	}
 }
@@ -425,7 +445,7 @@ func TestRouterClosedShardTripsBreaker(t *testing.T) {
 	// Without a fresh probe the router still believes the shard is up; the
 	// first request's retries must trip the breaker, not hang.
 	start := time.Now()
-	code := tc.do("POST", "/api/tasks", taskRequest{X: 10, Y: 10, Deadline: 30}, nil)
+	code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{X: 10, Y: 10, Deadline: 30}, nil)
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("task against closed shard: status %d, want 503", code)
 	}
@@ -437,7 +457,7 @@ func TestRouterClosedShardTripsBreaker(t *testing.T) {
 	}
 	// The next request fails fast on the open breaker: no network attempts.
 	start = time.Now()
-	if code := tc.do("POST", "/api/tasks", taskRequest{X: 10, Y: 10, Deadline: 30}, nil); code != http.StatusServiceUnavailable {
+	if code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{X: 10, Y: 10, Deadline: 30}, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("second task: status %d, want 503", code)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
@@ -473,20 +493,52 @@ func TestRouterHealthAndMetricsEndpoints(t *testing.T) {
 	if code := tc.do("GET", "/readyz", nil, nil); code != http.StatusOK {
 		t.Fatalf("readyz = %d", code)
 	}
-	var m routerMetrics
-	if code := tc.do("GET", "/api/metrics", nil, &m); code != http.StatusOK {
-		t.Fatalf("api/metrics = %d", code)
-	}
-	if len(m.Shards) != 2 || !m.Shards[0].Ready || m.Shards[0].Breaker != "closed" {
-		t.Fatalf("metrics shards = %+v", m.Shards)
-	}
-
 	resp, err := http.Get(tc.front.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("prometheus export = %d", resp.StatusCode)
+	}
+	for _, shard := range []string{"west", "east"} {
+		for _, want := range []string{
+			fmt.Sprintf(`tamp_router_shard_ready{shard=%q} 1`, shard),
+			fmt.Sprintf(`tamp_router_breaker_state{shard=%q} %d`, shard, BreakerClosed),
+			fmt.Sprintf(`tamp_router_queue_depth{shard=%q} 0`, shard),
+		} {
+			if !bytes.Contains(body, []byte(want)) {
+				t.Errorf("/metrics missing %q\nbody:\n%s", want, body)
+			}
+		}
+	}
+}
+
+// TestRouterCapsRequestBodies: the router refuses a body over
+// httpapi.MaxBodyBytes instead of buffering it, forwards nothing to any
+// shard, and keeps serving ordinary requests.
+func TestRouterCapsRequestBodies(t *testing.T) {
+	tc := newTestCluster(t, 0, 4)
+	// A well-formed task whose padding alone is 2 MiB: without the cap the
+	// router decodes it and places the task.
+	huge := fmt.Sprintf(`{"x":10,"y":10,"deadline":30,"pad":%q}`, strings.Repeat("x", 2<<20))
+	rec := httptest.NewRecorder()
+	tc.router.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/tasks", strings.NewReader(huge)))
+	if rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2 MiB task submit: status %d, want 400 or 413", rec.Code)
+	}
+	for i := range tc.shards {
+		var tasks []httpapi.TaskResponse
+		tc.doShard(i, "GET", "/api/tasks", nil, &tasks)
+		if len(tasks) != 0 {
+			t.Fatalf("shard %d received the oversized task: %+v", i, tasks)
+		}
+	}
+	if code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{X: 10, Y: 10, Deadline: 30}, nil); code != http.StatusCreated {
+		t.Fatalf("ordinary submit after the oversized one: status %d", code)
 	}
 }

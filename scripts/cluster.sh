@@ -64,14 +64,16 @@ wait_ready() {
     exit 1
 }
 
-# wait_shard_admitted <index>: poll the router until it routes to shard i.
+# wait_shard_admitted <name>: poll the router's /metrics until its probe
+# has admitted the named shard (tamp_router_shard_ready{shard="<name>"} 1).
 wait_shard_admitted() {
-    local i="$1"
+    local name="$1"
     for _ in $(seq 80); do
-        if [ "$(curl -s "$ROUTER/api/metrics" | jq ".shards[$i].ready")" = "true" ]; then return 0; fi
+        # grep without -q reads all of its input: no SIGPIPE for curl under pipefail.
+        if curl -s "$ROUTER/metrics" | grep -Fx "tamp_router_shard_ready{shard=\"$name\"} 1" >/dev/null; then return 0; fi
         sleep 0.25
     done
-    echo "FAIL: router never admitted shard $i" >&2
+    echo "FAIL: router never admitted shard $name" >&2
     exit 1
 }
 
@@ -85,8 +87,8 @@ PIDS+=($!)
 wait_ready "http://$WEST_ADDR"
 wait_ready "http://$EAST_ADDR"
 wait_ready "$ROUTER"
-wait_shard_admitted 0
-wait_shard_admitted 1
+wait_shard_admitted west
+wait_shard_admitted east
 
 say "submitting a marker task on the west shard"
 MARK=$(curl -sf -X POST "$ROUTER/api/tasks" \
@@ -126,7 +128,7 @@ if [ "$SMOKE" = "1" ]; then
     say "chaos: restart west from its WAL"
     WEST_PID=$(start_shard "$WEST_ADDR" 1000000000 "$RUN/wal-west"); PIDS+=("$WEST_PID")
     wait_ready "http://$WEST_ADDR"
-    wait_shard_admitted 0
+    wait_shard_admitted west
 
     # Zero lost acked ops: the marker task survived the kill.
     CODE=$(curl -s -o /dev/null -w '%{http_code}' "$ROUTER/api/tasks/$MARK")
