@@ -210,7 +210,7 @@ func main() {
 	if effective <= 0 {
 		effective = runtime.GOMAXPROCS(0)
 	}
-	fmt.Printf("parallelism: %d goroutines (GOMAXPROCS %d), nn exp: %s\n", effective, runtime.GOMAXPROCS(0), nn.ExpPath())
+	fmt.Printf("parallelism: %d goroutines (GOMAXPROCS %d), nn kernels: %s\n", effective, runtime.GOMAXPROCS(0), nn.KernelPath())
 
 	// Ctrl-C abandons the current experiment cleanly instead of killing the
 	// process mid-write.
@@ -287,7 +287,7 @@ func main() {
 // so the exact allocs/op rule only compares like with like at GOMAXPROCS 1.
 func pinSingleP() {
 	runtime.GOMAXPROCS(1)
-	fmt.Printf("GOMAXPROCS %d (pinned for the kernel suites), nn exp: %s\n", runtime.GOMAXPROCS(0), nn.ExpPath())
+	fmt.Printf("GOMAXPROCS %d (pinned for the kernel suites), nn kernels: %s\n", runtime.GOMAXPROCS(0), nn.KernelPath())
 }
 
 // runMatrix is the -matrix / -check-matrix mode: run the scenario-generator

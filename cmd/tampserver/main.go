@@ -108,7 +108,7 @@ func main() {
 	} else {
 		log.Printf("background ticker: 1 tick per %v", *tick)
 	}
-	log.Printf("platform listening on %s (assigner %s), %s, nn exp: %s", *addr, *assigner, forecastNote(cfg.Assigner), nn.ExpPath())
+	log.Printf("platform listening on %s (assigner %s), %s, nn kernels: %s", *addr, *assigner, forecastNote(cfg.Assigner), nn.KernelPath())
 	err = s.ListenAndServe(ctx, *addr, interval)
 	if err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("tampserver: %v", err)

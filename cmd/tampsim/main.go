@@ -98,7 +98,7 @@ func main() {
 		w = tamp.GenerateWorkload(p)
 	}
 
-	fmt.Printf("training %s predictors (%s loss, %d iters; nn exp: %s)...\n", *alg, *loss, *iters, nn.ExpPath())
+	fmt.Printf("training %s predictors (%s loss, %d iters; nn kernels: %s)...\n", *alg, *loss, *iters, nn.KernelPath())
 	pred, err := tamp.TrainPredictors(ctx, w, tamp.TrainOptions{
 		Algorithm:    *alg,
 		WeightedLoss: *loss == "weighted",

@@ -26,7 +26,7 @@ func TestSeq2SeqSteadyStateAllocFree(t *testing.T) {
 	loss := MSE{}
 	batch := []Sample{s, randSample(rng, 4, 2, 6, 3)}
 
-	EachExpPath(t, func(path string) {
+	EachKernelPath(t, func(path string) {
 		requireZeroAllocs(t, path+": Seq2Seq.Predict", func() { m.Predict(s.In, 3) })
 		requireZeroAllocs(t, path+": Seq2Seq.Grad", func() { m.Grad(s.In, s.Out, loss, grad) })
 		requireZeroAllocs(t, path+": Seq2Seq.BatchLoss", func() { m.BatchLoss(batch, loss) })

@@ -96,7 +96,7 @@ func TestBatchGradMatchesStreamed(t *testing.T) {
 // reference kernels (the same oracle TestFusedLSTMMatchesReference
 // uses for the per-sample path), bit for bit, on every exp path.
 func TestBatchGradMatchesReference(t *testing.T) {
-	EachExpPath(t, func(path string) { batchGradMatchesReference(t, path) })
+	EachKernelPath(t, func(path string) { batchGradMatchesReference(t, path) })
 }
 
 func batchGradMatchesReference(t *testing.T, path string) {

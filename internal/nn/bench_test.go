@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -26,6 +27,21 @@ func BenchmarkSeq2SeqGrad(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		grad.Zero()
 		m.Grad(s.In, s.Out, MSE{}, grad)
+	}
+}
+
+// BenchmarkLSTMForwardStep times one forward step at the production
+// encoder shape (hidden 12, in 4: a packed row of 16) and decoder shape
+// (hidden 12, in 2: 14, two columns past a multiple of four).
+func BenchmarkLSTMForwardStep(b *testing.B) {
+	for _, in := range []int{4, 2} {
+		step := LSTMStepFunc(in, 12, rand.New(rand.NewSource(1)))
+		b.Run(fmt.Sprintf("h12_in%d", in), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				step()
+			}
+		})
 	}
 }
 

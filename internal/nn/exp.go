@@ -11,6 +11,8 @@ import "math"
 // math.Exp to its non-FMA sequence on the same hardware. So the lanes are
 // chosen once, at init, when the CPU can execute them and they reproduce
 // math.Exp bit for bit on expProbes; otherwise every call is math.Exp's.
+// The gate mat-vec's lanes (gateRows) need only AVX and ride on the same
+// choice, after their own self-check against the Go loop.
 
 // expProbes is the self-check set: ordinary and edge arguments, and eight on
 // which math.Exp's FMA and non-FMA sequences round differently (drawn from
@@ -24,12 +26,14 @@ var expProbes = [...]float64{
 	699.5, -699.5, 0x1p-1030, -0.5 * math.Ln2,
 }
 
-// expLanes is true when expInPlace runs expBlocks; expWhy says why not.
-// Tests flip expLanes to force the scalar path.
-var expLanes, expWhy = chooseExpLanes()
+// lanes is true when every LSTM step runs the lane kernels — gateRows for
+// the gate mat-vec, expBlocks under expInPlace — and lanesWhy says why not.
+// One gate covers both, so a process runs both kernels or neither. Tests
+// flip lanes to force the Go path.
+var lanes, lanesWhy = chooseLanes()
 
-func chooseExpLanes() (bool, string) {
-	if why := expBlocksMissing(); why != "" {
+func chooseLanes() (bool, string) {
+	if why := lanesMissing(); why != "" {
 		return false, why
 	}
 	got := expProbes
@@ -41,24 +45,50 @@ func chooseExpLanes() (bool, string) {
 			return false, "math.Exp does not run the FMA sequence"
 		}
 	}
+	if !gateRowsMatchGo() {
+		return false, "self-check: gate mat-vec differs from the Go loop"
+	}
 	return true, ""
 }
 
-// ExpPath names the exp every LSTM gate runs on in this process —
-// "avx2+fma ×4", or "scalar (reason)" — so a benchmark figure can be
-// attributed to a kernel. Either path gives math.Exp's bits.
-func ExpPath() string {
-	if expLanes {
-		return "avx2+fma ×4"
+// gateRowsMatchGo runs gateRows and gateRowsGo on a fixed cell of hidden 5,
+// in 2 — a group of four units and a single one, a block of four columns
+// and a tail of three — whose values, of one magnitude and full mantissas,
+// round at most adds, so a kernel that swapped two columns' adds fails it.
+func gateRowsMatchGo() bool {
+	const hidden, nin = 5, 7
+	const gs = hidden * (nin + 1)
+	var probe [4*gs + nin]float64 // the weights, then the packed input
+	for i := range probe {
+		probe[i] = float64((i*7919)%2003-1001) / 977
 	}
-	return "scalar (" + expWhy + ")"
+	w, xh := probe[:4*gs], probe[4*gs:]
+	var got, want [4 * hidden]float64
+	gateRows(got[:], w, xh, gs)
+	gateRowsGo(want[:], w, xh, gs)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// KernelPath names the kernels every LSTM step runs on in this process —
+// "exp avx2+fma ×4, gates avx ×4", or "scalar (reason)" — so a benchmark
+// figure can be attributed to them. Either path gives the same bits.
+func KernelPath() string {
+	if lanes {
+		return "exp avx2+fma ×4, gates avx ×4"
+	}
+	return "scalar (" + lanesWhy + ")"
 }
 
 // expInPlace replaces every v[i] by math.Exp(v[i]), bit for bit. Blocks of
 // four in (−700, 700) go through the lanes when the gate chose them; any
 // other block, and the tail, go through math.Exp one element at a time.
 func expInPlace(v []float64) {
-	for expLanes && len(v) >= 4 {
+	for lanes && len(v) >= 4 {
 		v = v[expBlocks(v):]
 		if len(v) >= 4 { // v[:4] holds an argument outside (−700, 700)
 			scalarExp(v[:4])

@@ -8,14 +8,21 @@ package nn
 //go:noescape
 func expBlocks(x []float64) int
 
+// gateRows is gateRowsGo in four AVX lanes (gates_amd64.s), bit for bit.
+// Only the gate in exp.go decides whether it may run.
+//
+//go:noescape
+func gateRows(z, w, xh []float64, gs int)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// expBlocksMissing names the first requirement for running expBlocks that
-// this CPU and OS do not meet — AVX, FMA and AVX2 reported by CPUID, YMM
-// state enabled by the OS (XGETBV) — or returns "" when they meet them all.
-func expBlocksMissing() string {
+// lanesMissing names the first requirement for running the lane kernels
+// that this CPU and OS do not meet — AVX, FMA and AVX2 reported by CPUID,
+// YMM state enabled by the OS (XGETBV) — or returns "" when they meet them
+// all.
+func lanesMissing() string {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	_, _, ecx1, _ := cpuid(1, 0)
 	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28

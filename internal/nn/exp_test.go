@@ -99,40 +99,42 @@ func TestExpProbesSeparateSequences(t *testing.T) {
 // them and math.Exp runs the sequence they replay.
 func TestExpGateFollowsMathExp(t *testing.T) {
 	seq := mathExpSeq()
-	t.Logf("math.Exp sequence: %s; nn exp: %s", seq, ExpPath())
-	cpuOK := expBlocksMissing() == ""
-	if want := cpuOK && seq == "fma"; expLanes != want {
-		t.Fatalf("exp lanes %v, want %v (CPU runs them: %v; math.Exp sequence: %s)", expLanes, want, cpuOK, seq)
+	t.Logf("math.Exp sequence: %s; nn kernels: %s", seq, KernelPath())
+	cpuOK := lanesMissing() == ""
+	if want := cpuOK && seq == "fma"; lanes != want {
+		t.Fatalf("lanes %v, want %v (CPU runs them: %v; math.Exp sequence: %s)", lanes, want, cpuOK, seq)
 	}
 }
 
 // TestExpGateUnderGODEBUG re-runs this test binary with GODEBUG settings that
 // move math.Exp to its plain sequence on the same hardware. The gate must
-// fall back to scalar there, and the bit-identity tests must pass on what
-// it chose. (At GOAMD64=v3 and above the runtime ignores these settings,
+// fall back to the Go path there — the exp and the gate mat-vec both, since
+// one gate covers them — and the bit-identity tests must pass on what it
+// chose. (At GOAMD64=v3 and above the runtime ignores these settings,
 // math.Exp keeps its FMA sequence, and the lanes rightly stay on.)
 func TestExpGateUnderGODEBUG(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-executes the test binary")
 	}
+	tests := []string{"TestExpGateFollowsMathExp", "TestGateRowsMatchGoLoop", "TestLSTMForwardBitsMatchReference", "TestPredictFutureBitsMatchReferenceRollout"}
 	for _, setting := range []string{"cpu.fma=off", "cpu.avx=off"} {
-		cmd := exec.Command(os.Args[0], "-test.count=1", "-test.v",
-			"-test.run=^(TestExpGateFollowsMathExp|TestLSTMForwardBitsMatchReference|TestPredictFutureBitsMatchReferenceRollout)$")
+		cmd := exec.Command(os.Args[0], "-test.count=1", "-test.v", "-test.run=^("+strings.Join(tests, "|")+")$")
 		cmd.Env = append(os.Environ(), "GODEBUG="+setting)
 		out, err := cmd.CombinedOutput()
 		if err != nil {
 			t.Fatalf("GODEBUG=%s: %v\n%s", setting, err, out)
 		}
-		for _, name := range []string{"TestExpGateFollowsMathExp", "TestLSTMForwardBitsMatchReference", "TestPredictFutureBitsMatchReferenceRollout"} {
-			if !strings.Contains(string(out), "--- PASS: "+name+" ") {
+		for _, name := range tests {
+			// TestGateRowsMatchGoLoop skips where the CPU has no lanes.
+			if !strings.Contains(string(out), "--- PASS: "+name+" ") && !strings.Contains(string(out), "--- SKIP: "+name+" ") {
 				t.Fatalf("GODEBUG=%s: %s did not pass\n%s", setting, name, out)
 			}
 		}
 		switch {
 		case strings.Contains(string(out), "math.Exp sequence: fma;"):
 			t.Logf("GODEBUG=%s ignored (GOAMD64 level requires the feature); math.Exp keeps the FMA sequence", setting)
-		case !strings.Contains(string(out), "nn exp: scalar ("):
-			t.Fatalf("GODEBUG=%s: math.Exp left its FMA sequence but the gate did not fall back\n%s", setting, out)
+		case !strings.Contains(string(out), "nn kernels: scalar ("):
+			t.Fatalf("GODEBUG=%s: math.Exp left its FMA sequence but the gate did not move both kernels to Go\n%s", setting, out)
 		}
 	}
 }
@@ -184,7 +186,7 @@ func TestExpInPlaceMatchesMathExp(t *testing.T) {
 	scalarOnly := []float64{nan, -nan, math.Float64frombits(0x7ff8000000000123), math.Float64frombits(0xfff4000000000001),
 		inf, -inf, 1e300, -1e300, 709.78, -745.2, 710, -800}
 
-	EachExpPath(t, func(path string) {
+	EachKernelPath(t, func(path string) {
 		requireExpBits(t, path, edges)
 		// Each scalar-only value at each lane of a block, among
 		// in-range neighbours, and at the tail.
@@ -196,7 +198,7 @@ func TestExpInPlaceMatchesMathExp(t *testing.T) {
 			}
 		}
 		n := 10_000_000
-		if !expLanes {
+		if !lanes {
 			n = 200_000 // the scalar path is math.Exp itself
 		}
 		xs := make([]float64, 4096)

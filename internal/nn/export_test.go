@@ -11,17 +11,18 @@ func RefPredict(m *Seq2Seq, in [][]float64, seqOut int) [][]float64 {
 	return preds
 }
 
-// EachExpPath runs f once on every path the gate kernel can take in this
-// process — the exp lanes when the gate chose them, then the scalar
-// fallback, forced — passing ExpPath() so failures name the path. Tests
-// that call it must not run in parallel with other nn tests.
-func EachExpPath(t testing.TB, f func(path string)) {
+// EachKernelPath runs f once on every path an LSTM step can take in this
+// process — the lane kernels (gate mat-vec and exp) when the gate chose
+// them, then the Go path, forced by switching that one gate off — passing
+// KernelPath() so failures name the path. Tests that call it must not run
+// in parallel with other nn tests.
+func EachKernelPath(t testing.TB, f func(path string)) {
 	t.Helper()
-	lanes, why := expLanes, expWhy
-	defer func() { expLanes, expWhy = lanes, why }()
-	if lanes {
-		f(ExpPath())
-		expLanes, expWhy = false, "forced by test"
+	chosen, why := lanes, lanesWhy
+	defer func() { lanes, lanesWhy = chosen, why }()
+	if chosen {
+		f(KernelPath())
+		lanes, lanesWhy = false, "forced by test"
 	}
-	f(ExpPath())
+	f(KernelPath())
 }

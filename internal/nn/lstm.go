@@ -1,6 +1,9 @@
 package nn
 
-import "math"
+import (
+	"math"
+	"math/rand"
+)
 
 // lstmCell is a single-layer LSTM with a packed weight layout.
 //
@@ -36,10 +39,10 @@ type lstmStep struct {
 	h          []float64
 }
 
-// gateChunk is how many hidden units forward activates per pass: the exp
-// arguments of their four gates fill one fixed-size stack array, so a step
-// needs no heap scratch, which every model workspace would otherwise carry
-// (a fleet holds one per worker).
+// gateChunk is how many hidden units forward handles per pass: their four
+// gate pre-activations fill one fixed-size stack array, which then holds
+// their exp arguments, so a step needs no heap scratch, which every model
+// workspace would otherwise carry (a fleet holds one per worker).
 const gateChunk = 16
 
 // forward computes one LSTM step into the caller's step record. st's buffers
@@ -52,71 +55,92 @@ func (c lstmCell) forward(w Vector, x, hPrev, cPrev []float64, st *lstmStep) {
 	copy(xh, x)
 	copy(xh[c.in:], hPrev)
 	st.cPrev = cPrev
-	// Unit-major: the four gate rows of hidden unit k advance together, so
-	// the core has four independent add chains in flight instead of waiting
-	// on one. Each row still sums bias first, then ascending j, so every
-	// result bit is the scalar reference's (DESIGN.md §9). The
-	// pre-activations wait in the gate fields until activate replaces them.
 	gs := h * cols
-	var scratch [4 * gateChunk]float64
+	var z [4 * gateChunk]float64
 	for k0 := 0; k0 < h; k0 += gateChunk {
 		k1 := min(k0+gateChunk, h)
-		for k := k0; k < k1; k++ {
-			base := k * cols
-			ri := w[base : base+cols]
-			rf := w[base+gs : base+gs+cols]
-			rg := w[base+2*gs : base+2*gs+cols]
-			ro := w[base+3*gs : base+3*gs+cols]
-			zi, zf, zg, zo := ri[nin], rf[nin], rg[nin], ro[nin] // biases
-			ri, rf, rg, ro = ri[:nin], rf[:nin], rg[:nin], ro[:nin]
-			for j, xv := range xh {
-				zi += ri[j] * xv
-				zf += rf[j] * xv
-				zg += rg[j] * xv
-				zo += ro[j] * xv
-			}
-			st.i[k], st.f[k], st.g[k], st.o[k] = zi, zf, zg, zo
+		zc := z[:4*(k1-k0)]
+		rows := w[k0*cols : 3*gs+k1*cols]
+		if lanes {
+			gateRows(zc, rows, xh, gs)
+		} else {
+			gateRowsGo(zc, rows, xh, gs)
 		}
-		activate(st, cPrev, k0, k1, &scratch)
+		activate(st, cPrev, k0, k1, zc)
 	}
 }
 
-// activate turns the pre-activations of units [k0, k1) held in st's gate
-// fields into sigmoid/tanh gate values and finishes those units' cell update:
-// cNew = f·cPrev + i·g, tanhC = tanh(cNew), h = o·tanhC.
+// gateRowsGo writes the gate pre-activations of len(z)/4 consecutive hidden
+// units into z, interleaved: z[4u:4u+4] holds unit u's (i, f, g, o). w
+// starts at the first unit's input-gate row; a unit's four gate rows lie gs
+// apart, consecutive units' rows len(xh)+1 apart, the bias last in each row.
 //
-// With the exp lanes on, the step's math.Exp arguments go through
-// expInPlace in two calls (the four gates, then tanh(cNew)) and each unit
-// combines the results with the very formulas sigmoid and math.Tanh apply to
-// their own math.Exp result (sigmoidArg/sigmoidOf, tanhArg/tanhOf), so every
-// value is the bit pattern those functions return. Without the lanes it
-// calls them directly.
-func activate(st *lstmStep, cPrev []float64, k0, k1 int, scratch *[4 * gateChunk]float64) {
+// Unit-major: the four gate rows of a unit advance together, so the core
+// has four independent add chains in flight instead of waiting on one.
+// Each row still sums bias first, then ascending j, so every result bit is
+// the scalar reference's (DESIGN.md §9); gateRows is the same loop in AVX
+// lanes.
+func gateRowsGo(z, w, xh []float64, gs int) {
+	nin := len(xh)
+	cols := nin + 1
+	for u := 0; u < len(z)/4; u++ {
+		base := u * cols
+		ri := w[base : base+cols]
+		rf := w[base+gs : base+gs+cols]
+		rg := w[base+2*gs : base+2*gs+cols]
+		ro := w[base+3*gs : base+3*gs+cols]
+		zi, zf, zg, zo := ri[nin], rf[nin], rg[nin], ro[nin] // biases
+		ri, rf, rg, ro = ri[:nin], rf[:nin], rg[:nin], ro[:nin]
+		for j, xv := range xh {
+			zi += ri[j] * xv
+			zf += rf[j] * xv
+			zg += rg[j] * xv
+			zo += ro[j] * xv
+		}
+		q := z[4*u : 4*u+4 : 4*u+4]
+		q[0], q[1], q[2], q[3] = zi, zf, zg, zo
+	}
+}
+
+// activate turns the pre-activations of units [k0, k1), interleaved in z as
+// gateRowsGo leaves them, into sigmoid/tanh gate values in st's gate fields
+// and finishes those units' cell update: cNew = f·cPrev + i·g,
+// tanhC = tanh(cNew), h = o·tanhC.
+//
+// With the lanes on, the step's math.Exp arguments replace the
+// pre-activations in z (which the gate fields hold meanwhile) and go
+// through expInPlace in two calls (the four gates, then tanh(cNew)), and
+// each unit combines the results with the very formulas sigmoid and
+// math.Tanh apply to their own math.Exp result (sigmoidArg/sigmoidOf,
+// tanhArg/tanhOf), so every value is the bit pattern those functions
+// return. Without the lanes it calls them directly.
+func activate(st *lstmStep, cPrev []float64, k0, k1 int, z []float64) {
 	gi, gf, gg, gos := st.i[k0:k1], st.f[k0:k1], st.g[k0:k1], st.o[k0:k1]
 	n := len(gi)
 	cPrev, cNew, tanhC, hOut := cPrev[k0:k1:k1], st.cNew[k0:k1:k1], st.tanhC[k0:k1:k1], st.h[k0:k1:k1]
-	gf, gg, gos = gf[:n], gg[:n], gos[:n]
-	if !expLanes {
+	gf, gg, gos, z = gf[:n], gg[:n], gos[:n], z[:4*n]
+	if !lanes {
 		for k := range gi {
-			gi[k], gf[k], gg[k], gos[k] = sigmoid(gi[k]), sigmoid(gf[k]), math.Tanh(gg[k]), sigmoid(gos[k])
+			q := z[4*k : 4*k+4 : 4*k+4]
+			gi[k], gf[k], gg[k], gos[k] = sigmoid(q[0]), sigmoid(q[1]), math.Tanh(q[2]), sigmoid(q[3])
 			cn := gf[k]*cPrev[k] + gi[k]*gg[k]
 			tc := math.Tanh(cn)
 			cNew[k], tanhC[k], hOut[k] = cn, tc, gos[k]*tc
 		}
 		return
 	}
-	e := scratch[:4*n]
 	for k := range gi {
-		q := e[4*k : 4*k+4 : 4*k+4]
-		q[0], q[1], q[2], q[3] = sigmoidArg(gi[k]), sigmoidArg(gf[k]), tanhArg(gg[k]), sigmoidArg(gos[k])
+		q := z[4*k : 4*k+4 : 4*k+4]
+		gi[k], gf[k], gg[k], gos[k] = q[0], q[1], q[2], q[3]
+		q[0], q[1], q[2], q[3] = sigmoidArg(q[0]), sigmoidArg(q[1]), tanhArg(q[2]), sigmoidArg(q[3])
 	}
-	expInPlace(e)
+	expInPlace(z)
 	for k := range gi {
-		q := e[4*k : 4*k+4 : 4*k+4]
+		q := z[4*k : 4*k+4 : 4*k+4]
 		gi[k], gf[k], gg[k], gos[k] = sigmoidOf(gi[k], q[0]), sigmoidOf(gf[k], q[1]), tanhOf(gg[k], q[2]), sigmoidOf(gos[k], q[3])
 		cNew[k] = gf[k]*cPrev[k] + gi[k]*gg[k]
 	}
-	e = scratch[:n]
+	e := z[:n]
 	for k, cn := range cNew {
 		e[k] = tanhArg(cn)
 	}
@@ -308,4 +332,17 @@ func (l linear) backward(w, grad Vector, x, dy, dx []float64) {
 		}
 		grow[l.in] += d
 	}
+}
+
+// LSTMStepFunc returns one forward step of an LSTM cell with in inputs and
+// hidden units, on weights and inputs drawn from rng, as a closure: the unit
+// of work BenchmarkLSTMForwardStep and internal/perf time on its own.
+func LSTMStepFunc(in, hidden int, rng *rand.Rand) func() {
+	c := lstmCell{in: in, hidden: hidden}
+	w := RandomVector(c.numParams(), 1/math.Sqrt(float64(in+hidden)), rng)
+	x := RandomVector(in, 0.5, rng)
+	hPrev := RandomVector(hidden, 0.5, rng)
+	cPrev := RandomVector(hidden, 1, rng)
+	st := &growLSTMTape(nil, 1, c)[0]
+	return func() { c.forward(w, x, hPrev, cPrev, st) }
 }

@@ -53,16 +53,50 @@ func requireSameBits(t *testing.T, field string, got, want []float64) {
 // TestLSTMForwardBitsMatchReference holds lstmCell.forward to refLSTMForward
 // bit for bit — every field of the step record, NaN payloads included — over
 // hidden sizes from one unit to past the 12 and 16 the models and guards
-// use and on both sides of one and two activation chunks (gateChunk 16), on
-// ordinary weights and on operands seeded with special values, on every exp
-// path.
+// use, on both sides of one and two activation chunks (gateChunk 16) and at
+// every remainder of the four units gateRows runs side by side, and over
+// input widths that leave every remainder of the packed row's length mod 4
+// (in + hidden; the decoder's is 14) — on ordinary weights and on operands
+// seeded with special values, on every kernel path.
 func TestLSTMForwardBitsMatchReference(t *testing.T) {
-	for _, hidden := range []int{1, 2, 3, 5, 12, 15, 16, 17, 33} {
-		for _, in := range []int{1, 2, 4} {
+	for _, hidden := range []int{1, 2, 3, 5, 6, 7, 12, 15, 16, 17, 33} {
+		for _, in := range []int{1, 2, 3, 4} {
 			t.Run(fmt.Sprintf("h%d_in%d", hidden, in), func(t *testing.T) {
-				EachExpPath(t, func(path string) { forwardMatchesReference(t, path, hidden, in) })
+				EachKernelPath(t, func(path string) { forwardMatchesReference(t, path, hidden, in) })
 			})
 		}
+	}
+}
+
+// TestGateRowsMatchGoLoop holds the gate mat-vec's lanes to the Go loop they
+// replace, bit for bit with NaN payloads, on 300 random shapes — hidden
+// 1–40, in 1–8, any run of units at any offset into the cell — with special
+// values sprinkled into the weights and the packed input.
+func TestGateRowsMatchGoLoop(t *testing.T) {
+	if why := lanesMissing(); why != "" {
+		t.Skipf("no lanes on this CPU: %s", why)
+	}
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 300; trial++ {
+		hidden, in := 1+rng.Intn(40), 1+rng.Intn(8)
+		c := lstmCell{in: in, hidden: hidden}
+		nin, cols := in+hidden, c.cols()
+		gs := hidden * cols
+		w := RandomVector(c.numParams(), 1/math.Sqrt(float64(nin)), rng)
+		xh := RandomVector(nin, 0.5, rng)
+		if trial%3 >= 1 {
+			sprinkle(rng, w, 2+rng.Intn(40))
+		}
+		if trial%3 == 2 {
+			sprinkle(rng, xh, 3)
+		}
+		k0 := rng.Intn(hidden)
+		k1 := k0 + 1 + rng.Intn(hidden-k0)
+		rows := w[k0*cols : 3*gs+k1*cols]
+		got, want := make([]float64, 4*(k1-k0)), make([]float64, 4*(k1-k0))
+		gateRows(got, rows, xh, gs)
+		gateRowsGo(want, rows, xh, gs)
+		requireSameBits(t, fmt.Sprintf("trial %d (hidden %d, in %d, units [%d, %d)): z", trial, hidden, in, k0, k1), got, want)
 	}
 }
 

@@ -206,7 +206,7 @@ func refSeq2SeqGrad(m *Seq2Seq, in, target [][]float64, loss Loss, grad Vector) 
 // predictions, loss, and full-parameter gradients, bit for bit (the op order
 // of every value is the reference's).
 func TestFusedLSTMMatchesReference(t *testing.T) {
-	EachExpPath(t, func(path string) { fusedMatchesReference(t, path) })
+	EachKernelPath(t, func(path string) { fusedMatchesReference(t, path) })
 }
 
 func fusedMatchesReference(t *testing.T, path string) {

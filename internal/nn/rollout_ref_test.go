@@ -49,7 +49,7 @@ func TestPredictFutureBitsMatchReferenceRollout(t *testing.T) {
 		phase := 2 * math.Pi * float64(i%ticksPerDay) / ticksPerDay
 		routine[i] = geo.Pt(50+30*math.Sin(phase)+rng.NormFloat64(), 40+20*math.Cos(phase)+rng.NormFloat64())
 	}
-	nn.EachExpPath(t, func(path string) {
+	nn.EachKernelPath(t, func(path string) {
 		for tick := 1; tick <= len(routine); tick++ {
 			got := fast.PredictFuture(routine[:tick], horizon)
 			want := ref.PredictFuture(routine[:tick], horizon)

@@ -77,9 +77,10 @@ func measure(name string, f func(b *testing.B)) Result {
 	}
 }
 
-// Run executes the hot-path benchmark suite: Predict and Grad, plus the
-// Adam step. The workloads mirror the
-// internal/nn benchmarks (hidden 16, seqIn 5, seqOut 1).
+// Run executes the hot-path benchmark suite: Predict and Grad, one LSTM
+// forward step at the encoder and decoder shapes, and the Adam step. The
+// workloads mirror the internal/nn benchmarks (hidden 16, seqIn 5, seqOut 1;
+// the steps at hidden 12).
 func Run() []Result {
 	newSample := func() nn.Sample {
 		return randSample(rand.New(rand.NewSource(1)), 4, 2, 5, 1)
@@ -102,6 +103,8 @@ func Run() []Result {
 				lstm.Grad(s.In, s.Out, nn.MSE{}, grad)
 			}
 		}),
+		measureStep(4),
+		measureStep(2),
 		measure("AdamStep", func(b *testing.B) {
 			w := nn.RandomVector(4096, 0.1, rand.New(rand.NewSource(1)))
 			g := nn.RandomVector(4096, 0.1, rand.New(rand.NewSource(2)))
@@ -113,6 +116,18 @@ func Run() []Result {
 		}),
 	}
 	return results
+}
+
+// measureStep times one LSTM forward step at hidden 12 with in inputs, the
+// row BenchmarkLSTMForwardStep/h12_in<in> reports.
+func measureStep(in int) Result {
+	step := nn.LSTMStepFunc(in, 12, rand.New(rand.NewSource(1)))
+	return measure(fmt.Sprintf("LSTMForwardStep/h12_in%d", in), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			step()
+		}
+	})
 }
 
 // WriteJSON runs the suite and writes path, preserving an existing file's

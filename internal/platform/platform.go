@@ -249,6 +249,18 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 	// Forecasts are computed only when something reads them: the assigner's
 	// plan, or the budget gate, which prices offers off Worker.Predicted.
 	forecast := assign.ReadsForecast(r.Assigner) || r.Workload.Budget.Enabled
+	// Each batch gives its eligible workers one backing array for their
+	// true future paths and one for their observed windows; worker j fills
+	// its own slot inside the pool, so the fill is race-free and
+	// parallelism-independent. Nothing keeps either past the batch: the
+	// forecast cache and the rollout copy the window, and only this batch's
+	// plan and acceptance checks read Actual.
+	seqIn := 0
+	for _, model := range r.Models {
+		if model != nil {
+			seqIn = max(seqIn, model.SeqIn)
+		}
+	}
 	for tick := 0; tick < horizonTicks; tick++ {
 		if err := ctx.Err(); err != nil {
 			return m, err
@@ -346,6 +358,11 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 			continue
 		}
 		workers := make([]assign.Worker, len(eligible))
+		actual := make([]geo.Point, len(eligible)*lookahead)
+		var observed []geo.Point
+		if forecast || r.Faults != nil {
+			observed = make([]geo.Point, len(eligible)*seqIn)
+		}
 		// Per-worker fault counters are index-addressed and reduced
 		// sequentially after the pool joins, keeping chaos metrics
 		// bit-identical at every parallelism level.
@@ -361,8 +378,9 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 				Speed:  wk.Speed,
 			}
 			// True future path for the acceptance check and the UB oracle.
-			for dt := 1; dt <= lookahead; dt++ {
-				w.Actual = append(w.Actual, actualDay.At(tickInDay+dt))
+			w.Actual = actual[j*lookahead : (j+1)*lookahead : (j+1)*lookahead]
+			for dt := range w.Actual {
+				w.Actual[dt] = actualDay.At(tickInDay + 1 + dt)
 			}
 			// Predicted path from the trace observed so far today, when the
 			// plan or the budget gate reads it. An injector is still shown
@@ -371,11 +389,11 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 			if model := r.Models[wk.ID]; model != nil {
 				w.MR = model.MR
 				if forecast || r.Faults != nil {
-					var recent []geo.Point
+					recent := observed[j*seqIn : j*seqIn : j*seqIn+model.SeqIn]
 					if r.Faults != nil {
-						recent = faultyReports(r.Faults, wk.ID, actualDay, day, p.TicksPerDay, tickInDay, model.SeqIn, &wfaults[j])
+						recent = faultyReports(recent, r.Faults, wk.ID, actualDay, day, p.TicksPerDay, tickInDay, model.SeqIn, &wfaults[j])
 					} else {
-						recent = recentPoints(actualDay, tickInDay, model.SeqIn)
+						recent = recentPoints(recent, actualDay, tickInDay, model.SeqIn)
 					}
 					switch {
 					case r.Faults.PredictorFails(wk.ID, tick) || len(recent) == 0:
@@ -602,31 +620,22 @@ func applyDeferred(so *simObs, deferred []deferredDecision, tick int) []deferred
 	return rest
 }
 
-// recentPoints returns the up-to-n most recent true locations the platform
-// has observed today (workers share their location while online).
-func recentPoints(day traj.Routine, tickInDay, n int) []geo.Point {
-	start := tickInDay - n + 1
-	if start < 0 {
-		start = 0
+// recentPoints appends to dst the up-to-n most recent true locations the
+// platform has observed today (workers share their location while online).
+func recentPoints(dst []geo.Point, day traj.Routine, tickInDay, n int) []geo.Point {
+	for t := max(tickInDay-n+1, 0); t <= tickInDay; t++ {
+		dst = append(dst, day.At(t))
 	}
-	var out []geo.Point
-	for t := start; t <= tickInDay; t++ {
-		out = append(out, day.At(t))
-	}
-	return out
+	return dst
 }
 
 // faultyReports rebuilds the worker's observed trace for today under the
 // injector: dropped pings vanish, noisy pings are perturbed by Gaussian GPS
 // error. Fault draws key on the absolute tick so the schedule is stable
-// across batches. Counters land in fs (the caller's index-addressed slot).
-func faultyReports(f *fault.Injector, workerID int, day traj.Routine, dayIdx, ticksPerDay, tickInDay, n int, fs *FaultStats) []geo.Point {
-	start := tickInDay - n + 1
-	if start < 0 {
-		start = 0
-	}
-	var out []geo.Point
-	for t := start; t <= tickInDay; t++ {
+// across batches. The reports are appended to dst; counters land in fs (the
+// caller's index-addressed slot).
+func faultyReports(dst []geo.Point, f *fault.Injector, workerID int, day traj.Routine, dayIdx, ticksPerDay, tickInDay, n int, fs *FaultStats) []geo.Point {
+	for t := max(tickInDay-n+1, 0); t <= tickInDay; t++ {
 		abs := dayIdx*ticksPerDay + t
 		if f.DropReport(workerID, abs) {
 			fs.DroppedReports++
@@ -638,9 +647,9 @@ func faultyReports(f *fault.Injector, workerID int, day traj.Routine, dayIdx, ti
 			pt.Y += dy
 			fs.NoisyReports++
 		}
-		out = append(out, pt)
+		dst = append(dst, pt)
 	}
-	return out
+	return dst
 }
 
 // acceptance decides whether the worker accepts the assigned task given

@@ -188,12 +188,12 @@ func TestAcceptanceIgnoresCurrentLocation(t *testing.T) {
 
 func TestRecentPoints(t *testing.T) {
 	day := lineRoutine(0, 0, 1, 1, 2, 2, 3, 3)
-	got := recentPoints(day, 2, 2)
+	got := recentPoints(nil, day, 2, 2)
 	if len(got) != 2 || got[0] != pt(1, 1) || got[1] != pt(2, 2) {
 		t.Errorf("recent = %v", got)
 	}
 	// Early in the day the window shrinks.
-	got = recentPoints(day, 0, 5)
+	got = recentPoints(nil, day, 0, 5)
 	if len(got) != 1 || got[0] != pt(0, 0) {
 		t.Errorf("early recent = %v", got)
 	}
