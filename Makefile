@@ -116,11 +116,12 @@ benchguard-allocs:
 
 # Fault-injection regression suite under the race detector: the injector
 # itself, the platform chaos run (churn + dropped/noised reports + predictor
-# failures + delayed decisions), panic isolation, and the server's
-# degraded-mode fallbacks.
+# failures + delayed decisions), the one forecast guard (panicking and
+# non-finite predictors, clean and chaos), the golden chaos metrics and
+# recordings, and the server's degraded-mode fallbacks.
 chaos:
 	$(GO) test -race ./internal/fault/ -v
-	$(GOTEST_RUN) ./internal/platform/ 'Chaos|PanicModel' -race -v
+	$(GOTEST_RUN) ./internal/platform/ 'Chaos|PanicModel|NonFinite|Golden' -race -v
 	$(GOTEST_RUN) ./internal/server/ 'Panic|Degrade|BatchDeadline|OfferOutstanding' -race -v
 	$(GOTEST_RUN) ./internal/par/ 'Panic|Retry' -race -v
 

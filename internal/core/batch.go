@@ -11,27 +11,31 @@ import (
 	"github.com/spatialcrowd/tamp/internal/predict"
 )
 
-// PredHorizon is how many ticks ahead a batch forecasts each worker. The
-// live shard and its replay both forecast this window, so their plans are
-// comparable; the simulator caps it at its lookahead. Autoregressive
-// rollouts accumulate error, so the platform only trusts a bounded window:
-// tasks farther out are matched in later batches as they carry over.
+// PredHorizon is how many ticks ahead a batch forecasts each worker. Every
+// caller of PlanBatch forecasts this window, so the shard's, the replay's and
+// the simulator's plans are comparable. Autoregressive rollouts accumulate
+// error, so the platform only trusts a bounded window: tasks farther out are
+// matched in later batches as they carry over.
 const PredHorizon = 8
 
-// PlanBatch is the batch step the live shard and the offline replay share.
-// It builds the batch input over PredHorizon, with rollouts only when a
-// reads forecasts (the workers of an assigner that never reads
-// Worker.Predicted stand still instead), matches it with match, and numbers
-// the plan's pairs as offers from firstOffer, in plan order. An empty batch
-// returns no offers and never calls match. A ctx cancelled by the end of
-// the matching returns its error: the plan may be partial, so no offers are
-// made from it.
-func PlanBatch(ctx context.Context, st *State, a assign.Assigner, models map[int]*predict.WorkerModel, fc *predict.ForecastCache, parallelism, firstOffer int, match func([]assign.Task, []assign.Worker) []assign.Pair) (offers []OfferIssued, predFallbacks int, err error) {
-	if !assign.ReadsForecast(a) {
+// PlanBatch is the batch step the live shard, the offline replay and the
+// simulator share. It forecasts every worker of in over PredHorizon — with
+// rollouts only when forecast is set, since otherwise nothing reads them —
+// matches the batch with match, and numbers the plan's pairs as offers from
+// firstOffer, in plan order. A worker with a model and a non-empty window is
+// rolled out through SafeForecast; every other worker, and every failed
+// rollout, stands still, and predFallbacks counts the failed rollouts. An
+// empty batch returns no offers and never calls match. A ctx cancelled by
+// the end of the matching returns its error: the plan may be partial, so no
+// offers are made from it.
+func PlanBatch(ctx context.Context, in BatchInput, forecast bool, models map[int]*predict.WorkerModel, fc *predict.ForecastCache, parallelism, firstOffer int, match func([]assign.Task, []assign.Worker) []assign.Pair) (offers []OfferIssued, predFallbacks int, err error) {
+	if len(in.Tasks) == 0 || len(in.Workers) == 0 {
+		return nil, 0, nil
+	}
+	if !forecast {
 		models = nil
 	}
-	in, err := BuildBatch(ctx, st, models, fc, PredHorizon, parallelism)
-	if err != nil || len(in.TaskIDs) == 0 {
+	if err := in.forecast(ctx, models, fc, PredHorizon, parallelism); err != nil {
 		return nil, 0, err
 	}
 	pairs := match(in.Tasks, in.Workers)
@@ -49,32 +53,28 @@ func PlanBatch(ctx context.Context, st *State, a assign.Assigner, models map[int
 	return offers, in.PredFallbacks, nil
 }
 
-// BatchInput is the assignment-ready view of the state for one batch: open,
-// unexpired tasks and online, offer-free workers with at least one reported
-// location, both in ascending ID order so the plan is independent of map
-// iteration order. Workers[i] corresponds to no fixed slot in the state;
-// TaskIDs[i] is the state task behind Tasks[i].
+// BatchInput is the input of one batch: its tasks and its workers, each
+// worker with the window of locations the platform observed for it.
+// SelectBatch reads one from the state; the simulator builds its own from
+// the true paths. TaskIDs[i] is the ID offers name Tasks[i] by.
 type BatchInput struct {
 	Tasks   []assign.Task
 	TaskIDs []int
 	Workers []assign.Worker
+	// Windows[i] is what Workers[i]'s forecast rolls out from; an empty
+	// window stands the worker still.
+	Windows [][]geo.Point
 	// PredFallbacks counts workers whose model forecast failed (panic or
 	// non-finite output) and were degraded to a stand-still prediction.
 	PredFallbacks int
 }
 
-// BuildBatch assembles the assignment input from the current state. The
-// per-worker trajectory rollouts — the expensive part of a batch — fan out
-// on the pool; every slot is index-addressed, so the result is bit-identical
-// at any parallelism level. A cancelled ctx abandons the build.
-//
-// This is the single batch-input path under PlanBatch: replaying a recorded
-// log rebuilds exactly the candidate sets the live run saw.
-//
-// fc memoizes the rollouts across batches (stationary workers reuse their
-// forecasts bit-identically); a nil fc recomputes every forecast, with
-// identical results either way.
-func BuildBatch(ctx context.Context, st *State, models map[int]*predict.WorkerModel, fc *predict.ForecastCache, predHorizon, parallelism int) (BatchInput, error) {
+// SelectBatch reads the batch input from the state: open, unexpired tasks
+// and online, offer-free workers with at least one reported location, both
+// in ascending ID order so the plan is independent of map iteration order,
+// each worker's window its reported trace. A batch with no task or no worker
+// is the zero BatchInput. The windows alias the state's traces.
+func SelectBatch(st *State) BatchInput {
 	var in BatchInput
 	for id, t := range st.Tasks {
 		if t.Status == StatusOpen && t.Task.Deadline >= st.Tick {
@@ -91,45 +91,67 @@ func BuildBatch(ctx context.Context, st *State, models map[int]*predict.WorkerMo
 	}
 	sort.Ints(workerIDs)
 	if len(in.TaskIDs) == 0 || len(workerIDs) == 0 {
-		in.TaskIDs = nil
-		return in, nil
+		return BatchInput{}
 	}
 	in.Tasks = make([]assign.Task, len(in.TaskIDs))
 	for i, id := range in.TaskIDs {
 		in.Tasks[i] = st.Tasks[id].Task
 	}
 	in.Workers = make([]assign.Worker, len(workerIDs))
+	in.Windows = make([][]geo.Point, len(workerIDs))
+	for i, id := range workerIDs {
+		w := st.Workers[id]
+		in.Workers[i] = assign.Worker{
+			ID: w.ID, Loc: w.Trace[len(w.Trace)-1], Detour: w.Detour, Speed: w.Speed, MR: w.MR,
+		}
+		in.Windows[i] = w.Trace
+	}
+	return in
+}
+
+// BuildBatch is SelectBatch with every worker forecast over predHorizon,
+// the way PlanBatch forecasts a batch that reads forecasts.
+//
+// fc memoizes the rollouts across batches (stationary workers reuse their
+// forecasts bit-identically); a nil fc recomputes every forecast, with
+// identical results either way.
+func BuildBatch(ctx context.Context, st *State, models map[int]*predict.WorkerModel, fc *predict.ForecastCache, predHorizon, parallelism int) (BatchInput, error) {
+	in := SelectBatch(st)
+	if err := in.forecast(ctx, models, fc, predHorizon, parallelism); err != nil {
+		return BatchInput{}, err
+	}
+	return in, nil
+}
+
+// forecast fills every worker's Predicted over horizon and counts the failed
+// rollouts in PredFallbacks. The rollouts — the expensive part of a batch —
+// fan out on the pool; every slot is index-addressed, so the result is
+// bit-identical at any parallelism level. A cancelled ctx abandons it.
+func (in *BatchInput) forecast(ctx context.Context, models map[int]*predict.WorkerModel, fc *predict.ForecastCache, horizon, parallelism int) error {
 	// fellBack is index-addressed per worker and reduced after the pool
 	// joins, so the counter needs no synchronization inside the closure.
-	fellBack := make([]bool, len(workerIDs))
-	if err := par.ForEach(ctx, len(workerIDs), parallelism, func(i int) error {
-		w := st.Workers[workerIDs[i]]
-		cur := w.Trace[len(w.Trace)-1]
-		aw := assign.Worker{
-			ID: w.ID, Loc: cur, Detour: w.Detour, Speed: w.Speed, MR: w.MR,
+	fellBack := make([]bool, len(in.Workers))
+	if err := par.ForEach(ctx, len(in.Workers), parallelism, func(i int) error {
+		w := &in.Workers[i]
+		if m := models[w.ID]; m != nil && len(in.Windows[i]) > 0 {
+			w.Predicted = SafeForecast(fc, m, in.Windows[i], horizon)
+			fellBack[i] = w.Predicted == nil
 		}
-		if m := models[w.ID]; m != nil {
-			aw.Predicted = SafeForecast(fc, m, w.Trace, predHorizon)
-			if aw.Predicted == nil {
-				fellBack[i] = true
-			}
+		if w.Predicted == nil {
+			// No model, no window, or its forecast failed: the worker
+			// stands still rather than dropping out of the batch.
+			w.Predicted = StandStill(w.Loc, horizon)
 		}
-		if aw.Predicted == nil {
-			// No model, or its forecast failed: the worker stands still
-			// rather than dropping out of the batch.
-			aw.Predicted = StandStill(cur, predHorizon)
-		}
-		in.Workers[i] = aw
 		return nil
 	}); err != nil {
-		return BatchInput{}, err
+		return err
 	}
 	for _, fb := range fellBack {
 		if fb {
 			in.PredFallbacks++
 		}
 	}
-	return in, nil
+	return nil
 }
 
 // StandStill is the forecast of a worker nothing is predicted for: horizon

@@ -2,13 +2,15 @@ package platform
 
 import (
 	"context"
-	"errors"
+	"math"
 	"testing"
 
 	"github.com/spatialcrowd/tamp/internal/assign"
+	"github.com/spatialcrowd/tamp/internal/core"
 	"github.com/spatialcrowd/tamp/internal/fault"
 	"github.com/spatialcrowd/tamp/internal/geo"
-	"github.com/spatialcrowd/tamp/internal/par"
+	"github.com/spatialcrowd/tamp/internal/nn"
+	"github.com/spatialcrowd/tamp/internal/obs"
 	"github.com/spatialcrowd/tamp/internal/predict"
 )
 
@@ -104,22 +106,78 @@ func panickingWorkload(a assign.Assigner) (*Run, *fault.PanicModel) {
 	return &Run{Workload: w, Models: models, Assigner: a}, pm
 }
 
-// TestPanicModelCancelsBatchNotProcess: without an injector, a panicking
-// predictor under a forecast-reading assigner is captured by the par pool
-// and surfaces as a *par.PanicError from Simulate — the batch is cancelled,
-// the process survives.
-func TestPanicModelCancelsBatchNotProcess(t *testing.T) {
+// TestPanicModelDegradesCleanRunToStandStill: without an injector the
+// simulator guards its forecasts exactly as the shard does — a panicking
+// predictor degrades its worker to a stand-still forecast in every batch that
+// asks it, each such batch counts one fallback, and the run completes.
+func TestPanicModelDegradesCleanRunToStandStill(t *testing.T) {
 	run, pm := panickingWorkload(assign.KM{})
-	_, err := run.Simulate(context.Background())
-	if err == nil {
-		t.Fatal("panicking model did not surface an error")
-	}
-	var pe *par.PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error is %T (%v), want *par.PanicError", err, err)
+	reg := obs.NewRegistry()
+	m, err := run.Simulate(obs.WithRegistry(context.Background(), reg))
+	if err != nil {
+		t.Fatalf("a clean run did not absorb the panic: %v", err)
 	}
 	if pm.Calls() == 0 {
 		t.Fatal("the model was never called")
+	}
+	if m.Faults.PredFallbacks != pm.Calls() {
+		t.Errorf("%d fallbacks for %d batches that asked the model", m.Faults.PredFallbacks, pm.Calls())
+	}
+	if got := reg.Counter("tamp_sim_faults_total", obs.L("kind", "pred_fallback")).Value(); got != int64(m.Faults.PredFallbacks) {
+		t.Errorf("tamp_sim_faults_total{kind=pred_fallback} = %d, want %d", got, m.Faults.PredFallbacks)
+	}
+	if m.Accepted != 1 {
+		t.Errorf("accepted %d, want the on-route task served from the stand-still forecast", m.Accepted)
+	}
+}
+
+// nanModel is a predictor whose every output is NaN.
+type nanModel struct {
+	nn.Model
+	calls int
+}
+
+func (n *nanModel) Predict(in [][]float64, seqOut int) [][]float64 {
+	n.calls++
+	out := make([][]float64, seqOut)
+	for i := range out {
+		out[i] = []float64{math.NaN(), math.NaN()}
+	}
+	return out
+}
+
+// TestNonFiniteModelDegradesCleanRunToStandStill: a clean run never hands a
+// non-finite forecast to the assigner; the worker stands still and the
+// fallback is counted, once per batch it enters.
+func TestNonFiniteModelDegradesCleanRunToStandStill(t *testing.T) {
+	tasks := []assign.Task{{ID: 0, Loc: geo.Pt(5, 0), Arrival: 0, Deadline: 10}}
+	nm := &nanModel{}
+	var batches []core.BatchAssigned
+	run := &Run{
+		Workload: handWorkload(tasks),
+		Models:   map[int]*predict.WorkerModel{0: {WorkerID: 0, Model: nm, SeqIn: 3, SeqOut: 1}},
+		Assigner: assign.KM{},
+		EventSink: func(ev core.Event) error {
+			if b, ok := ev.(core.BatchAssigned); ok {
+				batches = append(batches, b)
+			}
+			return nil
+		},
+	}
+	m := mustSimulate(t, run)
+	if nm.calls == 0 {
+		t.Fatal("the model was never called")
+	}
+	if m.Faults.PredFallbacks == 0 || m.Faults.PredFallbacks != len(batches) {
+		t.Errorf("%d fallbacks over %d batches, want one per batch", m.Faults.PredFallbacks, len(batches))
+	}
+	for i, b := range batches {
+		if b.PredFallbacks != 1 {
+			t.Errorf("batch %d records %d fallbacks, want 1", i, b.PredFallbacks)
+		}
+	}
+	if m.Accepted != 1 {
+		t.Errorf("accepted %d, want the on-route task served from the stand-still forecast", m.Accepted)
 	}
 }
 

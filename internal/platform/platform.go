@@ -98,9 +98,9 @@ type Run struct {
 	// the trajectory the platform observed the previous day, at learning
 	// rate dailyAdaptLR.
 	DailyAdaptSteps int
-	// Parallelism bounds the pool used for per-batch worker-view
-	// construction (the autoregressive PredictFuture rollouts dominate each
-	// tick) and for the daily continual-adaptation pass (0 = GOMAXPROCS).
+	// Parallelism bounds the pool core.PlanBatch rolls each batch's
+	// forecasts out on (the autoregressive PredictFuture rollouts dominate
+	// each tick) and the daily continual-adaptation pass (0 = GOMAXPROCS).
 	// Each worker owns its model exclusively, and every result is
 	// index-addressed, so Metrics (AssignTime aside) are bit-identical at
 	// every parallelism level. Models must not alias: two worker IDs mapping
@@ -111,9 +111,10 @@ type Run struct {
 	// predictors (which degrade to stand-still forecasts instead of
 	// aborting the batch), and delays accept/reject decisions. Fault
 	// decisions are pure functions of (seed, entity, tick), so chaos runs
-	// are bit-identical at every parallelism level too. In chaos mode a
-	// panicking predictor is recovered per worker; without an injector it
-	// surfaces as a *par.PanicError from Simulate.
+	// are bit-identical at every parallelism level too. With or without an
+	// injector, a predictor that panics or returns a non-finite point
+	// degrades only its own worker to a stand-still forecast for that batch
+	// (core.PlanBatch's guard) and counts in Metrics.Faults.PredFallbacks.
 	Faults *fault.Injector
 	// EventSink, when non-nil, receives the run as the platform's typed
 	// event vocabulary (internal/core) — the same events a WAL-backed server
@@ -146,18 +147,15 @@ type Run struct {
 // dailyAdaptLR is the learning rate of the continual updates.
 const dailyAdaptLR = 0.002
 
-// recorder allocates offer IDs and forwards events to the sink. A nil
-// recorder swallows every emit, so call sites need no sink check.
-type recorder struct {
-	sink      func(core.Event) error
-	nextOffer int
-}
+// recorder forwards events to the run's sink. A nil recorder swallows every
+// emit, so call sites need no sink check.
+type recorder func(core.Event) error
 
-func (r *recorder) emit(ev core.Event) error {
+func (r recorder) emit(ev core.Event) error {
 	if r == nil {
 		return nil
 	}
-	return r.sink(ev)
+	return r(ev)
 }
 
 // pendingTask tracks a task waiting in the pool.
@@ -191,7 +189,6 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 	if service <= 0 {
 		service = 2
 	}
-	predHorizon := min(core.PredHorizon, lookahead)
 
 	var m Metrics
 	// All run accounting flows through simObs so the returned Metrics and
@@ -224,9 +221,8 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 		fc.Instrument(reg)
 	}
 
-	var rec *recorder
-	if r.EventSink != nil {
-		rec = &recorder{sink: r.EventSink, nextOffer: 1}
+	rec := recorder(r.EventSink)
+	if rec != nil {
 		for i := range r.Workload.Workers {
 			wk := &r.Workload.Workers[i]
 			var mr float64
@@ -244,17 +240,16 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 	pending := make([]*pendingTask, 0, 64)
 	next := 0 // next arriving task index
 	busyUntil := map[int]int{}
+	nextOffer := 1
 
 	var deferred []deferredDecision
 	// Forecasts are computed only when something reads them: the assigner's
 	// plan, or the budget gate, which prices offers off Worker.Predicted.
 	forecast := assign.ReadsForecast(r.Assigner) || r.Workload.Budget.Enabled
 	// Each batch gives its eligible workers one backing array for their
-	// true future paths and one for their observed windows; worker j fills
-	// its own slot inside the pool, so the fill is race-free and
-	// parallelism-independent. Nothing keeps either past the batch: the
-	// forecast cache and the rollout copy the window, and only this batch's
-	// plan and acceptance checks read Actual.
+	// true future paths and one for their observed windows. Nothing keeps
+	// either past the batch: the forecast cache and the rollout copy the
+	// window, and only this batch's plan and acceptance checks read Actual.
 	seqIn := 0
 	for _, model := range r.Models {
 		if model != nil {
@@ -293,13 +288,19 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 		// Task arrivals.
 		for next < len(r.Workload.TestTasks) && r.Workload.TestTasks[next].Arrival <= tick {
 			t := r.Workload.TestTasks[next]
+			next++
+			if t.Deadline < tick {
+				// Expired before it arrived: counted in TotalTasks, but
+				// never pooled, so never recorded either (the log could not
+				// submit it).
+				continue
+			}
 			if err := rec.emit(core.TaskSubmitted{
 				TaskID: t.ID + 1, X: t.Loc.X, Y: t.Loc.Y, Deadline: t.Deadline,
 			}); err != nil {
 				return m, err
 			}
 			pending = append(pending, &pendingTask{task: t})
-			next++
 		}
 		// Drop expired tasks; collect the live pool. Held tasks (a deferred
 		// decision in flight) stay pending but are kept out of this batch.
@@ -326,18 +327,14 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 		day := tick / p.TicksPerDay
 		tickInDay := tick % p.TicksPerDay
 
-		// Build the worker views for this batch. Eligibility is a cheap
-		// sequential pass; the per-worker view construction — dominated by
-		// the autoregressive PredictFuture rollout — fans out on the pool,
-		// each eligible worker filling its own index-addressed slot so the
-		// batch order is parallelism-independent.
+		// The batch input, world side: eligibility, each eligible worker's
+		// true future path (for the acceptance check and the UB oracle) and
+		// the window of reports the platform observed today. core.PlanBatch
+		// forecasts from the windows and plans.
 		var eligible []int
 		for i := range r.Workload.Workers {
 			wk := &r.Workload.Workers[i]
-			if busyUntil[wk.ID] > tick {
-				continue
-			}
-			if day >= len(wk.TestDays) {
+			if busyUntil[wk.ID] > tick || day >= len(wk.TestDays) {
 				continue
 			}
 			// Availability windows (internal/scenario): a worker off shift
@@ -357,140 +354,114 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 		if len(eligible) == 0 {
 			continue
 		}
-		workers := make([]assign.Worker, len(eligible))
+		in := core.BatchInput{
+			Tasks:   make([]assign.Task, len(pool)),
+			TaskIDs: make([]int, len(pool)),
+			Workers: make([]assign.Worker, len(eligible)),
+			Windows: make([][]geo.Point, len(eligible)),
+		}
+		for i, pt := range pool {
+			in.Tasks[i], in.TaskIDs[i] = pt.task, pt.task.ID
+		}
 		actual := make([]geo.Point, len(eligible)*lookahead)
 		var observed []geo.Point
 		if forecast || r.Faults != nil {
 			observed = make([]geo.Point, len(eligible)*seqIn)
 		}
-		// Per-worker fault counters are index-addressed and reduced
-		// sequentially after the pool joins, keeping chaos metrics
-		// bit-identical at every parallelism level.
-		wfaults := make([]FaultStats, len(eligible))
-		if err := par.ForEach(ctx, len(eligible), r.Parallelism, func(j int) error {
-			wk := &r.Workload.Workers[eligible[j]]
+		var fs FaultStats
+		for j, i := range eligible {
+			wk := &r.Workload.Workers[i]
 			actualDay := wk.TestDays[day]
-			cur := actualDay.At(tickInDay)
-			w := assign.Worker{
+			w := &in.Workers[j]
+			*w = assign.Worker{
 				ID:     wk.ID,
-				Loc:    cur,
+				Loc:    actualDay.At(tickInDay),
 				Detour: wk.Detour,
 				Speed:  wk.Speed,
+				Actual: actual[j*lookahead : (j+1)*lookahead : (j+1)*lookahead],
 			}
-			// True future path for the acceptance check and the UB oracle.
-			w.Actual = actual[j*lookahead : (j+1)*lookahead : (j+1)*lookahead]
 			for dt := range w.Actual {
 				w.Actual[dt] = actualDay.At(tickInDay + 1 + dt)
 			}
-			// Predicted path from the trace observed so far today, when the
-			// plan or the budget gate reads it. An injector is still shown
-			// the window it drops and perturbs, and tallies the failures it
-			// injects, whoever reads the forecast.
-			if model := r.Models[wk.ID]; model != nil {
-				w.MR = model.MR
-				if forecast || r.Faults != nil {
-					recent := observed[j*seqIn : j*seqIn : j*seqIn+model.SeqIn]
-					if r.Faults != nil {
-						recent = faultyReports(recent, r.Faults, wk.ID, actualDay, day, p.TicksPerDay, tickInDay, model.SeqIn, &wfaults[j])
-					} else {
-						recent = recentPoints(recent, actualDay, tickInDay, model.SeqIn)
-					}
-					switch {
-					case r.Faults.PredictorFails(wk.ID, tick) || len(recent) == 0:
-						wfaults[j].PredFallbacks++
-					case !forecast:
-						// No model call: nothing reads what it would return.
-					case r.Faults == nil:
-						// Plain call: a panic propagates to the par pool, which
-						// converts it to a *par.PanicError that cancels the batch
-						// (never the process).
-						w.Predicted = fc.Forecast(model, recent, predHorizon)
-					default:
-						// Chaos mode: one bad model degrades only its own worker
-						// to a stand-still prediction.
-						if w.Predicted = core.SafeForecast(fc, model, recent, predHorizon); w.Predicted == nil {
-							wfaults[j].PredFallbacks++
-						}
-					}
-				}
+			model := r.Models[wk.ID]
+			if model == nil {
+				continue
 			}
-			if w.Predicted == nil {
-				// No model, its forecast failed, or nothing will read it:
-				// predict the worker stays put.
-				w.Predicted = core.StandStill(cur, predHorizon)
+			w.MR = model.MR
+			// The window is built when the plan or the budget gate reads the
+			// forecast. An injector is still shown the window it drops and
+			// perturbs, and tallies the failures it injects, whoever reads
+			// the forecast.
+			if !forecast && r.Faults == nil {
+				continue
 			}
-			workers[j] = w
-			return nil
-		}); err != nil {
-			return m, err
+			recent := observed[j*seqIn : j*seqIn : j*seqIn+model.SeqIn]
+			if r.Faults != nil {
+				recent = faultyReports(recent, r.Faults, wk.ID, actualDay, day, p.TicksPerDay, tickInDay, model.SeqIn, &fs)
+			} else {
+				recent = recentPoints(recent, actualDay, tickInDay, model.SeqIn)
+			}
+			if r.Faults.PredictorFails(wk.ID, tick) || len(recent) == 0 {
+				// No window: the worker stands still.
+				fs.PredFallbacks++
+				continue
+			}
+			in.Windows[j] = recent
 		}
-		batchFallbacks := 0
-		for j := range wfaults {
-			so.droppedReports(wfaults[j].DroppedReports)
-			so.noisyReports(wfaults[j].NoisyReports)
-			so.predFallbacks(wfaults[j].PredFallbacks)
-			batchFallbacks += wfaults[j].PredFallbacks
-		}
+		so.droppedReports(fs.DroppedReports)
+		so.noisyReports(fs.NoisyReports)
 		if rec != nil {
 			// The workers entering this batch report their current location,
 			// so a replay rebuilds the same candidate set.
-			for j := range workers {
+			for j := range in.Workers {
 				if err := rec.emit(core.WorkerReported{
-					WorkerID: workers[j].ID + 1, X: workers[j].Loc.X, Y: workers[j].Loc.Y,
+					WorkerID: in.Workers[j].ID + 1, X: in.Workers[j].Loc.X, Y: in.Workers[j].Loc.Y,
 				}); err != nil {
 					return m, err
 				}
 			}
 		}
 
-		// One batch of tasks.
-		batchTasks := make([]assign.Task, len(pool))
-		for i, pt := range pool {
-			batchTasks[i] = pt.task
-		}
-
-		start := time.Now()
-		pairs := assign.Do(ctx, r.Assigner, batchTasks, workers, tick)
-		elapsed := time.Since(start)
-		m.AssignTime += elapsed
-		so.batches.Inc()
-		so.assignSec.Observe(elapsed.Seconds())
-		if err := ctx.Err(); err != nil {
-			// A cancelled matching may be partial; drop it rather than
-			// account a truncated plan.
+		var pairs []assign.Pair
+		offers, fallbacks, err := core.PlanBatch(ctx, in, forecast, r.Models, fc, r.Parallelism, nextOffer,
+			func(tasks []assign.Task, workers []assign.Worker) []assign.Pair {
+				start := time.Now()
+				pairs = assign.Do(ctx, r.Assigner, tasks, workers, tick)
+				elapsed := time.Since(start)
+				m.AssignTime += elapsed
+				so.batches.Inc()
+				so.assignSec.Observe(elapsed.Seconds())
+				// Budget gate: on budgeted workloads the platform issues
+				// offers in descending reward-per-predicted-cost order until
+				// the tick's spend allowance runs out; the rest of the plan is
+				// withheld (those tasks simply stay pending). A cancelled
+				// matching may be partial, and PlanBatch drops it.
+				if r.Workload.Budget.Enabled && ctx.Err() == nil {
+					pairs = budgetGate(so, pairs, pool, workers, r.Workload.Budget.PerTickKM)
+				}
+				return pairs
+			})
+		if err != nil {
 			return m, err
 		}
-		// Budget gate: on budgeted workloads the platform issues offers in
-		// descending reward-per-predicted-cost order until the tick's spend
-		// allowance runs out; the rest of the plan is withheld (those tasks
-		// simply stay pending). Gating before the recorder emits keeps the
-		// event log an exact record of the offers actually issued.
-		if r.Workload.Budget.Enabled {
-			pairs = budgetGate(so, pairs, pool, workers, r.Workload.Budget.PerTickKM)
-		}
-		var offerIDs []int
+		nextOffer += len(offers)
+		fallbacks += fs.PredFallbacks
+		so.predFallbacks(fallbacks)
 		if rec != nil {
-			ev := core.BatchAssigned{PredFallbacks: batchFallbacks}
-			offerIDs = make([]int, len(pairs))
-			for k, pr := range pairs {
-				offerIDs[k] = rec.nextOffer
-				rec.nextOffer++
-				ev.Offers = append(ev.Offers, core.OfferIssued{
-					OfferID:  offerIDs[k],
-					TaskID:   pool[pr.Task].task.ID + 1,
-					WorkerID: workers[pr.Worker].ID + 1,
-				})
+			for i := range offers { // the log names workload IDs +1
+				offers[i].TaskID++
+				offers[i].WorkerID++
 			}
-			if err := rec.emit(ev); err != nil {
+			if err := rec.emit(core.BatchAssigned{Offers: offers, PredFallbacks: fallbacks}); err != nil {
 				return m, err
 			}
 		}
 
 		// Workers accept or reject against their true itineraries.
-		for pi, pr := range pairs {
+		for k, pr := range pairs {
 			so.assigned()
 			pt := pool[pr.Task]
-			w := &workers[pr.Worker]
+			w := &in.Workers[pr.Worker]
 			costCells, ok := acceptance(w, &pt.task, tick)
 			if !ok {
 				// Rejected: the task stays in the pool, but the platform
@@ -499,9 +470,9 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 				pt.task.Excluded = append(pt.task.Excluded, w.ID)
 			}
 			if rec != nil {
-				var dec core.Event = core.OfferAccepted{OfferID: offerIDs[pi]}
+				var dec core.Event = core.OfferAccepted{OfferID: offers[k].OfferID}
 				if !ok {
-					dec = core.OfferRejected{OfferID: offerIDs[pi]}
+					dec = core.OfferRejected{OfferID: offers[k].OfferID}
 				}
 				if err := rec.emit(dec); err != nil {
 					return m, err

@@ -8,7 +8,9 @@ import (
 
 	"github.com/spatialcrowd/tamp/internal/assign"
 	"github.com/spatialcrowd/tamp/internal/core"
+	"github.com/spatialcrowd/tamp/internal/geo"
 	"github.com/spatialcrowd/tamp/internal/predict"
+	"github.com/spatialcrowd/tamp/internal/replay"
 )
 
 // recordRun simulates with an EventSink, returning the metrics, the emitted
@@ -88,5 +90,31 @@ func TestEventSinkErrorAbortsRun(t *testing.T) {
 	}
 	if _, err := run.Simulate(context.Background()); !errors.Is(err, sinkErr) {
 		t.Fatalf("err = %v, want %v", err, sinkErr)
+	}
+}
+
+// TestEventSinkSkipsTaskExpiredOnArrival: a task whose deadline has passed
+// by the tick it arrives at counts in TotalTasks but is never pooled, so it
+// is never recorded either — core could not submit it — and the recording
+// replays.
+func TestEventSinkSkipsTaskExpiredOnArrival(t *testing.T) {
+	tasks := []assign.Task{
+		{ID: 0, Loc: geo.Pt(5, 0), Arrival: 0, Deadline: 10},
+		{ID: 1, Loc: geo.Pt(5, 0), Arrival: 8, Deadline: 3}, // expired on arrival
+	}
+	run := Run{Workload: handWorkload(tasks), Models: map[int]*predict.WorkerModel{}, Assigner: assign.UB{}}
+	m, events, _ := recordRun(t, run)
+	if m.TotalTasks != 2 || m.Accepted != 1 {
+		t.Errorf("total %d, accepted %d, want 2 and 1", m.TotalTasks, m.Accepted)
+	}
+	rep, err := replay.Events(context.Background(), core.NewState(), events, replay.Options{Assigner: assign.UB{}})
+	if err != nil {
+		t.Fatalf("the recording does not replay: %v", err)
+	}
+	if got := rep.Final.Counts.Accepts; got != int64(m.Accepted) {
+		t.Errorf("replayed accepts = %d, sim accepted = %d", got, m.Accepted)
+	}
+	if _, ok := rep.Final.Tasks[2]; ok {
+		t.Error("the expired task was submitted")
 	}
 }

@@ -146,7 +146,8 @@ func Events(ctx context.Context, st *core.State, events []core.Event, opts Optio
 		if live, degraded, isBatch := batchOffers(ev); isBatch {
 			// The replay assigner's plan over the live batch's input, its
 			// offers numbered from the counter the live run used.
-			plan, _, err := core.PlanBatch(ctx, st, opts.Assigner, opts.Models, fc, opts.Parallelism, st.NextOffer,
+			plan, _, err := core.PlanBatch(ctx, core.SelectBatch(st), assign.ReadsForecast(opts.Assigner), opts.Models, fc,
+				opts.Parallelism, st.NextOffer,
 				func(tasks []assign.Task, workers []assign.Worker) []assign.Pair {
 					return assign.Do(ctx, opts.Assigner, tasks, workers, st.Tick)
 				})

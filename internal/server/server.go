@@ -774,8 +774,8 @@ func (s *Server) runBatchLocked(ctx context.Context) int {
 	// the log is self-contained and replays to identical IDs. With OfferBase
 	// set the allocation starts in this shard's disjoint range.
 	degraded := false
-	offers, fallbacks, err := core.PlanBatch(ctx, s.st, s.cfg.Assigner, s.cfg.Models, s.fc, s.cfg.Parallelism,
-		max(s.st.NextOffer, s.cfg.OfferBase), func(tasks []assign.Task, workers []assign.Worker) []assign.Pair {
+	offers, fallbacks, err := core.PlanBatch(ctx, core.SelectBatch(s.st), assign.ReadsForecast(s.cfg.Assigner), s.cfg.Models, s.fc,
+		s.cfg.Parallelism, max(s.st.NextOffer, s.cfg.OfferBase), func(tasks []assign.Task, workers []assign.Worker) []assign.Pair {
 			var pairs []assign.Pair
 			pairs, degraded = s.assignWithDeadline(ctx, tasks, workers)
 			return pairs
@@ -833,14 +833,9 @@ func (s *Server) AdvanceTick() int {
 	return s.st.Tick
 }
 
-// RunBatch executes one assignment batch programmatically, returning the
-// number of offers made.
-func (s *Server) RunBatch() int {
-	return s.RunBatchContext(context.Background())
-}
-
-// RunBatchContext is RunBatch under an explicit context; cancellation
-// abandons the batch without making offers.
+// RunBatchContext executes one assignment batch programmatically, returning
+// the number of offers made; cancelling ctx abandons the batch without
+// making offers.
 func (s *Server) RunBatchContext(ctx context.Context) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
