@@ -65,11 +65,14 @@ GOTEST_RUN = GO="$(GO)" scripts/gotest-run.sh
 # at any batch size, plus Adam.Step) must stay at 0 allocs/op, the
 # warmed sparse-KM matcher must stay at 0 allocs per Match, a warmed
 # Workspace must carry a 2k×2k PPI or KM batch through the candidate-pair
-# kernel on a small constant number of allocations, and the warmed
+# kernel on a small constant number of allocations, the warmed
 # prediction engine (PredictFutureInto, EvaluateOnRoutine, cache hits) must
-# stay at 0 allocs per call.
+# stay at 0 allocs per call, and applying a clock tick or a location report
+# to a warmed core.State must allocate nothing (State.Apply keeps nothing
+# of its argument).
 perfcheck:
 	$(GOTEST_RUN) ./internal/nn 'AllocFree' -v
+	$(GOTEST_RUN) ./internal/core 'TestApplyAllocFree' -v
 	$(GOTEST_RUN) ./internal/assign 'TestMatcherSteadyStateAllocFree|TestMatcherAllocsDoNotGrowWithBatches|TestSortPendingAllocFree|TestKernelSteadyStateAllocs' -v
 	$(GOTEST_RUN) ./internal/predict 'TestPredictFutureIntoZeroAlloc|TestEvaluateOnRoutineZeroAlloc|TestCacheHitZeroAlloc' -v
 

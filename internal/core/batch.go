@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/spatialcrowd/tamp/internal/assign"
@@ -55,8 +56,9 @@ func PlanBatch(ctx context.Context, in BatchInput, forecast bool, models map[int
 
 // BatchInput is the input of one batch: its tasks and its workers, each
 // worker with the window of locations the platform observed for it.
-// SelectBatch reads one from the state; the simulator builds its own from
-// the true paths. TaskIDs[i] is the ID offers name Tasks[i] by.
+// SelectBatch reads one from the state; the simulator takes the tasks from
+// its state (SelectTasks) and builds the workers from the true paths.
+// TaskIDs[i] is the ID offers name Tasks[i] by.
 type BatchInput struct {
 	Tasks   []assign.Task
 	TaskIDs []int
@@ -69,19 +71,27 @@ type BatchInput struct {
 	PredFallbacks int
 }
 
-// SelectBatch reads the batch input from the state: open, unexpired tasks
-// and online, offer-free workers with at least one reported location, both
-// in ascending ID order so the plan is independent of map iteration order,
-// each worker's window its reported trace. A batch with no task or no worker
-// is the zero BatchInput. The windows alias the state's traces.
-func SelectBatch(st *State) BatchInput {
-	var in BatchInput
-	for id, t := range st.Tasks {
-		if t.Status == StatusOpen && t.Task.Deadline >= st.Tick {
-			in.TaskIDs = append(in.TaskIDs, id)
+// SelectTasks sets in's tasks to those a batch at st's tick offers: every
+// open task, in (Arrival, ID) order, reusing in's backing arrays. An open
+// task is never past its deadline — TickAdvanced expires it first.
+func (in *BatchInput) SelectTasks(st *State) {
+	in.Tasks = slices.Grow(in.Tasks[:0], len(st.live))
+	in.TaskIDs = slices.Grow(in.TaskIDs[:0], len(st.live))
+	for _, t := range st.live {
+		if t.Status == StatusOpen {
+			in.Tasks = append(in.Tasks, t.Task)
+			in.TaskIDs = append(in.TaskIDs, t.Task.ID)
 		}
 	}
-	sort.Ints(in.TaskIDs)
+}
+
+// SelectBatch reads the batch input from the state: the tasks SelectTasks
+// selects and the online, offer-free workers with at least one reported
+// location in ascending ID order, so the plan is independent of map
+// iteration order, each worker's window its reported trace. A batch with no
+// task or no worker is the zero BatchInput. The windows alias the state's
+// traces.
+func SelectBatch(st *State) BatchInput {
 	var workerIDs []int
 	for id, w := range st.Workers {
 		if !w.Online || w.OfferID != 0 || len(w.Trace) == 0 {
@@ -89,14 +99,12 @@ func SelectBatch(st *State) BatchInput {
 		}
 		workerIDs = append(workerIDs, id)
 	}
-	sort.Ints(workerIDs)
-	if len(in.TaskIDs) == 0 || len(workerIDs) == 0 {
+	var in BatchInput
+	in.SelectTasks(st)
+	if len(in.Tasks) == 0 || len(workerIDs) == 0 {
 		return BatchInput{}
 	}
-	in.Tasks = make([]assign.Task, len(in.TaskIDs))
-	for i, id := range in.TaskIDs {
-		in.Tasks[i] = st.Tasks[id].Task
-	}
+	sort.Ints(workerIDs)
 	in.Workers = make([]assign.Worker, len(workerIDs))
 	in.Windows = make([][]geo.Point, len(workerIDs))
 	for i, id := range workerIDs {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/spatialcrowd/tamp/internal/assign"
@@ -117,6 +118,7 @@ type taskSnap struct {
 	Y        float64    `json:"y"`
 	Arrival  int        `json:"arrival"`
 	Deadline int        `json:"deadline"`
+	Reward   float64    `json:"reward,omitempty"`
 	Excluded []int      `json:"excluded,omitempty"`
 	Status   TaskStatus `json:"status"`
 	Offered  int        `json:"offered,omitempty"`
@@ -167,7 +169,7 @@ func (s *State) EncodeSnapshot() []byte {
 	for _, t := range s.Tasks {
 		f.Tasks = append(f.Tasks, taskSnap{
 			ID: t.Task.ID, X: t.Task.Loc.X, Y: t.Task.Loc.Y,
-			Arrival: t.Task.Arrival, Deadline: t.Task.Deadline,
+			Arrival: t.Task.Arrival, Deadline: t.Task.Deadline, Reward: t.Task.Reward,
 			Excluded: t.Task.Excluded, Status: t.Status,
 			Offered: t.Offered, Accepted: t.Accepted, OfferID: t.OfferID,
 		})
@@ -219,13 +221,19 @@ func DecodeSnapshot(b []byte) (*State, error) {
 	for _, o := range f.Offers {
 		s.Offers[o.ID] = &Offer{ID: o.ID, TaskID: o.TaskID, WorkerID: o.WorkerID}
 	}
+	for _, t := range s.Tasks {
+		if t.Status == StatusOpen || t.Status == StatusOffered {
+			s.live = append(s.live, t)
+		}
+	}
+	slices.SortFunc(s.live, byArrivalID)
 	return s, nil
 }
 
 func assignTask(t taskSnap) assign.Task {
 	return assign.Task{
 		ID: t.ID, Loc: geo.Pt(t.X, t.Y),
-		Arrival: t.Arrival, Deadline: t.Deadline, Excluded: t.Excluded,
+		Arrival: t.Arrival, Deadline: t.Deadline, Reward: t.Reward, Excluded: t.Excluded,
 	}
 }
 

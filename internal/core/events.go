@@ -26,12 +26,14 @@ type Event interface {
 // TaskSubmitted posts a new spatial task. X, Y are grid coordinates already
 // clamped to the grid by the transport layer; Deadline is an absolute tick.
 // TaskID must be unused (the server allocates NextTaskID, the simulator uses
-// workload IDs).
+// workload IDs +1). Reward is the requester's payment (assign.Task.Reward);
+// zero, the unrewarded task, is left off the wire.
 type TaskSubmitted struct {
 	TaskID   int     `json:"taskId"`
 	X        float64 `json:"x"`
 	Y        float64 `json:"y"`
 	Deadline int     `json:"deadline"`
+	Reward   float64 `json:"reward,omitempty"`
 }
 
 // TaskCancelled withdraws an open or offered task; a pending offer on it is

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"reflect"
+	"slices"
 
 	"github.com/spatialcrowd/tamp/internal/assign"
 	"github.com/spatialcrowd/tamp/internal/geo"
@@ -80,6 +83,12 @@ type State struct {
 	Workers map[int]*Worker
 	Offers  map[int]*Offer
 	Counts  Counts
+
+	// live holds the open and offered tasks in (Arrival, ID) order, all
+	// that expiry and batch selection read; a task that leaves stays until
+	// the next TickAdvanced compacts it. Never serialised: DecodeSnapshot
+	// rebuilds it.
+	live []*Task
 }
 
 // NewState returns an empty platform state at tick 0.
@@ -98,22 +107,24 @@ func NewState() *State {
 // appending can treat it as a programming error, and replay can surface the
 // exact sequence position that diverged.
 type ApplyError struct {
-	Event  Event
+	Kind   string // the event's wire name
 	Reason string
 }
 
 func (e *ApplyError) Error() string {
-	return fmt.Sprintf("core: cannot apply %s: %s", e.Event.Kind(), e.Reason)
+	return fmt.Sprintf("core: cannot apply %s: %s", e.Kind, e.Reason)
 }
 
-func applyErr(ev Event, format string, args ...any) error {
-	return &ApplyError{Event: ev, Reason: fmt.Sprintf(format, args...)}
+func applyErr(kind, format string, args ...any) error {
+	return &ApplyError{Kind: kind, Reason: fmt.Sprintf(format, args...)}
 }
 
 // Apply executes one state transition. It validates the event against the
 // current state first and mutates only if the transition is legal, so a
 // failed Apply never leaves partial effects. Every legal mutation of the
 // platform flows through here — there is no other write path.
+// Apply keeps nothing of ev, so a caller's conversion to Event can stay on
+// the caller's stack.
 func (s *State) Apply(ev Event) error {
 	var err error
 	switch e := ev.(type) {
@@ -128,17 +139,17 @@ func (s *State) Apply(ev Event) error {
 	case TickAdvanced:
 		s.applyTickAdvanced()
 	case BatchAssigned:
-		err = s.applyBatch(ev, e.Offers, e.PredFallbacks, false)
+		err = s.applyBatch(KindBatchAssigned, e.Offers, e.PredFallbacks, false)
 	case DegradedBatch:
-		err = s.applyBatch(ev, e.Offers, e.PredFallbacks, true)
+		err = s.applyBatch(KindDegradedBatch, e.Offers, e.PredFallbacks, true)
 	case OfferAccepted:
-		err = s.applyDecision(ev, e.OfferID, true)
+		err = s.applyDecision(KindOfferAccepted, e.OfferID, true)
 	case OfferRejected:
-		err = s.applyDecision(ev, e.OfferID, false)
+		err = s.applyDecision(KindOfferRejected, e.OfferID, false)
 	case OfferRetracted:
 		err = s.applyOfferRetracted(e)
 	default:
-		err = applyErr(ev, "unknown event type %T", ev)
+		err = applyErr(fmt.Sprint(reflect.TypeOf(ev)), "unknown event type")
 	}
 	if err != nil {
 		return err
@@ -149,21 +160,24 @@ func (s *State) Apply(ev Event) error {
 
 func (s *State) applyTaskSubmitted(e TaskSubmitted) error {
 	if e.TaskID <= 0 {
-		return applyErr(e, "task id %d not positive", e.TaskID)
+		return applyErr(KindTaskSubmitted, "task id %d not positive", e.TaskID)
 	}
 	if _, dup := s.Tasks[e.TaskID]; dup {
-		return applyErr(e, "task %d already exists", e.TaskID)
+		return applyErr(KindTaskSubmitted, "task %d already exists", e.TaskID)
 	}
 	if e.Deadline < s.Tick {
-		return applyErr(e, "deadline %d before current tick %d", e.Deadline, s.Tick)
+		return applyErr(KindTaskSubmitted, "deadline %d before current tick %d", e.Deadline, s.Tick)
 	}
-	s.Tasks[e.TaskID] = &Task{
+	t := &Task{
 		Task: assign.Task{
 			ID: e.TaskID, Loc: geo.Pt(e.X, e.Y),
-			Arrival: s.Tick, Deadline: e.Deadline,
+			Arrival: s.Tick, Deadline: e.Deadline, Reward: e.Reward,
 		},
 		Status: StatusOpen,
 	}
+	s.Tasks[e.TaskID] = t
+	i, _ := slices.BinarySearchFunc(s.live, t, byArrivalID)
+	s.live = slices.Insert(s.live, i, t)
 	if e.TaskID >= s.NextTask {
 		s.NextTask = e.TaskID + 1
 	}
@@ -173,10 +187,10 @@ func (s *State) applyTaskSubmitted(e TaskSubmitted) error {
 func (s *State) applyTaskCancelled(e TaskCancelled) error {
 	t, ok := s.Tasks[e.TaskID]
 	if !ok {
-		return applyErr(e, "task %d not found", e.TaskID)
+		return applyErr(KindTaskCancelled, "task %d not found", e.TaskID)
 	}
 	if t.Status == StatusAccepted {
-		return applyErr(e, "task %d already accepted", e.TaskID)
+		return applyErr(KindTaskCancelled, "task %d already accepted", e.TaskID)
 	}
 	s.retractOffer(t)
 	t.Status = StatusCancelled
@@ -185,10 +199,10 @@ func (s *State) applyTaskCancelled(e TaskCancelled) error {
 
 func (s *State) applyWorkerRegistered(e WorkerRegistered) error {
 	if e.WorkerID <= 0 {
-		return applyErr(e, "worker id %d not positive", e.WorkerID)
+		return applyErr(KindWorkerRegistered, "worker id %d not positive", e.WorkerID)
 	}
 	if _, dup := s.Workers[e.WorkerID]; dup {
-		return applyErr(e, "worker %d already registered", e.WorkerID)
+		return applyErr(KindWorkerRegistered, "worker %d already registered", e.WorkerID)
 	}
 	s.Workers[e.WorkerID] = &Worker{
 		ID: e.WorkerID, Detour: e.Detour, Speed: e.Speed, MR: e.MR,
@@ -199,7 +213,7 @@ func (s *State) applyWorkerRegistered(e WorkerRegistered) error {
 func (s *State) applyWorkerReported(e WorkerReported) error {
 	w, ok := s.Workers[e.WorkerID]
 	if !ok {
-		return applyErr(e, "worker %d not registered", e.WorkerID)
+		return applyErr(KindWorkerReported, "worker %d not registered", e.WorkerID)
 	}
 	w.Online = true
 	w.Trace = append(w.Trace, geo.Pt(e.X, e.Y))
@@ -211,56 +225,38 @@ func (s *State) applyWorkerReported(e WorkerReported) error {
 
 func (s *State) applyTickAdvanced() {
 	s.Tick++
-	// Expiry iterates the task map; each expiry is independent, so the final
-	// state does not depend on iteration order.
-	for _, t := range s.Tasks {
-		if (t.Status == StatusOpen || t.Status == StatusOffered) && t.Task.Deadline < s.Tick {
+	// Expiry walks the live index, compacting it in place.
+	live := s.live[:0]
+	for _, t := range s.live {
+		switch {
+		case t.Status != StatusOpen && t.Status != StatusOffered:
+		case t.Task.Deadline < s.Tick:
 			s.retractOffer(t)
 			t.Status = StatusExpired
 			s.Counts.Expired++
+		default:
+			live = append(live, t)
 		}
 	}
+	s.live = live
 }
 
-func (s *State) applyBatch(ev Event, offers []OfferIssued, predFallbacks int, degraded bool) error {
-	// Validate every grant before mutating anything: a batch applies as a
-	// unit or not at all.
-	usedTask := make(map[int]bool, len(offers))
-	usedWorker := make(map[int]bool, len(offers))
-	usedOffer := make(map[int]bool, len(offers))
-	for _, g := range offers {
-		if g.OfferID <= 0 {
-			return applyErr(ev, "offer id %d not positive", g.OfferID)
+func (s *State) applyBatch(kind string, offers []OfferIssued, predFallbacks int, degraded bool) error {
+	// A batch applies as a unit or not at all. A grant marks its offer ID,
+	// task and worker taken, so a later grant naming one again fails its
+	// checks, and a failed grant takes back the ones before it.
+	next := s.NextOffer
+	for i, g := range offers {
+		if err := s.grant(kind, g); err != nil {
+			for _, u := range offers[:i] {
+				t := s.Tasks[u.TaskID]
+				s.retractOffer(t)
+				t.Status = StatusOpen
+			}
+			s.NextOffer = next
+			return err
 		}
-		if _, dup := s.Offers[g.OfferID]; dup || usedOffer[g.OfferID] {
-			return applyErr(ev, "offer id %d already in use", g.OfferID)
-		}
-		t, ok := s.Tasks[g.TaskID]
-		if !ok {
-			return applyErr(ev, "offer %d: task %d not found", g.OfferID, g.TaskID)
-		}
-		if t.Status != StatusOpen || usedTask[g.TaskID] {
-			return applyErr(ev, "offer %d: task %d not open", g.OfferID, g.TaskID)
-		}
-		w, ok := s.Workers[g.WorkerID]
-		if !ok {
-			return applyErr(ev, "offer %d: worker %d not registered", g.OfferID, g.WorkerID)
-		}
-		if w.OfferID != 0 || usedWorker[g.WorkerID] {
-			return applyErr(ev, "offer %d: worker %d already has a pending offer", g.OfferID, g.WorkerID)
-		}
-		usedTask[g.TaskID], usedWorker[g.WorkerID], usedOffer[g.OfferID] = true, true, true
-	}
-	for _, g := range offers {
-		s.Offers[g.OfferID] = &Offer{ID: g.OfferID, TaskID: g.TaskID, WorkerID: g.WorkerID}
-		t := s.Tasks[g.TaskID]
-		t.Status = StatusOffered
-		t.Offered = g.WorkerID
-		t.OfferID = g.OfferID
-		s.Workers[g.WorkerID].OfferID = g.OfferID
-		if g.OfferID >= s.NextOffer {
-			s.NextOffer = g.OfferID + 1
-		}
+		s.NextOffer = max(s.NextOffer, g.OfferID+1)
 	}
 	s.Counts.Offers += int64(len(offers))
 	s.Counts.Batches++
@@ -271,14 +267,44 @@ func (s *State) applyBatch(ev Event, offers []OfferIssued, predFallbacks int, de
 	return nil
 }
 
-func (s *State) applyDecision(ev Event, offerID int, accept bool) error {
+// grant issues one offer of a batch if it is legal.
+func (s *State) grant(kind string, g OfferIssued) error {
+	if g.OfferID <= 0 {
+		return applyErr(kind, "offer id %d not positive", g.OfferID)
+	}
+	if _, dup := s.Offers[g.OfferID]; dup {
+		return applyErr(kind, "offer id %d already in use", g.OfferID)
+	}
+	t, ok := s.Tasks[g.TaskID]
+	if !ok {
+		return applyErr(kind, "offer %d: task %d not found", g.OfferID, g.TaskID)
+	}
+	if t.Status != StatusOpen {
+		return applyErr(kind, "offer %d: task %d not open", g.OfferID, g.TaskID)
+	}
+	w, ok := s.Workers[g.WorkerID]
+	if !ok {
+		return applyErr(kind, "offer %d: worker %d not registered", g.OfferID, g.WorkerID)
+	}
+	if w.OfferID != 0 {
+		return applyErr(kind, "offer %d: worker %d already has a pending offer", g.OfferID, g.WorkerID)
+	}
+	s.Offers[g.OfferID] = &Offer{ID: g.OfferID, TaskID: g.TaskID, WorkerID: g.WorkerID}
+	t.Status = StatusOffered
+	t.Offered = g.WorkerID
+	t.OfferID = g.OfferID
+	w.OfferID = g.OfferID
+	return nil
+}
+
+func (s *State) applyDecision(kind string, offerID int, accept bool) error {
 	off, ok := s.Offers[offerID]
 	if !ok {
-		return applyErr(ev, "offer %d not found", offerID)
+		return applyErr(kind, "offer %d not found", offerID)
 	}
 	t := s.Tasks[off.TaskID]
 	if t == nil || t.Status != StatusOffered || t.OfferID != offerID {
-		return applyErr(ev, "offer %d is stale", offerID)
+		return applyErr(kind, "offer %d is stale", offerID)
 	}
 	delete(s.Offers, offerID)
 	if w := s.Workers[off.WorkerID]; w != nil {
@@ -302,7 +328,7 @@ func (s *State) applyDecision(ev Event, offerID int, accept bool) error {
 func (s *State) applyOfferRetracted(e OfferRetracted) error {
 	off, ok := s.Offers[e.OfferID]
 	if !ok {
-		return applyErr(e, "offer %d not found", e.OfferID)
+		return applyErr(KindOfferRetracted, "offer %d not found", e.OfferID)
 	}
 	delete(s.Offers, e.OfferID)
 	if w := s.Workers[off.WorkerID]; w != nil && w.OfferID == e.OfferID {
@@ -338,10 +364,18 @@ func (s *State) retractOffer(t *Task) {
 // OpenTasks reports how many tasks are currently waiting for assignment.
 func (s *State) OpenTasks() int {
 	n := 0
-	for _, t := range s.Tasks {
+	for _, t := range s.live {
 		if t.Status == StatusOpen {
 			n++
 		}
 	}
 	return n
+}
+
+// byArrivalID orders tasks by (Arrival, ID), the live index's order.
+func byArrivalID(a, b *Task) int {
+	if c := cmp.Compare(a.Task.Arrival, b.Task.Arrival); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Task.ID, b.Task.ID)
 }

@@ -92,6 +92,16 @@ func TestApplyRejectsInvalidTransitions(t *testing.T) {
 	reject(BatchAssigned{Offers: []OfferIssued{{OfferID: 1, TaskID: 1, WorkerID: 9}}},
 		"grant to unknown worker")
 	must(WorkerReported{WorkerID: 1, X: 1, Y: 1})
+	must(WorkerRegistered{WorkerID: 2, Detour: 5, Speed: 1})
+	must(TaskSubmitted{TaskID: 2, X: 1, Y: 1, Deadline: 5})
+	// A batch applies as a unit: a later grant that repeats an earlier
+	// one's task, worker or offer ID fails it whole.
+	reject(BatchAssigned{Offers: []OfferIssued{{OfferID: 1, TaskID: 1, WorkerID: 1}, {OfferID: 2, TaskID: 1, WorkerID: 2}}},
+		"task granted twice in one batch")
+	reject(BatchAssigned{Offers: []OfferIssued{{OfferID: 1, TaskID: 1, WorkerID: 1}, {OfferID: 2, TaskID: 2, WorkerID: 1}}},
+		"worker granted twice in one batch")
+	reject(BatchAssigned{Offers: []OfferIssued{{OfferID: 1, TaskID: 1, WorkerID: 1}, {OfferID: 1, TaskID: 2, WorkerID: 2}}},
+		"offer id granted twice in one batch")
 	must(BatchAssigned{Offers: []OfferIssued{{OfferID: 1, TaskID: 1, WorkerID: 1}}})
 	reject(BatchAssigned{Offers: []OfferIssued{{OfferID: 2, TaskID: 1, WorkerID: 1}}},
 		"grant on offered task")
@@ -119,11 +129,44 @@ func TestSnapshotRoundTripAndDigest(t *testing.T) {
 	if st2.Digest() != st.Digest() {
 		t.Fatal("same event sequence produced different digests")
 	}
+	// Unrewarded tasks leave the snapshot bytes as they were before tasks
+	// carried a reward.
+	if got, want := st.Digest(), "155934e1a39250b0567729d0380e19e549c2c4a50f96332f5ea9970e61a084b8"; got != want {
+		t.Errorf("lifecycle digest %s, want %s", got, want)
+	}
 }
 
-// codecEvents holds one event of every Kind.
+// TestTaskRewardRoundTrips: an unrewarded TaskSubmitted keeps the wire form
+// it had before tasks carried a reward, and a rewarded one keeps its reward
+// through the state and a snapshot.
+func TestTaskRewardRoundTrips(t *testing.T) {
+	b, err := EncodeEvent(TaskSubmitted{TaskID: 3, X: 1.5, Y: 2.5, Deadline: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"k":"task_submitted","d":{"taskId":3,"x":1.5,"y":2.5,"deadline":9}}`; string(b) != want {
+		t.Errorf("unrewarded task encodes to %s, want %s", b, want)
+	}
+	st := NewState()
+	if err := st.Apply(TaskSubmitted{TaskID: 3, X: 1.5, Y: 2.5, Deadline: 9, Reward: 4.25}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecodeSnapshot(st.EncodeSnapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := got.Tasks[3].Task.Reward; r != 4.25 {
+		t.Errorf("reward after a snapshot round trip = %v, want 4.25", r)
+	}
+	if got.Digest() != st.Digest() {
+		t.Error("a rewarded task changed the digest across a snapshot round trip")
+	}
+}
+
+// codecEvents holds one event of every Kind, and a rewarded task.
 var codecEvents = []Event{
 	TaskSubmitted{TaskID: 3, X: 1.5, Y: 2.5, Deadline: 9},
+	TaskSubmitted{TaskID: 3, X: 1.5, Y: 2.5, Deadline: 9, Reward: 4.25},
 	TaskCancelled{TaskID: 3},
 	WorkerRegistered{WorkerID: 4, Detour: 7.5, Speed: 2, MR: 0.77},
 	WorkerReported{WorkerID: 4, X: 0.25, Y: 0.75},

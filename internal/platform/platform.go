@@ -12,6 +12,7 @@ package platform
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -83,16 +84,16 @@ func (m Metrics) AvgCostKM() float64 {
 	return m.SumCostKM / float64(m.Accepted)
 }
 
-// Run configures one simulation.
+// Run configures one simulation. Its platform side — the task pool, offers,
+// decisions and expiry — is a core.State the run owns and applies each of
+// its events to; the world side — true paths, availability, faults and
+// acceptance — is the workload's.
 type Run struct {
 	Workload *dataset.Workload
 	// Models holds each worker's mobility predictor (nil entries degrade
 	// that worker to a standing-still prediction). UB and LB ignore them.
 	Models   map[int]*predict.WorkerModel
 	Assigner assign.Assigner
-	// ServiceTicks is the fixed handling time added to a worker's busy
-	// window after accepting a task (default 2).
-	ServiceTicks int
 	// DailyAdaptSteps, when positive, turns on continual prediction: at
 	// every day boundary each worker's model takes this many SGD steps on
 	// the trajectory the platform observed the previous day, at learning
@@ -116,16 +117,15 @@ type Run struct {
 	// degrades only its own worker to a stand-still forecast for that batch
 	// (core.PlanBatch's guard) and counts in Metrics.Faults.PredFallbacks.
 	Faults *fault.Injector
-	// EventSink, when non-nil, receives the run as the platform's typed
-	// event vocabulary (internal/core) — the same events a WAL-backed server
+	// EventSink, when non-nil, receives each event the run applies to its
+	// core.State, right after it applies — the events a WAL-backed server
 	// records: worker registrations up front, then per tick the clock
 	// advance, task arrivals, location reports for the workers entering the
 	// batch, the batch plan, and each accept/reject decision. A log recorded
 	// this way replays through internal/replay exactly like a live server's.
-	// Two translations apply: workload IDs are shifted +1 (core requires
-	// positive IDs; workloads number from 0), and decisions are recorded
-	// when the worker decides, even if the fault injector delivers them to
-	// the platform late. A sink error aborts the simulation.
+	// The state names workers and tasks by workload ID +1 (core requires
+	// positive IDs), and a decision applies when the worker decides, even if
+	// the fault injector delivers it late. A sink error aborts the run.
 	EventSink func(core.Event) error
 	// Forecasts, when non-nil, is the forecast cache the run memoizes
 	// PredictFuture rollouts in — exact window-keyed, so cached runs are
@@ -147,32 +147,27 @@ type Run struct {
 // dailyAdaptLR is the learning rate of the continual updates.
 const dailyAdaptLR = 0.002
 
-// recorder forwards events to the run's sink. A nil recorder swallows every
-// emit, so call sites need no sink check.
-type recorder func(core.Event) error
-
-func (r recorder) emit(ev core.Event) error {
-	if r == nil {
-		return nil
-	}
-	return r(ev)
-}
-
-// pendingTask tracks a task waiting in the pool.
-type pendingTask struct {
-	task assign.Task
-	done bool
-	held bool // a deferred accept/reject is in flight; keep out of batches
-}
+// serviceTicks is the fixed handling time added to a worker's busy window
+// after accepting a task.
+const serviceTicks = 2
 
 // deferredDecision is an accept/reject outcome computed at assignment time
 // but delivered late by the fault injector.
 type deferredDecision struct {
 	applyAt   int // tick at which the decision reaches the platform
-	pt        *pendingTask
-	workerID  int
+	taskID    int // platform ID
 	costCells float64
 	accepted  bool
+}
+
+// apply applies ev to st, then hands it to sink, if any: the sink receives
+// exactly the stream the run applied. Generic, so that with no sink ev's
+// conversion to core.Event stays on the stack (State.Apply keeps nothing).
+func apply[E core.Event](st *core.State, sink func(core.Event) error, ev E) error {
+	if err := st.Apply(ev); err != nil || sink == nil {
+		return err
+	}
+	return sink(ev)
 }
 
 // Simulate runs the full test horizon and returns the aggregated metrics.
@@ -185,10 +180,6 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 	// The acceptance check and the UB oracle see this many future ticks of
 	// true trajectory: enough for the longest-lived task.
 	lookahead := p.ValidMax*traj.TicksPerTimeUnit + 5
-	service := r.ServiceTicks
-	if service <= 0 {
-		service = 2
-	}
 
 	var m Metrics
 	// All run accounting flows through simObs so the returned Metrics and
@@ -221,47 +212,45 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 		fc.Instrument(reg)
 	}
 
-	rec := recorder(r.EventSink)
-	if rec != nil {
-		for i := range r.Workload.Workers {
-			wk := &r.Workload.Workers[i]
-			var mr float64
-			if model := r.Models[wk.ID]; model != nil {
-				mr = model.MR
-			}
-			if err := rec.emit(core.WorkerRegistered{
-				WorkerID: wk.ID + 1, Detour: wk.Detour, Speed: wk.Speed, MR: mr,
-			}); err != nil {
-				return m, err
-			}
+	// The platform's tasks, workers and offers live in st, by workload ID
+	// +1; the fault injector and the workload arrays keep workload IDs.
+	st, sink := core.NewState(), r.EventSink
+	models := make(map[int]*predict.WorkerModel, len(r.Models))
+	seqIn := 0 // the longest window any worker's model reads
+	for i := range r.Workload.Workers {
+		wk := &r.Workload.Workers[i]
+		var mr float64
+		if model := r.Models[wk.ID]; model != nil {
+			mr = model.MR
+			models[wk.ID+1] = model
+			seqIn = max(seqIn, model.SeqIn)
+		}
+		if err := apply(st, sink, core.WorkerRegistered{
+			WorkerID: wk.ID + 1, Detour: wk.Detour, Speed: wk.Speed, MR: mr,
+		}); err != nil {
+			return m, err
 		}
 	}
 
-	pending := make([]*pendingTask, 0, 64)
-	next := 0 // next arriving task index
-	busyUntil := map[int]int{}
-	nextOffer := 1
-
+	next := 0                                         // next arriving task index
+	busyUntil := make([]int, len(r.Workload.Workers)) // by worker index
 	var deferred []deferredDecision
 	// Forecasts are computed only when something reads them: the assigner's
 	// plan, or the budget gate, which prices offers off Worker.Predicted.
 	forecast := assign.ReadsForecast(r.Assigner) || r.Workload.Budget.Enabled
-	// Each batch gives its eligible workers one backing array for their
-	// true future paths and one for their observed windows. Nothing keeps
-	// either past the batch: the forecast cache and the rollout copy the
-	// window, and only this batch's plan and acceptance checks read Actual.
-	seqIn := 0
-	for _, model := range r.Models {
-		if model != nil {
-			seqIn = max(seqIn, model.SeqIn)
-		}
-	}
+	// The batch input and the backing arrays of the eligible workers' true
+	// future paths and observed windows serve tick after tick. Nothing keeps
+	// them past the batch: the forecast cache and the rollout copy the
+	// window, and only this batch's plan and acceptance checks read the rest.
+	var in core.BatchInput
+	var eligible []int
+	var actual, observed []geo.Point
 	for tick := 0; tick < horizonTicks; tick++ {
 		if err := ctx.Err(); err != nil {
 			return m, err
 		}
 		if tick > 0 {
-			if err := rec.emit(core.TickAdvanced{}); err != nil {
+			if err := apply(st, sink, core.TickAdvanced{}); err != nil {
 				return m, err
 			}
 		}
@@ -291,50 +280,40 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 			next++
 			if t.Deadline < tick {
 				// Expired before it arrived: counted in TotalTasks, but
-				// never pooled, so never recorded either (the log could not
-				// submit it).
+				// never submitted (core would refuse it).
 				continue
 			}
-			if err := rec.emit(core.TaskSubmitted{
-				TaskID: t.ID + 1, X: t.Loc.X, Y: t.Loc.Y, Deadline: t.Deadline,
+			if err := apply(st, sink, core.TaskSubmitted{
+				TaskID: t.ID + 1, X: t.Loc.X, Y: t.Loc.Y, Deadline: t.Deadline, Reward: t.Reward,
 			}); err != nil {
 				return m, err
 			}
-			pending = append(pending, &pendingTask{task: t})
 		}
-		// Drop expired tasks; collect the live pool. Held tasks (a deferred
-		// decision in flight) stay pending but are kept out of this batch.
-		live := pending[:0]
-		var pool []*pendingTask
-		for _, pt := range pending {
-			if pt.done {
-				continue
+		// The batch offers the open tasks but those whose decision is
+		// still in flight.
+		in.SelectTasks(st)
+		if len(deferred) > 0 {
+			delayed := func(id int) bool {
+				return slices.ContainsFunc(deferred, func(d deferredDecision) bool { return d.taskID == id })
 			}
-			if pt.held {
-				live = append(live, pt)
-				continue
-			}
-			if pt.task.Deadline >= tick {
-				live = append(live, pt)
-				pool = append(pool, pt)
-			}
+			in.Tasks = slices.DeleteFunc(in.Tasks, func(t assign.Task) bool { return delayed(t.ID) })
+			in.TaskIDs = slices.DeleteFunc(in.TaskIDs, delayed)
 		}
-		pending = live
-		if len(pool) == 0 {
+		if len(in.Tasks) == 0 {
 			continue
 		}
 
 		day := tick / p.TicksPerDay
 		tickInDay := tick % p.TicksPerDay
 
-		// The batch input, world side: eligibility, each eligible worker's
-		// true future path (for the acceptance check and the UB oracle) and
-		// the window of reports the platform observed today. core.PlanBatch
-		// forecasts from the windows and plans.
-		var eligible []int
+		// The batch's workers, world side: eligibility, each eligible
+		// worker's true future path (for the acceptance check and the UB
+		// oracle) and the window of reports the platform observed today.
+		// core.PlanBatch forecasts from the windows and plans.
+		eligible = eligible[:0]
 		for i := range r.Workload.Workers {
 			wk := &r.Workload.Workers[i]
-			if busyUntil[wk.ID] > tick || day >= len(wk.TestDays) {
+			if busyUntil[i] > tick || day >= len(wk.TestDays) {
 				continue
 			}
 			// Availability windows (internal/scenario): a worker off shift
@@ -354,19 +333,12 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 		if len(eligible) == 0 {
 			continue
 		}
-		in := core.BatchInput{
-			Tasks:   make([]assign.Task, len(pool)),
-			TaskIDs: make([]int, len(pool)),
-			Workers: make([]assign.Worker, len(eligible)),
-			Windows: make([][]geo.Point, len(eligible)),
-		}
-		for i, pt := range pool {
-			in.Tasks[i], in.TaskIDs[i] = pt.task, pt.task.ID
-		}
-		actual := make([]geo.Point, len(eligible)*lookahead)
-		var observed []geo.Point
+		in.Workers = slices.Grow(in.Workers[:0], len(eligible))[:len(eligible)]
+		in.Windows = slices.Grow(in.Windows[:0], len(eligible))[:len(eligible)]
+		clear(in.Windows)
+		actual = slices.Grow(actual[:0], len(eligible)*lookahead)
 		if forecast || r.Faults != nil {
-			observed = make([]geo.Point, len(eligible)*seqIn)
+			observed = slices.Grow(observed[:0], len(eligible)*seqIn)
 		}
 		var fs FaultStats
 		for j, i := range eligible {
@@ -374,7 +346,7 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 			actualDay := wk.TestDays[day]
 			w := &in.Workers[j]
 			*w = assign.Worker{
-				ID:     wk.ID,
+				ID:     wk.ID + 1,
 				Loc:    actualDay.At(tickInDay),
 				Detour: wk.Detour,
 				Speed:  wk.Speed,
@@ -410,20 +382,17 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 		}
 		so.droppedReports(fs.DroppedReports)
 		so.noisyReports(fs.NoisyReports)
-		if rec != nil {
-			// The workers entering this batch report their current location,
-			// so a replay rebuilds the same candidate set.
-			for j := range in.Workers {
-				if err := rec.emit(core.WorkerReported{
-					WorkerID: in.Workers[j].ID + 1, X: in.Workers[j].Loc.X, Y: in.Workers[j].Loc.Y,
-				}); err != nil {
-					return m, err
-				}
+		// The workers entering this batch report their current location,
+		// so a replay rebuilds the same candidate set.
+		for j := range in.Workers {
+			w := &in.Workers[j]
+			if err := apply(st, sink, core.WorkerReported{WorkerID: w.ID, X: w.Loc.X, Y: w.Loc.Y}); err != nil {
+				return m, err
 			}
 		}
 
 		var pairs []assign.Pair
-		offers, fallbacks, err := core.PlanBatch(ctx, in, forecast, r.Models, fc, r.Parallelism, nextOffer,
+		offers, fallbacks, err := core.PlanBatch(ctx, in, forecast, models, fc, r.Parallelism, st.NextOffer,
 			func(tasks []assign.Task, workers []assign.Worker) []assign.Pair {
 				start := time.Now()
 				pairs = assign.Do(ctx, r.Assigner, tasks, workers, tick)
@@ -437,70 +406,47 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 				// withheld (those tasks simply stay pending). A cancelled
 				// matching may be partial, and PlanBatch drops it.
 				if r.Workload.Budget.Enabled && ctx.Err() == nil {
-					pairs = budgetGate(so, pairs, pool, workers, r.Workload.Budget.PerTickKM)
+					pairs = budgetGate(so, pairs, tasks, workers, r.Workload.Budget.PerTickKM)
 				}
 				return pairs
 			})
 		if err != nil {
 			return m, err
 		}
-		nextOffer += len(offers)
 		fallbacks += fs.PredFallbacks
 		so.predFallbacks(fallbacks)
-		if rec != nil {
-			for i := range offers { // the log names workload IDs +1
-				offers[i].TaskID++
-				offers[i].WorkerID++
-			}
-			if err := rec.emit(core.BatchAssigned{Offers: offers, PredFallbacks: fallbacks}); err != nil {
-				return m, err
-			}
+		if err := apply(st, sink, core.BatchAssigned{Offers: offers, PredFallbacks: fallbacks}); err != nil {
+			return m, err
 		}
 
-		// Workers accept or reject against their true itineraries.
+		// Workers accept or reject against their true itineraries. A
+		// rejected task returns to the pool, and core never re-proposes the
+		// declined (task, worker) pair.
 		for k, pr := range pairs {
 			so.assigned()
-			pt := pool[pr.Task]
+			t := &in.Tasks[pr.Task]
 			w := &in.Workers[pr.Worker]
-			costCells, ok := acceptance(w, &pt.task, tick)
-			if !ok {
-				// Rejected: the task stays in the pool, but the platform
-				// never re-proposes a declined (task, worker) pair.
+			costCells, ok := acceptance(w, t, tick)
+			if ok {
+				// The worker starts serving, however late the platform
+				// learns of it.
+				busyUntil[eligible[pr.Worker]] = tick + int(math.Ceil(costCells/w.Speed)) + serviceTicks
+				err = apply(st, sink, core.OfferAccepted{OfferID: offers[k].OfferID})
+			} else {
 				so.rejected()
-				pt.task.Excluded = append(pt.task.Excluded, w.ID)
+				err = apply(st, sink, core.OfferRejected{OfferID: offers[k].OfferID})
 			}
-			if rec != nil {
-				var dec core.Event = core.OfferAccepted{OfferID: offers[k].OfferID}
-				if !ok {
-					dec = core.OfferRejected{OfferID: offers[k].OfferID}
-				}
-				if err := rec.emit(dec); err != nil {
-					return m, err
-				}
+			if err != nil {
+				return m, err
 			}
-			if delay := r.Faults.DecisionDelay(pt.task.ID, tick); delay > 0 {
-				// The worker decided (and, on accept, starts serving —
-				// they are busy either way), but the platform only learns
-				// the outcome `delay` ticks from now. Until then the task
-				// is held out of re-matching.
+			if delay := r.Faults.DecisionDelay(t.ID-1, tick); delay > 0 {
+				// The platform learns the outcome `delay` ticks from now;
+				// until then the task is held out of re-matching.
 				so.deferredDecision()
-				pt.held = true
-				if ok {
-					busyUntil[w.ID] = tick + int(math.Ceil(costCells/w.Speed)) + service
-				}
-				deferred = append(deferred, deferredDecision{
-					applyAt: tick + delay, pt: pt, workerID: w.ID,
-					costCells: costCells, accepted: ok,
-				})
-				continue
+				deferred = append(deferred, deferredDecision{applyAt: tick + delay, taskID: t.ID, costCells: costCells, accepted: ok})
+			} else if ok {
+				so.accepted(costCells)
 			}
-			if !ok {
-				continue
-			}
-			so.accepted(costCells)
-			pt.done = true
-			busy := int(math.Ceil(costCells/w.Speed)) + service
-			busyUntil[w.ID] = tick + busy
 		}
 	}
 	// Decisions still in flight when the horizon closes are flushed so a
@@ -519,7 +465,7 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 // pairs are dropped from the plan (their tasks stay in the pool; the
 // workers stay free) and counted as BudgetDenied; issued pairs keep their
 // original plan order.
-func budgetGate(so *simObs, pairs []assign.Pair, pool []*pendingTask, workers []assign.Worker, allowanceKM float64) []assign.Pair {
+func budgetGate(so *simObs, pairs []assign.Pair, tasks []assign.Task, workers []assign.Worker, allowanceKM float64) []assign.Pair {
 	if len(pairs) == 0 {
 		return pairs
 	}
@@ -530,7 +476,7 @@ func budgetGate(so *simObs, pairs []assign.Pair, pool []*pendingTask, workers []
 	}
 	order := make([]scored, len(pairs))
 	for i, pr := range pairs {
-		t := &pool[pr.Task].task
+		t := &tasks[pr.Task]
 		cost := assign.EstimatedDetourKM(&workers[pr.Worker], t)
 		rpc := math.Inf(1) // a free offer outranks every priced one
 		if cost > 0 {
@@ -582,10 +528,8 @@ func applyDeferred(so *simObs, deferred []deferredDecision, tick int) []deferred
 			rest = append(rest, d)
 			continue
 		}
-		d.pt.held = false
 		if d.accepted {
 			so.accepted(d.costCells)
-			d.pt.done = true
 		}
 	}
 	return rest

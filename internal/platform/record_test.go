@@ -11,6 +11,7 @@ import (
 	"github.com/spatialcrowd/tamp/internal/geo"
 	"github.com/spatialcrowd/tamp/internal/predict"
 	"github.com/spatialcrowd/tamp/internal/replay"
+	"github.com/spatialcrowd/tamp/internal/scenario"
 )
 
 // recordRun simulates with an EventSink, returning the metrics, the emitted
@@ -116,5 +117,44 @@ func TestEventSinkSkipsTaskExpiredOnArrival(t *testing.T) {
 	}
 	if _, ok := rep.Final.Tasks[2]; ok {
 		t.Error("the expired task was submitted")
+	}
+}
+
+// TestBudgetRecordingReplays: a budget-scenario recording carries every
+// task's reward, so a replay's tasks weigh as the run's did, and replaying
+// it under KM tallies what the run measured.
+func TestBudgetRecordingReplays(t *testing.T) {
+	w, models := scenarioSet(t, scenario.DefaultBudget())
+	m, events, _ := recordRun(t, Run{Workload: w, Models: models, Assigner: assign.KM{}})
+	if m.Assigned == 0 || m.BudgetSpentKM == 0 {
+		t.Fatalf("degenerate run: %+v", m)
+	}
+	platformModels := make(map[int]*predict.WorkerModel, len(models))
+	for id, model := range models {
+		platformModels[id+1] = model
+	}
+	rep, err := replay.Events(context.Background(), core.NewState(), events, replay.Options{Assigner: assign.KM{}, Models: platformModels})
+	if err != nil {
+		t.Fatalf("the recording does not replay: %v", err)
+	}
+	rewarded := 0
+	for _, task := range w.TestTasks {
+		got, ok := rep.Final.Tasks[task.ID+1]
+		if !ok {
+			continue // expired before it arrived, or beyond the horizon
+		}
+		if got.Task.Reward != task.Reward {
+			t.Fatalf("task %d replayed with reward %v, the workload posts %v", task.ID, got.Task.Reward, task.Reward)
+		}
+		if task.Reward > 0 {
+			rewarded++
+		}
+	}
+	if rewarded == 0 {
+		t.Fatal("no replayed task carries a reward")
+	}
+	c := rep.Final.Counts
+	if c.Offers != int64(m.Assigned) || c.Accepts != int64(m.Accepted) || c.Rejects != int64(m.Assigned-m.Accepted) {
+		t.Errorf("replayed counts %+v, the run assigned %d and accepted %d", c, m.Assigned, m.Accepted)
 	}
 }

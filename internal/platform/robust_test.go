@@ -76,19 +76,15 @@ func TestSimulateNoTasks(t *testing.T) {
 }
 
 func TestSimulateBusyWorkerUnavailable(t *testing.T) {
-	// Two identical immediate tasks on the route; one worker with a long
-	// service time can take only the first within the deadline window.
+	// Two immediate tasks on the route; the one worker, busy serving the
+	// first for its detour plus the service time, can take only the first
+	// within the deadline window.
 	tasks := []assign.Task{
 		{ID: 0, Loc: geo.Pt(1, 0), Arrival: 0, Deadline: 3},
 		{ID: 1, Loc: geo.Pt(2, 0), Arrival: 0, Deadline: 3},
 	}
 	w := handWorkload(tasks)
-	run := Run{
-		Workload:     w,
-		Models:       map[int]*predict.WorkerModel{},
-		Assigner:     assign.UB{},
-		ServiceTicks: 50, // busy for the rest of the horizon after one task
-	}
+	run := Run{Workload: w, Models: map[int]*predict.WorkerModel{}, Assigner: assign.UB{}}
 	m := mustSimulate(t, &run)
 	if m.Accepted != 1 {
 		t.Errorf("accepted = %d, want exactly 1 under a long service time", m.Accepted)

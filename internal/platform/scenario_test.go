@@ -101,17 +101,17 @@ func TestBudgetGateOrdering(t *testing.T) {
 		{ID: 0, Loc: pt(0, 0), Predicted: pts(0, 0)},
 		{ID: 1, Loc: pt(0, 0), Predicted: pts(0, 0)},
 	}
-	pool := []*pendingTask{
-		{task: assign.Task{ID: 0, Loc: pt(0, 2), Reward: 1}},  // rpc = 1/cost
-		{task: assign.Task{ID: 1, Loc: pt(0, 2), Reward: 10}}, // rpc = 10/cost: first
+	tasks := []assign.Task{
+		{ID: 0, Loc: pt(0, 2), Reward: 1},  // rpc = 1/cost
+		{ID: 1, Loc: pt(0, 2), Reward: 10}, // rpc = 10/cost: first
 	}
 	pairs := []assign.Pair{{Task: 0, Worker: 0}, {Task: 1, Worker: 1}}
-	cost := assign.EstimatedDetourKM(&workers[0], &pool[0].task)
+	cost := assign.EstimatedDetourKM(&workers[0], &tasks[0])
 	if cost <= 0 {
 		t.Fatal("test geometry should have a positive predicted detour")
 	}
 	// Allowance covers exactly one offer: the high-reward task must win.
-	kept := budgetGate(so, pairs, pool, workers, cost*1.5)
+	kept := budgetGate(so, pairs, tasks, workers, cost*1.5)
 	if len(kept) != 1 || kept[0].Task != 1 {
 		t.Fatalf("kept %+v, want only the high-reward pair", kept)
 	}
@@ -120,7 +120,7 @@ func TestBudgetGateOrdering(t *testing.T) {
 	}
 	// A covering allowance keeps the full plan in its original order.
 	so2 := newSimObs(obs.NewRegistry(), &Metrics{})
-	kept = budgetGate(so2, pairs, pool, workers, 10*cost)
+	kept = budgetGate(so2, pairs, tasks, workers, 10*cost)
 	if !reflect.DeepEqual(kept, pairs) {
 		t.Errorf("kept %+v, want the full plan in order %+v", kept, pairs)
 	}
