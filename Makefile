@@ -121,11 +121,12 @@ benchguard-allocs:
 # itself, the platform chaos run (churn + dropped/noised reports + predictor
 # failures + delayed decisions), the one forecast guard (panicking and
 # non-finite predictors, clean and chaos), the golden chaos metrics and
-# recordings, and the server's degraded-mode fallbacks.
+# recordings, and the server's degraded-mode fallbacks and its refusal to
+# acknowledge writes past a WAL append error.
 chaos:
 	$(GO) test -race ./internal/fault/ -v
 	$(GOTEST_RUN) ./internal/platform/ 'Chaos|PanicModel|NonFinite|Golden' -race -v
-	$(GOTEST_RUN) ./internal/server/ 'Panic|Degrade|BatchDeadline|OfferOutstanding' -race -v
+	$(GOTEST_RUN) ./internal/server/ 'Panic|Degrade|BatchDeadline|OfferOutstanding|WALAppendError' -race -v
 	$(GOTEST_RUN) ./internal/par/ 'Panic|Retry' -race -v
 
 # Bring up the region-sharded serving tier end to end: two durable tampserver

@@ -69,7 +69,8 @@ func (u ForecastUse) String() string {
 
 // trainPredictors is the offline stage every experiment that simulates runs
 // first. A variable so the shared-cache equivalence test can strip
-// Result.Forecasts and have every run fall back to its private cache.
+// Result.Forecasts and have every run recompute its rollouts, the uncached
+// reference.
 var trainPredictors = predict.Train
 
 // assignAlgos enumerates the seven compared algorithms of Figs. 6–11.

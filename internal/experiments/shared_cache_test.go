@@ -11,8 +11,8 @@ import (
 )
 
 // withoutSharedMemo trains through a trainer that strips Result.Forecasts
-// for the duration of the test, so every simulation of a sweep falls back to
-// a private per-run cache — the behaviour before the trained set owned one.
+// for the duration of the test, so every simulation of a sweep recomputes
+// every rollout — the uncached reference the shared memo must equal.
 func withoutSharedMemo(t *testing.T) {
 	t.Helper()
 	trainPredictors = func(ctx context.Context, w *dataset.Workload, opts predict.Options) (*predict.Result, error) {
@@ -27,8 +27,8 @@ func withoutSharedMemo(t *testing.T) {
 
 // TestSweepRowsIdenticalWithAndWithoutSharedMemo: the quick-scale Fig. 6
 // sweep produces the same quality columns whether its 35 simulations share
-// the two model sets' memos or each builds its own, and the shared run
-// reuses rollouts across assigners and sweep points.
+// the two model sets' memos or run uncached, and the shared run reuses
+// rollouts across assigners and sweep points.
 func TestSweepRowsIdenticalWithAndWithoutSharedMemo(t *testing.T) {
 	shared, uses, err := RunAssignmentSweep(context.Background(), dataset.Workload1, SweepDetour, Quick)
 	if err != nil {
@@ -47,7 +47,7 @@ func TestSweepRowsIdenticalWithAndWithoutSharedMemo(t *testing.T) {
 	}
 
 	withoutSharedMemo(t)
-	private, uses, err := RunAssignmentSweep(context.Background(), dataset.Workload1, SweepDetour, Quick)
+	uncached, uses, err := RunAssignmentSweep(context.Background(), dataset.Workload1, SweepDetour, Quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +56,14 @@ func TestSweepRowsIdenticalWithAndWithoutSharedMemo(t *testing.T) {
 			t.Errorf("%v: the stripped trainer still shared a memo", u)
 		}
 	}
-	if len(shared) != len(private) {
-		t.Fatalf("%d rows shared, %d private", len(shared), len(private))
+	if len(shared) != len(uncached) {
+		t.Fatalf("%d rows shared, %d uncached", len(shared), len(uncached))
 	}
 	for i := range shared {
-		a, b := shared[i], private[i]
+		a, b := shared[i], uncached[i]
 		a.TimeSec, b.TimeSec = 0, 0 // wall clock
 		if a != b {
-			t.Errorf("row %d differs:\n shared:  %+v\n private: %+v", i, a, b)
+			t.Errorf("row %d differs:\n shared:  %+v\n uncached: %+v", i, a, b)
 		}
 	}
 }
@@ -82,18 +82,18 @@ func TestMatrixCellsIdenticalWithAndWithoutSharedMemo(t *testing.T) {
 	}
 
 	withoutSharedMemo(t)
-	private, err := RunMatrix(context.Background(), []Scale{Quick}, nil)
+	uncached, err := RunMatrix(context.Background(), []Scale{Quick}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(shared) != len(private) {
-		t.Fatalf("%d cells shared, %d private", len(shared), len(private))
+	if len(shared) != len(uncached) {
+		t.Fatalf("%d cells shared, %d uncached", len(shared), len(uncached))
 	}
 	for i := range shared {
-		a, b := shared[i], private[i]
+		a, b := shared[i], uncached[i]
 		a.AssignMs, b.AssignMs = 0, 0 // wall clock
 		if a != b {
-			t.Errorf("cell %d differs:\n shared:  %+v\n private: %+v", i, a, b)
+			t.Errorf("cell %d differs:\n shared:  %+v\n uncached: %+v", i, a, b)
 		}
 	}
 }

@@ -88,17 +88,15 @@ func stationaryWorkload() (*dataset.Workload, map[int]*predict.WorkerModel, erro
 	return o.w, o.models, o.err
 }
 
-func measureSimulate(name string, disableCache bool) (Result, error) {
+// measureSimulate times a PPI simulation of the stationary workload, with a
+// forecast memo or, as the uncached reference, without one.
+func measureSimulate(name string, cached bool) (Result, error) {
 	w, models, err := stationaryWorkload()
 	if err != nil {
 		return Result{}, err
 	}
-	run := platform.Run{
-		Workload: w, Models: models,
-		Assigner:             assign.PPI{A: predict.DefaultMatchRadius},
-		DisableForecastCache: disableCache,
-	}
-	if !disableCache {
+	run := platform.Run{Workload: w, Models: models, Assigner: assign.PPI{A: predict.DefaultMatchRadius}}
+	if cached {
 		// Long-lived cache, the server pattern: steady-state iterations run
 		// warm instead of re-paying the first pass's misses every time.
 		run.Forecasts = predict.NewForecastCache(0)
@@ -196,7 +194,7 @@ func RunPredict() ([]Result, error) {
 	for _, sp := range predictSpecs() {
 		results = append(results, measure(sp.name, sp.current))
 	}
-	sim, err := measureSimulate("SimulateStationary", false)
+	sim, err := measureSimulate("SimulateStationary", true)
 	if err != nil {
 		return nil, err
 	}
@@ -212,7 +210,7 @@ func RunPredictOracle() ([]Result, error) {
 	for _, sp := range predictSpecs() {
 		results = append(results, measure(sp.name, sp.oracle))
 	}
-	sim, err := measureSimulate("SimulateStationary", true)
+	sim, err := measureSimulate("SimulateStationary", false)
 	if err != nil {
 		return nil, err
 	}
@@ -238,11 +236,11 @@ func WritePredictJSON(path string) (File, error) {
 		base = append(base, measure(sp.name, sp.oracle))
 		cur = append(cur, measure(sp.name, sp.current))
 	}
-	ob, err := measureSimulate("SimulateStationary", true)
+	ob, err := measureSimulate("SimulateStationary", false)
 	if err != nil {
 		return File{}, err
 	}
-	oc, err := measureSimulate("SimulateStationary", false)
+	oc, err := measureSimulate("SimulateStationary", true)
 	if err != nil {
 		return File{}, err
 	}

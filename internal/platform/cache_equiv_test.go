@@ -57,8 +57,7 @@ func TestForecastCacheEquivalence(t *testing.T) {
 	})
 	uncached := mustSimulate(t, &Run{
 		Workload: w, Models: models,
-		Assigner:             assign.PPI{A: predict.DefaultMatchRadius},
-		DisableForecastCache: true,
+		Assigner: assign.PPI{A: predict.DefaultMatchRadius},
 	})
 	cached.AssignTime, uncached.AssignTime = 0, 0
 	if cached != uncached {
@@ -87,9 +86,8 @@ func TestForecastCacheEquivalenceUnderChaos(t *testing.T) {
 	})
 	uncached := mustSimulate(t, &Run{
 		Workload: w, Models: models,
-		Assigner:             assign.PPI{A: predict.DefaultMatchRadius},
-		Faults:               fault.New(chaosConfig()),
-		DisableForecastCache: true,
+		Assigner: assign.PPI{A: predict.DefaultMatchRadius},
+		Faults:   fault.New(chaosConfig()),
 	})
 	cached.AssignTime, uncached.AssignTime = 0, 0
 	if cached != uncached {

@@ -76,6 +76,12 @@ func (m Metrics) RejectionRate() float64 {
 	return float64(m.Assigned-m.Accepted) / float64(m.Assigned)
 }
 
+// accept counts one accepted assignment and the detour its worker travels.
+func (m *Metrics) accept(costCells float64) {
+	m.Accepted++
+	m.SumCostKM += geo.CellsToKM(costCells)
+}
+
 // AvgCostKM is the mean detour workers travelled per accepted task, in km.
 func (m Metrics) AvgCostKM() float64 {
 	if m.Accepted == 0 {
@@ -85,9 +91,10 @@ func (m Metrics) AvgCostKM() float64 {
 }
 
 // Run configures one simulation. Its platform side — the task pool, offers,
-// decisions and expiry — is a core.State the run owns and applies each of
-// its events to; the world side — true paths, availability, faults and
-// acceptance — is the workload's.
+// decisions and expiry, and the tallies of offers, rejects, batches and
+// forecast fallbacks — is a core.State the run owns and applies each of its
+// events to; the world side — true paths, availability, faults and
+// acceptance — is the workload's, and Metrics counts what it sees.
 type Run struct {
 	Workload *dataset.Workload
 	// Models holds each worker's mobility predictor (nil entries degrade
@@ -127,21 +134,16 @@ type Run struct {
 	// positive IDs), and a decision applies when the worker decides, even if
 	// the fault injector delivers it late. A sink error aborts the run.
 	EventSink func(core.Event) error
-	// Forecasts, when non-nil, is the forecast cache the run memoizes
-	// PredictFuture rollouts in — exact window-keyed, so cached runs are
-	// bit-identical to uncached ones. It must be a cache of Models: the one
-	// predict.Train put on the Result the models came from
-	// (Result.Forecasts), which every run over that Result shares — the
-	// second assigner, sweep point or chaos pass rolls out only the windows
-	// the first did not see — or any longer-lived cache of the caller's.
-	// The run reports its own share of a handed-in cache's traffic to the
-	// context registry. When nil, Simulate builds a private per-run cache
-	// unless DisableForecastCache is set.
+	// Forecasts is the memo the run looks each PredictFuture rollout up in
+	// — exact window-keyed, so memoized runs are bit-identical to uncached
+	// ones. It must be a cache of Models: the one predict.Train put on the
+	// Result the models came from (Result.Forecasts), which every run over
+	// that Result shares — the second assigner, sweep point or chaos pass
+	// rolls out only the windows the first did not see — or any longer-lived
+	// cache of the caller's. The run reports its own share of the cache's
+	// traffic to the context registry. Nil recomputes every rollout: the
+	// uncached reference the memo is checked against.
 	Forecasts *predict.ForecastCache
-	// DisableForecastCache turns forecast memoization off entirely
-	// (every rollout recomputes). The cache-equivalence suite relies on it;
-	// production runs have no reason to set it.
-	DisableForecastCache bool
 }
 
 // dailyAdaptLR is the learning rate of the continual updates.
@@ -173,21 +175,30 @@ func apply[E core.Event](st *core.State, sink func(core.Event) error, ev E) erro
 // Simulate runs the full test horizon and returns the aggregated metrics.
 // Cancelling ctx stops the simulation at the next tick boundary (or between
 // a batch's prediction and matching phases) and returns the partial metrics
-// alongside ctx.Err().
-func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
+// alongside ctx.Err(). The tamp_sim_* series of the context registry gain
+// the returned metrics when Simulate returns, on every path.
+func (r *Run) Simulate(ctx context.Context) (m Metrics, err error) {
 	p := r.Workload.Params
 	horizonTicks := p.TestDays * p.TicksPerDay
 	// The acceptance check and the UB oracle see this many future ticks of
 	// true trajectory: enough for the longest-lived task.
 	lookahead := p.ValidMax*traj.TicksPerTimeUnit + 5
 
-	var m Metrics
-	// All run accounting flows through simObs so the returned Metrics and
-	// the context registry (live /metrics scrapes) stay in lockstep. The
-	// whole horizon records under the "sim" span.
+	m.TotalTasks = len(r.Workload.TestTasks)
+	// The platform's tasks, workers and offers live in st, by workload ID
+	// +1; the fault injector and the workload arrays keep workload IDs. What
+	// the platform did — offers, rejects, batches, forecast fallbacks — st
+	// counts; m counts what the world side saw. Both land in the returned
+	// Metrics and the context registry once, however the run ends. The whole
+	// horizon records under the "sim" span.
+	st, sink := core.NewState(), r.EventSink
 	reg := obs.RegistryFrom(ctx)
-	so := newSimObs(reg, &m)
-	so.arrived(len(r.Workload.TestTasks))
+	defer func() {
+		m.Assigned = int(st.Counts.Offers)
+		m.Faults.PredFallbacks = int(st.Counts.PredFallbacks)
+		writeSimSeries(reg, &m, st.Counts)
+	}()
+	assignSec := reg.Histogram("tamp_assign_seconds", obs.DefSecondsBuckets)
 	ctx, endSim := obs.Span(ctx, "sim")
 	defer endSim()
 	// One assignment workspace for the whole horizon: the spatial candidate
@@ -195,26 +206,15 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 	// reallocated. Ticks run sequentially, so the single workspace is never
 	// shared between concurrent assignments.
 	ctx = assign.WithWorkspace(ctx, assign.NewWorkspace())
-	// One forecast cache for the whole horizon: stationary workers reuse
-	// their rollouts tick after tick, and daily adaptation invalidates a
-	// worker's entries by version. Reuse is exact-match, so metrics are
-	// unchanged with the cache on, off, or shared across runs of the same
-	// model set.
+	// The forecast memo is the caller's, instrumented by its owner if at
+	// all: what this run hit, missed and evicted is the difference of two
+	// readings.
 	fc := r.Forecasts
-	switch {
-	case fc != nil:
-		// Somebody else's cache, instrumented by its owner if at all: what
-		// this run hit, missed and evicted is the difference of two readings.
+	if fc != nil {
 		hits0, misses0, evictions0 := fc.Stats()
 		defer reportForecastTraffic(reg, fc, hits0, misses0, evictions0)
-	case !r.DisableForecastCache:
-		fc = predict.NewForecastCache(0)
-		fc.Instrument(reg)
 	}
 
-	// The platform's tasks, workers and offers live in st, by workload ID
-	// +1; the fault injector and the workload arrays keep workload IDs.
-	st, sink := core.NewState(), r.EventSink
 	models := make(map[int]*predict.WorkerModel, len(r.Models))
 	seqIn := 0 // the longest window any worker's model reads
 	for i := range r.Workload.Workers {
@@ -255,7 +255,7 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 			}
 		}
 		// Late accept/reject decisions land now, FIFO in decision order.
-		deferred = applyDeferred(so, deferred, tick)
+		deferred = applyDeferred(&m, deferred, tick)
 		// Continual prediction: at a day boundary, fine-tune every model on
 		// the trace observed during the previous day. Each worker adapts its
 		// own model on its own trace, so the pass fans out on the pool.
@@ -321,11 +321,11 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 			// faults, recording, and budgets all compose with windowed
 			// workloads for free.
 			if !wk.AvailableAt(tick) {
-				so.offWindowSkip()
+				m.OffWindow++
 				continue
 			}
 			if r.Faults.Offline(wk.ID, tick) {
-				so.offline(1)
+				m.Faults.OfflineTicks++
 				continue
 			}
 			eligible = append(eligible, i)
@@ -340,7 +340,7 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 		if forecast || r.Faults != nil {
 			observed = slices.Grow(observed[:0], len(eligible)*seqIn)
 		}
-		var fs FaultStats
+		worldFallbacks := 0 // workers the world side left without a window
 		for j, i := range eligible {
 			wk := &r.Workload.Workers[i]
 			actualDay := wk.TestDays[day]
@@ -367,21 +367,14 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 			if !forecast && r.Faults == nil {
 				continue
 			}
-			recent := observed[j*seqIn : j*seqIn : j*seqIn+model.SeqIn]
-			if r.Faults != nil {
-				recent = faultyReports(recent, r.Faults, wk.ID, actualDay, day, p.TicksPerDay, tickInDay, model.SeqIn, &fs)
-			} else {
-				recent = recentPoints(recent, actualDay, tickInDay, model.SeqIn)
-			}
+			recent := faultyReports(observed[j*seqIn:j*seqIn:j*seqIn+model.SeqIn], r.Faults, wk.ID, actualDay, day, p.TicksPerDay, tickInDay, model.SeqIn, &m.Faults)
 			if r.Faults.PredictorFails(wk.ID, tick) || len(recent) == 0 {
 				// No window: the worker stands still.
-				fs.PredFallbacks++
+				worldFallbacks++
 				continue
 			}
 			in.Windows[j] = recent
 		}
-		so.droppedReports(fs.DroppedReports)
-		so.noisyReports(fs.NoisyReports)
 		// The workers entering this batch report their current location,
 		// so a replay rebuilds the same candidate set.
 		for j := range in.Workers {
@@ -398,24 +391,21 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 				pairs = assign.Do(ctx, r.Assigner, tasks, workers, tick)
 				elapsed := time.Since(start)
 				m.AssignTime += elapsed
-				so.batches.Inc()
-				so.assignSec.Observe(elapsed.Seconds())
+				assignSec.Observe(elapsed.Seconds())
 				// Budget gate: on budgeted workloads the platform issues
 				// offers in descending reward-per-predicted-cost order until
 				// the tick's spend allowance runs out; the rest of the plan is
 				// withheld (those tasks simply stay pending). A cancelled
 				// matching may be partial, and PlanBatch drops it.
 				if r.Workload.Budget.Enabled && ctx.Err() == nil {
-					pairs = budgetGate(so, pairs, tasks, workers, r.Workload.Budget.PerTickKM)
+					pairs = budgetGate(&m, pairs, tasks, workers, r.Workload.Budget.PerTickKM)
 				}
 				return pairs
 			})
 		if err != nil {
 			return m, err
 		}
-		fallbacks += fs.PredFallbacks
-		so.predFallbacks(fallbacks)
-		if err := apply(st, sink, core.BatchAssigned{Offers: offers, PredFallbacks: fallbacks}); err != nil {
+		if err := apply(st, sink, core.BatchAssigned{Offers: offers, PredFallbacks: fallbacks + worldFallbacks}); err != nil {
 			return m, err
 		}
 
@@ -423,7 +413,6 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 		// rejected task returns to the pool, and core never re-proposes the
 		// declined (task, worker) pair.
 		for k, pr := range pairs {
-			so.assigned()
 			t := &in.Tasks[pr.Task]
 			w := &in.Workers[pr.Worker]
 			costCells, ok := acceptance(w, t, tick)
@@ -433,7 +422,6 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 				busyUntil[eligible[pr.Worker]] = tick + int(math.Ceil(costCells/w.Speed)) + serviceTicks
 				err = apply(st, sink, core.OfferAccepted{OfferID: offers[k].OfferID})
 			} else {
-				so.rejected()
 				err = apply(st, sink, core.OfferRejected{OfferID: offers[k].OfferID})
 			}
 			if err != nil {
@@ -442,16 +430,16 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 			if delay := r.Faults.DecisionDelay(t.ID-1, tick); delay > 0 {
 				// The platform learns the outcome `delay` ticks from now;
 				// until then the task is held out of re-matching.
-				so.deferredDecision()
+				m.Faults.DeferredDecisions++
 				deferred = append(deferred, deferredDecision{applyAt: tick + delay, taskID: t.ID, costCells: costCells, accepted: ok})
 			} else if ok {
-				so.accepted(costCells)
+				m.accept(costCells)
 			}
 		}
 	}
 	// Decisions still in flight when the horizon closes are flushed so a
 	// delayed accept still counts as a completion.
-	applyDeferred(so, deferred, math.MaxInt)
+	applyDeferred(&m, deferred, math.MaxInt)
 	return m, nil
 }
 
@@ -465,7 +453,7 @@ func (r *Run) Simulate(ctx context.Context) (Metrics, error) {
 // pairs are dropped from the plan (their tasks stay in the pool; the
 // workers stay free) and counted as BudgetDenied; issued pairs keep their
 // original plan order.
-func budgetGate(so *simObs, pairs []assign.Pair, tasks []assign.Task, workers []assign.Worker, allowanceKM float64) []assign.Pair {
+func budgetGate(m *Metrics, pairs []assign.Pair, tasks []assign.Task, workers []assign.Worker, allowanceKM float64) []assign.Pair {
 	if len(pairs) == 0 {
 		return pairs
 	}
@@ -505,11 +493,11 @@ func budgetGate(so *simObs, pairs []assign.Pair, tasks []assign.Task, workers []
 			continue
 		}
 		remaining -= s.cost
-		so.budgetSpend(s.cost)
+		m.BudgetSpentKM += s.cost
 		issued[s.idx] = true
 		nIssued++
 	}
-	so.budgetDeny(len(pairs) - nIssued)
+	m.BudgetDenied += len(pairs) - nIssued
 	kept := make([]assign.Pair, 0, nIssued)
 	for i, pr := range pairs {
 		if issued[i] {
@@ -521,7 +509,7 @@ func budgetGate(so *simObs, pairs []assign.Pair, tasks []assign.Task, workers []
 
 // applyDeferred delivers every deferred decision due by tick, in decision
 // order, and returns the still-pending remainder.
-func applyDeferred(so *simObs, deferred []deferredDecision, tick int) []deferredDecision {
+func applyDeferred(m *Metrics, deferred []deferredDecision, tick int) []deferredDecision {
 	rest := deferred[:0]
 	for _, d := range deferred {
 		if d.applyAt > tick {
@@ -529,26 +517,18 @@ func applyDeferred(so *simObs, deferred []deferredDecision, tick int) []deferred
 			continue
 		}
 		if d.accepted {
-			so.accepted(d.costCells)
+			m.accept(d.costCells)
 		}
 	}
 	return rest
 }
 
-// recentPoints appends to dst the up-to-n most recent true locations the
-// platform has observed today (workers share their location while online).
-func recentPoints(dst []geo.Point, day traj.Routine, tickInDay, n int) []geo.Point {
-	for t := max(tickInDay-n+1, 0); t <= tickInDay; t++ {
-		dst = append(dst, day.At(t))
-	}
-	return dst
-}
-
-// faultyReports rebuilds the worker's observed trace for today under the
-// injector: dropped pings vanish, noisy pings are perturbed by Gaussian GPS
-// error. Fault draws key on the absolute tick so the schedule is stable
-// across batches. The reports are appended to dst; counters land in fs (the
-// caller's index-addressed slot).
+// faultyReports appends to dst the up-to-n most recent locations the
+// platform observed from the worker today (workers share their location
+// while online), under the injector, which may be nil: dropped pings
+// vanish, noisy pings are perturbed by Gaussian GPS error. Fault draws key
+// on the absolute tick so the schedule is stable across batches; both
+// tallies land in fs.
 func faultyReports(dst []geo.Point, f *fault.Injector, workerID int, day traj.Routine, dayIdx, ticksPerDay, tickInDay, n int, fs *FaultStats) []geo.Point {
 	for t := max(tickInDay-n+1, 0); t <= tickInDay; t++ {
 		abs := dayIdx*ticksPerDay + t

@@ -186,16 +186,22 @@ func TestAcceptanceIgnoresCurrentLocation(t *testing.T) {
 	}
 }
 
+// TestRecentPoints: with no injector, faultyReports is the clean window of
+// the most recent true locations, and counts no fault.
 func TestRecentPoints(t *testing.T) {
 	day := lineRoutine(0, 0, 1, 1, 2, 2, 3, 3)
-	got := recentPoints(nil, day, 2, 2)
+	var fs FaultStats
+	got := faultyReports(nil, nil, 0, day, 0, 8, 2, 2, &fs)
 	if len(got) != 2 || got[0] != pt(1, 1) || got[1] != pt(2, 2) {
 		t.Errorf("recent = %v", got)
 	}
 	// Early in the day the window shrinks.
-	got = recentPoints(nil, day, 0, 5)
+	got = faultyReports(nil, nil, 0, day, 0, 8, 0, 5, &fs)
 	if len(got) != 1 || got[0] != pt(0, 0) {
 		t.Errorf("early recent = %v", got)
+	}
+	if fs != (FaultStats{}) {
+		t.Errorf("no injector, yet faults counted: %+v", fs)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"github.com/spatialcrowd/tamp/internal/assign"
 	"github.com/spatialcrowd/tamp/internal/dataset"
-	"github.com/spatialcrowd/tamp/internal/obs"
 	"github.com/spatialcrowd/tamp/internal/scenario"
 )
 
@@ -96,7 +95,7 @@ func TestSimulateBudgetBoundsSpend(t *testing.T) {
 // budgetGate unit semantics: descending reward-per-predicted-km order,
 // deterministic tie-breaks, plan order preserved on the kept offers.
 func TestBudgetGateOrdering(t *testing.T) {
-	so := newSimObs(obs.NewRegistry(), &Metrics{})
+	var m Metrics
 	workers := []assign.Worker{
 		{ID: 0, Loc: pt(0, 0), Predicted: pts(0, 0)},
 		{ID: 1, Loc: pt(0, 0), Predicted: pts(0, 0)},
@@ -111,16 +110,15 @@ func TestBudgetGateOrdering(t *testing.T) {
 		t.Fatal("test geometry should have a positive predicted detour")
 	}
 	// Allowance covers exactly one offer: the high-reward task must win.
-	kept := budgetGate(so, pairs, tasks, workers, cost*1.5)
+	kept := budgetGate(&m, pairs, tasks, workers, cost*1.5)
 	if len(kept) != 1 || kept[0].Task != 1 {
 		t.Fatalf("kept %+v, want only the high-reward pair", kept)
 	}
-	if so.m.BudgetDenied != 1 {
-		t.Errorf("BudgetDenied = %d, want 1", so.m.BudgetDenied)
+	if m.BudgetDenied != 1 {
+		t.Errorf("BudgetDenied = %d, want 1", m.BudgetDenied)
 	}
 	// A covering allowance keeps the full plan in its original order.
-	so2 := newSimObs(obs.NewRegistry(), &Metrics{})
-	kept = budgetGate(so2, pairs, tasks, workers, 10*cost)
+	kept = budgetGate(&Metrics{}, pairs, tasks, workers, 10*cost)
 	if !reflect.DeepEqual(kept, pairs) {
 		t.Errorf("kept %+v, want the full plan in order %+v", kept, pairs)
 	}

@@ -74,8 +74,6 @@ func TestTrainedSetMemoSharedAcrossRuns(t *testing.T) {
 				}
 				if shared {
 					r.Forecasts = res.Forecasts
-				} else {
-					r.DisableForecastCache = true
 				}
 				return r
 			}
@@ -119,7 +117,7 @@ func TestTrainedSetMemoAcrossAdaptingRuns(t *testing.T) {
 			Assigner: assign.PPI{A: predict.DefaultMatchRadius}, DailyAdaptSteps: 2,
 		})
 		plain, _, _ := simulateInRegistry(t, &Run{
-			Workload: w, Models: twin.Models, DisableForecastCache: true,
+			Workload: w, Models: twin.Models,
 			Assigner: assign.PPI{A: predict.DefaultMatchRadius}, DailyAdaptSteps: 2,
 		})
 		if shared != plain {

@@ -150,7 +150,7 @@ func TestDeferredRecoveryFailureStaysUnready(t *testing.T) {
 	t.Cleanup(func() { s.Close() })
 
 	deadline := time.Now().Add(10 * time.Second)
-	for s.recoverErr.Load() == nil {
+	for s.failure.Load() == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("recovery error never surfaced")
 		}

@@ -25,6 +25,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log"
 	"net/http"
@@ -135,16 +136,18 @@ type Server struct {
 
 	// ready gates /readyz and the /api routes: it flips true once WAL
 	// recovery has completed and the batch workspace is wired, and false
-	// again on Close. The router tier probes it before routing traffic.
+	// again on Close or a failure. The router tier probes it before routing
+	// traffic.
 	ready atomic.Bool
-	// recoverErr records a failed deferred recovery so /readyz can report
-	// why the shard will never become ready.
-	recoverErr atomic.Pointer[string]
+	// failure records why the shard will never become ready — a failed
+	// deferred recovery or a WAL append error — so /readyz can report it and
+	// commitLocked refuses every later event.
+	failure atomic.Pointer[string]
 
 	mu     sync.Mutex
 	st     *core.State
 	closed bool     // Close ran; mutations are rejected and readyz stays 503
-	log    *wal.Log // nil when WALDir is unset or after a disk failure
+	log    *wal.Log // nil when WALDir is unset, after Close or after a failure
 
 	// One long-lived assignment workspace shared by every batch (guarded by
 	// s.mu like the state): the task grid, pair buffers and matcher arrays
@@ -170,8 +173,8 @@ type Server struct {
 	batchSec                      *obs.Histogram
 	// durableG is 1 while every acknowledged event is also on the write-ahead
 	// log and 0 otherwise (memory-only from the start, or after an append
-	// error dropped the log — each such error also counts in walErrC), so
-	// losing durability is a visible state, not one log line.
+	// error took the shard out of service — each such error also counts in
+	// walErrC), so losing durability is a visible state, not one log line.
 	durableG *obs.Gauge
 	walErrC  *obs.Counter
 
@@ -240,8 +243,8 @@ func New(cfg Config) (*Server, error) {
 				return
 			}
 			if err := s.recoverWAL(); err != nil {
-				msg := err.Error()
-				s.recoverErr.Store(&msg)
+				msg := "recovery failed: " + err.Error()
+				s.failure.Store(&msg)
 				log.Printf("server: deferred wal recovery failed, staying unready: %v", err)
 				return
 			}
@@ -310,37 +313,47 @@ func (s *Server) recoverWAL() error {
 	return nil
 }
 
-// commitLocked is the single mutation path of the server: append each event
-// to the write-ahead log, apply it to the state machine, and mirror the
+// commitLocked is the single mutation path of the server: apply the event to
+// the state machine, append it to the write-ahead log, and mirror the
 // state's tally deltas into the obs counters. Handlers validate against the
 // state before committing, so a failed Apply is a programming error and
 // panics into the recovery middleware (no partial state: Apply rejects
 // atomically, and nothing is appended for the failed event).
-func (s *Server) commitLocked(evs ...core.Event) {
+//
+// An append error takes the shard out of service rather than let it
+// acknowledge writes it cannot make durable: the log is closed, so the one
+// on disk stays a clean prefix of history, the shard goes unready with the
+// error as the reason /readyz gives, and the error is returned — the
+// caller answers 503 and acknowledges nothing. From then on every event is
+// refused, from a handler or from the ticker.
+func (s *Server) commitLocked(ev core.Event) error {
+	if msg := s.failure.Load(); msg != nil {
+		return errors.New("shard out of service: " + *msg)
+	}
 	before := s.st.Counts
-	for _, ev := range evs {
-		if err := s.st.Apply(ev); err != nil {
+	if err := s.st.Apply(ev); err != nil {
+		panic(err)
+	}
+	if s.log != nil {
+		b, err := core.EncodeEvent(ev)
+		if err != nil {
 			panic(err)
 		}
-		if s.log != nil {
-			b, err := core.EncodeEvent(ev)
-			if err != nil {
-				panic(err)
-			}
-			if _, err := s.log.Append(b); err != nil {
-				// Disk trouble: keep serving memory-only rather than take the
-				// platform down, but stop appending so the log on disk stays a
-				// clean prefix of history instead of gaining holes.
-				log.Printf("server: wal append failed, durability disabled: %v", err)
-				s.walErrC.Inc()
-				s.durableG.Set(0)
-				s.log.Close()
-				s.log = nil
-			}
+		if _, err := s.log.Append(b); err != nil {
+			msg := "wal append failed: " + err.Error()
+			log.Printf("server: %s; shard out of service", msg)
+			s.walErrC.Inc()
+			s.durableG.Set(0)
+			s.log.Close()
+			s.log = nil
+			s.failure.Store(&msg)
+			s.ready.Store(false)
+			return errors.New(msg)
 		}
 	}
 	s.bumpCountersLocked(before)
 	s.maybeSnapshotLocked()
+	return nil
 }
 
 func (s *Server) bumpCountersLocked(before core.Counts) {
@@ -412,8 +425,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	// probe and metrics endpoints stay up so operators and the router tier
 	// can watch the recovery progress.
 	if !s.ready.Load() && strings.HasPrefix(r.URL.Path, "/api/") {
-		w.Header().Set("Retry-After", "1")
-		httpapi.Error(w, http.StatusServiceUnavailable, "not ready")
+		unavailable(w, "not ready")
 		return
 	}
 	// pprof endpoints stream for as long as the client asks (?seconds=N) and
@@ -437,19 +449,25 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz is the readiness probe: 200 only once WAL recovery has
 // completed and the batch workspace is wired, 503 while recovering, after a
-// failed recovery (with the reason), and after Close. Routers gate
-// (re-)admission of a shard on this endpoint.
+// failed recovery or WAL append (with the reason), and after Close. Routers
+// gate (re-)admission of a shard on this endpoint.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.ready.Load() {
 		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 		return
 	}
-	if msg := s.recoverErr.Load(); msg != nil {
-		httpapi.Error(w, http.StatusServiceUnavailable, "recovery failed: %s", *msg)
+	if msg := s.failure.Load(); msg != nil {
+		httpapi.Error(w, http.StatusServiceUnavailable, "%s", *msg)
 		return
 	}
+	unavailable(w, "not ready")
+}
+
+// unavailable answers 503 with a Retry-After: the shard is not taking
+// platform traffic now.
+func unavailable(w http.ResponseWriter, msg string) {
 	w.Header().Set("Retry-After", "1")
-	httpapi.Error(w, http.StatusServiceUnavailable, "not ready")
+	httpapi.Error(w, http.StatusServiceUnavailable, "%s", msg)
 }
 
 func (s *Server) routes() {
@@ -498,7 +516,10 @@ func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
 			}
 			id = req.ID
 		}
-		s.commitLocked(core.TaskSubmitted{TaskID: id, X: loc.X, Y: loc.Y, Deadline: req.Deadline})
+		if err := s.commitLocked(core.TaskSubmitted{TaskID: id, X: loc.X, Y: loc.Y, Deadline: req.Deadline}); err != nil {
+			unavailable(w, err.Error())
+			return
+		}
 		httpapi.WriteJSON(w, http.StatusCreated, s.taskResponseLocked(id))
 	case http.MethodGet:
 		s.mu.Lock()
@@ -552,7 +573,10 @@ func (s *Server) handleTaskByID(w http.ResponseWriter, r *http.Request) {
 		// Cancelling an offered task retracts the outstanding offer too, so
 		// the worker is immediately matchable again and a late accept on
 		// the dead offer cannot resurrect the task.
-		s.commitLocked(core.TaskCancelled{TaskID: id})
+		if err := s.commitLocked(core.TaskCancelled{TaskID: id}); err != nil {
+			unavailable(w, err.Error())
+			return
+		}
 		httpapi.WriteJSON(w, http.StatusOK, s.taskResponseLocked(id))
 	default:
 		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
@@ -596,7 +620,10 @@ func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
 		if req.MR > 0 {
 			mr = req.MR
 		}
-		s.commitLocked(core.WorkerRegistered{WorkerID: req.ID, Detour: detour, Speed: speed, MR: mr})
+		if err := s.commitLocked(core.WorkerRegistered{WorkerID: req.ID, Detour: detour, Speed: speed, MR: mr}); err != nil {
+			unavailable(w, err.Error())
+			return
+		}
 		httpapi.WriteJSON(w, http.StatusCreated, s.workerResponseLocked(s.st.Workers[req.ID]))
 	case http.MethodGet:
 		s.mu.Lock()
@@ -641,7 +668,10 @@ func (s *Server) handleWorkerByID(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		loc := s.cfg.Grid.Bounds().Clamp(geo.Pt(req.X, req.Y))
-		s.commitLocked(core.WorkerReported{WorkerID: id, X: loc.X, Y: loc.Y})
+		if err := s.commitLocked(core.WorkerReported{WorkerID: id, X: loc.X, Y: loc.Y}); err != nil {
+			unavailable(w, err.Error())
+			return
+		}
 		httpapi.WriteJSON(w, http.StatusOK, map[string]int{"traceLen": len(ws.Trace)})
 	case r.Method == http.MethodGet && action == "offers":
 		var out []httpapi.OfferResponse
@@ -702,7 +732,10 @@ func (s *Server) handleOfferByID(w http.ResponseWriter, r *http.Request) {
 	// matchable again.
 	t := s.st.Tasks[off.TaskID]
 	if t == nil || t.Status != TaskOffered || t.OfferID != id {
-		s.commitLocked(core.OfferRetracted{OfferID: id})
+		if err := s.commitLocked(core.OfferRetracted{OfferID: id}); err != nil {
+			unavailable(w, err.Error())
+			return
+		}
 		if t == nil {
 			httpapi.Error(w, http.StatusConflict, "offer %d is stale: task gone", id)
 		} else {
@@ -710,17 +743,23 @@ func (s *Server) handleOfferByID(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	var ev core.Event
+	var status string
 	switch action {
 	case "accept":
-		s.commitLocked(core.OfferAccepted{OfferID: id})
-		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "accepted"})
+		ev, status = core.OfferAccepted{OfferID: id}, "accepted"
 	case "reject":
-		s.commitLocked(core.OfferRejected{OfferID: id})
-		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "rejected"})
+		ev, status = core.OfferRejected{OfferID: id}, "rejected"
 	default:
 		// Unknown action: nothing committed, the offer stays pending.
 		httpapi.Error(w, http.StatusBadRequest, "unknown action %q", action)
+		return
 	}
+	if err := s.commitLocked(ev); err != nil {
+		unavailable(w, err.Error())
+		return
+	}
+	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": status})
 }
 
 // --- batch loop ---
@@ -732,7 +771,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	made := s.runBatchLocked(r.Context())
+	made, err := s.runBatchLocked(r.Context())
+	if err != nil {
+		unavailable(w, err.Error())
+		return
+	}
 	httpapi.WriteJSON(w, http.StatusOK, httpapi.BatchResponse{Tick: s.st.Tick, Offers: made, Open: s.st.OpenTasks()})
 }
 
@@ -740,9 +783,13 @@ func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		s.mu.Lock()
-		s.commitLocked(core.TickAdvanced{})
+		err := s.commitLocked(core.TickAdvanced{})
 		tick := s.st.Tick
 		s.mu.Unlock()
+		if err != nil {
+			unavailable(w, err.Error())
+			return
+		}
 		httpapi.WriteJSON(w, http.StatusOK, map[string]int{"tick": tick})
 	case http.MethodGet:
 		s.mu.Lock()
@@ -757,9 +804,9 @@ func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 // runBatchLocked runs the shared batch step (core.PlanBatch) with the
 // configured assigner under the batch deadline, and commits the plan as one
 // BatchAssigned (or DegradedBatch) event. It returns the number of offers
-// made. A cancelled ctx (e.g. the requester of POST /api/batch hung up)
-// abandons the batch without committing anything.
-func (s *Server) runBatchLocked(ctx context.Context) int {
+// made, and commitLocked's error. A cancelled ctx (e.g. the requester of
+// POST /api/batch hung up) abandons the batch without committing anything.
+func (s *Server) runBatchLocked(ctx context.Context) (int, error) {
 	// Route the batch's phase spans (assign.ppi/stage1..3 etc.) into this
 	// server's registry, reuse the server's long-lived workspace (we hold
 	// s.mu, which serializes batches), and time the batch end to end — empty
@@ -781,15 +828,18 @@ func (s *Server) runBatchLocked(ctx context.Context) int {
 			return pairs
 		})
 	if err != nil {
-		return 0
+		return 0, nil // abandoned: nothing to commit
 	}
 	// An empty batch is still recorded, so replayed tallies agree.
 	if degraded {
-		s.commitLocked(core.DegradedBatch{Offers: offers, PredFallbacks: fallbacks})
+		err = s.commitLocked(core.DegradedBatch{Offers: offers, PredFallbacks: fallbacks})
 	} else {
-		s.commitLocked(core.BatchAssigned{Offers: offers, PredFallbacks: fallbacks})
+		err = s.commitLocked(core.BatchAssigned{Offers: offers, PredFallbacks: fallbacks})
 	}
-	return len(offers)
+	if err != nil {
+		return 0, err
+	}
+	return len(offers), nil
 }
 
 // assignWithDeadline runs the configured assigner under the batch deadline.
@@ -824,22 +874,27 @@ func (s *Server) assignWithDeadline(ctx context.Context, tasks []assign.Task, wo
 }
 
 // AdvanceTick moves the platform clock forward one tick and expires
-// overdue tasks. The background ticker of cmd/tampserver calls this; tests
-// and manual deployments use POST /api/tick.
+// overdue tasks, and returns the tick. The background ticker of
+// cmd/tampserver calls this; tests and manual deployments use POST
+// /api/tick. A shard out of service leaves the clock where it is.
 func (s *Server) AdvanceTick() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.commitLocked(core.TickAdvanced{})
+	// A refused tick needs no answer here: the failure already took the
+	// shard unready, and /readyz reports it.
+	_ = s.commitLocked(core.TickAdvanced{})
 	return s.st.Tick
 }
 
 // RunBatchContext executes one assignment batch programmatically, returning
 // the number of offers made; cancelling ctx abandons the batch without
-// making offers.
+// making offers, and a shard out of service makes none.
 func (s *Server) RunBatchContext(ctx context.Context) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.runBatchLocked(ctx)
+	// As in AdvanceTick, /readyz reports a refused batch's cause.
+	n, _ := s.runBatchLocked(ctx)
+	return n
 }
 
 // ListenAndServe serves the platform API on addr until ctx is cancelled,

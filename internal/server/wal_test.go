@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/spatialcrowd/tamp/internal/fault"
@@ -197,8 +201,8 @@ func TestCrashDuringSnapshotKeepsAppendedEvents(t *testing.T) {
 // — the hook pulls the log's file out from under the append between frame
 // header and payload, the way a yanked disk would — and requires the loss of
 // durability to show on the registry: tamp_server_durable drops 1 → 0 and
-// tamp_server_wal_append_errors_total counts the error, while the op is
-// still acknowledged and the server keeps serving memory-only.
+// tamp_server_wal_append_errors_total counts the error once, however many
+// writes the shard refuses after it.
 func TestWALAppendErrorIsVisible(t *testing.T) {
 	cfg := testConfig()
 	cfg.WALDir = t.TempDir()
@@ -216,24 +220,24 @@ func TestWALAppendErrorIsVisible(t *testing.T) {
 	durable := s.Registry().Gauge("tamp_server_durable")
 	appendErrs := s.Registry().Counter("tamp_server_wal_append_errors_total")
 
-	submit := func() {
+	submit := func(want int) {
 		t.Helper()
-		if code := c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 5, Y: 5, Deadline: 90}, nil); code != http.StatusCreated {
-			t.Fatalf("task submission: status %d", code)
+		if code := c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 5, Y: 5, Deadline: 90}, nil); code != want {
+			t.Fatalf("task submission: status %d, want %d", code, want)
 		}
 	}
-	submit()
-	submit()
+	submit(http.StatusCreated)
+	submit(http.StatusCreated)
 	if durable.Value() != 1 || appendErrs.Value() != 0 {
 		t.Fatalf("healthy log: durable = %v, append errors = %d; want 1, 0", durable.Value(), appendErrs.Value())
 	}
-	submit() // the third append fails; the op is acknowledged all the same
+	submit(http.StatusServiceUnavailable) // the third append fails
 	if durable.Value() != 0 || appendErrs.Value() != 1 {
 		t.Fatalf("after the append error: durable = %v, append errors = %d; want 0, 1", durable.Value(), appendErrs.Value())
 	}
-	submit() // memory-only from here on: no further appends, no further errors
+	submit(http.StatusServiceUnavailable) // refused: no further appends, no further errors
 	if durable.Value() != 0 || appendErrs.Value() != 1 || appends != 3 {
-		t.Fatalf("memory-only: durable = %v, append errors = %d, appends = %d; want 0, 1, 3",
+		t.Fatalf("after a refused write: durable = %v, append errors = %d, appends = %d; want 0, 1, 3",
 			durable.Value(), appendErrs.Value(), appends)
 	}
 	if err := s.Close(); err != nil {
@@ -247,5 +251,75 @@ func TestWALAppendErrorIsVisible(t *testing.T) {
 	}
 	if v := mem.Registry().Gauge("tamp_server_durable").Value(); v != 0 {
 		t.Fatalf("memory-only server: durable = %v, want 0", v)
+	}
+}
+
+// TestWALAppendErrorTakesShardUnready: a write whose event the log could not
+// take is not acknowledged — it answers 503 with Retry-After — and the shard
+// leaves service: /readyz answers 503 naming the error, and no later event
+// is applied or appended, whether a handler or the ticker sends it.
+func TestWALAppendErrorTakesShardUnready(t *testing.T) {
+	cfg := testConfig()
+	cfg.WALDir = t.TempDir()
+	var s *Server
+	appends := 0
+	cfg.WALHook = func(point string) {
+		if point == wal.HookAppendFrame {
+			if appends++; appends == 2 {
+				s.log.Close() // under s.mu, on the committing goroutine
+			}
+		}
+	}
+	c, s, ts := newDurableClient(t, cfg)
+	defer ts.Close()
+	defer s.Close()
+	post := func(path string, body any) *http.Response {
+		t.Helper()
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	task := httpapi.TaskRequest{X: 5, Y: 5, Deadline: 90}
+	if code := post("/api/tasks", task).StatusCode; code != http.StatusCreated {
+		t.Fatalf("first submission: status %d", code)
+	}
+	resp := post("/api/tasks", task) // its append fails
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("write whose append failed: status %d, Retry-After %q; want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	var ready map[string]string
+	if code := c.do("GET", "/readyz", nil, &ready); code != http.StatusServiceUnavailable || !strings.Contains(ready["error"], "wal append") {
+		t.Fatalf("/readyz after the append error: %d %q; want 503 naming the error", code, ready["error"])
+	}
+	if s.Ready() {
+		t.Fatal("Ready() after the append error")
+	}
+
+	s.mu.Lock()
+	applied := s.st.Applied
+	s.mu.Unlock()
+	if code := post("/api/tasks", task).StatusCode; code != http.StatusServiceUnavailable {
+		t.Errorf("a later write: status %d, want 503", code)
+	}
+	if code := post("/api/tick", nil).StatusCode; code != http.StatusServiceUnavailable {
+		t.Errorf("a later tick: status %d, want 503", code)
+	}
+	// The background ticker bypasses the HTTP gate; its events are refused
+	// all the same.
+	s.AdvanceTick()
+	s.RunBatchContext(context.Background())
+	s.mu.Lock()
+	after := s.st.Applied
+	s.mu.Unlock()
+	if after != applied || appends != 2 {
+		t.Fatalf("after the append error: applied %d → %d, appends %d; want no event applied and 2 appends", applied, after, appends)
 	}
 }
