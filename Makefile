@@ -140,12 +140,13 @@ cluster:
 #      traffic (listener drop and mid-WAL-append crash injection), assert the
 #      breaker opens, traffic degrades (queue/shed/failover), and the
 #      WAL-recovered shard's state digest matches a never-killed oracle with
-#      zero acked ops lost.
+#      zero acked ops lost; a cancel whose ghost retraction is lost never
+#      ends accepted, and a queued task the shard refuses is counted.
 #   2. Multi-process smoke: real processes, kill -9, WAL rejoin on the same
 #      address, readiness-gated readmission, availability asserted from the
 #      drive report.
 cluster-smoke:
-	$(GOTEST_RUN) ./internal/tier/ 'TestClusterChaosFailoverDigest|TestShardCrashMidAppendRejoins|TestRouterClosedShardTripsBreaker|TestRouterQueueShedAndFlush|TestRouterBorderFailover' -race -count=1 -v
+	$(GOTEST_RUN) ./internal/tier/ 'TestClusterChaosFailoverDigest|TestShardCrashMidAppendRejoins|TestRouterClosedShardTripsBreaker|TestRouterQueueShedAndFlush|TestRouterBorderFailover|TestRouterCancelledBorderTaskCannotBeAccepted|TestRouterCancelAfterGhostAcceptIsRefused|TestRouterQueuedTaskRefusedOnFlushIsDropped' -race -count=1 -v
 	CLUSTER_SMOKE=1 scripts/cluster.sh
 
 # End-to-end replay demo: record a small simulation as a platform event log,

@@ -1,8 +1,9 @@
 // Package httpapi is the HTTP shell the shard (internal/server) and the
-// router (internal/tier) share: the wire types of the shard API, the JSON
-// reply helpers, the hardening middleware every request passes through, and
-// the serve loop. Both processes import it, so the protocol is stated once
-// and the tier still depends only on the wire contract, never on the shard.
+// router (internal/tier) share: the wire types of the shard API, the request
+// and JSON reply helpers, the hardening middleware every request passes
+// through, and the serve loop. Both processes import it, so the protocol is
+// stated once and the tier still depends only on the wire contract, never on
+// the shard.
 package httpapi
 
 import (
@@ -114,13 +115,45 @@ func Error(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// PathID splits prefix{id}[/action[/...]] into the numeric id and the
-// action segment ("" when there is none).
-func PathID(path, prefix string) (id int, action string, ok bool) {
-	idPart, rest, _ := strings.Cut(strings.TrimPrefix(path, prefix), "/")
-	action, _, _ = strings.Cut(rest, "/")
-	id, err := strconv.Atoi(idPart)
-	return id, action, err == nil
+// ID reads the {id} wildcard of the matched route. A non-numeric id is
+// answered 400 ("bad task id" under /api/tasks/, and so on) and ok is false.
+func ID(w http.ResponseWriter, r *http.Request) (id int, ok bool) {
+	id, err := strconv.Atoi(r.PathValue("id"))
+	if err != nil {
+		kind, _, _ := strings.Cut(strings.TrimPrefix(r.URL.Path, "/api/"), "/")
+		Error(w, http.StatusBadRequest, "bad %s id", strings.TrimSuffix(kind, "s"))
+	}
+	return id, err == nil
+}
+
+// Lookup reads the route's {id} and finds its record in m: a non-numeric id
+// is answered 400, an id m does not hold 404 with notFound (a format taking
+// the id), and ok is false for both.
+func Lookup[V any](w http.ResponseWriter, r *http.Request, m map[int]V, notFound string) (id int, v V, ok bool) {
+	if id, ok = ID(w, r); !ok {
+		return id, v, false
+	}
+	if v, ok = m[id]; !ok {
+		Error(w, http.StatusNotFound, notFound, id)
+	}
+	return id, v, ok
+}
+
+// Decode reads the request's JSON body into v. A body that does not decode
+// is answered 400 "bad json" and ok is false.
+func Decode(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		Error(w, http.StatusBadRequest, "bad json: %v", err)
+		return false
+	}
+	return true
+}
+
+// Unavailable answers 503 with Retry-After: 1: the process cannot take this
+// request now, and a retry a second later may succeed.
+func Unavailable(w http.ResponseWriter, msg string) {
+	w.Header().Set("Retry-After", "1")
+	Error(w, http.StatusServiceUnavailable, "%s", msg)
 }
 
 // headerTracker remembers whether a handler already committed the response,

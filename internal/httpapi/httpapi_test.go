@@ -11,26 +11,6 @@ import (
 	"github.com/spatialcrowd/tamp/internal/obs"
 )
 
-func TestPathID(t *testing.T) {
-	for _, c := range []struct {
-		path, action string
-		id           int
-		ok           bool
-	}{
-		{"/api/offers/5", "", 5, true},
-		{"/api/offers/5/", "", 5, true},
-		{"/api/offers/5/accept", "accept", 5, true},
-		{"/api/offers/5/accept/more", "accept", 5, true},
-		{"/api/offers/", "", 0, false},
-		{"/api/offers/x/accept", "accept", 0, false},
-	} {
-		id, action, ok := PathID(c.path, "/api/offers/")
-		if ok != c.ok || (ok && id != c.id) || action != c.action {
-			t.Errorf("PathID(%q) = %d, %q, %v; want %d, %q, %v", c.path, id, action, ok, c.id, c.action, c.ok)
-		}
-	}
-}
-
 // TestHardenRecoversPanics: a panic before the handler wrote anything is
 // answered with a JSON 500; one after it started its response leaves that
 // response alone. Both are counted.

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/spatialcrowd/tamp/internal/assign"
+	"github.com/spatialcrowd/tamp/internal/core"
 	"github.com/spatialcrowd/tamp/internal/fault"
 	"github.com/spatialcrowd/tamp/internal/httpapi"
 	"github.com/spatialcrowd/tamp/internal/predict"
@@ -49,7 +50,7 @@ func TestOfferOutstandingAtExpiry(t *testing.T) {
 	}
 	var got httpapi.TaskResponse
 	c.do("GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &got)
-	if got.Status != string(TaskExpired) {
+	if got.Status != string(core.StatusExpired) {
 		t.Fatalf("offered task after deadline = %+v", got)
 	}
 	// The retracted offer is gone; the late accept must not land.
@@ -57,7 +58,7 @@ func TestOfferOutstandingAtExpiry(t *testing.T) {
 		t.Fatalf("late accept on expired offer: status %d, want 404", code)
 	}
 	c.do("GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &got)
-	if got.Status != string(TaskExpired) {
+	if got.Status != string(core.StatusExpired) {
 		t.Fatalf("late accept resurrected the task: %+v", got)
 	}
 	// The worker's offer slot is free: a fresh task can be offered.
@@ -83,7 +84,7 @@ func TestDeleteOfferedTaskRetractsOffer(t *testing.T) {
 	if code := c.do("DELETE", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &cancelled); code != http.StatusOK {
 		t.Fatalf("cancel status %d", code)
 	}
-	if cancelled.Status != string(TaskCancelled) {
+	if cancelled.Status != string(core.StatusCancelled) {
 		t.Fatalf("status after cancel = %s", cancelled.Status)
 	}
 	if code := c.do("POST", fmt.Sprintf("/api/offers/%d/accept", off.OfferID), nil, nil); code != http.StatusNotFound {
@@ -91,7 +92,7 @@ func TestDeleteOfferedTaskRetractsOffer(t *testing.T) {
 	}
 	var got httpapi.TaskResponse
 	c.do("GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &got)
-	if got.Status != string(TaskCancelled) {
+	if got.Status != string(core.StatusCancelled) {
 		t.Fatalf("accept flipped a cancelled task: %+v", got)
 	}
 	// Worker free again.

@@ -132,7 +132,7 @@ func TestDeferredRecoveryFlipsReadyz(t *testing.T) {
 	if code := c.do("GET", "/api/tasks/1", nil, &task); code != http.StatusOK {
 		t.Fatalf("recovered task status %d", code)
 	}
-	if task.Status != string(TaskOpen) {
+	if task.Status != string(core.StatusOpen) {
 		t.Errorf("recovered task status = %s", task.Status)
 	}
 }

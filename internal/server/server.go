@@ -24,7 +24,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -42,19 +41,6 @@ import (
 	"github.com/spatialcrowd/tamp/internal/obs"
 	"github.com/spatialcrowd/tamp/internal/predict"
 	"github.com/spatialcrowd/tamp/internal/wal"
-)
-
-// TaskStatus enumerates a task's lifecycle (re-exported from the state
-// machine so API clients keep a stable vocabulary).
-type TaskStatus = core.TaskStatus
-
-// Task lifecycle states.
-const (
-	TaskOpen      = core.StatusOpen      // waiting for assignment
-	TaskOffered   = core.StatusOffered   // offered to a worker, awaiting decision
-	TaskAccepted  = core.StatusAccepted  // worker committed to serve it
-	TaskExpired   = core.StatusExpired   // deadline passed unserved
-	TaskCancelled = core.StatusCancelled // withdrawn by the requester
 )
 
 // Config parameterizes the platform server.
@@ -425,7 +411,7 @@ func (s *Server) serve(w http.ResponseWriter, r *http.Request) {
 	// probe and metrics endpoints stay up so operators and the router tier
 	// can watch the recovery progress.
 	if !s.ready.Load() && strings.HasPrefix(r.URL.Path, "/api/") {
-		unavailable(w, "not ready")
+		httpapi.Unavailable(w, "not ready")
 		return
 	}
 	// pprof endpoints stream for as long as the client asks (?seconds=N) and
@@ -460,29 +446,33 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		httpapi.Error(w, http.StatusServiceUnavailable, "%s", *msg)
 		return
 	}
-	unavailable(w, "not ready")
+	httpapi.Unavailable(w, "not ready")
 }
 
-// unavailable answers 503 with a Retry-After: the shard is not taking
-// platform traffic now.
-func unavailable(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", "1")
-	httpapi.Error(w, http.StatusServiceUnavailable, "%s", msg)
-}
-
+// routes states the shard API once: one method pattern per route, so the
+// mux answers a path no route names 404 and a wrong method 405 with Allow.
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("/api/tasks", s.handleTasks)
-	s.mux.HandleFunc("/api/tasks/", s.handleTaskByID)
-	s.mux.HandleFunc("/api/workers", s.handleWorkers)
-	s.mux.HandleFunc("/api/workers/", s.handleWorkerByID)
-	s.mux.HandleFunc("/api/offers/", s.handleOfferByID)
-	s.mux.HandleFunc("/api/batch", s.handleBatch)
-	s.mux.HandleFunc("/api/tick", s.handleTick)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.Handle("/metrics", s.reg.Handler())
+	s.mux.HandleFunc("POST /api/tasks", s.submitTask)
+	s.mux.HandleFunc("GET /api/tasks", s.listTasks)
+	s.mux.HandleFunc("GET /api/tasks/{id}", s.getTask)
+	s.mux.HandleFunc("DELETE /api/tasks/{id}", s.cancelTask)
+	s.mux.HandleFunc("POST /api/workers", s.registerWorker)
+	s.mux.HandleFunc("GET /api/workers", s.listWorkers)
+	s.mux.HandleFunc("GET /api/workers/{id}", s.getWorker)
+	s.mux.HandleFunc("POST /api/workers/{id}/location", s.reportLocation)
+	s.mux.HandleFunc("GET /api/workers/{id}/offers", s.workerOffers)
+	s.mux.HandleFunc("GET /api/offers/{id}", s.getOffer)
+	s.mux.HandleFunc("POST /api/offers/{id}/accept", s.decide(true))
+	s.mux.HandleFunc("POST /api/offers/{id}/reject", s.decide(false))
+	s.mux.HandleFunc("POST /api/batch", s.handleBatch)
+	s.mux.HandleFunc("POST /api/tick", s.advanceTick)
+	s.mux.HandleFunc("GET /api/tick", s.getTick)
+	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
+	s.mux.Handle("GET /metrics", s.reg.Handler())
 	if s.cfg.EnablePprof {
+		// net/http/pprof checks its own methods (symbol takes GET and POST).
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -491,47 +481,51 @@ func (s *Server) routes() {
 	}
 }
 
+// commit commits ev under s.mu through commitLocked and answers 503 when the
+// shard refuses it; it reports whether the event was committed.
+func (s *Server) commit(w http.ResponseWriter, ev core.Event) bool {
+	if err := s.commitLocked(ev); err != nil {
+		httpapi.Unavailable(w, err.Error())
+		return false
+	}
+	return true
+}
+
 // --- tasks ---
 
-func (s *Server) handleTasks(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		var req httpapi.TaskRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpapi.Error(w, http.StatusBadRequest, "bad json: %v", err)
-			return
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if req.Deadline <= s.st.Tick {
-			httpapi.Error(w, http.StatusBadRequest, "deadline %d not after current tick %d", req.Deadline, s.st.Tick)
-			return
-		}
-		loc := s.cfg.Grid.Bounds().Clamp(geo.Pt(req.X, req.Y))
-		id := s.st.NextTask
-		if req.ID > 0 {
-			if _, dup := s.st.Tasks[req.ID]; dup {
-				httpapi.Error(w, http.StatusConflict, "task %d already exists", req.ID)
-				return
-			}
-			id = req.ID
-		}
-		if err := s.commitLocked(core.TaskSubmitted{TaskID: id, X: loc.X, Y: loc.Y, Deadline: req.Deadline}); err != nil {
-			unavailable(w, err.Error())
-			return
-		}
-		httpapi.WriteJSON(w, http.StatusCreated, s.taskResponseLocked(id))
-	case http.MethodGet:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		out := make([]httpapi.TaskResponse, 0, len(s.st.Tasks))
-		for id := range s.st.Tasks {
-			out = append(out, s.taskResponseLocked(id))
-		}
-		httpapi.WriteJSON(w, http.StatusOK, out)
-	default:
-		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+func (s *Server) submitTask(w http.ResponseWriter, r *http.Request) {
+	var req httpapi.TaskRequest
+	if !httpapi.Decode(w, r, &req) {
+		return
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if req.Deadline <= s.st.Tick {
+		httpapi.Error(w, http.StatusBadRequest, "deadline %d not after current tick %d", req.Deadline, s.st.Tick)
+		return
+	}
+	loc := s.cfg.Grid.Bounds().Clamp(geo.Pt(req.X, req.Y))
+	id := s.st.NextTask
+	if req.ID > 0 {
+		if _, dup := s.st.Tasks[req.ID]; dup {
+			httpapi.Error(w, http.StatusConflict, "task %d already exists", req.ID)
+			return
+		}
+		id = req.ID
+	}
+	if s.commit(w, core.TaskSubmitted{TaskID: id, X: loc.X, Y: loc.Y, Deadline: req.Deadline}) {
+		httpapi.WriteJSON(w, http.StatusCreated, s.taskResponseLocked(id))
+	}
+}
+
+func (s *Server) listTasks(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]httpapi.TaskResponse, 0, len(s.st.Tasks))
+	for id := range s.st.Tasks {
+		out = append(out, s.taskResponseLocked(id))
+	}
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) taskResponseLocked(id int) httpapi.TaskResponse {
@@ -541,101 +535,88 @@ func (s *Server) taskResponseLocked(id int) httpapi.TaskResponse {
 		Deadline: t.Task.Deadline, Status: string(t.Status),
 	}
 	switch t.Status {
-	case TaskOffered:
+	case core.StatusOffered:
 		resp.Worker = t.Offered
-	case TaskAccepted:
+	case core.StatusAccepted:
 		resp.Worker = t.Accepted
 	}
 	return resp
 }
 
-func (s *Server) handleTaskByID(w http.ResponseWriter, r *http.Request) {
-	id, _, ok := httpapi.PathID(r.URL.Path, "/api/tasks/")
-	if !ok {
-		httpapi.Error(w, http.StatusBadRequest, "bad task id")
-		return
-	}
+func (s *Server) getTask(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t, exists := s.st.Tasks[id]
-	if !exists {
-		httpapi.Error(w, http.StatusNotFound, "task %d not found", id)
+	if id, _, ok := httpapi.Lookup(w, r, s.st.Tasks, "task %d not found"); ok {
+		httpapi.WriteJSON(w, http.StatusOK, s.taskResponseLocked(id))
+	}
+}
+
+func (s *Server) cancelTask(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	id, t, ok := httpapi.Lookup(w, r, s.st.Tasks, "task %d not found")
+	if !ok {
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
+	if t.Status == core.StatusAccepted {
+		httpapi.Error(w, http.StatusConflict, "task %d already accepted", id)
+		return
+	}
+	// Cancelling an offered task retracts the outstanding offer too, so the
+	// worker is immediately matchable again and a late accept on the dead
+	// offer cannot resurrect the task.
+	if s.commit(w, core.TaskCancelled{TaskID: id}) {
 		httpapi.WriteJSON(w, http.StatusOK, s.taskResponseLocked(id))
-	case http.MethodDelete:
-		if t.Status == TaskAccepted {
-			httpapi.Error(w, http.StatusConflict, "task %d already accepted", id)
-			return
-		}
-		// Cancelling an offered task retracts the outstanding offer too, so
-		// the worker is immediately matchable again and a late accept on
-		// the dead offer cannot resurrect the task.
-		if err := s.commitLocked(core.TaskCancelled{TaskID: id}); err != nil {
-			unavailable(w, err.Error())
-			return
-		}
-		httpapi.WriteJSON(w, http.StatusOK, s.taskResponseLocked(id))
-	default:
-		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
 	}
 }
 
 // --- workers ---
 
-func (s *Server) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		var req httpapi.WorkerRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpapi.Error(w, http.StatusBadRequest, "bad json: %v", err)
-			return
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if req.ID <= 0 {
-			httpapi.Error(w, http.StatusBadRequest, "worker id must be positive")
-			return
-		}
-		if _, dup := s.st.Workers[req.ID]; dup {
-			httpapi.Error(w, http.StatusConflict, "worker %d already registered", req.ID)
-			return
-		}
-		// Defaults are resolved here, so the committed event carries the
-		// effective values and replay does not depend on server config.
-		detour := geo.KMToCells(defaultDetourKM)
-		if req.DetourKM > 0 {
-			detour = geo.KMToCells(req.DetourKM)
-		}
-		speed := defaultSpeed
-		if req.Speed > 0 {
-			speed = req.Speed
-		}
-		mr := 0.0
-		if m := s.cfg.Models[req.ID]; m != nil {
-			mr = m.MR
-		}
-		if req.MR > 0 {
-			mr = req.MR
-		}
-		if err := s.commitLocked(core.WorkerRegistered{WorkerID: req.ID, Detour: detour, Speed: speed, MR: mr}); err != nil {
-			unavailable(w, err.Error())
-			return
-		}
-		httpapi.WriteJSON(w, http.StatusCreated, s.workerResponseLocked(s.st.Workers[req.ID]))
-	case http.MethodGet:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		out := make([]httpapi.WorkerResponse, 0, len(s.st.Workers))
-		for _, ws := range s.st.Workers {
-			out = append(out, s.workerResponseLocked(ws))
-		}
-		httpapi.WriteJSON(w, http.StatusOK, out)
-	default:
-		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+func (s *Server) registerWorker(w http.ResponseWriter, r *http.Request) {
+	var req httpapi.WorkerRequest
+	if !httpapi.Decode(w, r, &req) {
+		return
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if req.ID <= 0 {
+		httpapi.Error(w, http.StatusBadRequest, "worker id must be positive")
+		return
+	}
+	if _, dup := s.st.Workers[req.ID]; dup {
+		httpapi.Error(w, http.StatusConflict, "worker %d already registered", req.ID)
+		return
+	}
+	// Defaults are resolved here, so the committed event carries the
+	// effective values and replay does not depend on server config.
+	detour := geo.KMToCells(defaultDetourKM)
+	if req.DetourKM > 0 {
+		detour = geo.KMToCells(req.DetourKM)
+	}
+	speed := defaultSpeed
+	if req.Speed > 0 {
+		speed = req.Speed
+	}
+	mr := 0.0
+	if m := s.cfg.Models[req.ID]; m != nil {
+		mr = m.MR
+	}
+	if req.MR > 0 {
+		mr = req.MR
+	}
+	if s.commit(w, core.WorkerRegistered{WorkerID: req.ID, Detour: detour, Speed: speed, MR: mr}) {
+		httpapi.WriteJSON(w, http.StatusCreated, s.workerResponseLocked(s.st.Workers[req.ID]))
+	}
+}
+
+func (s *Server) listWorkers(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]httpapi.WorkerResponse, 0, len(s.st.Workers))
+	for _, ws := range s.st.Workers {
+		out = append(out, s.workerResponseLocked(ws))
+	}
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) workerResponseLocked(ws *core.Worker) httpapi.WorkerResponse {
@@ -645,160 +626,125 @@ func (s *Server) workerResponseLocked(ws *core.Worker) httpapi.WorkerResponse {
 	}
 }
 
-func (s *Server) handleWorkerByID(w http.ResponseWriter, r *http.Request) {
-	id, action, ok := httpapi.PathID(r.URL.Path, "/api/workers/")
-	if !ok {
-		httpapi.Error(w, http.StatusBadRequest, "bad worker id")
-		return
-	}
+func (s *Server) getWorker(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ws, exists := s.st.Workers[id]
-	if !exists {
-		httpapi.Error(w, http.StatusNotFound, "worker %d not registered", id)
+	if _, ws, ok := httpapi.Lookup(w, r, s.st.Workers, "worker %d not registered"); ok {
+		httpapi.WriteJSON(w, http.StatusOK, s.workerResponseLocked(ws))
+	}
+}
+
+func (s *Server) reportLocation(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	id, ws, ok := httpapi.Lookup(w, r, s.st.Workers, "worker %d not registered")
+	if !ok {
 		return
 	}
-	switch {
-	case r.Method == http.MethodGet && action == "":
-		httpapi.WriteJSON(w, http.StatusOK, s.workerResponseLocked(ws))
-	case r.Method == http.MethodPost && action == "location":
-		var req httpapi.LocationRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpapi.Error(w, http.StatusBadRequest, "bad json: %v", err)
-			return
-		}
-		loc := s.cfg.Grid.Bounds().Clamp(geo.Pt(req.X, req.Y))
-		if err := s.commitLocked(core.WorkerReported{WorkerID: id, X: loc.X, Y: loc.Y}); err != nil {
-			unavailable(w, err.Error())
-			return
-		}
-		httpapi.WriteJSON(w, http.StatusOK, map[string]int{"traceLen": len(ws.Trace)})
-	case r.Method == http.MethodGet && action == "offers":
-		var out []httpapi.OfferResponse
-		if ws.OfferID != 0 {
-			off := s.st.Offers[ws.OfferID]
-			t := s.st.Tasks[off.TaskID]
-			out = append(out, httpapi.OfferResponse{
-				OfferID: off.ID, TaskID: off.TaskID,
-				X: t.Task.Loc.X, Y: t.Task.Loc.Y, Deadline: t.Task.Deadline,
-			})
-		}
-		httpapi.WriteJSON(w, http.StatusOK, out)
-	default:
-		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s %s", r.Method, action)
+	var req httpapi.LocationRequest
+	if !httpapi.Decode(w, r, &req) {
+		return
 	}
+	loc := s.cfg.Grid.Bounds().Clamp(geo.Pt(req.X, req.Y))
+	if s.commit(w, core.WorkerReported{WorkerID: id, X: loc.X, Y: loc.Y}) {
+		httpapi.WriteJSON(w, http.StatusOK, map[string]int{"traceLen": len(ws.Trace)})
+	}
+}
+
+func (s *Server) workerOffers(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ws, ok := httpapi.Lookup(w, r, s.st.Workers, "worker %d not registered")
+	if !ok {
+		return
+	}
+	var out []httpapi.OfferResponse
+	if ws.OfferID != 0 {
+		off := s.st.Offers[ws.OfferID]
+		t := s.st.Tasks[off.TaskID]
+		out = append(out, httpapi.OfferResponse{
+			OfferID: off.ID, TaskID: off.TaskID,
+			X: t.Task.Loc.X, Y: t.Task.Loc.Y, Deadline: t.Task.Deadline,
+		})
+	}
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 // --- offers ---
 
-func (s *Server) handleOfferByID(w http.ResponseWriter, r *http.Request) {
-	id, action, ok := httpapi.PathID(r.URL.Path, "/api/offers/")
-	if !ok {
-		httpapi.Error(w, http.StatusBadRequest, "use /api/offers/{id}/accept or /reject")
-		return
-	}
-	// GET /api/offers/{id}: the pending offer's (task, worker) pair — the
-	// router tier reads it to learn which task an accept is about to commit.
-	if r.Method == http.MethodGet && action == "" {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		off, exists := s.st.Offers[id]
-		if !exists {
-			httpapi.Error(w, http.StatusNotFound, "offer %d not found", id)
-			return
-		}
-		httpapi.WriteJSON(w, http.StatusOK, httpapi.OfferRecord{OfferID: off.ID, TaskID: off.TaskID, WorkerID: off.WorkerID})
-		return
-	}
-	if action == "" {
-		httpapi.Error(w, http.StatusBadRequest, "use /api/offers/{id}/accept or /reject")
-		return
-	}
-	if r.Method != http.MethodPost {
-		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
+// getOffer answers the pending offer's (task, worker) pair: the router tier
+// reads it to learn which task an accept is about to commit.
+func (s *Server) getOffer(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	off, exists := s.st.Offers[id]
-	if !exists {
-		httpapi.Error(w, http.StatusNotFound, "offer %d not found", id)
-		return
+	if _, off, ok := httpapi.Lookup(w, r, s.st.Offers, "offer %d not found"); ok {
+		httpapi.WriteJSON(w, http.StatusOK, httpapi.OfferRecord{OfferID: off.ID, TaskID: off.TaskID, WorkerID: off.WorkerID})
 	}
-	// The offer is only actionable while its task is still in the offered
-	// state: a decision racing task expiry or cancellation must not flip an
-	// expired/cancelled task to accepted. The stale offer is retracted (a
-	// recorded transition, so replay sees it too) and the worker becomes
-	// matchable again.
-	t := s.st.Tasks[off.TaskID]
-	if t == nil || t.Status != TaskOffered || t.OfferID != id {
-		if err := s.commitLocked(core.OfferRetracted{OfferID: id}); err != nil {
-			unavailable(w, err.Error())
+}
+
+// decide handles a worker's accept (or reject) of the route's offer.
+func (s *Server) decide(accept bool) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		id, off, ok := httpapi.Lookup(w, r, s.st.Offers, "offer %d not found")
+		if !ok {
 			return
 		}
-		if t == nil {
-			httpapi.Error(w, http.StatusConflict, "offer %d is stale: task gone", id)
-		} else {
-			httpapi.Error(w, http.StatusConflict, "offer %d is stale: task %d is %s", id, off.TaskID, t.Status)
+		// The offer is only actionable while its task is still in the offered
+		// state: a decision racing task expiry or cancellation must not flip
+		// an expired/cancelled task to accepted. The stale offer is retracted
+		// (a recorded transition, so replay sees it too) and the worker
+		// becomes matchable again.
+		t := s.st.Tasks[off.TaskID]
+		if t == nil || t.Status != core.StatusOffered || t.OfferID != id {
+			if !s.commit(w, core.OfferRetracted{OfferID: id}) {
+				return
+			}
+			if t == nil {
+				httpapi.Error(w, http.StatusConflict, "offer %d is stale: task gone", id)
+			} else {
+				httpapi.Error(w, http.StatusConflict, "offer %d is stale: task %d is %s", id, off.TaskID, t.Status)
+			}
+			return
 		}
-		return
+		var ev core.Event = core.OfferRejected{OfferID: id}
+		status := "rejected"
+		if accept {
+			ev, status = core.OfferAccepted{OfferID: id}, "accepted"
+		}
+		if s.commit(w, ev) {
+			httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": status})
+		}
 	}
-	var ev core.Event
-	var status string
-	switch action {
-	case "accept":
-		ev, status = core.OfferAccepted{OfferID: id}, "accepted"
-	case "reject":
-		ev, status = core.OfferRejected{OfferID: id}, "rejected"
-	default:
-		// Unknown action: nothing committed, the offer stays pending.
-		httpapi.Error(w, http.StatusBadRequest, "unknown action %q", action)
-		return
-	}
-	if err := s.commitLocked(ev); err != nil {
-		unavailable(w, err.Error())
-		return
-	}
-	httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": status})
 }
 
 // --- batch loop ---
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	made, err := s.runBatchLocked(r.Context())
 	if err != nil {
-		unavailable(w, err.Error())
+		httpapi.Unavailable(w, err.Error())
 		return
 	}
 	httpapi.WriteJSON(w, http.StatusOK, httpapi.BatchResponse{Tick: s.st.Tick, Offers: made, Open: s.st.OpenTasks()})
 }
 
-func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		s.mu.Lock()
-		err := s.commitLocked(core.TickAdvanced{})
-		tick := s.st.Tick
-		s.mu.Unlock()
-		if err != nil {
-			unavailable(w, err.Error())
-			return
-		}
-		httpapi.WriteJSON(w, http.StatusOK, map[string]int{"tick": tick})
-	case http.MethodGet:
-		s.mu.Lock()
-		tick := s.st.Tick
-		s.mu.Unlock()
-		httpapi.WriteJSON(w, http.StatusOK, map[string]int{"tick": tick})
-	default:
-		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+func (s *Server) advanceTick(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.commit(w, core.TickAdvanced{}) {
+		httpapi.WriteJSON(w, http.StatusOK, map[string]int{"tick": s.st.Tick})
 	}
+}
+
+func (s *Server) getTick(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	tick := s.st.Tick
+	s.mu.Unlock()
+	httpapi.WriteJSON(w, http.StatusOK, map[string]int{"tick": tick})
 }
 
 // runBatchLocked runs the shared batch step (core.PlanBatch) with the

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/spatialcrowd/tamp/internal/assign"
+	"github.com/spatialcrowd/tamp/internal/core"
 	"github.com/spatialcrowd/tamp/internal/geo"
 	"github.com/spatialcrowd/tamp/internal/httpapi"
 	"github.com/spatialcrowd/tamp/internal/obs"
@@ -100,7 +101,7 @@ func TestFullProtocolAcceptFlow(t *testing.T) {
 	if code := c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 18, Y: 10, Deadline: 30}, &task); code != http.StatusCreated {
 		t.Fatalf("post task status %d", code)
 	}
-	if task.Status != string(TaskOpen) {
+	if task.Status != string(core.StatusOpen) {
 		t.Fatalf("task status = %s", task.Status)
 	}
 
@@ -124,7 +125,7 @@ func TestFullProtocolAcceptFlow(t *testing.T) {
 	// Requester sees the acceptance (step 4).
 	var got httpapi.TaskResponse
 	c.do("GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &got)
-	if got.Status != string(TaskAccepted) || got.Worker != 1 {
+	if got.Status != string(core.StatusAccepted) || got.Worker != 1 {
 		t.Fatalf("task after accept = %+v", got)
 	}
 
@@ -152,7 +153,7 @@ func TestRejectExcludesPairForever(t *testing.T) {
 	// Task returns to the pool but the same worker is never re-offered it.
 	var got httpapi.TaskResponse
 	c.do("GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &got)
-	if got.Status != string(TaskOpen) {
+	if got.Status != string(core.StatusOpen) {
 		t.Fatalf("task after reject = %+v", got)
 	}
 	c.do("POST", "/api/batch", nil, &batch)
@@ -173,7 +174,7 @@ func TestTickExpiry(t *testing.T) {
 	}
 	var got httpapi.TaskResponse
 	c.do("GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &got)
-	if got.Status != string(TaskExpired) {
+	if got.Status != string(core.StatusExpired) {
 		t.Fatalf("task after deadline = %+v", got)
 	}
 	var tick map[string]int
@@ -194,7 +195,7 @@ func TestTaskValidationAndCancel(t *testing.T) {
 	if code := c.do("DELETE", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &task); code != http.StatusOK {
 		t.Fatalf("cancel status %d", code)
 	}
-	if task.Status != string(TaskCancelled) {
+	if task.Status != string(core.StatusCancelled) {
 		t.Fatalf("status after cancel = %s", task.Status)
 	}
 	// Unknown task 404s.

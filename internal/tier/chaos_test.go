@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/spatialcrowd/tamp/internal/core"
 	"github.com/spatialcrowd/tamp/internal/fault"
 	"github.com/spatialcrowd/tamp/internal/geo"
 	"github.com/spatialcrowd/tamp/internal/httpapi"
@@ -219,7 +220,7 @@ func TestClusterChaosFailoverDigest(t *testing.T) {
 	if code := do("GET", fmt.Sprintf("/api/tasks/%d", taskA), nil, &a); code != http.StatusOK {
 		t.Fatalf("acked task %d lost: status %d", taskA, code)
 	}
-	if a.Status != string(server.TaskAccepted) || a.Worker != 1 {
+	if a.Status != string(core.StatusAccepted) || a.Worker != 1 {
 		t.Fatalf("accepted task survived wrong: %+v", a)
 	}
 	for _, id := range []int{taskC, taskD} {

@@ -38,12 +38,10 @@ type Config struct {
 	// accepted (202) while the shard is down, flushed on readmission.
 	// Default 256; negative disables queueing so everything sheds.
 	QueueLimit int
-	// RetryAfter is the Retry-After hint stamped on 503 sheds (default 1s).
-	RetryAfter time.Duration
 	// Registry receives the router metrics; nil gets a private registry.
 	Registry *obs.Registry
-	// HTTPClient overrides the transport used for shard calls and probes
-	// (tests inject short timeouts); nil uses a default client.
+	// HTTPClient is the client of every shard call and probe (tests inject
+	// short timeouts and lossy transports); nil uses a default client.
 	HTTPClient *http.Client
 }
 
@@ -82,7 +80,8 @@ type shardState struct {
 
 	queueMu sync.Mutex
 	queue   []queuedTask
-	depth   *obs.Gauge // tamp_router_queue_depth{shard}
+	depth   *obs.Gauge   // tamp_router_queue_depth{shard}
+	dropped *obs.Counter // tamp_router_queue_dropped_total{shard}
 }
 
 type queuedTask struct {
@@ -99,10 +98,21 @@ func (ss *shardState) routable() bool {
 // routedTask is the router's placement record for one task.
 type routedTask struct {
 	mu    sync.Mutex
-	home  int  // shard index of the authoritative copy
-	ghost int  // neighbor shard holding the border duplicate; -1 = interior
-	won   int  // shard whose worker accepted first; -1 = still open
-	dead  bool // cancelled via the router
+	home  int // shard index of the authoritative copy
+	ghost int // neighbor shard holding the border duplicate; -1 = interior
+	won   int // shard whose worker accepted first; -1 = still open
+	// dead: cancelled through the router. An accept of a copy the cancel
+	// could not retract is refused 409, and the copy retracted then.
+	dead bool
+}
+
+// target is the shard a read or a cancel of the task goes to: the copy
+// that won, or the home copy while none has. The caller holds rec.mu.
+func (rec *routedTask) target() int {
+	if rec.won >= 0 {
+		return rec.won
+	}
+	return rec.home
 }
 
 // routedWorker pins a worker to the shard of its first location report and
@@ -124,9 +134,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	if cfg.QueueLimit == 0 {
 		cfg.QueueLimit = 256
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	reg := cfg.Registry
 	if reg == nil {
@@ -155,9 +162,10 @@ func NewRouter(cfg Config) (*Router, error) {
 			reg.Gauge("tamp_router_breaker_state", obs.L("shard", def.Name)))
 		ss := &shardState{
 			idx: i, def: def, breaker: br,
-			client: NewClient(def.Name, def.URL, hc, br, cfg.Retry, cfg.AttemptTimeout, retriesTotal),
-			depth:  reg.Gauge("tamp_router_queue_depth", obs.L("shard", def.Name)),
-			readyG: reg.Gauge("tamp_router_shard_ready", obs.L("shard", def.Name)),
+			client:  NewClient(def.Name, def.URL, hc, br, cfg.Retry, cfg.AttemptTimeout, retriesTotal),
+			depth:   reg.Gauge("tamp_router_queue_depth", obs.L("shard", def.Name)),
+			dropped: reg.Counter("tamp_router_queue_dropped_total", obs.L("shard", def.Name)),
+			readyG:  reg.Gauge("tamp_router_shard_ready", obs.L("shard", def.Name)),
 		}
 		rt.shards = append(rt.shards, ss)
 	}
@@ -168,19 +176,30 @@ func NewRouter(cfg Config) (*Router, error) {
 // Registry exposes the router's metric registry.
 func (rt *Router) Registry() *obs.Registry { return rt.reg }
 
+// routes states the router's API once, in the method patterns the shard
+// serves: the mux answers a path no route names 404 and a wrong method 405
+// with Allow.
 func (rt *Router) routes() {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/api/tasks", rt.handleTasks)
-	mux.HandleFunc("/api/tasks/", rt.handleTaskByID)
-	mux.HandleFunc("/api/workers", rt.handleWorkers)
-	mux.HandleFunc("/api/workers/", rt.handleWorkerByID)
-	mux.HandleFunc("/api/offers/", rt.handleOfferByID)
-	mux.HandleFunc("/api/tick", rt.handleFanout)
-	mux.HandleFunc("/api/batch", rt.handleFanout)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST /api/tasks", rt.submitTask)
+	mux.HandleFunc("GET /api/tasks", rt.listTasks)
+	mux.HandleFunc("GET /api/tasks/{id}", rt.getTask)
+	mux.HandleFunc("DELETE /api/tasks/{id}", rt.cancelTask)
+	mux.HandleFunc("POST /api/workers", rt.registerWorker)
+	mux.HandleFunc("GET /api/workers", rt.listWorkers)
+	mux.HandleFunc("GET /api/workers/{id}", rt.readWorker(func(rw *routedWorker) any { return rw.reg }))
+	mux.HandleFunc("POST /api/workers/{id}/location", rt.reportLocation)
+	mux.HandleFunc("GET /api/workers/{id}/offers", rt.readWorker(func(*routedWorker) any { return []any{} }))
+	mux.HandleFunc("GET /api/offers/{id}", rt.forwardOffer)
+	mux.HandleFunc("POST /api/offers/{id}/accept", rt.acceptOffer)
+	mux.HandleFunc("POST /api/offers/{id}/reject", rt.forwardOffer)
+	mux.HandleFunc("POST /api/batch", rt.fanout)
+	mux.HandleFunc("POST /api/tick", rt.fanout)
+	mux.HandleFunc("GET /api/tick", rt.fanout)
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		for _, ss := range rt.shards {
 			if ss.routable() {
 				httpapi.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
@@ -189,7 +208,7 @@ func (rt *Router) routes() {
 		}
 		httpapi.Error(w, http.StatusServiceUnavailable, "no routable shard")
 	})
-	mux.Handle("/metrics", rt.reg.Handler())
+	mux.Handle("GET /metrics", rt.reg.Handler())
 	rt.h = httpapi.Harden("tier", mux, httpapi.MaxBodyBytes, nil)
 }
 
@@ -245,20 +264,17 @@ func (rt *Router) ProbeOnce(ctx context.Context) {
 	}
 }
 
-// probeShard is a single bare GET /readyz — no retries, no breaker: the
-// prober itself must see the shard exactly as it is.
+// probeShard is a single bare GET /readyz on the router's own client, under
+// one attempt's timeout — no retries, no breaker: the prober itself must
+// see the shard exactly as it is.
 func (rt *Router) probeShard(ctx context.Context, ss *shardState) bool {
-	pctx, cancel := context.WithTimeout(ctx, rt.probeTimeout())
+	pctx, cancel := context.WithTimeout(ctx, ss.client.attemptTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodGet, ss.client.URL()+"/readyz", nil)
 	if err != nil {
 		return false
 	}
-	hc := rt.cfg.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, err := hc.Do(req)
+	resp, err := ss.client.hc.Do(req)
 	if err != nil {
 		return false
 	}
@@ -266,17 +282,12 @@ func (rt *Router) probeShard(ctx context.Context, ss *shardState) bool {
 	return resp.StatusCode == http.StatusOK
 }
 
-func (rt *Router) probeTimeout() time.Duration {
-	if rt.cfg.AttemptTimeout > 0 {
-		return rt.cfg.AttemptTimeout
-	}
-	return 2 * time.Second
-}
-
 // flushQueue replays the interior tasks buffered while the shard was down,
 // in arrival order. Tasks carry their router-allocated IDs, so a flush after
 // several probe cycles is idempotent: a duplicate submit answers 409 and is
-// dropped.
+// dropped. A task the shard refuses (its deadline passed while it waited,
+// say) is counted in tamp_router_queue_dropped_total and forgotten, so the
+// router keeps no placement that no shard holds.
 func (rt *Router) flushQueue(ctx context.Context, ss *shardState) {
 	for {
 		ss.queueMu.Lock()
@@ -300,6 +311,8 @@ func (rt *Router) flushQueue(ctx context.Context, ss *shardState) {
 		}
 		if status != http.StatusCreated && status != http.StatusConflict {
 			log.Printf("tier: queued task %d rejected by %s: status %d", qt.id, ss.def.Name, status)
+			ss.dropped.Inc()
+			rt.forgetTask(qt.id)
 		}
 	}
 }
@@ -313,33 +326,67 @@ func passthrough(w http.ResponseWriter, status int, body []byte) {
 	w.Write(body)
 }
 
-// shed answers 503 with the Retry-After hint and counts it.
+// shed counts a request the router cannot serve now and answers it 503.
 func (rt *Router) shed(w http.ResponseWriter, why string) {
 	rt.shedsC.Inc()
-	w.Header().Set("Retry-After", strconv.Itoa(int((rt.cfg.RetryAfter+time.Second-1)/time.Second)))
-	httpapi.Error(w, http.StatusServiceUnavailable, "%s", why)
+	httpapi.Unavailable(w, why)
+}
+
+// forward sends the request's method and path, with body (nil for none),
+// to ss and passes the shard's answer through; a shard that gives no
+// answer is shed. It returns the shard's status, 0 when shed.
+func (rt *Router) forward(w http.ResponseWriter, r *http.Request, ss *shardState, body any) int {
+	status, b, err := ss.client.Do(r.Context(), r.Method, r.URL.Path, body)
+	if err != nil {
+		rt.shed(w, "shard "+ss.def.Name+" down")
+		return 0
+	}
+	passthrough(w, status, b)
+	return status
+}
+
+// routed finds the route's {id} in m, one of the router's tables, under
+// rt.mu; it answers 400 or 404 when it cannot.
+func routed[V any](rt *Router, w http.ResponseWriter, r *http.Request, m map[int]V, notFound string) (int, V, bool) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return httpapi.Lookup(w, r, m, notFound)
+}
+
+// gather fans the request's GET across the routable shards and answers
+// their listings merged by key: a copy replaces the one kept so far when
+// prefer(copy, kept) says so.
+func gather[T any](rt *Router, w http.ResponseWriter, r *http.Request, key func(T) int, prefer func(copy, kept T) bool) {
+	merged := map[int]T{}
+	for _, ss := range rt.shards {
+		if !ss.routable() {
+			continue
+		}
+		var list []T
+		if status, err := ss.client.DoJSON(r.Context(), http.MethodGet, r.URL.Path, nil, &list); err != nil || status != http.StatusOK {
+			continue
+		}
+		for _, v := range list {
+			if kept, seen := merged[key(v)]; !seen || prefer(v, kept) {
+				merged[key(v)] = v
+			}
+		}
+	}
+	out := make([]T, 0, len(merged))
+	for _, v := range merged {
+		out = append(out, v)
+	}
+	httpapi.WriteJSON(w, http.StatusOK, out)
 }
 
 // --- tasks ---
-
-func (rt *Router) handleTasks(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		rt.submitTask(w, r)
-	case http.MethodGet:
-		rt.listTasks(w, r)
-	default:
-		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-	}
-}
 
 // submitTask is the heart of the tier: place the task on the shard owning
 // its location, duplicate border tasks onto the neighbor, and degrade
 // gracefully — failover, queue, or shed — when the home shard is down.
 func (rt *Router) submitTask(w http.ResponseWriter, r *http.Request) {
 	var req httpapi.TaskRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpapi.Error(w, http.StatusBadRequest, "bad json: %v", err)
+	if !httpapi.Decode(w, r, &req) {
 		return
 	}
 	loc := rt.cfg.Map.Grid.Bounds().Clamp(geo.Pt(req.X, req.Y))
@@ -394,7 +441,7 @@ func (rt *Router) submitTask(w http.ResponseWriter, r *http.Request) {
 			fallthrough
 		default:
 			rt.forgetTask(id)
-			rt.shed(w, fmt.Sprintf("shard %s down", rt.shards[home].def.Name))
+			rt.shed(w, "shard "+rt.shards[home].def.Name+" down")
 			return
 		}
 	}
@@ -402,7 +449,7 @@ func (rt *Router) submitTask(w http.ResponseWriter, r *http.Request) {
 	status, body, err := rt.shards[home].client.Do(r.Context(), http.MethodPost, "/api/tasks", req)
 	if err != nil {
 		rt.forgetTask(id)
-		rt.shed(w, fmt.Sprintf("shard %s down", rt.shards[home].def.Name))
+		rt.shed(w, "shard "+rt.shards[home].def.Name+" down")
 		return
 	}
 	if status == http.StatusCreated && ghost >= 0 {
@@ -434,306 +481,200 @@ func (rt *Router) lookupTask(id int) *routedTask {
 	return rt.tasks[id]
 }
 
-// listTasks fans GET /api/tasks across the routable shards and merges by
-// task ID; for a border task both shards answer and the decided copy (or
-// the home's) wins.
+// listTasks merges GET /api/tasks across the routable shards by task ID;
+// for a border task both shards answer and the decided copy (or the
+// home's) wins.
 func (rt *Router) listTasks(w http.ResponseWriter, r *http.Request) {
-	merged := map[int]httpapi.TaskResponse{}
-	for _, ss := range rt.shards {
-		if !ss.routable() {
-			continue
-		}
-		var tasks []httpapi.TaskResponse
-		if status, err := ss.client.DoJSON(r.Context(), http.MethodGet, "/api/tasks", nil, &tasks); err != nil || status != http.StatusOK {
-			continue
-		}
-		for _, t := range tasks {
-			if prev, seen := merged[t.ID]; !seen || (decided(t.Status) && !decided(prev.Status)) {
-				merged[t.ID] = t
-			}
-		}
-	}
-	out := make([]httpapi.TaskResponse, 0, len(merged))
-	for _, t := range merged {
-		out = append(out, t)
-	}
-	httpapi.WriteJSON(w, http.StatusOK, out)
+	gather(rt, w, r, func(t httpapi.TaskResponse) int { return t.ID },
+		func(t, kept httpapi.TaskResponse) bool { return decided(t.Status) && !decided(kept.Status) })
 }
 
 // decided reports whether a task copy in this status has been offered or
 // accepted — the copy a listing shows over an open one.
 func decided(status string) bool { return status == "accepted" || status == "offered" }
 
-func (rt *Router) handleTaskByID(w http.ResponseWriter, r *http.Request) {
-	id, _, ok := httpapi.PathID(r.URL.Path, "/api/tasks/")
+func (rt *Router) getTask(w http.ResponseWriter, r *http.Request) {
+	_, rec, ok := routed(rt, w, r, rt.tasks, "task %d not found")
 	if !ok {
-		httpapi.Error(w, http.StatusBadRequest, "bad task id")
 		return
 	}
-	rec := rt.lookupTask(id)
-	if rec == nil {
-		httpapi.Error(w, http.StatusNotFound, "task %d not found", id)
+	rec.mu.Lock()
+	target := rec.target()
+	rec.mu.Unlock()
+	rt.forward(w, r, rt.shards[target], nil)
+}
+
+// cancelTask cancels the task where a read would find it, and the client's
+// answer is that shard's. Once that copy is cancelled the task is dead to
+// the router: the ghost copy is retracted now or, when that retraction is
+// lost, at the first accept of it.
+func (rt *Router) cancelTask(w http.ResponseWriter, r *http.Request) {
+	id, rec, ok := routed(rt, w, r, rt.tasks, "task %d not found")
+	if !ok {
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-		rec.mu.Lock()
-		target := rec.home
-		if rec.won >= 0 {
-			target = rec.won
-		}
-		rec.mu.Unlock()
-		status, body, err := rt.shards[target].client.Do(r.Context(), http.MethodGet, r.URL.Path, nil)
-		if err != nil {
-			rt.shed(w, fmt.Sprintf("shard %s down", rt.shards[target].def.Name))
-			return
-		}
-		passthrough(w, status, body)
-	case http.MethodDelete:
-		// Cancel every copy; the client's answer is the home shard's.
-		rec.mu.Lock()
-		targets := []int{rec.home}
-		if rec.ghost >= 0 {
-			targets = append(targets, rec.ghost)
-		}
-		rec.dead = true
-		rec.mu.Unlock()
-		var status int
-		var body []byte
-		var err error
-		for i, t := range targets {
-			s, b, e := rt.shards[t].client.Do(r.Context(), http.MethodDelete, r.URL.Path, nil)
-			if i == 0 {
-				status, body, err = s, b, e
-			}
-		}
-		if err != nil {
-			rt.shed(w, "home shard down")
-			return
-		}
-		passthrough(w, status, body)
-	default:
-		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if rt.forward(w, r, rt.shards[rec.target()], nil) != http.StatusOK {
+		return
+	}
+	rec.dead = true
+	if rec.ghost >= 0 {
+		rt.retractCopy(r.Context(), rt.shards[rec.ghost], id)
 	}
 }
 
 // --- workers ---
 
-func (rt *Router) handleWorkers(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodPost:
-		var req httpapi.WorkerRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpapi.Error(w, http.StatusBadRequest, "bad json: %v", err)
-			return
-		}
-		if req.ID <= 0 {
-			httpapi.Error(w, http.StatusBadRequest, "worker id must be positive")
-			return
-		}
-		rt.mu.Lock()
-		if _, dup := rt.workers[req.ID]; dup {
-			rt.mu.Unlock()
-			httpapi.Error(w, http.StatusConflict, "worker %d already registered", req.ID)
-			return
-		}
-		rw := &routedWorker{home: -1, reg: req, registered: make([]bool, len(rt.shards))}
-		rt.workers[req.ID] = rw
-		rt.mu.Unlock()
-
-		// Register on every shard that is up — the worker's home is decided
-		// by its first location report, and a shard that is down now is
-		// backfilled lazily when the worker first touches it.
-		var status int
-		var body []byte
-		ok := false
-		for i, ss := range rt.shards {
-			if !ss.routable() {
-				continue
-			}
-			s, b, err := ss.client.Do(r.Context(), http.MethodPost, "/api/workers", req)
-			if err != nil {
-				continue
-			}
-			if s == http.StatusCreated || s == http.StatusConflict {
-				rw.mu.Lock()
-				rw.registered[i] = true
-				rw.mu.Unlock()
-			}
-			if !ok {
-				status, body, ok = s, b, true
-			}
-		}
-		if !ok {
-			rt.mu.Lock()
-			delete(rt.workers, req.ID)
-			rt.mu.Unlock()
-			rt.shed(w, "no routable shard")
-			return
-		}
-		passthrough(w, status, body)
-	case http.MethodGet:
-		rt.listWorkers(w, r)
-	default:
-		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+func (rt *Router) registerWorker(w http.ResponseWriter, r *http.Request) {
+	var req httpapi.WorkerRequest
+	if !httpapi.Decode(w, r, &req) {
+		return
 	}
-}
+	if req.ID <= 0 {
+		httpapi.Error(w, http.StatusBadRequest, "worker id must be positive")
+		return
+	}
+	rt.mu.Lock()
+	if _, dup := rt.workers[req.ID]; dup {
+		rt.mu.Unlock()
+		httpapi.Error(w, http.StatusConflict, "worker %d already registered", req.ID)
+		return
+	}
+	rw := &routedWorker{home: -1, reg: req, registered: make([]bool, len(rt.shards))}
+	rt.workers[req.ID] = rw
+	rt.mu.Unlock()
 
-// listWorkers fans GET /api/workers across the routable shards and merges
-// by worker ID; the copy on the shard where the worker is online wins.
-func (rt *Router) listWorkers(w http.ResponseWriter, r *http.Request) {
-	merged := map[int]httpapi.WorkerResponse{}
-	for _, ss := range rt.shards {
+	// Register on every shard that is up — the worker's home is decided by
+	// its first location report, and a shard that is down now is backfilled
+	// when the worker first reports there. The client's answer is the first
+	// shard's.
+	var status int
+	var body []byte
+	for i, ss := range rt.shards {
 		if !ss.routable() {
 			continue
 		}
-		var workers []httpapi.WorkerResponse
-		if status, err := ss.client.DoJSON(r.Context(), http.MethodGet, "/api/workers", nil, &workers); err != nil || status != http.StatusOK {
-			continue
-		}
-		for _, wk := range workers {
-			if prev, seen := merged[wk.ID]; !seen || (wk.Online && !prev.Online) {
-				merged[wk.ID] = wk
-			}
+		if s, b, err := rt.register(r.Context(), rw, i); err == nil && status == 0 {
+			status, body = s, b
 		}
 	}
-	out := make([]httpapi.WorkerResponse, 0, len(merged))
-	for _, wk := range merged {
-		out = append(out, wk)
+	if status == 0 {
+		rt.mu.Lock()
+		delete(rt.workers, req.ID)
+		rt.mu.Unlock()
+		rt.shed(w, "no routable shard")
+		return
 	}
-	httpapi.WriteJSON(w, http.StatusOK, out)
+	passthrough(w, status, body)
 }
 
-func (rt *Router) lookupWorker(id int) *routedWorker {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.workers[id]
-}
-
-// ensureRegistered lazily backfills the worker's registration on a shard
-// that was down when the worker registered. 409 means "already there".
-func (rt *Router) ensureRegistered(ctx context.Context, rw *routedWorker, shard int) error {
+// register puts rw's registration on shard i, unless it is known to be
+// there already, and returns the shard's answer: 201, or 409 when the shard
+// already has the worker. Both mean it is there now; any other answer is an
+// error.
+func (rt *Router) register(ctx context.Context, rw *routedWorker, i int) (int, []byte, error) {
 	rw.mu.Lock()
-	already := rw.registered[shard]
-	req := rw.reg
+	done, req := rw.registered[i], rw.reg
 	rw.mu.Unlock()
-	if already {
-		return nil
+	if done {
+		return http.StatusConflict, nil, nil
 	}
-	status, _, err := rt.shards[shard].client.Do(ctx, http.MethodPost, "/api/workers", req)
+	status, body, err := rt.shards[i].client.Do(ctx, http.MethodPost, "/api/workers", req)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
-	if status == http.StatusCreated || status == http.StatusConflict {
-		rw.mu.Lock()
-		rw.registered[shard] = true
-		rw.mu.Unlock()
-		return nil
+	if status != http.StatusCreated && status != http.StatusConflict {
+		return 0, nil, fmt.Errorf("tier: register worker %d on shard %s: status %d", req.ID, rt.shards[i].def.Name, status)
 	}
-	return fmt.Errorf("tier: register worker %d on shard %d: status %d", req.ID, shard, status)
+	rw.mu.Lock()
+	rw.registered[i] = true
+	rw.mu.Unlock()
+	return status, body, nil
 }
 
-func (rt *Router) handleWorkerByID(w http.ResponseWriter, r *http.Request) {
-	id, action, ok := httpapi.PathID(r.URL.Path, "/api/workers/")
+// listWorkers merges GET /api/workers across the routable shards by worker
+// ID; the copy on the shard where the worker is online wins.
+func (rt *Router) listWorkers(w http.ResponseWriter, r *http.Request) {
+	gather(rt, w, r, func(wk httpapi.WorkerResponse) int { return wk.ID },
+		func(wk, kept httpapi.WorkerResponse) bool { return wk.Online && !kept.Online })
+}
+
+// reportLocation forwards a location report to the worker's home shard.
+// The first report pins the worker to the shard owning that spot; the
+// platform's mobility predictors live where the worker does.
+func (rt *Router) reportLocation(w http.ResponseWriter, r *http.Request) {
+	_, rw, ok := routed(rt, w, r, rt.workers, "worker %d not registered")
 	if !ok {
-		httpapi.Error(w, http.StatusBadRequest, "bad worker id")
 		return
 	}
-	rw := rt.lookupWorker(id)
-	if rw == nil {
-		httpapi.Error(w, http.StatusNotFound, "worker %d not registered", id)
+	var req httpapi.LocationRequest
+	if !httpapi.Decode(w, r, &req) {
 		return
 	}
-	switch {
-	case r.Method == http.MethodPost && action == "location":
-		var req httpapi.LocationRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpapi.Error(w, http.StatusBadRequest, "bad json: %v", err)
+	rw.mu.Lock()
+	if rw.home < 0 {
+		rw.home = rt.cfg.Map.Home(geo.Pt(req.X, req.Y))
+	}
+	home := rt.shards[rw.home]
+	rw.mu.Unlock()
+	if !home.routable() {
+		rt.shed(w, "shard "+home.def.Name+" down")
+		return
+	}
+	if _, _, err := rt.register(r.Context(), rw, home.idx); err != nil {
+		rt.shed(w, "shard "+home.def.Name+" down")
+		return
+	}
+	rt.forward(w, r, home, req)
+}
+
+// readWorker forwards a read of a worker to its home shard. A worker that
+// has not reported yet has no home, and is answered unreported(rw), what
+// the router knows.
+func (rt *Router) readWorker(unreported func(*routedWorker) any) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		_, rw, ok := routed(rt, w, r, rt.workers, "worker %d not registered")
+		if !ok {
 			return
 		}
-		// The first report pins the worker to the shard owning that spot;
-		// the platform's mobility predictors live where the worker does.
-		rw.mu.Lock()
-		if rw.home < 0 {
-			rw.home = rt.cfg.Map.Home(geo.Pt(req.X, req.Y))
-		}
-		home := rw.home
-		rw.mu.Unlock()
-		if !rt.shards[home].routable() {
-			rt.shed(w, fmt.Sprintf("shard %s down", rt.shards[home].def.Name))
-			return
-		}
-		if err := rt.ensureRegistered(r.Context(), rw, home); err != nil {
-			rt.shed(w, fmt.Sprintf("shard %s down", rt.shards[home].def.Name))
-			return
-		}
-		status, body, err := rt.shards[home].client.Do(r.Context(), http.MethodPost, r.URL.Path, req)
-		if err != nil {
-			rt.shed(w, fmt.Sprintf("shard %s down", rt.shards[home].def.Name))
-			return
-		}
-		passthrough(w, status, body)
-	case r.Method == http.MethodGet && (action == "" || action == "offers"):
 		rw.mu.Lock()
 		home := rw.home
 		rw.mu.Unlock()
 		if home < 0 {
-			// Never reported: no shard owns it yet; answer what is known.
-			if action == "offers" {
-				httpapi.WriteJSON(w, http.StatusOK, []any{})
-			} else {
-				httpapi.WriteJSON(w, http.StatusOK, rw.reg)
-			}
+			httpapi.WriteJSON(w, http.StatusOK, unreported(rw))
 			return
 		}
-		if !rt.shards[home].routable() {
-			rt.shed(w, fmt.Sprintf("shard %s down", rt.shards[home].def.Name))
-			return
+		if ss := rt.shards[home]; !ss.routable() {
+			rt.shed(w, "shard "+ss.def.Name+" down")
+		} else {
+			rt.forward(w, r, ss, nil)
 		}
-		status, body, err := rt.shards[home].client.Do(r.Context(), http.MethodGet, r.URL.Path, nil)
-		if err != nil {
-			rt.shed(w, fmt.Sprintf("shard %s down", rt.shards[home].def.Name))
-			return
-		}
-		passthrough(w, status, body)
-	default:
-		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s %s", r.Method, action)
 	}
 }
 
 // --- offers: first-accept-wins reconciliation ---
 
-func (rt *Router) handleOfferByID(w http.ResponseWriter, r *http.Request) {
-	id, action, ok := httpapi.PathID(r.URL.Path, "/api/offers/")
+// offerShard finds the shard that issued the route's offer from the offer
+// ID alone; it answers 400 or 404 and returns nil when no shard did.
+func (rt *Router) offerShard(w http.ResponseWriter, r *http.Request) (int, *shardState) {
+	id, ok := httpapi.ID(w, r)
 	if !ok {
-		httpapi.Error(w, http.StatusBadRequest, "bad offer id")
-		return
+		return 0, nil
 	}
 	shard := ShardOfOffer(id, len(rt.shards))
 	if shard < 0 {
 		httpapi.Error(w, http.StatusNotFound, "offer %d outside every shard's id range", id)
-		return
+		return 0, nil
 	}
-	ss := rt.shards[shard]
-	switch {
-	case r.Method == http.MethodGet && action == "":
-		status, body, err := ss.client.Do(r.Context(), http.MethodGet, r.URL.Path, nil)
-		if err != nil {
-			rt.shed(w, fmt.Sprintf("shard %s down", ss.def.Name))
-			return
-		}
-		passthrough(w, status, body)
-	case r.Method == http.MethodPost && action == "accept":
-		rt.acceptOffer(w, r, ss, id)
-	case r.Method == http.MethodPost && action == "reject":
-		status, body, err := ss.client.Do(r.Context(), http.MethodPost, r.URL.Path, nil)
-		if err != nil {
-			rt.shed(w, fmt.Sprintf("shard %s down", ss.def.Name))
-			return
-		}
-		passthrough(w, status, body)
-	default:
-		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s %s", r.Method, action)
+	return id, rt.shards[shard]
+}
+
+// forwardOffer forwards a read of an offer, or a reject, to the issuing
+// shard.
+func (rt *Router) forwardOffer(w http.ResponseWriter, r *http.Request) {
+	if _, ss := rt.offerShard(w, r); ss != nil {
+		rt.forward(w, r, ss, nil)
 	}
 }
 
@@ -741,13 +682,18 @@ func (rt *Router) handleOfferByID(w http.ResponseWriter, r *http.Request) {
 // accept across the task's copies wins, and the losing copy is retracted by
 // cancelling the duplicate task — TaskCancelled retracts the pending offer
 // inside the same state transition, and re-cancelling is idempotent, so a
-// lost retraction is safely retried at the next accept attempt.
-func (rt *Router) acceptOffer(w http.ResponseWriter, r *http.Request, ss *shardState, offerID int) {
+// lost retraction is safely retried at the next accept attempt. An accept
+// of a task cancelled through the router is refused the same way.
+func (rt *Router) acceptOffer(w http.ResponseWriter, r *http.Request) {
+	offerID, ss := rt.offerShard(w, r)
+	if ss == nil {
+		return
+	}
 	// Learn which task the offer would commit before forwarding.
 	var rec httpapi.OfferRecord
 	status, err := ss.client.DoJSON(r.Context(), http.MethodGet, "/api/offers/"+strconv.Itoa(offerID), nil, &rec)
 	if err != nil {
-		rt.shed(w, fmt.Sprintf("shard %s down", ss.def.Name))
+		rt.shed(w, "shard "+ss.def.Name+" down")
 		return
 	}
 	if status != http.StatusOK {
@@ -757,54 +703,46 @@ func (rt *Router) acceptOffer(w http.ResponseWriter, r *http.Request, ss *shardS
 	rtask := rt.lookupTask(rec.TaskID)
 	if rtask == nil {
 		// Not a router-managed task (shard driven directly): plain forward.
-		s, body, err := ss.client.Do(r.Context(), http.MethodPost, r.URL.Path, nil)
-		if err != nil {
-			rt.shed(w, fmt.Sprintf("shard %s down", ss.def.Name))
-			return
-		}
-		passthrough(w, s, body)
+		rt.forward(w, r, ss, nil)
 		return
 	}
 
 	rtask.mu.Lock()
 	defer rtask.mu.Unlock()
-	if rtask.won >= 0 && rtask.won != ss.idx {
-		// The race is already decided on the other shard. Retract this
-		// side's copy (idempotent: cancel of a cancelled task is a no-op
-		// transition) and tell the worker the offer is gone.
+	if rtask.dead || (rtask.won >= 0 && rtask.won != ss.idx) {
+		// The task is cancelled, or the race is already decided on the other
+		// shard. Retract this side's copy (idempotent: cancel of a cancelled
+		// task is a no-op transition) and tell the worker the offer is gone.
 		rt.retractCopy(r.Context(), ss, rec.TaskID)
 		rt.reconcilesC.Inc()
-		httpapi.Error(w, http.StatusConflict, "task %d already accepted on shard %s",
-			rec.TaskID, rt.shards[rtask.won].def.Name)
+		if rtask.dead {
+			httpapi.Error(w, http.StatusConflict, "task %d cancelled", rec.TaskID)
+		} else {
+			httpapi.Error(w, http.StatusConflict, "task %d already accepted on shard %s",
+				rec.TaskID, rt.shards[rtask.won].def.Name)
+		}
 		return
 	}
-	s, body, err := ss.client.Do(r.Context(), http.MethodPost, r.URL.Path, nil)
-	if err != nil {
-		rt.shed(w, fmt.Sprintf("shard %s down", ss.def.Name))
+	if rt.forward(w, r, ss, nil) != http.StatusOK {
 		return
 	}
-	if s == http.StatusOK {
-		rtask.won = ss.idx
-		// First accept wins: withdraw the duplicate from the other shard so
-		// its worker pool stops bidding on a task that is already committed.
-		other := -1
-		if rtask.ghost >= 0 && rtask.ghost != ss.idx {
-			other = rtask.ghost
-		} else if rtask.ghost == ss.idx {
+	rtask.won = ss.idx
+	// First accept wins: withdraw the duplicate from the other shard so its
+	// worker pool stops bidding on a task that is already committed.
+	if rtask.ghost >= 0 {
+		other := rtask.ghost
+		if other == ss.idx {
 			other = rtask.home
 		}
-		if other >= 0 {
-			rt.retractCopy(r.Context(), rt.shards[other], rec.TaskID)
-			rt.reconcilesC.Inc()
-		}
+		rt.retractCopy(r.Context(), rt.shards[other], rec.TaskID)
+		rt.reconcilesC.Inc()
 	}
-	passthrough(w, s, body)
 }
 
 // retractCopy cancels a task copy on a shard, best-effort: DELETE on an
 // open or offered task cancels it and retracts its offer in one transition;
-// on an already-cancelled copy it is a no-op, and a failure leaves the copy
-// to be retracted at the next reconciliation touch.
+// on an already-cancelled copy it is a no-op, and a failure is logged and
+// leaves the copy to be retracted at the next reconciliation touch.
 func (rt *Router) retractCopy(ctx context.Context, ss *shardState, taskID int) {
 	status, _, err := ss.client.Do(ctx, http.MethodDelete, "/api/tasks/"+strconv.Itoa(taskID), nil)
 	if err != nil {
@@ -818,14 +756,10 @@ func (rt *Router) retractCopy(ctx context.Context, ss *shardState, taskID int) {
 
 // --- fan-out: tick and batch ---
 
-// handleFanout forwards /api/tick and /api/batch to every routable shard
-// and aggregates: ticks advance everywhere (max reported), batch offers and
+// fanout forwards /api/tick and /api/batch to every routable shard and
+// aggregates: ticks advance everywhere (max reported), batch offers and
 // open counts sum.
-func (rt *Router) handleFanout(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost && !(r.Method == http.MethodGet && r.URL.Path == "/api/tick") {
-		httpapi.Error(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
+func (rt *Router) fanout(w http.ResponseWriter, r *http.Request) {
 	var agg httpapi.BatchResponse
 	any := false
 	for _, ss := range rt.shards {

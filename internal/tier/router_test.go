@@ -4,16 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"github.com/spatialcrowd/tamp/internal/assign"
+	"github.com/spatialcrowd/tamp/internal/core"
 	"github.com/spatialcrowd/tamp/internal/geo"
 	"github.com/spatialcrowd/tamp/internal/httpapi"
 	"github.com/spatialcrowd/tamp/internal/obs"
@@ -104,6 +107,13 @@ func noSleep(context.Context, time.Duration) error { return nil }
 
 func newTestCluster(t *testing.T, borderKM float64, queueLimit int) *testCluster {
 	t.Helper()
+	return newTestClusterClient(t, borderKM, queueLimit, &http.Client{Timeout: 5 * time.Second})
+}
+
+// newTestClusterClient is newTestCluster with the router's shard calls and
+// probes going through hc.
+func newTestClusterClient(t *testing.T, borderKM float64, queueLimit int, hc *http.Client) *testCluster {
+	t.Helper()
 	tc := &testCluster{t: t}
 	for i := 0; i < 2; i++ {
 		tc.shards = append(tc.shards, newRestartableShard(t, shardConfig(i)))
@@ -126,7 +136,7 @@ func newTestCluster(t *testing.T, borderKM float64, queueLimit int) *testCluster
 		BreakerThreshold: 3,
 		BreakerCooldown:  50 * time.Millisecond,
 		QueueLimit:       queueLimit,
-		HTTPClient:       &http.Client{Timeout: 5 * time.Second},
+		HTTPClient:       hc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +263,7 @@ func TestRouterInteriorFlow(t *testing.T) {
 	}
 	var got taskView
 	tc.do("GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &got)
-	if got.Status != string(server.TaskAccepted) || got.Worker != 1 {
+	if got.Status != string(core.StatusAccepted) || got.Worker != 1 {
 		t.Fatalf("task after accept = %+v", got)
 	}
 
@@ -313,7 +323,7 @@ func TestRouterBorderFirstAcceptWins(t *testing.T) {
 	// The west copy was retracted: cancelled on the shard, its offer gone.
 	var westCopy taskView
 	tc.doShard(0, "GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &westCopy)
-	if westCopy.Status != string(server.TaskCancelled) {
+	if westCopy.Status != string(core.StatusCancelled) {
 		t.Fatalf("losing copy status = %s, want cancelled", westCopy.Status)
 	}
 	// Worker 1's late accept loses cleanly: the retraction already withdrew
@@ -323,7 +333,7 @@ func TestRouterBorderFirstAcceptWins(t *testing.T) {
 	}
 	var got taskView
 	tc.do("GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &got)
-	if got.Status != string(server.TaskAccepted) || got.Worker != 2 {
+	if got.Status != string(core.StatusAccepted) || got.Worker != 2 {
 		t.Fatalf("task after race = %+v", got)
 	}
 	if v := tc.router.reconcilesC.Value(); v < 1 {
@@ -392,7 +402,7 @@ func TestRouterQueueShedAndFlush(t *testing.T) {
 	if code := tc.do("GET", fmt.Sprintf("/api/tasks/%d", id1), nil, &got); code != http.StatusOK {
 		t.Fatalf("queued task after flush: status %d", code)
 	}
-	if got.Status != string(server.TaskOpen) {
+	if got.Status != string(core.StatusOpen) {
 		t.Fatalf("flushed task status = %s", got.Status)
 	}
 	if v := tc.gauge("tamp_router_queue_depth", "west"); v != 0 {
@@ -540,5 +550,123 @@ func TestRouterCapsRequestBodies(t *testing.T) {
 	}
 	if code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{X: 10, Y: 10, Deadline: 30}, nil); code != http.StatusCreated {
 		t.Fatalf("ordinary submit after the oversized one: status %d", code)
+	}
+}
+
+// loseDeletes is a transport that loses every DELETE sent to the host it
+// holds: the request never reaches that shard and the router sees a network
+// error.
+type loseDeletes struct{ host atomic.Pointer[string] }
+
+func (l *loseDeletes) RoundTrip(req *http.Request) (*http.Response, error) {
+	if h := l.host.Load(); h != nil && req.Method == http.MethodDelete && req.URL.Host == *h {
+		return nil, errors.New("lost")
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestRouterCancelledBorderTaskCannotBeAccepted: a border task cancelled
+// through the router while its ghost copy could not be reached stays
+// cancelled. The ghost shard still offers its copy at the next batch, and
+// the router answers that accept 409 and retracts the copy.
+func TestRouterCancelledBorderTaskCannotBeAccepted(t *testing.T) {
+	lose := &loseDeletes{}
+	tc := newTestClusterClient(t, 1, 4, &http.Client{Timeout: 5 * time.Second, Transport: lose})
+	if code := tc.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 2, DetourKM: 8, Speed: 1, MR: 0.8}, nil); code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	tc.walk(2, 56, 25, 6, -1) // ends at x=51 → home east
+	var task taskView
+	if code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{X: 48, Y: 25, Deadline: 30}, &task); code != http.StatusCreated {
+		t.Fatalf("post border task: status %d", code)
+	}
+
+	east := strings.TrimPrefix(tc.shards[1].url(), "http://")
+	lose.host.Store(&east)
+	if code := tc.do("DELETE", fmt.Sprintf("/api/tasks/%d", task.ID), nil, nil); code != http.StatusOK {
+		t.Fatalf("cancel: status %d", code)
+	}
+	lose.host.Store(nil)
+	tc.router.ProbeOnce(context.Background()) // closes the breaker the lost DELETEs opened
+
+	var batch httpapi.BatchResponse
+	tc.do("POST", "/api/batch", nil, &batch)
+	var offers []offerView
+	tc.do("GET", "/api/workers/2/offers", nil, &offers)
+	if len(offers) != 1 || offers[0].TaskID != task.ID {
+		t.Fatalf("east offers after the lost cancel = %+v, want the ghost copy of task %d", offers, task.ID)
+	}
+	if code := tc.do("POST", fmt.Sprintf("/api/offers/%d/accept", offers[0].OfferID), nil, nil); code != http.StatusConflict {
+		t.Fatalf("accept of a cancelled task's ghost copy: status %d, want 409", code)
+	}
+	var ghost taskView
+	tc.doShard(1, "GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &ghost)
+	if ghost.Status != string(core.StatusCancelled) {
+		t.Fatalf("ghost copy after the refused accept = %s, want cancelled", ghost.Status)
+	}
+	if v := tc.router.reconcilesC.Value(); v != 1 {
+		t.Fatalf("reconcile counter = %d, want 1", v)
+	}
+}
+
+// TestRouterQueuedTaskRefusedOnFlushIsDropped: a task queued while its home
+// shard was down and refused by that shard on flush is counted in
+// tamp_router_queue_dropped_total and forgotten, not kept as a placement
+// the shard never took.
+func TestRouterQueuedTaskRefusedOnFlushIsDropped(t *testing.T) {
+	tc := newTestCluster(t, 0, 2)
+	tc.shards[0].kill()
+	tc.router.ProbeOnce(context.Background())
+
+	var queued map[string]any
+	if code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{X: 10, Y: 10, Deadline: 0}, &queued); code != http.StatusAccepted {
+		t.Fatalf("task during outage: status %d, want 202", code)
+	}
+	id := int(queued["id"].(float64))
+
+	tc.shards[0].restart()
+	tc.router.ProbeOnce(context.Background()) // the shard answers the flush 400: deadline 0 is not after tick 0
+	dropped := tc.router.Registry().Counter("tamp_router_queue_dropped_total", obs.L("shard", "west"))
+	if v := dropped.Value(); v != 1 {
+		t.Fatalf("queue_dropped_total{west} = %d, want 1", v)
+	}
+	if rec := tc.router.lookupTask(id); rec != nil {
+		t.Fatalf("router still places task %d after the shard refused it: %+v", id, rec)
+	}
+	if code := tc.do("GET", fmt.Sprintf("/api/tasks/%d", id), nil, nil); code != http.StatusNotFound {
+		t.Fatalf("GET of the dropped task: status %d, want 404", code)
+	}
+}
+
+// TestRouterCancelAfterGhostAcceptIsRefused: a cancel goes where a read
+// goes. Once the ghost copy of a border task is accepted, the home copy is
+// only the retracted loser, and a cancel through the router answers the
+// winner's 409 instead of cancelling the loser again and answering 200.
+func TestRouterCancelAfterGhostAcceptIsRefused(t *testing.T) {
+	tc := newTestCluster(t, 1, 4)
+	if code := tc.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 2, DetourKM: 8, Speed: 1, MR: 0.8}, nil); code != http.StatusCreated {
+		t.Fatalf("register: status %d", code)
+	}
+	tc.walk(2, 56, 25, 6, -1) // ends at x=51 → home east
+	var task taskView
+	if code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{X: 48, Y: 25, Deadline: 30}, &task); code != http.StatusCreated {
+		t.Fatalf("post border task: status %d", code)
+	}
+	tc.do("POST", "/api/batch", nil, nil)
+	var offers []offerView
+	tc.do("GET", "/api/workers/2/offers", nil, &offers)
+	if len(offers) != 1 {
+		t.Fatalf("east offers = %+v", offers)
+	}
+	if code := tc.do("POST", fmt.Sprintf("/api/offers/%d/accept", offers[0].OfferID), nil, nil); code != http.StatusOK {
+		t.Fatalf("accept of the ghost copy: status %d", code)
+	}
+	if code := tc.do("DELETE", fmt.Sprintf("/api/tasks/%d", task.ID), nil, nil); code != http.StatusConflict {
+		t.Fatalf("cancel of a task accepted on its ghost shard: status %d, want 409", code)
+	}
+	var got taskView
+	tc.do("GET", fmt.Sprintf("/api/tasks/%d", task.ID), nil, &got)
+	if got.Status != string(core.StatusAccepted) || got.Worker != 2 {
+		t.Fatalf("task after the refused cancel = %+v, want accepted by worker 2", got)
 	}
 }
