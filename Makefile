@@ -219,4 +219,7 @@ fmt-check:
 # The local mirror of the blocking CI jobs: everything here must pass before
 # a push (the race, perfcheck, and chaos jobs run in CI too, split out for
 # wall-clock; run them directly when touching concurrency or the NN kernels).
-ci: build vet fmt-check test
+# bench-test is here because it is the only target that compiles the nested
+# bench/ module against internal/: a deletion that passes `go build ./...`
+# can still break it.
+ci: build vet fmt-check test bench-test

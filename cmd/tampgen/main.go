@@ -17,15 +17,15 @@
 package main
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 
 	"github.com/spatialcrowd/tamp"
+	"github.com/spatialcrowd/tamp/internal/ingest"
 	"github.com/spatialcrowd/tamp/internal/viz"
 )
 
@@ -67,10 +67,16 @@ func main() {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fatal(err)
 	}
-	if err := writeWorkers(filepath.Join(*out, "workers.csv"), w); err != nil {
+	err := writeFile(filepath.Join(*out, "workers.csv"), func(f io.Writer) error {
+		return ingest.WriteWorkersCSV(f, w.Workers)
+	})
+	if err != nil {
 		fatal(err)
 	}
-	if err := writeTasks(filepath.Join(*out, "tasks.csv"), w); err != nil {
+	err = writeFile(filepath.Join(*out, "tasks.csv"), func(f io.Writer) error {
+		return ingest.WriteTasksCSV(f, w.TestTasks)
+	})
+	if err != nil {
 		fatal(err)
 	}
 	if err := writeSummary(filepath.Join(*out, "summary.json"), w); err != nil {
@@ -84,75 +90,17 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// writeWorkers dumps one row per (worker, day, tick) with the location.
-func writeWorkers(path string, w *tamp.Workload) error {
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	cw := csv.NewWriter(f)
-	defer cw.Flush()
-	if err := cw.Write([]string{"worker", "archetype", "new", "split", "day", "tick", "x", "y"}); err != nil {
+	if err := write(f); err != nil {
+		f.Close()
 		return err
 	}
-	for _, wk := range w.Workers {
-		write := func(split string, day int, r tamp.Routine) error {
-			for t, pt := range r.Points {
-				rec := []string{
-					strconv.Itoa(wk.ID),
-					strconv.Itoa(wk.Archetype),
-					strconv.FormatBool(wk.New),
-					split,
-					strconv.Itoa(day),
-					strconv.Itoa(t),
-					strconv.FormatFloat(pt.X, 'f', 3, 64),
-					strconv.FormatFloat(pt.Y, 'f', 3, 64),
-				}
-				if err := cw.Write(rec); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for d, r := range wk.TrainDays {
-			if err := write("train", d, r); err != nil {
-				return err
-			}
-		}
-		for d, r := range wk.TestDays {
-			if err := write("test", d, r); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func writeTasks(path string, w *tamp.Workload) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	cw := csv.NewWriter(f)
-	defer cw.Flush()
-	if err := cw.Write([]string{"task", "x", "y", "arrival", "deadline"}); err != nil {
-		return err
-	}
-	for _, t := range w.TestTasks {
-		rec := []string{
-			strconv.Itoa(t.ID),
-			strconv.FormatFloat(t.Loc.X, 'f', 3, 64),
-			strconv.FormatFloat(t.Loc.Y, 'f', 3, 64),
-			strconv.Itoa(t.Arrival),
-			strconv.Itoa(t.Deadline),
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.Close()
 }
 
 func writeSummary(path string, w *tamp.Workload) error {

@@ -6,6 +6,7 @@ package tamp
 // matching must find.
 
 import (
+	"context"
 	"testing"
 
 	"github.com/spatialcrowd/tamp/internal/assign"
@@ -53,7 +54,7 @@ func TestRunningExampleOptimalPlan(t *testing.T) {
 	workers := scenarioWorkers()
 	tasks := scenarioTasks()
 	for _, a := range []Assigner{NewUB(), NewPPI(), NewKM()} {
-		pairs := a.Assign(tasks, workers, 0)
+		pairs := a.Assign(context.Background(), tasks, workers, 0)
 		if len(pairs) != 4 {
 			t.Fatalf("%s assigned %d pairs, want 4", a.Name(), len(pairs))
 		}
@@ -93,7 +94,7 @@ func TestRunningExampleConfidencePriority(t *testing.T) {
 	sloppy := scenarioWorkers()[0]
 	sloppy.ID = 9
 	sloppy.MR = 0.05 // same route, unreliable predictions
-	pairs := NewPPI().Assign([]Task{task}, []AssignWorker{sloppy, reliable}, 0)
+	pairs := NewPPI().Assign(context.Background(), []Task{task}, []AssignWorker{sloppy, reliable}, 0)
 	if len(pairs) != 1 || pairs[0].Worker != 1 {
 		t.Fatalf("PPI chose %+v, want the reliable worker (index 1)", pairs)
 	}

@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -152,7 +153,7 @@ func TestPPIAssignsConfidentFirst(t *testing.T) {
 	tasks := []Task{{ID: 0, Loc: geo.Pt(5, 0), Deadline: 20}}
 	w0 := straightWorker(0, 0, 0, 10, 8, 0.9) // path hits (5,0) exactly
 	w1 := straightWorker(1, 0, 0.5, 10, 8, 0.05)
-	got := (PPI{A: 0.5, Epsilon: 2}).Assign(tasks, []Worker{w0, w1}, 0)
+	got := (PPI{A: 0.5, Epsilon: 2}).Assign(context.Background(), tasks, []Worker{w0, w1}, 0)
 	if len(got) != 1 {
 		t.Fatalf("assignments = %v", got)
 	}
@@ -170,7 +171,7 @@ func TestPPIStagesCoverAllFeasible(t *testing.T) {
 	}
 	w0 := straightWorker(0, 0, 0, 8, 10, 0.6)
 	w1 := straightWorker(1, 0, 10, 8, 10, 0.01) // low MR: lands in stage 3
-	got := (PPI{A: 0.5, Epsilon: 1}).Assign(tasks, []Worker{w0, w1}, 0)
+	got := (PPI{A: 0.5, Epsilon: 1}).Assign(context.Background(), tasks, []Worker{w0, w1}, 0)
 	if len(got) != 2 {
 		t.Fatalf("assignments = %v, want both tasks assigned", got)
 	}
@@ -187,7 +188,7 @@ func TestPPIRespectsDeadline(t *testing.T) {
 	// Task deadline already passed: no assignment possible.
 	tasks := []Task{{ID: 0, Loc: geo.Pt(3, 0), Deadline: 2}}
 	w := straightWorker(0, 0, 0, 10, 10, 0.9)
-	got := PPI{A: 0.5}.Assign(tasks, []Worker{w}, 5)
+	got := PPI{A: 0.5}.Assign(context.Background(), tasks, []Worker{w}, 5)
 	if len(got) != 0 {
 		t.Errorf("assignments past deadline = %v", got)
 	}
@@ -198,7 +199,7 @@ func TestPPIRespectsDetour(t *testing.T) {
 	// infeasible even though the deadline is generous.
 	tasks := []Task{{ID: 0, Loc: geo.Pt(3, 6), Deadline: 100}}
 	w := straightWorker(0, 0, 0, 10, 4, 0.9)
-	got := PPI{A: 0.5}.Assign(tasks, []Worker{w}, 0)
+	got := PPI{A: 0.5}.Assign(context.Background(), tasks, []Worker{w}, 0)
 	if len(got) != 0 {
 		t.Errorf("assignments beyond detour = %v", got)
 	}
@@ -214,7 +215,7 @@ func TestPPIUniqueAssignments(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		workers = append(workers, straightWorker(i, rng.Float64()*20, rng.Float64()*20, 10, 10, rng.Float64()))
 	}
-	got := (PPI{A: 1, Epsilon: 3}).Assign(tasks, workers, 0)
+	got := (PPI{A: 1, Epsilon: 3}).Assign(context.Background(), tasks, workers, 0)
 	seenT, seenW := map[int]bool{}, map[int]bool{}
 	for _, m := range got {
 		if seenT[m.Task] || seenW[m.Worker] {
@@ -228,7 +229,7 @@ func TestPPIUniqueAssignments(t *testing.T) {
 func TestKMBaselineMatchesFeasiblePairs(t *testing.T) {
 	tasks := []Task{{ID: 0, Loc: geo.Pt(4, 0), Deadline: 30}}
 	w := straightWorker(0, 0, 0, 8, 10, 0.5)
-	got := (KM{}).Assign(tasks, []Worker{w}, 0)
+	got := (KM{}).Assign(context.Background(), tasks, []Worker{w}, 0)
 	if len(got) != 1 || got[0].Worker != 0 {
 		t.Fatalf("KM = %v", got)
 	}
@@ -242,10 +243,10 @@ func TestUBUsesActualTrajectory(t *testing.T) {
 		w.Actual = append(w.Actual, geo.Pt(float64(i+1), 0))
 	}
 	tasks := []Task{{ID: 0, Loc: geo.Pt(4, 0), Deadline: 30}}
-	if got := (UB{}).Assign(tasks, []Worker{w}, 0); len(got) != 1 {
+	if got := (UB{}).Assign(context.Background(), tasks, []Worker{w}, 0); len(got) != 1 {
 		t.Errorf("UB should match via actual path, got %v", got)
 	}
-	if got := (KM{}).Assign(tasks, []Worker{w}, 0); len(got) != 0 {
+	if got := (KM{}).Assign(context.Background(), tasks, []Worker{w}, 0); len(got) != 0 {
 		t.Errorf("KM should fail via predicted path, got %v", got)
 	}
 }
@@ -258,7 +259,7 @@ func TestLBUsesCurrentLocationOnly(t *testing.T) {
 		{ID: 1, Loc: geo.Pt(9, 0), Deadline: 30},  // near path end
 		{ID: 2, Loc: geo.Pt(0, 40), Deadline: 30}, // unreachable
 	}
-	got := (LB{}).Assign(tasks, []Worker{w}, 0)
+	got := (LB{}).Assign(context.Background(), tasks, []Worker{w}, 0)
 	if len(got) != 1 || got[0].Task != 0 {
 		t.Errorf("LB = %v, want task 0 only", got)
 	}
@@ -275,7 +276,7 @@ func TestGGPSOFeasibleAndUnique(t *testing.T) {
 		workers = append(workers, straightWorker(i, rng.Float64()*15, rng.Float64()*15, 12, 10, 0.5))
 	}
 	g := GGPSO{Population: 20, Generations: 30, Seed: 4}
-	got := g.Assign(tasks, workers, 0)
+	got := g.Assign(context.Background(), tasks, workers, 0)
 	seenT, seenW := map[int]bool{}, map[int]bool{}
 	for _, m := range got {
 		if seenT[m.Task] || seenW[m.Worker] {
@@ -303,10 +304,10 @@ func TestGGPSOApproachesKMQuality(t *testing.T) {
 		workers = append(workers, straightWorker(i, rng.Float64()*12, rng.Float64()*12, 14, 10, 0.5))
 	}
 	var kmW, ggW float64
-	for _, m := range (KM{}).Assign(tasks, workers, 0) {
+	for _, m := range (KM{}).Assign(context.Background(), tasks, workers, 0) {
 		kmW += m.Weight
 	}
-	for _, m := range (GGPSO{Population: 60, Generations: 120, Seed: 2}).Assign(tasks, workers, 0) {
+	for _, m := range (GGPSO{Population: 60, Generations: 120, Seed: 2}).Assign(context.Background(), tasks, workers, 0) {
 		ggW += m.Weight
 	}
 	if ggW < kmW*0.7 {

@@ -13,7 +13,7 @@ import (
 // distance satisfies the detour and deadline caps) and solve one global
 // maximum-weight matching.
 type KM struct {
-	// Parallelism bounds the edge-construction pool used by AssignContext
+	// Parallelism bounds the edge-construction pool used by Assign
 	// (0 = GOMAXPROCS).
 	Parallelism int
 }
@@ -21,16 +21,11 @@ type KM struct {
 // Name implements Assigner.
 func (KM) Name() string { return "KM" }
 
-// Assign implements Assigner.
-func (k KM) Assign(tasks []Task, workers []Worker, tick int) []Pair {
-	return k.AssignContext(context.Background(), tasks, workers, tick)
-}
-
-// AssignContext implements ContextAssigner: edges come from the
+// Assign implements Assigner: edges come from the
 // candidate-pair kernel under the Theorem-2 feasibility cap, then one KM
 // matching. The two stages are timed as separate spans, and the graph size
 // lands in tamp_assign_edges_total.
-func (k KM) AssignContext(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
+func (k KM) Assign(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
 	ctx, endKM := obs.Span(ctx, "assign.km")
 	defer endKM()
 	ec := edgeCountersFor(obs.RegistryFrom(ctx))
@@ -53,7 +48,7 @@ func (k KM) AssignContext(ctx context.Context, tasks []Task, workers []Worker, t
 // assignment it makes is accepted and its rejection rate is 0 by
 // construction.
 type UB struct {
-	// Parallelism bounds the edge-construction pool used by AssignContext
+	// Parallelism bounds the edge-construction pool used by Assign
 	// (0 = GOMAXPROCS).
 	Parallelism int
 }
@@ -64,16 +59,11 @@ func (UB) Name() string { return "UB" }
 // ReadsForecast reports false: the oracle matches on Worker.Actual alone.
 func (UB) ReadsForecast() bool { return false }
 
-// Assign implements Assigner.
-func (u UB) Assign(tasks []Task, workers []Worker, tick int) []Pair {
-	return u.AssignContext(context.Background(), tasks, workers, tick)
-}
-
-// AssignContext implements ContextAssigner. ServeDist accepts a point only
+// Assign implements Assigner. ServeDist accepts a point only
 // when the out-and-back detour 2·dis fits the budget d, i.e. dis ≤ d/2, so
 // the kernel's reach disks around the true trajectory prune soundly for the
 // oracle too; an edge costs the full detour.
-func (u UB) AssignContext(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
+func (u UB) Assign(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
 	ws := workspaceFor(ctx)
 	scan := ws.newPairScan(ctx, tasks, workers, tick, u.Parallelism, pairServe)
 	return ws.m.Match(ws.edgesOf(scan.feasible(ctx, pairServe, 0, nil, nil), tasks, 2), nil)
@@ -90,12 +80,7 @@ func (LB) Name() string { return "LB" }
 func (LB) ReadsForecast() bool { return false }
 
 // Assign implements Assigner.
-func (l LB) Assign(tasks []Task, workers []Worker, tick int) []Pair {
-	return l.AssignContext(context.Background(), tasks, workers, tick)
-}
-
-// AssignContext implements ContextAssigner.
-func (LB) AssignContext(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
+func (LB) Assign(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
 	ws := workspaceFor(ctx)
 	scan := ws.newPairScan(ctx, tasks, workers, tick, 1, pairLoc)
 	return ws.m.Match(ws.edgesOf(scan.feasible(ctx, pairLoc, 0, nil, nil), tasks, 1), nil)
@@ -134,14 +119,9 @@ func (GGPSO) Name() string { return "GGPSO" }
 // chromosome maps each task index to a worker index (-1 = unassigned).
 type chromosome []int
 
-// Assign implements Assigner.
-func (g GGPSO) Assign(tasks []Task, workers []Worker, tick int) []Pair {
-	return g.AssignContext(context.Background(), tasks, workers, tick)
-}
-
-// AssignContext implements ContextAssigner; the search itself is sequential
+// Assign implements Assigner; the search itself is sequential
 // and does not watch ctx.
-func (g GGPSO) AssignContext(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
+func (g GGPSO) Assign(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
 	pop := g.Population
 	if pop <= 0 {
 		pop = 40

@@ -56,7 +56,7 @@ func BenchmarkPPIBatch(b *testing.B) {
 	p := PPI{A: 1.5}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		p.Assign(tasks, workers, 0)
+		p.Assign(context.Background(), tasks, workers, 0)
 	}
 }
 
@@ -64,7 +64,7 @@ func BenchmarkKMBatch(b *testing.B) {
 	tasks, workers := benchScenario(60, 30, 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		(KM{}).Assign(tasks, workers, 0)
+		(KM{}).Assign(context.Background(), tasks, workers, 0)
 	}
 }
 
@@ -73,7 +73,7 @@ func BenchmarkGGPSOBatch(b *testing.B) {
 	g := GGPSO{Population: 30, Generations: 40}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		g.Assign(tasks, workers, 0)
+		g.Assign(context.Background(), tasks, workers, 0)
 	}
 }
 

@@ -1,6 +1,7 @@
 package assign_test
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/spatialcrowd/tamp/internal/assign"
@@ -36,7 +37,7 @@ func ExamplePPI_Assign() {
 		Predicted: []geo.Point{geo.Pt(1, 0), geo.Pt(2, 0), geo.Pt(3, 0)},
 	}
 	tasks := []assign.Task{{ID: 0, Loc: geo.Pt(2, 0), Deadline: 20}}
-	pairs := assign.PPI{A: 1}.Assign(tasks, []assign.Worker{worker}, 0)
+	pairs := assign.PPI{A: 1}.Assign(context.Background(), tasks, []assign.Worker{worker}, 0)
 	fmt.Println(len(pairs), "assignment; worker", pairs[0].Worker)
 	// Output: 1 assignment; worker 0
 }

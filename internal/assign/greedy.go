@@ -24,16 +24,11 @@ type Greedy struct {
 // Name implements Assigner.
 func (Greedy) Name() string { return "Greedy" }
 
-// Assign implements Assigner.
-func (g Greedy) Assign(tasks []Task, workers []Worker, tick int) []Pair {
-	return g.AssignContext(context.Background(), tasks, workers, tick)
-}
-
-// AssignContext implements ContextAssigner. Each task's feasible workers
+// Assign implements Assigner. Each task's feasible workers
 // arrive in ascending worker order on both kernel paths and the
 // nearest-worker tie-break is strict, so the first of equidistant workers
 // wins either way.
-func (g Greedy) AssignContext(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
+func (g Greedy) Assign(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
 	ec := edgeCountersFor(obs.RegistryFrom(ctx))
 	ws := workspaceFor(ctx)
 	scan := ws.newPairScan(ctx, tasks, workers, tick, g.Parallelism, pairPath)

@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"context"
 	"testing"
 
 	"github.com/spatialcrowd/tamp/internal/geo"
@@ -16,7 +17,7 @@ func TestGreedyFeasibleAndDisjoint(t *testing.T) {
 		{ID: 1, Loc: geo.Pt(0, 0), Detour: 8, Speed: 2, Predicted: []geo.Point{geo.Pt(4, 0), geo.Pt(5, 0)}},
 		{ID: 2, Loc: geo.Pt(1, 0), Detour: 8, Speed: 2, Predicted: []geo.Point{geo.Pt(6, 0), geo.Pt(7, 0)}},
 	}
-	pairs := Greedy{}.Assign(tasks, workers, 0)
+	pairs := Greedy{}.Assign(context.Background(), tasks, workers, 0)
 	if len(pairs) != 2 {
 		t.Fatalf("pairs = %+v, want 2", pairs)
 	}
@@ -43,13 +44,13 @@ func TestGreedyFeasibleAndDisjoint(t *testing.T) {
 func TestGreedyRespectsExclusions(t *testing.T) {
 	tasks := []Task{{ID: 0, Loc: geo.Pt(3, 0), Deadline: 20, Excluded: []int{7}}}
 	workers := []Worker{{ID: 7, Loc: geo.Pt(0, 0), Detour: 10, Speed: 2, Predicted: []geo.Point{geo.Pt(3, 0)}}}
-	if pairs := (Greedy{}).Assign(tasks, workers, 0); len(pairs) != 0 {
+	if pairs := (Greedy{}).Assign(context.Background(), tasks, workers, 0); len(pairs) != 0 {
 		t.Fatalf("greedy re-offered a declined pair: %+v", pairs)
 	}
 }
 
 func TestGreedyEmptyInputs(t *testing.T) {
-	if pairs := (Greedy{}).Assign(nil, nil, 0); len(pairs) != 0 {
+	if pairs := (Greedy{}).Assign(context.Background(), nil, nil, 0); len(pairs) != 0 {
 		t.Fatalf("pairs = %+v", pairs)
 	}
 }

@@ -24,7 +24,7 @@ type PPI struct {
 	// Epsilon is ε, the KM batch size of the second stage. Values ≤ 0
 	// default to 8.
 	Epsilon int
-	// Parallelism bounds the pool used by AssignContext to build the
+	// Parallelism bounds the pool used by Assign to build the
 	// candidate graphs of stages 1 and 3 (0 = GOMAXPROCS). The staged KM
 	// matching itself stays sequential; the plan is identical at every
 	// parallelism level.
@@ -106,19 +106,14 @@ func edgeCountersFor(reg *obs.Registry) *edgeCounters {
 	}).(*edgeCounters)
 }
 
-// Assign implements Assigner.
-func (p PPI) Assign(tasks []Task, workers []Worker, tick int) []Pair {
-	return p.AssignContext(context.Background(), tasks, workers, tick)
-}
-
-// AssignContext implements ContextAssigner: the candidate graphs of stages 1
+// Assign implements Assigner: the candidate graphs of stages 1
 // and 3 come from the candidate-pair kernel (pairs.go), which fans out over
 // worker chunks and returns pairs in task-major, worker-ascending order at
 // every parallelism level and on both of its paths (task grid and exhaustive
 // scan), so the staged matching sees the same graph — and returns the same
 // plan — whichever ran. A cancelled ctx yields a partial plan the caller
 // should discard.
-func (p PPI) AssignContext(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
+func (p PPI) Assign(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
 	eps := p.Epsilon
 	if eps <= 0 {
 		eps = 8

@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestPPIMatchesOnlyFeasiblePairs(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			workers = append(workers, straightWorker(i, rng.Float64()*30, rng.Float64()*30, 8, 8+rng.Float64()*8, rng.Float64()))
 		}
-		for _, pr := range (PPI{A: 1, Epsilon: 2}).Assign(tasks, workers, 0) {
+		for _, pr := range (PPI{A: 1, Epsilon: 2}).Assign(context.Background(), tasks, workers, 0) {
 			w := &workers[pr.Worker]
 			dmin := minDistTo(w.Predicted, tasks[pr.Task].Loc)
 			if dmin < 0 || dmin > reachCap(w, &tasks[pr.Task], 0)+1e-9 {
@@ -84,7 +85,7 @@ func TestAssignersHonorExclusions(t *testing.T) {
 		tasks[0].Excluded = append(tasks[0].Excluded, workers[wi].ID)
 	}
 	for _, a := range []Assigner{PPI{A: 1}, KM{}, UB{}, LB{}, GGPSO{Population: 15, Generations: 10}} {
-		for _, pr := range a.Assign(tasks, workers, 0) {
+		for _, pr := range a.Assign(context.Background(), tasks, workers, 0) {
 			if pr.Task == 0 {
 				t.Errorf("%s assigned fully-excluded task 0", a.Name())
 			}
@@ -103,17 +104,17 @@ func TestAssignersDegenerateInputs(t *testing.T) {
 	frozen := Worker{ID: 0, Loc: geo.Pt(20, 20), Detour: 10, Speed: 0,
 		Predicted: []geo.Point{geo.Pt(20, 20)}, Actual: []geo.Point{geo.Pt(20, 20)}}
 	for _, a := range assigners {
-		if got := a.Assign(nil, nil, 0); len(got) != 0 {
+		if got := a.Assign(context.Background(), nil, nil, 0); len(got) != 0 {
 			t.Errorf("%s assigned with empty pools", a.Name())
 		}
-		if got := a.Assign(tasks, nil, 0); len(got) != 0 {
+		if got := a.Assign(context.Background(), tasks, nil, 0); len(got) != 0 {
 			t.Errorf("%s assigned with no workers", a.Name())
 		}
-		if got := a.Assign(nil, []Worker{frozen}, 0); len(got) != 0 {
+		if got := a.Assign(context.Background(), nil, []Worker{frozen}, 0); len(got) != 0 {
 			t.Errorf("%s assigned with no tasks", a.Name())
 		}
 		// A zero-speed worker far away can never serve the task.
-		if got := a.Assign(tasks, []Worker{frozen}, 0); len(got) != 0 {
+		if got := a.Assign(context.Background(), tasks, []Worker{frozen}, 0); len(got) != 0 {
 			t.Errorf("%s assigned a frozen distant worker: %v", a.Name(), got)
 		}
 	}

@@ -87,14 +87,14 @@ func TestReadsForecastMatchesBehaviour(t *testing.T) {
 // that has in a field, which promotes nothing.
 type bareAssigner struct{}
 
-func (bareAssigner) Name() string                        { return "bare" }
-func (bareAssigner) Assign([]Task, []Worker, int) []Pair { return nil }
+func (bareAssigner) Name() string                                         { return "bare" }
+func (bareAssigner) Assign(context.Context, []Task, []Worker, int) []Pair { return nil }
 
 type forwardingAssigner struct{ Assigner Assigner }
 
 func (f forwardingAssigner) Name() string { return f.Assigner.Name() }
-func (f forwardingAssigner) Assign(tasks []Task, workers []Worker, tick int) []Pair {
-	return f.Assigner.Assign(tasks, workers, tick)
+func (f forwardingAssigner) Assign(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair {
+	return f.Assigner.Assign(ctx, tasks, workers, tick)
 }
 
 // TestReadsForecastDefaultsToTrue: only the method says no. An external

@@ -63,31 +63,21 @@ type Worker struct {
 }
 
 // Assigner produces a batch assignment plan from the current task and
-// worker pools. tick is the current platform time t_c.
-type Assigner interface {
-	Name() string
-	Assign(tasks []Task, workers []Worker, tick int) []Pair
-}
-
-// ContextAssigner is implemented by every built-in assigner: the context
-// carries the caller's Workspace and metrics registry, and bounds the
-// cancellable worker pool the bipartite graph is built on. The matching
+// worker pools. tick is the current platform time t_c. The context carries
+// the caller's Workspace and metrics registry, and bounds the cancellable
+// worker pool the bipartite graph is built on; a cancelled ctx yields a
+// partial (possibly empty) plan the caller should discard. The matching
 // itself stays sequential — KM's augmenting paths are inherently ordered —
 // so parallelism only accelerates the edge generation that dominates large
 // batches.
-type ContextAssigner interface {
-	Assigner
-	AssignContext(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair
+type Assigner interface {
+	Name() string
+	Assign(ctx context.Context, tasks []Task, workers []Worker, tick int) []Pair
 }
 
-// Do runs the assigner on one batch, routing through AssignContext when the
-// assigner supports it. A cancelled ctx yields a partial (possibly empty)
-// plan; callers are expected to check ctx and discard it.
+// Do runs the assigner on one batch: a.Assign(ctx, tasks, workers, tick).
 func Do(ctx context.Context, a Assigner, tasks []Task, workers []Worker, tick int) []Pair {
-	if ca, ok := a.(ContextAssigner); ok {
-		return ca.AssignContext(ctx, tasks, workers, tick)
-	}
-	return a.Assign(tasks, workers, tick)
+	return a.Assign(ctx, tasks, workers, tick)
 }
 
 // ReadsForecast reports whether a's plan depends on Worker.Predicted, so a

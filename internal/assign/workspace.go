@@ -52,7 +52,7 @@ func clearedBools(buf []bool, n int) []bool {
 type wsCtxKey struct{}
 
 // WithWorkspace returns a context carrying ws; assigners invoked with it
-// (via Do/AssignContext) reuse ws's grid, pair and matcher buffers.
+// (through Assign or Do) reuse ws's grid, pair and matcher buffers.
 func WithWorkspace(ctx context.Context, ws *Workspace) context.Context {
 	return context.WithValue(ctx, wsCtxKey{}, ws)
 }

@@ -35,20 +35,6 @@ const (
 	SweepValid                   // Figs. 8 / 11
 )
 
-// String implements fmt.Stringer.
-func (s SweepKind) String() string {
-	switch s {
-	case SweepDetour:
-		return "worker detour d (km)"
-	case SweepTasks:
-		return "number of spatial tasks"
-	case SweepValid:
-		return "task valid time (units)"
-	default:
-		return "sweep(?)"
-	}
-}
-
 // ForecastUse is what the simulations over one trained model set paid in
 // forecasts: the rollouts they computed, and the lookups an earlier
 // simulation over the same set had already paid for (predict.Result.

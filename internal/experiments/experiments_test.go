@@ -138,18 +138,8 @@ func TestRegistryComplete(t *testing.T) {
 		if e.ID != id || e.Title == "" {
 			t.Errorf("experiment %s malformed", id)
 		}
-		producers := 0
-		if e.predRows != nil {
-			producers++
-		}
-		if e.assignRows != nil {
-			producers++
-		}
-		if e.ablationRows != nil {
-			producers++
-		}
-		if producers != 1 {
-			t.Errorf("experiment %s has %d row producers, want 1", id, producers)
+		if e.rows == nil {
+			t.Errorf("experiment %s has no rows", id)
 		}
 	}
 	ids := IDs()
@@ -322,7 +312,70 @@ func TestAblationsViaRegistry(t *testing.T) {
 	if !strings.Contains(buf.String(), "epsilon") {
 		t.Errorf("ablations output:\n%s", buf.String())
 	}
-	if _, err := Registry["ablations"].RunCSV(context.Background(), microScale(), &buf); err == nil {
-		t.Log("ablations CSV unexpectedly supported (fine if implemented)")
+	buf.Reset()
+	if _, err := Registry["ablations"].RunCSV(context.Background(), microScale(), &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(buf.String(), "group,variant,completion,rejection,cost_km,mr\n") {
+		t.Errorf("ablations CSV:\n%s", buf.String())
+	}
+}
+
+// stubAblations is an ablation experiment whose rows scale with the seed,
+// so its output is known without training anything.
+func stubAblations() Experiment {
+	return ablationExp("stub", "Stub ablations",
+		func(_ context.Context, sc Scale) ([]AblationRow, []ForecastUse, error) {
+			v := float64(sc.Seed)
+			return []AblationRow{
+					{Group: "loss", Variant: "a", Completion: 0.1 * v, Rejection: 0.01 * v, CostKM: v},
+					{Group: "clustering", Variant: "b", MR: 0.2 * v},
+				},
+				[]ForecastUse{{Set: "s", RolledOut: 3, Reused: 1}}, nil
+		})
+}
+
+// TestAblationsRunInEveryMode: an ablation experiment writes CSV and a
+// mean ± std table, as the prediction and assignment kinds do.
+func TestAblationsRunInEveryMode(t *testing.T) {
+	ctx := context.Background()
+	var buf bytes.Buffer
+	uses, err := stubAblations().RunCSV(ctx, Scale{Seed: 2}, &buf)
+	if err != nil {
+		t.Errorf("RunCSV: %v", err)
+	}
+	want := "group,variant,completion,rejection,cost_km,mr\n" +
+		"loss,a,0.200000,0.020000,2.000000,0.000000\n" +
+		"clustering,b,0.000000,0.000000,0.000000,0.400000\n"
+	if buf.String() != want {
+		t.Errorf("CSV =\n%s\nwant\n%s", buf.String(), want)
+	}
+	if len(uses) != 1 || uses[0].Set != "s" {
+		t.Errorf("CSV forecast use = %v", uses)
+	}
+
+	buf.Reset()
+	uses, err = stubAblations().RunSeeds(ctx, Scale{Parallelism: 1}, []int64{1, 3}, &buf)
+	if err != nil {
+		t.Fatalf("RunSeeds: %v", err)
+	}
+	out := buf.String()
+	if !strings.HasPrefix(out, "Stub ablations (mean ± std over 2 seeds)\n") {
+		t.Errorf("multi-seed title missing:\n%s", out)
+	}
+	var rows []string
+	for _, line := range strings.Split(out, "\n") {
+		rows = append(rows, strings.Join(strings.Fields(line), " "))
+	}
+	for _, row := range []string{
+		"loss a 0.200±0.141 0.020±0.014 2.000±1.414 -",
+		"clustering b - - - 0.400±0.283",
+	} {
+		if !strings.Contains(strings.Join(rows, "\n"), row) {
+			t.Errorf("multi-seed table missing row %q:\n%s", row, out)
+		}
+	}
+	if len(uses) != 2 || uses[0].Set != "seed 1 s" || uses[1].Set != "seed 3 s" {
+		t.Errorf("multi-seed forecast uses = %v", uses)
 	}
 }

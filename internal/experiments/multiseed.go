@@ -26,33 +26,18 @@ type PredAggRow struct {
 // the same configurations in the same order) into mean ± std rows.
 // It panics if the runs disagree on configuration order.
 func AggregatePred(runs [][]PredRow) []PredAggRow {
-	if len(runs) == 0 {
-		return nil
-	}
-	n := len(runs[0])
-	out := make([]PredAggRow, n)
-	for i := 0; i < n; i++ {
-		base := runs[0][i]
-		var rmse, mae, mr, tt stats.Accumulator
-		for _, run := range runs {
-			r := run[i]
-			if r.Label != base.Label || r.SeqIn != base.SeqIn || r.SeqOut != base.SeqOut {
-				panic("experiments: seed runs disagree on configuration order")
+	return aggregate(runs,
+		func(r PredRow) PredRow { return PredRow{Label: r.Label, SeqIn: r.SeqIn, SeqOut: r.SeqOut} },
+		func(r PredRow) []float64 { return []float64{r.RMSE, r.MAE, r.MR, r.TTSec} },
+		func(r PredRow, a []stats.Accumulator) PredAggRow {
+			return PredAggRow{
+				Label: r.Label, SeqIn: r.SeqIn, SeqOut: r.SeqOut,
+				RMSE: a[0].Mean(), RMSEStd: a[0].Std(),
+				MAE: a[1].Mean(), MAEStd: a[1].Std(),
+				MR: a[2].Mean(), MRStd: a[2].Std(),
+				TTSec: a[3].Mean(),
 			}
-			rmse.Add(r.RMSE)
-			mae.Add(r.MAE)
-			mr.Add(r.MR)
-			tt.Add(r.TTSec)
-		}
-		out[i] = PredAggRow{
-			Label: base.Label, SeqIn: base.SeqIn, SeqOut: base.SeqOut,
-			RMSE: rmse.Mean(), RMSEStd: rmse.Std(),
-			MAE: mae.Mean(), MAEStd: mae.Std(),
-			MR: mr.Mean(), MRStd: mr.Std(),
-			TTSec: tt.Mean(),
-		}
-	}
-	return out
+		})
 }
 
 // AssignAggRow is one (sweep point, algorithm) aggregated over seeds.
@@ -69,31 +54,67 @@ type AssignAggRow struct {
 // AggregateAssign combines per-seed assignment rows into mean ± std rows.
 // It panics if the runs disagree on row order.
 func AggregateAssign(runs [][]AssignRow) []AssignAggRow {
+	return aggregate(runs,
+		func(r AssignRow) AssignRow { return AssignRow{X: r.X, Algo: r.Algo} },
+		func(r AssignRow) []float64 { return []float64{r.Completion, r.Rejection, r.CostKM, r.TimeSec} },
+		func(r AssignRow, a []stats.Accumulator) AssignAggRow {
+			return AssignAggRow{
+				Sweep: r.Sweep, X: r.X, Algo: r.Algo,
+				Completion: a[0].Mean(), CompletionStd: a[0].Std(),
+				Rejection: a[1].Mean(), RejectionStd: a[1].Std(),
+				CostKM: a[2].Mean(), CostStd: a[2].Std(),
+				TimeSec: a[3].Mean(),
+			}
+		})
+}
+
+// AblationAggRow is one design-choice variant aggregated over seeds.
+type AblationAggRow struct {
+	Group, Variant            string
+	Completion, CompletionStd float64
+	Rejection, RejectionStd   float64
+	CostKM, CostStd           float64
+	MR, MRStd                 float64
+}
+
+// AggregateAblation combines per-seed ablation rows into mean ± std rows.
+// It panics if the runs disagree on row order.
+func AggregateAblation(runs [][]AblationRow) []AblationAggRow {
+	return aggregate(runs,
+		func(r AblationRow) AblationRow { return AblationRow{Group: r.Group, Variant: r.Variant} },
+		func(r AblationRow) []float64 { return []float64{r.Completion, r.Rejection, r.CostKM, r.MR} },
+		func(r AblationRow, a []stats.Accumulator) AblationAggRow {
+			return AblationAggRow{
+				Group: r.Group, Variant: r.Variant,
+				Completion: a[0].Mean(), CompletionStd: a[0].Std(),
+				Rejection: a[1].Mean(), RejectionStd: a[1].Std(),
+				CostKM: a[2].Mean(), CostStd: a[2].Std(),
+				MR: a[3].Mean(), MRStd: a[3].Std(),
+			}
+		})
+}
+
+// aggregate folds per-seed runs row by row into mean ± std rows: every
+// run's row i must have the first run's key, values lists the metrics
+// accumulated across seeds, and fold builds the aggregated row from the
+// first run's row and one accumulator per metric. It panics if the runs
+// disagree on row order.
+func aggregate[R comparable, A any](runs [][]R, key func(R) R, values func(R) []float64, fold func(R, []stats.Accumulator) A) []A {
 	if len(runs) == 0 {
 		return nil
 	}
-	n := len(runs[0])
-	out := make([]AssignAggRow, n)
-	for i := 0; i < n; i++ {
-		base := runs[0][i]
-		var comp, rej, cost, tt stats.Accumulator
+	out := make([]A, len(runs[0]))
+	for i, base := range runs[0] {
+		acc := make([]stats.Accumulator, len(values(base)))
 		for _, run := range runs {
-			r := run[i]
-			if r.Algo != base.Algo || r.X != base.X {
+			if key(run[i]) != key(base) {
 				panic("experiments: seed runs disagree on row order")
 			}
-			comp.Add(r.Completion)
-			rej.Add(r.Rejection)
-			cost.Add(r.CostKM)
-			tt.Add(r.TimeSec)
+			for k, v := range values(run[i]) {
+				acc[k].Add(v)
+			}
 		}
-		out[i] = AssignAggRow{
-			Sweep: base.Sweep, X: base.X, Algo: base.Algo,
-			Completion: comp.Mean(), CompletionStd: comp.Std(),
-			Rejection: rej.Mean(), RejectionStd: rej.Std(),
-			CostKM: cost.Mean(), CostStd: cost.Std(),
-			TimeSec: tt.Mean(),
-		}
+		out[i] = fold(base, acc)
 	}
 	return out
 }
@@ -113,45 +134,40 @@ func (e Experiment) RunSeeds(ctx context.Context, sc Scale, seeds []int64, w io.
 		}
 		return e.Run(ctx, sc, w)
 	}
-	switch {
-	case e.predRows != nil:
-		runs, err := par.Map(ctx, len(seeds), sc.Parallelism, func(i int) ([]PredRow, error) {
-			scs := sc
-			scs.Seed = seeds[i]
-			return e.predRows(ctx, scs)
-		})
-		if err != nil {
-			return nil, err
-		}
-		writePredAgg(w, fmt.Sprintf("%s (mean ± std over %d seeds)", e.Title, len(seeds)), AggregatePred(runs))
-	case e.assignRows != nil:
-		// Each seed trains its own model sets, so the forecast memos are as
-		// private to a seed as its models are.
-		uses := make([][]ForecastUse, len(seeds))
-		runs, err := par.Map(ctx, len(seeds), sc.Parallelism, func(i int) ([]AssignRow, error) {
-			scs := sc
-			scs.Seed = seeds[i]
-			rows, u, err := e.assignRows(ctx, scs)
-			for k := range u {
-				u[k].Set = fmt.Sprintf("seed %d %s", seeds[i], u[k].Set)
-			}
-			uses[i] = u
-			return rows, err
-		})
-		if err != nil {
-			return nil, err
-		}
-		writeAssignAgg(w, fmt.Sprintf("%s (mean ± std over %d seeds)", e.Title, len(seeds)), AggregateAssign(runs))
-		var all []ForecastUse
-		for _, u := range uses {
-			all = append(all, u...)
-		}
-		return all, nil
+	if e.rows == nil {
+		return nil, nil
 	}
-	return nil, nil
+	return e.rows.runSeeds(ctx, sc, seeds, w, fmt.Sprintf("%s (mean ± std over %d seeds)", e.Title, len(seeds)))
 }
 
-func writePredAgg(w io.Writer, title string, rows []PredAggRow) {
+// seedRuns runs rows once per seed and returns the per-seed rows in seed
+// order with every seed's forecast use, its set named after the seed: each
+// seed trains its own model sets, so the forecast memos are as private to a
+// seed as its models are.
+func seedRuns[R any](ctx context.Context, sc Scale, seeds []int64, rows func(context.Context, Scale) ([]R, []ForecastUse, error)) ([][]R, []ForecastUse, error) {
+	uses := make([][]ForecastUse, len(seeds))
+	runs, err := par.Map(ctx, len(seeds), sc.Parallelism, func(i int) ([]R, error) {
+		scs := sc
+		scs.Seed = seeds[i]
+		rs, u, err := rows(ctx, scs)
+		for k := range u {
+			u[k].Set = fmt.Sprintf("seed %d %s", seeds[i], u[k].Set)
+		}
+		uses[i] = u
+		return rs, err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	var all []ForecastUse
+	for _, u := range uses {
+		all = append(all, u...)
+	}
+	return runs, all, nil
+}
+
+func writePredAgg(w io.Writer, title string, runs [][]PredRow) {
+	rows := AggregatePred(runs)
 	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "config\tseq_in\tseq_out\tRMSE\tMAE\tMR\tTT(s)")
@@ -163,7 +179,8 @@ func writePredAgg(w io.Writer, title string, rows []PredAggRow) {
 	fmt.Fprintln(w)
 }
 
-func writeAssignAgg(w io.Writer, title string, rows []AssignAggRow) {
+func writeAssignAgg(w io.Writer, title string, runs [][]AssignRow) {
+	rows := AggregateAssign(runs)
 	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "x\talgo\tcompletion\trejection\tcost(km)\ttime(s)")
@@ -171,6 +188,27 @@ func writeAssignAgg(w io.Writer, title string, rows []AssignAggRow) {
 		fmt.Fprintf(tw, "%g\t%s\t%.3f±%.3f\t%.3f±%.3f\t%.3f±%.3f\t%.3f\n",
 			r.X, r.Algo, r.Completion, r.CompletionStd, r.Rejection, r.RejectionStd,
 			r.CostKM, r.CostStd, r.TimeSec)
+	}
+	tw.Flush()
+	fmt.Fprintln(w)
+}
+
+func writeAblationAgg(w io.Writer, title string, runs [][]AblationRow) {
+	rows := AggregateAblation(runs)
+	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "design choice\tvariant\tcompletion\trejection\tcost(km)\tMR")
+	for _, r := range rows {
+		comp, rej, cost, mr := "-", "-", "-", "-"
+		if r.Completion > 0 || r.Rejection > 0 || r.CostKM > 0 {
+			comp = fmt.Sprintf("%.3f±%.3f", r.Completion, r.CompletionStd)
+			rej = fmt.Sprintf("%.3f±%.3f", r.Rejection, r.RejectionStd)
+			cost = fmt.Sprintf("%.3f±%.3f", r.CostKM, r.CostStd)
+		}
+		if r.MR > 0 {
+			mr = fmt.Sprintf("%.3f±%.3f", r.MR, r.MRStd)
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\n", r.Group, r.Variant, comp, rej, cost, mr)
 	}
 	tw.Flush()
 	fmt.Fprintln(w)

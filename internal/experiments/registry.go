@@ -9,17 +9,57 @@ import (
 	"github.com/spatialcrowd/tamp/internal/dataset"
 )
 
-// Experiment is one runnable table/figure reproduction. Exactly one of the
-// row producers is set, depending on whether the experiment measures the
-// prediction stage (tables), the assignment stage (figures), or the design
-// ablations.
+// Experiment is one runnable table/figure reproduction: a title over one
+// family of rows — the prediction tables, the assignment figures, or the
+// design ablations.
 type Experiment struct {
 	ID    string
 	Title string
 
-	predRows     func(ctx context.Context, sc Scale) ([]PredRow, error)
-	assignRows   func(ctx context.Context, sc Scale) ([]AssignRow, []ForecastUse, error)
-	ablationRows func(ctx context.Context, sc Scale) ([]AblationRow, []ForecastUse, error)
+	rows rowFamily
+}
+
+// rowFamily runs an experiment's rows and renders them as text, as CSV, or
+// aggregated over seeds; family[R] implements it once for every row type.
+type rowFamily interface {
+	runText(ctx context.Context, sc Scale, w io.Writer, title string) ([]ForecastUse, error)
+	runCSV(ctx context.Context, sc Scale, w io.Writer) ([]ForecastUse, error)
+	runSeeds(ctx context.Context, sc Scale, seeds []int64, w io.Writer, title string) ([]ForecastUse, error)
+}
+
+// family is one row type: how to produce its rows, with what the
+// simulations paid in forecasts, and its three renderings.
+type family[R any] struct {
+	rows  func(ctx context.Context, sc Scale) ([]R, []ForecastUse, error)
+	table func(w io.Writer, title string, rows []R)
+	csv   func(w io.Writer, rows []R) error
+	agg   func(w io.Writer, title string, runs [][]R)
+}
+
+func (f family[R]) runText(ctx context.Context, sc Scale, w io.Writer, title string) ([]ForecastUse, error) {
+	rows, uses, err := f.rows(ctx, sc)
+	if err != nil {
+		return nil, err
+	}
+	f.table(w, title, rows)
+	return uses, nil
+}
+
+func (f family[R]) runCSV(ctx context.Context, sc Scale, w io.Writer) ([]ForecastUse, error) {
+	rows, uses, err := f.rows(ctx, sc)
+	if err != nil {
+		return nil, err
+	}
+	return uses, f.csv(w, rows)
+}
+
+func (f family[R]) runSeeds(ctx context.Context, sc Scale, seeds []int64, w io.Writer, title string) ([]ForecastUse, error) {
+	runs, uses, err := seedRuns(ctx, sc, seeds, f.rows)
+	if err != nil {
+		return nil, err
+	}
+	f.agg(w, title, runs)
+	return uses, nil
 }
 
 // Run executes the experiment and writes the paper-style text rendering.
@@ -27,60 +67,43 @@ type Experiment struct {
 // RunSeeds also return what the experiment's simulations paid in forecasts,
 // one entry per model set it trained (none for the prediction tables).
 func (e Experiment) Run(ctx context.Context, sc Scale, w io.Writer) ([]ForecastUse, error) {
-	switch {
-	case e.predRows != nil:
-		rows, err := e.predRows(ctx, sc)
-		if err != nil {
-			return nil, err
-		}
-		WritePredTable(w, e.Title, rows)
-	case e.assignRows != nil:
-		rows, uses, err := e.assignRows(ctx, sc)
-		if err != nil {
-			return nil, err
-		}
-		WriteAssignSeries(w, e.Title, rows)
-		return uses, nil
-	case e.ablationRows != nil:
-		rows, uses, err := e.ablationRows(ctx, sc)
-		if err != nil {
-			return nil, err
-		}
-		WriteAblationTable(w, e.Title, rows)
-		return uses, nil
+	if e.rows == nil {
+		return nil, nil
 	}
-	return nil, nil
+	return e.rows.runText(ctx, sc, w, e.Title)
 }
 
 // RunCSV executes the experiment and writes machine-readable CSV.
 func (e Experiment) RunCSV(ctx context.Context, sc Scale, w io.Writer) ([]ForecastUse, error) {
-	switch {
-	case e.predRows != nil:
-		rows, err := e.predRows(ctx, sc)
-		if err != nil {
-			return nil, err
-		}
-		return nil, WritePredCSV(w, rows)
-	case e.assignRows != nil:
-		rows, uses, err := e.assignRows(ctx, sc)
-		if err != nil {
-			return nil, err
-		}
-		return uses, WriteAssignCSV(w, rows)
+	if e.rows == nil {
+		return nil, fmt.Errorf("experiments: %s has no runner", e.ID)
 	}
-	return nil, fmt.Errorf("experiments: %s has no runner", e.ID)
+	return e.rows.runCSV(ctx, sc, w)
 }
 
 func predExp(id, title string, kind dataset.Kind, run func(context.Context, dataset.Kind, Scale) ([]PredRow, error)) Experiment {
-	return Experiment{ID: id, Title: title,
-		predRows: func(ctx context.Context, sc Scale) ([]PredRow, error) { return run(ctx, kind, sc) }}
+	return Experiment{ID: id, Title: title, rows: family[PredRow]{
+		rows: func(ctx context.Context, sc Scale) ([]PredRow, []ForecastUse, error) {
+			rows, err := run(ctx, kind, sc)
+			return rows, nil, err
+		},
+		table: WritePredTable, csv: WritePredCSV, agg: writePredAgg,
+	}}
 }
 
 func assignExp(id, title string, kind dataset.Kind, sweep SweepKind) Experiment {
-	return Experiment{ID: id, Title: title,
-		assignRows: func(ctx context.Context, sc Scale) ([]AssignRow, []ForecastUse, error) {
+	return Experiment{ID: id, Title: title, rows: family[AssignRow]{
+		rows: func(ctx context.Context, sc Scale) ([]AssignRow, []ForecastUse, error) {
 			return RunAssignmentSweep(ctx, kind, sweep, sc)
-		}}
+		},
+		table: WriteAssignSeries, csv: WriteAssignCSV, agg: writeAssignAgg,
+	}}
+}
+
+func ablationExp(id, title string, rows func(context.Context, Scale) ([]AblationRow, []ForecastUse, error)) Experiment {
+	return Experiment{ID: id, Title: title, rows: family[AblationRow]{
+		rows: rows, table: WriteAblationTable, csv: WriteAblationCSV, agg: writeAblationAgg,
+	}}
 }
 
 // Registry maps experiment ids (table4, fig6, …) to their runners, covering
@@ -116,13 +139,11 @@ var Registry = map[string]Experiment{
 	"fig11": assignExp("fig11",
 		"Fig. 11: effect of task valid time (workload 2)",
 		dataset.Workload2, SweepValid),
-	"ablations": {
-		ID:    "ablations",
-		Title: "Design-choice ablations at the default setting (workload 1)",
-		ablationRows: func(ctx context.Context, sc Scale) ([]AblationRow, []ForecastUse, error) {
+	"ablations": ablationExp("ablations",
+		"Design-choice ablations at the default setting (workload 1)",
+		func(ctx context.Context, sc Scale) ([]AblationRow, []ForecastUse, error) {
 			return RunDesignAblations(ctx, dataset.Workload1, sc)
-		},
-	},
+		}),
 }
 
 // IDs returns the registered experiment ids in a stable order.

@@ -45,14 +45,6 @@ type Injector struct {
 // New returns an injector for cfg.
 func New(cfg Config) *Injector { return &Injector{cfg: cfg} }
 
-// Config returns the injector's configuration (zero value when nil).
-func (f *Injector) Config() Config {
-	if f == nil {
-		return Config{}
-	}
-	return f.cfg
-}
-
 // Hash channels: each fault class draws from its own independent stream so
 // that, e.g., raising the churn rate does not reshuffle which reports drop.
 const (

@@ -1,12 +1,11 @@
-// Package ingest loads externally supplied mobility data into TAMP
-// workloads: CSV trajectory and task files (the formats cmd/tampgen
-// writes), WGS84 latitude/longitude projection onto the city grid, and
-// resampling of irregular GPS pings into the per-tick routines the
-// prediction models train on.
+// Package ingest reads and writes the CSV trajectory and task files that
+// cmd/tampgen dumps, and assembles loaded pieces into a TAMP workload
+// (BuildWorkload).
 //
 // The paper evaluates on proprietary datasets (Porto taxi, Didi orders,
-// Gowalla, Foursquare) that cannot be redistributed; this package is the
-// adapter a downstream user needs to run the pipeline on their own copies.
+// Gowalla, Foursquare) that cannot be redistributed; a downstream user who
+// grids and resamples their own copies into these two formats runs the
+// pipeline on them.
 package ingest
 
 import (
@@ -22,76 +21,6 @@ import (
 	"github.com/spatialcrowd/tamp/internal/traj"
 )
 
-// GeoMapper projects WGS84 coordinates onto the grid by linear scaling of
-// a bounding box — the same gridding the paper applies to Porto
-// (100×50 cells over the city extent). Points outside the box clamp to the
-// border.
-type GeoMapper struct {
-	MinLat, MaxLat float64
-	MinLng, MaxLng float64
-	Grid           geo.Grid
-}
-
-// ToGrid maps (lat, lng) to continuous grid coordinates: longitude spans
-// the X axis, latitude the Y axis.
-func (g GeoMapper) ToGrid(lat, lng float64) geo.Point {
-	b := g.Grid.Bounds()
-	x := b.Min.X
-	if g.MaxLng > g.MinLng {
-		x = (lng - g.MinLng) / (g.MaxLng - g.MinLng) * b.Width()
-	}
-	y := b.Min.Y
-	if g.MaxLat > g.MinLat {
-		y = (lat - g.MinLat) / (g.MaxLat - g.MinLat) * b.Height()
-	}
-	return b.Clamp(geo.Pt(x, y))
-}
-
-// Ping is one raw GPS observation.
-type Ping struct {
-	UnixSec int64
-	Lat     float64
-	Lng     float64
-}
-
-// ResamplePings converts irregular timestamped pings into a per-tick
-// routine: ticks are tickSeconds long starting at startUnix; each tick's
-// location linearly interpolates between the surrounding pings (clamping
-// beyond the ends). Pings are sorted by time first; fewer than one ping
-// yields an empty routine.
-func ResamplePings(pings []Ping, m GeoMapper, startUnix int64, tickSeconds, numTicks int) traj.Routine {
-	r := traj.Routine{StartTick: 0}
-	if len(pings) == 0 || tickSeconds <= 0 || numTicks <= 0 {
-		return r
-	}
-	ps := append([]Ping(nil), pings...)
-	sort.Slice(ps, func(i, j int) bool { return ps[i].UnixSec < ps[j].UnixSec })
-
-	locOf := func(p Ping) geo.Point { return m.ToGrid(p.Lat, p.Lng) }
-	j := 0
-	for t := 0; t < numTicks; t++ {
-		at := startUnix + int64(t)*int64(tickSeconds)
-		for j+1 < len(ps) && ps[j+1].UnixSec <= at {
-			j++
-		}
-		switch {
-		case at <= ps[0].UnixSec:
-			r.Points = append(r.Points, locOf(ps[0]))
-		case j+1 >= len(ps):
-			r.Points = append(r.Points, locOf(ps[len(ps)-1]))
-		default:
-			a, b := ps[j], ps[j+1]
-			span := float64(b.UnixSec - a.UnixSec)
-			frac := 0.0
-			if span > 0 {
-				frac = float64(at-a.UnixSec) / span
-			}
-			r.Points = append(r.Points, locOf(a).Lerp(locOf(b), frac))
-		}
-	}
-	return r
-}
-
 // LoadWorkersCSV reads the worker trajectory format written by cmd/tampgen:
 // a header row followed by
 //
@@ -101,17 +30,9 @@ func ResamplePings(pings []Ping, m GeoMapper, startUnix int64, tickSeconds, numT
 // worker id with routines grouped by (split, day) and ordered by tick.
 // Speed and detour fields are left zero for the caller to fill.
 func LoadWorkersCSV(r io.Reader) ([]dataset.Worker, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
+	cr, col, err := openCSV(r, "workers", "worker", "split", "day", "tick", "x", "y")
 	if err != nil {
-		return nil, fmt.Errorf("ingest: read header: %w", err)
-	}
-	col := indexColumns(header)
-	for _, need := range []string{"worker", "split", "day", "tick", "x", "y"} {
-		if _, ok := col[need]; !ok {
-			return nil, fmt.Errorf("ingest: workers CSV missing column %q", need)
-		}
+		return nil, err
 	}
 
 	type dayKey struct {
@@ -136,25 +57,12 @@ func LoadWorkersCSV(r io.Reader) ([]dataset.Worker, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ingest: line %d: %w", line, err)
 		}
-		id, err := atoi(rec, col, "worker")
-		if err != nil {
-			return nil, fmt.Errorf("ingest: line %d: %w", line, err)
-		}
-		day, err := atoi(rec, col, "day")
-		if err != nil {
-			return nil, fmt.Errorf("ingest: line %d: %w", line, err)
-		}
-		tick, err := atoi(rec, col, "tick")
-		if err != nil {
-			return nil, fmt.Errorf("ingest: line %d: %w", line, err)
-		}
-		x, err := atof(rec, col, "x")
-		if err != nil {
-			return nil, fmt.Errorf("ingest: line %d: %w", line, err)
-		}
-		y, err := atof(rec, col, "y")
-		if err != nil {
-			return nil, fmt.Errorf("ingest: line %d: %w", line, err)
+		f := fields{rec: rec, col: col}
+		id, day, tick := f.int("worker"), f.int("day"), f.int("tick")
+		x, y := f.float("x"), f.float("y")
+		split := f.str("split")
+		if f.err != nil {
+			return nil, fmt.Errorf("ingest: line %d: %w", line, f.err)
 		}
 		if c, ok := col["archetype"]; ok && c < len(rec) {
 			if v, err := strconv.Atoi(rec[c]); err == nil {
@@ -167,7 +75,7 @@ func LoadWorkersCSV(r io.Reader) ([]dataset.Worker, error) {
 		if days[id] == nil {
 			days[id] = map[dayKey][]rowPoint{}
 		}
-		k := dayKey{split: rec[col["split"]], day: day}
+		k := dayKey{split: split, day: day}
 		days[id][k] = append(days[id][k], rowPoint{tick: tick, pt: geo.Pt(x, y)})
 	}
 
@@ -208,21 +116,53 @@ func LoadWorkersCSV(r io.Reader) ([]dataset.Worker, error) {
 	return out, nil
 }
 
+// WriteWorkersCSV writes workers in the format LoadWorkersCSV reads: the
+// header, then one row per (worker, split, day, tick) with the location to
+// three decimals, each worker's train days before its test days.
+func WriteWorkersCSV(w io.Writer, workers []dataset.Worker) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"worker", "archetype", "new", "split", "day", "tick", "x", "y"}); err != nil {
+		return err
+	}
+	for _, wk := range workers {
+		write := func(split string, days []traj.Routine) error {
+			for d, r := range days {
+				for t, pt := range r.Points {
+					rec := []string{
+						strconv.Itoa(wk.ID),
+						strconv.Itoa(wk.Archetype),
+						strconv.FormatBool(wk.New),
+						split,
+						strconv.Itoa(d),
+						strconv.Itoa(t),
+						ftoa(pt.X),
+						ftoa(pt.Y),
+					}
+					if err := cw.Write(rec); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}
+		if err := write("train", wk.TrainDays); err != nil {
+			return err
+		}
+		if err := write("test", wk.TestDays); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
+}
+
 // LoadTasksCSV reads the task format written by cmd/tampgen: a header row
 // followed by task,x,y,arrival,deadline rows. Tasks are returned sorted by
 // arrival.
 func LoadTasksCSV(r io.Reader) ([]assign.Task, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	header, err := cr.Read()
+	cr, col, err := openCSV(r, "tasks", "task", "x", "y", "arrival", "deadline")
 	if err != nil {
-		return nil, fmt.Errorf("ingest: read header: %w", err)
-	}
-	col := indexColumns(header)
-	for _, need := range []string{"task", "x", "y", "arrival", "deadline"} {
-		if _, ok := col[need]; !ok {
-			return nil, fmt.Errorf("ingest: tasks CSV missing column %q", need)
-		}
+		return nil, err
 	}
 	var out []assign.Task
 	line := 1
@@ -235,25 +175,11 @@ func LoadTasksCSV(r io.Reader) ([]assign.Task, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ingest: line %d: %w", line, err)
 		}
-		id, err := atoi(rec, col, "task")
-		if err != nil {
-			return nil, fmt.Errorf("ingest: line %d: %w", line, err)
-		}
-		x, err := atof(rec, col, "x")
-		if err != nil {
-			return nil, fmt.Errorf("ingest: line %d: %w", line, err)
-		}
-		y, err := atof(rec, col, "y")
-		if err != nil {
-			return nil, fmt.Errorf("ingest: line %d: %w", line, err)
-		}
-		arr, err := atoi(rec, col, "arrival")
-		if err != nil {
-			return nil, fmt.Errorf("ingest: line %d: %w", line, err)
-		}
-		dl, err := atoi(rec, col, "deadline")
-		if err != nil {
-			return nil, fmt.Errorf("ingest: line %d: %w", line, err)
+		f := fields{rec: rec, col: col}
+		id, x, y := f.int("task"), f.float("x"), f.float("y")
+		arr, dl := f.int("arrival"), f.int("deadline")
+		if f.err != nil {
+			return nil, fmt.Errorf("ingest: line %d: %w", line, f.err)
 		}
 		if dl < arr {
 			return nil, fmt.Errorf("ingest: line %d: deadline %d before arrival %d", line, dl, arr)
@@ -267,6 +193,29 @@ func LoadTasksCSV(r io.Reader) ([]assign.Task, error) {
 		return out[i].ID < out[j].ID
 	})
 	return out, nil
+}
+
+// WriteTasksCSV writes tasks in the format LoadTasksCSV reads, one row per
+// task in the given order, the location to three decimals.
+func WriteTasksCSV(w io.Writer, tasks []assign.Task) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"task", "x", "y", "arrival", "deadline"}); err != nil {
+		return err
+	}
+	for _, t := range tasks {
+		rec := []string{
+			strconv.Itoa(t.ID),
+			ftoa(t.Loc.X),
+			ftoa(t.Loc.Y),
+			strconv.Itoa(t.Arrival),
+			strconv.Itoa(t.Deadline),
+		}
+		if err := cw.Write(rec); err != nil {
+			return err
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }
 
 // BuildWorkload assembles a workload from externally loaded pieces. Worker
@@ -321,34 +270,60 @@ func medianSpeed(wk *dataset.Worker) float64 {
 	return steps[len(steps)/2]
 }
 
-func indexColumns(header []string) map[string]int {
+// openCSV reads the header of a tampgen CSV file and maps each column name
+// to its index, failing when a column in need is absent.
+func openCSV(r io.Reader, file string, need ...string) (*csv.Reader, map[string]int, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1
+	header, err := cr.Read()
+	if err != nil {
+		return nil, nil, fmt.Errorf("ingest: read header: %w", err)
+	}
 	col := map[string]int{}
 	for i, h := range header {
 		col[h] = i
 	}
-	return col
+	for _, n := range need {
+		if _, ok := col[n]; !ok {
+			return nil, nil, fmt.Errorf("ingest: %s CSV missing column %q", file, n)
+		}
+	}
+	return cr, col, nil
 }
 
-func atoi(rec []string, col map[string]int, name string) (int, error) {
-	c := col[name]
-	if c >= len(rec) {
-		return 0, fmt.Errorf("missing %s", name)
-	}
-	v, err := strconv.Atoi(rec[c])
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, rec[c])
-	}
-	return v, nil
+// fields reads named fields of one row and keeps the first one that is
+// missing or does not parse.
+type fields struct {
+	rec []string
+	col map[string]int
+	err error
 }
 
-func atof(rec []string, col map[string]int, name string) (float64, error) {
-	c := col[name]
-	if c >= len(rec) {
-		return 0, fmt.Errorf("missing %s", name)
+func (f *fields) str(name string) string {
+	c := f.col[name]
+	if c >= len(f.rec) {
+		if f.err == nil {
+			f.err = fmt.Errorf("missing %s", name)
+		}
+		return ""
 	}
-	v, err := strconv.ParseFloat(rec[c], 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad %s %q", name, rec[c])
-	}
-	return v, nil
+	return f.rec[c]
 }
+
+func (f *fields) parse(name string, parse func(string) error) {
+	if v := f.str(name); f.err == nil && parse(v) != nil {
+		f.err = fmt.Errorf("bad %s %q", name, v)
+	}
+}
+
+func (f *fields) int(name string) (v int) {
+	f.parse(name, func(s string) (err error) { v, err = strconv.Atoi(s); return err })
+	return v
+}
+
+func (f *fields) float(name string) (v float64) {
+	f.parse(name, func(s string) (err error) { v, err = strconv.ParseFloat(s, 64); return err })
+	return v
+}
+
+func ftoa(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }

@@ -1,86 +1,18 @@
 package ingest
 
 import (
+	"bytes"
 	"math"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
+	"github.com/spatialcrowd/tamp/internal/assign"
 	"github.com/spatialcrowd/tamp/internal/dataset"
 	"github.com/spatialcrowd/tamp/internal/geo"
+	"github.com/spatialcrowd/tamp/internal/traj"
 )
-
-func TestGeoMapperCorners(t *testing.T) {
-	m := GeoMapper{MinLat: 41.0, MaxLat: 41.5, MinLng: -8.7, MaxLng: -8.2, Grid: geo.DefaultGrid}
-	sw := m.ToGrid(41.0, -8.7)
-	if sw.Dist(geo.Pt(0, 0)) > 1e-9 {
-		t.Errorf("SW corner = %v", sw)
-	}
-	ne := m.ToGrid(41.5, -8.2)
-	if ne.X < 99.9 || ne.Y < 49.9 {
-		t.Errorf("NE corner = %v", ne)
-	}
-	mid := m.ToGrid(41.25, -8.45)
-	if mid.Dist(geo.Pt(50, 25)) > 1e-9 {
-		t.Errorf("centre = %v", mid)
-	}
-	// Out-of-box points clamp.
-	if p := m.ToGrid(99, 99); !m.Grid.Bounds().Contains(p) {
-		t.Errorf("clamped point %v outside grid", p)
-	}
-}
-
-func TestGeoMapperDegenerateBox(t *testing.T) {
-	m := GeoMapper{MinLat: 41, MaxLat: 41, MinLng: -8, MaxLng: -8, Grid: geo.DefaultGrid}
-	p := m.ToGrid(41, -8)
-	if !m.Grid.Bounds().Contains(p) {
-		t.Errorf("degenerate box mapped outside: %v", p)
-	}
-}
-
-func TestResamplePingsInterpolation(t *testing.T) {
-	m := GeoMapper{MinLat: 0, MaxLat: 1, MinLng: 0, MaxLng: 1, Grid: geo.Grid{Cols: 100, Rows: 100}}
-	pings := []Ping{
-		{UnixSec: 100, Lat: 0.0, Lng: 0.0},
-		{UnixSec: 200, Lat: 0.0, Lng: 1.0}, // move east over 100s
-	}
-	r := ResamplePings(pings, m, 100, 25, 5)
-	if r.Len() != 5 {
-		t.Fatalf("resampled length = %d", r.Len())
-	}
-	// Tick 0 at t=100 → west edge; tick 4 at t=200 → east edge.
-	if r.Points[0].X > 1e-9 {
-		t.Errorf("tick 0 = %v", r.Points[0])
-	}
-	if math.Abs(r.Points[2].X-50) > 1e-6 {
-		t.Errorf("midpoint = %v, want x=50", r.Points[2])
-	}
-	if r.Points[4].X < 99.9 {
-		t.Errorf("tick 4 = %v", r.Points[4])
-	}
-}
-
-func TestResamplePingsClampsAndSorts(t *testing.T) {
-	m := GeoMapper{MinLat: 0, MaxLat: 1, MinLng: 0, MaxLng: 1, Grid: geo.Grid{Cols: 10, Rows: 10}}
-	pings := []Ping{
-		{UnixSec: 300, Lat: 0.5, Lng: 0.9}, // out of order on purpose
-		{UnixSec: 200, Lat: 0.5, Lng: 0.1},
-	}
-	r := ResamplePings(pings, m, 0, 100, 6)
-	if r.Len() != 6 {
-		t.Fatalf("length = %d", r.Len())
-	}
-	// Ticks before the first ping clamp to it; after the last, to the last.
-	if r.Points[0] != r.Points[1] || math.Abs(r.Points[0].X-1) > 1e-9 {
-		t.Errorf("pre-clamp = %v %v", r.Points[0], r.Points[1])
-	}
-	if math.Abs(r.Points[5].X-9) > 1e-9 {
-		t.Errorf("post-clamp = %v", r.Points[5])
-	}
-	if got := ResamplePings(nil, m, 0, 10, 5); got.Len() != 0 {
-		t.Error("empty pings should yield empty routine")
-	}
-}
 
 const workersCSV = `worker,archetype,new,split,day,tick,x,y
 1,0,false,train,0,0,1.0,2.0
@@ -129,6 +61,10 @@ func TestLoadWorkersCSVErrors(t *testing.T) {
 	bad := "worker,split,day,tick,x,y\nnope,train,0,0,1,1\n"
 	if _, err := LoadWorkersCSV(strings.NewReader(bad)); err == nil {
 		t.Error("bad integer should fail")
+	}
+	short := "worker,day,tick,x,y,split\n1,0,0,1,1\n"
+	if _, err := LoadWorkersCSV(strings.NewReader(short)); err == nil {
+		t.Error("row without its split field should fail")
 	}
 }
 
@@ -200,9 +136,9 @@ func TestBuildWorkloadDefaults(t *testing.T) {
 	}
 }
 
-// TestRoundTripThroughTampgenFormat generates a synthetic workload, writes
-// it in the tampgen CSV formats, reloads it, and checks the reloaded
-// workload simulates.
+// TestRoundTripThroughGeneratedCSV writes a generated workload with
+// WriteWorkersCSV and WriteTasksCSV, reloads both files, and checks every
+// worker, routine point and task field survives at the written precision.
 func TestRoundTripThroughGeneratedCSV(t *testing.T) {
 	p := dataset.Defaults(dataset.Workload1)
 	p.NumWorkers = 4
@@ -213,45 +149,77 @@ func TestRoundTripThroughGeneratedCSV(t *testing.T) {
 	p.NumTestTasks = 40
 	src := dataset.Generate(p)
 
-	var wcsv strings.Builder
-	wcsv.WriteString("worker,archetype,new,split,day,tick,x,y\n")
-	for _, wk := range src.Workers {
-		write := func(split string, d int, pts []geo.Point) {
-			for tk, pt := range pts {
-				wcsv.WriteString(
-					itoa(wk.ID) + "," + itoa(wk.Archetype) + "," + boolStr(wk.New) + "," +
-						split + "," + itoa(d) + "," + itoa(tk) + "," +
-						ftoa(pt.X) + "," + ftoa(pt.Y) + "\n")
-			}
-		}
-		for d, r := range wk.TrainDays {
-			write("train", d, r.Points)
-		}
-		for d, r := range wk.TestDays {
-			write("test", d, r.Points)
-		}
+	var wcsv, tcsv bytes.Buffer
+	if err := WriteWorkersCSV(&wcsv, src.Workers); err != nil {
+		t.Fatal(err)
 	}
-	ws, err := LoadWorkersCSV(strings.NewReader(wcsv.String()))
+	if err := WriteTasksCSV(&tcsv, src.TestTasks); err != nil {
+		t.Fatal(err)
+	}
+	ws, err := LoadWorkersCSV(&wcsv)
 	if err != nil {
 		t.Fatal(err)
+	}
+	ts, err := LoadTasksCSV(&tcsv)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// written is a coordinate as the file holds it: three decimals.
+	written := func(p geo.Point) geo.Point {
+		round := func(v float64) float64 {
+			r, err := strconv.ParseFloat(strconv.FormatFloat(v, 'f', 3, 64), 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		return geo.Pt(round(p.X), round(p.Y))
+	}
+	sameDays := func(id int, split string, got, want []traj.Routine) {
+		if len(got) != len(want) {
+			t.Fatalf("worker %d: %d %s days, want %d", id, len(got), split, len(want))
+		}
+		for d := range want {
+			if got[d].Len() != want[d].Len() {
+				t.Fatalf("worker %d %s day %d: %d points, want %d", id, split, d, got[d].Len(), want[d].Len())
+			}
+			for k, pt := range want[d].Points {
+				if got[d].Points[k] != written(pt) {
+					t.Fatalf("worker %d %s day %d tick %d: %v, want %v", id, split, d, k, got[d].Points[k], written(pt))
+				}
+			}
+		}
 	}
 	if len(ws) != len(src.Workers) {
 		t.Fatalf("reloaded %d workers, want %d", len(ws), len(src.Workers))
 	}
-	for i := range ws {
-		if ws[i].TrainDays[0].Len() != src.Workers[i].TrainDays[0].Len() {
-			t.Fatalf("worker %d routine length mismatch", i)
+	for i, want := range src.Workers {
+		got := ws[i]
+		if got.ID != want.ID || got.Archetype != want.Archetype || got.New != want.New {
+			t.Fatalf("worker %d: id/archetype/new = %d/%d/%v, want %d/%d/%v",
+				i, got.ID, got.Archetype, got.New, want.ID, want.Archetype, want.New)
+		}
+		sameDays(want.ID, "train", got.TrainDays, want.TrainDays)
+		sameDays(want.ID, "test", got.TestDays, want.TestDays)
+	}
+
+	// The loader orders tasks by (arrival, id).
+	want := append([]assign.Task(nil), src.TestTasks...)
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].Arrival != want[j].Arrival {
+			return want[i].Arrival < want[j].Arrival
+		}
+		return want[i].ID < want[j].ID
+	})
+	if len(ts) != len(want) {
+		t.Fatalf("reloaded %d tasks, want %d", len(ts), len(want))
+	}
+	for i, w := range want {
+		got := ts[i]
+		if got.ID != w.ID || got.Loc != written(w.Loc) || got.Arrival != w.Arrival || got.Deadline != w.Deadline {
+			t.Fatalf("task %d = id %d loc %v arrival %d deadline %d, want id %d loc %v arrival %d deadline %d",
+				i, got.ID, got.Loc, got.Arrival, got.Deadline, w.ID, written(w.Loc), w.Arrival, w.Deadline)
 		}
 	}
-}
-
-func itoa(v int) string { return strconv.Itoa(v) }
-
-func ftoa(v float64) string { return strconv.FormatFloat(v, 'f', 3, 64) }
-
-func boolStr(b bool) string {
-	if b {
-		return "true"
-	}
-	return "false"
 }

@@ -52,15 +52,14 @@ type CheckpointConfig struct {
 // checkpointFile is the on-disk snapshot, following the repo's existing
 // JSON serializer conventions (format tag + flat weight vector).
 type checkpointFile struct {
-	Format    string        `json:"format"`
-	Scope     string        `json:"scope"`
-	Iter      int           `json:"iter"`
-	Theta     nn.Vector     `json:"theta"`
-	RngSeed   int64         `json:"rngSeed"`
-	RngDraws  uint64        `json:"rngDraws"`
-	LossSum   float64       `json:"lossSum"`
-	LossCount int           `json:"lossCount"`
-	Opt       *nn.AdamState `json:"opt,omitempty"`
+	Format    string    `json:"format"`
+	Scope     string    `json:"scope"`
+	Iter      int       `json:"iter"`
+	Theta     nn.Vector `json:"theta"`
+	RngSeed   int64     `json:"rngSeed"`
+	RngDraws  uint64    `json:"rngDraws"`
+	LossSum   float64   `json:"lossSum"`
+	LossCount int       `json:"lossCount"`
 }
 
 const checkpointFormat = "tamp-metackpt-v1"
@@ -92,7 +91,7 @@ func (c *CheckpointConfig) path() string {
 
 // save snapshots one iteration boundary. Errors are reported to OnError and
 // otherwise swallowed: checkpointing degrades, training does not.
-func (c *CheckpointConfig) save(iter int, theta nn.Vector, lossSum float64, lossCount int, opt *nn.Adam) {
+func (c *CheckpointConfig) save(iter int, theta nn.Vector, lossSum float64, lossCount int) {
 	seed, draws := c.Source.State()
 	f := checkpointFile{
 		Format:    checkpointFormat,
@@ -103,10 +102,6 @@ func (c *CheckpointConfig) save(iter int, theta nn.Vector, lossSum float64, loss
 		RngDraws:  draws,
 		LossSum:   lossSum,
 		LossCount: lossCount,
-	}
-	if opt != nil {
-		s := opt.State()
-		f.Opt = &s
 	}
 	err := ckpt.WriteFileAtomic(c.path(), func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(&f)

@@ -166,7 +166,7 @@ func MetaTrain(ctx context.Context, theta nn.Vector, tasks []*LearningTask, cfg 
 		mo.iters.Inc()
 		if ck.enabled() && ((iter+1)%ck.interval() == 0 || iter+1 == cfg.MetaIters) {
 			ckStart := mo.reg.Now()
-			ck.save(iter+1, theta, totalLoss, lossCount, nil)
+			ck.save(iter+1, theta, totalLoss, lossCount)
 			mo.ckptSec.Observe(mo.reg.Now().Sub(ckStart).Seconds())
 		}
 	}

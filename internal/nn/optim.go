@@ -2,11 +2,6 @@ package nn
 
 import "math"
 
-// Optimizer updates a parameter vector in place given its gradient.
-type Optimizer interface {
-	Step(w, grad Vector)
-}
-
 // SGD is plain stochastic gradient descent with optional gradient clipping,
 // used for the inner-loop adaptation steps of MAML (Algorithm 3, line 7).
 type SGD struct {
@@ -14,7 +9,7 @@ type SGD struct {
 	ClipNorm float64 // 0 disables clipping
 }
 
-// Step implements Optimizer.
+// Step moves w against grad in place.
 func (o SGD) Step(w, grad Vector) {
 	if o.ClipNorm > 0 {
 		grad.ClipNorm(o.ClipNorm)
@@ -22,8 +17,10 @@ func (o SGD) Step(w, grad Vector) {
 	w.Axpy(-o.LR, grad)
 }
 
-// Adam is the Adam optimizer, used for the outer meta-updates where noisy
-// per-cluster gradients benefit from adaptive step sizes.
+// Adam is the Adam optimizer. No training path runs it: MetaTrain's outer
+// update is a clipped SGD step (theta.Axpy(-MetaLR, meanGrad)). It stays for
+// the kernel guard's AdamStep row and the end-to-end benchmark's nn.adam
+// span, which time it.
 type Adam struct {
 	LR       float64
 	Beta1    float64 // default 0.9
@@ -40,7 +37,7 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// Step implements Optimizer.
+// Step applies one Adam update to w in place.
 func (o *Adam) Step(w, grad Vector) {
 	if o.Beta1 == 0 {
 		o.Beta1 = 0.9
@@ -63,10 +60,7 @@ func (o *Adam) Step(w, grad Vector) {
 	b2c := 1 - math.Pow(o.Beta2, float64(o.t))
 	// Fully fused single-pass update: the first-moment recurrence, the
 	// second-moment recurrence, and the weight step in one sweep, so m, v,
-	// grad, and w each stream through the cache once per Step instead of m
-	// and grad being read twice (AddScaled pass + update pass). The
-	// per-element arithmetic matches the previous two-pass version exactly,
-	// so updates are bit-identical.
+	// grad, and w each stream through the cache once per Step.
 	mv := o.m[:len(w)]
 	vv := o.v[:len(w)]
 	g := grad[:len(w)]
@@ -87,38 +81,4 @@ func (o *Adam) Step(w, grad Vector) {
 // a fresh model.
 func (o *Adam) Reset() {
 	o.m, o.v, o.t = nil, nil, 0
-}
-
-// AdamState is the serializable snapshot of an Adam optimizer's mutable
-// state — the two moment vectors and the step counter. Together with the
-// weight vector it makes an optimization run resumable bit-identically:
-// restore both and the next Step produces exactly the update an
-// uninterrupted run would have.
-type AdamState struct {
-	M Vector `json:"m"`
-	V Vector `json:"v"`
-	T int    `json:"t"`
-}
-
-// State returns a deep copy of the optimizer's mutable state. A never-
-// stepped optimizer yields zero-value state (nil moments, T = 0).
-func (o *Adam) State() AdamState {
-	s := AdamState{T: o.t}
-	if o.m != nil {
-		s.M = o.m.Clone()
-		s.V = o.v.Clone()
-	}
-	return s
-}
-
-// SetState restores state captured by State, deep-copying so the snapshot
-// stays immutable across further steps.
-func (o *Adam) SetState(s AdamState) {
-	o.t = s.T
-	if s.M == nil {
-		o.m, o.v = nil, nil
-		return
-	}
-	o.m = s.M.Clone()
-	o.v = s.V.Clone()
 }

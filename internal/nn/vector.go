@@ -2,7 +2,8 @@
 // for the TAMP mobility prediction models: dense vector math, an LSTM cell
 // with full backpropagation through time, an encoder–decoder sequence model
 // (the paper's LSTM-Encoder-Decoder), plain and task-assignment-oriented
-// losses (Eqs. 6–7), and SGD/Adam optimizers.
+// losses (Eqs. 6–7), and the SGD step every training update takes (Adam is
+// kept only as a timed kernel).
 //
 // All parameters of a model live in one flat Vector so that meta-learning
 // can clone, blend, and update initializations with simple vector ops.
@@ -41,24 +42,12 @@ func (v Vector) Axpy(a float64, x Vector) {
 	}
 }
 
-// AddScaled sets v = a·v + b·x element-wise in one fused pass. It is the
-// moment-update primitive of the Adam step: m = β₁·m + (1−β₁)·g.
-func (v Vector) AddScaled(a, b float64, x Vector) {
-	x = x[:len(v)]
-	for i, xv := range x {
-		v[i] = a*v[i] + b*xv
-	}
-}
-
 // Scale multiplies every element of v by a.
 func (v Vector) Scale(a float64) {
 	for i := range v {
 		v[i] *= a
 	}
 }
-
-// Set copies x into v. x must have at least v's length.
-func (v Vector) Set(x Vector) { copy(v, x[:len(v)]) }
 
 // Dot returns the inner product of v and x.
 func (v Vector) Dot(x Vector) float64 {

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -20,8 +21,8 @@ import (
 type forwarded struct{ Assigner assign.Assigner }
 
 func (f forwarded) Name() string { return f.Assigner.Name() }
-func (f forwarded) Assign(tasks []assign.Task, workers []assign.Worker, tick int) []assign.Pair {
-	return f.Assigner.Assign(tasks, workers, tick)
+func (f forwarded) Assign(ctx context.Context, tasks []assign.Task, workers []assign.Worker, tick int) []assign.Pair {
+	return f.Assigner.Assign(ctx, tasks, workers, tick)
 }
 
 // simulateCounted runs r over a fresh caller-owned forecast cache and

@@ -30,16 +30,10 @@ type Options struct {
 	// WeightedLoss selects the task-assignment-oriented loss of Eq. 6; the
 	// plain MSE is used otherwise (the "-loss" algorithm variants).
 	WeightedLoss bool
-	// MatchRadius is a of Def. 7 in cells (default 1.5).
-	MatchRadius float64
 	// Hidden overrides the recurrent hidden size (default 16).
 	Hidden int
 	// MetaIters overrides meta-training iterations (default 30).
 	MetaIters int
-	// MetaLR/AdaptLR/AdaptSteps override the meta-learning rates α and β
-	// and the inner-loop step count k (0 = package defaults).
-	MetaLR, AdaptLR float64
-	AdaptSteps      int
 	// Metrics optionally restricts the GTMC clustering factors (default
 	// Sim_d, Sim_s, Sim_l). Used by the Table IV/VI ablations.
 	Metrics []sim.Metric
@@ -66,8 +60,15 @@ type Options struct {
 	Parallelism int
 }
 
-// DefaultMatchRadius is a of Def. 7 in grid cells (0.3 km).
+// DefaultMatchRadius is a of Def. 7 in grid cells (0.3 km), the radius
+// training measures every matching rate at.
 const DefaultMatchRadius = 1.5
+
+// adaptLR is the inner-loop (adapt) rate β. The loss is trained in grid-cell
+// scale (see Train), so inner-loop steps must stay small or few-shot
+// adaptation overshoots. The meta-learning rate α and the inner-loop step
+// count k are meta.DefaultConfig's.
+const adaptLR = 0.002
 
 // clusterThreshold is Θ_j: a cluster whose quality under its split metric
 // already reaches this value is specific enough and is not re-clustered by
@@ -86,22 +87,11 @@ func (o *Options) fill() {
 	if o.SeqOut <= 0 {
 		o.SeqOut = 1
 	}
-	if o.MatchRadius <= 0 {
-		o.MatchRadius = DefaultMatchRadius
-	}
 	if o.Hidden <= 0 {
 		o.Hidden = 16
 	}
 	if o.MetaIters <= 0 {
 		o.MetaIters = 30
-	}
-	if o.MetaLR <= 0 {
-		o.MetaLR = 0.01
-	}
-	if o.AdaptLR <= 0 {
-		// The loss is trained in grid-cell scale (see Train); inner-loop
-		// steps must stay small or few-shot adaptation overshoots.
-		o.AdaptLR = 0.002
 	}
 	if len(o.Metrics) == 0 {
 		o.Metrics = []sim.Metric{sim.Distribution, sim.Spatial, sim.LearningPath}
@@ -167,15 +157,7 @@ func Train(ctx context.Context, w *dataset.Workload, opts Options) (*Result, err
 	cfg.Hidden = opts.Hidden
 	cfg.MetaIters = opts.MetaIters
 	cfg.Parallelism = opts.Parallelism
-	if opts.MetaLR > 0 {
-		cfg.MetaLR = opts.MetaLR
-	}
-	if opts.AdaptLR > 0 {
-		cfg.AdaptLR = opts.AdaptLR
-	}
-	if opts.AdaptSteps > 0 {
-		cfg.AdaptSteps = opts.AdaptSteps
-	}
+	cfg.AdaptLR = adaptLR
 	if src != nil {
 		cfg.Checkpoint = &meta.CheckpointConfig{
 			Dir:          opts.CheckpointDir,
@@ -291,7 +273,7 @@ func Train(ctx context.Context, w *dataset.Workload, opts Options) (*Result, err
 		}
 		model := models[i]
 		for _, day := range wk.TestDays {
-			model.accumulateRoutine(day, opts.MatchRadius, &accs[i])
+			model.accumulateRoutine(day, DefaultMatchRadius, &accs[i])
 		}
 		return nil
 	}); err != nil {
@@ -326,7 +308,7 @@ func (r *Result) newWorkerModel(workerID int, m nn.Model, task *meta.LearningTas
 		Norm:     r.Norm,
 		SeqIn:    r.Options.SeqIn,
 		SeqOut:   r.Options.SeqOut,
-		MR:       queryMatchingRate(m, task, r.Norm, r.Options.MatchRadius),
+		MR:       queryMatchingRate(m, task, r.Norm, DefaultMatchRadius),
 	}
 	return wm
 }

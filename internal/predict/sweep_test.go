@@ -11,7 +11,7 @@ import (
 
 // TestHyperparameterSweep is an opt-in diagnostic (set TAMP_SWEEP=1): it
 // prints one-step-ahead model MSE vs the standing-still baseline across
-// learning-rate settings.
+// model sizes and meta-training lengths.
 func TestHyperparameterSweep(t *testing.T) {
 	if os.Getenv("TAMP_SWEEP") == "" {
 		t.Skip("diagnostic; set TAMP_SWEEP=1 to run")
@@ -41,14 +41,11 @@ func TestHyperparameterSweep(t *testing.T) {
 		}
 		return model / float64(n), still / float64(n)
 	}
-	for _, metaLR := range []float64{0.002, 0.005, 0.01} {
-		for _, adaptLR := range []float64{0.002, 0.01, 0.05} {
-			for _, iters := range []int{20, 60} {
-				opts := Options{SeqIn: 3, SeqOut: 1, Hidden: 8, MetaIters: iters,
-					MetaLR: metaLR, AdaptLR: adaptLR, Seed: 1}
-				m, s := evalMSE(opts)
-				t.Logf("metaLR=%.3f adaptLR=%.3f iters=%d  model=%.3f still=%.3f", metaLR, adaptLR, iters, m, s)
-			}
+	for _, hidden := range []int{4, 8, 16} {
+		for _, iters := range []int{20, 60} {
+			opts := Options{SeqIn: 3, SeqOut: 1, Hidden: hidden, MetaIters: iters, Seed: 1}
+			m, s := evalMSE(opts)
+			t.Logf("hidden=%d iters=%d  model=%.3f still=%.3f", hidden, iters, m, s)
 		}
 	}
 }

@@ -289,8 +289,8 @@ func TestReplayDurationGauge(t *testing.T) {
 type forwarded struct{ Assigner assign.Assigner }
 
 func (f forwarded) Name() string { return f.Assigner.Name() }
-func (f forwarded) Assign(tasks []assign.Task, workers []assign.Worker, tick int) []assign.Pair {
-	return f.Assigner.Assign(tasks, workers, tick)
+func (f forwarded) Assign(ctx context.Context, tasks []assign.Task, workers []assign.Worker, tick int) []assign.Pair {
+	return f.Assigner.Assign(ctx, tasks, workers, tick)
 }
 
 // TestReplayLBComputesNoForecasts: a counterfactual pass under LB never

@@ -22,8 +22,8 @@ import (
 type forwarded struct{ Assigner assign.Assigner }
 
 func (f forwarded) Name() string { return f.Assigner.Name() }
-func (f forwarded) Assign(tasks []assign.Task, workers []assign.Worker, tick int) []assign.Pair {
-	return f.Assigner.Assign(tasks, workers, tick)
+func (f forwarded) Assign(ctx context.Context, tasks []assign.Task, workers []assign.Worker, tick int) []assign.Pair {
+	return f.Assigner.Assign(ctx, tasks, workers, tick)
 }
 
 // driveBatches runs three workers with (untrained) models through three
@@ -94,8 +94,7 @@ func TestLBBatchesComputeNoForecasts(t *testing.T) {
 // panickingLB declares, like LB, that it reads no forecast — and dies.
 type panickingLB struct{ assign.LB }
 
-func (panickingLB) Assign([]assign.Task, []assign.Worker, int) []assign.Pair { panic("assigner bug") }
-func (panickingLB) AssignContext(context.Context, []assign.Task, []assign.Worker, int) []assign.Pair {
+func (panickingLB) Assign(context.Context, []assign.Task, []assign.Worker, int) []assign.Pair {
 	panic("assigner bug")
 }
 

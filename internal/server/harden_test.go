@@ -185,10 +185,7 @@ func TestPanickingModelDegradesWorkerNotBatch(t *testing.T) {
 type stallAssigner struct{}
 
 func (stallAssigner) Name() string { return "Stall" }
-func (stallAssigner) Assign(tasks []assign.Task, workers []assign.Worker, tick int) []assign.Pair {
-	return nil
-}
-func (stallAssigner) AssignContext(ctx context.Context, tasks []assign.Task, workers []assign.Worker, tick int) []assign.Pair {
+func (stallAssigner) Assign(ctx context.Context, tasks []assign.Task, workers []assign.Worker, tick int) []assign.Pair {
 	<-ctx.Done()
 	return []assign.Pair{{Task: 0, Worker: 0}}
 }
@@ -218,7 +215,7 @@ func TestBatchDeadlineFallsBackToGreedy(t *testing.T) {
 type panicAssigner struct{}
 
 func (panicAssigner) Name() string { return "Panic" }
-func (panicAssigner) Assign([]assign.Task, []assign.Worker, int) []assign.Pair {
+func (panicAssigner) Assign(context.Context, []assign.Task, []assign.Worker, int) []assign.Pair {
 	panic("assigner bug")
 }
 

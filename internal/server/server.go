@@ -814,7 +814,10 @@ func (s *Server) assignWithDeadline(ctx context.Context, tasks []assign.Task, wo
 		degraded = true // deadline hit, not a client hang-up: fall back
 	}
 	if degraded {
-		pairs = (assign.Greedy{}).Assign(tasks, workers, s.st.Tick)
+		// The request ctx, not the expired bctx, on which Greedy's kernel
+		// would stop short; and a workspace of its own (§12).
+		gctx := assign.WithWorkspace(ctx, assign.NewWorkspace())
+		pairs = (assign.Greedy{}).Assign(gctx, tasks, workers, s.st.Tick)
 	}
 	return pairs, degraded
 }

@@ -61,7 +61,7 @@ type gateAssigner struct {
 
 func (g *gateAssigner) Name() string { return "gate" }
 
-func (g *gateAssigner) Assign(tasks []assign.Task, workers []assign.Worker, tick int) []assign.Pair {
+func (g *gateAssigner) Assign(context.Context, []assign.Task, []assign.Worker, int) []assign.Pair {
 	close(g.started)
 	<-g.release
 	return nil

@@ -82,17 +82,3 @@ func Utility(m *Matrix, membersWithItem []int, item int, gamma float64) float64 
 	}
 	return with - Quality(m, without, gamma)
 }
-
-// MeanSimTo returns the average similarity between item i and the given
-// members, used when placing a newly arrived worker's learning task onto the
-// most similar tree node. An empty member list yields 0.
-func MeanSimTo(m *Matrix, i int, members []int) float64 {
-	if len(members) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, j := range members {
-		sum += m.At(i, j)
-	}
-	return sum / float64(len(members))
-}

@@ -355,16 +355,6 @@ func TestUtilityPotentialProperty(t *testing.T) {
 	}
 }
 
-func TestMeanSimTo(t *testing.T) {
-	m := NewMatrix(3, func(i, j int) float64 { return 0.5 })
-	if got := MeanSimTo(m, 0, []int{1, 2}); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("MeanSimTo = %v", got)
-	}
-	if got := MeanSimTo(m, 0, nil); got != 0 {
-		t.Errorf("empty MeanSimTo = %v", got)
-	}
-}
-
 func TestQualityBoundedProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

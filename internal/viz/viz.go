@@ -1,6 +1,6 @@
 // Package viz renders workloads as ASCII maps for terminals: trajectory
-// density heatmaps, task overlays, and single-worker route traces. Used by
-// cmd/tampgen's -viz flag and handy when debugging generators or loaders.
+// density heatmaps with task and hotspot overlays. Used by cmd/tampgen's
+// -viz flag and handy when debugging generators or loaders.
 package viz
 
 import (
@@ -10,7 +10,6 @@ import (
 
 	"github.com/spatialcrowd/tamp/internal/dataset"
 	"github.com/spatialcrowd/tamp/internal/geo"
-	"github.com/spatialcrowd/tamp/internal/traj"
 )
 
 // shades maps normalized density to characters, light to dark.
@@ -125,20 +124,6 @@ func WorkloadMap(w *dataset.Workload, width, height int) *Canvas {
 	}
 	for _, h := range w.Hotspots {
 		c.Set(h, 'O')
-	}
-	return c
-}
-
-// RouteTrace renders one routine as a path ('·' steps, 'S' start, 'E'
-// end) over the grid.
-func RouteTrace(g geo.Grid, r traj.Routine, width, height int) *Canvas {
-	c := NewCanvas(g, width, height)
-	for _, p := range r.Points {
-		c.Set(p, '.')
-	}
-	if len(r.Points) > 0 {
-		c.Set(r.Points[0], 'S')
-		c.Set(r.Points[len(r.Points)-1], 'E')
 	}
 	return c
 }

@@ -7,7 +7,6 @@ import (
 
 	"github.com/spatialcrowd/tamp/internal/dataset"
 	"github.com/spatialcrowd/tamp/internal/geo"
-	"github.com/spatialcrowd/tamp/internal/traj"
 )
 
 func TestCanvasSetAndRender(t *testing.T) {
@@ -83,18 +82,4 @@ func TestWorkloadMap(t *testing.T) {
 	if !strings.Contains(s, "O") {
 		t.Error("hotspots not marked")
 	}
-}
-
-func TestRouteTrace(t *testing.T) {
-	g := geo.Grid{Cols: 20, Rows: 20}
-	r := traj.Routine{Points: []geo.Point{geo.Pt(1, 1), geo.Pt(5, 5), geo.Pt(10, 10)}}
-	c := RouteTrace(g, r, 20, 20)
-	var buf bytes.Buffer
-	c.Render(&buf)
-	s := buf.String()
-	if !strings.Contains(s, "S") || !strings.Contains(s, "E") {
-		t.Errorf("start/end markers missing:\n%s", s)
-	}
-	// Empty routine renders without panicking.
-	RouteTrace(g, traj.Routine{}, 10, 10).Render(&bytes.Buffer{})
 }
