@@ -26,24 +26,25 @@ vet:
 # the NN kernel before/after record (baseline is preserved across runs).
 bench:
 	$(GO) test -run XXX -bench . -benchmem .
-	$(GO) run ./cmd/tampbench -json BENCH_nn.json
+	$(GO) run ./cmd/tampbench -record BENCH_nn.json
 
 # Batch-assignment benchmarks (candidate-pair kernel + sparse KM) at 500×500
-# to 5k×5k, then refresh BENCH_assign.json. A fresh file records the
-# exhaustive scan (assign.WithBruteScan) as the baseline, so the committed
-# record shows the speedup the task grid buys.
+# to 5k×5k, run from the specs internal/perf records, then refresh
+# BENCH_assign.json. A fresh file records the exhaustive scan
+# (assign.WithBruteScan) as the baseline, so the committed record shows the
+# speedup the task grid buys.
 bench-assign:
-	$(GO) test ./internal/assign -run XXX -bench 'BenchmarkAssign' -benchmem
-	$(GO) run ./cmd/tampbench -assign-json BENCH_assign.json
+	$(GO) test ./internal/perf -run XXX -bench 'Guards/assign' -benchmem
+	$(GO) run ./cmd/tampbench -record BENCH_assign.json
 
 # Prediction-engine benchmarks: forecast-cache hit path, allocation-free
 # rollouts, and the end-to-end stationary-workload simulate. Refreshes
 # BENCH_predict.json; a fresh file measures the replaced path
-# (recompute-every-call forecasts) interleaved with the current one and
+# (recompute-every-call forecasts) back to back with the current one and
 # records it as the baseline, so the committed record shows what the engine
 # buys.
 bench-predict:
-	$(GO) run ./cmd/tampbench -predict-json BENCH_predict.json
+	$(GO) run ./cmd/tampbench -record BENCH_predict.json
 
 # The end-to-end benchmark lives in a nested module (bench/go.mod) the root
 # `go test ./...` does not see. bench-test vets it and runs its unit tests
@@ -106,8 +107,9 @@ expcheck:
 # allocs/op growth, or a committed row that no longer runs. Timing on shared
 # runners is noisy — CI runs this as a non-blocking step; treat a local
 # failure on an idle machine as real. BENCHGUARD_FLAGS carries extra
-# tampbench flags (CI passes the three artifact files through it).
-BENCHGUARD = $(GO) run ./cmd/tampbench -check BENCH_nn.json -check-assign BENCH_assign.json -check-predict BENCH_predict.json
+# tampbench flags (CI passes -check-out DIR, which writes each fresh run as
+# the committed file with fresh current rows).
+BENCHGUARD = $(GO) run ./cmd/tampbench -check BENCH_nn.json,BENCH_assign.json,BENCH_predict.json
 benchguard:
 	$(BENCHGUARD) -tolerance 0.25 $(BENCHGUARD_FLAGS)
 

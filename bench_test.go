@@ -1,8 +1,8 @@
 package tamp
 
 // The benchmark suite regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §4) and adds ablation benches for the design
-// choices the paper highlights. Benchmarks run at the quick experiment
+// evaluation (see DESIGN.md §4) and the design ablations, each through the
+// experiment registry. Benchmarks run at the quick experiment
 // scale so `go test -bench=. -benchmem` terminates in minutes; use
 // cmd/tampbench -scale full for paper-shaped runs.
 
@@ -63,10 +63,12 @@ func BenchmarkFig10(b *testing.B) { benchExperiment(b, "fig10") }
 // Fig. 11: valid time sweep, workload 2.
 func BenchmarkFig11(b *testing.B) { benchExperiment(b, "fig11") }
 
-// benchWorkload prepares a fixed workload + trained predictors shared by
-// the ablation benches.
-func benchSetup(b *testing.B, weighted bool) (*dataset.Workload, *predict.Result) {
-	b.Helper()
+// Design ablations, workload 1: weighted vs MSE loss, staged PPI vs one KM,
+// the matching radius a, PPI's KM batch size ε, and GTMC vs k-means.
+func BenchmarkAblations(b *testing.B) { benchExperiment(b, "ablations") }
+
+// benchWorkload is the fixed workload the parallel benches share.
+func benchWorkload() *dataset.Workload {
 	p := dataset.Defaults(dataset.Workload1)
 	p.NumWorkers = 12
 	p.NewWorkers = 2
@@ -75,23 +77,7 @@ func benchSetup(b *testing.B, weighted bool) (*dataset.Workload, *predict.Result
 	p.TicksPerDay = 60
 	p.NumTestTasks = 300
 	p.NumPOIs = 80
-	w := dataset.Generate(p)
-	res, err := predict.Train(context.Background(), w, predict.Options{
-		WeightedLoss: weighted, Hidden: 8, MetaIters: 8, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return w, res
-}
-
-func simulateOnce(w *dataset.Workload, res *predict.Result, a assign.Assigner) platform.Metrics {
-	run := platform.Run{Workload: w, Models: res.Models, Assigner: a}
-	m, err := run.Simulate(context.Background())
-	if err != nil {
-		panic(err)
-	}
-	return m
+	return dataset.Generate(p)
 }
 
 // benchPair runs the same closure at Parallelism=1 and Parallelism=0 (all
@@ -125,15 +111,7 @@ func benchPair(b *testing.B, run func(parallelism int)) {
 // BenchmarkTrainParallel measures the offline stage (meta-training +
 // per-worker adaptation + evaluation) sequentially vs on every core.
 func BenchmarkTrainParallel(b *testing.B) {
-	p := dataset.Defaults(dataset.Workload1)
-	p.NumWorkers = 12
-	p.NewWorkers = 2
-	p.TrainDays = 2
-	p.TestDays = 1
-	p.TicksPerDay = 60
-	p.NumTestTasks = 300
-	p.NumPOIs = 80
-	w := dataset.Generate(p)
+	w := benchWorkload()
 	benchPair(b, func(parallelism int) {
 		_, err := predict.Train(context.Background(), w, predict.Options{
 			WeightedLoss: true, Hidden: 8, MetaIters: 8, Seed: 1,
@@ -149,7 +127,13 @@ func BenchmarkTrainParallel(b *testing.B) {
 // construction, PPI candidate graphs, daily continual adaptation)
 // sequentially vs on every core.
 func BenchmarkSimulateParallel(b *testing.B) {
-	w, res := benchSetup(b, true)
+	w := benchWorkload()
+	res, err := predict.Train(context.Background(), w, predict.Options{
+		WeightedLoss: true, Hidden: 8, MetaIters: 8, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
 	benchPair(b, func(parallelism int) {
 		run := platform.Run{
 			Workload:        w,
@@ -162,126 +146,4 @@ func BenchmarkSimulateParallel(b *testing.B) {
 			b.Fatal(err)
 		}
 	})
-}
-
-// BenchmarkAblationRadius sweeps the matching-rate radius a of Def. 7,
-// reporting the completion and rejection it buys PPI.
-func BenchmarkAblationRadius(b *testing.B) {
-	w, res := benchSetup(b, true)
-	for _, a := range []float64{0.5, 1.5, 3.0} {
-		b.Run(radiusName(a), func(b *testing.B) {
-			var m platform.Metrics
-			for i := 0; i < b.N; i++ {
-				m = simulateOnce(w, res, assign.PPI{A: a})
-			}
-			b.ReportMetric(m.CompletionRate(), "completion")
-			b.ReportMetric(m.RejectionRate(), "rejection")
-		})
-	}
-}
-
-func radiusName(a float64) string {
-	switch {
-	case a < 1:
-		return "a=0.5cells"
-	case a < 2:
-		return "a=1.5cells"
-	default:
-		return "a=3.0cells"
-	}
-}
-
-// BenchmarkAblationEpsilon sweeps PPI's second-stage KM batch size ε.
-func BenchmarkAblationEpsilon(b *testing.B) {
-	w, res := benchSetup(b, true)
-	for _, eps := range []int{1, 8, 64} {
-		name := map[int]string{1: "eps=1", 8: "eps=8", 64: "eps=64"}[eps]
-		b.Run(name, func(b *testing.B) {
-			var m platform.Metrics
-			for i := 0; i < b.N; i++ {
-				m = simulateOnce(w, res, assign.PPI{A: predict.DefaultMatchRadius, Epsilon: eps})
-			}
-			b.ReportMetric(m.CompletionRate(), "completion")
-			b.ReportMetric(m.RejectionRate(), "rejection")
-		})
-	}
-}
-
-// BenchmarkAblationStaging contrasts PPI's confidence-staged matching with
-// a single global KM over the same prediction-feasibility graph.
-func BenchmarkAblationStaging(b *testing.B) {
-	w, res := benchSetup(b, true)
-	for _, tc := range []struct {
-		name string
-		a    assign.Assigner
-	}{
-		{"staged-PPI", assign.PPI{A: predict.DefaultMatchRadius}},
-		{"single-KM", assign.KM{}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var m platform.Metrics
-			for i := 0; i < b.N; i++ {
-				m = simulateOnce(w, res, tc.a)
-			}
-			b.ReportMetric(m.CompletionRate(), "completion")
-			b.ReportMetric(m.RejectionRate(), "rejection")
-		})
-	}
-}
-
-// BenchmarkAblationLoss contrasts the task-assignment-oriented loss with
-// plain MSE under the same PPI assigner (the PPI vs PPI-loss comparison).
-func BenchmarkAblationLoss(b *testing.B) {
-	for _, tc := range []struct {
-		name     string
-		weighted bool
-	}{
-		{"weighted-loss", true},
-		{"mse-loss", false},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			w, res := benchSetup(b, tc.weighted)
-			b.ResetTimer()
-			var m platform.Metrics
-			for i := 0; i < b.N; i++ {
-				m = simulateOnce(w, res, assign.PPI{A: predict.DefaultMatchRadius})
-			}
-			b.ReportMetric(m.CompletionRate(), "completion")
-			b.ReportMetric(m.RejectionRate(), "rejection")
-		})
-	}
-}
-
-// BenchmarkAblationGame contrasts game-theoretic clustering (GTMC) with the
-// plain multi-level k-means variant on training + evaluation quality.
-func BenchmarkAblationGame(b *testing.B) {
-	p := dataset.Defaults(dataset.Workload1)
-	p.NumWorkers = 12
-	p.NewWorkers = 0
-	p.TrainDays = 2
-	p.TestDays = 1
-	p.TicksPerDay = 60
-	p.NumTestTasks = 200
-	w := dataset.Generate(p)
-	for _, tc := range []struct {
-		name string
-		alg  string
-	}{
-		{"GTMC", AlgGTTAML},
-		{"k-means", AlgGTTAMLGT},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var mr float64
-			for i := 0; i < b.N; i++ {
-				res, err := predict.Train(context.Background(), w, predict.Options{
-					Algorithm: tc.alg, Hidden: 8, MetaIters: 8, Seed: 1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				mr = res.Eval.MR
-			}
-			b.ReportMetric(mr, "MR")
-		})
-	}
 }

@@ -7,13 +7,18 @@
 //	tampbench -exp table4 -scale quick
 //	tampbench -exp fig6,fig7 -scale full
 //	tampbench -exp all -scale quick
-//	tampbench -json BENCH_nn.json
-//	tampbench -assign-json BENCH_assign.json
-//	tampbench -predict-json BENCH_predict.json         # prediction-engine (forecast cache, rollouts) benchmarks
-//	tampbench -check BENCH_nn.json -check-assign BENCH_assign.json -check-predict BENCH_predict.json -tolerance 0.25   # CI regression guard
+//	tampbench -record BENCH_nn.json                    # re-measure a kernel guard's current rows
+//	tampbench -check BENCH_nn.json,BENCH_assign.json,BENCH_predict.json -tolerance 0.25   # CI regression guard
+//	tampbench -check BENCH_nn.json -check-out DIR      # also write the fresh run to DIR/BENCH_nn.json
 //	tampbench -matrix                                  # regenerate BENCH_matrix.json + MATRIX.md
 //	tampbench -check-matrix BENCH_matrix.json -matrix-scale smoke   # CI matrix gate
 //	tampbench -replay /var/lib/tamp/wal -assigner KM   # re-run a recorded log offline
+//
+// -check and -record take the committed kernel-guard files; the suite each
+// runs is the one in internal/perf whose file has that base name (nn: the
+// LSTM encoder–decoder, assign: PPI/KM matching, predict: the forecast
+// engine). A fresh -record file also measures each row's before-side, the
+// path the production one replaced.
 //
 // -matrix runs the cross-product of the scenario workload generators
 // (internal/scenario: paper, windows, budget) × the full assigner zoo
@@ -62,16 +67,13 @@ func main() {
 		expFlag  = flag.String("exp", "", "comma-separated experiment ids, or 'all'")
 		scale    = flag.String("scale", "quick", "experiment scale: quick or full")
 		seed     = flag.Int64("seed", 0, "override the workload seed (0 keeps the scale default)")
-		csvDir   = flag.String("csv", "", "also write <dir>/<exp>.csv with machine-readable rows")
+		csvDir   = flag.String("csv", "", "also write <dir>/<exp>.csv with machine-readable rows (one seed: does not combine with -seeds)")
 		seeds    = flag.Int("seeds", 1, "run each experiment over this many seeds and report mean ± std")
 		par      = flag.Int("par", 0, "worker pool size for training, simulation, and multi-seed fan-out (0 = all cores)")
-		jsonOut  = flag.String("json", "", "run the NN kernel benchmarks and write before/after results to this file")
-		check    = flag.String("check", "", "run the NN kernel benchmarks and compare against the current rows of this file; exit 1 on regression")
-		assignJ  = flag.String("assign-json", "", "run the batch-assignment benchmarks and write before/after results to this file (a fresh file records the brute-force scan as baseline)")
-		checkAsg = flag.String("check-assign", "", "run the batch-assignment benchmarks and compare against the current rows of this file; exit 1 on regression")
-		predJ    = flag.String("predict-json", "", "run the prediction-engine benchmarks (forecast cache, rollouts, stationary simulate) and write before/after results to this file (a fresh file records the uncached path as baseline)")
-		checkPrd = flag.String("check-predict", "", "run the prediction-engine benchmarks and compare against the current rows of this file; exit 1 on regression")
-		tol      = flag.Float64("tolerance", 0.25, "allowed fractional ns/op growth over the file's current rows before a -check* mode fails (allocs/op must never grow)")
+		check    = flag.String("check", "", "comma-separated kernel-guard files (BENCH_nn.json, BENCH_assign.json, BENCH_predict.json): run the suite each file records and compare against its current rows; exit 1 on regression")
+		record   = flag.String("record", "", "comma-separated kernel-guard files: run the suite each file records and write it (an existing file keeps its baseline and note; a fresh one also measures each row's before-side)")
+		checkOut = flag.String("check-out", "", "with -check, write each fresh run to this directory as the committed file with fresh current rows")
+		tol      = flag.Float64("tolerance", 0.25, "allowed fractional ns/op growth over the file's current rows before -check fails (allocs/op must never grow)")
 		metrics  = flag.Bool("metrics", false, "collect experiment metrics in a registry and dump it (Prometheus text) at end of run")
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address while the run lasts (e.g. localhost:6060)")
 		matrixR  = flag.Bool("matrix", false, "run the scenario-generator × assigner benchmark matrix and write -matrix-json and -matrix-md")
@@ -110,85 +112,20 @@ func main() {
 		}()
 		fmt.Printf("pprof listening on http://%s/debug/pprof/\n", *pprofA)
 	}
-	if *check != "" || *checkAsg != "" || *checkPrd != "" {
+	if *check != "" || *record != "" {
 		pinSingleP()
-		// Each guard runs its suite once, feeding both the verdict and the
-		// optional artifact; a regression in either suite fails the process.
-		failed := false
-		runCheck := func(path string, cur []perf.Result, artifact string, write func(string, []perf.Result) (perf.File, error)) {
-			base, err := perf.LoadFile(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tampbench:", err)
-				os.Exit(1)
-			}
-			if artifact != "" {
-				if _, err := write(artifact, cur); err != nil {
-					fmt.Fprintln(os.Stderr, "tampbench:", err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote %s\n", artifact)
-			}
-			report, ok := perf.CheckAgainst(base, cur, *tol)
-			fmt.Print(report)
-			if !ok {
-				fmt.Fprintf(os.Stderr, "tampbench: benchmark regression against %s (tolerance %.0f%%)\n", path, *tol*100)
-				failed = true
-				return
-			}
-			fmt.Printf("no regression against %s (tolerance %.0f%%)\n", path, *tol*100)
-		}
-		if *check != "" {
-			runCheck(*check, perf.Run(), *jsonOut, perf.WriteJSONWith)
-		}
-		if *checkAsg != "" {
-			runCheck(*checkAsg, perf.RunAssign(), *assignJ, perf.WriteAssignJSONWith)
-		}
-		if *checkPrd != "" {
-			cur, err := perf.RunPredict()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tampbench:", err)
-				os.Exit(1)
-			}
-			runCheck(*checkPrd, cur, *predJ, perf.WritePredictJSONWith)
-		}
-		if failed {
+		if err := runGuards(*check, *record, *checkOut, *tol); err != nil {
+			fmt.Fprintln(os.Stderr, "tampbench:", err)
 			os.Exit(1)
-		}
-		return
-	}
-	if *jsonOut != "" || *assignJ != "" || *predJ != "" {
-		pinSingleP()
-		if *jsonOut != "" {
-			f, err := perf.WriteJSON(*jsonOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tampbench:", err)
-				os.Exit(1)
-			}
-			fmt.Print(perf.Format(f))
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		if *assignJ != "" {
-			f, err := perf.WriteAssignJSON(*assignJ)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tampbench:", err)
-				os.Exit(1)
-			}
-			fmt.Print(perf.Format(f))
-			fmt.Printf("wrote %s\n", *assignJ)
-		}
-		if *predJ != "" {
-			f, err := perf.WritePredictJSON(*predJ)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tampbench:", err)
-				os.Exit(1)
-			}
-			fmt.Print(perf.Format(f))
-			fmt.Printf("wrote %s\n", *predJ)
 		}
 		return
 	}
 	if *expFlag == "" {
 		fmt.Fprintln(os.Stderr, "tampbench: -exp required (use -list to see experiments)")
+		os.Exit(2)
+	}
+	if *csvDir != "" && *seeds > 1 {
+		fmt.Fprintln(os.Stderr, "tampbench: -csv and -seeds do not combine: a CSV holds one seed's rows")
 		os.Exit(2)
 	}
 
@@ -288,6 +225,59 @@ func main() {
 func pinSingleP() {
 	runtime.GOMAXPROCS(1)
 	fmt.Printf("GOMAXPROCS %d (pinned for the kernel suites), nn kernels: %s\n", runtime.GOMAXPROCS(0), nn.KernelPath())
+}
+
+// runGuards is the -check / -record mode over the kernel-guard files, each
+// measured by the perf suite whose file has its base name. Every checked
+// file runs even after one regresses.
+func runGuards(check, record, outDir string, tol float64) error {
+	var regressed []string
+	for _, path := range splitList(check) {
+		s, err := perf.SuiteFor(path)
+		if err != nil {
+			return err
+		}
+		fresh, report, ok, err := perf.Check(path, s, tol)
+		if err != nil {
+			return err
+		}
+		if outDir != "" {
+			out := filepath.Join(outDir, filepath.Base(path))
+			if err := os.MkdirAll(outDir, 0o755); err != nil {
+				return err
+			}
+			if err := fresh.Save(out); err != nil {
+				return err
+			}
+			fmt.Printf("wrote %s\n", out)
+		}
+		fmt.Print(report)
+		if !ok {
+			regressed = append(regressed, path)
+			continue
+		}
+		fmt.Printf("no regression against %s (tolerance %.0f%%)\n", path, tol*100)
+	}
+	for _, path := range splitList(record) {
+		s, err := perf.SuiteFor(path)
+		if err != nil {
+			return err
+		}
+		f, err := perf.Record(path, s)
+		if err != nil {
+			return err
+		}
+		fmt.Print(perf.Format(f))
+		fmt.Printf("wrote %s\n", path)
+	}
+	if len(regressed) > 0 {
+		return fmt.Errorf("benchmark regression against %s (tolerance %.0f%%)", strings.Join(regressed, ", "), tol*100)
+	}
+	return nil
+}
+
+func splitList(s string) []string {
+	return strings.FieldsFunc(s, func(r rune) bool { return r == ',' })
 }
 
 // runMatrix is the -matrix / -check-matrix mode: run the scenario-generator

@@ -21,6 +21,7 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 
 	"github.com/spatialcrowd/tamp"
@@ -43,7 +44,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload and training seed")
 		wcsv     = flag.String("workers-csv", "", "load worker trajectories from a tampgen-format CSV instead of generating")
 		tcsv     = flag.String("tasks-csv", "", "load tasks from a tampgen-format CSV (requires -workers-csv)")
-		par      = flag.Int("par", 0, "worker pool size for training and simulation (0 = all cores)")
+		par      = flag.Int("par", 0, "cores for training, simulation and the assigner: sets GOMAXPROCS (0 = all cores)")
 		chaos    = flag.Bool("chaos", false, "also run the simulation under deterministic fault injection and report the degradation")
 		chaosSd  = flag.Int64("chaos-seed", 1, "fault-injection schedule seed")
 		metrics  = flag.Bool("metrics", false, "collect run metrics in a registry and dump it (Prometheus text) at end of run")
@@ -51,6 +52,11 @@ func main() {
 		record   = flag.String("record", "", "write every platform event of the run to this write-ahead-log directory; replay it offline with `tampbench -replay <dir> -assigner <name>`")
 	)
 	flag.Parse()
+	// Every stage sizes its worker pool from GOMAXPROCS when its
+	// Parallelism is 0, as the facade leaves it, so one setting bounds all.
+	if *par > 0 {
+		runtime.GOMAXPROCS(*par)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -104,7 +110,6 @@ func main() {
 		WeightedLoss: *loss == "weighted",
 		MetaIters:    *iters,
 		Seed:         *seed,
-		Parallelism:  *par,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tampsim:", err)

@@ -21,6 +21,9 @@ func benchEdges(nT, nW int, density float64, seed int64) []Edge {
 	return edges
 }
 
+// The batch sizes BENCH_assign.json guards bench from their specs in
+// internal/perf: go test -bench Guards/assign ./internal/perf.
+
 func BenchmarkHungarian32(b *testing.B) {
 	edges := benchEdges(32, 32, 0.5, 1)
 	b.ReportAllocs()
@@ -74,38 +77,5 @@ func BenchmarkGGPSOBatch(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g.Assign(context.Background(), tasks, workers, 0)
-	}
-}
-
-// assignScales are the batch sizes the BENCH_assign.json guard tracks; the
-// perf harness (internal/perf/assign.go) must bench the same shapes.
-var assignScales = []struct {
-	name   string
-	nT, nW int
-}{
-	{"500x500", 500, 500},
-	{"2000x2000", 2000, 2000},
-	{"5000x5000", 5000, 5000},
-}
-
-func benchAssign(b *testing.B, a Assigner, nT, nW int) {
-	tasks, workers := ScaleScenario(nT, nW, 7)
-	ctx := WithWorkspace(context.Background(), NewWorkspace())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Do(ctx, a, tasks, workers, 0)
-	}
-}
-
-func BenchmarkAssignPPI(b *testing.B) {
-	for _, s := range assignScales {
-		b.Run(s.name, func(b *testing.B) { benchAssign(b, PPI{A: 0.5}, s.nT, s.nW) })
-	}
-}
-
-func BenchmarkAssignKM(b *testing.B) {
-	for _, s := range assignScales {
-		b.Run(s.name, func(b *testing.B) { benchAssign(b, KM{}, s.nT, s.nW) })
 	}
 }

@@ -12,8 +12,8 @@ import (
 // so spatial density — and with it each task's true candidate count — stays
 // roughly constant across scales. Exhaustive graph construction is then
 // Θ(|T|·|W|) while the task grid visits O(|T|·density) pairs, which is
-// exactly the regime the AssignPPI/AssignKM scale benchmarks and the perf
-// harness measure. Every worker walks a short random trajectory (predicted
+// exactly the regime the AssignPPI/AssignKM rows of the perf harness
+// measure. Every worker walks a short random trajectory (predicted
 // and a noisy actual), with mixed detour budgets, speeds, and matching rates
 // so all three PPI stages see traffic.
 func ScaleScenario(nTasks, nWorkers int, seed int64) ([]Task, []Worker) {

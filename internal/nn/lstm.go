@@ -336,7 +336,8 @@ func (l linear) backward(w, grad Vector, x, dy, dx []float64) {
 
 // LSTMStepFunc returns one forward step of an LSTM cell with in inputs and
 // hidden units, on weights and inputs drawn from rng, as a closure: the unit
-// of work BenchmarkLSTMForwardStep and internal/perf time on its own.
+// of work internal/perf times on its own (the LSTMForwardStep rows of
+// BENCH_nn.json).
 func LSTMStepFunc(in, hidden int, rng *rand.Rand) func() {
 	c := lstmCell{in: in, hidden: hidden}
 	w := RandomVector(c.numParams(), 1/math.Sqrt(float64(in+hidden)), rng)

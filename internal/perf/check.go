@@ -7,7 +7,7 @@ import (
 	"strings"
 )
 
-// LoadFile reads a BENCH_*.json written by one of the Write*JSON functions.
+// LoadFile reads a BENCH_*.json file, the format Record writes.
 func LoadFile(path string) (File, error) {
 	var f File
 	raw, err := os.ReadFile(path)

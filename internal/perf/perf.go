@@ -1,19 +1,21 @@
-// Package perf is the benchmark-gated performance harness for the NN hot
-// path: it runs the kernel benchmarks programmatically (testing.Benchmark),
-// records ns/op and allocs/op, and persists them to a JSON file that keeps
-// the first recorded run as the regression baseline. `make bench` refreshes
-// the file; reviewers diff Current against Baseline.
+// Package perf is the benchmark-gated performance harness for the kernels
+// the paper's pipeline leans on: the LSTM encoder–decoder behind GTTAML
+// (BENCH_nn.json), PPI/KM batch matching (BENCH_assign.json) and the
+// forecast engine (BENCH_predict.json). Each guarded benchmark is stated
+// once, as a Spec in a Suite: Record writes a suite's committed file, Check
+// compares a fresh run with its Current rows, and BenchmarkGuards runs the
+// same specs under `go test -bench`. Reviewers diff Current against
+// Baseline, the before-side a fresh file recorded.
 package perf
 
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
+	"math"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
-
-	"github.com/spatialcrowd/tamp/internal/nn"
 )
 
 // Result is one benchmark's measured cost.
@@ -24,9 +26,9 @@ type Result struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// File is the on-disk schema of BENCH_nn.json. Baseline is written once —
-// the first time the file is created — and preserved by later runs, so the
-// delta from the pre-workspace kernels stays visible in the repo.
+// File is the on-disk schema of the BENCH_*.json files. Baseline is written
+// once — the first time the file is created — and preserved by later runs,
+// so the delta from the replaced implementation stays visible in the repo.
 type File struct {
 	Note     string   `json:"note"`
 	GoOS     string   `json:"goos"`
@@ -35,23 +37,41 @@ type File struct {
 	Current  []Result `json:"current"`
 }
 
-func randSample(rng *rand.Rand, inDim, outDim, seqIn, seqOut int) nn.Sample {
-	var s nn.Sample
-	for i := 0; i < seqIn; i++ {
-		row := make([]float64, inDim)
-		for d := range row {
-			row[d] = rng.NormFloat64() * 0.5
+// Spec is one guarded benchmark: the row name its file records, the
+// production path it times and, where the file records a before-side, the
+// path that production path replaced. State the closures share across calls
+// (a warmed workspace or memo) is built with the spec, so every measurement
+// round sees it warm. A closure panics on an error: outside a test binary,
+// testing.Benchmark has no way to report b.Fatal.
+type Spec struct {
+	Name   string
+	Run    func(b *testing.B)
+	Before func(b *testing.B)
+}
+
+// Suite is one committed file, BENCH_<Name>.json: the note a fresh file
+// starts with, and its specs in row order. Specs builds the benchmark state,
+// so it runs only when the suite is measured or benched.
+type Suite struct {
+	Name  string
+	Note  string
+	Specs func() []Spec
+}
+
+// File is the base name of the suite's committed file.
+func (s Suite) File() string { return "BENCH_" + s.Name + ".json" }
+
+// Suites are the kernel guards.
+var Suites = []Suite{nnSuite, assignSuite, predictSuite}
+
+// SuiteFor returns the suite whose committed file has path's base name.
+func SuiteFor(path string) (Suite, error) {
+	for _, s := range Suites {
+		if s.File() == filepath.Base(path) {
+			return s, nil
 		}
-		s.In = append(s.In, row)
 	}
-	for i := 0; i < seqOut; i++ {
-		row := make([]float64, outDim)
-		for d := range row {
-			row[d] = rng.NormFloat64() * 0.5
-		}
-		s.Out = append(s.Out, row)
-	}
-	return s
+	return Suite{}, fmt.Errorf("perf: no suite records %s", filepath.Base(path))
 }
 
 // measureRounds is how many times measure re-runs each benchmark. The
@@ -61,9 +81,9 @@ func randSample(rng *rand.Rand, inDim, outDim, seqIn, seqOut int) nn.Sample {
 const measureRounds = 5
 
 func measure(name string, f func(b *testing.B)) Result {
-	best := testing.Benchmark(f)
-	bestNs := float64(best.T.Nanoseconds()) / float64(best.N)
-	for i := 1; i < measureRounds; i++ {
+	var best testing.BenchmarkResult
+	bestNs := math.Inf(1)
+	for i := 0; i < measureRounds; i++ {
 		r := testing.Benchmark(f)
 		if ns := float64(r.T.Nanoseconds()) / float64(r.N); ns < bestNs {
 			best, bestNs = r, ns
@@ -77,93 +97,54 @@ func measure(name string, f func(b *testing.B)) Result {
 	}
 }
 
-// Run executes the hot-path benchmark suite: Predict and Grad, one LSTM
-// forward step at the encoder and decoder shapes, and the Adam step. The
-// workloads mirror the internal/nn benchmarks (hidden 16, seqIn 5, seqOut 1;
-// the steps at hidden 12).
-func Run() []Result {
-	newSample := func() nn.Sample {
-		return randSample(rand.New(rand.NewSource(1)), 4, 2, 5, 1)
-	}
-	lstm := nn.NewSeq2Seq(4, 2, 16, rand.New(rand.NewSource(1)))
-	s := newSample()
-
-	results := []Result{
-		measure("Seq2SeqPredict", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				lstm.Predict(s.In, 1)
-			}
-		}),
-		measure("Seq2SeqGrad", func(b *testing.B) {
-			grad := nn.NewVector(lstm.NumParams())
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				grad.Zero()
-				lstm.Grad(s.In, s.Out, nn.MSE{}, grad)
-			}
-		}),
-		measureStep(4),
-		measureStep(2),
-		measure("AdamStep", func(b *testing.B) {
-			w := nn.RandomVector(4096, 0.1, rand.New(rand.NewSource(1)))
-			g := nn.RandomVector(4096, 0.1, rand.New(rand.NewSource(2)))
-			opt := nn.NewAdam(0.001)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				opt.Step(w, g)
-			}
-		}),
-	}
-	return results
-}
-
-// measureStep times one LSTM forward step at hidden 12 with in inputs, the
-// row BenchmarkLSTMForwardStep/h12_in<in> reports.
-func measureStep(in int) Result {
-	step := nn.LSTMStepFunc(in, 12, rand.New(rand.NewSource(1)))
-	return measure(fmt.Sprintf("LSTMForwardStep/h12_in%d", in), func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			step()
-		}
-	})
-}
-
-// WriteJSON runs the suite and writes path, preserving an existing file's
-// Baseline (and Note); a fresh file records the run as both baseline and
-// current.
-func WriteJSON(path string) (File, error) {
-	return WriteJSONWith(path, Run())
-}
-
-// WriteJSONWith is WriteJSON for an already-measured run, so one suite
-// execution can feed both the regression check and the artifact file.
-func WriteJSONWith(path string, cur []Result) (File, error) {
-	f := File{
-		Note:   "NN hot-path kernel costs; baseline is preserved across runs — compare current against it.",
-		GoOS:   runtime.GOOS,
-		GoArch: runtime.GOARCH,
-	}
-	if raw, err := os.ReadFile(path); err == nil {
-		var prev File
-		if err := json.Unmarshal(raw, &prev); err == nil && len(prev.Baseline) > 0 {
-			f.Baseline = prev.Baseline
-			if prev.Note != "" {
-				f.Note = prev.Note
-			}
+// Record measures s and writes path. An existing file keeps its Baseline
+// and Note. A fresh file measures each spec's before-side back to back with
+// its production side — neighbor noise drifts over seconds on shared
+// machines, so adjacent observations keep each recorded speedup honest —
+// and records a spec without a before-side as both.
+func Record(path string, s Suite) (File, error) {
+	f := File{Note: s.Note, GoOS: runtime.GOOS, GoArch: runtime.GOARCH}
+	if prev, err := LoadFile(path); err == nil && len(prev.Baseline) > 0 {
+		f.Baseline = prev.Baseline
+		if prev.Note != "" {
+			f.Note = prev.Note
 		}
 	}
-	if f.Baseline == nil {
-		f.Baseline = cur
+	fresh := f.Baseline == nil
+	for _, sp := range s.Specs() {
+		if fresh && sp.Before != nil {
+			f.Baseline = append(f.Baseline, measure(sp.Name, sp.Before))
+		}
+		r := measure(sp.Name, sp.Run)
+		if fresh && sp.Before == nil {
+			f.Baseline = append(f.Baseline, r)
+		}
+		f.Current = append(f.Current, r)
 	}
-	f.Current = cur
-	return f, writeFile(path, f)
+	return f, f.Save(path)
 }
 
-// writeFile persists a bench File as indented JSON with a trailing newline,
-// the format both BENCH_nn.json and BENCH_assign.json are committed in.
-func writeFile(path string, f File) error {
+// Check measures the production side of every spec in s and compares the
+// run with the Current rows of the committed file at path (CheckAgainst);
+// it measures no before-side. fresh is the committed file with the run as
+// its Current rows.
+func Check(path string, s Suite, tolerance float64) (fresh File, report string, ok bool, err error) {
+	fresh, err = LoadFile(path)
+	if err != nil {
+		return File{}, "", false, err
+	}
+	var cur []Result
+	for _, sp := range s.Specs() {
+		cur = append(cur, measure(sp.Name, sp.Run))
+	}
+	report, ok = CheckAgainst(fresh, cur, tolerance)
+	fresh.Current = cur
+	return fresh, report, ok, nil
+}
+
+// Save writes f as indented JSON with a trailing newline, the format the
+// BENCH_*.json files are committed in.
+func (f File) Save(path string) error {
 	out, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {
 		return err

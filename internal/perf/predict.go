@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -17,12 +16,16 @@ import (
 	"github.com/spatialcrowd/tamp/internal/traj"
 )
 
-const predictNote = "Prediction-engine costs (forecast cache, allocation-free rollouts); baseline is the replaced path (recompute-every-call forecasts), measured interleaved with the current side so each ratio compares adjacent observations."
+var predictSuite = Suite{
+	Name:  "predict",
+	Note:  "Prediction-engine costs (forecast cache, allocation-free rollouts); baseline is the replaced path (recompute-every-call forecasts), measured interleaved with the current side so each ratio compares adjacent observations.",
+	Specs: predictSpecs,
+}
 
 const predictHorizon = 8
 
 // predictModel builds the benchmark predictor at the production shape
-// (hidden 16, SeqIn 5 — the internal/nn benchmark workload).
+// (hidden 16, SeqIn 5 — the nn suite's shape).
 func predictModel(seed int64) *predict.WorkerModel {
 	return &predict.WorkerModel{
 		WorkerID: 1,
@@ -88,47 +91,11 @@ func stationaryWorkload() (*dataset.Workload, map[int]*predict.WorkerModel, erro
 	return o.w, o.models, o.err
 }
 
-// measureSimulate times a PPI simulation of the stationary workload, with a
-// forecast memo or, as the uncached reference, without one.
-func measureSimulate(name string, cached bool) (Result, error) {
-	w, models, err := stationaryWorkload()
-	if err != nil {
-		return Result{}, err
-	}
-	run := platform.Run{Workload: w, Models: models, Assigner: assign.PPI{A: predict.DefaultMatchRadius}}
-	if cached {
-		// Long-lived cache, the server pattern: steady-state iterations run
-		// warm instead of re-paying the first pass's misses every time.
-		run.Forecasts = predict.NewForecastCache(0)
-	}
-	r := measure(name, func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := run.Simulate(context.Background()); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	return r, nil
-}
-
-// predictSpec pairs one benchmark's production path with the path the
-// engine replaced. Keeping both closures in one spec lets the fresh-file
-// writer measure them adjacent in time, so neighbor noise — which drifts
-// over seconds on shared machines — hits both sides of the speedup ratio
-// roughly equally instead of poisoning one.
-type predictSpec struct {
-	name    string
-	current func(b *testing.B)
-	oracle  func(b *testing.B)
-}
-
-// predictSpecs builds the micro-benchmark suite (everything except the
-// end-to-end simulate pair, which needs the trained workload).
-//
-// The oracle sides are the replaced paths: the allocating PredictFuture for
-// the Into variant and recompute-every-tick for the cache hit.
-func predictSpecs() []predictSpec {
+// predictSpecs time the rollout, its allocation-free variant, a warm
+// forecast-memo hit and a PPI simulation of the stationary workload. The
+// before-sides are the paths the engine replaced: the allocating rollout
+// and recompute-every-call forecasts.
+func predictSpecs() []Spec {
 	wm := predictModel(1)
 	trace := predictTrace(1, 32)
 	at := geo.Pt(42, 17)
@@ -137,144 +104,46 @@ func predictSpecs() []predictSpec {
 	cache := predict.NewForecastCache(0)
 	cache.Forecast(wm, still, predictHorizon) // warm: the steady-state hit is what serving pays
 
-	return []predictSpec{
-		{
-			name: "PredictFuture",
-			current: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					wm.PredictFuture(trace, predictHorizon)
-				}
-			},
-			oracle: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					wm.PredictFuture(trace, predictHorizon)
-				}
-			},
-		},
-		{
-			name: "PredictFutureInto",
-			current: func(b *testing.B) {
-				dst := make([]geo.Point, 0, predictHorizon)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					dst = wm.PredictFutureInto(dst[:0], trace, predictHorizon)
-				}
-			},
-			oracle: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					wm.PredictFuture(trace, predictHorizon)
-				}
-			},
-		},
-		{
-			name: "ForecastCacheHit",
-			current: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					cache.Forecast(wm, still, predictHorizon)
-				}
-			},
-			oracle: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					wm.PredictFuture(still, predictHorizon)
-				}
-			},
-		},
+	rollout := func(window []geo.Point) func(b *testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				wm.PredictFuture(window, predictHorizon)
+			}
+		}
+	}
+	return []Spec{
+		{Name: "PredictFuture", Run: rollout(trace)},
+		{Name: "PredictFutureInto", Run: func(b *testing.B) {
+			dst := make([]geo.Point, 0, predictHorizon)
+			for i := 0; i < b.N; i++ {
+				dst = wm.PredictFutureInto(dst[:0], trace, predictHorizon)
+			}
+		}, Before: rollout(trace)},
+		{Name: "ForecastCacheHit", Run: func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				cache.Forecast(wm, still, predictHorizon)
+			}
+		}, Before: rollout(still)},
+		// A long-lived memo, the server pattern: steady-state iterations run
+		// warm instead of re-paying the first pass's misses every time.
+		{Name: "SimulateStationary", Run: simulateStationary(predict.NewForecastCache(0)), Before: simulateStationary(nil)},
 	}
 }
 
-// RunPredict executes the prediction-engine suite on the production path:
-// memoized forecasts and the allocation-free rollout.
-func RunPredict() ([]Result, error) {
-	var results []Result
-	for _, sp := range predictSpecs() {
-		results = append(results, measure(sp.name, sp.current))
-	}
-	sim, err := measureSimulate("SimulateStationary", true)
-	if err != nil {
-		return nil, err
-	}
-	return append(results, sim), nil
-}
-
-// RunPredictOracle executes the same suite along the paths the engine
-// replaced — recompute-every-call forecasts — producing the Baseline of a
-// fresh BENCH_predict.json, so the speedup the cache buys is pinned in the
-// artifact.
-func RunPredictOracle() ([]Result, error) {
-	var results []Result
-	for _, sp := range predictSpecs() {
-		results = append(results, measure(sp.name, sp.oracle))
-	}
-	sim, err := measureSimulate("SimulateStationary", false)
-	if err != nil {
-		return nil, err
-	}
-	return append(results, sim), nil
-}
-
-// WritePredictJSON measures the production suite and writes path in the
-// BENCH_nn.json schema. An existing file keeps its Baseline (and Note); a
-// fresh file additionally runs the replaced-path oracle and records it as
-// the Baseline — measured interleaved with the production side, each pair
-// back to back, so the recorded speedups are ratios between adjacent
-// observations rather than between two distant noise regimes.
-func WritePredictJSON(path string) (File, error) {
-	if prev, err := LoadFile(path); err == nil && len(prev.Baseline) > 0 {
-		cur, err := RunPredict()
+// simulateStationary times a PPI simulation of the stationary workload
+// through forecasts, or, as the uncached reference, through none.
+func simulateStationary(forecasts *predict.ForecastCache) func(b *testing.B) {
+	return func(b *testing.B) {
+		w, models, err := stationaryWorkload()
 		if err != nil {
-			return File{}, err
+			panic(err)
 		}
-		return WritePredictJSONWith(path, cur)
-	}
-	var base, cur []Result
-	for _, sp := range predictSpecs() {
-		base = append(base, measure(sp.name, sp.oracle))
-		cur = append(cur, measure(sp.name, sp.current))
-	}
-	ob, err := measureSimulate("SimulateStationary", false)
-	if err != nil {
-		return File{}, err
-	}
-	oc, err := measureSimulate("SimulateStationary", true)
-	if err != nil {
-		return File{}, err
-	}
-	f := File{
-		Note:     predictNote,
-		GoOS:     runtime.GOOS,
-		GoArch:   runtime.GOARCH,
-		Baseline: append(base, ob),
-		Current:  append(cur, oc),
-	}
-	return f, writeFile(path, f)
-}
-
-// WritePredictJSONWith is WritePredictJSON for an already-measured run, so
-// one suite execution can feed both the regression check and the artifact.
-func WritePredictJSONWith(path string, cur []Result) (File, error) {
-	f := File{
-		Note:   predictNote,
-		GoOS:   runtime.GOOS,
-		GoArch: runtime.GOARCH,
-	}
-	if prev, err := LoadFile(path); err == nil && len(prev.Baseline) > 0 {
-		f.Baseline = prev.Baseline
-		if prev.Note != "" {
-			f.Note = prev.Note
+		run := platform.Run{Workload: w, Models: models, Assigner: assign.PPI{A: predict.DefaultMatchRadius}, Forecasts: forecasts}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := run.Simulate(context.Background()); err != nil {
+				panic(err)
+			}
 		}
 	}
-	if f.Baseline == nil {
-		oracle, err := RunPredictOracle()
-		if err != nil {
-			return File{}, err
-		}
-		f.Baseline = oracle
-	}
-	f.Current = cur
-	return f, writeFile(path, f)
 }
