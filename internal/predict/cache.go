@@ -46,8 +46,13 @@ import (
 // worker IDs (and independent version counters) would mix forecasts. The
 // cache Train puts on its Result (Result.Forecasts) serves that Result's
 // models by construction.
+//
+// A replay pass's memo (NewPassCache) may sit in front of such a set memo:
+// on a miss it looks the window up there, read-only, before rolling out.
 type ForecastCache struct {
 	maxPerWorker int
+	// set is the trained set's memo a pass memo reads through to, or nil.
+	set *ForecastCache
 
 	mu      sync.Mutex
 	workers map[int]*workerCache
@@ -75,6 +80,29 @@ func NewForecastCache(maxPerWorker int) *ForecastCache {
 		maxPerWorker: maxPerWorker,
 		workers:      make(map[int]*workerCache),
 	}
+}
+
+// NewPassCache returns the memo of one replay pass over models: a
+// NewForecastCache(0) that, when every model in models was built by one
+// Train and so carries that set's memo (Result.Forecasts), looks a window it
+// lacks up in the set memo before rolling it out. That lookup is read-only —
+// it inserts, evicts, touches and unlinks nothing and moves none of the set
+// memo's counters — and a found forecast counts as a hit of the pass memo. A
+// window missing from both is rolled out and kept in the pass memo only, so
+// a replay's own windows die with the pass and never displace a
+// simulation's. Models loaded from a bundle or built by hand carry no set
+// memo, and neither do two sets mixed: the pass memo then stands alone.
+func NewPassCache(models map[int]*WorkerModel) *ForecastCache {
+	c := NewForecastCache(0)
+	var set *ForecastCache
+	for _, wm := range models {
+		if wm == nil || wm.set == nil || (set != nil && wm.set != set) {
+			return c
+		}
+		set = wm.set
+	}
+	c.set = set
+	return c
 }
 
 // Instrument mirrors the cache's hit/miss/eviction counters into reg as
@@ -132,20 +160,25 @@ func (c *ForecastCache) Forecast(wm *WorkerModel, recent []geo.Point, horizon in
 	wc := c.worker(wm.WorkerID)
 
 	wc.mu.Lock()
-	if e := wc.find(key, win, horizon, ver); e != nil {
+	e := wc.find(key, win, horizon, ver)
+	if e != nil {
 		wc.touch(e)
-		wc.mu.Unlock()
+	}
+	wc.mu.Unlock()
+	if e == nil {
+		e = c.set.peek(wm.WorkerID, key, win, horizon, ver)
+	}
+	if e != nil {
 		c.hits.Inc()
 		if c.regHits != nil {
 			c.regHits.Inc()
 		}
 		return e.pred
 	}
-	wc.mu.Unlock()
 
 	// Miss: copy the window before the rollout shifts it in place, compute
 	// into an entry-owned buffer, then publish.
-	e := &fcEntry{
+	e = &fcEntry{
 		key:     key,
 		win:     append([]geo.Point(nil), win...),
 		horizon: horizon,
@@ -208,14 +241,42 @@ func (c *ForecastCache) worker(id int) *workerCache {
 // version, or nil. An entry matching window+horizon under an older version
 // is stale — it can never hit again — so it is unlinked on sight.
 func (wc *workerCache) find(key uint64, win []geo.Point, horizon int, ver uint64) *fcEntry {
+	e := wc.match(key, win, horizon)
+	if e != nil && e.version != ver {
+		wc.remove(e)
+		return nil
+	}
+	return e
+}
+
+// match returns the entry holding the exact window bits and horizon under
+// any version, or nil; there is at most one, since find unlinks a stale
+// entry before its window is inserted again.
+func (wc *workerCache) match(key uint64, win []geo.Point, horizon int) *fcEntry {
 	for e := wc.entries[key]; e != nil; e = e.chain {
-		if e.horizon != horizon || !sameWindow(e.win, win) {
-			continue
+		if e.horizon == horizon && sameWindow(e.win, win) {
+			return e
 		}
-		if e.version != ver {
-			wc.remove(e)
-			return nil
-		}
+	}
+	return nil
+}
+
+// peek is find without a side effect, for a pass memo reading through to
+// this one: it creates no worker, touches no recency, unlinks no stale entry
+// and counts nothing. A nil cache finds nothing.
+func (c *ForecastCache) peek(id int, key uint64, win []geo.Point, horizon int, ver uint64) *fcEntry {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	wc := c.workers[id]
+	c.mu.Unlock()
+	if wc == nil {
+		return nil
+	}
+	wc.mu.Lock()
+	defer wc.mu.Unlock()
+	if e := wc.match(key, win, horizon); e != nil && e.version == ver {
 		return e
 	}
 	return nil

@@ -247,6 +247,95 @@ func TestCacheHitZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPassCacheReadsTheSetMemoReadOnly: a pass memo over one set's models
+// answers a window the set memo holds with the set's own slice, counted as
+// its hit, and changes nothing there — no entry, no counter, no recency
+// (the set memo still evicts the window it inserted first), no unlinking
+// of a stale-version entry. A window missing from both is rolled out,
+// bit-identical to a recompute, and kept by the pass memo alone.
+func TestPassCacheReadsTheSetMemoReadOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	set := NewForecastCache(2)
+	wm, other := testWorkerModel(t, 1), testWorkerModel(t, 2)
+	wm.set, other.set = set, set
+	plain := testWorkerModel(t, 1)
+	a, b, c, d := randTrace(rng, 6), randTrace(rng, 6), randTrace(rng, 6), randTrace(rng, 6)
+	fromSet := set.Forecast(wm, a, 6)
+	set.Forecast(wm, b, 6)
+	h0, m0, e0 := set.Stats()
+	unchanged := func(when string) {
+		t.Helper()
+		if h, m, e := set.Stats(); set.Len() != 2 || h != h0 || m != m0 || e != e0 {
+			t.Fatalf("%s: set memo len %d, stats %d/%d/%d; want 2, %d/%d/%d", when, set.Len(), h, m, e, h0, m0, e0)
+		}
+	}
+
+	pass := NewPassCache(map[int]*WorkerModel{1: wm, 2: other})
+	if got := pass.Forecast(wm, a, 6); &got[0] != &fromSet[0] {
+		t.Fatal("the pass memo did not answer from the set memo")
+	}
+	if h, m, _ := pass.Stats(); h != 1 || m != 0 || pass.Len() != 0 {
+		t.Fatalf("pass memo after a set-memo hit: hits=%d misses=%d len=%d, want 1/0/0", h, m, pass.Len())
+	}
+	unchanged("after a read-through hit")
+	if got := pass.Forecast(wm, c, 6); !pointsBitEqual(got, plain.PredictFuture(c, 6)) {
+		t.Fatal("a rollout through the pass memo differs from a recompute")
+	}
+	if h, m, _ := pass.Stats(); h != 1 || m != 1 || pass.Len() != 1 {
+		t.Fatalf("pass memo after a miss in both: hits=%d misses=%d len=%d, want 1/1/1", h, m, pass.Len())
+	}
+	unchanged("after a miss in both")
+
+	// Had the read touched a, b would be the oldest and d would evict it.
+	set.Forecast(wm, d, 6)
+	h, _, _ := set.Stats()
+	set.Forecast(wm, b, 6)
+	if h2, _, _ := set.Stats(); h2 != h+1 {
+		t.Fatal("the read-through refreshed the set memo's recency: b was evicted before a")
+	}
+
+	// A stale entry stays where it is: the pass memo misses and rolls out.
+	wm.BumpVersion()
+	h0, m0, e0 = set.Stats()
+	stale := NewPassCache(map[int]*WorkerModel{1: wm, 2: other})
+	stale.Forecast(wm, b, 6)
+	if h, m, _ := stale.Stats(); h != 0 || m != 1 {
+		t.Fatalf("a stale set-memo entry answered: hits=%d misses=%d", h, m)
+	}
+	unchanged("after a stale read")
+}
+
+// TestPassCacheStandsAloneWithoutOneSet: models with no set memo, a nil
+// model, or models of two sets give a pass memo that reads nothing through.
+func TestPassCacheStandsAloneWithoutOneSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	trace := randTrace(rng, 6)
+	setA, setB := NewForecastCache(0), NewForecastCache(0)
+	for name, models := range map[string]func(wm *WorkerModel) map[int]*WorkerModel{
+		"no set memo": func(wm *WorkerModel) map[int]*WorkerModel {
+			return map[int]*WorkerModel{1: wm, 2: testWorkerModel(t, 2)}
+		},
+		"a nil model": func(wm *WorkerModel) map[int]*WorkerModel {
+			wm.set = setA
+			return map[int]*WorkerModel{1: wm, 2: nil}
+		},
+		"two sets": func(wm *WorkerModel) map[int]*WorkerModel {
+			wm.set = setA
+			other := testWorkerModel(t, 2)
+			other.set = setB
+			return map[int]*WorkerModel{1: wm, 2: other}
+		},
+	} {
+		wm := testWorkerModel(t, 1)
+		setA.Forecast(wm, trace, 6)
+		pass := NewPassCache(models(wm))
+		pass.Forecast(wm, trace, 6)
+		if h, m, _ := pass.Stats(); h != 0 || m != 1 {
+			t.Errorf("%s: hits=%d misses=%d, want a plain miss", name, h, m)
+		}
+	}
+}
+
 // scanLRU is the eviction the recency list replaced, kept as the oracle: one
 // worker's entries carry a use stamp, and the victim is found by scanning
 // them all for the smallest.

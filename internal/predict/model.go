@@ -40,6 +40,11 @@ type WorkerModel struct {
 	// keys entries by it, so adapting a model invalidates that worker's
 	// cached forecasts without any explicit eviction call.
 	version uint64
+
+	// set is the memo of the trained set this model belongs to
+	// (Result.Forecasts), given by Train; NewPassCache reads through to it.
+	// Models loaded from a bundle or built by hand carry none.
+	set *ForecastCache
 }
 
 // Version identifies the current weights: it increments every time AdaptOn

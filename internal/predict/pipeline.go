@@ -113,10 +113,13 @@ type Result struct {
 	// function of (weights, window, horizon) and the windows are the
 	// workers' true traces whatever the assigner, so a second pass over the
 	// test horizon — another assigner, another sweep point, a chaos re-run —
-	// pays only for the windows the first did not see. Each worker holds one
-	// entry per tick of the test horizon the set was trained for; the LRU
+	// pays only for the windows the first did not see. Each worker holds two
+	// entries per tick of the test horizon the set was trained for — a clean
+	// and a perturbed (chaos) window — so a round of passes fits; the LRU
 	// default (DefaultCacheMaxPerWorker) would have evicted a tick's entry
-	// long before the next pass asks for it.
+	// long before the next pass asks for it. Every model of Models carries a
+	// reference to it, so a replay pass over them reads through to it
+	// (NewPassCache) without writing to it.
 	Forecasts *ForecastCache
 	Norm      traj.Normalizer
 	Eval      EvalResult
@@ -220,7 +223,7 @@ func Train(ctx context.Context, w *dataset.Workload, opts Options) (*Result, err
 		Options:   opts,
 		Trained:   trained,
 		Models:    map[int]*WorkerModel{},
-		Forecasts: NewForecastCache(w.Params.TestDays * w.Params.TicksPerDay),
+		Forecasts: NewForecastCache(2 * w.Params.TestDays * w.Params.TicksPerDay),
 		Norm:      norm,
 		TrainTime: trainTime,
 	}
@@ -298,19 +301,19 @@ func Train(ctx context.Context, w *dataset.Workload, opts Options) (*Result, err
 	return res, nil
 }
 
-// newWorkerModel wraps an adapted network and measures its matching rate on
+// newWorkerModel wraps an adapted network, measures its matching rate on
 // the worker's held-out query samples (the platform's proxy for MR before
-// any test-day data exists).
+// any test-day data exists), and gives it the set's memo.
 func (r *Result) newWorkerModel(workerID int, m nn.Model, task *meta.LearningTask) *WorkerModel {
-	wm := &WorkerModel{
+	return &WorkerModel{
 		WorkerID: workerID,
 		Model:    m,
 		Norm:     r.Norm,
 		SeqIn:    r.Options.SeqIn,
 		SeqOut:   r.Options.SeqOut,
 		MR:       queryMatchingRate(m, task, r.Norm, DefaultMatchRadius),
+		set:      r.Forecasts,
 	}
-	return wm
 }
 
 func queryMatchingRate(m nn.Model, task *meta.LearningTask, norm traj.Normalizer, radius float64) float64 {

@@ -206,9 +206,11 @@ func TestTrainReleasesItsInputs(t *testing.T) {
 	res.Trained.AdaptedModel(0)
 }
 
-// TestTrainSizesTheMemoToTheHorizon: the Result's forecast memo holds one
-// entry per tick of the test horizon for each worker, so a whole pass fits
-// and the next one finds it.
+// TestTrainSizesTheMemoToTheHorizon: the Result's forecast memo holds two
+// entries per tick of the test horizon for each worker — a clean and a
+// perturbed window per tick — so a round of passes fits and the next one
+// finds it, and it evicts only past that bound. Every model Train builds
+// carries the memo.
 func TestTrainSizesTheMemoToTheHorizon(t *testing.T) {
 	w := tinyWorkload(dataset.Workload1)
 	res, err := Train(context.Background(), w, tinyOptions())
@@ -219,16 +221,30 @@ func TestTrainSizesTheMemoToTheHorizon(t *testing.T) {
 	if horizon <= DefaultCacheMaxPerWorker {
 		t.Fatalf("horizon %d does not exceed the LRU default; the test is vacuous", horizon)
 	}
+	for id, wm := range res.Models {
+		if wm.set != res.Forecasts {
+			t.Fatalf("worker %d's model does not carry its set's memo", id)
+		}
+	}
+	bound := 2 * horizon
 	wk := &w.Workers[0]
 	wm := res.Models[wk.ID]
 	rng := rand.New(rand.NewSource(5))
-	traces := make([][]geo.Point, horizon+3)
+	traces := make([][]geo.Point, bound+3)
 	for i := range traces {
 		traces[i] = randTrace(rng, 4)
 		res.Forecasts.Forecast(wm, traces[i], 6)
+		if i == bound-1 {
+			if got := res.Forecasts.Len(); got != bound {
+				t.Fatalf("memo holds %d entries for one worker after %d distinct windows, want all %d", got, bound, bound)
+			}
+			if _, _, evictions := res.Forecasts.Stats(); evictions != 0 {
+				t.Fatalf("evictions = %d within the bound %d, want 0", evictions, bound)
+			}
+		}
 	}
-	if got := res.Forecasts.Len(); got != horizon {
-		t.Fatalf("memo holds %d entries for one worker after %d distinct windows, want the horizon %d", got, len(traces), horizon)
+	if got := res.Forecasts.Len(); got != bound {
+		t.Fatalf("memo holds %d entries for one worker after %d distinct windows, want twice the horizon, %d", got, len(traces), bound)
 	}
 	if _, _, evictions := res.Forecasts.Stats(); evictions != 3 {
 		t.Fatalf("evictions = %d, want 3", evictions)

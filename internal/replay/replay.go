@@ -12,6 +12,13 @@
 // the plan the live run committed: "what would KM have offered where PPI
 // ran?". Because core.State transitions and the assigners are deterministic,
 // replaying the same log with the same options yields bit-identical reports.
+//
+// Each pass keeps its own forecast memo. When every model it is given was
+// built by one predict.Train, the memo reads through to that set's memo
+// (predict.Result.Forecasts, filled by the simulations over the set,
+// perhaps the very recording being replayed): a window found there is not
+// rolled out again, and nothing the pass computes is written back, so a
+// replay never displaces a simulation's forecasts (predict.NewPassCache).
 package replay
 
 import (
@@ -104,13 +111,15 @@ func Run(ctx context.Context, dir string, opts Options) (*Report, error) {
 			return nil, err
 		}
 	}
-	events := make([]core.Event, len(rec.Records))
-	for i, b := range rec.Records {
-		if events[i], err = core.DecodeEvent(b); err != nil {
+	// Each record is decoded as it is applied: the log is never held twice,
+	// once as records and once as events.
+	rep, err := pass(ctx, st, len(rec.Records), func(i int) (core.Event, error) {
+		ev, err := core.DecodeEvent(rec.Records[i])
+		if err != nil {
 			return nil, fmt.Errorf("replay: record %d (seq %d): %w", i, rec.StartSeq+uint64(i), err)
 		}
-	}
-	rep, err := Events(ctx, st, events, opts)
+		return ev, nil
+	}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -123,6 +132,11 @@ func Run(ctx context.Context, dir string, opts Options) (*Report, error) {
 // opts.Assigner. This is Run for callers that already hold the events — a
 // recording simulation, or a test comparing plans across assigners.
 func Events(ctx context.Context, st *core.State, events []core.Event, opts Options) (*Report, error) {
+	return pass(ctx, st, len(events), func(i int) (core.Event, error) { return events[i], nil }, opts)
+}
+
+// pass replays the n events event(0), …, event(n-1) onto st, in order.
+func pass(ctx context.Context, st *core.State, n int, event func(i int) (core.Event, error), opts Options) (*Report, error) {
 	if opts.Registry == nil {
 		opts.Registry = obs.Default
 	}
@@ -135,12 +149,17 @@ func Events(ctx context.Context, st *core.State, events []core.Event, opts Optio
 	ctx = assign.WithWorkspace(ctx, assign.NewWorkspace())
 	// One forecast memo for the whole pass, mirroring the live server's
 	// long-lived cache: counterfactual batches replay the same windows the
-	// live run saw, so stationary stretches reuse their rollouts.
-	fc := predict.NewForecastCache(0)
+	// live run saw, so stationary stretches reuse their rollouts, and a
+	// trained set's models lend it their set's memo to read.
+	fc := predict.NewPassCache(opts.Models)
 	fc.Instrument(opts.Registry)
 	start := opts.Registry.Now()
-	for i, ev := range events {
+	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		ev, err := event(i)
+		if err != nil {
 			return nil, err
 		}
 		if live, degraded, isBatch := batchOffers(ev); isBatch {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -209,6 +210,74 @@ func smallLog(t *testing.T, dir string) []core.Event {
 		t.Fatal(err)
 	}
 	return events
+}
+
+// TestReplayNamesAnUndecodableRecord: a record the WAL frames and checksums
+// correctly but that does not decode as an event fails the pass, with an
+// error naming the record and its sequence number. The log starts at a
+// snapshot, so the two differ: record 1 is seq 3.
+func TestReplayNamesAnUndecodableRecord(t *testing.T) {
+	dir := t.TempDir()
+	head := []core.Event{
+		core.WorkerRegistered{WorkerID: 1, Detour: 25, Speed: 1, MR: 0.8},
+		core.WorkerReported{WorkerID: 1, X: 10, Y: 10},
+	}
+	st := core.NewState()
+	log, _, err := wal.Open(dir, wal.Options{SegmentBytes: 1}) // a segment a record
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range append(head, core.TickAdvanced{}) {
+		b, err := core.EncodeEvent(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := log.Append(b); err != nil {
+			t.Fatal(err)
+		}
+		if st.Applied < uint64(len(head)) {
+			if err := st.Apply(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := log.Snapshot(st.EncodeSnapshot(), st.Applied); err != nil {
+		t.Fatal(err)
+	}
+	tick, err := core.EncodeEvent(core.TickAdvanced{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range [][]byte{[]byte("not an event"), tick} {
+		if _, err := log.Append(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Reclaim the segments the snapshot covers.
+	for seq := range head {
+		if err := os.Remove(filepath.Join(dir, fmt.Sprintf("%020d.wal", seq))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, err := wal.ReadLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.StartSeq != 2 || rec.Torn != nil || len(rec.Records) != 3 {
+		t.Fatalf("the log reads back from seq %d with %d records, torn %v; want seq 2, 3 records, whole", rec.StartSeq, len(rec.Records), rec.Torn)
+	}
+
+	rep, err := replay.Run(context.Background(), dir, replay.Options{Assigner: assign.KM{}})
+	if err == nil {
+		t.Fatalf("replay of a log with an undecodable record succeeded: %+v", rep)
+	}
+	var codecErr *core.CodecError
+	if !errors.As(err, &codecErr) || !strings.Contains(err.Error(), "record 1 (seq 3)") {
+		t.Fatalf("error %q does not name record 1 (seq 3) and wrap the codec error", err)
+	}
 }
 
 // TestReplayTornTailCoversValidPrefix appends garbage to the recorded
