@@ -79,10 +79,11 @@ GOTEST_RUN = GO="$(GO)" scripts/gotest-run.sh
 # prediction engine (PredictFutureInto, EvaluateOnRoutine, cache hits) must
 # stay at 0 allocs per call, and applying a clock tick or a location report
 # to a warmed core.State must allocate nothing (State.Apply keeps nothing
-# of its argument).
+# of its argument), and a warmed event codec allocates only what it returns
+# (EncodeEvent the slice, DecodeEvent the event and a batch's offers).
 perfcheck:
 	$(GOTEST_RUN) ./internal/nn 'AllocFree' -v
-	$(GOTEST_RUN) ./internal/core 'TestApplyAllocFree' -v
+	$(GOTEST_RUN) ./internal/core 'TestApplyAllocFree|TestCodecAllocs' -v
 	$(GOTEST_RUN) ./internal/assign 'TestMatcherSteadyStateAllocFree|TestMatcherAllocsDoNotGrowWithBatches|TestSortPendingAllocFree|TestKernelSteadyStateAllocs' -v
 	$(GOTEST_RUN) ./internal/predict 'TestPredictFutureIntoZeroAlloc|TestEvaluateOnRoutineZeroAlloc|TestCacheHitZeroAlloc' -v
 

@@ -36,6 +36,14 @@ type TaskSubmitted struct {
 	Reward   float64 `json:"reward,omitempty"`
 }
 
+// TaskIDLimit bounds task ids: Apply refuses a TaskSubmitted at or above
+// it. 2^53 is the largest integer every JSON client round-trips exactly
+// (a float64 holds every integer up to it), and the bound leaves NextTask,
+// one past the largest id, room below math.MaxInt. httpapi.TaskIDLimit is
+// the same bound on the HTTP wire, where the router, which does not link
+// core, reads it.
+const TaskIDLimit int64 = 1 << 53
+
 // TaskCancelled withdraws an open or offered task; a pending offer on it is
 // retracted as part of the same transition.
 type TaskCancelled struct {

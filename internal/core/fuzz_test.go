@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -24,9 +25,11 @@ func emptyOffersAsNil(ev Event) Event {
 	return ev
 }
 
-// FuzzDecodeEvent feeds arbitrary bytes to the WAL's event decoder: it must
-// never panic, and whatever it accepts must survive encode → decode as an
-// equal event.
+// FuzzDecodeEvent feeds arbitrary bytes to the WAL's event decoder,
+// differentially against the encoding/json reference: it must never panic,
+// refuse only with a *CodecError, accept nothing the reference refuses,
+// read what it accepts as the reference does, and re-encode it to the bytes
+// the reference writes, which decode to an equal event.
 func FuzzDecodeEvent(f *testing.F) {
 	for _, ev := range codecEvents {
 		b, err := EncodeEvent(ev)
@@ -35,14 +38,31 @@ func FuzzDecodeEvent(f *testing.F) {
 		}
 		f.Add(b)
 	}
+	for _, s := range nonCanonical {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ev, err := DecodeEvent(b)
 		if err != nil {
+			var ce *CodecError
+			if !errors.As(err, &ce) {
+				t.Fatalf("error %v is a %T, want a *CodecError", err, err)
+			}
 			return
+		}
+		ref, err := jsonDecodeEvent(b)
+		if err != nil {
+			t.Fatalf("accepted %s, which encoding/json refuses: %v", b, err)
+		}
+		if !reflect.DeepEqual(ev, ref) {
+			t.Fatalf("%s decodes to %#v, encoding/json reads %#v", b, ev, ref)
 		}
 		enc, err := EncodeEvent(ev)
 		if err != nil {
 			t.Fatalf("decoded %#v does not re-encode: %v", ev, err)
+		}
+		if want, _ := jsonEncodeEvent(ev); string(enc) != string(want) {
+			t.Fatalf("%#v encodes to %s, encoding/json writes %s", ev, enc, want)
 		}
 		again, err := DecodeEvent(enc)
 		if err != nil {

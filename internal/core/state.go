@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 
@@ -119,6 +120,32 @@ func applyErr(kind, format string, args ...any) error {
 	return &ApplyError{Kind: kind, Reason: fmt.Sprintf(format, args...)}
 }
 
+// nonFinite names the first float field of ev that is NaN or ±Inf, and ev's
+// kind. JSON has no spelling for such a value: EncodeEvent cannot write the
+// event and Apply refuses it, so an event the state takes is one the log
+// can hold.
+func nonFinite(ev Event) (kind, field string, v float64) {
+	type float struct {
+		field string
+		v     float64
+	}
+	var fs [3]float
+	switch e := ev.(type) {
+	case TaskSubmitted:
+		kind, fs = KindTaskSubmitted, [3]float{{"x", e.X}, {"y", e.Y}, {"reward", e.Reward}}
+	case WorkerRegistered:
+		kind, fs = KindWorkerRegistered, [3]float{{"detour", e.Detour}, {"speed", e.Speed}, {"mr", e.MR}}
+	case WorkerReported:
+		kind, fs = KindWorkerReported, [3]float{{"x", e.X}, {"y", e.Y}}
+	}
+	for _, f := range fs {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return kind, f.field, f.v
+		}
+	}
+	return "", "", 0
+}
+
 // Apply executes one state transition. It validates the event against the
 // current state first and mutates only if the transition is legal, so a
 // failed Apply never leaves partial effects. Every legal mutation of the
@@ -126,6 +153,9 @@ func applyErr(kind, format string, args ...any) error {
 // Apply keeps nothing of ev, so a caller's conversion to Event can stay on
 // the caller's stack.
 func (s *State) Apply(ev Event) error {
+	if kind, field, v := nonFinite(ev); field != "" {
+		return applyErr(kind, "%s %v not finite", field, v)
+	}
 	var err error
 	switch e := ev.(type) {
 	case TaskSubmitted:
@@ -161,6 +191,9 @@ func (s *State) Apply(ev Event) error {
 func (s *State) applyTaskSubmitted(e TaskSubmitted) error {
 	if e.TaskID <= 0 {
 		return applyErr(KindTaskSubmitted, "task id %d not positive", e.TaskID)
+	}
+	if int64(e.TaskID) >= TaskIDLimit {
+		return applyErr(KindTaskSubmitted, "task id %d not below %d", e.TaskID, TaskIDLimit)
 	}
 	if _, dup := s.Tasks[e.TaskID]; dup {
 		return applyErr(KindTaskSubmitted, "task %d already exists", e.TaskID)

@@ -25,11 +25,19 @@ import (
 // default one (1 MiB): a larger body is refused, not buffered.
 const MaxBodyBytes = 1 << 20
 
+// TaskIDLimit bounds task ids on the wire: shard and router answer 400 to a
+// caller-chosen id at or above it, and 409 to an id-less submit once their
+// next id has reached it. 2^53 is the largest integer every JSON client
+// round-trips exactly; it is core.TaskIDLimit, the bound the state machine
+// enforces, stated here for the router, which does not link core.
+const TaskIDLimit int64 = 1 << 53
+
 // TaskRequest is the body of POST /api/tasks.
 type TaskRequest struct {
-	// ID, when positive, is a caller-chosen task id (the router allocates
-	// globally unique ids so a border task keeps one identity on both shards
-	// it is offered to). Zero lets the shard allocate.
+	// ID, when positive, is a caller-chosen task id below TaskIDLimit (the
+	// router allocates globally unique ids so a border task keeps one
+	// identity on both shards it is offered to). Zero lets the shard
+	// allocate.
 	ID       int     `json:"id,omitempty"`
 	X        float64 `json:"x"`
 	Y        float64 `json:"y"`

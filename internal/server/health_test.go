@@ -206,6 +206,35 @@ func TestExplicitTaskIDAndOfferLookup(t *testing.T) {
 	}
 }
 
+// TestTaskIDLimit: a caller-chosen task id at or above 2^53 is answered
+// 400 and changes nothing, so an id-less submit after it still gets the
+// next id. Once the next id reaches the limit, an id-less submit is 409,
+// and an explicit unused id still gets in.
+func TestTaskIDLimit(t *testing.T) {
+	if httpapi.TaskIDLimit != core.TaskIDLimit {
+		t.Fatalf("httpapi.TaskIDLimit %d, core.TaskIDLimit %d", httpapi.TaskIDLimit, core.TaskIDLimit)
+	}
+	c := newClient(t, testConfig())
+	for _, id := range []int{1 << 53, 1<<63 - 1} {
+		if code := c.do("POST", "/api/tasks", httpapi.TaskRequest{ID: id, X: 1, Y: 1, Deadline: 30}, nil); code != http.StatusBadRequest {
+			t.Errorf("task id %d: status %d, want 400", id, code)
+		}
+	}
+	var task httpapi.TaskResponse
+	if code := c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 1, Y: 1, Deadline: 30}, &task); code != http.StatusCreated || task.ID != 1 {
+		t.Fatalf("id-less submit after refused ids: status %d, task %+v", code, task)
+	}
+	if code := c.do("POST", "/api/tasks", httpapi.TaskRequest{ID: 1<<53 - 1, X: 1, Y: 1, Deadline: 30}, nil); code != http.StatusCreated {
+		t.Fatalf("task id 2^53-1: status %d, want 201", code)
+	}
+	if code := c.do("POST", "/api/tasks", httpapi.TaskRequest{X: 1, Y: 1, Deadline: 30}, nil); code != http.StatusConflict {
+		t.Errorf("id-less submit with no id left: status %d, want 409", code)
+	}
+	if code := c.do("POST", "/api/tasks", httpapi.TaskRequest{ID: 7, X: 1, Y: 1, Deadline: 30}, nil); code != http.StatusCreated {
+		t.Errorf("explicit unused id with no id left: status %d, want 201", code)
+	}
+}
+
 func TestOfferBaseDisjointsIDSpace(t *testing.T) {
 	cfg := testConfig()
 	cfg.OfferBase = 2_000_000_000

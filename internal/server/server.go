@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strings"
@@ -506,12 +507,19 @@ func (s *Server) submitTask(w http.ResponseWriter, r *http.Request) {
 	}
 	loc := s.cfg.Grid.Bounds().Clamp(geo.Pt(req.X, req.Y))
 	id := s.st.NextTask
-	if req.ID > 0 {
+	switch {
+	case int64(req.ID) >= httpapi.TaskIDLimit:
+		httpapi.Error(w, http.StatusBadRequest, "task id %d not below %d", req.ID, httpapi.TaskIDLimit)
+		return
+	case req.ID > 0:
 		if _, dup := s.st.Tasks[req.ID]; dup {
 			httpapi.Error(w, http.StatusConflict, "task %d already exists", req.ID)
 			return
 		}
 		id = req.ID
+	case int64(id) >= httpapi.TaskIDLimit:
+		httpapi.Error(w, http.StatusConflict, "no task id left below %d; submit with an unused id", httpapi.TaskIDLimit)
+		return
 	}
 	if s.commit(w, core.TaskSubmitted{TaskID: id, X: loc.X, Y: loc.Y, Deadline: req.Deadline}) {
 		httpapi.WriteJSON(w, http.StatusCreated, s.taskResponseLocked(id))
@@ -603,6 +611,13 @@ func (s *Server) registerWorker(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.MR > 0 {
 		mr = req.MR
+	}
+	// A detour of 1e308 km is +Inf cells, which no event can carry.
+	for _, v := range [...]float64{detour, speed, mr} {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			httpapi.Error(w, http.StatusBadRequest, "worker parameters must be finite (detour %v cells, speed %v, mr %v)", detour, speed, mr)
+			return
+		}
 	}
 	if s.commit(w, core.WorkerRegistered{WorkerID: req.ID, Detour: detour, Speed: speed, MR: mr}) {
 		httpapi.WriteJSON(w, http.StatusCreated, s.workerResponseLocked(s.st.Workers[req.ID]))

@@ -94,6 +94,37 @@ func TestWALRecoveryResumesExactState(t *testing.T) {
 	}
 }
 
+// TestNonFiniteWorkerRefused: a detour that overflows to +Inf cells is
+// answered 400 before anything is applied or logged, so the digest does not
+// move, the worker is not registered, and a restart recovers the same
+// state.
+func TestNonFiniteWorkerRefused(t *testing.T) {
+	cfg := testConfig()
+	cfg.WALDir = t.TempDir()
+	c, s1, ts1 := newDurableClient(t, cfg)
+	c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 1, DetourKM: 8, Speed: 1, MR: 0.8}, nil)
+	digest := s1.StateDigest()
+	if code := c.do("POST", "/api/workers", httpapi.WorkerRequest{ID: 7, DetourKM: 1e308}, nil); code != http.StatusBadRequest {
+		t.Fatalf("detour 1e308 km: status %d, want 400", code)
+	}
+	if got := s1.StateDigest(); got != digest {
+		t.Fatalf("a refused registration moved the digest:\n%s\n%s", got, digest)
+	}
+	if code := c.do("GET", "/api/workers/7", nil, nil); code != http.StatusNotFound {
+		t.Fatalf("refused worker 7: GET status %d, want 404", code)
+	}
+	ts1.Close()
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, s2, ts2 := newDurableClient(t, cfg)
+	defer ts2.Close()
+	defer s2.Close()
+	if got := s2.StateDigest(); got != digest {
+		t.Fatalf("recovered digest differs:\n%s\n%s", got, digest)
+	}
+}
+
 // crashScript drives a fixed op sequence against a durable server, capturing
 // the state digest before and after every op, until an op dies with a 500
 // (the injected crash) or the script ends. It reports the digest of the

@@ -397,8 +397,13 @@ func (rt *Router) submitTask(w http.ResponseWriter, r *http.Request) {
 		ghost = span[1]
 	}
 
+	if int64(req.ID) >= httpapi.TaskIDLimit {
+		httpapi.Error(w, http.StatusBadRequest, "task id %d not below %d", req.ID, httpapi.TaskIDLimit)
+		return
+	}
 	rt.mu.Lock()
-	if req.ID > 0 {
+	switch {
+	case req.ID > 0:
 		if _, dup := rt.tasks[req.ID]; dup {
 			rt.mu.Unlock()
 			httpapi.Error(w, http.StatusConflict, "task %d already exists", req.ID)
@@ -407,7 +412,11 @@ func (rt *Router) submitTask(w http.ResponseWriter, r *http.Request) {
 		if req.ID >= rt.nextTask {
 			rt.nextTask = req.ID + 1
 		}
-	} else {
+	case int64(rt.nextTask) >= httpapi.TaskIDLimit:
+		rt.mu.Unlock()
+		httpapi.Error(w, http.StatusConflict, "no task id left below %d; submit with an unused id", httpapi.TaskIDLimit)
+		return
+	default:
 		req.ID = rt.nextTask
 		rt.nextTask++
 	}

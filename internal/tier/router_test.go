@@ -275,6 +275,28 @@ func TestRouterInteriorFlow(t *testing.T) {
 	}
 }
 
+// TestRouterTaskIDLimit: the router answers 400 to a caller-chosen task id
+// at or above 2^53 without touching its allocator, and 409 to an id-less
+// submit once its next id has reached the limit.
+func TestRouterTaskIDLimit(t *testing.T) {
+	tc := newTestCluster(t, 0, 4)
+	for _, id := range []int{1 << 53, 1<<63 - 1} {
+		if code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{ID: id, X: 18, Y: 10, Deadline: 30}, nil); code != http.StatusBadRequest {
+			t.Errorf("task id %d: status %d, want 400", id, code)
+		}
+	}
+	var task taskView
+	if code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{X: 18, Y: 10, Deadline: 30}, &task); code != http.StatusCreated || task.ID != 1 {
+		t.Fatalf("id-less submit after refused ids: status %d, task %+v", code, task)
+	}
+	if code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{ID: 1<<53 - 1, X: 18, Y: 10, Deadline: 30}, nil); code != http.StatusCreated {
+		t.Fatalf("task id 2^53-1: status %d, want 201", code)
+	}
+	if code := tc.do("POST", "/api/tasks", httpapi.TaskRequest{X: 18, Y: 10, Deadline: 30}, nil); code != http.StatusConflict {
+		t.Errorf("id-less submit with no id left: status %d, want 409", code)
+	}
+}
+
 func TestRouterBorderFirstAcceptWins(t *testing.T) {
 	tc := newTestCluster(t, 1, 4) // 1 km border: x in [45, 55) spans the cut
 
