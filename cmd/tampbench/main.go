@@ -102,6 +102,10 @@ func main() {
 		return
 	}
 	if *matrixR || *checkMx != "" {
+		if name := firstSet("seed", "seeds", "csv", "scale", "exp"); name != "" {
+			fmt.Fprintf(os.Stderr, "tampbench: -%s does not apply to -matrix or -check-matrix (each -matrix-scale runs its own seed)\n", name)
+			os.Exit(2)
+		}
 		if err := runMatrix(*matrixR, *checkMx, *matrixJ, *matrixMD, *matrixSc, *matrixFr, *par); err != nil {
 			fmt.Fprintln(os.Stderr, "tampbench:", err)
 			os.Exit(1)
@@ -276,6 +280,18 @@ func runGuards(check, record, outDir string, tol float64) error {
 		return fmt.Errorf("benchmark regression against %s (tolerance %.0f%%)", strings.Join(regressed, ", "), tol*100)
 	}
 	return nil
+}
+
+// firstSet returns the first of names that the command line set, or "".
+func firstSet(names ...string) string {
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, n := range names {
+		if set[n] {
+			return n
+		}
+	}
+	return ""
 }
 
 func splitList(s string) []string {

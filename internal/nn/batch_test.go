@@ -103,7 +103,7 @@ func batchGradMatchesReference(t *testing.T, path string) {
 	rng := rand.New(rand.NewSource(133))
 	for trial := 0; trial < 10; trial++ {
 		inDim := 2 + rng.Intn(2)
-		hidden := 3 + rng.Intn(4)
+		hidden := 3 + rng.Intn(15) // up to 17: four column blocks and a tail
 		seqIn := 1 + rng.Intn(5)
 		seqOut := 1 + rng.Intn(3)
 		size := 2 + rng.Intn(5)

@@ -11,8 +11,9 @@ import "math"
 // math.Exp to its non-FMA sequence on the same hardware. So the lanes are
 // chosen once, at init, when the CPU can execute them and they reproduce
 // math.Exp bit for bit on expProbes; otherwise every call is math.Exp's.
-// The gate mat-vec's lanes (gateRows) need only AVX and ride on the same
-// choice, after their own self-check against the Go loop.
+// The lanes of the gate mat-vec (gateRows) and of the backward step
+// (backGates, backSweep) need only AVX and ride on the same choice, after
+// their own self-checks against the Go loops.
 
 // expProbes is the self-check set: ordinary and edge arguments, and eight on
 // which math.Exp's FMA and non-FMA sequences round differently (drawn from
@@ -27,9 +28,10 @@ var expProbes = [...]float64{
 }
 
 // lanes is true when every LSTM step runs the lane kernels — gateRows for
-// the gate mat-vec, expBlocks under expInPlace — and lanesWhy says why not.
-// One gate covers both, so a process runs both kernels or neither. Tests
-// flip lanes to force the Go path.
+// the gate mat-vec and expBlocks under expInPlace forward, backGates and
+// backSweep backward — and lanesWhy says why not. One gate covers them all,
+// so a process runs every kernel or none. Tests flip lanes to force the Go
+// path.
 var lanes, lanesWhy = chooseLanes()
 
 func chooseLanes() (bool, string) {
@@ -48,6 +50,12 @@ func chooseLanes() (bool, string) {
 	if !gateRowsMatchGo() {
 		return false, "self-check: gate mat-vec differs from the Go loop"
 	}
+	if !backGatesMatchGo() {
+		return false, "self-check: backward gates differ from the Go loop"
+	}
+	if !backSweepMatchesGo() {
+		return false, "self-check: backward sweep differs from the Go loop"
+	}
 	return true, ""
 }
 
@@ -59,15 +67,62 @@ func gateRowsMatchGo() bool {
 	const hidden, nin = 5, 7
 	const gs = hidden * (nin + 1)
 	var probe [4*gs + nin]float64 // the weights, then the packed input
-	for i := range probe {
-		probe[i] = float64((i*7919)%2003-1001) / 977
-	}
+	fillProbe(probe[:])
 	w, xh := probe[:4*gs], probe[4*gs:]
 	var got, want [4 * hidden]float64
 	gateRows(got[:], w, xh, gs)
 	gateRowsGo(want[:], w, xh, gs)
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+	return sameBits(got[:], want[:])
+}
+
+// backGatesMatchGo runs backGates and backGatesGo on a fixed step of
+// hidden 15 — three groups of four units and a rest of three — chosen so
+// that fusing any of the step's three multiply–add pairs (dcT's add,
+// 1 − tanhC², 1 − g²) changes some output, so a kernel that fused one, or
+// reordered a unit's operations, fails it.
+func backGatesMatchGo() bool {
+	const hidden = 15
+	var probe [8 * hidden]float64 // i, f, g, o, cPrev, tanhC, dh, dc
+	fillProbe(probe[:])
+	p := func(k int) []float64 { return probe[k*hidden : (k+1)*hidden] }
+	st := lstmStep{i: p(0), f: p(1), g: p(2), o: p(3), cPrev: p(4), tanhC: p(5)}
+	var got, want [5 * hidden]float64 // dz, then dcPrev
+	backGates(&st, p(6), p(7), got[4*hidden:], got[:4*hidden])
+	backGatesGo(&st, p(6), p(7), want[4*hidden:], want[:4*hidden])
+	return sameBits(got[:], want[:])
+}
+
+// backSweepMatchesGo runs backSweep and backSweepGo on a fixed step of
+// twelve rows and eleven columns — a pair of column blocks, a single one
+// and a tail of three before the bias — with a +0 and a −0 row to skip,
+// so a kernel that fused a multiply into its add, reordered the rows or
+// skipped a wrong one fails it.
+func backSweepMatchesGo() bool {
+	const rows, nin = 12, 11
+	const n = rows * (nin + 1)
+	var probe [3*n + nin + rows]float64 // w, two copies of grad, xh, dz
+	fillProbe(probe[:])
+	w, got, want := probe[:n], probe[n:2*n], probe[2*n:3*n]
+	copy(want, got)
+	xh, dz := probe[3*n:3*n+nin], probe[3*n+nin:]
+	dz[3], dz[8] = 0, math.Copysign(0, -1)
+	var gotDxh, wantDxh [nin]float64
+	backSweep(gotDxh[:], got, w, xh, dz)
+	backSweepGo(wantDxh[:], want, w, xh, dz)
+	return sameBits(gotDxh[:], wantDxh[:]) && sameBits(got, want)
+}
+
+// fillProbe fills v with the self-checks' operands: values of one
+// magnitude and full mantissas, whose products and sums round.
+func fillProbe(v []float64) {
+	for i := range v {
+		v[i] = float64((i*7919)%2003-1001) / 977
+	}
+}
+
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 			return false
 		}
 	}
@@ -75,11 +130,12 @@ func gateRowsMatchGo() bool {
 }
 
 // KernelPath names the kernels every LSTM step runs on in this process —
-// "exp avx2+fma ×4, gates avx ×4", or "scalar (reason)" — so a benchmark
-// figure can be attributed to them. Either path gives the same bits.
+// "exp avx2+fma ×4, gates avx ×4, backward avx ×4", or "scalar (reason)" —
+// so a benchmark figure can be attributed to them. Either path gives the
+// same bits.
 func KernelPath() string {
 	if lanes {
-		return "exp avx2+fma ×4, gates avx ×4"
+		return "exp avx2+fma ×4, gates avx ×4, backward avx ×4"
 	}
 	return "scalar (" + lanesWhy + ")"
 }

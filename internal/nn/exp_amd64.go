@@ -14,6 +14,18 @@ func expBlocks(x []float64) int
 //go:noescape
 func gateRows(z, w, xh []float64, gs int)
 
+// backSweep is backSweepGo in four AVX lanes (backward_amd64.s), bit for
+// bit. Only the gate in exp.go decides whether it may run.
+//
+//go:noescape
+func backSweep(dxh, grad, w, xh, dz []float64)
+
+// backGates is backGatesGo in four AVX lanes (backward_amd64.s), bit for
+// bit. Only the gate in exp.go decides whether it may run.
+//
+//go:noescape
+func backGates(st *lstmStep, dh, dc, dcPrev, dz []float64)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

@@ -108,15 +108,16 @@ func TestExpGateFollowsMathExp(t *testing.T) {
 
 // TestExpGateUnderGODEBUG re-runs this test binary with GODEBUG settings that
 // move math.Exp to its plain sequence on the same hardware. The gate must
-// fall back to the Go path there — the exp and the gate mat-vec both, since
-// one gate covers them — and the bit-identity tests must pass on what it
-// chose. (At GOAMD64=v3 and above the runtime ignores these settings,
-// math.Exp keeps its FMA sequence, and the lanes rightly stay on.)
+// fall back to the Go path there — the exp, the gate mat-vec and the
+// backward step alike, since one gate covers them — and the bit-identity
+// tests must pass on what it chose. (At GOAMD64=v3 and above the runtime
+// ignores these settings, math.Exp keeps its FMA sequence, and the lanes
+// rightly stay on.)
 func TestExpGateUnderGODEBUG(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-executes the test binary")
 	}
-	tests := []string{"TestExpGateFollowsMathExp", "TestGateRowsMatchGoLoop", "TestLSTMForwardBitsMatchReference", "TestPredictFutureBitsMatchReferenceRollout"}
+	tests := []string{"TestExpGateFollowsMathExp", "TestGateRowsMatchGoLoop", "TestBackGatesMatchGoLoop", "TestBackSweepMatchesGoLoop", "TestLSTMForwardBitsMatchReference", "TestFusedLSTMMatchesReference", "TestPredictFutureBitsMatchReferenceRollout"}
 	for _, setting := range []string{"cpu.fma=off", "cpu.avx=off"} {
 		cmd := exec.Command(os.Args[0], "-test.count=1", "-test.v", "-test.run=^("+strings.Join(tests, "|")+")$")
 		cmd.Env = append(os.Environ(), "GODEBUG="+setting)
@@ -125,7 +126,7 @@ func TestExpGateUnderGODEBUG(t *testing.T) {
 			t.Fatalf("GODEBUG=%s: %v\n%s", setting, err, out)
 		}
 		for _, name := range tests {
-			// TestGateRowsMatchGoLoop skips where the CPU has no lanes.
+			// The lane-vs-loop tests skip where the CPU has no lanes.
 			if !strings.Contains(string(out), "--- PASS: "+name+" ") && !strings.Contains(string(out), "--- SKIP: "+name+" ") {
 				t.Fatalf("GODEBUG=%s: %s did not pass\n%s", setting, name, out)
 			}
@@ -134,7 +135,7 @@ func TestExpGateUnderGODEBUG(t *testing.T) {
 		case strings.Contains(string(out), "math.Exp sequence: fma;"):
 			t.Logf("GODEBUG=%s ignored (GOAMD64 level requires the feature); math.Exp keeps the FMA sequence", setting)
 		case !strings.Contains(string(out), "nn kernels: scalar ("):
-			t.Fatalf("GODEBUG=%s: math.Exp left its FMA sequence but the gate did not move both kernels to Go\n%s", setting, out)
+			t.Fatalf("GODEBUG=%s: math.Exp left its FMA sequence but the gate did not move the kernels to Go\n%s", setting, out)
 		}
 	}
 }

@@ -223,8 +223,22 @@ var (
 // the packed buffer is bit-identical to the reference implementation.
 func (c lstmCell) backward(w, grad Vector, st *lstmStep, dh, dc, dcPrev, dxh, dz []float64) {
 	h := c.hidden
-	cols := c.cols()
 	nin := c.in + h
+	if lanes {
+		backGates(st, dh, dc, dcPrev, dz[:4*h])
+		backSweep(dxh[:nin], grad, w, st.xh[:nin], dz[:4*h])
+	} else {
+		backGatesGo(st, dh, dc, dcPrev, dz[:4*h])
+		backSweepGo(dxh[:nin], grad, w, st.xh[:nin], dz[:4*h])
+	}
+}
+
+// backGatesGo takes the gradients dh and dc flowing into a step's outputs
+// back through its cell update and gate nonlinearities: it writes dcPrev
+// and the gate pre-activation gradients dz (len 4·hidden, one block per
+// gate). backGates is the same loop in AVX lanes, bit for bit.
+func backGatesGo(st *lstmStep, dh, dc, dcPrev, dz []float64) {
+	h := len(dz) / 4
 	for k := 0; k < h; k++ {
 		do := dh[k] * st.tanhC[k]
 		dcT := dh[k]*st.o[k]*(1-st.tanhC[k]*st.tanhC[k]) + dc[k]
@@ -238,13 +252,20 @@ func (c lstmCell) backward(w, grad Vector, st *lstmStep, dh, dc, dcPrev, dxh, dz
 		dz[2*h+k] = dg * (1 - st.g[k]*st.g[k])
 		dz[3*h+k] = do * st.o[k] * (1 - st.o[k])
 	}
-	// Column blocks of four: each dxh[j] of a block accumulates in a
-	// register from +0 over the rows with dz[r] ≠ 0 in ascending r, the
-	// reference's order, while the same sweep adds those rows' weight
-	// gradients for the block's columns.
-	dz = dz[:4*h]
+}
+
+// backSweepGo runs the weight sweep of a backward step. For each row r
+// with dz[r] ≠ 0, in ascending r, it adds dz[r]·xh[j] into the row's weight
+// gradient and dz[r] into its bias gradient, and it accumulates
+// dxh[j] = Σ_r dz[r]·w[r][j] from +0 — the reference's order, so every bit
+// is its (DESIGN.md §9). Rows are len(xh)+1 apart in w and grad, the bias
+// last. Columns go four at a time, each dxh[j] of a block in a register,
+// then each of the len(xh) mod 4 left alone, then the bias column.
+// backSweep is the same loop in AVX lanes.
+func backSweepGo(dxh, grad, w, xh, dz []float64) {
+	nin := len(xh)
+	cols := nin + 1
 	dxh = dxh[:nin]
-	xh := st.xh[:nin]
 	j := 0
 	for ; j+4 <= nin; j += 4 {
 		x0, x1, x2, x3 := xh[j], xh[j+1], xh[j+2], xh[j+3]
@@ -346,4 +367,25 @@ func LSTMStepFunc(in, hidden int, rng *rand.Rand) func() {
 	cPrev := RandomVector(hidden, 1, rng)
 	st := &growLSTMTape(nil, 1, c)[0]
 	return func() { c.forward(w, x, hPrev, cPrev, st) }
+}
+
+// LSTMBackwardStepFunc returns one backward step of an LSTM cell with in
+// inputs and hidden units, as a closure, over a forward step taken on
+// weights, inputs and incoming gradients drawn from rng (none of them zero,
+// so every row of the sweep runs): the unit of work internal/perf times on
+// its own (the LSTMBackwardStep rows of BENCH_nn.json). The weight gradient
+// accumulates across calls.
+func LSTMBackwardStepFunc(in, hidden int, rng *rand.Rand) func() {
+	c := lstmCell{in: in, hidden: hidden}
+	w := RandomVector(c.numParams(), 1/math.Sqrt(float64(in+hidden)), rng)
+	x := RandomVector(in, 0.5, rng)
+	hPrev := RandomVector(hidden, 0.5, rng)
+	cPrev := RandomVector(hidden, 1, rng)
+	dh := RandomVector(hidden, 0.1, rng)
+	dc := RandomVector(hidden, 0.1, rng)
+	st := &growLSTMTape(nil, 1, c)[0]
+	c.forward(w, x, hPrev, cPrev, st)
+	grad := NewVector(c.numParams())
+	dcPrev, dxh, dz := make([]float64, hidden), make([]float64, in+hidden), make([]float64, 4*hidden)
+	return func() { c.backward(w, grad, st, dh, dc, dcPrev, dxh, dz) }
 }

@@ -214,7 +214,7 @@ func fusedMatchesReference(t *testing.T, path string) {
 	for trial := 0; trial < 20; trial++ {
 		inDim := 2 + rng.Intn(3)
 		outDim := 2
-		hidden := 3 + rng.Intn(6)
+		hidden := 3 + rng.Intn(15) // up to 17: four column blocks and a tail
 		seqIn := 1 + rng.Intn(5)
 		seqOut := 1 + rng.Intn(4)
 		m := NewSeq2Seq(inDim, outDim, hidden, rng)

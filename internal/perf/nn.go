@@ -15,10 +15,20 @@ var nnSuite = Suite{
 }
 
 // nnSpecs time the encoder–decoder's Predict and Grad at the production
-// shape (hidden 16, seqIn 5, seqOut 1), one LSTM forward step at the
-// encoder and decoder shapes (hidden 12, in 4 and in 2), and the Adam step.
+// shape (hidden 16, seqIn 5, seqOut 1), one LSTM forward and one backward
+// step at the encoder and decoder shapes (hidden 12, in 4 and in 2), and
+// the Adam step.
+//
+// The model's displacement head is drawn non-zero, as a trained model's
+// is: NewSeq2Seq zeroes it, and a zero head sends a zero gradient into
+// every LSTM step, so Grad would skip every row of both cells' backward.
 func nnSpecs() []Spec {
-	lstm := nn.NewSeq2Seq(4, 2, 16, rand.New(rand.NewSource(1)))
+	rng := rand.New(rand.NewSource(1))
+	lstm := nn.NewSeq2Seq(4, 2, 16, rng)
+	w := lstm.Weights()
+	for i := len(w) - lstm.OutDim*(lstm.Hidden+1); i < len(w); i++ {
+		w[i] = rng.NormFloat64() * 0.2
+	}
 	s := randSample(rand.New(rand.NewSource(1)), 4, 2, 5, 1)
 	return []Spec{
 		{Name: "Seq2SeqPredict", Run: func(b *testing.B) {
@@ -33,8 +43,10 @@ func nnSpecs() []Spec {
 				lstm.Grad(s.In, s.Out, nn.MSE{}, grad)
 			}
 		}},
-		stepSpec(4),
-		stepSpec(2),
+		stepSpec("LSTMForwardStep", nn.LSTMStepFunc, 4),
+		stepSpec("LSTMForwardStep", nn.LSTMStepFunc, 2),
+		stepSpec("LSTMBackwardStep", nn.LSTMBackwardStepFunc, 4),
+		stepSpec("LSTMBackwardStep", nn.LSTMBackwardStepFunc, 2),
 		{Name: "AdamStep", Run: func(b *testing.B) {
 			w := nn.RandomVector(4096, 0.1, rand.New(rand.NewSource(1)))
 			g := nn.RandomVector(4096, 0.1, rand.New(rand.NewSource(2)))
@@ -46,10 +58,10 @@ func nnSpecs() []Spec {
 	}
 }
 
-// stepSpec times one LSTM forward step at hidden 12 with in inputs.
-func stepSpec(in int) Spec {
-	step := nn.LSTMStepFunc(in, 12, rand.New(rand.NewSource(1)))
-	return Spec{Name: fmt.Sprintf("LSTMForwardStep/h12_in%d", in), Run: func(b *testing.B) {
+// stepSpec times the LSTM step fn builds at hidden 12 with in inputs.
+func stepSpec(name string, fn func(in, hidden int, rng *rand.Rand) func(), in int) Spec {
+	step := fn(in, 12, rand.New(rand.NewSource(1)))
+	return Spec{Name: fmt.Sprintf("%s/h12_in%d", name, in), Run: func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			step()
 		}
