@@ -102,8 +102,9 @@ memocheck:
 # Lane-kernel gate, blocking in CI: the four-lane exp under every LSTM gate
 # (internal/nn/exp_amd64.s) must give math.Exp's bits and follow math.Exp's
 # own path, not CPUID, and the four-lane gate mat-vec
-# (internal/nn/gates_amd64.s) and backward step (internal/nn/backward_amd64.s)
-# must give the Go loops' bits; one gate chooses them all (DESIGN.md §9).
+# (internal/nn/gates_amd64.s), gate activation (internal/nn/activate_amd64.s)
+# and backward step (internal/nn/backward_amd64.s) must give the Go loops'
+# bits; one gate chooses them all (DESIGN.md §9).
 # Builds and vets the portable fallback on two other GOARCHs, runs the nn
 # and predict suites at GOAMD64=v3 (a compiler that fused x*y+z there would
 # break the combine step's and the Go loops' bit identity), and re-runs the
@@ -113,7 +114,7 @@ expcheck:
 	GOARCH=arm64 $(GO) vet ./internal/nn && GOARCH=arm64 $(GO) build ./...
 	GOARCH=386 $(GO) vet ./internal/nn && GOARCH=386 $(GO) build ./...
 	GOAMD64=v3 $(GO) test -count=1 ./internal/nn ./internal/predict
-	$(GOTEST_RUN) ./internal/nn 'TestExpGateUnderGODEBUG|TestExpGateFollowsMathExp|TestExpProbesSeparateSequences|TestGateRowsMatchGoLoop|TestLSTMForwardBitsMatchReference|TestBackSweepMatchesGoLoop|TestBackGatesMatchGoLoop|TestFusedLSTMMatchesReference' -count=1 -v
+	$(GOTEST_RUN) ./internal/nn 'TestExpGateUnderGODEBUG|TestExpGateFollowsMathExp|TestExpProbesSeparateSequences|TestGateRowsMatchGoLoop|TestActivateMatchesGoLoop|TestLSTMForwardBitsMatchReference|TestBackSweepMatchesGoLoop|TestBackGatesMatchGoLoop|TestFusedLSTMMatchesReference|TestTrainBitsOnEveryKernelPath' -count=1 -v
 
 # Benchmark-regression gate: re-run the NN kernel, batch-assignment, and
 # prediction-engine suites (tampbench pins them to GOMAXPROCS 1) and compare

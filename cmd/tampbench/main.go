@@ -95,6 +95,7 @@ func main() {
 		return
 	}
 	if *replayD != "" {
+		refuseFlags("-replay", "seeds", "csv", "scale", "exp", "metrics", "pprof")
 		if err := runReplay(*replayD, *assignN, *modelsF, *par, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, "tampbench:", err)
 			os.Exit(1)
@@ -102,10 +103,7 @@ func main() {
 		return
 	}
 	if *matrixR || *checkMx != "" {
-		if name := firstSet("seed", "seeds", "csv", "scale", "exp"); name != "" {
-			fmt.Fprintf(os.Stderr, "tampbench: -%s does not apply to -matrix or -check-matrix (each -matrix-scale runs its own seed)\n", name)
-			os.Exit(2)
-		}
+		refuseFlags("-matrix or -check-matrix", "seed", "seeds", "csv", "scale", "exp", "metrics", "pprof")
 		if err := runMatrix(*matrixR, *checkMx, *matrixJ, *matrixMD, *matrixSc, *matrixFr, *par); err != nil {
 			fmt.Fprintln(os.Stderr, "tampbench:", err)
 			os.Exit(1)
@@ -280,6 +278,16 @@ func runGuards(check, record, outDir string, tol float64) error {
 		return fmt.Errorf("benchmark regression against %s (tolerance %.0f%%)", strings.Join(regressed, ", "), tol*100)
 	}
 	return nil
+}
+
+// refuseFlags exits 2, naming the flag, when the command line set any of
+// names, flags that mode does not read: a flag set and then ignored would
+// read as honoured.
+func refuseFlags(mode string, names ...string) {
+	if name := firstSet(names...); name != "" {
+		fmt.Fprintf(os.Stderr, "tampbench: -%s does not apply to %s\n", name, mode)
+		os.Exit(2)
+	}
 }
 
 // firstSet returns the first of names that the command line set, or "".

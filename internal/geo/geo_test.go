@@ -256,3 +256,88 @@ func TestDensityIndexMonotoneInRadius(t *testing.T) {
 		prev = n
 	}
 }
+
+// countWithinScan is CountWithin as the full scan of the (2⌈r⌉+3)² cells
+// around p's cell that it replaced: the reference it must match.
+func countWithinScan(d *DensityIndex, p Point, r float64) int {
+	if r <= 0 {
+		return 0
+	}
+	col, row := d.grid.CellOf(p)
+	ir := int(math.Ceil(r)) + 1
+	n := 0
+	for dr := -ir; dr <= ir; dr++ {
+		rr := row + dr
+		if rr < 0 || rr >= d.grid.Rows {
+			continue
+		}
+		for dc := -ir; dc <= ir; dc++ {
+			cc := col + dc
+			if cc < 0 || cc >= d.grid.Cols {
+				continue
+			}
+			if d.grid.CellCenter(cc, rr).Dist(p) <= r {
+				k := rr*(d.grid.Cols+1) + cc
+				n += d.rowCounts[k+1] - d.rowCounts[k]
+			}
+		}
+	}
+	return n
+}
+
+// TestCountWithinMatchesScan holds CountWithin to the full scan, count for
+// count, over random tasks on a 37×23 grid: random points inside and off
+// the grid, points on cell edges and corners, points with a cell centre
+// exactly on the disc's edge (a 3-4-5 offset at r = 5, a half cell at
+// r = 0.5) or an ulp either side of it, a NaN point, and radii from
+// non-positive through fractional to larger than the grid.
+func TestCountWithinMatchesScan(t *testing.T) {
+	g := Grid{Cols: 37, Rows: 23}
+	d := NewDensityIndex(g)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 3000; i++ {
+		d.Add(Pt(rng.Float64()*float64(g.Cols), rng.Float64()*float64(g.Rows)))
+	}
+	d.Add(Pt(-5, 100)) // clamped into a corner cell
+	check := func(p Point, r float64) {
+		t.Helper()
+		if got, want := d.CountWithin(p, r), countWithinScan(d, p, r); got != want {
+			t.Fatalf("CountWithin(%v, %v) = %d, scan %d", p, r, got, want)
+		}
+	}
+	radii := []float64{-1, 0, 0.5, 1, 2.25, 5, 7.9, 50, 1e3}
+	for i := 0; i < 20000; i++ {
+		r := radii[rng.Intn(len(radii))]
+		if i%2 == 0 {
+			r = rng.Float64() * 15
+		}
+		var p Point
+		switch i % 4 {
+		case 0: // anywhere on the grid
+			p = Pt(rng.Float64()*float64(g.Cols), rng.Float64()*float64(g.Rows))
+		case 1: // off the grid
+			p = Pt(rng.Float64()*80-20, rng.Float64()*60-20)
+		case 2: // a cell edge or corner
+			p = Pt(float64(rng.Intn(g.Cols+1)), rng.Float64()*float64(g.Rows))
+			if rng.Intn(2) == 0 {
+				p.Y = float64(rng.Intn(g.Rows + 1))
+			}
+		default: // a cell centre 5 from p, at r = 5 or an ulp off it
+			c := g.CellCenter(rng.Intn(g.Cols), rng.Intn(g.Rows))
+			p = Pt(c.X+3*float64(1-2*rng.Intn(2)), c.Y+4*float64(1-2*rng.Intn(2)))
+			if rng.Intn(2) == 0 {
+				p.X, p.Y = p.Y-c.Y+c.X, p.X-c.X+c.Y
+			}
+			r = []float64{math.Nextafter(5, 0), 5, math.Nextafter(5, 10)}[rng.Intn(3)]
+		}
+		check(p, r)
+	}
+	for _, c := range []Point{g.CellCenter(0, 0), g.CellCenter(18, 11), g.CellCenter(36, 22)} {
+		for _, r := range []float64{math.Nextafter(0.5, 0), 0.5, math.Nextafter(0.5, 1)} {
+			check(Pt(c.X+0.5, c.Y), r)
+			check(Pt(c.X, c.Y-0.5), r)
+		}
+	}
+	check(Pt(math.NaN(), 3), 5)
+	check(Pt(3, math.NaN()), 5)
+}

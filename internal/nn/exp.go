@@ -11,9 +11,10 @@ import "math"
 // math.Exp to its non-FMA sequence on the same hardware. So the lanes are
 // chosen once, at init, when the CPU can execute them and they reproduce
 // math.Exp bit for bit on expProbes; otherwise every call is math.Exp's.
-// The lanes of the gate mat-vec (gateRows) and of the backward step
-// (backGates, backSweep) need only AVX and ride on the same choice, after
-// their own self-checks against the Go loops.
+// The lanes of the gate mat-vec (gateRows), of the gate activation
+// (activateBlocks, which runs the exp sequence itself) and of the backward
+// step (backGates, backSweep) ride on the same choice, after their own
+// self-checks against the Go loops.
 
 // expProbes is the self-check set: ordinary and edge arguments, and eight on
 // which math.Exp's FMA and non-FMA sequences round differently (drawn from
@@ -28,10 +29,10 @@ var expProbes = [...]float64{
 }
 
 // lanes is true when every LSTM step runs the lane kernels — gateRows for
-// the gate mat-vec and expBlocks under expInPlace forward, backGates and
-// backSweep backward — and lanesWhy says why not. One gate covers them all,
-// so a process runs every kernel or none. Tests flip lanes to force the Go
-// path.
+// the gate mat-vec and activateBlocks (expBlocks under expInPlace where it
+// leaves units) forward, backGates and backSweep backward — and lanesWhy
+// says why not. One gate covers them all, so a process runs every kernel
+// or none. Tests flip lanes to force the Go path.
 var lanes, lanesWhy = chooseLanes()
 
 func chooseLanes() (bool, string) {
@@ -49,6 +50,9 @@ func chooseLanes() (bool, string) {
 	}
 	if !gateRowsMatchGo() {
 		return false, "self-check: gate mat-vec differs from the Go loop"
+	}
+	if !activateMatchesGo() {
+		return false, "self-check: gate activation differs from the Go loop"
 	}
 	if !backGatesMatchGo() {
 		return false, "self-check: backward gates differ from the Go loop"
@@ -73,6 +77,44 @@ func gateRowsMatchGo() bool {
 	gateRows(got[:], w, xh, gs)
 	gateRowsGo(want[:], w, xh, gs)
 	return sameBits(got[:], want[:])
+}
+
+// tanhWitnesses are two arguments below 0.625 on which each reordering of
+// tanh's rational function that changes any result, changes theirs.
+var tanhWitnesses = [...]float64{-0.4873558809278332, 0.6024275267325735}
+
+// activateMatchesGo runs activateBlocks and activateGo on a fixed step of
+// hidden 8 — two groups of four units — whose gates take both sides of
+// sigmoid's branch and every case of tanh, for g and for cNew: |x| below
+// 0.625, from 0.625 to 44.01, beyond it on either side, and ±0 (a −0 gate
+// g and cPrev give a −0 cNew). Its cNew values round differently fused,
+// and units 2 and 3 have the tanhWitnesses as g (found by search against
+// x·(s·P)/Q, (x·s)·(P/Q), P expanded, and P's last or Q's last two steps
+// fused), so a kernel that fused cNew, reordered a case's operations, or
+// took a wrong branch fails it.
+func activateMatchesGo() bool {
+	const hidden = 8
+	var probe [5 * hidden]float64 // z, then cPrev
+	fillProbe(probe[:])
+	z, cPrev := probe[:4*hidden], probe[4*hidden:]
+	z[2], cPrev[0] = math.Copysign(0, -1), math.Copysign(0, -1)
+	z[6], cPrev[1] = 50, 1e3
+	z[10], z[14] = tanhWitnesses[0], tanhWitnesses[1]
+	z[22], cPrev[5] = -50, -1e3
+	tape := growLSTMTape(nil, 2, lstmCell{in: 1, hidden: hidden})
+	got, want := &tape[0], &tape[1]
+	got.cPrev, want.cPrev = cPrev, cPrev
+	if activateBlocks(got, 0, z) != hidden {
+		return false
+	}
+	activateGo(want, 0, hidden, z)
+	gotOut, wantOut := got.activated(), want.activated()
+	for k := range gotOut {
+		if !sameBits(gotOut[k], wantOut[k]) {
+			return false
+		}
+	}
+	return true
 }
 
 // backGatesMatchGo runs backGates and backGatesGo on a fixed step of
@@ -130,12 +172,12 @@ func sameBits(a, b []float64) bool {
 }
 
 // KernelPath names the kernels every LSTM step runs on in this process —
-// "exp avx2+fma ×4, gates avx ×4, backward avx ×4", or "scalar (reason)" —
-// so a benchmark figure can be attributed to them. Either path gives the
-// same bits.
+// "exp avx2+fma ×4, gates avx ×4, activate avx2+fma ×4, backward avx ×4",
+// or "scalar (reason)" — so a benchmark figure can be attributed to them.
+// Either path gives the same bits.
 func KernelPath() string {
 	if lanes {
-		return "exp avx2+fma ×4, gates avx ×4, backward avx ×4"
+		return "exp avx2+fma ×4, gates avx ×4, activate avx2+fma ×4, backward avx ×4"
 	}
 	return "scalar (" + lanesWhy + ")"
 }

@@ -14,6 +14,16 @@ func expBlocks(x []float64) int
 //go:noescape
 func gateRows(z, w, xh []float64, gs int)
 
+// activateBlocks runs activate on units k0, k0+1, … of st four at a time,
+// as many groups as z (their interleaved pre-activations) holds, in AVX
+// lanes (activate_amd64.s), bit for bit as activateExp, and returns how
+// many units it finished: it stops before the first group with an exp
+// argument outside (−700, 700). st's buffers must hold every unit of z.
+// Only the gate in exp.go decides whether it may run.
+//
+//go:noescape
+func activateBlocks(st *lstmStep, k0 int, z []float64) int
+
 // backSweep is backSweepGo in four AVX lanes (backward_amd64.s), bit for
 // bit. Only the gate in exp.go decides whether it may run.
 //

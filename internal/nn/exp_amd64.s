@@ -1,44 +1,10 @@
 #include "textflag.h"
+#include "exp_amd64.h"
 
-// expBlocks is math.archExp's avxfma sequence run in four lanes at once.
-// The sequence and its constants are transcribed from the Go standard
-// library's src/math/exp_amd64.s (Copyright 2010 The Go Authors, BSD-style
-// license), which takes them from Naoki Shibata's SLEEF. Every
-// instruction below is the packed form of the scalar one archExp executes
-// at the same point, with the same constants, and each lane of a packed IEEE
-// operation is rounded exactly as the scalar operation is — so each lane
-// yields archExp's bits. archExp's branches (non-finite input, overflow,
-// denormal result) cannot be taken for |x| < 700, so a block runs only when
-// all four lanes are in that range; the Go caller takes any other block.
-
-#define BCAST(name, v) \
-	DATA name<>+0(SB)/8, v; \
-	DATA name<>+8(SB)/8, v; \
-	DATA name<>+16(SB)/8, v; \
-	DATA name<>+24(SB)/8, v; \
-	GLOBL name<>(SB), RODATA|NOPTR, $32
-
-BCAST(absmask, $0x7FFFFFFFFFFFFFFF)
-BCAST(limit, $700.0)
-BCAST(log2e, $1.4426950408889634073599246810018920)
-BCAST(ln2u, $0.69314718055966295651160180568695068359375)
-BCAST(ln2l, $0.28235290563031577122588448175013436025525412068e-12)
-BCAST(sixteenth, $0.0625)
-BCAST(t8, $2.4801587301587301587e-5)
-BCAST(t7, $1.9841269841269841270e-4)
-BCAST(t6, $1.3888888888888888889e-3)
-BCAST(t5, $8.3333333333333333333e-3)
-BCAST(t4, $4.1666666666666666667e-2)
-BCAST(t3, $1.6666666666666666667e-1)
-BCAST(half, $0.5)
-BCAST(one, $1.0)
-BCAST(two, $2.0)
-
-DATA bias<>+0(SB)/4, $1023
-DATA bias<>+4(SB)/4, $1023
-DATA bias<>+8(SB)/4, $1023
-DATA bias<>+12(SB)/4, $1023
-GLOBL bias<>(SB), RODATA|NOPTR, $16
+// expBlocks is math.archExp's avxfma sequence (EXPLANES, exp_amd64.h) run
+// in four lanes at once, a block of four elements at a time, each block
+// only when all four of its lanes lie in (−700, 700); the Go caller takes
+// any other block.
 
 // func expBlocks(x []float64) int
 TEXT ·expBlocks(SB), NOSPLIT, $0-32
@@ -58,42 +24,7 @@ loop:
 	CMPQ      DX, $15
 	JNE       done
 
-	// k = round-to-nearest(x·log₂e), as CVTSD2SL; Y1 = float(k).
-	VMULPD     log2e<>(SB), Y0, Y1
-	VCVTPD2DQY Y1, X2
-	VCVTDQ2PD  X2, Y1
-
-	// r = (x − k·LN2U − k·LN2L)·0.0625, each subtraction fused.
-	VFNMADD231PD ln2u<>(SB), Y1, Y0
-	VFNMADD231PD ln2l<>(SB), Y1, Y0
-	VMULPD       sixteenth<>(SB), Y0, Y0
-
-	// Taylor series, Horner form, fused.
-	VMOVUPD     t8<>(SB), Y3
-	VFMADD213PD t7<>(SB), Y0, Y3
-	VFMADD213PD t6<>(SB), Y0, Y3
-	VFMADD213PD t5<>(SB), Y0, Y3
-	VFMADD213PD t4<>(SB), Y0, Y3
-	VFMADD213PD t3<>(SB), Y0, Y3
-	VFMADD213PD half<>(SB), Y0, Y3
-	VFMADD213PD one<>(SB), Y0, Y3
-	VMULPD      Y3, Y0, Y0
-
-	// Undo the ×1/16: three (r+2)·r squarings, then (r+2)·r + 1 fused.
-	VADDPD      two<>(SB), Y0, Y3
-	VMULPD      Y3, Y0, Y0
-	VADDPD      two<>(SB), Y0, Y3
-	VMULPD      Y3, Y0, Y0
-	VADDPD      two<>(SB), Y0, Y3
-	VMULPD      Y3, Y0, Y0
-	VADDPD      two<>(SB), Y0, Y3
-	VFMADD213PD one<>(SB), Y3, Y0
-
-	// ×2^k: (k + 1023) << 52, with k + 1023 in [13, 2033] for |x| < 700.
-	VPADDD    bias<>(SB), X2, X2
-	VPMOVZXDQ X2, Y2
-	VPSLLQ    $52, Y2, Y2
-	VMULPD    Y2, Y0, Y0
+	EXPLANES(Y0, Y1, X2, Y2, Y3)
 
 	VMOVUPD Y0, (SI)(AX*8)
 	ADDQ    $4, AX

@@ -7,6 +7,8 @@ func expBlocks(x []float64) int { return 0 }
 
 func gateRows(z, w, xh []float64, gs int) { gateRowsGo(z, w, xh, gs) }
 
+func activateBlocks(st *lstmStep, k0 int, z []float64) int { return 0 }
+
 func backSweep(dxh, grad, w, xh, dz []float64) { backSweepGo(dxh, grad, w, xh, dz) }
 
 func backGates(st *lstmStep, dh, dc, dcPrev, dz []float64) { backGatesGo(st, dh, dc, dcPrev, dz) }

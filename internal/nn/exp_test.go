@@ -108,16 +108,16 @@ func TestExpGateFollowsMathExp(t *testing.T) {
 
 // TestExpGateUnderGODEBUG re-runs this test binary with GODEBUG settings that
 // move math.Exp to its plain sequence on the same hardware. The gate must
-// fall back to the Go path there — the exp, the gate mat-vec and the
-// backward step alike, since one gate covers them — and the bit-identity
-// tests must pass on what it chose. (At GOAMD64=v3 and above the runtime
-// ignores these settings, math.Exp keeps its FMA sequence, and the lanes
-// rightly stay on.)
+// fall back to the Go path there — the exp, the gate mat-vec, the gate
+// activation and the backward step alike, since one gate covers them — and
+// the bit-identity tests must pass on what it chose. (At GOAMD64=v3 and
+// above the runtime ignores these settings, math.Exp keeps its FMA
+// sequence, and the lanes rightly stay on.)
 func TestExpGateUnderGODEBUG(t *testing.T) {
 	if testing.Short() {
 		t.Skip("re-executes the test binary")
 	}
-	tests := []string{"TestExpGateFollowsMathExp", "TestGateRowsMatchGoLoop", "TestBackGatesMatchGoLoop", "TestBackSweepMatchesGoLoop", "TestLSTMForwardBitsMatchReference", "TestFusedLSTMMatchesReference", "TestPredictFutureBitsMatchReferenceRollout"}
+	tests := []string{"TestExpGateFollowsMathExp", "TestGateRowsMatchGoLoop", "TestActivateMatchesGoLoop", "TestBackGatesMatchGoLoop", "TestBackSweepMatchesGoLoop", "TestLSTMForwardBitsMatchReference", "TestFusedLSTMMatchesReference", "TestPredictFutureBitsMatchReferenceRollout"}
 	for _, setting := range []string{"cpu.fma=off", "cpu.avx=off"} {
 		cmd := exec.Command(os.Args[0], "-test.count=1", "-test.v", "-test.run=^("+strings.Join(tests, "|")+")$")
 		cmd.Env = append(os.Environ(), "GODEBUG="+setting)

@@ -39,6 +39,12 @@ type lstmStep struct {
 	h          []float64
 }
 
+// activated lists the fields activate writes, in its order: the gates i,
+// f, g, o, then cNew, tanhC and h.
+func (st *lstmStep) activated() [7][]float64 {
+	return [...][]float64{st.i, st.f, st.g, st.o, st.cNew, st.tanhC, st.h}
+}
+
 // gateChunk is how many hidden units forward handles per pass: their four
 // gate pre-activations fill one fixed-size stack array, which then holds
 // their exp arguments, so a step needs no heap scratch, which every model
@@ -66,7 +72,7 @@ func (c lstmCell) forward(w Vector, x, hPrev, cPrev []float64, st *lstmStep) {
 		} else {
 			gateRowsGo(zc, rows, xh, gs)
 		}
-		activate(st, cPrev, k0, k1, zc)
+		activate(st, k0, k1, zc)
 	}
 }
 
@@ -105,30 +111,60 @@ func gateRowsGo(z, w, xh []float64, gs int) {
 // activate turns the pre-activations of units [k0, k1), interleaved in z as
 // gateRowsGo leaves them, into sigmoid/tanh gate values in st's gate fields
 // and finishes those units' cell update: cNew = f·cPrev + i·g,
-// tanhC = tanh(cNew), h = o·tanhC.
+// tanhC = tanh(cNew), h = o·tanhC, with cPrev = st.cPrev.
 //
-// With the lanes on, the step's math.Exp arguments replace the
-// pre-activations in z (which the gate fields hold meanwhile) and go
-// through expInPlace in two calls (the four gates, then tanh(cNew)), and
-// each unit combines the results with the very formulas sigmoid and
-// math.Tanh apply to their own math.Exp result (sigmoidArg/sigmoidOf,
-// tanhArg/tanhOf), so every value is the bit pattern those functions
-// return. Without the lanes it calls them directly.
-func activate(st *lstmStep, cPrev []float64, k0, k1 int, z []float64) {
-	gi, gf, gg, gos := st.i[k0:k1], st.f[k0:k1], st.g[k0:k1], st.o[k0:k1]
-	n := len(gi)
-	cPrev, cNew, tanhC, hOut := cPrev[k0:k1:k1], st.cNew[k0:k1:k1], st.tanhC[k0:k1:k1], st.h[k0:k1:k1]
-	gf, gg, gos, z = gf[:n], gg[:n], gos[:n], z[:4*n]
+// With the lanes on, activateBlocks (activate_amd64.s) takes the units four
+// at a time; a group with an exp argument outside the lanes' range, and
+// the len mod 4 units past the last group, go through activateExp.
+// Without the lanes activateGo takes them all. The three give the same
+// bits.
+func activate(st *lstmStep, k0, k1 int, z []float64) {
 	if !lanes {
-		for k := range gi {
-			q := z[4*k : 4*k+4 : 4*k+4]
-			gi[k], gf[k], gg[k], gos[k] = sigmoid(q[0]), sigmoid(q[1]), math.Tanh(q[2]), sigmoid(q[3])
-			cn := gf[k]*cPrev[k] + gi[k]*gg[k]
-			tc := math.Tanh(cn)
-			cNew[k], tanhC[k], hOut[k] = cn, tc, gos[k]*tc
-		}
+		activateGo(st, k0, k1, z)
 		return
 	}
+	for k1-k0 >= 4 {
+		n := activateBlocks(st, k0, z[:4*(k1-k0)])
+		k0, z = k0+n, z[4*n:]
+		if k1-k0 >= 4 { // the group at k0 has an exp argument outside (−700, 700)
+			activateExp(st, k0, k0+4, z[:16])
+			k0, z = k0+4, z[16:]
+		}
+	}
+	if k0 < k1 {
+		activateExp(st, k0, k1, z)
+	}
+}
+
+// activateGo is activate on the Go path: sigmoid and math.Tanh per unit.
+// It is the reference the lane kernels' self-check and tests compare with.
+func activateGo(st *lstmStep, k0, k1 int, z []float64) {
+	gi, gf, gg, gos := st.i[k0:k1], st.f[k0:k1], st.g[k0:k1], st.o[k0:k1]
+	n := len(gi)
+	cPrev, cNew, tanhC, hOut := st.cPrev[k0:k1:k1], st.cNew[k0:k1:k1], st.tanhC[k0:k1:k1], st.h[k0:k1:k1]
+	gf, gg, gos, z = gf[:n], gg[:n], gos[:n], z[:4*n]
+	for k := range gi {
+		q := z[4*k : 4*k+4 : 4*k+4]
+		gi[k], gf[k], gg[k], gos[k] = sigmoid(q[0]), sigmoid(q[1]), math.Tanh(q[2]), sigmoid(q[3])
+		cn := gf[k]*cPrev[k] + gi[k]*gg[k]
+		tc := math.Tanh(cn)
+		cNew[k], tanhC[k], hOut[k] = cn, tc, gos[k]*tc
+	}
+}
+
+// activateExp is activate for the units the lane kernel leaves: the step's
+// math.Exp arguments replace the pre-activations in z (which the gate
+// fields hold meanwhile) and go through expInPlace in two calls (the four
+// gates, then tanh(cNew)), and each unit combines the results with the
+// very formulas sigmoid and math.Tanh apply to their own math.Exp result
+// (sigmoidArg/sigmoidOf, tanhArg/tanhOf), so every value is the bit
+// pattern those functions return. activateBlocks runs the same operations
+// in lanes.
+func activateExp(st *lstmStep, k0, k1 int, z []float64) {
+	gi, gf, gg, gos := st.i[k0:k1], st.f[k0:k1], st.g[k0:k1], st.o[k0:k1]
+	n := len(gi)
+	cPrev, cNew, tanhC, hOut := st.cPrev[k0:k1:k1], st.cNew[k0:k1:k1], st.tanhC[k0:k1:k1], st.h[k0:k1:k1]
+	gf, gg, gos, z = gf[:n], gg[:n], gos[:n], z[:4*n]
 	for k := range gi {
 		q := z[4*k : 4*k+4 : 4*k+4]
 		gi[k], gf[k], gg[k], gos[k] = q[0], q[1], q[2], q[3]

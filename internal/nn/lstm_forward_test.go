@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -132,4 +133,81 @@ func forwardMatchesReference(t *testing.T, path string, hidden, in int) {
 		requireSameBits(t, at+"tanhC", st.tanhC, ref.tanhC)
 		requireSameBits(t, at+"h", st.h, ref.h)
 	}
+}
+
+// TestActivateMatchesGoLoop holds activate — the lane kernel on each group
+// of four units, the Go lane path on the groups it leaves and on the
+// hidden mod 4 rest — and activateExp to activateGo (sigmoid and
+// math.Tanh per unit), every field it writes bit for bit with NaN
+// payloads, on 340 steps over hidden 1–17 and on every kernel path. The
+// pre-activations and cPrev are ordinary; or seeded with specials (±0,
+// subnormals, the Inf − Inf NaN, ±Inf, ±1e300); or set at tanh's borders
+// 0.625 and 0.5·maxLog and the lanes' 350 (for g) and 700 (for the
+// sigmoids) on either side, and to the tanhWitnesses; or, on steps whose
+// exp arguments all stay in range, cPrev carries NaNs of other payloads
+// (the only NaN there, so its payload is what every later NaN of the unit
+// carries). A unit with f = 1 and g = 0 passes cPrev on as cNew, so the
+// borders reach tanh(cNew).
+func TestActivateMatchesGoLoop(t *testing.T) {
+	var borders []float64
+	for _, b := range []float64{0.625, 0.5 * 8.8029691931113054295988e+01, 350, 700} {
+		for d := -1; d <= 1; d++ {
+			borders = append(borders, stepUlps(b, d), -stepUlps(b, d))
+		}
+	}
+	borders = append(borders, 0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -0x1p-1030)
+	borders = append(borders, tanhWitnesses[:]...)
+	payloadNaNs := []float64{math.Float64frombits(0x7ff8000000000123), math.Float64frombits(0xfff4000000000001), math.Float64frombits(0x7ff0000000000007)}
+	if !lanes && lanesMissing() == "" && mathExpSeq() == "fma" {
+		// Only a self-check can have turned the lanes off: run them
+		// anyway, to show what they get wrong.
+		lanes = true
+		defer func() { lanes = false }()
+	}
+	EachKernelPath(t, func(path string) {
+		rng := rand.New(rand.NewSource(47))
+		for trial := 0; trial < 340; trial++ {
+			hidden := 1 + trial%17
+			k0, k1 := 0, hidden
+			if trial%2 == 1 {
+				k0 = rng.Intn(hidden)
+				k1 = k0 + 1 + rng.Intn(hidden-k0)
+			}
+			z := RandomVector(4*hidden, 2+float64(trial%5), rng)
+			cPrev := RandomVector(hidden, 2, rng)
+			switch trial % 4 {
+			case 1:
+				sprinkle(rng, z, 5)
+				sprinkle(rng, cPrev, 4)
+			case 2:
+				for k := range cPrev {
+					cPrev[k] = borders[rng.Intn(len(borders))]
+					if rng.Intn(2) == 0 {
+						z[4*k+1], z[4*k+2] = 40, 0 // f = 1, g = 0: cNew = cPrev
+					} else {
+						z[4*k+rng.Intn(4)] = borders[rng.Intn(len(borders))]
+					}
+				}
+			case 3:
+				for k := range cPrev {
+					if rng.Intn(3) == 0 {
+						cPrev[k] = payloadNaNs[rng.Intn(len(payloadNaNs))]
+					}
+				}
+			}
+			tape := growLSTMTape(nil, 3, lstmCell{in: 1, hidden: hidden})
+			for k := range tape {
+				tape[k].cPrev = cPrev
+			}
+			got, exp, want := &tape[0], &tape[1], &tape[2]
+			activate(got, k0, k1, slices.Clone(z[4*k0:4*k1]))
+			activateExp(exp, k0, k1, slices.Clone(z[4*k0:4*k1]))
+			activateGo(want, k0, k1, z[4*k0:4*k1])
+			at := fmt.Sprintf("%s, trial %d (hidden %d, units [%d, %d)): ", path, trial, hidden, k0, k1)
+			for f, name := range []string{"i", "f", "g", "o", "cNew", "tanhC", "h"} {
+				requireSameBits(t, at+name, got.activated()[f], want.activated()[f])
+				requireSameBits(t, at+"activateExp "+name, exp.activated()[f], want.activated()[f])
+			}
+		}
+	})
 }
