@@ -75,7 +75,8 @@ GOTEST_RUN = GO="$(GO)" scripts/gotest-run.sh
 # at any batch size, plus Adam.Step) must stay at 0 allocs/op, the
 # warmed sparse-KM matcher must stay at 0 allocs per Match, a warmed
 # Workspace must carry a 2k×2k PPI or KM batch through the candidate-pair
-# kernel on a small constant number of allocations, the warmed
+# kernel on a small constant number of allocations, and 24×45 batches
+# through its boxed scan on no more than the exhaustive scan's, the warmed
 # prediction engine (PredictFutureInto, EvaluateOnRoutine, cache hits) must
 # stay at 0 allocs per call, and applying a clock tick or a location report
 # to a warmed core.State must allocate nothing (State.Apply keeps nothing
@@ -189,6 +190,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeEvent -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core -run '^$$' -fuzz FuzzDecodeSnapshot -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/predict -run '^$$' -fuzz FuzzLoadModels -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/assign -run '^$$' -fuzz FuzzPairScanMatchesBrute -fuzztime $(FUZZTIME)
 
 # Regenerate the benchmark matrix: every scenario generator (paper, windows,
 # budget) × every assigner (UB, PPI, KM, GGPSO, Greedy, LB) at the smoke and

@@ -144,8 +144,10 @@ var kernelModes = []struct {
 // ok=false when the geometry is non-finite and only the scan can serve it.
 func gridScan(ws *Workspace, tasks []Task, workers []Worker, tick, parallelism int, mode pairMode) (pairScan, bool) {
 	s := ws.newPairScan(WithBruteScan(context.Background()), tasks, workers, tick, parallelism, mode)
-	s.grid = finiteWorkers(workers, mode) && s.buildGrid()
-	return s, s.grid
+	if finiteWorkers(workers, mode) && s.buildGrid() {
+		s.kernel = kernelGrid
+	}
+	return s, s.kernel == kernelGrid
 }
 
 // TestIndexedPlansMatchBruteOracle is the kernel's contract: for every
@@ -162,7 +164,7 @@ func TestIndexedPlansMatchBruteOracle(t *testing.T) {
 	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tasks, workers, tick := randInstance(rng, seed%2 == 0)
-		if ws.newPairScan(ctx, tasks, workers, tick, 1, pairConfident).grid {
+		if ws.newPairScan(ctx, tasks, workers, tick, 1, pairConfident).kernel == kernelGrid {
 			onGrid++
 		} else {
 			onScan++
@@ -296,15 +298,7 @@ func TestIndexedEdgeSetMatchesBrute(t *testing.T) {
 					continue
 				}
 				got := grid.feasible(ctx, m.mode, m.a, skipT, skipW)
-				equal := len(got.pairs) == len(want.pairs) && len(got.start) == len(want.start)
-				for i := 0; equal && i < len(got.pairs); i++ {
-					g, w := got.pairs[i], want.pairs[i]
-					equal = g.task == w.task && g.worker == w.worker && g.n == w.n && sameFloat(g.dist, w.dist)
-				}
-				for i := 0; equal && i < len(got.start); i++ {
-					equal = got.start[i] == want.start[i]
-				}
-				if !equal {
+				if !pairsIdentical(got, want) {
 					t.Fatalf("seed %d %s par %d: grid pairs differ from scan\ngrid: %v\nscan: %v",
 						seed, m.name, parallelism, got.pairs, want.pairs)
 				}
@@ -317,41 +311,72 @@ func TestIndexedEdgeSetMatchesBrute(t *testing.T) {
 	}
 }
 
-// TestKernelSelection pins the rule that picks between grid and scan: it
-// reads the input only — pair count and finiteness — and the oracle marker.
+// TestKernelSelection pins the rule that picks the path: it reads the input
+// only — pair count, finiteness and mode — and the oracle marker. A finite
+// batch takes the grid from gridMinPairs pairs on and the boxed scan below
+// (pairLoc the exhaustive one); anything non-finite, and WithBruteScan,
+// takes the exhaustive scan.
 func TestKernelSelection(t *testing.T) {
 	ctx := context.Background()
+	kernelOf := func(ctx context.Context, tasks []Task, workers []Worker, mode pairMode) pairKernel {
+		return NewWorkspace().newPairScan(ctx, tasks, workers, 0, 1, mode).kernel
+	}
+	name := [...]string{kernelScan: "exhaustive scan", kernelBox: "boxed scan", kernelGrid: "grid"}
 	tasks, workers := ScaleScenario(64, 64, 3)
-	if !NewWorkspace().newPairScan(ctx, tasks, workers, 0, 1, pairPath).grid {
-		t.Fatalf("%d pairs: want the grid", len(tasks)*len(workers))
-	}
-	if NewWorkspace().newPairScan(WithBruteScan(ctx), tasks, workers, 0, 1, pairPath).grid {
-		t.Fatal("WithBruteScan: want the scan")
-	}
-	if NewWorkspace().newPairScan(ctx, tasks[:63], workers, 0, 1, pairPath).grid {
-		t.Fatalf("%d pairs: want the scan", 63*len(workers))
-	}
-	poison := func(edit func(ts []Task, ws []Worker)) bool {
-		ts, ws := ScaleScenario(64, 64, 3)
-		edit(ts, ws)
-		return NewWorkspace().newPairScan(ctx, ts, ws, 0, 1, pairPath).grid
-	}
-	for name, edit := range map[string]func(ts []Task, ws []Worker){
-		"NaN task":         func(ts []Task, ws []Worker) { ts[5].Loc.X = math.NaN() },
-		"Inf task":         func(ts []Task, ws []Worker) { ts[5].Loc.Y = math.Inf(-1) },
-		"NaN point":        func(ts []Task, ws []Worker) { ws[9].Predicted[2].Y = math.NaN() },
-		"Inf point":        func(ts []Task, ws []Worker) { ws[9].Predicted[0].X = math.Inf(1) },
-		"Inf detour":       func(ts []Task, ws []Worker) { ws[9].Detour = math.Inf(1) },
-		"NaN detour":       func(ts []Task, ws []Worker) { ws[9].Detour = math.NaN() },
-		"overflowing span": func(ts []Task, ws []Worker) { ts[0].Loc.X, ts[1].Loc.X = -1.7e308, 1.7e308 },
+	small, smallW := ScaleScenario(45, 24, 3)
+	const unpoisoned = pairKernel(255)
+	for _, tc := range []struct {
+		name      string
+		got, want pairKernel
+	}{
+		{"4096 pairs", kernelOf(ctx, tasks, workers, pairPath), kernelGrid},
+		{"4096 pairs, confident", kernelOf(ctx, tasks, workers, pairConfident), kernelGrid},
+		{"4096 pairs, loc", kernelOf(ctx, tasks, workers, pairLoc), kernelGrid},
+		{"4096 pairs, WithBruteScan", kernelOf(WithBruteScan(ctx), tasks, workers, pairPath), kernelScan},
+		{"4032 pairs", kernelOf(ctx, tasks[:63], workers, pairPath), kernelBox},
+		{"24x45, path", kernelOf(ctx, small, smallW, pairPath), kernelBox},
+		{"24x45, confident", kernelOf(ctx, small, smallW, pairConfident), kernelBox},
+		{"24x45, serve", kernelOf(ctx, small, smallW, pairServe), kernelBox},
+		{"24x45, loc", kernelOf(ctx, small, smallW, pairLoc), kernelScan},
+		{"24x45, WithBruteScan", kernelOf(WithBruteScan(ctx), small, smallW, pairConfident), kernelScan},
 	} {
-		if poison(edit) {
-			t.Errorf("%s: want the scan", name)
+		if tc.got != tc.want {
+			t.Errorf("%s: got the %s, want the %s", tc.name, name[tc.got], name[tc.want])
 		}
 	}
-	// A point set the mode does not read cannot poison it.
-	if !poison(func(ts []Task, ws []Worker) { ws[9].Actual[0].X = math.NaN() }) {
-		t.Error("NaN in Actual: pairPath should still take the grid")
+	for _, tc := range []struct {
+		name string
+		edit func(ts []Task, ws []Worker)
+		want pairKernel // at both sizes; the size decides when unpoisoned
+	}{
+		{"NaN task", func(ts []Task, ws []Worker) { ts[5].Loc.X = math.NaN() }, kernelScan},
+		{"Inf task", func(ts []Task, ws []Worker) { ts[5].Loc.Y = math.Inf(-1) }, kernelScan},
+		{"NaN point", func(ts []Task, ws []Worker) { ws[9].Predicted[2].Y = math.NaN() }, kernelScan},
+		{"Inf point", func(ts []Task, ws []Worker) { ws[9].Predicted[0].X = math.Inf(1) }, kernelScan},
+		{"Inf detour", func(ts []Task, ws []Worker) { ws[9].Detour = math.Inf(1) }, kernelScan},
+		{"NaN detour", func(ts []Task, ws []Worker) { ws[9].Detour = math.NaN() }, kernelScan},
+		// Nor can a tick: the grid never reads one, and the box widens
+		// pairServe's reach where float64 would round it.
+		{"deadline past 2^52", func(ts []Task, ws []Worker) { ts[3].Deadline = 1 << 60 }, unpoisoned},
+		// The grid cannot span ±1.7e308; the box test can.
+		{"overflowing span", func(ts []Task, ws []Worker) { ts[0].Loc.X, ts[1].Loc.X = -1.7e308, 1.7e308 }, kernelBox},
+		// A point set the mode does not read cannot poison it.
+		{"NaN in Actual", func(ts []Task, ws []Worker) { ws[9].Actual[0].X = math.NaN() }, unpoisoned},
+		// Nor can a speed: every predicate stays within the box radius at any.
+		{"NaN speed", func(ts []Task, ws []Worker) { ws[9].Speed = math.NaN() }, unpoisoned},
+		{"-Inf speed", func(ts []Task, ws []Worker) { ws[9].Speed = math.Inf(-1) }, unpoisoned},
+	} {
+		for _, n := range []int{64, 63} {
+			ts, ws := ScaleScenario(64, 64, 3)
+			tc.edit(ts, ws)
+			want := tc.want
+			if want == unpoisoned {
+				want = map[int]pairKernel{64: kernelGrid, 63: kernelBox}[n]
+			}
+			if got := kernelOf(ctx, ts[:n], ws, pairPath); got != want {
+				t.Errorf("%s, %d tasks: got the %s, want the %s", tc.name, n, name[got], name[want])
+			}
+		}
 	}
 }
 
@@ -373,7 +398,7 @@ func TestKernelCountersStayNonNegative(t *testing.T) {
 	}
 	ws := NewWorkspace()
 	s := ws.newPairScan(context.Background(), tasks, workers, 0, 1, pairConfident)
-	if !s.grid {
+	if s.kernel != kernelGrid {
 		t.Fatal("want the grid")
 	}
 	found := s.feasible(context.Background(), pairConfident, 0.5, nil, nil)
@@ -404,7 +429,9 @@ func TestKernelCountersStayNonNegative(t *testing.T) {
 // TestKernelSteadyStateAllocs is the allocation gate on the kernel: with a
 // warmed Workspace a 2k×2k batch costs PPI and KM a small constant number of
 // allocations (the returned plan, the pool's closures, the spans) — none
-// that grow with the batch.
+// that grow with the batch. A 24×45 batch, the size of a simulator tick's,
+// takes the boxed scan: cycling over 64 distinct warmed batches, it costs
+// no allocation more than the exhaustive scan of the same batches.
 func TestKernelSteadyStateAllocs(t *testing.T) {
 	tasks, workers := ScaleScenario(2000, 2000, 7)
 	for _, a := range []Assigner{PPI{A: 0.5, Parallelism: 1}, KM{Parallelism: 1}} {
@@ -415,6 +442,41 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 		t.Logf("%s 2000x2000: %.0f allocs/op", a.Name(), allocs)
 		if allocs > 32 {
 			t.Errorf("%s: %.0f allocs per warmed 2000x2000 batch, want ≤ 32", a.Name(), allocs)
+		}
+	}
+
+	type batch struct {
+		tasks   []Task
+		workers []Worker
+	}
+	small := make([]batch, 64)
+	for i := range small {
+		tasks, workers := ScaleScenario(45, 24, int64(i))
+		for j := range tasks {
+			tasks[j].Deadline = 1 + (i+j)%20
+		}
+		small[i] = batch{tasks, workers}
+	}
+	if k := NewWorkspace().newPairScan(context.Background(), small[0].tasks, small[0].workers, 0, 1, pairPath).kernel; k != kernelBox {
+		t.Fatalf("24x45: kernel %d, want the boxed scan", k)
+	}
+	for _, a := range []Assigner{PPI{A: 0.5, Parallelism: 1}, KM{Parallelism: 1}} {
+		perBatch := func(ctx context.Context) float64 {
+			ctx = WithWorkspace(ctx, NewWorkspace())
+			for _, b := range small {
+				Do(ctx, a, b.tasks, b.workers, 0)
+			}
+			k := 0
+			return testing.AllocsPerRun(2*len(small), func() {
+				b := &small[k%len(small)]
+				k++
+				Do(ctx, a, b.tasks, b.workers, 0)
+			})
+		}
+		boxed, scanned := perBatch(context.Background()), perBatch(WithBruteScan(context.Background()))
+		t.Logf("%s 24x45: %.0f allocs/op boxed, %.0f scanned", a.Name(), boxed, scanned)
+		if boxed > scanned {
+			t.Errorf("%s: %.0f allocs per warmed 24x45 batch on the boxed scan, %.0f on the exhaustive one", a.Name(), boxed, scanned)
 		}
 	}
 }

@@ -48,7 +48,7 @@ func TestReadsForecastMatchesBehaviour(t *testing.T) {
 	var onGrid, onScan int
 	for seed := int64(0); seed < 60; seed++ {
 		tasks, workers, tick := randInstance(rand.New(rand.NewSource(seed)), seed%2 == 0)
-		if ws.newPairScan(ctx, tasks, workers, tick, 1, pairLoc).grid {
+		if ws.newPairScan(ctx, tasks, workers, tick, 1, pairLoc).kernel == kernelGrid {
 			onGrid++
 		} else {
 			onScan++

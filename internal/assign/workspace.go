@@ -20,9 +20,11 @@ import (
 type Workspace struct {
 	m Matcher
 
-	// Candidate-pair kernel state: the batch's task grid, per-chunk and
-	// per-pool-slot probe buffers, and the regrouped result of the last query.
+	// Candidate-pair kernel state: the batch's task grid or its workers'
+	// point boxes, per-chunk and per-pool-slot probe buffers, and the
+	// regrouped result of the last query.
 	grid   geo.PointGrid
+	boxes  []float64
 	chunks []pairChunk
 	slots  []pairSlot
 	pairs  []feasiblePair

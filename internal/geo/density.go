@@ -50,7 +50,9 @@ func (d *DensityIndex) Total() int { return d.total }
 // CountWithin returns the number of recorded tasks whose cell centre lies
 // within radius r (in cells) of p: those of every cell (col, row) with
 // CellCenter(col, row).Dist(p) ≤ r whose column and row lie within
-// ⌈r⌉ + 1 of p's cell (CellOf), which holds every cell the test passes.
+// ⌈r⌉ + 1 of p's cell (CellOf), which holds every cell the test passes. A
+// radius that reaches past the grid's every edge, +Inf included, opens the
+// window on the whole grid; a NaN radius counts nothing.
 //
 // In a row, that test passes on one run of cells around p's column: the
 // computed distance is monotone in the column on either side of p (each
@@ -58,14 +60,14 @@ func (d *DensityIndex) Total() int { return d.total }
 // The run's ends are estimated from the disc's chord and settled with the
 // test itself, so the cells counted are exactly those the test passes.
 func (d *DensityIndex) CountWithin(p Point, r float64) int {
-	if r <= 0 {
+	if !(r > 0) {
 		return 0
 	}
 	g := d.grid
 	col, row := g.CellOf(p)
-	ir := int(math.Ceil(r)) + 1
-	if ir < 0 { // ⌈r⌉ overflowed int (r = +Inf, 1e300): the window is empty
-		return 0
+	ir := g.Cols + g.Rows // past every edge from any cell; ⌈r⌉ may overflow int
+	if r < float64(ir) {
+		ir = int(math.Ceil(r)) + 1
 	}
 	lo, hi := col-min(ir, col), col+min(ir, g.Cols-1-col)
 	n := 0

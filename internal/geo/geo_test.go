@@ -341,3 +341,27 @@ func TestCountWithinMatchesScan(t *testing.T) {
 	check(Pt(math.NaN(), 3), 5)
 	check(Pt(3, math.NaN()), 5)
 }
+
+// TestCountWithinUnboundedRadius: a radius past the grid counts every task
+// however large it is — ⌈r⌉ overflows int from 2⁶³ on — and a NaN radius
+// counts none.
+func TestCountWithinUnboundedRadius(t *testing.T) {
+	g := Grid{Cols: 10, Rows: 10}
+	d := NewDensityIndex(g)
+	d.Add(Pt(2.5, 7.5))
+	d.Add(Pt(9.9, 0.1))
+	d.Add(Pt(-4, 40)) // clamped into a corner cell
+	for _, p := range []Point{Pt(0, 0), Pt(5, 5), Pt(-1e6, 1e6)} {
+		for _, r := range []float64{math.Inf(1), 1e300, 0x1p63, 1e18} {
+			if got := d.CountWithin(p, r); got != 3 {
+				t.Errorf("CountWithin(%v, %g) = %d, want 3", p, r, got)
+			}
+		}
+		if got := d.CountWithin(p, math.NaN()); got != 0 {
+			t.Errorf("CountWithin(%v, NaN) = %d, want 0", p, got)
+		}
+	}
+	if got := d.CountWithin(Pt(5, 5), 100); got != 3 {
+		t.Errorf("CountWithin(%v, 100) = %d, want 3", Pt(5, 5), got)
+	}
+}
