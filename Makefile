@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet bench bench-assign bench-predict bench-test bench-e2e bench-yardstick perfcheck memocheck expcheck benchguard benchguard-allocs chaos cluster cluster-smoke replay fuzz-smoke matrix matrix-check matrix-identical staticcheck fmt fmt-check ci
+.PHONY: all build test race vet bench bench-assign bench-predict bench-test bench-e2e bench-yardstick perfcheck memocheck expcheck benchguard benchguard-allocs chaos cluster cluster-smoke replay fuzz-smoke matrix matrix-check staticcheck fmt fmt-check ci
 
 all: build test
 
@@ -194,26 +194,22 @@ fuzz-smoke:
 
 # Regenerate the benchmark matrix: every scenario generator (paper, windows,
 # budget) × every assigner (UB, PPI, KM, GGPSO, Greedy, LB) at the smoke and
-# quick scales, written to BENCH_matrix.json + MATRIX.md. Cells are
-# deterministic for a given scale, so the committed files only change when
-# the simulator, a generator, or an assigner changes behaviour — regenerate
-# and commit both files together with the change that moved them.
+# quick scales and seed 1, written to BENCH_matrix.json + MATRIX.md. Cells are
+# deterministic for a given scale and seed, so the committed files only
+# change when the simulator, a generator, or an assigner changes behaviour —
+# regenerate and commit both files together with the change that moved
+# them. `tampbench -exp matrix -scale S -seeds N` runs the same cells over
+# other seeds and scales.
 matrix:
-	$(GO) run ./cmd/tampbench -matrix
+	$(GO) run ./cmd/tampbench -record BENCH_matrix.json
 
-# Matrix regression gate, blocking in CI: re-run the smoke-scale cells and
-# diff against the committed BENCH_matrix.json with per-metric tolerances
-# (counts 2%, rates ±0.02, cost 5%). The fresh cells land in
-# matrix-current.json so CI can upload them on failure.
+# Matrix regression gate, blocking in CI: regenerate every committed cell
+# and fail on any difference from BENCH_matrix.json, naming each cell and
+# field, or any byte of MATRIX.md. The fresh files land in matrix-current/
+# so CI can upload them on failure. A change that means to move plans runs
+# `make matrix` and commits both files.
 matrix-check:
-	$(GO) run ./cmd/tampbench -check-matrix BENCH_matrix.json -matrix-scale smoke -matrix-fresh matrix-current.json
-
-# Byte-identity gate, blocking in CI after matrix-check: regenerate every
-# cell and require the committed files unchanged. matrix-check's tolerances
-# cannot see a one-pair plan change; a PR that claims "plans did not move"
-# passes this, and one that means to move them commits the regenerated files.
-matrix-identical: matrix
-	git diff --exit-code -- BENCH_matrix.json MATRIX.md
+	$(GO) run ./cmd/tampbench -check BENCH_matrix.json -check-out matrix-current
 
 # Static analysis beyond go vet. The container has no network, so the binary
 # must already be on PATH (CI installs the pinned version; locally:

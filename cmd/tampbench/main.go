@@ -1,47 +1,43 @@
 // Command tampbench regenerates the tables and figures of the paper's
-// evaluation (§IV and Appendix C) on the synthetic workloads.
+// evaluation (§IV and Appendix C) on the synthetic workloads, the benchmark
+// matrix, and the committed BENCH_*.json files.
 //
 // Usage:
 //
 //	tampbench -list
-//	tampbench -exp table4 -scale quick
 //	tampbench -exp fig6,fig7 -scale full
-//	tampbench -exp all -scale quick
+//	tampbench -exp matrix -scale quick -seeds 3        # mean ± std over seeds 1–3
 //	tampbench -record BENCH_nn.json                    # re-measure a kernel guard's current rows
-//	tampbench -check BENCH_nn.json,BENCH_assign.json,BENCH_predict.json -tolerance 0.25   # CI regression guard
-//	tampbench -check BENCH_nn.json -check-out DIR      # also write the fresh run to DIR/BENCH_nn.json
-//	tampbench -matrix                                  # regenerate BENCH_matrix.json + MATRIX.md
-//	tampbench -check-matrix BENCH_matrix.json -matrix-scale smoke   # CI matrix gate
+//	tampbench -check BENCH_nn.json,BENCH_assign.json,BENCH_predict.json -tolerance 0.25
+//	tampbench -record BENCH_matrix.json                # regenerate it and MATRIX.md beside it
+//	tampbench -check BENCH_matrix.json -check-out DIR  # any difference fails; DIR gets the fresh files
 //	tampbench -replay /var/lib/tamp/wal -assigner KM   # re-run a recorded log offline
 //
-// -check and -record take the committed kernel-guard files; the suite each
-// runs is the one in internal/perf whose file has that base name (nn: the
-// LSTM encoder–decoder, assign: PPI/KM matching, predict: the forecast
-// engine). A fresh -record file also measures each row's before-side, the
-// path the production one replaced.
+// Each mode (-list, -replay, -check/-record, -exp) reads its own flags and
+// refuses, by name and with exit 2, any other flag set on the command line.
 //
-// -matrix runs the cross-product of the scenario workload generators
-// (internal/scenario: paper, windows, budget) × the full assigner zoo
-// (UB, PPI, KM, GGPSO, Greedy, LB) at each -matrix-scale and commits the
-// per-cell metrics; -check-matrix diffs a fresh run against the committed
-// file with per-metric tolerances and exits 1 on drift.
+// -check and -record run at GOMAXPROCS 1. A kernel-guard file is measured
+// by the internal/perf suite whose file has its base name; a fresh -record
+// file also measures each row's before-side. BENCH_matrix.json holds the
+// "matrix" experiment (scenario generators × the assigner zoo) at the smoke
+// and quick scales and seed 1; -check names each cell and field that moved.
 //
 // -replay feeds an event log recorded by a durable server (tampserver
 // -wal-dir) or a recording simulation (tampsim -record) through any
-// assigner: the replayed state follows the live run event for event, while
-// at each batch the chosen assigner produces a counterfactual plan over the
-// exact batch input the live platform saw, reported pair-for-pair against
-// the live plan. Repeated replays are bit-identical. It ends with the line
-// tampsim ends each simulation with, "forecasts: N rolled out, M reused",
-// the pass's own memo traffic.
+// assigner the matrix runs: the replayed state follows the live run event
+// for event, while at each batch the chosen assigner produces a
+// counterfactual plan over the exact batch input the live platform saw,
+// reported pair-for-pair against the live plan. Repeated replays are
+// bit-identical. It ends with the line tampsim ends each simulation with,
+// "forecasts: N rolled out, M reused", the pass's own memo traffic.
 //
-// Scale "quick" finishes in seconds per experiment; "full" takes minutes
-// per experiment and produces the paper-shaped trends recorded in
-// EXPERIMENTS.md.
+// Scales "smoke" and "quick" take seconds per experiment; "full" takes
+// minutes and produces the paper-shaped trends recorded in EXPERIMENTS.md.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -50,6 +46,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -67,48 +64,44 @@ func main() {
 	var (
 		list     = flag.Bool("list", false, "list available experiments and exit")
 		expFlag  = flag.String("exp", "", "comma-separated experiment ids, or 'all'")
-		scale    = flag.String("scale", "quick", "experiment scale: quick or full")
-		seed     = flag.Int64("seed", 0, "override the workload seed (0 keeps the scale default)")
+		scale    = flag.String("scale", "quick", "experiment scale: smoke, quick or full")
+		seed     = flag.Int64("seed", 0, "override the workload seed (0 keeps the scale default); with -replay, GGPSO's seed")
 		csvDir   = flag.String("csv", "", "also write <dir>/<exp>.csv with machine-readable rows (one seed: does not combine with -seeds)")
 		seeds    = flag.Int("seeds", 1, "run each experiment over this many seeds and report mean ± std")
 		par      = flag.Int("par", 0, "worker pool size for training, simulation, and multi-seed fan-out (0 = all cores)")
-		check    = flag.String("check", "", "comma-separated kernel-guard files (BENCH_nn.json, BENCH_assign.json, BENCH_predict.json): run the suite each file records and compare against its current rows; exit 1 on regression")
-		record   = flag.String("record", "", "comma-separated kernel-guard files: run the suite each file records and write it (an existing file keeps its baseline and note; a fresh one also measures each row's before-side)")
-		checkOut = flag.String("check-out", "", "with -check, write each fresh run to this directory as the committed file with fresh current rows")
-		tol      = flag.Float64("tolerance", 0.25, "allowed fractional ns/op growth over the file's current rows before -check fails (allocs/op must never grow)")
+		check    = flag.String("check", "", "comma-separated committed files (BENCH_nn.json, BENCH_assign.json, BENCH_predict.json, BENCH_matrix.json): regenerate each and compare; exit 1 on a kernel regression or any matrix difference")
+		record   = flag.String("record", "", "comma-separated committed files: regenerate and write each (a kernel-guard file keeps its baseline and note, a fresh one also measures each row's before-side; BENCH_matrix.json also writes MATRIX.md beside it)")
+		checkOut = flag.String("check-out", "", "with -check, write each fresh run to this directory as the committed file would be written")
+		tol      = flag.Float64("tolerance", 0.25, "with -check, allowed fractional ns/op growth over a kernel-guard file's current rows (allocs/op must never grow)")
 		metrics  = flag.Bool("metrics", false, "collect experiment metrics in a registry and dump it (Prometheus text) at end of run")
 		pprofA   = flag.String("pprof", "", "serve net/http/pprof on this address while the run lasts (e.g. localhost:6060)")
-		matrixR  = flag.Bool("matrix", false, "run the scenario-generator × assigner benchmark matrix and write -matrix-json and -matrix-md")
-		matrixJ  = flag.String("matrix-json", "BENCH_matrix.json", "matrix output file for -matrix")
-		matrixMD = flag.String("matrix-md", "MATRIX.md", "human-readable matrix table for -matrix")
-		matrixSc = flag.String("matrix-scale", "", "comma-separated matrix scales: smoke, quick, full (default smoke,quick for -matrix; smoke for -check-matrix)")
-		checkMx  = flag.String("check-matrix", "", "run a fresh matrix at -matrix-scale and diff it against this committed file; exit 1 on out-of-tolerance drift")
-		matrixFr = flag.String("matrix-fresh", "", "with -check-matrix, also write the fresh cells to this file (CI uploads it on failure)")
 		replayD  = flag.String("replay", "", "replay a recorded event log directory (tampserver -wal-dir or tampsim -record) through -assigner and report per-batch plan agreement")
-		assignN  = flag.String("assigner", "PPI", "assigner for -replay: PPI, KM, UB, LB, GGPSO")
+		assignN  = flag.String("assigner", "PPI", "assigner for -replay: "+strings.Join(experiments.MatrixAssigners, ", "))
 		modelsF  = flag.String("models", "", "predictor bundle (SaveModels format) for -replay counterfactual batches; omitted = stand-still forecasts")
 	)
 	flag.Parse()
 
-	if *list {
+	// Ctrl-C abandons the current run cleanly instead of killing the
+	// process mid-write.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	switch {
+	case *list:
+		refuseUnread("-list", "list")
 		experiments.Describe(os.Stdout)
 		return
-	}
-	if *replayD != "" {
-		refuseFlags("-replay", "seeds", "csv", "scale", "exp", "metrics", "pprof")
-		if err := runReplay(*replayD, *assignN, *modelsF, *par, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "tampbench:", err)
-			os.Exit(1)
-		}
+	case *replayD != "":
+		refuseUnread("-replay", "replay", "assigner", "models", "par", "seed")
+		exitOn(runReplay(ctx, *replayD, *assignN, *modelsF, *par, *seed))
 		return
-	}
-	if *matrixR || *checkMx != "" {
-		refuseFlags("-matrix or -check-matrix", "seed", "seeds", "csv", "scale", "exp", "metrics", "pprof")
-		if err := runMatrix(*matrixR, *checkMx, *matrixJ, *matrixMD, *matrixSc, *matrixFr, *par); err != nil {
-			fmt.Fprintln(os.Stderr, "tampbench:", err)
-			os.Exit(1)
+	case *check != "" || *record != "":
+		reads := []string{"record", "pprof"}
+		if *check != "" {
+			reads = append(reads, "check", "check-out", "tolerance")
 		}
-		return
+		refuseUnread("-check or -record", reads...)
+	default:
+		refuseUnread("-exp", "exp", "scale", "seed", "seeds", "csv", "par", "metrics", "pprof")
 	}
 	if *pprofA != "" {
 		go func() {
@@ -118,30 +111,18 @@ func main() {
 	}
 	if *check != "" || *record != "" {
 		pinSingleP()
-		if err := runGuards(*check, *record, *checkOut, *tol); err != nil {
-			fmt.Fprintln(os.Stderr, "tampbench:", err)
-			os.Exit(1)
-		}
+		exitOn(runGuards(ctx, *check, *record, *checkOut, *tol))
 		return
 	}
 	if *expFlag == "" {
-		fmt.Fprintln(os.Stderr, "tampbench: -exp required (use -list to see experiments)")
-		os.Exit(2)
+		refuse("-exp required (use -list to see experiments)")
 	}
 	if *csvDir != "" && *seeds > 1 {
-		fmt.Fprintln(os.Stderr, "tampbench: -csv and -seeds do not combine: a CSV holds one seed's rows")
-		os.Exit(2)
+		refuse("-csv and -seeds do not combine: a CSV holds one seed's rows")
 	}
-
-	var sc experiments.Scale
-	switch *scale {
-	case "quick":
-		sc = experiments.Quick
-	case "full":
-		sc = experiments.Full
-	default:
-		fmt.Fprintf(os.Stderr, "tampbench: unknown scale %q\n", *scale)
-		os.Exit(2)
+	sc, err := experiments.ScaleNamed(*scale)
+	if err != nil {
+		refuse("%v", err)
 	}
 	if *seed != 0 {
 		sc.Seed = *seed
@@ -153,10 +134,6 @@ func main() {
 	}
 	fmt.Printf("parallelism: %d goroutines (GOMAXPROCS %d), nn kernels: %s\n", effective, runtime.GOMAXPROCS(0), nn.KernelPath())
 
-	// Ctrl-C abandons the current experiment cleanly instead of killing the
-	// process mid-write.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	var reg *obs.Registry
 	if *metrics {
 		reg = obs.NewRegistry()
@@ -173,45 +150,28 @@ func main() {
 		id = strings.TrimSpace(id)
 		e, ok := experiments.Registry[id]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "tampbench: unknown experiment %q\n", id)
-			os.Exit(2)
+			refuse("unknown experiment %q", id)
 		}
 		fmt.Printf("== %s (%s scale) ==\n", e.Title, sc.Name)
 		start := time.Now()
 		var uses []experiments.ForecastUse
-		var err error
 		if *csvDir != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fmt.Fprintln(os.Stderr, "tampbench:", err)
-				os.Exit(1)
-			}
+			exitOn(os.MkdirAll(*csvDir, 0o755))
 			f, err := os.Create(filepath.Join(*csvDir, id+".csv"))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "tampbench:", err)
-				os.Exit(1)
-			}
-			if uses, err = e.RunCSV(ctx, sc, f); err != nil {
-				f.Close()
-				fmt.Fprintln(os.Stderr, "tampbench:", err)
-				os.Exit(1)
-			}
-			f.Close()
-			fmt.Printf("wrote %s\n", filepath.Join(*csvDir, id+".csv"))
+			exitOn(err)
+			uses, err = e.RunCSV(ctx, sc, f)
+			exitOn(errors.Join(err, f.Close()))
+			fmt.Printf("wrote %s\n", f.Name())
 		} else if *seeds > 1 {
 			list := make([]int64, *seeds)
 			for i := range list {
 				list[i] = sc.Seed + int64(i)
 			}
-			if uses, err = e.RunSeeds(ctx, sc, list, os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "tampbench:", err)
-				os.Exit(1)
-			}
+			uses, err = e.RunSeeds(ctx, sc, list, os.Stdout)
 		} else {
-			if uses, err = e.Run(ctx, sc, os.Stdout); err != nil {
-				fmt.Fprintln(os.Stderr, "tampbench:", err)
-				os.Exit(1)
-			}
+			uses, err = e.Run(ctx, sc, os.Stdout)
 		}
+		exitOn(err)
 		for _, u := range uses {
 			fmt.Println(u)
 		}
@@ -222,26 +182,50 @@ func main() {
 	}
 }
 
-// pinSingleP puts the kernel suites on one P, the way bench/ runs, and says
-// so in the report. The committed BENCH_*.json rows are single-P
-// measurements and the assigners' worker pool allocates per extra goroutine,
-// so the exact allocs/op rule only compares like with like at GOMAXPROCS 1.
-func pinSingleP() {
-	runtime.GOMAXPROCS(1)
-	fmt.Printf("GOMAXPROCS %d (pinned for the kernel suites), nn kernels: %s\n", runtime.GOMAXPROCS(0), nn.KernelPath())
+// refuse ends the run with exit 2: tampbench does not run the command line.
+func refuse(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "tampbench: "+format+"\n", args...)
+	os.Exit(2)
 }
 
-// runGuards is the -check / -record mode over the kernel-guard files, each
-// measured by the perf suite whose file has its base name. Every checked
-// file runs even after one regresses.
-func runGuards(check, record, outDir string, tol float64) error {
-	var regressed []string
-	for _, path := range splitList(check) {
-		s, err := perf.SuiteFor(path)
-		if err != nil {
-			return err
+// exitOn ends the run with exit 1 on err.
+func exitOn(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tampbench:", err)
+		os.Exit(1)
+	}
+}
+
+// refuseUnread exits 2, naming it, when the command line set a flag that
+// mode does not read: a flag set and then ignored would read as honoured.
+func refuseUnread(mode string, reads ...string) {
+	flag.Visit(func(f *flag.Flag) {
+		if !slices.Contains(reads, f.Name) {
+			refuse("-%s does not apply to %s", f.Name, mode)
 		}
-		fresh, report, ok, err := perf.Check(path, s, tol)
+	})
+}
+
+// pinSingleP puts the committed files' runs on one P, the way bench/ runs,
+// and says so in the report. The committed BENCH_*.json rows are single-P
+// measurements and the assigners' worker pool allocates per extra
+// goroutine, so the exact allocs/op rule only compares like with like at
+// GOMAXPROCS 1; the matrix's cells are the same at every parallelism.
+func pinSingleP() {
+	runtime.GOMAXPROCS(1)
+	fmt.Printf("GOMAXPROCS %d (pinned for the committed files), nn kernels: %s\n", runtime.GOMAXPROCS(0), nn.KernelPath())
+}
+
+// matrixFile is the committed file regenerated from the matrix experiment.
+const matrixFile = "BENCH_matrix.json"
+
+// runGuards is the -check / -record mode over the committed files: the
+// benchmark matrix, or a kernel-guard file measured by the perf suite whose
+// file has its base name. Every checked file runs even after one fails.
+func runGuards(ctx context.Context, check, record, outDir string, tol float64) error {
+	var failed []string
+	for _, path := range splitList(check) {
+		save, ok, err := checkFile(ctx, path, tol)
 		if err != nil {
 			return err
 		}
@@ -250,126 +234,97 @@ func runGuards(check, record, outDir string, tol float64) error {
 			if err := os.MkdirAll(outDir, 0o755); err != nil {
 				return err
 			}
-			if err := fresh.Save(out); err != nil {
+			if err := save(out); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", out)
 		}
-		fmt.Print(report)
 		if !ok {
-			regressed = append(regressed, path)
-			continue
+			failed = append(failed, path)
 		}
-		fmt.Printf("no regression against %s (tolerance %.0f%%)\n", path, tol*100)
 	}
 	for _, path := range splitList(record) {
-		s, err := perf.SuiteFor(path)
-		if err != nil {
+		if err := recordFile(ctx, path); err != nil {
 			return err
 		}
-		f, err := perf.Record(path, s)
-		if err != nil {
-			return err
-		}
-		fmt.Print(perf.Format(f))
 		fmt.Printf("wrote %s\n", path)
 	}
-	if len(regressed) > 0 {
-		return fmt.Errorf("benchmark regression against %s (tolerance %.0f%%)", strings.Join(regressed, ", "), tol*100)
+	if len(failed) > 0 {
+		return fmt.Errorf("check failed against %s", strings.Join(failed, ", "))
 	}
 	return nil
 }
 
-// refuseFlags exits 2, naming the flag, when the command line set any of
-// names, flags that mode does not read: a flag set and then ignored would
-// read as honoured.
-func refuseFlags(mode string, names ...string) {
-	if name := firstSet(names...); name != "" {
-		fmt.Fprintf(os.Stderr, "tampbench: -%s does not apply to %s\n", name, mode)
-		os.Exit(2)
+// checkFile regenerates the committed file at path, prints how the fresh
+// run compares, and returns whether it passes and how to save the fresh
+// run as the committed file would be written.
+func checkFile(ctx context.Context, path string, tol float64) (save func(string) error, ok bool, err error) {
+	if filepath.Base(path) == matrixFile {
+		cells, err := runMatrix(ctx)
+		if err != nil {
+			return nil, false, err
+		}
+		diffs, err := experiments.DiffMatrixFiles(path, cells)
+		if err != nil {
+			return nil, false, err
+		}
+		for _, d := range diffs {
+			fmt.Println(d)
+		}
+		fmt.Printf("%s: %d differences from a fresh run\n", path, len(diffs))
+		if len(diffs) > 0 {
+			fmt.Println("a change that means to move cells regenerates the file with `make matrix`")
+		}
+		return func(out string) error { return experiments.WriteMatrixFiles(out, cells) }, len(diffs) == 0, nil
 	}
+	s, err := perf.SuiteFor(path)
+	if err != nil {
+		return nil, false, err
+	}
+	fresh, report, ok, err := perf.Check(path, s, tol)
+	if err != nil {
+		return nil, false, err
+	}
+	fmt.Print(report)
+	if ok {
+		fmt.Printf("no regression against %s (tolerance %.0f%%)\n", path, tol*100)
+	}
+	return fresh.Save, ok, nil
 }
 
-// firstSet returns the first of names that the command line set, or "".
-func firstSet(names ...string) string {
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	for _, n := range names {
-		if set[n] {
-			return n
+func recordFile(ctx context.Context, path string) error {
+	if filepath.Base(path) == matrixFile {
+		cells, err := runMatrix(ctx)
+		if err != nil {
+			return err
 		}
+		return experiments.WriteMatrixFiles(path, cells)
 	}
-	return ""
+	s, err := perf.SuiteFor(path)
+	if err != nil {
+		return err
+	}
+	f, err := perf.Record(path, s)
+	fmt.Print(perf.Format(f))
+	return err
+}
+
+// runMatrix runs the committed matrix's scales and prints the cells and
+// each model set's forecast use.
+func runMatrix(ctx context.Context) ([]experiments.MatrixCell, error) {
+	cells, uses, err := experiments.RunMatrix(ctx, experiments.MatrixScales)
+	if err != nil {
+		return nil, err
+	}
+	experiments.WriteMatrixTable(os.Stdout, "Benchmark matrix", cells)
+	for _, u := range uses {
+		fmt.Println(u)
+	}
+	return cells, nil
 }
 
 func splitList(s string) []string {
 	return strings.FieldsFunc(s, func(r rune) bool { return r == ',' })
-}
-
-// runMatrix is the -matrix / -check-matrix mode: run the scenario-generator
-// × assigner cross-product (Ctrl-C cancels between simulations) and either
-// persist it as the committed BENCH_matrix.json + MATRIX.md or diff it
-// against the committed cells with per-metric tolerances.
-func runMatrix(generate bool, checkPath, jsonPath, mdPath, scaleCSV, freshPath string, par int) error {
-	if scaleCSV == "" {
-		if generate {
-			scaleCSV = "smoke,quick"
-		} else {
-			scaleCSV = "smoke"
-		}
-	}
-	var scales []experiments.Scale
-	for _, name := range strings.Split(scaleCSV, ",") {
-		sc, err := experiments.MatrixScale(strings.TrimSpace(name))
-		if err != nil {
-			return err
-		}
-		sc.Parallelism = par
-		scales = append(scales, sc)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	start := time.Now()
-	cells, err := experiments.RunMatrix(ctx, scales, os.Stderr)
-	if err != nil {
-		return err
-	}
-	experiments.WriteMatrixTable(os.Stdout, cells)
-	fmt.Printf("matrix: %d cells in %v\n", len(cells), time.Since(start).Round(time.Millisecond))
-
-	if checkPath != "" {
-		if freshPath != "" {
-			if err := experiments.WriteMatrixJSON(freshPath, cells); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", freshPath)
-		}
-		committed, err := experiments.LoadMatrix(checkPath)
-		if err != nil {
-			return err
-		}
-		report, ok := experiments.CheckMatrix(committed, cells)
-		fmt.Print(report)
-		if !ok {
-			return fmt.Errorf("matrix drift against %s — if intentional, regenerate with `make matrix`", checkPath)
-		}
-		fmt.Printf("no drift against %s\n", checkPath)
-		return nil
-	}
-	if err := experiments.WriteMatrixJSON(jsonPath, cells); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", jsonPath)
-	f, err := os.Create(mdPath)
-	if err != nil {
-		return err
-	}
-	experiments.WriteMatrixMD(f, cells)
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", mdPath)
-	return nil
 }
 
 // forecastNote says whether batches roll the mobility models out, so a zero
@@ -383,22 +338,11 @@ func forecastNote(a assign.Assigner) string {
 
 // runReplay feeds a recorded platform event log through the named assigner
 // and prints the per-batch counterfactual plans against the live run.
-func runReplay(dir, assigner, modelsPath string, par int, seed int64) error {
-	var a assign.Assigner
-	switch assigner {
-	case "PPI":
-		a = assign.PPI{A: predict.DefaultMatchRadius, Parallelism: par}
-	case "KM":
-		a = assign.KM{Parallelism: par}
-	case "UB":
-		a = assign.UB{}
-	case "LB":
-		a = assign.LB{}
-	case "GGPSO":
-		a = assign.GGPSO{Seed: seed}
-	default:
-		return fmt.Errorf("unknown assigner %q", assigner)
+func runReplay(ctx context.Context, dir, assigner, modelsPath string, par int, seed int64) error {
+	if !slices.Contains(experiments.MatrixAssigners, assigner) {
+		return fmt.Errorf("unknown assigner %q (want one of %s)", assigner, strings.Join(experiments.MatrixAssigners, ", "))
 	}
+	a := experiments.MakeAssigner(assigner, experiments.Scale{Parallelism: par, Seed: seed})
 	reg := obs.NewRegistry()
 	opts := replay.Options{Assigner: a, Parallelism: par, Registry: reg}
 	if modelsPath != "" {
@@ -414,7 +358,7 @@ func runReplay(dir, assigner, modelsPath string, par int, seed int64) error {
 		opts.Models = models
 		fmt.Printf("loaded %d worker models from %s\n", len(models), modelsPath)
 	}
-	rep, err := replay.Run(context.Background(), dir, opts)
+	rep, err := replay.Run(ctx, dir, opts)
 	if err != nil {
 		return err
 	}

@@ -117,7 +117,7 @@ func RunAssignmentSweep(ctx context.Context, kind dataset.Kind, sweep SweepKind,
 				Workload:    w,
 				Models:      pred.Models,
 				Forecasts:   pred.Forecasts,
-				Assigner:    makeAssigner(algo, sc),
+				Assigner:    MakeAssigner(algo, sc),
 				Parallelism: sc.Parallelism,
 			}
 			m, err := run.Simulate(ctx)
@@ -150,7 +150,9 @@ func sweepValues(sweep SweepKind, sc Scale) []float64 {
 	}
 }
 
-func makeAssigner(algo string, sc Scale) assign.Assigner {
+// MakeAssigner returns the assigner an experiment calls algo, with sc's
+// parallelism and GGPSO's seed and effort; it panics on any other name.
+func MakeAssigner(algo string, sc Scale) assign.Assigner {
 	switch algo {
 	case "UB":
 		return assign.UB{Parallelism: sc.Parallelism}

@@ -121,12 +121,24 @@ func TestMakeAssignerPanicsOnUnknown(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	makeAssigner("bogus", Quick)
+	MakeAssigner("bogus", Quick)
+}
+
+func TestScaleNamed(t *testing.T) {
+	for _, name := range []string{"smoke", "quick", "full"} {
+		sc, err := ScaleNamed(name)
+		if err != nil || sc.Name != name {
+			t.Errorf("ScaleNamed(%q) = %+v, %v", name, sc.Name, err)
+		}
+	}
+	if _, err := ScaleNamed("warp"); err == nil {
+		t.Error("unknown scale accepted")
+	}
 }
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"table4", "table5", "table6", "table7",
-		"fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "ablations"}
+		"fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "ablations", "matrix"}
 	if len(Registry) != len(want) {
 		t.Fatalf("registry has %d entries, want %d", len(Registry), len(want))
 	}

@@ -1,13 +1,15 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"sort"
+	"path/filepath"
+	"reflect"
+	"strconv"
 	"strings"
 	"text/tabwriter"
 
@@ -15,19 +17,21 @@ import (
 	"github.com/spatialcrowd/tamp/internal/platform"
 	"github.com/spatialcrowd/tamp/internal/predict"
 	"github.com/spatialcrowd/tamp/internal/scenario"
+	"github.com/spatialcrowd/tamp/internal/stats"
 )
 
 // MatrixAssigners is the full assigner zoo the benchmark matrix runs every
 // workload generator against, in report order.
 var MatrixAssigners = []string{"UB", "PPI", "KM", "GGPSO", "Greedy", "LB"}
 
+// MatrixScales are the scales the committed BENCH_matrix.json holds.
+var MatrixScales = []Scale{Smoke, Quick}
+
 // MatrixCell is one (scale, generator, assigner) measurement of the
-// benchmark matrix. Every persisted field is a pure function of the seed —
-// the committed matrix is a regression contract, CheckMatrix diffs fresh
-// runs against it with per-metric tolerances, and regenerating it without a
-// behaviour change leaves BENCH_matrix.json and MATRIX.md byte-identical.
-// AssignMs is wall-clock, so it is shown by WriteMatrixTable only and never
-// written to either file.
+// benchmark matrix. Every persisted field is a pure function of the seed,
+// so a fresh run must reproduce the committed file exactly
+// (DiffMatrixFiles). AssignMs is wall-clock, so neither committed file
+// holds it.
 type MatrixCell struct {
 	Scale     string `json:"scale"`
 	Generator string `json:"generator"`
@@ -45,42 +49,29 @@ type MatrixCell struct {
 	BudgetDenied  int     `json:"budget_denied,omitempty"`   // offers withheld by the budget gate
 	BudgetSpentKM float64 `json:"budget_spent_km,omitempty"` // predicted detour charged to the budget
 
-	AssignMs float64 `json:"-"` // terminal table only
+	AssignMs float64 `json:"-"` // wall clock: the terminal table and the CSV only
 }
 
-// MatrixFile is the on-disk schema of BENCH_matrix.json.
-type MatrixFile struct {
+// matrixJSON is the on-disk schema of BENCH_matrix.json.
+type matrixJSON struct {
 	Note  string       `json:"note"`
 	Cells []MatrixCell `json:"cells"`
 }
 
 const matrixNote = "Benchmark matrix: scenario generators × assigner zoo. " +
-	"Regenerate with `make matrix`; CI diffs a fresh smoke-scale run against " +
-	"the committed cells with `make matrix-check` (see EXPERIMENTS.md for the " +
-	"tolerance policy)."
-
-// MatrixScale resolves a scale name accepted by the matrix harness.
-func MatrixScale(name string) (Scale, error) {
-	switch name {
-	case "smoke":
-		return Smoke, nil
-	case "quick":
-		return Quick, nil
-	case "full":
-		return Full, nil
-	}
-	return Scale{}, fmt.Errorf("experiments: unknown matrix scale %q (want smoke, quick, or full)", name)
-}
+	"Regenerate with `make matrix`; CI regenerates every cell with " +
+	"`make matrix-check` and fails on any difference (see EXPERIMENTS.md §matrix)."
 
 // RunMatrix runs the cross-product of scenario generators × MatrixAssigners
 // at each given scale: per (scale, generator) the workload is generated and
 // the mobility predictors are trained once (task-assignment-oriented loss,
 // the paper's offline stage), then every assigner simulates the same online
-// horizon. Cells come back in deterministic (scale, generator, assigner)
-// order with all seed-derived metrics bit-identical across runs and
-// parallelism levels.
-func RunMatrix(ctx context.Context, scales []Scale, progress io.Writer) ([]MatrixCell, error) {
+// horizon. Cells come back in (scale, generator, assigner) order, each
+// model set's forecast use named scale/generator, and all seed-derived
+// metrics are bit-identical across runs and parallelism levels.
+func RunMatrix(ctx context.Context, scales []Scale) ([]MatrixCell, []ForecastUse, error) {
 	var cells []MatrixCell
+	var uses []ForecastUse
 	for _, sc := range scales {
 		for _, gen := range scenario.Suite() {
 			w := gen.Generate(sc.params(dataset.Workload1))
@@ -89,7 +80,7 @@ func RunMatrix(ctx context.Context, scales []Scale, progress io.Writer) ([]Matri
 				Parallelism: sc.Parallelism,
 			})
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			// Summed in w.Workers order: ranging over the res.Models map
 			// would reorder the float additions from run to run.
@@ -105,12 +96,12 @@ func RunMatrix(ctx context.Context, scales []Scale, progress io.Writer) ([]Matri
 					Workload:    w,
 					Models:      res.Models,
 					Forecasts:   res.Forecasts,
-					Assigner:    makeAssigner(name, sc),
+					Assigner:    MakeAssigner(name, sc),
 					Parallelism: sc.Parallelism,
 				}
 				m, err := run.Simulate(ctx)
 				if err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				cells = append(cells, MatrixCell{
 					Scale:         sc.Name,
@@ -128,175 +119,215 @@ func RunMatrix(ctx context.Context, scales []Scale, progress io.Writer) ([]Matri
 					BudgetSpentKM: m.BudgetSpentKM,
 					AssignMs:      float64(m.AssignTime.Milliseconds()),
 				})
-				if progress != nil {
-					fmt.Fprintf(progress, "matrix: %s/%s/%s served %d/%d\n",
-						sc.Name, gen.Name(), name, m.Accepted, m.TotalTasks)
-				}
 			}
-			if progress != nil {
-				fmt.Fprintf(progress, "matrix: %s\n", forecastUse(sc.Name+"/"+gen.Name(), res))
-			}
+			uses = append(uses, forecastUse(sc.Name+"/"+gen.Name(), res))
 		}
 	}
-	return cells, nil
+	return cells, uses, nil
 }
 
-// WriteMatrixJSON persists cells as BENCH_matrix.json.
-func WriteMatrixJSON(path string, cells []MatrixCell) error {
-	raw, err := json.MarshalIndent(MatrixFile{Note: matrixNote, Cells: cells}, "", "  ")
+// matrixFiles renders cells as the two committed files: the JSON of
+// BENCH_matrix.json and the tables of MATRIX.md.
+func matrixFiles(cells []MatrixCell) (raw, md []byte, err error) {
+	raw, err = json.MarshalIndent(matrixJSON{Note: matrixNote, Cells: cells}, "", "  ")
+	if err != nil {
+		return nil, nil, err
+	}
+	var b bytes.Buffer
+	writeMatrixMD(&b, cells)
+	return append(raw, '\n'), b.Bytes(), nil
+}
+
+// WriteMatrixFiles writes cells to path and MATRIX.md beside it.
+func WriteMatrixFiles(path string, cells []MatrixCell) error {
+	raw, md, err := matrixFiles(cells)
 	if err != nil {
 		return err
 	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		return err
+	}
+	return os.WriteFile(filepath.Join(filepath.Dir(path), "MATRIX.md"), md, 0o644)
 }
 
-// LoadMatrix reads a matrix file written by WriteMatrixJSON.
-func LoadMatrix(path string) (MatrixFile, error) {
-	var f MatrixFile
+// DiffMatrixFiles compares the committed matrix at path, and MATRIX.md
+// beside it, with a fresh run's cells, and returns one line per
+// difference; none means both files are what WriteMatrixFiles would write.
+func DiffMatrixFiles(path string, fresh []MatrixCell) ([]string, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return f, err
+		return nil, err
 	}
-	if err := json.Unmarshal(raw, &f); err != nil {
-		return f, fmt.Errorf("experiments: parse %s: %w", path, err)
+	var committed matrixJSON
+	if err := json.Unmarshal(raw, &committed); err != nil {
+		return nil, fmt.Errorf("experiments: parse %s: %w", path, err)
 	}
-	return f, nil
+	if diffs := diffMatrix(committed.Cells, fresh); len(diffs) > 0 {
+		return diffs, nil
+	}
+	freshRaw, freshMD, err := matrixFiles(fresh)
+	if err != nil {
+		return nil, err
+	}
+	var diffs []string
+	for _, f := range []struct {
+		path string
+		want []byte
+	}{{path, freshRaw}, {filepath.Join(filepath.Dir(path), "MATRIX.md"), freshMD}} {
+		if got, err := os.ReadFile(f.path); err != nil || !bytes.Equal(got, f.want) {
+			diffs = append(diffs, f.path+": same cells, but not the bytes a fresh run writes")
+		}
+	}
+	return diffs, nil
 }
 
-// WriteMatrixMD renders the human-readable MATRIX.md: one table per
+// diffMatrix lists every persisted field in which a fresh cell differs
+// from the committed cell of the same (scale, generator, assigner), and
+// every cell only one side has. Fields compare exactly: a one-ulp change
+// differs.
+func diffMatrix(committed, fresh []MatrixCell) []string {
+	base := map[string]MatrixCell{}
+	for _, c := range committed {
+		base[c.key()] = c
+	}
+	var diffs []string
+	for _, c := range fresh {
+		b, ok := base[c.key()]
+		if !ok {
+			diffs = append(diffs, c.key()+": missing from the committed file")
+			continue
+		}
+		delete(base, c.key())
+		was, now := reflect.ValueOf(b), reflect.ValueOf(c)
+		for i := 0; i < was.NumField(); i++ {
+			name, _, _ := strings.Cut(was.Type().Field(i).Tag.Get("json"), ",")
+			if name != "-" && was.Field(i).Interface() != now.Field(i).Interface() {
+				diffs = append(diffs, fmt.Sprintf("%s %s: committed %v, fresh %v", c.key(), name, was.Field(i), now.Field(i)))
+			}
+		}
+	}
+	for _, c := range committed {
+		if _, ok := base[c.key()]; ok {
+			diffs = append(diffs, c.key()+": in the committed file, not produced by the fresh run")
+		}
+	}
+	return diffs
+}
+
+func (c MatrixCell) key() string { return c.Scale + "/" + c.Generator + "/" + c.Assigner }
+
+// matrixCols are a cell's metrics as every rendering shows them, in
+// column order, under their JSON names.
+var matrixCols = []struct {
+	name, format string
+	get          func(MatrixCell) float64
+}{
+	{"served", "%.0f", func(c MatrixCell) float64 { return float64(c.Served) }},
+	{"total_tasks", "%.0f", func(c MatrixCell) float64 { return float64(c.TotalTasks) }},
+	{"completion_rate", "%.3f", func(c MatrixCell) float64 { return c.Completion }},
+	{"rejection_rate", "%.3f", func(c MatrixCell) float64 { return c.Rejection }},
+	{"avg_cost_km", "%.3f", func(c MatrixCell) float64 { return c.AvgCostKM }},
+	{"mean_mr", "%.3f", func(c MatrixCell) float64 { return c.MeanMR }},
+	{"off_window", "%.0f", func(c MatrixCell) float64 { return float64(c.OffWindow) }},
+	{"budget_denied", "%.0f", func(c MatrixCell) float64 { return float64(c.BudgetDenied) }},
+	{"budget_spent_km", "%.1f", func(c MatrixCell) float64 { return c.BudgetSpentKM }},
+}
+
+// writeMatrixMD renders the human-readable MATRIX.md: one table per
 // (scale, generator) block, assigners as rows.
-func WriteMatrixMD(w io.Writer, cells []MatrixCell) {
+func writeMatrixMD(w io.Writer, cells []MatrixCell) {
 	fmt.Fprintf(w, "# Benchmark matrix\n\n")
 	fmt.Fprintf(w, "Scenario generators × assigner zoo, every cell one seeded deterministic\n")
 	fmt.Fprintf(w, "simulation (see EXPERIMENTS.md §matrix). Regenerate with `make matrix`;\n")
-	fmt.Fprintf(w, "CI gates smoke-scale drift with `make matrix-check`.\n")
-	type key struct{ scale, gen string }
-	var order []key
-	seen := map[key]bool{}
-	for _, c := range cells {
-		k := key{c.Scale, c.Generator}
-		if !seen[k] {
-			seen[k] = true
-			order = append(order, k)
+	fmt.Fprintf(w, "CI regenerates every cell with `make matrix-check` and requires it unchanged.\n")
+	for i, c := range cells {
+		if i == 0 || c.Scale != cells[i-1].Scale || c.Generator != cells[i-1].Generator {
+			fmt.Fprintf(w, "\n## %s · %s\n\n", c.Scale, c.Generator)
+			fmt.Fprintf(w, "| assigner | served | total | completion | rejection | cost km | mean MR | off-window | budget denied | spent km |\n")
+			fmt.Fprintf(w, "|---|---|---|---|---|---|---|---|---|---|\n")
 		}
-	}
-	for _, k := range order {
-		fmt.Fprintf(w, "\n## %s · %s\n\n", k.scale, k.gen)
-		fmt.Fprintf(w, "| assigner | served | total | completion | rejection | cost km | mean MR | off-window | budget denied | spent km |\n")
-		fmt.Fprintf(w, "|---|---|---|---|---|---|---|---|---|---|\n")
-		for _, c := range cells {
-			if c.Scale != k.scale || c.Generator != k.gen {
-				continue
-			}
-			fmt.Fprintf(w, "| %s | %d | %d | %.3f | %.3f | %.3f | %.3f | %d | %d | %.1f |\n",
-				c.Assigner, c.Served, c.TotalTasks, c.Completion, c.Rejection,
-				c.AvgCostKM, c.MeanMR, c.OffWindow, c.BudgetDenied, c.BudgetSpentKM)
+		fmt.Fprintf(w, "| %s |", c.Assigner)
+		for _, col := range matrixCols {
+			fmt.Fprintf(w, " "+col.format+" |", col.get(c))
 		}
+		fmt.Fprintln(w)
 	}
 }
 
-// Per-metric drift tolerances of CheckMatrix. Counts and rates are fully
-// seed-determined, so the slack only absorbs cross-architecture float
-// differences (Go may fuse multiply-adds on some platforms); on the same
-// architecture a drift is a behaviour change.
-const (
-	matrixCountRelTol = 0.02 // counts: 2% relative…
-	matrixCountAbsTol = 2.0  // …with ±2 absolute slack
-	matrixRateAbsTol  = 0.02 // completion/rejection/MR: ±0.02 absolute
-	matrixCostRelTol  = 0.05 // cost & spend: 5% relative…
-	matrixCostAbsTol  = 0.10 // …with small absolute slack
-)
-
-func countDrift(base, cur int) bool {
-	d := math.Abs(float64(cur - base))
-	return d > matrixCountAbsTol && d > matrixCountRelTol*math.Abs(float64(base))
+// matrixHeader names a cell's key, its matrixCols and then extra.
+func matrixHeader(extra ...string) []string {
+	header := []string{"scale", "generator", "assigner"}
+	for _, col := range matrixCols {
+		header = append(header, col.name)
+	}
+	return append(header, extra...)
 }
 
-func rateDrift(base, cur float64) bool {
-	return math.Abs(cur-base) > matrixRateAbsTol
-}
-
-func costDrift(base, cur float64) bool {
-	d := math.Abs(cur - base)
-	return d > matrixCostAbsTol && d > matrixCostRelTol*math.Abs(base)
-}
-
-// CheckMatrix diffs a fresh run against the committed matrix, cell by cell,
-// restricted to the scales actually present in fresh. A fresh cell missing
-// from the committed file (or vice versa, at a checked scale) fails the
-// check: adding a generator or assigner requires regenerating the committed
-// matrix in the same change. The report is for humans; ok gates the exit
-// code.
-func CheckMatrix(committed MatrixFile, fresh []MatrixCell) (report string, ok bool) {
-	type key struct{ scale, gen, alg string }
-	scales := map[string]bool{}
-	for _, c := range fresh {
-		scales[c.Scale] = true
-	}
-	base := map[key]MatrixCell{}
-	for _, c := range committed.Cells {
-		if scales[c.Scale] {
-			base[key{c.Scale, c.Generator, c.Assigner}] = c
-		}
-	}
-	ok = true
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %16s %16s %16s  verdict\n", "cell", "served", "completion", "cost km")
-	for _, c := range fresh {
-		k := key{c.Scale, c.Generator, c.Assigner}
-		bl, have := base[k]
-		name := fmt.Sprintf("%s/%s/%s", c.Scale, c.Generator, c.Assigner)
-		if !have {
-			fmt.Fprintf(&b, "%-28s %16d %16.3f %16.3f  MISSING from committed matrix — run `make matrix`\n",
-				name, c.Served, c.Completion, c.AvgCostKM)
-			ok = false
-			continue
-		}
-		delete(base, k)
-		var drifts []string
-		check := func(metric string, drifted bool, base, cur string) {
-			if drifted {
-				drifts = append(drifts, fmt.Sprintf("%s %s -> %s", metric, base, cur))
-			}
-		}
-		check("total", countDrift(bl.TotalTasks, c.TotalTasks), fmt.Sprint(bl.TotalTasks), fmt.Sprint(c.TotalTasks))
-		check("assigned", countDrift(bl.Assigned, c.Assigned), fmt.Sprint(bl.Assigned), fmt.Sprint(c.Assigned))
-		check("served", countDrift(bl.Served, c.Served), fmt.Sprint(bl.Served), fmt.Sprint(c.Served))
-		check("completion", rateDrift(bl.Completion, c.Completion), fmt.Sprintf("%.3f", bl.Completion), fmt.Sprintf("%.3f", c.Completion))
-		check("rejection", rateDrift(bl.Rejection, c.Rejection), fmt.Sprintf("%.3f", bl.Rejection), fmt.Sprintf("%.3f", c.Rejection))
-		check("cost", costDrift(bl.AvgCostKM, c.AvgCostKM), fmt.Sprintf("%.3f", bl.AvgCostKM), fmt.Sprintf("%.3f", c.AvgCostKM))
-		check("mean_mr", rateDrift(bl.MeanMR, c.MeanMR), fmt.Sprintf("%.3f", bl.MeanMR), fmt.Sprintf("%.3f", c.MeanMR))
-		check("off_window", countDrift(bl.OffWindow, c.OffWindow), fmt.Sprint(bl.OffWindow), fmt.Sprint(c.OffWindow))
-		check("budget_denied", countDrift(bl.BudgetDenied, c.BudgetDenied), fmt.Sprint(bl.BudgetDenied), fmt.Sprint(c.BudgetDenied))
-		check("budget_spent", costDrift(bl.BudgetSpentKM, c.BudgetSpentKM), fmt.Sprintf("%.1f", bl.BudgetSpentKM), fmt.Sprintf("%.1f", c.BudgetSpentKM))
-		verdict := "ok"
-		if len(drifts) > 0 {
-			verdict = "DRIFT: " + strings.Join(drifts, "; ")
-			ok = false
-		}
-		fmt.Fprintf(&b, "%-28s %7d -> %5d %8.3f -> %5.3f %8.3f -> %5.3f  %s\n",
-			name, bl.Served, c.Served, bl.Completion, c.Completion, bl.AvgCostKM, c.AvgCostKM, verdict)
-	}
-	if len(base) > 0 {
-		var missing []string
-		for k := range base {
-			missing = append(missing, fmt.Sprintf("%s/%s/%s", k.scale, k.gen, k.alg))
-		}
-		sort.Strings(missing)
-		fmt.Fprintf(&b, "committed cells not produced by the fresh run: %s\n", strings.Join(missing, ", "))
-		ok = false
-	}
-	return b.String(), ok
+// matrixTab writes title and the column header of a terminal matrix table
+// and returns the tabwriter its rows go to.
+func matrixTab(w io.Writer, title string, extra ...string) *tabwriter.Writer {
+	fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("-", len(title)))
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, strings.Join(matrixHeader(extra...), "\t"))
+	return tw
 }
 
 // WriteMatrixTable renders cells with aligned columns for terminal output.
-func WriteMatrixTable(w io.Writer, cells []MatrixCell) {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "scale\tgenerator\tassigner\tserved\ttotal\tcompletion\trejection\tcost(km)\tmeanMR\toff-window\tdenied\tspent(km)\tassign")
+func WriteMatrixTable(w io.Writer, title string, cells []MatrixCell) {
+	tw := matrixTab(w, title, "assign_ms")
 	for _, c := range cells {
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%d\t%.3f\t%.3f\t%.3f\t%.3f\t%d\t%d\t%.1f\t%.0fms\n",
-			c.Scale, c.Generator, c.Assigner, c.Served, c.TotalTasks, c.Completion,
-			c.Rejection, c.AvgCostKM, c.MeanMR, c.OffWindow, c.BudgetDenied, c.BudgetSpentKM, c.AssignMs)
+		fmt.Fprintf(tw, "%s\t%s\t%s", c.Scale, c.Generator, c.Assigner)
+		for _, col := range matrixCols {
+			fmt.Fprintf(tw, "\t"+col.format, col.get(c))
+		}
+		fmt.Fprintf(tw, "\t%.0f\n", c.AssignMs)
 	}
 	tw.Flush()
+	fmt.Fprintln(w)
+}
+
+// writeMatrixAgg renders each cell's mean ± std over the seeds' runs.
+func writeMatrixAgg(w io.Writer, title string, runs [][]MatrixCell) {
+	type aggCell struct {
+		MatrixCell
+		acc []stats.Accumulator
+	}
+	rows := aggregate(runs,
+		func(c MatrixCell) MatrixCell {
+			return MatrixCell{Scale: c.Scale, Generator: c.Generator, Assigner: c.Assigner}
+		},
+		func(c MatrixCell) []float64 {
+			vs := make([]float64, len(matrixCols))
+			for k, col := range matrixCols {
+				vs[k] = col.get(c)
+			}
+			return vs
+		},
+		func(c MatrixCell, acc []stats.Accumulator) aggCell { return aggCell{c, acc} })
+	tw := matrixTab(w, title)
+	for _, r := range rows {
+		fmt.Fprintf(tw, "%s\t%s\t%s", r.Scale, r.Generator, r.Assigner)
+		for k, col := range matrixCols {
+			f := col.format
+			if f == "%.0f" { // a count's mean
+				f = "%.1f"
+			}
+			fmt.Fprintf(tw, "\t"+f+"±"+f, r.acc[k].Mean(), r.acc[k].Std())
+		}
+		fmt.Fprintln(tw)
+	}
+	tw.Flush()
+	fmt.Fprintln(w)
+}
+
+// WriteMatrixCSV renders cells as CSV, one record per cell, every value
+// exact.
+func WriteMatrixCSV(w io.Writer, cells []MatrixCell) error {
+	return writeCSV(w, matrixHeader("assign_ms"), cells, func(c MatrixCell) []string {
+		rec := []string{c.Scale, c.Generator, c.Assigner}
+		for _, col := range matrixCols {
+			rec = append(rec, strconv.FormatFloat(col.get(c), 'f', -1, 64))
+		}
+		return append(rec, strconv.FormatFloat(c.AssignMs, 'f', -1, 64))
+	})
 }

@@ -107,7 +107,8 @@ func ablationExp(id, title string, rows func(context.Context, Scale) ([]Ablation
 }
 
 // Registry maps experiment ids (table4, fig6, …) to their runners, covering
-// every table and figure of the paper's evaluation.
+// every table and figure of the paper's evaluation, the design ablations
+// and the benchmark matrix.
 var Registry = map[string]Experiment{
 	"table4": predExp("table4",
 		"Table IV: clustering algorithm × factor ablation (workload 1)",
@@ -144,6 +145,14 @@ var Registry = map[string]Experiment{
 		func(ctx context.Context, sc Scale) ([]AblationRow, []ForecastUse, error) {
 			return RunDesignAblations(ctx, dataset.Workload1, sc)
 		}),
+	"matrix": {ID: "matrix",
+		Title: "Benchmark matrix: scenario generators × assigner zoo (workload 1)",
+		rows: family[MatrixCell]{
+			rows: func(ctx context.Context, sc Scale) ([]MatrixCell, []ForecastUse, error) {
+				return RunMatrix(ctx, []Scale{sc})
+			},
+			table: WriteMatrixTable, csv: WriteMatrixCSV, agg: writeMatrixAgg,
+		}},
 }
 
 // IDs returns the registered experiment ids in a stable order.

@@ -8,6 +8,8 @@
 package experiments
 
 import (
+	"fmt"
+
 	"github.com/spatialcrowd/tamp/internal/dataset"
 )
 
@@ -85,6 +87,16 @@ var Full = Scale{
 	Population:  40,
 	Generations: 60,
 	Seed:        1,
+}
+
+// ScaleNamed returns the scale called name: smoke, quick or full.
+func ScaleNamed(name string) (Scale, error) {
+	for _, sc := range []Scale{Smoke, Quick, Full} {
+		if sc.Name == name {
+			return sc, nil
+		}
+	}
+	return Scale{}, fmt.Errorf("experiments: unknown scale %q (want smoke, quick or full)", name)
 }
 
 // params builds dataset parameters at this scale with the Table III

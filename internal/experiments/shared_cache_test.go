@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -69,20 +68,24 @@ func TestSweepRowsIdenticalWithAndWithoutSharedMemo(t *testing.T) {
 }
 
 // TestMatrixCellsIdenticalWithAndWithoutSharedMemo: the same for the
-// quick-scale benchmark matrix (three generators × six assigners), whose
-// progress stream also reports each model set's totals.
+// quick-scale benchmark matrix (three generators × six assigners), which
+// also reports each of its three model sets' forecast totals.
 func TestMatrixCellsIdenticalWithAndWithoutSharedMemo(t *testing.T) {
-	var progress bytes.Buffer
-	shared, err := RunMatrix(context.Background(), []Scale{Quick}, &progress)
+	shared, uses, err := RunMatrix(context.Background(), []Scale{Quick})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(progress.String(), "rolled out"); n != 3 {
-		t.Errorf("progress reports %d model sets' forecast totals, want 3:\n%s", n, progress.String())
+	if len(uses) != 3 {
+		t.Fatalf("%d model sets reported, want 3 (one per generator)", len(uses))
+	}
+	for _, u := range uses {
+		if u.RolledOut == 0 || u.Reused == 0 {
+			t.Errorf("%v: six assigners over one model set must both roll out and reuse", u)
+		}
 	}
 
 	withoutSharedMemo(t)
-	uncached, err := RunMatrix(context.Background(), []Scale{Quick}, nil)
+	uncached, _, err := RunMatrix(context.Background(), []Scale{Quick})
 	if err != nil {
 		t.Fatal(err)
 	}

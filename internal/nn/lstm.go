@@ -392,36 +392,56 @@ func (l linear) backward(w, grad Vector, x, dy, dx []float64) {
 }
 
 // LSTMStepFunc returns one forward step of an LSTM cell with in inputs and
-// hidden units, on weights and inputs drawn from rng, as a closure: the unit
+// hidden units, as a closure that steps the next of n input states drawn
+// from rng (x, h and c) on each call, over weights drawn from rng: the unit
 // of work internal/perf times on its own (the LSTMForwardStep rows of
-// BENCH_nn.json).
-func LSTMStepFunc(in, hidden int, rng *rand.Rand) func() {
+// BENCH_nn.json). Distinct inputs keep the branch predictor from learning
+// one input's path.
+func LSTMStepFunc(in, hidden, n int, rng *rand.Rand) func() {
 	c := lstmCell{in: in, hidden: hidden}
 	w := RandomVector(c.numParams(), 1/math.Sqrt(float64(in+hidden)), rng)
-	x := RandomVector(in, 0.5, rng)
-	hPrev := RandomVector(hidden, 0.5, rng)
-	cPrev := RandomVector(hidden, 1, rng)
+	type input struct{ x, hPrev, cPrev []float64 }
+	inputs := make([]input, n)
+	for i := range inputs {
+		inputs[i] = input{RandomVector(in, 0.5, rng), RandomVector(hidden, 0.5, rng), RandomVector(hidden, 1, rng)}
+	}
 	st := &growLSTMTape(nil, 1, c)[0]
-	return func() { c.forward(w, x, hPrev, cPrev, st) }
+	i := 0
+	return func() {
+		s := &inputs[i]
+		c.forward(w, s.x, s.hPrev, s.cPrev, st)
+		if i++; i == n {
+			i = 0
+		}
+	}
 }
 
 // LSTMBackwardStepFunc returns one backward step of an LSTM cell with in
-// inputs and hidden units, as a closure, over a forward step taken on
-// weights, inputs and incoming gradients drawn from rng (none of them zero,
-// so every row of the sweep runs): the unit of work internal/perf times on
-// its own (the LSTMBackwardStep rows of BENCH_nn.json). The weight gradient
-// accumulates across calls.
-func LSTMBackwardStepFunc(in, hidden int, rng *rand.Rand) func() {
+// inputs and hidden units, as a closure that runs the next of n backward
+// steps on each call, each over its own forward step taken on inputs and
+// incoming gradients drawn from rng (none of them zero, so every row of
+// the sweep runs), all over one set of weights: the unit of work
+// internal/perf times on its own (the LSTMBackwardStep rows of
+// BENCH_nn.json). The weight gradient accumulates across calls.
+func LSTMBackwardStepFunc(in, hidden, n int, rng *rand.Rand) func() {
 	c := lstmCell{in: in, hidden: hidden}
 	w := RandomVector(c.numParams(), 1/math.Sqrt(float64(in+hidden)), rng)
-	x := RandomVector(in, 0.5, rng)
-	hPrev := RandomVector(hidden, 0.5, rng)
-	cPrev := RandomVector(hidden, 1, rng)
-	dh := RandomVector(hidden, 0.1, rng)
-	dc := RandomVector(hidden, 0.1, rng)
-	st := &growLSTMTape(nil, 1, c)[0]
-	c.forward(w, x, hPrev, cPrev, st)
+	tapes := growLSTMTape(nil, n, c)
+	dh, dc := make([][]float64, n), make([][]float64, n)
+	for i := range tapes {
+		x := RandomVector(in, 0.5, rng)
+		hPrev := RandomVector(hidden, 0.5, rng)
+		cPrev := RandomVector(hidden, 1, rng)
+		dh[i], dc[i] = RandomVector(hidden, 0.1, rng), RandomVector(hidden, 0.1, rng)
+		c.forward(w, x, hPrev, cPrev, &tapes[i])
+	}
 	grad := NewVector(c.numParams())
 	dcPrev, dxh, dz := make([]float64, hidden), make([]float64, in+hidden), make([]float64, 4*hidden)
-	return func() { c.backward(w, grad, st, dh, dc, dcPrev, dxh, dz) }
+	i := 0
+	return func() {
+		c.backward(w, grad, &tapes[i], dh[i], dc[i], dcPrev, dxh, dz)
+		if i++; i == n {
+			i = 0
+		}
+	}
 }

@@ -17,7 +17,9 @@ var nnSuite = Suite{
 // nnSpecs time the encoder–decoder's Predict and Grad at the production
 // shape (hidden 16, seqIn 5, seqOut 1), one LSTM forward and one backward
 // step at the encoder and decoder shapes (hidden 12, in 4 and in 2), and
-// the Adam step.
+// the Adam step. Predict and the steps cycle over nnInputs seeded inputs,
+// so no op repeats the previous op's input and the branch predictor cannot
+// learn one input's path.
 //
 // The model's displacement head is drawn non-zero, as a trained model's
 // is: NewSeq2Seq zeroes it, and a zero head sends a zero gradient into
@@ -29,11 +31,16 @@ func nnSpecs() []Spec {
 	for i := len(w) - lstm.OutDim*(lstm.Hidden+1); i < len(w); i++ {
 		w[i] = rng.NormFloat64() * 0.2
 	}
-	s := randSample(rand.New(rand.NewSource(1)), 4, 2, 5, 1)
+	sampleRng := rand.New(rand.NewSource(1))
+	s := randSample(sampleRng, 4, 2, 5, 1)
+	inputs := make([][][]float64, nnInputs)
+	for i := range inputs {
+		inputs[i] = randSample(sampleRng, 4, 2, 5, 1).In
+	}
 	return []Spec{
 		{Name: "Seq2SeqPredict", Run: func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				lstm.Predict(s.In, 1)
+				lstm.Predict(inputs[i%nnInputs], 1)
 			}
 		}},
 		{Name: "Seq2SeqGrad", Run: func(b *testing.B) {
@@ -58,9 +65,12 @@ func nnSpecs() []Spec {
 	}
 }
 
+// nnInputs is how many seeded inputs the Predict and step rows cycle over.
+const nnInputs = 64
+
 // stepSpec times the LSTM step fn builds at hidden 12 with in inputs.
-func stepSpec(name string, fn func(in, hidden int, rng *rand.Rand) func(), in int) Spec {
-	step := fn(in, 12, rand.New(rand.NewSource(1)))
+func stepSpec(name string, fn func(in, hidden, n int, rng *rand.Rand) func(), in int) Spec {
+	step := fn(in, 12, nnInputs, rand.New(rand.NewSource(1)))
 	return Spec{Name: fmt.Sprintf("%s/h12_in%d", name, in), Run: func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			step()

@@ -124,11 +124,12 @@ func recordLiveRun(t *testing.T, liveAssigner assign.Assigner) (dir, digest stri
 }
 
 // TestReplayIsDeterministicAcrossAssigners is the acceptance check for the
-// replay bridge: a recorded live run replays through two different assigners,
-// and repeating each replay produces identical plans. Replaying with the
-// same assigner the live run used reproduces the live plans exactly, and the
-// replayed state always lands on the live run's digest regardless of which
-// assigner produced the counterfactuals.
+// replay bridge: a recorded live run replays through three different
+// assigners (PPI, KM and Greedy), and repeating each replay produces
+// identical plans. Replaying with the same assigner the live run used
+// reproduces the live plans exactly, and the replayed state always lands on
+// the live run's digest regardless of which assigner produced the
+// counterfactuals.
 func TestReplayIsDeterministicAcrossAssigners(t *testing.T) {
 	live := assign.PPI{A: 1.5}
 	dir, digest := recordLiveRun(t, live)
@@ -142,8 +143,9 @@ func TestReplayIsDeterministicAcrossAssigners(t *testing.T) {
 	}
 	ppi1, ppi2 := run(live), run(live)
 	km1, km2 := run(assign.KM{}), run(assign.KM{})
+	gr1, gr2 := run(assign.Greedy{}), run(assign.Greedy{})
 
-	for _, rep := range []*replay.Report{ppi1, ppi2, km1, km2} {
+	for _, rep := range []*replay.Report{ppi1, ppi2, km1, km2, gr1, gr2} {
 		if rep.Torn != nil {
 			t.Fatalf("%s: unexpected torn tail: %v", rep.Assigner, rep.Torn)
 		}
@@ -157,12 +159,15 @@ func TestReplayIsDeterministicAcrossAssigners(t *testing.T) {
 	if ppi1.LivePairs == 0 {
 		t.Fatal("live run made no offers; scenario is degenerate")
 	}
-	// Identical plans across repeated replays, for both assigners.
+	// Identical plans across repeated replays, for every assigner.
 	if !reflect.DeepEqual(ppi1.Batches, ppi2.Batches) {
 		t.Error("PPI replays produced different plans")
 	}
 	if !reflect.DeepEqual(km1.Batches, km2.Batches) {
 		t.Error("KM replays produced different plans")
+	}
+	if !reflect.DeepEqual(gr1.Batches, gr2.Batches) {
+		t.Error("Greedy replays produced different plans")
 	}
 	// Replaying with the live assigner is a full reconstruction: the
 	// counterfactual plan at every batch equals the plan the live run
@@ -179,6 +184,9 @@ func TestReplayIsDeterministicAcrossAssigners(t *testing.T) {
 	// when it picks different ones.
 	if km1.ReplayPairs == 0 {
 		t.Error("KM replay proposed no pairs")
+	}
+	if gr1.ReplayPairs == 0 {
+		t.Error("Greedy replay proposed no pairs")
 	}
 }
 
