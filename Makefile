@@ -8,8 +8,8 @@ build:
 	$(GO) build ./...
 
 # The full suite, including the goroutine-leak check on server shutdown
-# (TestListenAndServeShutdownLeaksNoGoroutines) and the checkpoint
-# kill-and-resume bit-identity tests.
+# (TestListenAndServeShutdownLeaksNoGoroutines) and the WAL's crash-point
+# recovery tests.
 test:
 	$(GO) test ./...
 
@@ -106,14 +106,16 @@ memocheck:
 # (internal/nn/gates_amd64.s), gate activation (internal/nn/activate_amd64.s)
 # and backward step (internal/nn/backward_amd64.s) must give the Go loops'
 # bits; one gate chooses them all (DESIGN.md §9).
-# Builds and vets the portable fallback on two other GOARCHs, runs the nn
+# Builds and vets the portable fallback on arm64 and vets every package,
+# test files included, on 386 (a 32-bit int: a literal past 2^31 does not
+# compile there), runs the nn
 # and predict suites at GOAMD64=v3 (a compiler that fused x*y+z there would
 # break the combine step's and the Go loops' bit identity), and re-runs the
 # nn test binary under GODEBUG=cpu.fma=off and cpu.avx=off, which must
 # choose the Go path for every kernel and still pass the bit-identity tests.
 expcheck:
 	GOARCH=arm64 $(GO) vet ./internal/nn && GOARCH=arm64 $(GO) build ./...
-	GOARCH=386 $(GO) vet ./internal/nn && GOARCH=386 $(GO) build ./...
+	GOARCH=386 $(GO) vet ./...
 	GOAMD64=v3 $(GO) test -count=1 ./internal/nn ./internal/predict
 	$(GOTEST_RUN) ./internal/nn 'TestExpGateUnderGODEBUG|TestExpGateFollowsMathExp|TestExpProbesSeparateSequences|TestGateRowsMatchGoLoop|TestActivateMatchesGoLoop|TestLSTMForwardBitsMatchReference|TestBackSweepMatchesGoLoop|TestBackGatesMatchGoLoop|TestFusedLSTMMatchesReference|TestTrainBitsOnEveryKernelPath' -count=1 -v
 

@@ -24,7 +24,8 @@
 //
 // -replay feeds an event log recorded by a durable server (tampserver
 // -wal-dir) or a recording simulation (tampsim -record) through any
-// assigner the matrix runs: the replayed state follows the live run event
+// assigner the matrix runs but UB, which plans on true trajectories that a
+// log does not hold (refused, exit 2): the replayed state follows the live run event
 // for event, while at each batch the chosen assigner produces a
 // counterfactual plan over the exact batch input the live platform saw,
 // reported pair-for-pair against the live plan. Repeated replays are
@@ -92,6 +93,9 @@ func main() {
 		return
 	case *replayD != "":
 		refuseUnread("-replay", "replay", "assigner", "models", "par", "seed")
+		if *assignN == "UB" {
+			refuse("-replay cannot run UB: a recorded log holds no true trajectories (Worker.Actual) for UB to plan on")
+		}
 		exitOn(runReplay(ctx, *replayD, *assignN, *modelsF, *par, *seed))
 		return
 	case *check != "" || *record != "":

@@ -100,7 +100,9 @@ func TestModesRefuseIgnoredFlags(t *testing.T) {
 
 // TestReplayTakesEveryMatrixAssigner: -assigner resolves through the name
 // table the experiments use, so every assigner the benchmark matrix runs
-// replays a recorded log, and an unknown name is refused.
+// replays a recorded log, but UB, which plans on true trajectories a log
+// does not hold and is refused with that reason (exit 2) rather than
+// proposing nothing; an unknown name is refused.
 func TestReplayTakesEveryMatrixAssigner(t *testing.T) {
 	dir := t.TempDir()
 	log, _, err := wal.Open(dir, wal.Options{})
@@ -128,6 +130,12 @@ func TestReplayTakesEveryMatrixAssigner(t *testing.T) {
 	}
 	for _, name := range experiments.MatrixAssigners {
 		out, code := tampbench(t, "-replay", dir, "-assigner", name, "-par", "2")
+		if name == "UB" {
+			if code != 2 || !strings.Contains(out, "no true trajectories (Worker.Actual)") {
+				t.Errorf("-assigner UB: exit %d, want 2 naming the missing trajectories\n%s", code, out)
+			}
+			continue
+		}
 		if code != 0 || !strings.Contains(out, "through "+name) || !strings.Contains(out, "plan agreement: ") {
 			t.Errorf("-assigner %s: exit %d\n%s", name, code, out)
 		}

@@ -44,7 +44,7 @@ func pairsIdentical(got, want feasiblePairs) bool {
 func smallBatch(rng *rand.Rand) (tasks []Task, workers []Worker, tick int, rim []bool) {
 	tick = rng.Intn(6)
 	if rng.Intn(6) == 0 { // ticks float64 rounds: ServeDist compares them as floats
-		tick += []int{1 << 60, -1 << 60, maxExactTick - 10}[rng.Intn(3)] + rng.Intn(512)
+		tick += []int{min(1<<60, math.MaxInt), max(-1<<60, math.MinInt), maxExactTick - 10}[rng.Intn(3)] + rng.Intn(512)
 	}
 	origin := [...]float64{0, 0, 0, 100, 1e4, -1e6}[rng.Intn(6)]
 	nW, nT := 1+rng.Intn(30), 1+rng.Intn(60)

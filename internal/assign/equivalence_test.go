@@ -357,7 +357,7 @@ func TestKernelSelection(t *testing.T) {
 		{"NaN detour", func(ts []Task, ws []Worker) { ws[9].Detour = math.NaN() }, kernelScan},
 		// Nor can a tick: the grid never reads one, and the box widens
 		// pairServe's reach where float64 would round it.
-		{"deadline past 2^52", func(ts []Task, ws []Worker) { ts[3].Deadline = 1 << 60 }, unpoisoned},
+		{"deadline past 2^52", func(ts []Task, ws []Worker) { ts[3].Deadline = min(1<<60, math.MaxInt) }, unpoisoned},
 		// The grid cannot span ±1.7e308; the box test can.
 		{"overflowing span", func(ts []Task, ws []Worker) { ts[0].Loc.X, ts[1].Loc.X = -1.7e308, 1.7e308 }, kernelBox},
 		// A point set the mode does not read cannot poison it.

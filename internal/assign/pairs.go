@@ -359,7 +359,8 @@ func clearedInt32s(buf []int32, n int) []int32 {
 }
 
 // maxExactTick bounds the ticks float64 holds exactly, and their differences.
-const maxExactTick = 1 << 52
+// On a 32-bit int every tick is within it.
+const maxExactTick = min(1<<52, math.MaxInt)
 
 // finiteBatch reports whether the prefilters can bound a batch: finite task
 // locations, worker points and detours.

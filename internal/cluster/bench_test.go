@@ -25,7 +25,7 @@ func BenchmarkBestResponse(b *testing.B) {
 		for j := range init {
 			cp[j] = append([]int(nil), init[j]...)
 		}
-		BestResponse(m, cp, 0.2, 0)
+		BestResponse(m, cp, 0.2)
 	}
 }
 

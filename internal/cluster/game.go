@@ -2,6 +2,9 @@ package cluster
 
 import "github.com/spatialcrowd/tamp/internal/sim"
 
+// maxSweeps bounds BestResponse's full sweeps.
+const maxSweeps = 100
+
 // BestResponse refines an initial clustering by playing the n-player
 // strategy game 𝒫 of §III-B to a Nash equilibrium (Algorithm 1, lines 6–11).
 // The strategy set of every player (learning task) is the fixed set of
@@ -14,11 +17,8 @@ import "github.com/spatialcrowd/tamp/internal/sim"
 //
 // It returns the equilibrium clusters (empties removed) and the number of
 // full best-response sweeps performed. maxSweeps bounds runtime defensively;
-// the potential argument guarantees termination long before sensible bounds.
-func BestResponse(m *sim.Matrix, initial [][]int, gamma float64, maxSweeps int) ([][]int, int) {
-	if maxSweeps <= 0 {
-		maxSweeps = 100
-	}
+// the potential argument guarantees termination long before it.
+func BestResponse(m *sim.Matrix, initial [][]int, gamma float64) ([][]int, int) {
 	clusters := make([][]int, len(initial))
 	where := map[int]int{}
 	for ci, g := range initial {

@@ -41,15 +41,6 @@ func (n *TreeNode) Leaves() []*TreeNode {
 	return out
 }
 
-// Nodes returns every node under n (including n) in depth-first preorder.
-func (n *TreeNode) Nodes() []*TreeNode {
-	out := []*TreeNode{n}
-	for _, c := range n.Children {
-		out = append(out, c.Nodes()...)
-	}
-	return out
-}
-
 // PostOrder visits every node under n in depth-first post-order, the
 // traversal used when placing a newly arrived worker's learning task.
 func (n *TreeNode) PostOrder(visit func(*TreeNode)) {
@@ -57,17 +48,6 @@ func (n *TreeNode) PostOrder(visit func(*TreeNode)) {
 		c.PostOrder(visit)
 	}
 	visit(n)
-}
-
-// Depth returns the height of the subtree rooted at n (a leaf has depth 1).
-func (n *TreeNode) Depth() int {
-	d := 0
-	for _, c := range n.Children {
-		if cd := c.Depth(); cd > d {
-			d = cd
-		}
-	}
-	return d + 1
 }
 
 // String renders the subtree structure for debugging.
@@ -106,8 +86,6 @@ type Config struct {
 	// must retain enough learning tasks for its meta-trained
 	// initialization to be meaningful (0 = default 6).
 	MinSize int
-	// MaxSweeps bounds best-response sweeps (0 = default).
-	MaxSweeps int
 	// Rng drives k-medoids seeding. Required.
 	Rng *rand.Rand
 }
@@ -160,7 +138,7 @@ func BuildTree(matrices []*sim.Matrix, cfg Config) *TreeNode {
 		m := matrices[j]
 		subs := KMedoids(m, node.Members, cfg.K, cfg.Rng)
 		if cfg.UseGame {
-			subs, _ = BestResponse(m, subs, cfg.Gamma, cfg.MaxSweeps)
+			subs, _ = BestResponse(m, subs, cfg.Gamma)
 		}
 		if len(subs) <= 1 {
 			// The level-j metric finds no structure here; the node stays a

@@ -60,7 +60,7 @@ var eventOfKind = func() map[string]Event {
 	return m
 }()
 
-var edgeInts = []int{0, 1, -1, 9, 10, math.MaxInt, math.MinInt, math.MaxInt - 1, math.MinInt + 1, 1 << 53, -(1 << 53)}
+var edgeInts = []int{0, 1, -1, 9, 10, math.MaxInt, math.MinInt, math.MaxInt - 1, math.MinInt + 1, min(1<<53, math.MaxInt), max(-(1 << 53), math.MinInt)}
 
 func randomInt(rng *rand.Rand) int {
 	if rng.Intn(4) == 0 {

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"math"
 	"testing"
 
 	"github.com/spatialcrowd/tamp/internal/geo"
@@ -256,8 +257,8 @@ func TestNearbyPOIs(t *testing.T) {
 func TestDensityIndexFromWorkload(t *testing.T) {
 	w := Generate(smallParams(Workload1))
 	d := w.DensityIndex()
-	if d.Total() != len(w.HistTasks) {
-		t.Errorf("density total = %d, want %d", d.Total(), len(w.HistTasks))
+	if n := d.CountWithin(geo.Pt(0, 0), math.Inf(1)); n != len(w.HistTasks) {
+		t.Errorf("density total = %d, want %d", n, len(w.HistTasks))
 	}
 }
 

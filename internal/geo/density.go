@@ -44,9 +44,6 @@ func (d *DensityIndex) AddAll(ps []Point) {
 	}
 }
 
-// Total returns the number of tasks recorded.
-func (d *DensityIndex) Total() int { return d.total }
-
 // CountWithin returns the number of recorded tasks whose cell centre lies
 // within radius r (in cells) of p: those of every cell (col, row) with
 // CellCenter(col, row).Dist(p) ≤ r whose column and row lie within

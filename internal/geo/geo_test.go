@@ -202,8 +202,8 @@ func TestDensityIndexCounts(t *testing.T) {
 		d.Add(Pt(5.5, 5.5))
 	}
 	d.Add(Pt(18.5, 18.5))
-	if d.Total() != 11 {
-		t.Fatalf("Total = %d", d.Total())
+	if d.total != 11 {
+		t.Fatalf("total = %d", d.total)
 	}
 	if got := d.CountWithin(Pt(5.5, 5.5), 1); got != 10 {
 		t.Errorf("CountWithin near cluster = %d, want 10", got)

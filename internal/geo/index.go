@@ -326,15 +326,6 @@ func (ix *GridIndex) Overflow() []int32 {
 	return ix.overflow
 }
 
-// Entries reports the total number of (cell, id) slots, i.e. the index's
-// memory footprint in bucket entries (the overflow list excluded).
-func (ix *GridIndex) Entries() int {
-	if !ix.built || ix.cols == 0 {
-		return 0
-	}
-	return int(ix.starts[ix.cols*ix.rows])
-}
-
 // cellRange returns the inclusive cell-index rectangle covered by e, clamped
 // to the grid. The same subtract-divide-truncate arithmetic as Candidates
 // guarantees any point inside e queries a cell within this range.

@@ -88,7 +88,7 @@ func TestGridIndexParallelismIndependent(t *testing.T) {
 	if !reflect.DeepEqual(seq.starts[:seq.cols*seq.rows+1], par8.starts[:par8.cols*par8.rows+1]) {
 		t.Fatal("cell starts differ between parallelism 1 and 8")
 	}
-	if !reflect.DeepEqual(seq.entries[:seq.Entries()], par8.entries[:par8.Entries()]) {
+	if !reflect.DeepEqual(seq.entries[:seq.starts[seq.cols*seq.rows]], par8.entries[:par8.starts[par8.cols*par8.rows]]) {
 		t.Fatal("entries differ between parallelism 1 and 8")
 	}
 }
@@ -138,7 +138,7 @@ func TestGridIndexCancelledBuildInvalidates(t *testing.T) {
 	envs := randEnvelopes(100, 7)
 	var ix GridIndex
 	buildOver(t, &ix, envs, 0)
-	if len(ix.Candidates(Pt(50, 30))) == 0 && ix.Entries() == 0 {
+	if len(ix.Candidates(Pt(50, 30))) == 0 && ix.starts[ix.cols*ix.rows] == 0 {
 		t.Fatal("expected a populated index before cancellation")
 	}
 	cancelled, cancel := context.WithCancel(context.Background())

@@ -2,7 +2,6 @@ package meta
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 
 	"github.com/spatialcrowd/tamp/internal/cluster"
@@ -20,7 +19,6 @@ type metaObs struct {
 	gradNorm *obs.Gauge     // tamp_meta_grad_norm: pre-clip norm of the last meta gradient
 	adaptSec *obs.Histogram // tamp_meta_adapt_seconds: per-task inner loop + query grad
 	stepSec  *obs.Histogram // tamp_opt_step_seconds: outer optimizer update
-	ckptSec  *obs.Histogram // tamp_ckpt_save_seconds: checkpoint snapshot latency
 	reg      *obs.Registry
 }
 
@@ -31,7 +29,6 @@ func newMetaObs(reg *obs.Registry) metaObs {
 		gradNorm: reg.Gauge("tamp_meta_grad_norm"),
 		adaptSec: reg.Histogram("tamp_meta_adapt_seconds", obs.DefSecondsBuckets),
 		stepSec:  reg.Histogram("tamp_opt_step_seconds", obs.DefSecondsBuckets),
-		ckptSec:  reg.Histogram("tamp_ckpt_save_seconds", obs.DefSecondsBuckets),
 		reg:      reg,
 	}
 }
@@ -66,7 +63,7 @@ func MetaTrain(ctx context.Context, theta nn.Vector, tasks []*LearningTask, cfg 
 	}
 	// Observability: every segment records under "meta.train" (nested below
 	// the caller's span, e.g. "predict.train/meta.train"), with per-iteration
-	// loss/grad-norm gauges and optimizer/checkpoint timings.
+	// loss/grad-norm gauges and optimizer timings.
 	mctx, endSpan := obs.Span(ctx, "meta.train")
 	defer endSpan()
 	ctx = mctx
@@ -109,21 +106,7 @@ func MetaTrain(ctx context.Context, theta nn.Vector, tasks []*LearningTask, cfg 
 	meanGrad := nn.NewVector(len(theta))
 	var totalLoss float64
 	var lossCount int
-	// Resume from a checkpoint boundary: restore θ, the loss accumulators,
-	// and the sampling RNG's exact stream position, then continue from the
-	// saved iteration. A completed segment (Iter == MetaIters) skips the
-	// loop entirely — fast-forward memoization for re-executed pipelines.
-	startIter := 0
-	ck := cfg.Checkpoint
-	if ck.enabled() {
-		if f := ck.load(len(theta), cfg.MetaIters); f != nil {
-			copy(theta, f.Theta)
-			ck.Source.Restore(f.RngSeed, f.RngDraws)
-			totalLoss, lossCount = f.LossSum, f.LossCount
-			startIter = f.Iter
-		}
-	}
-	for iter := startIter; iter < cfg.MetaIters; iter++ {
+	for iter := 0; iter < cfg.MetaIters; iter++ {
 		// Sample a batch of m learning tasks from T^t.G (line 2) on the
 		// caller's goroutine: cfg.Rng is never touched inside the pool.
 		idx := cfg.Rng.Perm(len(tasks))[:batch]
@@ -164,11 +147,6 @@ func MetaTrain(ctx context.Context, theta nn.Vector, tasks []*LearningTask, cfg 
 		mo.gradNorm.Set(norm)
 		mo.loss.Set(iterLoss / float64(batch))
 		mo.iters.Inc()
-		if ck.enabled() && ((iter+1)%ck.interval() == 0 || iter+1 == cfg.MetaIters) {
-			ckStart := mo.reg.Now()
-			ck.save(iter+1, theta, totalLoss, lossCount)
-			mo.ckptSec.Observe(mo.reg.Now().Sub(ckStart).Seconds())
-		}
 	}
 	if lossCount == 0 {
 		return 0
@@ -189,13 +167,6 @@ func MetaTrain(ctx context.Context, theta nn.Vector, tasks []*LearningTask, cfg 
 // itself stays sequential (children inherit the parent's refined θ);
 // parallelism lives inside each MetaTrain batch.
 func TAML(ctx context.Context, node *cluster.TreeNode, tasks []*LearningTask, cfg Config, rootInit nn.Vector) float64 {
-	// Each MetaTrain segment checkpoints under a scope naming its position
-	// in the tree walk ("root", "root/warm", "root/c1", ...), so a resumed
-	// run pairs every segment with its own snapshot.
-	scope := "root"
-	if cfg.Checkpoint != nil && cfg.Checkpoint.Scope != "" {
-		scope = cfg.Checkpoint.Scope
-	}
 	if node.Theta == nil {
 		if node.Parent != nil && node.Parent.Theta != nil {
 			node.Theta = node.Parent.Theta.Clone()
@@ -208,22 +179,22 @@ func TAML(ctx context.Context, node *cluster.TreeNode, tasks []*LearningTask, cf
 		members = append(members, tasks[i])
 	}
 	if node.IsLeaf() {
-		return MetaTrain(ctx, node.Theta, members, cfg.withCkptScope(scope))
+		return MetaTrain(ctx, node.Theta, members, cfg)
 	}
 	// Coarse-to-fine refinement: meta-train this node's initialization on
 	// its whole cluster before the children specialize from it, so deeper
 	// tree levels refine the coarser ones instead of starting over from the
 	// raw inherited weights. (This is also why training time grows with the
 	// number of clustering factors, as Table IV reports.)
-	warm := cfg.withCkptScope(scope + "/warm")
+	warm := cfg
 	warm.MetaIters = (cfg.MetaIters + 1) / 2
 	MetaTrain(ctx, node.Theta, members, warm)
 
 	var lossSum float64
 	delta := nn.NewVector(len(node.Theta))
-	for ci, child := range node.Children {
+	for _, child := range node.Children {
 		child.Theta = node.Theta.Clone()
-		lossSum += TAML(ctx, child, tasks, cfg.withCkptScope(fmt.Sprintf("%s/c%d", scope, ci)), rootInit)
+		lossSum += TAML(ctx, child, tasks, cfg, rootInit)
 		diff := child.Theta.Clone()
 		diff.Axpy(-1, node.Theta)
 		delta.Axpy(1/float64(len(node.Children)), diff)

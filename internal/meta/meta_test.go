@@ -161,14 +161,14 @@ func TestTAMLFillsTree(t *testing.T) {
 	if loss <= 0 {
 		t.Errorf("TAML loss = %v", loss)
 	}
-	for _, n := range root.Nodes() {
+	root.PostOrder(func(n *cluster.TreeNode) {
 		if n.Theta == nil {
 			t.Fatal("node left without Theta")
 		}
 		if len(n.Theta) != len(init) {
 			t.Fatal("Theta length mismatch")
 		}
-	}
+	})
 	// Parent θ must equal the mean of children θ (Reptile step from the
 	// shared start).
 	want := nn.Mean([]nn.Vector{c0.Theta, c1.Theta})
@@ -207,9 +207,9 @@ func TestTrainMAML(t *testing.T) {
 			t.Errorf("task %d has empty init", i)
 		}
 	}
-	m := tr.AdaptedModel(0)
+	m := tr.AdaptedModelRNG(0, nil)
 	if m == nil || m.NumParams() == 0 {
-		t.Fatal("AdaptedModel failed")
+		t.Fatal("AdaptedModelRNG failed")
 	}
 }
 
@@ -347,9 +347,9 @@ func TestPlaceNewFindsRightCluster(t *testing.T) {
 	if arch0*2 <= len(node.Members) {
 		t.Errorf("placement node has %d/%d archetype-0 tasks", arch0, len(node.Members))
 	}
-	model := tr.AdaptNew(newcomer)
+	model := tr.AdaptNewRNG(newcomer, nil)
 	if model == nil {
-		t.Fatal("AdaptNew failed")
+		t.Fatal("AdaptNewRNG failed")
 	}
 }
 
@@ -396,7 +396,7 @@ func TestGTTAMLBeatsMAMLOnHeldOut(t *testing.T) {
 	evalQuery := func(tr *Trained) float64 {
 		var sum float64
 		for i, task := range tasks {
-			m := tr.AdaptedModel(i)
+			m := tr.AdaptedModelRNG(i, nil)
 			sum += QueryLoss(m, task, cfg.Loss)
 		}
 		return sum / float64(len(tasks))

@@ -54,7 +54,7 @@ func TestReleaseDropsTrainingInputs(t *testing.T) {
 		}
 	}
 	newcomer := makeTask(100, 0, rng, 16)
-	before := tr.AdaptNew(newcomer).Weights().Clone()
+	before := tr.AdaptNewRNG(newcomer, nil).Weights().Clone()
 
 	tr.Release()
 	for i, task := range tr.Tasks {
@@ -66,8 +66,8 @@ func TestReleaseDropsTrainingInputs(t *testing.T) {
 			t.Errorf("task %d lost the feature cold-start placement compares", i)
 		}
 	}
-	if after := tr.AdaptNew(newcomer).Weights(); !weightsBitEqual(before, after) {
-		t.Error("AdaptNew on the released set returned a different model")
+	if after := tr.AdaptNewRNG(newcomer, nil).Weights(); !weightsBitEqual(before, after) {
+		t.Error("AdaptNewRNG on the released set returned a different model")
 	}
 }
 
@@ -80,7 +80,7 @@ func TestReleaseKeepsPathsPlacementReads(t *testing.T) {
 	if err := ComputeLearningPaths(context.Background(), []*LearningTask{newcomer}, tr.Cfg, init); err != nil {
 		t.Fatal(err)
 	}
-	before := tr.AdaptNew(newcomer).Weights().Clone()
+	before := tr.AdaptNewRNG(newcomer, nil).Weights().Clone()
 	tr.Release()
 	for i, task := range tr.Tasks {
 		if task.Support != nil || task.Query != nil {
@@ -90,8 +90,8 @@ func TestReleaseKeepsPathsPlacementReads(t *testing.T) {
 			t.Errorf("task %d lost the path placement compares", i)
 		}
 	}
-	if after := tr.AdaptNew(newcomer).Weights(); !weightsBitEqual(before, after) {
-		t.Error("AdaptNew on the released set returned a different model")
+	if after := tr.AdaptNewRNG(newcomer, nil).Weights(); !weightsBitEqual(before, after) {
+		t.Error("AdaptNewRNG on the released set returned a different model")
 	}
 }
 
@@ -99,15 +99,15 @@ func TestReleaseKeepsPathsPlacementReads(t *testing.T) {
 // would silently hand back the initialization, so it fails by name instead.
 func TestAdaptedModelAfterReleasePanics(t *testing.T) {
 	tr, _ := trainForRelease(t, []sim.Metric{sim.Distribution})
-	if tr.AdaptedModel(0) == nil {
-		t.Fatal("AdaptedModel failed before Release")
+	if tr.AdaptedModelRNG(0, nil) == nil {
+		t.Fatal("AdaptedModelRNG failed before Release")
 	}
 	tr.Release()
 	defer func() {
 		msg := fmt.Sprint(recover())
 		if !strings.Contains(msg, "Release") {
-			t.Fatalf("AdaptedModel on a released set: recovered %q, want a panic naming Release", msg)
+			t.Fatalf("AdaptedModelRNG on a released set: recovered %q, want a panic naming Release", msg)
 		}
 	}()
-	tr.AdaptedModel(0)
+	tr.AdaptedModelRNG(0, nil)
 }

@@ -56,10 +56,6 @@ type Config struct {
 	Parallelism int
 	// Rng seeds model initialization and task sampling. Required.
 	Rng *rand.Rand
-	// Checkpoint, when non-nil (and backed by a restorable ckpt.Source),
-	// makes MetaTrain snapshot its state at iteration boundaries so an
-	// interrupted run resumes bit-identically. See CheckpointConfig.
-	Checkpoint *CheckpointConfig
 }
 
 // DefaultConfig returns laptop-scale hyperparameters that keep the paper's

@@ -50,8 +50,8 @@ type Trained struct {
 // trained set is consulted for afterwards — Tree, Cfg, Metrics, Algorithm,
 // MeanLoss, and the task features PlaceNew compares a newly arrived worker
 // against (the learning paths too, when the first clustering metric is
-// Sim_l) — so AdaptNew returns the model it returned before. AdaptedModel
-// needs the support samples and panics on a released set.
+// Sim_l) — so AdaptNewRNG returns the model it returned before.
+// AdaptedModelRNG needs the support samples and panics on a released set.
 func (t *Trained) Release() {
 	keepPaths := len(t.Metrics) > 0 && t.Metrics[0] == sim.LearningPath
 	for _, task := range t.Tasks {
@@ -87,15 +87,10 @@ func (t *Trained) InitFor(taskIdx int) nn.Vector {
 	return t.Tree.Theta
 }
 
-// AdaptedModel clones the architecture, loads the task's initialization,
+// AdaptedModelRNG clones the architecture, loads the task's initialization,
 // and adapts it on the task's support set, returning the personalized
-// mobility model for the worker.
-func (t *Trained) AdaptedModel(taskIdx int) nn.Model {
-	return t.AdaptedModelRNG(taskIdx, nil)
-}
-
-// AdaptedModelRNG is AdaptedModel with an explicit RNG for the transient
-// weight initialization (nil falls back to Cfg.Rng). The fresh model's
+// mobility model for the worker. rng feeds the transient weight
+// initialization (nil falls back to Cfg.Rng). The fresh model's
 // random weights are overwritten by the trained initialization before any
 // use, so the choice of RNG never changes the result — but passing a
 // private RNG makes the call safe to run concurrently for many workers
@@ -104,7 +99,7 @@ func (t *Trained) AdaptedModelRNG(taskIdx int, rng *rand.Rand) nn.Model {
 	if t.released {
 		// Adapting on the emptied support set would hand back the bare
 		// initialization as if it were the worker's model.
-		panic("meta: AdaptedModel after Release: the set's support samples were dropped (predict.Train releases them; use the Result's Models)")
+		panic("meta: AdaptedModelRNG after Release: the set's support samples were dropped (predict.Train releases them; use the Result's Models)")
 	}
 	m := t.newModel(rng)
 	m.SetWeights(t.InitFor(taskIdx))
@@ -322,15 +317,10 @@ func (t *Trained) PlaceNew(f *sim.Features) *cluster.TreeNode {
 	return best
 }
 
-// AdaptNew builds a model for a newly arrived worker: place the task on the
-// tree, initialize from the chosen node, adapt on the new task's support
-// set.
-func (t *Trained) AdaptNew(task *LearningTask) nn.Model {
-	return t.AdaptNewRNG(task, nil)
-}
-
-// AdaptNewRNG is AdaptNew with an explicit RNG for the fresh model (nil
-// falls back to Cfg.Rng). Tree placement only reads the trained tree, so
+// AdaptNewRNG builds a model for a newly arrived worker: place the task on
+// the tree, initialize from the chosen node, adapt on the new task's support
+// set. rng feeds the fresh model (nil falls back to Cfg.Rng). Tree placement
+// only reads the trained tree, so
 // with a private RNG the whole call is safe to run concurrently for many
 // cold-start workers, and — because any placement node carries a trained
 // θ that overwrites the random initialization — deterministic at every

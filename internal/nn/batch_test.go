@@ -46,8 +46,8 @@ func randUniformBatch(rng *rand.Rand, size, inDim, outDim, seqIn, seqOut int) []
 // per-sample Grad: identical loss and identical gradient, bit for bit,
 // across random shapes, batch sizes, and losses. Floating-point addition is
 // not associative, so bit equality here pins the reduction order — the
-// contract everything downstream (meta-training determinism, checkpoint
-// digests, replay equivalence) relies on.
+// contract everything downstream (meta-training determinism, replay
+// equivalence) relies on.
 func TestBatchGradMatchesStreamed(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	losses := []Loss{MSE{}, Scaled{Inner: MSE{}, Factor: 3.7}}

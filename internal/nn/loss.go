@@ -62,12 +62,6 @@ func (l WeightedMSE) LossGrad(pred, target, grad [][]float64) float64 {
 	return sum * inv
 }
 
-// ConstWeight returns a WeightFn that ignores its inputs, useful in tests:
-// WeightedMSE with ConstWeight(1) must coincide with MSE.
-func ConstWeight(w float64) WeightFn {
-	return func(int, []float64) float64 { return w }
-}
-
 // Scaled multiplies another loss (and its gradient) by a constant factor.
 // Models train on unit-normalized coordinates where per-step displacements
 // are tiny; scaling the loss back to physical units (factor = scale²) keeps

@@ -64,7 +64,7 @@ func TestScaledWeightedComposition(t *testing.T) {
 	pred := [][]float64{{1, 0}}
 	target := [][]float64{{0, 0}}
 	grad := [][]float64{{0, 0}}
-	l := Scaled{Inner: WeightedMSE{Weight: ConstWeight(2)}, Factor: 10}.LossGrad(pred, target, grad)
+	l := Scaled{Inner: WeightedMSE{Weight: func(int, []float64) float64 { return 2 }}, Factor: 10}.LossGrad(pred, target, grad)
 	if math.Abs(l-20) > 1e-12 { // 2 * 1 * 10
 		t.Errorf("composed loss = %v, want 20", l)
 	}

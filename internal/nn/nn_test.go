@@ -139,7 +139,7 @@ func TestWeightedMSEMatchesMSEUnderUnitWeight(t *testing.T) {
 			g2[i] = make([]float64, 2)
 		}
 		l1 := MSE{}.LossGrad(pred, target, g1)
-		l2 := WeightedMSE{Weight: ConstWeight(1)}.LossGrad(pred, target, g2)
+		l2 := WeightedMSE{Weight: func(int, []float64) float64 { return 1 }}.LossGrad(pred, target, g2)
 		if math.Abs(l1-l2) > 1e-12 {
 			t.Fatalf("losses differ: %v vs %v", l1, l2)
 		}
@@ -157,7 +157,7 @@ func TestWeightedMSEScalesWithWeight(t *testing.T) {
 	pred := [][]float64{{2, 0}}
 	target := [][]float64{{0, 0}}
 	grad := [][]float64{{0, 0}}
-	l := WeightedMSE{Weight: ConstWeight(3)}.LossGrad(pred, target, grad)
+	l := WeightedMSE{Weight: func(int, []float64) float64 { return 3 }}.LossGrad(pred, target, grad)
 	if math.Abs(l-12) > 1e-12 { // 3 * 4
 		t.Errorf("weighted loss = %v, want 12", l)
 	}
@@ -170,7 +170,7 @@ func TestEmptyLoss(t *testing.T) {
 	if got := (MSE{}).LossGrad(nil, nil, nil); got != 0 {
 		t.Errorf("empty MSE = %v", got)
 	}
-	if got := (WeightedMSE{Weight: ConstWeight(1)}).LossGrad(nil, nil, nil); got != 0 {
+	if got := (WeightedMSE{Weight: func(int, []float64) float64 { return 1 }}).LossGrad(nil, nil, nil); got != 0 {
 		t.Errorf("empty weighted = %v", got)
 	}
 }
@@ -381,16 +381,6 @@ func TestAdamConvergesOnQuadratic(t *testing.T) {
 		if math.Abs(w[i]-target[i]) > 0.01 {
 			t.Errorf("Adam w[%d] = %v, want %v", i, w[i], target[i])
 		}
-	}
-}
-
-func TestAdamReset(t *testing.T) {
-	opt := NewAdam(0.1)
-	w, g := Vector{1}, Vector{1}
-	opt.Step(w, g)
-	opt.Reset()
-	if opt.m != nil || opt.t != 0 {
-		t.Error("Reset did not clear state")
 	}
 }
 

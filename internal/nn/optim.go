@@ -76,9 +76,3 @@ func (o *Adam) Step(w, grad Vector) {
 		w[i] -= lr * (mi / b1c) / (math.Sqrt(vi/b2c) + eps)
 	}
 }
-
-// Reset clears Adam's moment estimates, e.g. when reusing the optimizer for
-// a fresh model.
-func (o *Adam) Reset() {
-	o.m, o.v, o.t = nil, nil, 0
-}

@@ -12,9 +12,9 @@ import (
 // famSnapshot is one family captured under the registry lock; metric values
 // are still read atomically at render time.
 type famSnapshot struct {
-	name, kind, help string
-	keys             []string
-	series           []any
+	name, kind string
+	keys       []string
+	series     []any
 }
 
 // WritePrometheus renders every registered series in the Prometheus text
@@ -25,7 +25,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	snaps := make([]famSnapshot, 0, len(r.families))
 	for name, f := range r.families {
-		s := famSnapshot{name: name, kind: f.kind, help: f.help}
+		s := famSnapshot{name: name, kind: f.kind}
 		s.keys = make([]string, 0, len(f.series))
 		for k := range f.series {
 			s.keys = append(s.keys, k)
@@ -42,13 +42,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 
 	bw := bufio.NewWriter(w)
 	for _, f := range snaps {
-		if f.help != "" {
-			bw.WriteString("# HELP ")
-			bw.WriteString(f.name)
-			bw.WriteByte(' ')
-			bw.WriteString(f.help)
-			bw.WriteByte('\n')
-		}
 		bw.WriteString("# TYPE ")
 		bw.WriteString(f.name)
 		bw.WriteByte(' ')

@@ -21,7 +21,6 @@ func TestPrometheusGolden(t *testing.T) {
 	r.Counter("tamp_sim_offers_total").Add(42)
 	r.Counter("tamp_faults_total", L("kind", "dropped_report")).Add(3)
 	r.Counter("tamp_faults_total", L("kind", "offline_tick")).Add(7)
-	r.SetHelp("tamp_faults_total", "Degraded-mode events absorbed by the platform.")
 	r.Gauge("tamp_pred_mr").Set(0.8125)
 
 	h := r.Histogram("tamp_batch_seconds", []float64{0.01, 0.1, 1})
@@ -43,7 +42,6 @@ func TestPrometheusGolden(t *testing.T) {
 		`tamp_batch_seconds_bucket{le="+Inf"} 4`,
 		`tamp_batch_seconds_sum 50.105`,
 		`tamp_batch_seconds_count 4`,
-		`# HELP tamp_faults_total Degraded-mode events absorbed by the platform.`,
 		`# TYPE tamp_faults_total counter`,
 		`tamp_faults_total{kind="dropped_report"} 3`,
 		`tamp_faults_total{kind="offline_tick"} 7`,

@@ -136,7 +136,6 @@ const (
 type family struct {
 	name   string
 	kind   string
-	help   string
 	bounds []float64      // histograms only
 	series map[string]any // rendered label block → *Counter / *Gauge / *Histogram
 }
@@ -245,16 +244,6 @@ func (r *Registry) phaseHistogram(path string) *Histogram {
 	r.phase[path] = h
 	r.phaseMu.Unlock()
 	return h
-}
-
-// SetHelp attaches a HELP line to a metric family (created lazily if the
-// family does not exist yet the help is remembered once it does).
-func (r *Registry) SetHelp(name, help string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.families[name]; ok {
-		f.help = help
-	}
 }
 
 func getOrCreate(r *Registry, name, kind string, bounds []float64, labels []Label, make_ func() any) any {

@@ -62,15 +62,6 @@ func Span(ctx context.Context, name string) (context.Context, func()) {
 	}
 }
 
-// CurrentPhase returns the hierarchical path of ctx's innermost span, or ""
-// outside any span. Used by tests and debug logging.
-func CurrentPhase(ctx context.Context) string {
-	if s, ok := ctx.Value(spanKey{}).(*span); ok {
-		return s.path
-	}
-	return ""
-}
-
 // Time measures one function call as a leaf span (the returned context of
 // Span is discarded — fn cannot start children). Convenience for phases
 // that are a single call.

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"os"
 	"time"
 
-	"github.com/spatialcrowd/tamp/internal/ckpt"
 	"github.com/spatialcrowd/tamp/internal/cluster"
 	"github.com/spatialcrowd/tamp/internal/dataset"
 	"github.com/spatialcrowd/tamp/internal/geo"
@@ -39,21 +37,6 @@ type Options struct {
 	Metrics []sim.Metric
 	// Seed drives all randomness.
 	Seed int64
-	// CheckpointDir, when set, makes meta-training crash-resumable: the
-	// trainer snapshots θ, loss accumulators, and the exact RNG stream
-	// position at iteration boundaries (atomic temp-file+rename writes).
-	// Re-running Train with the same options and directory fast-forwards
-	// completed segments and resumes the interrupted one, producing models
-	// bit-identical to an uninterrupted run. The directory is created if
-	// missing.
-	CheckpointDir string
-	// CheckpointEvery is the snapshot interval in meta-iterations
-	// (default 10).
-	CheckpointEvery int
-	// OnCheckpoint, when set alongside CheckpointDir, observes each
-	// snapshot — progress reporting, and the hook tests use to kill a run
-	// at an exact checkpoint boundary.
-	OnCheckpoint func(scope string, iter int)
 	// Parallelism bounds the worker pool used by meta-training batches,
 	// per-worker adaptation, and evaluation (0 = GOMAXPROCS). Results are
 	// bit-identical at every parallelism level; see internal/par.
@@ -142,18 +125,7 @@ func Train(ctx context.Context, w *dataset.Workload, opts Options) (*Result, err
 	ctx, endTrain := obs.Span(ctx, "predict.train")
 	defer endTrain()
 	reg := obs.RegistryFrom(ctx)
-	// With checkpointing on, the training RNG runs on a restorable counting
-	// source — same stream as rand.NewSource, but its position can be
-	// snapshotted and replayed so resumed runs are bit-identical.
-	var src *ckpt.Source
 	rng := rand.New(rand.NewSource(opts.Seed + 7))
-	if opts.CheckpointDir != "" {
-		if err := os.MkdirAll(opts.CheckpointDir, 0o755); err != nil {
-			return nil, fmt.Errorf("predict: checkpoint dir: %w", err)
-		}
-		src = ckpt.NewSource(opts.Seed + 7)
-		rng = rand.New(src)
-	}
 
 	cfg := meta.DefaultConfig(rng)
 	cfg.InDim = InputDims
@@ -161,14 +133,6 @@ func Train(ctx context.Context, w *dataset.Workload, opts Options) (*Result, err
 	cfg.MetaIters = opts.MetaIters
 	cfg.Parallelism = opts.Parallelism
 	cfg.AdaptLR = adaptLR
-	if src != nil {
-		cfg.Checkpoint = &meta.CheckpointConfig{
-			Dir:          opts.CheckpointDir,
-			Every:        opts.CheckpointEvery,
-			Source:       src,
-			OnCheckpoint: opts.OnCheckpoint,
-		}
-	}
 	{
 		// Train against the loss measured in grid cells (factor = scale²):
 		// unit-normalized displacements are tiny, and unscaled gradients

@@ -184,7 +184,7 @@ func TestTrainReleasesItsInputs(t *testing.T) {
 		}
 		cold++
 		task, _ := BuildTaskFor(w, wk, opts.SeqIn, opts.SeqOut)
-		again := res.Trained.AdaptNew(task).Weights()
+		again := res.Trained.AdaptNewRNG(task, nil).Weights()
 		built := res.Models[wk.ID].Model.Weights()
 		if len(again) != len(built) {
 			t.Fatalf("worker %d: %d weights, Train built %d", wk.ID, len(again), len(built))
@@ -200,10 +200,10 @@ func TestTrainReleasesItsInputs(t *testing.T) {
 	}
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "Release") {
-			t.Fatalf("AdaptedModel after Train: recovered %q, want a panic naming Release", msg)
+			t.Fatalf("AdaptedModelRNG after Train: recovered %q, want a panic naming Release", msg)
 		}
 	}()
-	res.Trained.AdaptedModel(0)
+	res.Trained.AdaptedModelRNG(0, nil)
 }
 
 // TestTrainSizesTheMemoToTheHorizon: the Result's forecast memo holds two

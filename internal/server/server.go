@@ -376,11 +376,6 @@ func (s *Server) StateDigest() string {
 	return s.st.Digest()
 }
 
-// Ready reports whether the server would answer /readyz with 200: WAL
-// recovery has completed, the batch workspace is wired, and Close has not
-// run. The router tier only routes traffic to ready shards.
-func (s *Server) Ready() bool { return s.ready.Load() }
-
 // Close marks the server unready, then flushes and closes the write-ahead
 // log (a no-op for memory-only servers). It is idempotent — a second Close
 // returns nil — and safe to race an in-flight batch: Close waits for the

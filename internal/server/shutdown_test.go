@@ -24,9 +24,6 @@ func TestCloseIsIdempotent(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close must be a no-op, got %v", err)
 	}
-	if s.Ready() {
-		t.Fatal("server still ready after Close")
-	}
 	// The mux stays mounted: probes answer (reporting down), platform
 	// traffic is refused instead of hitting a log-less state machine.
 	if code := c.do("GET", "/readyz", nil, nil); code != http.StatusServiceUnavailable {

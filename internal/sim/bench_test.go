@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -79,7 +80,7 @@ func BenchmarkSimilarityMatrix40(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		NewMatrix(len(feats), func(a, c int) float64 {
+		NewMatrixCtx(context.Background(), len(feats), 1, func(a, c int) float64 {
 			return DistributionSim(feats[a].Points, feats[c].Points)
 		})
 	}

@@ -13,13 +13,8 @@ type Matrix struct {
 	v []float64
 }
 
-// NewMatrix computes the symmetric similarity matrix for n items from f,
-// evaluating f only on the upper triangle.
-func NewMatrix(n int, f func(i, j int) float64) *Matrix {
-	return NewMatrixCtx(context.Background(), n, 1, f)
-}
-
-// NewMatrixCtx builds the similarity matrix with the upper triangle's rows
+// NewMatrixCtx computes the symmetric similarity matrix for n items from f,
+// evaluating f only on the upper triangle, with the triangle's rows
 // computed concurrently on a par pool (parallelism ≤ 0 means GOMAXPROCS).
 // f must be a pure function of (i, j); each row writes a disjoint slice
 // segment and the symmetric mirror runs sequentially afterwards, so the

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -265,7 +266,7 @@ func TestMetricString(t *testing.T) {
 }
 
 func TestMatrixSymmetric(t *testing.T) {
-	m := NewMatrix(4, func(i, j int) float64 { return float64(i + j) })
+	m := NewMatrixCtx(context.Background(), 4, 1, func(i, j int) float64 { return float64(i + j) })
 	for i := 0; i < 4; i++ {
 		if m.At(i, i) != 1 {
 			t.Errorf("diagonal At(%d,%d) = %v", i, i, m.At(i, i))
@@ -288,7 +289,7 @@ func TestQuality(t *testing.T) {
 		{0.8, 1, 0.2},
 		{0.2, 0.2, 1},
 	}
-	m := NewMatrix(3, func(i, j int) float64 { return s[i][j] })
+	m := NewMatrixCtx(context.Background(), 3, 1, func(i, j int) float64 { return s[i][j] })
 	const gamma = 0.3
 	if got := Quality(m, nil, gamma); got != 0 {
 		t.Errorf("empty quality = %v", got)
@@ -312,7 +313,7 @@ func TestUtilityMarginal(t *testing.T) {
 		{0.9, 1, 0.1},
 		{0.1, 0.1, 1},
 	}
-	m := NewMatrix(3, func(i, j int) float64 { return s[i][j] })
+	m := NewMatrixCtx(context.Background(), 3, 1, func(i, j int) float64 { return s[i][j] })
 	const gamma = 0.3
 	// Item 2 joining {0,1} drags quality down: utility should be negative.
 	u := Utility(m, []int{0, 1, 2}, 2, gamma)
@@ -334,7 +335,7 @@ func TestUtilityPotentialProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := r.Intn(5) + 2
-		m := NewMatrix(n, func(i, j int) float64 { return r.Float64() })
+		m := NewMatrixCtx(context.Background(), n, 1, func(i, j int) float64 { return r.Float64() })
 		size := r.Intn(n) + 1
 		members := r.Perm(n)[:size]
 		item := members[r.Intn(size)]
@@ -359,7 +360,7 @@ func TestQualityBoundedProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := r.Intn(6) + 1
-		m := NewMatrix(n, func(i, j int) float64 { return r.Float64() })
+		m := NewMatrixCtx(context.Background(), n, 1, func(i, j int) float64 { return r.Float64() })
 		members := r.Perm(n)[:r.Intn(n)+1]
 		q := Quality(m, members, 0.2)
 		return q >= 0 && q <= 1

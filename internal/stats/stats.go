@@ -24,9 +24,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += d * (x - a.mean)
 }
 
-// N returns the number of samples recorded.
-func (a *Accumulator) N() int { return a.n }
-
 // Mean returns the sample mean (0 when empty).
 func (a *Accumulator) Mean() float64 { return a.mean }
 
@@ -40,14 +37,6 @@ func (a *Accumulator) Var() float64 {
 
 // Std returns the sample standard deviation.
 func (a *Accumulator) Std() float64 { return math.Sqrt(a.Var()) }
-
-// StdErr returns the standard error of the mean.
-func (a *Accumulator) StdErr() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.Std() / math.Sqrt(float64(a.n))
-}
 
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {

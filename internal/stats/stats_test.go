@@ -17,8 +17,8 @@ func TestAccumulatorAgainstDirect(t *testing.T) {
 			xs[i] = rng.NormFloat64()*10 + 3
 			acc.Add(xs[i])
 		}
-		if acc.N() != n {
-			t.Fatalf("N = %d", acc.N())
+		if acc.n != n {
+			t.Fatalf("n = %d", acc.n)
 		}
 		if math.Abs(acc.Mean()-Mean(xs)) > 1e-9 {
 			t.Fatalf("mean %v vs %v", acc.Mean(), Mean(xs))
@@ -31,7 +31,7 @@ func TestAccumulatorAgainstDirect(t *testing.T) {
 
 func TestAccumulatorEmpty(t *testing.T) {
 	var a Accumulator
-	if a.Mean() != 0 || a.Var() != 0 || a.Std() != 0 || a.StdErr() != 0 {
+	if a.Mean() != 0 || a.Var() != 0 || a.Std() != 0 {
 		t.Error("empty accumulator should be all zeros")
 	}
 	a.Add(5)

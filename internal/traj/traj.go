@@ -186,24 +186,6 @@ func Split(samples []Sample, supportFrac float64) Dataset {
 	return d
 }
 
-// Size returns the total number of samples in d.
-func (d Dataset) Size() int { return len(d.Support) + len(d.Query) }
-
-// AllPoints returns every input and output location in d, used for
-// distribution similarity between learning tasks.
-func (d Dataset) AllPoints() []geo.Point {
-	var out []geo.Point
-	for _, s := range d.Support {
-		out = append(out, s.In...)
-		out = append(out, s.Out...)
-	}
-	for _, s := range d.Query {
-		out = append(out, s.In...)
-		out = append(out, s.Out...)
-	}
-	return out
-}
-
 // Normalizer maps grid coordinates to the zero-centred unit scale the
 // neural models train on, and back. Scaling by the grid half-extent keeps
 // inputs roughly in [-1, 1], which the LSTM gates need to avoid saturation.

@@ -143,8 +143,8 @@ func TestSplitProportions(t *testing.T) {
 	if len(d.Support) != 70 || len(d.Query) != 30 {
 		t.Errorf("split = %d/%d, want 70/30", len(d.Support), len(d.Query))
 	}
-	if d.Size() != 100 {
-		t.Errorf("Size = %d", d.Size())
+	if n := len(d.Support) + len(d.Query); n != 100 {
+		t.Errorf("size = %d", n)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestSplitNeverEmptySides(t *testing.T) {
 		}
 		samples := make([]Sample, int(n%50)+2)
 		d := Split(samples, frac)
-		if d.Size() != len(samples) {
+		if len(d.Support)+len(d.Query) != len(samples) {
 			return false
 		}
 		ef := frac
@@ -180,19 +180,8 @@ func TestSplitNeverEmptySides(t *testing.T) {
 
 func TestSplitEmpty(t *testing.T) {
 	d := Split(nil, 0.5)
-	if d.Size() != 0 {
-		t.Errorf("empty split size = %d", d.Size())
-	}
-}
-
-func TestDatasetAllPoints(t *testing.T) {
-	d := Dataset{
-		Support: []Sample{{In: []geo.Point{geo.Pt(1, 1)}, Out: []geo.Point{geo.Pt(2, 2)}}},
-		Query:   []Sample{{In: []geo.Point{geo.Pt(3, 3)}, Out: []geo.Point{geo.Pt(4, 4)}}},
-	}
-	pts := d.AllPoints()
-	if len(pts) != 4 {
-		t.Fatalf("AllPoints len = %d", len(pts))
+	if len(d.Support)+len(d.Query) != 0 {
+		t.Errorf("empty split = %d/%d", len(d.Support), len(d.Query))
 	}
 }
 

@@ -112,7 +112,7 @@ func TestCrashReplayEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				st := stateFrom(t, rec)
-				for seq := rec.EndSeq(); seq < uint64(len(events)); seq++ {
+				for seq := rec.StartSeq + uint64(len(rec.Records)); seq < uint64(len(events)); seq++ {
 					if _, err := l.Append(encoded[seq]); err != nil {
 						t.Fatalf("append %d: %v", seq, err)
 					}
@@ -134,7 +134,7 @@ func TestCrashReplayEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reopen after crash: %v", err)
 			}
-			end := rec.EndSeq()
+			end := rec.StartSeq + uint64(len(rec.Records))
 			if end > uint64(len(events)) {
 				t.Fatalf("recovered %d events, only %d written", end, len(events))
 			}
@@ -142,15 +142,19 @@ func TestCrashReplayEquivalence(t *testing.T) {
 			if got := st.Digest(); got != digests[end] {
 				t.Fatalf("recovered state at seq %d diverges from reference prefix", end)
 			}
-			if l.Seq() != st.Applied {
-				t.Fatalf("log seq %d != state applied %d", l.Seq(), st.Applied)
+			if st.Applied != end {
+				t.Fatalf("state applied %d != recovered end %d", st.Applied, end)
 			}
 
 			// Phase 3: finish the run; final state must be bit-identical to
 			// the uninterrupted baseline.
 			for seq := end; seq < uint64(len(events)); seq++ {
-				if _, err := l.Append(encoded[seq]); err != nil {
+				got, err := l.Append(encoded[seq])
+				if err != nil {
 					t.Fatalf("resume append %d: %v", seq, err)
+				}
+				if got != seq {
+					t.Fatalf("resume append got seq %d, want %d", got, seq)
 				}
 				if err := st.Apply(events[seq]); err != nil {
 					t.Fatalf("resume apply %d: %v", seq, err)

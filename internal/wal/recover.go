@@ -9,8 +9,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"github.com/spatialcrowd/tamp/internal/ckpt"
 )
 
 // fileInfo is one segment or snapshot file: its parsed sequence number and
@@ -228,5 +226,5 @@ func (s *dirScan) repair() error {
 			return fmt.Errorf("wal: shelve corrupt file: %w", err)
 		}
 	}
-	return ckpt.SyncDir(s.dir)
+	return syncDir(s.dir)
 }

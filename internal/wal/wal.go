@@ -11,8 +11,8 @@
 //	[u32le length][u32le CRC-32C of payload][payload]
 //
 // so recovery can always tell a complete record from a torn tail without
-// trusting file sizes. Snapshots are written with the internal/ckpt
-// temp-file + atomic-rename idiom and the directory is fsynced after every
+// trusting file sizes. Snapshots are written with the temp-file +
+// atomic-rename idiom and the directory is fsynced after every
 // rename or segment creation, so a crash at any instant leaves either the
 // old durable state or the new one — never a half-written file that parses.
 //
@@ -32,7 +32,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"github.com/spatialcrowd/tamp/internal/ckpt"
 	"github.com/spatialcrowd/tamp/internal/obs"
 )
 
@@ -106,9 +105,6 @@ type Recovery struct {
 	Records  [][]byte // event payloads StartSeq, StartSeq+1, ...
 	Torn     *CorruptionError
 }
-
-// EndSeq is the sequence number one past the last recovered record.
-func (r *Recovery) EndSeq() uint64 { return r.StartSeq + uint64(len(r.Records)) }
 
 // Log is an open write-ahead log. Methods are not safe for concurrent use;
 // the owner serializes (the server appends under its state mutex).
@@ -208,10 +204,6 @@ func ReadLog(dir string) (*Recovery, error) {
 	return scan.recovery(false)
 }
 
-// Seq returns the next sequence number Append will assign — equivalently,
-// the number of records durably recovered plus those appended since.
-func (l *Log) Seq() uint64 { return l.seq }
-
 // Append writes one record and returns its sequence number. With the
 // default SyncEvery=1 the record is fsynced before Append returns.
 func (l *Log) Append(payload []byte) (uint64, error) {
@@ -279,7 +271,7 @@ func (l *Log) rotate() error {
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
-	if err := ckpt.SyncDir(l.dir); err != nil {
+	if err := syncDir(l.dir); err != nil {
 		f.Close()
 		return err
 	}
@@ -303,7 +295,7 @@ func (l *Log) Snapshot(payload []byte, seq uint64) error {
 	}
 	l.hook(HookSnapshotWrite)
 	path := filepath.Join(l.dir, fmt.Sprintf("%020d%s", seq, snapSuffix))
-	err := ckpt.WriteFileAtomicPre(path, func(w io.Writer) error {
+	err := writeFileAtomic(path, func(w io.Writer) error {
 		var hdr [frameHeader]byte
 		putFrameHeader(hdr[:], payload)
 		if _, err := w.Write(hdr[:]); err != nil {
@@ -334,4 +326,55 @@ func (l *Log) Close() error {
 	}
 	l.f = nil
 	return err
+}
+
+// writeFileAtomic writes a file via a same-directory temp file and rename,
+// so readers never observe a partially written file and an existing one
+// survives a crash mid-write. The write callback receives the temp file's
+// writer; any error aborts and removes the temp file. preRename runs between
+// the temp file's durable write and the rename that publishes it — the exact
+// crash window fault-injection tests aim at.
+func writeFileAtomic(path string, write func(w io.Writer) error, preRename func()) (err error) {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, ".tmp-"+filepath.Base(path)+"-*")
+	if err != nil {
+		return fmt.Errorf("wal: create temp: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	if err = write(tmp); err != nil {
+		return fmt.Errorf("wal: write %s: %w", path, err)
+	}
+	if err = tmp.Sync(); err != nil {
+		return fmt.Errorf("wal: sync %s: %w", path, err)
+	}
+	if err = tmp.Close(); err != nil {
+		return fmt.Errorf("wal: close %s: %w", path, err)
+	}
+	preRename()
+	if err = os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("wal: rename %s: %w", path, err)
+	}
+	// The rename itself must survive a crash: sync the directory so the new
+	// entry is durable, not just the file contents.
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making recent renames and file creations in it
+// durable: without it a crash can forget a rename even though the file's
+// blocks reached disk.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("wal: open dir %s: %w", dir, err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("wal: sync dir %s: %w", dir, err)
+	}
+	return nil
 }

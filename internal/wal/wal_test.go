@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,15 +31,19 @@ func mustOpen(t *testing.T, dir string, opts Options) (*Log, *Recovery) {
 	return l, rec
 }
 
-func appendAll(t *testing.T, l *Log, recs [][]byte) {
+// appendAll appends recs and returns the sequence number the next Append
+// would assign.
+func appendAll(t *testing.T, l *Log, recs [][]byte) uint64 {
 	t.Helper()
+	var next uint64
 	for i, p := range recs {
 		seq, err := l.Append(p)
 		if err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
-		_ = seq
+		next = seq + 1
 	}
+	return next
 }
 
 func sameRecords(t *testing.T, got, want [][]byte) {
@@ -60,9 +66,8 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 	if rec.Snapshot != nil || len(rec.Records) != 0 || rec.Torn != nil {
 		t.Fatalf("fresh log recovery = %+v", rec)
 	}
-	appendAll(t, l, recs[:10])
-	if l.Seq() != 10 {
-		t.Fatalf("seq = %d, want 10", l.Seq())
+	if next := appendAll(t, l, recs[:10]); next != 10 {
+		t.Fatalf("seq = %d, want 10", next)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -75,11 +80,13 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 	if rec2.Torn != nil {
 		t.Fatalf("clean log reported torn: %v", rec2.Torn)
 	}
-	if rec2.StartSeq != 0 || l2.Seq() != 10 {
-		t.Fatalf("start=%d seq=%d", rec2.StartSeq, l2.Seq())
+	if rec2.StartSeq != 0 {
+		t.Fatalf("start=%d", rec2.StartSeq)
 	}
 	sameRecords(t, rec2.Records, recs[:10])
-	appendAll(t, l2, recs[10:])
+	if next := appendAll(t, l2, recs[10:]); next != 25 {
+		t.Fatalf("seq after reopen and 15 appends = %d, want 25", next)
+	}
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -89,6 +96,37 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRecords(t, rd.Records, recs)
+}
+
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "x.snap")
+	if err := writeFileAtomic(path, func(w io.Writer) error {
+		_, err := fmt.Fprint(w, "v1")
+		return err
+	}, func() {}); err != nil {
+		t.Fatal(err)
+	}
+	// A failing write must leave the previous file intact and no temp
+	// litter behind.
+	boom := errors.New("disk full")
+	if err := writeFileAtomic(path, func(w io.Writer) error {
+		fmt.Fprint(w, "torn")
+		return boom
+	}, func() {}); !errors.Is(err, boom) {
+		t.Fatalf("err = %v", err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil || string(b) != "v1" {
+		t.Fatalf("file after failed write = %q, %v", b, err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 {
+		t.Errorf("temp files left behind: %v", entries)
+	}
 }
 
 func TestSegmentRotation(t *testing.T) {
@@ -126,8 +164,8 @@ func TestSnapshotRecovery(t *testing.T) {
 		t.Fatalf("snapshot = %q @ %d", rec.Snapshot, rec.StartSeq)
 	}
 	sameRecords(t, rec.Records, recs[10:])
-	if l2.Seq() != 15 {
-		t.Fatalf("seq = %d", l2.Seq())
+	if end := rec.StartSeq + uint64(len(rec.Records)); end != 15 {
+		t.Fatalf("recovered through seq %d, want 15", end)
 	}
 	l2.Close()
 
