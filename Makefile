@@ -104,8 +104,10 @@ memocheck:
 # (internal/nn/exp_amd64.s) must give math.Exp's bits and follow math.Exp's
 # own path, not CPUID, and the four-lane gate mat-vec
 # (internal/nn/gates_amd64.s), gate activation (internal/nn/activate_amd64.s)
-# and backward step (internal/nn/backward_amd64.s) must give the Go loops'
-# bits; one gate chooses them all (DESIGN.md §9).
+# and backward step (internal/nn/backward_amd64.s, the encoder's first
+# step's input-column sweep included) must give the Go loops' bits, and
+# whole trainings the pinned sha256 of their weights; one gate chooses
+# them all (DESIGN.md §9).
 # Builds and vets the portable fallback on arm64 and vets every package,
 # test files included, on 386 (a 32-bit int: a literal past 2^31 does not
 # compile there), runs the nn
@@ -117,7 +119,7 @@ expcheck:
 	GOARCH=arm64 $(GO) vet ./internal/nn && GOARCH=arm64 $(GO) build ./...
 	GOARCH=386 $(GO) vet ./...
 	GOAMD64=v3 $(GO) test -count=1 ./internal/nn ./internal/predict
-	$(GOTEST_RUN) ./internal/nn 'TestExpGateUnderGODEBUG|TestExpGateFollowsMathExp|TestExpProbesSeparateSequences|TestGateRowsMatchGoLoop|TestActivateMatchesGoLoop|TestLSTMForwardBitsMatchReference|TestBackSweepMatchesGoLoop|TestBackGatesMatchGoLoop|TestFusedLSTMMatchesReference|TestTrainBitsOnEveryKernelPath' -count=1 -v
+	$(GOTEST_RUN) ./internal/nn 'TestExpGateUnderGODEBUG|TestExpGateFollowsMathExp|TestExpProbesSeparateSequences|TestGateRowsMatchGoLoop|TestActivateMatchesGoLoop|TestLSTMForwardBitsMatchReference|TestBackSweepMatchesGoLoop|TestBackSweepInMatchesGoLoop|TestBackwardFirstMatchesFullStep|TestBackGatesMatchGoLoop|TestBatchGradMatchesStreamed|TestFusedLSTMMatchesReference|TestTrainBitsOnEveryKernelPath' -count=1 -v
 
 # Benchmark-regression gate: re-run the NN kernel, batch-assignment, and
 # prediction-engine suites (tampbench pins them to GOMAXPROCS 1) and compare

@@ -120,15 +120,6 @@ func (g Grid) CellOf(p Point) (col, row int) {
 	return col, row
 }
 
-// CellIndex returns a single flattened index for the cell containing p.
-func (g Grid) CellIndex(p Point) int {
-	col, row := g.CellOf(p)
-	return row*g.Cols + col
-}
-
-// NumCells returns the total number of cells in the grid.
-func (g Grid) NumCells() int { return g.Cols * g.Rows }
-
 // CellCenter returns the centre point of cell (col, row).
 func (g Grid) CellCenter(col, row int) Point {
 	return Point{float64(col) + 0.5, float64(row) + 0.5}

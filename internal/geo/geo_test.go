@@ -156,26 +156,6 @@ func TestGridCellOf(t *testing.T) {
 	}
 }
 
-func TestGridCellIndexBijective(t *testing.T) {
-	g := Grid{Cols: 7, Rows: 3}
-	seen := map[int]bool{}
-	for r := 0; r < g.Rows; r++ {
-		for c := 0; c < g.Cols; c++ {
-			idx := g.CellIndex(g.CellCenter(c, r))
-			if seen[idx] {
-				t.Fatalf("duplicate index %d for cell (%d,%d)", idx, c, r)
-			}
-			seen[idx] = true
-			if idx < 0 || idx >= g.NumCells() {
-				t.Fatalf("index %d out of range", idx)
-			}
-		}
-	}
-	if len(seen) != g.NumCells() {
-		t.Errorf("got %d distinct indexes, want %d", len(seen), g.NumCells())
-	}
-}
-
 func TestGridBounds(t *testing.T) {
 	b := DefaultGrid.Bounds()
 	if b.Width() != 100 || b.Height() != 50 {

@@ -45,17 +45,19 @@ type Trained struct {
 }
 
 // Release drops what only training and per-worker adaptation read: every
-// task's support and query samples and its learning path, which together
-// outweigh the trained weights several times over. What stays is what a
-// trained set is consulted for afterwards — Tree, Cfg, Metrics, Algorithm,
-// MeanLoss, and the task features PlaceNew compares a newly arrived worker
-// against (the learning paths too, when the first clustering metric is
-// Sim_l) — so AdaptNewRNG returns the model it returned before.
+// task's support and query samples, its learning path and the sorted
+// projections Sim_d sweeps during clustering, which together outweigh the
+// trained weights several times over. What stays is what a trained set is
+// consulted for afterwards — Tree, Cfg, Metrics, Algorithm, MeanLoss, and
+// the task features PlaceNew compares a newly arrived worker against (the
+// points, from which Sim_d gets the same bits, and the learning paths too
+// when the first clustering metric is Sim_l) — so AdaptNewRNG returns the
+// model it returned before.
 // AdaptedModelRNG needs the support samples and panics on a released set.
 func (t *Trained) Release() {
 	keepPaths := len(t.Metrics) > 0 && t.Metrics[0] == sim.LearningPath
 	for _, task := range t.Tasks {
-		task.Support, task.Query = nil, nil
+		task.Support, task.Query, task.Features.Sorted = nil, nil, nil
 		if !keepPaths {
 			task.Features.Path = nil
 		}

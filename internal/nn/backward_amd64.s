@@ -177,6 +177,83 @@ tailtest:
 	VZEROUPPER
 	RET
 
+// backSweepIn is backSweepInGo (lstm.go) in four AVX lanes: for each row
+// r with dz[r] ≠ 0, tested as backSweep tests it, it adds dz[r]·x[j…j+3]
+// into the row's gradient four columns at a time — one unfused VMULPD and
+// one VADDPD, in backSweep's operand order — then the len(x) mod 4 columns
+// past the blocks under a mask, then dz[r] into the row's bias entry with
+// one VADDSD. Every gradient entry takes one add, so every bit is the Go
+// loop's.
+//
+// Registers: SI is the grad row, BX x, CX the blocks a row, AX the tail's
+// bytes, DX walks dz up to R11, and R9 is the row stride in bytes (the
+// bias is a row's last entry, at −8 from the next row); in a row R13 walks
+// the gradient, R14 x and DI counts the blocks. Y2 is dz[r] broadcast, Y10 the tail mask, Y4,
+// Y6 and Y7 scratch.
+
+// func backSweepIn(grad, x, dz []float64, cols int)
+TEXT ·backSweepIn(SB), NOSPLIT, $0-80
+	MOVQ    grad_base+0(FP), SI
+	MOVQ    x_base+24(FP), BX
+	MOVQ    x_len+32(FP), CX
+	MOVQ    dz_base+48(FP), DX
+	MOVQ    dz_len+56(FP), R11
+	LEAQ    (DX)(R11*8), R11
+	MOVQ    cols+72(FP), R9
+	SHLQ    $3, R9
+	MOVQ    CX, AX
+	ANDQ    $3, AX
+	SHLQ    $3, AX
+	LEAQ    laneMask<>+32(SB), R8
+	SUBQ    AX, R8
+	VMOVUPD (R8), Y10 // lanes 0…t−1: the tail columns
+	SHRQ    $2, CX
+	JMP     intest
+
+inrow:
+	MOVQ         (DX), R12
+	SHLQ         $1, R12
+	JZ           innext
+	VBROADCASTSD (DX), Y2
+	MOVQ         SI, R13
+	MOVQ         BX, R14
+	MOVQ         CX, DI
+	TESTQ        DI, DI
+	JZ           intail
+
+inblock:
+	VMULPD  (R14), Y2, Y6
+	VADDPD  (R13), Y6, Y6
+	VMOVUPD Y6, (R13)
+	ADDQ    $32, R13
+	ADDQ    $32, R14
+	DECQ    DI
+	JNZ     inblock
+
+intail:
+	TESTQ      AX, AX
+	JZ         inbias
+	VMASKMOVPD (R14), Y10, Y4
+	VMULPD     Y4, Y2, Y6
+	VMASKMOVPD (R13), Y10, Y7
+	VADDPD     Y7, Y6, Y6
+	VMASKMOVPD Y6, Y10, (R13)
+
+inbias:
+	VMOVSD -8(SI)(R9*1), X7
+	VADDSD X7, X2, X7
+	VMOVSD X7, -8(SI)(R9*1)
+
+innext:
+	ADDQ $8, DX
+	ADDQ R9, SI
+
+intest:
+	CMPQ DX, R11
+	JNE  inrow
+	VZEROUPPER
+	RET
+
 // backGates is backGatesGo (lstm.go) in four AVX lanes, one per hidden
 // unit: each lane runs its unit's multiplies and subtracts and its one add,
 // unfused and in the Go loop's order, so each ends on the Go loop's bits. The h mod 4 units past the last group of four go through

@@ -8,7 +8,8 @@ import (
 )
 
 // streamedBatchGrad spells out BatchGrad's contract: the mean of per-sample
-// Grad, accumulated in batch order.
+// gradients, each weighted by the sample's W and taken with the full
+// backward sweep at every step, accumulated in batch order.
 func streamedBatchGrad(m *Seq2Seq, batch []Sample, loss Loss, grad Vector) float64 {
 	grad.Zero()
 	if len(batch) == 0 {
@@ -16,7 +17,8 @@ func streamedBatchGrad(m *Seq2Seq, batch []Sample, loss Loss, grad Vector) float
 	}
 	var sum float64
 	for i := range batch {
-		sum += m.Grad(batch[i].In, batch[i].Out, loss, grad)
+		s := &batch[i]
+		sum += m.grad(s.In, s.Out, s.W, loss, grad, false)
 	}
 	grad.Scale(1 / float64(len(batch)))
 	return sum / float64(len(batch))
@@ -29,7 +31,7 @@ func streamedBatchLoss(m *Seq2Seq, batch []Sample, loss Loss) float64 {
 		preds := m.forward(s.In, len(s.Out))
 		ws := m.ws
 		ws.dPreds = growRows(ws.dPreds, len(s.Out), m.OutDim)
-		sum += loss.LossGrad(preds, s.Out, ws.dPreds[:len(s.Out)])
+		sum += loss.LossGrad(preds, s.Out, s.W, ws.dPreds[:len(s.Out)])
 	}
 	return sum / float64(len(batch))
 }
@@ -43,14 +45,15 @@ func randUniformBatch(rng *rand.Rand, size, inDim, outDim, seqIn, seqOut int) []
 }
 
 // TestBatchGradMatchesStreamed property-tests BatchGrad against the mean of
-// per-sample Grad: identical loss and identical gradient, bit for bit,
-// across random shapes, batch sizes, and losses. Floating-point addition is
-// not associative, so bit equality here pins the reduction order — the
-// contract everything downstream (meta-training determinism, replay
-// equivalence) relies on.
+// per-sample gradients: identical loss and identical gradient, bit for bit,
+// across random shapes, batch sizes, and losses, weighted samples included.
+// Floating-point addition is not associative, so bit equality here pins the
+// reduction order — the contract everything downstream (meta-training
+// determinism, replay equivalence) relies on — and it holds BatchGrad's
+// shortened first encoder step to the full one.
 func TestBatchGradMatchesStreamed(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
-	losses := []Loss{MSE{}, Scaled{Inner: MSE{}, Factor: 3.7}}
+	losses := []Loss{MSE{}, Scaled{Inner: MSE{}, Factor: 3.7}, Scaled{Inner: WeightedMSE{}, Factor: 2500}}
 	for trial := 0; trial < 30; trial++ {
 		inDim := 2 + rng.Intn(3)
 		outDim := 2
@@ -65,6 +68,12 @@ func TestBatchGradMatchesStreamed(t *testing.T) {
 			m.w[i] = rng.NormFloat64() * 0.2
 		}
 		batch := randUniformBatch(rng, size, inDim, outDim, seqIn, seqOut)
+		for i := range batch {
+			batch[i].W = make([]float64, seqOut)
+			for k := range batch[i].W {
+				batch[i].W[k] = 1 + 2*rng.Float64()
+			}
+		}
 
 		ref := m.Clone()
 		wantGrad := NewVector(m.NumParams())

@@ -13,8 +13,8 @@ import "math"
 // math.Exp bit for bit on expProbes; otherwise every call is math.Exp's.
 // The lanes of the gate mat-vec (gateRows), of the gate activation
 // (activateBlocks, which runs the exp sequence itself) and of the backward
-// step (backGates, backSweep) ride on the same choice, after their own
-// self-checks against the Go loops.
+// step (backGates, backSweep, backSweepIn) ride on the same choice, after
+// their own self-checks against the Go loops.
 
 // expProbes is the self-check set: ordinary and edge arguments, and eight on
 // which math.Exp's FMA and non-FMA sequences round differently (drawn from
@@ -30,9 +30,9 @@ var expProbes = [...]float64{
 
 // lanes is true when every LSTM step runs the lane kernels — gateRows for
 // the gate mat-vec and activateBlocks (expBlocks under expInPlace where it
-// leaves units) forward, backGates and backSweep backward — and lanesWhy
-// says why not. One gate covers them all, so a process runs every kernel
-// or none. Tests flip lanes to force the Go path.
+// leaves units) forward, backGates, backSweep and backSweepIn backward —
+// and lanesWhy says why not. One gate covers them all, so a process runs
+// every kernel or none. Tests flip lanes to force the Go path.
 var lanes, lanesWhy = chooseLanes()
 
 func chooseLanes() (bool, string) {
@@ -137,8 +137,10 @@ func backGatesMatchGo() bool {
 // backSweepMatchesGo runs backSweep and backSweepGo on a fixed step of
 // twelve rows and eleven columns — a pair of column blocks, a single one
 // and a tail of three before the bias — with a +0 and a −0 row to skip,
-// so a kernel that fused a multiply into its add, reordered the rows or
-// skipped a wrong one fails it.
+// then backSweepIn and backSweepInGo on its first seven columns (a block
+// and a tail of three) and the bias, so a kernel that fused a multiply
+// into its add, reordered the rows, skipped a wrong one or touched a
+// column past the input fails it.
 func backSweepMatchesGo() bool {
 	const rows, nin = 12, 11
 	const n = rows * (nin + 1)
@@ -151,6 +153,8 @@ func backSweepMatchesGo() bool {
 	var gotDxh, wantDxh [nin]float64
 	backSweep(gotDxh[:], got, w, xh, dz)
 	backSweepGo(wantDxh[:], want, w, xh, dz)
+	backSweepIn(got, xh[:7], dz, nin+1)
+	backSweepInGo(want, xh[:7], dz, nin+1)
 	return sameBits(gotDxh[:], wantDxh[:]) && sameBits(got, want)
 }
 

@@ -30,6 +30,12 @@ func activateBlocks(st *lstmStep, k0 int, z []float64) int
 //go:noescape
 func backSweep(dxh, grad, w, xh, dz []float64)
 
+// backSweepIn is backSweepInGo in four AVX lanes (backward_amd64.s), bit
+// for bit. Only the gate in exp.go decides whether it may run.
+//
+//go:noescape
+func backSweepIn(grad, x, dz []float64, cols int)
+
 // backGates is backGatesGo in four AVX lanes (backward_amd64.s), bit for
 // bit. Only the gate in exp.go decides whether it may run.
 //

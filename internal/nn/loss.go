@@ -4,59 +4,52 @@ package nn
 // gradient of the loss with respect to the prediction.
 type Loss interface {
 	// LossGrad returns the scalar loss and writes dLoss/dPred into grad,
-	// which has the same shape as pred. Implementations must ADD into grad
-	// is not required — they own it per call and may overwrite.
-	LossGrad(pred, target, grad [][]float64) float64
+	// which has the same shape as pred (overwritten, not added to). w holds
+	// the target's per-step weights f_w (Sample.W); nil weighs every step 1.
+	LossGrad(pred, target [][]float64, w []float64, grad [][]float64) float64
 }
 
 // MSE is the plain mean-squared-error loss used by the -loss algorithm
 // variants (KM-loss, PPI-loss) and by prediction-quality evaluation:
-// L = (1/T) Σ_t ‖pred_t − target_t‖².
+// L = (1/T) Σ_t ‖pred_t − target_t‖². It ignores the sample's weights: it
+// is WeightedMSE on a sample without them.
 type MSE struct{}
 
 // LossGrad implements Loss.
-func (MSE) LossGrad(pred, target, grad [][]float64) float64 {
-	if len(pred) == 0 {
-		return 0
-	}
-	inv := 1 / float64(len(pred))
-	var sum float64
-	for t := range pred {
-		for d := range pred[t] {
-			diff := pred[t][d] - target[t][d]
-			sum += diff * diff
-			grad[t][d] = 2 * diff * inv
-		}
-	}
-	return sum * inv
+func (MSE) LossGrad(pred, target [][]float64, _ []float64, grad [][]float64) float64 {
+	return weightedMSE(pred, target, nil, grad)
 }
-
-// WeightFn returns the loss weight f_w(l_i) for one target point of a
-// training sample (Eq. 7). step is the output-step index; target is the
-// ground-truth point in model space. Implementations typically denormalize
-// the point and consult a historical-task density index.
-type WeightFn func(step int, target []float64) float64
 
 // WeightedMSE is the task-assignment-oriented loss of Eq. 6:
 // L = (1/T) Σ_t f_w(l_t)·‖pred_t − target_t‖², where f_w up-weights
-// trajectory points around which historical spatial tasks concentrate.
-type WeightedMSE struct {
-	Weight WeightFn
-}
+// trajectory points around which historical spatial tasks concentrate. The
+// weights f_w(l_t) of Eq. 7 come with the sample (Sample.W), computed once
+// when its learning task is built; a sample without them weighs every step
+// 1, which is MSE to the bit.
+type WeightedMSE struct{}
 
 // LossGrad implements Loss.
-func (l WeightedMSE) LossGrad(pred, target, grad [][]float64) float64 {
+func (WeightedMSE) LossGrad(pred, target [][]float64, w []float64, grad [][]float64) float64 {
+	return weightedMSE(pred, target, w, grad)
+}
+
+// weightedMSE is Eq. 6 with weights w, or unit weights when w is nil (a
+// product by 1 is exact, so the bits are plain MSE's).
+func weightedMSE(pred, target [][]float64, w []float64, grad [][]float64) float64 {
 	if len(pred) == 0 {
 		return 0
 	}
 	inv := 1 / float64(len(pred))
 	var sum float64
 	for t := range pred {
-		w := l.Weight(t, target[t])
+		wt := 1.0
+		if w != nil {
+			wt = w[t]
+		}
 		for d := range pred[t] {
 			diff := pred[t][d] - target[t][d]
-			sum += w * diff * diff
-			grad[t][d] = 2 * w * diff * inv
+			sum += wt * diff * diff
+			grad[t][d] = 2 * wt * diff * inv
 		}
 	}
 	return sum * inv
@@ -72,8 +65,8 @@ type Scaled struct {
 }
 
 // LossGrad implements Loss.
-func (l Scaled) LossGrad(pred, target, grad [][]float64) float64 {
-	v := l.Inner.LossGrad(pred, target, grad)
+func (l Scaled) LossGrad(pred, target [][]float64, w []float64, grad [][]float64) float64 {
+	v := l.Inner.LossGrad(pred, target, w, grad)
 	for t := range grad {
 		for d := range grad[t] {
 			grad[t][d] *= l.Factor

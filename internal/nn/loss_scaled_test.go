@@ -21,8 +21,8 @@ func TestScaledLossMatchesFactor(t *testing.T) {
 			g2[i] = make([]float64, 2)
 		}
 		const factor = 2500.0
-		base := MSE{}.LossGrad(pred, target, g1)
-		scaled := Scaled{Inner: MSE{}, Factor: factor}.LossGrad(pred, target, g2)
+		base := MSE{}.LossGrad(pred, target, nil, g1)
+		scaled := Scaled{Inner: MSE{}, Factor: factor}.LossGrad(pred, target, nil, g2)
 		if math.Abs(scaled-base*factor) > 1e-9*math.Abs(scaled) {
 			t.Fatalf("scaled loss %v != %v * %v", scaled, base, factor)
 		}
@@ -64,7 +64,7 @@ func TestScaledWeightedComposition(t *testing.T) {
 	pred := [][]float64{{1, 0}}
 	target := [][]float64{{0, 0}}
 	grad := [][]float64{{0, 0}}
-	l := Scaled{Inner: WeightedMSE{Weight: func(int, []float64) float64 { return 2 }}, Factor: 10}.LossGrad(pred, target, grad)
+	l := Scaled{Inner: WeightedMSE{}, Factor: 10}.LossGrad(pred, target, []float64{2}, grad)
 	if math.Abs(l-20) > 1e-12 { // 2 * 1 * 10
 		t.Errorf("composed loss = %v, want 20", l)
 	}

@@ -269,6 +269,52 @@ func (c lstmCell) backward(w, grad Vector, st *lstmStep, dh, dc, dcPrev, dxh, dz
 	}
 }
 
+// backwardFirst is backward for a step whose hPrev is +0 and whose dxh and
+// dcPrev nobody reads — the encoder's first — into a grad holding no −0.
+// Each hPrev column of the full sweep would add dz[r]·(+0) = ±0 to a
+// weight gradient, which leaves every value but −0 as it is, so the sweep
+// stops at the input columns and the bias (backSweepIn) and skips the dxh
+// chain. A non-finite dz[r] makes that term NaN, so such a step is taken
+// again in full (backGates is a function of st, dh and dc alone).
+func (c lstmCell) backwardFirst(w, grad Vector, st *lstmStep, dh, dc, dcPrev, dxh, dz []float64) {
+	dz = dz[:4*c.hidden]
+	if lanes {
+		backGates(st, dh, dc, dcPrev, dz)
+	} else {
+		backGatesGo(st, dh, dc, dcPrev, dz)
+	}
+	for _, d := range dz {
+		if d-d != 0 { // ±Inf or NaN
+			c.backward(w, grad, st, dh, dc, dcPrev, dxh, dz)
+			return
+		}
+	}
+	if lanes {
+		backSweepIn(grad, st.xh[:c.in], dz, c.cols())
+	} else {
+		backSweepInGo(grad, st.xh[:c.in], dz, c.cols())
+	}
+}
+
+// backSweepInGo is the weight gradient of backSweepGo for the input
+// columns x and the bias alone: for each row r with dz[r] ≠ 0 it adds
+// dz[r]·x[j] into the row's first len(x) gradient entries and dz[r] into
+// its bias, the last of its cols. Each entry takes the one add the full
+// sweep gives it, so its bits are the full sweep's. backSweepIn is the
+// same loop in AVX lanes.
+func backSweepInGo(grad, x, dz []float64, cols int) {
+	for r, d := range dz {
+		if d == 0 {
+			continue
+		}
+		g := grad[r*cols : (r+1)*cols]
+		for j, xv := range x {
+			g[j] += d * xv
+		}
+		g[cols-1] += d
+	}
+}
+
 // backGatesGo takes the gradients dh and dc flowing into a step's outputs
 // back through its cell update and gate nonlinearities: it writes dcPrev
 // and the gate pre-activation gradients dz (len 4·hidden, one block per

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -114,7 +115,7 @@ func TestMSELoss(t *testing.T) {
 	pred := [][]float64{{1, 2}, {3, 4}}
 	target := [][]float64{{1, 1}, {1, 1}}
 	grad := [][]float64{{0, 0}, {0, 0}}
-	got := MSE{}.LossGrad(pred, target, grad)
+	got := MSE{}.LossGrad(pred, target, nil, grad)
 	want := (0.0 + 1 + 4 + 9) / 2
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("MSE = %v, want %v", got, want)
@@ -124,30 +125,43 @@ func TestMSELoss(t *testing.T) {
 	}
 }
 
+// TestWeightedMSEMatchesMSEUnderUnitWeight holds MSE to WeightedMSE on a
+// sample without weights and on unit weights, and MSE to ignoring any
+// weights it is handed, bit for bit.
 func TestWeightedMSEMatchesMSEUnderUnitWeight(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		T := rng.Intn(4) + 1
 		pred := make([][]float64, T)
 		target := make([][]float64, T)
-		g1 := make([][]float64, T)
-		g2 := make([][]float64, T)
+		ones, threes := make([]float64, T), make([]float64, T)
 		for i := 0; i < T; i++ {
 			pred[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
 			target[i] = []float64{rng.NormFloat64(), rng.NormFloat64()}
-			g1[i] = make([]float64, 2)
-			g2[i] = make([]float64, 2)
+			ones[i], threes[i] = 1, 3
 		}
-		l1 := MSE{}.LossGrad(pred, target, g1)
-		l2 := WeightedMSE{Weight: func(int, []float64) float64 { return 1 }}.LossGrad(pred, target, g2)
-		if math.Abs(l1-l2) > 1e-12 {
-			t.Fatalf("losses differ: %v vs %v", l1, l2)
+		grads := func() [][]float64 {
+			g := make([][]float64, T)
+			for i := range g {
+				g[i] = make([]float64, 2)
+			}
+			return g
 		}
-		for i := range g1 {
-			for d := range g1[i] {
-				if math.Abs(g1[i][d]-g2[i][d]) > 1e-12 {
-					t.Fatalf("grads differ at %d,%d", i, d)
-				}
+		gMSE, gNil, gOnes, gIgnored := grads(), grads(), grads(), grads()
+		want := MSE{}.LossGrad(pred, target, nil, gMSE)
+		for name, got := range map[string]struct {
+			loss float64
+			grad [][]float64
+		}{
+			"weighted, no weights":   {WeightedMSE{}.LossGrad(pred, target, nil, gNil), gNil},
+			"weighted, unit weights": {WeightedMSE{}.LossGrad(pred, target, ones, gOnes), gOnes},
+			"MSE handed weights":     {MSE{}.LossGrad(pred, target, threes, gIgnored), gIgnored},
+		} {
+			if math.Float64bits(got.loss) != math.Float64bits(want) {
+				t.Fatalf("trial %d, %s: loss %v, MSE %v", trial, name, got.loss, want)
+			}
+			for i := range gMSE {
+				requireSameBits(t, fmt.Sprintf("trial %d, %s, grad[%d]", trial, name, i), got.grad[i], gMSE[i])
 			}
 		}
 	}
@@ -157,7 +171,7 @@ func TestWeightedMSEScalesWithWeight(t *testing.T) {
 	pred := [][]float64{{2, 0}}
 	target := [][]float64{{0, 0}}
 	grad := [][]float64{{0, 0}}
-	l := WeightedMSE{Weight: func(int, []float64) float64 { return 3 }}.LossGrad(pred, target, grad)
+	l := WeightedMSE{}.LossGrad(pred, target, []float64{3}, grad)
 	if math.Abs(l-12) > 1e-12 { // 3 * 4
 		t.Errorf("weighted loss = %v, want 12", l)
 	}
@@ -167,10 +181,10 @@ func TestWeightedMSEScalesWithWeight(t *testing.T) {
 }
 
 func TestEmptyLoss(t *testing.T) {
-	if got := (MSE{}).LossGrad(nil, nil, nil); got != 0 {
+	if got := (MSE{}).LossGrad(nil, nil, nil, nil); got != 0 {
 		t.Errorf("empty MSE = %v", got)
 	}
-	if got := (WeightedMSE{Weight: func(int, []float64) float64 { return 1 }}).LossGrad(nil, nil, nil); got != 0 {
+	if got := (WeightedMSE{}).LossGrad(nil, nil, nil, nil); got != 0 {
 		t.Errorf("empty weighted = %v", got)
 	}
 }
@@ -236,12 +250,13 @@ func TestSeq2SeqGradCheckWeighted(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := NewSeq2Seq(2, 2, 3, rng)
 	s := randSample(rng, 2, 2, 2, 3)
-	loss := WeightedMSE{Weight: func(step int, target []float64) float64 {
-		return 0.5 + float64(step) + math.Abs(target[0])
-	}}
+	for step, target := range s.Out {
+		s.W = append(s.W, 0.5+float64(step)+math.Abs(target[0]))
+	}
+	loss := WeightedMSE{}
 
 	grad := NewVector(m.NumParams())
-	m.Grad(s.In, s.Out, loss, grad)
+	m.BatchGrad([]Sample{s}, loss, grad)
 
 	const eps = 1e-5
 	w := m.Weights()

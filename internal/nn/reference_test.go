@@ -167,7 +167,7 @@ func refSeq2SeqGrad(m *Seq2Seq, in, target [][]float64, loss Loss, grad Vector) 
 	for i := range dPreds {
 		dPreds[i] = make([]float64, m.OutDim)
 	}
-	lossVal := loss.LossGrad(preds, target, dPreds)
+	lossVal := loss.LossGrad(preds, target, nil, dPreds)
 
 	encG := grad[m.encOff:m.decOff]
 	decG := grad[m.decOff:m.outOff]

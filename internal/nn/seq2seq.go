@@ -8,10 +8,12 @@ import (
 
 // Sample is one supervised sequence pair in model space: In is the observed
 // trajectory (seq_in steps of InDim values), Out the continuation to predict
-// (seq_out steps of OutDim values).
+// (seq_out steps of OutDim values), and W the weight f_w of each Out step
+// that WeightedMSE reads (Eq. 7); nil weighs every step 1.
 type Sample struct {
 	In  [][]float64
 	Out [][]float64
+	W   []float64
 }
 
 // Seq2Seq is the LSTM-Encoder-Decoder mobility prediction model of §III-B:
@@ -144,20 +146,29 @@ func (m *Seq2Seq) forward(in [][]float64, seqOut int) [][]float64 {
 	return ws.preds[:seqOut]
 }
 
-// Grad computes the loss of the model on (in, target) under loss and
-// accumulates dLoss/dWeights into grad (which must have NumParams length).
-// The autoregressive decoder input path is differentiated exactly: the
-// gradient of step t's prediction includes its effect on steps t+1….
+// Grad computes the loss of the model on (in, target) under loss, every
+// step weighing 1, and accumulates dLoss/dWeights into grad (which must
+// have NumParams length). The autoregressive decoder input path is
+// differentiated exactly: the gradient of step t's prediction includes its
+// effect on steps t+1….
 func (m *Seq2Seq) Grad(in, target [][]float64, loss Loss, grad Vector) float64 {
 	if len(grad) != len(m.w) {
 		panic(fmt.Sprintf("nn: Grad vector length %d != %d", len(grad), len(m.w)))
 	}
+	return m.grad(in, target, nil, loss, grad, false)
+}
+
+// grad is Grad with the target's step weights w (nil: 1 each). noNegZero
+// says that no element of grad is −0, as holds for every Grad inside
+// BatchGrad: the encoder's first step then skips the terms its zero state
+// contributes (lstmCell.backwardFirst, DESIGN.md §9).
+func (m *Seq2Seq) grad(in, target [][]float64, w []float64, loss Loss, grad Vector, noNegZero bool) float64 {
 	seqOut := len(target)
 	preds := m.forward(in, seqOut)
 	ws := m.ws
 	ws.dPreds = growRows(ws.dPreds, seqOut, m.OutDim)
 	dPreds := ws.dPreds[:seqOut]
-	lossVal := loss.LossGrad(preds, target, dPreds)
+	lossVal := loss.LossGrad(preds, target, w, dPreds)
 
 	encG := grad[m.encOff:m.decOff]
 	decG := grad[m.decOff:m.outOff]
@@ -192,9 +203,15 @@ func (m *Seq2Seq) Grad(in, target [][]float64, loss Loss, grad Vector) float64 {
 		dc, dcPrev = dcPrev, dc
 	}
 	// The first decoder input is the last encoder input (data), so the input
-	// gradient stops here. Continue BPTT through the encoder.
+	// gradient stops here. Continue BPTT through the encoder; nothing reads
+	// what its first step would pass back.
 	for t := len(in) - 1; t >= 0; t-- {
-		m.enc.backward(m.encW(), encG, &ws.encTape[t], dh, dc, dcPrev, ws.dxhEnc, ws.dz)
+		st := &ws.encTape[t]
+		if t == 0 && noNegZero {
+			m.enc.backwardFirst(m.encW(), encG, st, dh, dc, dcPrev, ws.dxhEnc, ws.dz)
+			break
+		}
+		m.enc.backward(m.encW(), encG, st, dh, dc, dcPrev, ws.dxhEnc, ws.dz)
 		copy(dh, ws.dxhEnc[m.enc.in:])
 		dc, dcPrev = dcPrev, dc
 	}
@@ -213,15 +230,15 @@ func (m *Seq2Seq) BatchLoss(batch []Sample, loss Loss) float64 {
 		preds := m.forward(s.In, len(s.Out))
 		ws := m.ws
 		ws.dPreds = growRows(ws.dPreds, len(s.Out), m.OutDim)
-		sum += loss.LossGrad(preds, s.Out, ws.dPreds[:len(s.Out)])
+		sum += loss.LossGrad(preds, s.Out, s.W, ws.dPreds[:len(s.Out)])
 	}
 	return sum / float64(len(batch))
 }
 
 // BatchGrad accumulates the mean gradient of the loss over batch into grad
-// and returns the mean loss. grad is zeroed first. Samples stream through
-// Grad one at a time, so the scratch a model holds does not grow with the
-// batch.
+// and returns the mean loss, each sample weighted by its W. grad is zeroed
+// first. Samples stream through Grad one at a time, so the scratch a model
+// holds does not grow with the batch.
 func (m *Seq2Seq) BatchGrad(batch []Sample, loss Loss, grad Vector) float64 {
 	grad.Zero()
 	if len(batch) == 0 {
@@ -232,7 +249,10 @@ func (m *Seq2Seq) BatchGrad(batch []Sample, loss Loss, grad Vector) float64 {
 	}
 	var sum float64
 	for i := range batch {
-		sum += m.Grad(batch[i].In, batch[i].Out, loss, grad)
+		s := &batch[i]
+		// grad starts at +0 and a sum rounded to nearest is −0 only when
+		// both addends are, so no element of it is −0 here.
+		sum += m.grad(s.In, s.Out, s.W, loss, grad, true)
 	}
 	grad.Scale(1 / float64(len(batch)))
 	return sum / float64(len(batch))

@@ -15,9 +15,12 @@ var nnSuite = Suite{
 }
 
 // nnSpecs time the encoder–decoder's Predict and Grad at the production
-// shape (hidden 16, seqIn 5, seqOut 1), one LSTM forward and one backward
-// step at the encoder and decoder shapes (hidden 12, in 4 and in 2), and
-// the Adam step. Predict and the steps cycle over nnInputs seeded inputs,
+// shape (hidden 16, seqIn 5, seqOut 1), BatchGrad over a weighted support
+// set at the offline benchmark's shape (69 samples, hidden 12, seqIn 5,
+// seqOut 1: the unit of meta-training, whose first encoder step takes the
+// input-column sweep), one LSTM forward and one backward step at the
+// encoder and decoder shapes (hidden 12, in 4 and in 2), and the Adam
+// step. Predict and the steps cycle over nnInputs seeded inputs,
 // so no op repeats the previous op's input and the branch predictor cannot
 // learn one input's path.
 //
@@ -37,6 +40,7 @@ func nnSpecs() []Spec {
 	for i := range inputs {
 		inputs[i] = randSample(sampleRng, 4, 2, 5, 1).In
 	}
+	support, batchModel := supportSet(rand.New(rand.NewSource(2)))
 	return []Spec{
 		{Name: "Seq2SeqPredict", Run: func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -48,6 +52,13 @@ func nnSpecs() []Spec {
 			for i := 0; i < b.N; i++ {
 				grad.Zero()
 				lstm.Grad(s.In, s.Out, nn.MSE{}, grad)
+			}
+		}},
+		{Name: "Seq2SeqBatchGrad", Run: func(b *testing.B) {
+			grad := nn.NewVector(batchModel.NumParams())
+			var loss nn.Loss = nn.Scaled{Inner: nn.WeightedMSE{}, Factor: 2500}
+			for i := 0; i < b.N; i++ {
+				batchModel.BatchGrad(support, loss, grad)
 			}
 		}},
 		stepSpec("LSTMForwardStep", nn.LSTMStepFunc, 4),
@@ -76,6 +87,23 @@ func stepSpec(name string, fn func(in, hidden, n int, rng *rand.Rand) func(), in
 			step()
 		}
 	}}
+}
+
+// supportSet draws a support set of 69 samples at the offline benchmark's
+// shape, each target weighted in [1, 3) as f_w weighs them, and a model
+// at hidden 12 with a non-zero displacement head to take its gradient.
+func supportSet(rng *rand.Rand) ([]nn.Sample, *nn.Seq2Seq) {
+	m := nn.NewSeq2Seq(4, 2, 12, rng)
+	w := m.Weights()
+	for i := len(w) - m.OutDim*(m.Hidden+1); i < len(w); i++ {
+		w[i] = rng.NormFloat64() * 0.2
+	}
+	support := make([]nn.Sample, 69)
+	for i := range support {
+		support[i] = randSample(rng, 4, 2, 5, 1)
+		support[i].W = []float64{1 + 2*rng.Float64()}
+	}
+	return support, m
 }
 
 func randSample(rng *rand.Rand, inDim, outDim, seqIn, seqOut int) nn.Sample {

@@ -137,11 +137,12 @@ func Train(ctx context.Context, w *dataset.Workload, opts Options) (*Result, err
 		// Train against the loss measured in grid cells (factor = scale²):
 		// unit-normalized displacements are tiny, and unscaled gradients
 		// would be too weak for the few-step adaptation regime.
+		// The weighted loss reads each target's f_w from its sample
+		// (BuildLearningTasks); MSE ignores it.
 		norm := traj.NewNormalizer(w.Params.Grid)
 		var base nn.Loss = nn.MSE{}
 		if opts.WeightedLoss {
-			base = nn.WeightedMSE{Weight: TaskOrientedWeight(
-				w.DensityIndex(), norm, DefaultDQ, DefaultKappa, DefaultDelta)}
+			base = nn.WeightedMSE{}
 		}
 		cfg.Loss = nn.Scaled{Inner: base, Factor: norm.Scale * norm.Scale}
 	}

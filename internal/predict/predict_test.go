@@ -11,6 +11,7 @@ import (
 	"github.com/spatialcrowd/tamp/internal/dataset"
 	"github.com/spatialcrowd/tamp/internal/geo"
 	"github.com/spatialcrowd/tamp/internal/meta"
+	"github.com/spatialcrowd/tamp/internal/nn"
 	"github.com/spatialcrowd/tamp/internal/traj"
 )
 
@@ -112,16 +113,71 @@ func TestTaskOrientedWeight(t *testing.T) {
 		d.Add(geo.Pt(5, 5)) // hotspot
 	}
 	norm := traj.NewNormalizer(g)
-	fw := TaskOrientedWeight(d, norm, 2, 0.8, 0.5)
+	fw := taskWeight(d, norm, 2, 0.8, 0.5)
 	hot := norm.Norm(geo.Pt(5, 5))
 	cold := norm.Norm(geo.Pt(15, 15))
-	wHot := fw(0, []float64{hot.X, hot.Y})
-	wCold := fw(0, []float64{cold.X, cold.Y})
+	wHot := fw([]float64{hot.X, hot.Y})
+	wCold := fw([]float64{cold.X, cold.Y})
 	if wHot <= wCold {
 		t.Errorf("hotspot weight %v <= cold weight %v", wHot, wCold)
 	}
 	if math.Abs(wCold-0.5) > 1e-9 {
 		t.Errorf("cold weight = %v, want δ=0.5", wCold)
+	}
+}
+
+// refTaskOrientedWeight is the f_w of Eq. 7 as the loss once called it, a
+// closure over the density index queried on every gradient for every
+// target: the reference the weights a sample carries are held to.
+func refTaskOrientedWeight(density *geo.DensityIndex, norm traj.Normalizer, dq, kappa, delta float64) func(step int, target []float64) float64 {
+	rho := density.Density(dq)
+	return func(_ int, target []float64) float64 {
+		loc := norm.Denorm(geo.Pt(target[0], target[1]))
+		count := density.CountWithin(loc, dq)
+		return kappa*float64(count)/rho + delta
+	}
+}
+
+// TestSampleWeightsMatchTheClosure holds every target weight of the tasks
+// Train builds — established workers' support and query samples and the
+// cold-start workers' — to the closure the loss used to call, bit for bit,
+// and requires some targets to sit at a hotspot (weight above δ), so the
+// comparison is not only of δ with δ.
+func TestSampleWeightsMatchTheClosure(t *testing.T) {
+	w := tinyWorkload(dataset.Workload1)
+	for _, seqOut := range []int{1, 3} {
+		tasks, norm := BuildLearningTasks(w, 5, seqOut)
+		for i := range w.Workers {
+			if wk := &w.Workers[i]; wk.New {
+				task, _ := BuildTaskFor(w, wk, 5, seqOut)
+				tasks = append(tasks, task)
+			}
+		}
+		ref := refTaskOrientedWeight(w.DensityIndex(), norm, DefaultDQ, DefaultKappa, DefaultDelta)
+		targets, hot := 0, 0
+		for _, task := range tasks {
+			for _, set := range [][]nn.Sample{task.Support, task.Query} {
+				for _, s := range set {
+					if len(s.W) != len(s.Out) {
+						t.Fatalf("worker %d: %d weights for %d targets", task.WorkerID, len(s.W), len(s.Out))
+					}
+					for step, target := range s.Out {
+						want := ref(step, target)
+						if math.Float64bits(s.W[step]) != math.Float64bits(want) {
+							t.Fatalf("worker %d, seqOut %d: f_w %v, closure %v", task.WorkerID, seqOut, s.W[step], want)
+						}
+						targets++
+						if want > DefaultDelta {
+							hot++
+						}
+					}
+				}
+			}
+		}
+		t.Logf("seqOut %d: %d targets, %d above δ", seqOut, targets, hot)
+		if hot == 0 || hot == targets {
+			t.Fatalf("seqOut %d: %d of %d targets above δ; the check needs both kinds", seqOut, hot, targets)
+		}
 	}
 }
 

@@ -67,18 +67,20 @@ func FeaturizeInto(dst [][]float64, win []geo.Point) [][]float64 {
 
 // BuildLearningTasks converts every established (non-cold-start) worker of
 // the workload into a meta.LearningTask: trajectory samples in model space
-// split into support/query halves, plus the clustering features of §III-B.
-// It returns the tasks (parallel to the established workers, carrying their
-// WorkerIDs) and the normalizer that maps between grid and model space.
+// split into support/query halves, each target weighted by f_w (Eq. 7),
+// plus the clustering features of §III-B. It returns the tasks (parallel
+// to the established workers, carrying their WorkerIDs) and the normalizer
+// that maps between grid and model space.
 func BuildLearningTasks(w *dataset.Workload, seqIn, seqOut int) ([]*meta.LearningTask, traj.Normalizer) {
 	norm := traj.NewNormalizer(w.Params.Grid)
+	fw := taskWeight(w.DensityIndex(), norm, DefaultDQ, DefaultKappa, DefaultDelta)
 	var tasks []*meta.LearningTask
 	for i := range w.Workers {
 		wk := &w.Workers[i]
 		if wk.New {
 			continue
 		}
-		tasks = append(tasks, buildTask(w, wk, seqIn, seqOut, norm))
+		tasks = append(tasks, buildTask(w, wk, seqIn, seqOut, norm, fw))
 	}
 	return tasks, norm
 }
@@ -88,27 +90,41 @@ func BuildLearningTasks(w *dataset.Workload, seqIn, seqOut int) ([]*meta.Learnin
 // set for few-shot adaptation).
 func BuildTaskFor(w *dataset.Workload, wk *dataset.Worker, seqIn, seqOut int) (*meta.LearningTask, traj.Normalizer) {
 	norm := traj.NewNormalizer(w.Params.Grid)
-	return buildTask(w, wk, seqIn, seqOut, norm), norm
+	fw := taskWeight(w.DensityIndex(), norm, DefaultDQ, DefaultKappa, DefaultDelta)
+	return buildTask(w, wk, seqIn, seqOut, norm, fw), norm
 }
 
-func buildTask(w *dataset.Workload, wk *dataset.Worker, seqIn, seqOut int, norm traj.Normalizer) *meta.LearningTask {
+func buildTask(w *dataset.Workload, wk *dataset.Worker, seqIn, seqOut int, norm traj.Normalizer, fw func(target []float64) float64) *meta.LearningTask {
 	samples := traj.ExtractSamplesMulti(wk.TrainDays, seqIn, seqOut, sampleStride)
 	split := traj.Split(samples, supportFraction)
 
-	task := &meta.LearningTask{WorkerID: wk.ID}
-	for _, s := range split.Support {
-		task.Support = append(task.Support, toNNSample(norm.NormSample(s)))
+	// Every target's f_w, computed once into one backing array for the
+	// task: the targets are fixed, so the loss reads them from the sample
+	// instead of querying the density index on every gradient.
+	weights := make([]float64, 0, len(samples)*seqOut)
+	toSamples := func(src []traj.Sample) []nn.Sample {
+		var out []nn.Sample
+		for _, s := range src {
+			ns := toNNSample(norm.NormSample(s))
+			start := len(weights)
+			for _, t := range ns.Out {
+				weights = append(weights, fw(t))
+			}
+			ns.W = weights[start:len(weights):len(weights)]
+			out = append(out, ns)
+		}
+		return out
 	}
-	for _, s := range split.Query {
-		task.Query = append(task.Query, toNNSample(norm.NormSample(s)))
-	}
+	task := &meta.LearningTask{WorkerID: wk.ID, Support: toSamples(split.Support), Query: toSamples(split.Query)}
 
-	// Distribution feature: subsampled raw routine locations.
+	// Distribution feature: subsampled raw routine locations, with their
+	// sorted projections for Sim_d.
 	var pts []geo.Point
 	for _, day := range wk.TrainDays {
 		pts = append(pts, day.Points...)
 	}
 	task.Features.Points = subsamplePoints(pts, maxFeaturePoints)
+	task.Features.SortProjections()
 
 	// Spatial feature: POIs along the routine.
 	pois := w.NearbyPOIs(task.Features.Points, poiRadius)
@@ -145,13 +161,13 @@ func subsamplePoints(pts []geo.Point, max int) []geo.Point {
 	return out
 }
 
-// TaskOrientedWeight builds the f_w of Eq. 7 from the workload's historical
-// task distribution: f_w(l) = κ·|{τ : dis(τ, l) < d^q}| / ρ^t + δ, where the
+// taskWeight builds the f_w of Eq. 7 from the workload's historical task
+// distribution: f_w(l) = κ·|{τ : dis(τ, l) < d^q}| / ρ^t + δ, where the
 // target point l arrives in model space and is denormalized before the
-// density lookup.
-func TaskOrientedWeight(density *geo.DensityIndex, norm traj.Normalizer, dq, kappa, delta float64) nn.WeightFn {
+// density lookup. buildTask calls it once for every target.
+func taskWeight(density *geo.DensityIndex, norm traj.Normalizer, dq, kappa, delta float64) func(target []float64) float64 {
 	rho := density.Density(dq)
-	return func(_ int, target []float64) float64 {
+	return func(target []float64) float64 {
 		loc := norm.Denorm(geo.Pt(target[0], target[1]))
 		count := density.CountWithin(loc, dq)
 		return kappa*float64(count)/rho + delta

@@ -56,12 +56,31 @@ type Features struct {
 	POIs   []geo.POI
 	Path   []nn.Vector
 	Points []geo.Point
+	// Sorted holds Points' DefaultProjections projections, each sorted,
+	// one run of len(Points) after another (SortProjections). Sim_d reads
+	// them instead of projecting and sorting Points for every pair; without
+	// them it does that.
+	Sorted []float64
+}
+
+// SortProjections fills f.Sorted from f.Points, which must not change
+// afterwards.
+func (f *Features) SortProjections() {
+	n := len(f.Points)
+	f.Sorted = make([]float64, DefaultProjections*n)
+	for k := 0; k < DefaultProjections; k++ {
+		project(f.Sorted[k*n:(k+1)*n], f.Points, k, DefaultProjections)
+		sort.Float64s(f.Sorted[k*n : (k+1)*n])
+	}
 }
 
 // Similarity computes the chosen metric between two feature sets.
 func Similarity(m Metric, a, b *Features) float64 {
 	switch m {
 	case Distribution:
+		if a.Sorted != nil && b.Sorted != nil {
+			return distributionSimSorted(a, b)
+		}
 		return DistributionSim(a.Points, b.Points)
 	case Spatial:
 		return SpatialSim(a.POIs, b.POIs)
@@ -136,7 +155,26 @@ func DistributionSim(a, b []geo.Point) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	w := SlicedWasserstein(a, b, DefaultProjections)
+	return distributionOf(SlicedWasserstein(a, b, DefaultProjections))
+}
+
+// distributionSimSorted is DistributionSim over the sorted projections of
+// both sides: the same sorted values SlicedWasserstein would produce (the
+// sort is deterministic on its input), swept in the same order, so the
+// same bits.
+func distributionSimSorted(a, b *Features) float64 {
+	na, nb := len(a.Points), len(b.Points)
+	if na == 0 || nb == 0 {
+		return 0
+	}
+	var sum float64
+	for k := 0; k < DefaultProjections; k++ {
+		sum += wasserstein1DSorted(a.Sorted[k*na:(k+1)*na], b.Sorted[k*nb:(k+1)*nb])
+	}
+	return distributionOf(sum / DefaultProjections)
+}
+
+func distributionOf(w float64) float64 {
 	return clamp01(1 / (1 + w/DistributionScale))
 }
 
@@ -161,6 +199,11 @@ func Wasserstein1D(xs, ys []float64) float64 {
 func wasserstein1DInPlace(a, b []float64) float64 {
 	sort.Float64s(a)
 	sort.Float64s(b)
+	return wasserstein1DSorted(a, b)
+}
+
+// wasserstein1DSorted is Wasserstein1D on non-empty sorted slices.
+func wasserstein1DSorted(a, b []float64) float64 {
 	na, nb := float64(len(a)), float64(len(b))
 	var dist, q float64
 	i, j := 0, 0
@@ -194,17 +237,21 @@ func SlicedWasserstein(a, b []geo.Point, nProj int) float64 {
 	pb := make([]float64, len(b))
 	var sum float64
 	for k := 0; k < nProj; k++ {
-		theta := math.Pi * float64(k) / float64(nProj)
-		c, s := math.Cos(theta), math.Sin(theta)
-		for i, p := range a {
-			pa[i] = c*p.X + s*p.Y
-		}
-		for i, p := range b {
-			pb[i] = c*p.X + s*p.Y
-		}
+		project(pa, a, k, nProj)
+		project(pb, b, k, nProj)
 		sum += wasserstein1DInPlace(pa, pb) // both are refilled per projection
 	}
 	return sum / float64(nProj)
+}
+
+// project writes the projections of pts onto direction k of nProj evenly
+// spaced in [0, π) into dst.
+func project(dst []float64, pts []geo.Point, k, nProj int) {
+	theta := math.Pi * float64(k) / float64(nProj)
+	c, s := math.Cos(theta), math.Sin(theta)
+	for i, p := range pts {
+		dst[i] = c*p.X + s*p.Y
+	}
 }
 
 func clamp01(x float64) float64 {

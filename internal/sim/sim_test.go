@@ -423,3 +423,63 @@ func TestSlicedWassersteinRotationInvariance(t *testing.T) {
 		t.Errorf("rotation changed sliced W: %v vs %v", w1, w2)
 	}
 }
+
+// TestSortedProjectionsMatchSlicedWasserstein holds Sim_d over prepared
+// sorted projections to DistributionSim over the points, bit for bit: on
+// random sets of unequal lengths, on sets with repeated points, with ±0
+// coordinates (whose projections sort as equals), and on one-point sets.
+// With either side unprepared, Similarity takes DistributionSim itself.
+func TestSortedProjectionsMatchSlicedWasserstein(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	negZero := math.Copysign(0, -1)
+	randSet := func(n int) []geo.Point {
+		pts := make([]geo.Point, n)
+		for i := range pts {
+			switch rng.Intn(6) {
+			case 0:
+				pts[i] = geo.Pt(negZero, 0)
+			case 1:
+				pts[i] = geo.Pt(0, negZero)
+			case 2:
+				if i > 0 {
+					pts[i] = pts[rng.Intn(i)] // a repeat
+					continue
+				}
+				fallthrough
+			default:
+				pts[i] = geo.Pt(rng.NormFloat64()*20, rng.NormFloat64()*20)
+			}
+		}
+		return pts
+	}
+	sizes := [][2]int{{1, 1}, {1, 7}, {7, 1}, {2, 2}, {3, 150}, {150, 149}, {64, 64}}
+	for trial := 0; trial < 60; trial++ {
+		n := sizes[trial%len(sizes)]
+		if trial >= len(sizes) {
+			n = [2]int{1 + rng.Intn(40), 1 + rng.Intn(40)}
+		}
+		a, b := Features{Points: randSet(n[0])}, Features{Points: randSet(n[1])}
+		want := DistributionSim(a.Points, b.Points)
+		if got := Similarity(Distribution, &a, &b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: unprepared %v, DistributionSim %v", trial, got, want)
+		}
+		a.SortProjections()
+		if got := Similarity(Distribution, &a, &b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: one side prepared %v, DistributionSim %v", trial, got, want)
+		}
+		b.SortProjections()
+		if got := Similarity(Distribution, &a, &b); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d (%d and %d points): prepared %v, DistributionSim %v", trial, n[0], n[1], got, want)
+		}
+		if got, want := Similarity(Distribution, &b, &a), DistributionSim(b.Points, a.Points); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: prepared, swapped %v, DistributionSim %v", trial, got, want)
+		}
+	}
+	var empty Features
+	empty.SortProjections()
+	one := Features{Points: []geo.Point{geo.Pt(1, 2)}}
+	one.SortProjections()
+	if got := Similarity(Distribution, &empty, &one); got != 0 {
+		t.Fatalf("empty side: %v, want 0", got)
+	}
+}
